@@ -19,6 +19,7 @@ from .algorithms import (
     default_box_bound,
     estimate_gradient_bound,
     half_squared_diameter,
+    iterate_rounds,
     pgd_round,
     pgd_stepsize,
     run,
@@ -56,6 +57,7 @@ from .graph import (
     WeightMatrix,
     build_weights,
     check_connectivity,
+    consensus_gap,
     induce_topology,
     metropolis_weights,
     null_range_check,
@@ -88,17 +90,15 @@ from .simnet import (
     SimnetTransport,
     exchange,
     locality_audit,
+    neighbor_views,
 )
 from .slack import (
     SlackLayout,
     SlackState,
     allocation_objective,
     assemble_gradient,
-    direct_views,
     feasible_slack_from_primal,
     finite_difference_gradient,
-    gradient_block,
-    multiplier_coordinate,
     solve_all_agents,
     stacked_primal,
     total_objective,

@@ -39,6 +39,7 @@ from .slack import (
     SlackLayout,
     SlackState,
     assemble_gradient,
+    multipliers_by_constraint,
     solve_all_agents,
     stacked_primal,
     total_objective,
@@ -120,54 +121,11 @@ class RunResult:
     messages: int
 
 
-class _RoundEngine:
-    """Shared evaluation/gradient plumbing over a transport."""
+def ada_round(state: AdaState, evaluate, config: AdaConfig):
+    """Advance one round; returns (new state, solutions at the new point, gradient).
 
-    def __init__(self, problem, topology, weights, layout, transport, hook=None):
-        self.problem = problem
-        self.topology = topology
-        self.weights = weights
-        self.layout = layout
-        self.transport = transport
-        self.hook = hook
-
-    def _by_constraint(self, flat):
-        layout = self.layout
-        return {
-            l: {i: flat[layout.index(l, i)] for i in members}
-            for l, members in zip(layout.constraints, layout.participants)
-        }
-
-    def evaluate(self, flat, round_index):
-        views = self.transport.gather(Phase.SLACK_EXCHANGE, self._by_constraint(flat))
-        if self.hook is not None:
-            self.hook(views, round_index)
-        return [
-            solve_kkt(assemble_subproblem(
-                i, self.problem, self.topology, self.weights, views[i - 1]
-            ))
-            for i in range(1, self.problem.n_agents + 1)
-        ]
-
-    def gradient(self, solutions):
-        m_ineq = self.topology.m_ineq
-        values = {
-            l: {i: solutions[i - 1].multiplier(l, m_ineq) for i in members}
-            for l, members in zip(self.layout.constraints, self.layout.participants)
-        }
-        views = self.transport.gather(Phase.MULTIPLIER_EXCHANGE, values)
-        return assemble_gradient(
-            solutions, self.topology, self.weights, self.layout, views
-        )
-
-    def monitor(self, flat):
-        """Transport-free evaluation for trace metrics."""
-        state = SlackState(self.layout, flat)
-        return solve_all_agents(state, self.problem, self.topology, self.weights)
-
-
-def ada_round(state: AdaState, engine: _RoundEngine, config: AdaConfig):
-    """Advance one round; returns (new state, solutions at the new point, gradient)."""
+    ``evaluate(point, t)`` returns (agent solutions, gradient) at ``point``.
+    """
     t = state.round + 1
     gamma_t, big_gamma_t = ada_schedule(t, config.gamma)
     if t == 1:
@@ -175,8 +133,7 @@ def ada_round(state: AdaState, engine: _RoundEngine, config: AdaConfig):
     else:
         theta = gamma_t / big_gamma_t
         point = (1.0 - theta) * state.average + theta * state.accumulator
-    solutions = engine.evaluate(point, t)
-    grad = engine.gradient(solutions)
+    solutions, grad = evaluate(point, t)
     if t == 1:
         accumulator = -gamma_t * grad
         average = accumulator.copy()
@@ -186,14 +143,51 @@ def ada_round(state: AdaState, engine: _RoundEngine, config: AdaConfig):
     return AdaState(point, accumulator, average, t), solutions, grad
 
 
-def pgd_round(state: PgdState, engine: _RoundEngine, config: PgdConfig, theta: float):
+def pgd_round(state: PgdState, evaluate, config: PgdConfig, theta: float):
     """Advance one round; returns (new state, solutions at the consumed point, gradient)."""
     t = state.round + 1
-    solutions = engine.evaluate(state.point, t)
-    grad = engine.gradient(solutions)
+    solutions, grad = evaluate(state.point, t)
     step = pgd_stepsize(t, theta, config.grad_bound)
     point = np.clip(state.point - step * grad, -config.box_bound, config.box_bound)
     return PgdState(point, t), solutions, grad
+
+
+def iterate_rounds(problem, topology, weights, config, start, transport, hook=None):
+    """Yield (state, solutions, gradient) after each round of ``ada`` or ``pgd``.
+
+    ``start`` is the initial AdaState or PgdState, and ``config`` (an
+    AdaConfig or PgdConfig) picks the update and the round budget.  A round
+    exchanges slack values over ``transport``, calls ``hook(views, t)`` if
+    given, solves every agent's subproblem, exchanges the multipliers and
+    forms the consensus-gap gradient.  Stop early by leaving the loop.
+    """
+    layout = SlackLayout.from_topology(topology)
+
+    def evaluate(point, t):
+        views = transport.gather(Phase.SLACK_EXCHANGE, layout.by_constraint(point))
+        if hook is not None:
+            hook(views, t)
+        solutions = [
+            solve_kkt(assemble_subproblem(i, problem, topology, weights, views[i - 1]))
+            for i in range(1, problem.n_agents + 1)
+        ]
+        # Drop the slack views first: holding them while the multiplier views
+        # are built adds collector passes, on 400 agents a full one per run.
+        del views
+        values = multipliers_by_constraint(solutions, topology)
+        views = transport.gather(Phase.MULTIPLIER_EXCHANGE, values)
+        return solutions, assemble_gradient(solutions, topology, weights, layout, views)
+
+    is_ada = isinstance(config, AdaConfig)
+    if not is_ada:
+        theta = half_squared_diameter(config.box_bound, layout.size)
+    state = start
+    for _ in range(config.rounds):
+        if is_ada:
+            state, solutions, grad = ada_round(state, evaluate, config)
+        else:
+            state, solutions, grad = pgd_round(state, evaluate, config, theta)
+        yield state, solutions, grad
 
 
 def _dual_errors(topology, weights, solutions):
@@ -205,8 +199,7 @@ def _dual_errors(topology, weights, solutions):
             out.append(0.0)
             continue
         mults = np.array([solutions[i - 1].multiplier(l, m_ineq) for i in members])
-        gap = np.eye(len(members)) - weights[l].entries
-        out.append(float(np.linalg.norm(gap @ mults)))
+        out.append(float(np.linalg.norm(weights[l].gap @ mults)))
     return tuple(out)
 
 
@@ -236,12 +229,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     """
     layout = SlackLayout.from_topology(topology)
     if isinstance(transport, str):
-        transport = {
-            "simnet": lambda: SimnetTransport(topology),
-            "direct": lambda: DirectTransport(topology),
-        }[transport]()
-    engine = _RoundEngine(problem, topology, weights, layout, transport,
-                          hook=slack_phase_hook)
+        transport = {"simnet": SimnetTransport,
+                     "direct": DirectTransport}[transport](topology)
 
     is_ada = isinstance(config, AdaConfig)
     if is_ada and check_gamma:
@@ -265,48 +254,54 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         vi, ve = max_violation(problem, stacked_primal(solutions))
         return phi, vi, ve, _dual_errors(topology, weights, solutions)
 
+    def monitor(flat):
+        # Trace metrics only: no transport, no message cost.
+        return solve_all_agents(SlackState(layout, flat), problem, topology, weights)
+
+    def stalled(grad):
+        return (config.grad_tolerance is not None
+                and np.abs(grad).max(initial=0.0) <= config.grad_tolerance)
+
     if is_ada:
         state = AdaState(start, np.zeros(layout.size), np.zeros(layout.size), 0)
-        sol0 = engine.monitor(start)
-        phi, vi, ve, dual = metrics(sol0)
+        hat_solutions = monitor(start)
+        phi, vi, ve, dual = metrics(hat_solutions)
         records.append(RoundRecord(0, phi, math.nan, math.nan, vi, ve, dual, 0))
-        hat_solutions = sol0
-        for t in range(1, config.rounds + 1):
-            state, solutions, grad = ada_round(state, engine, config)
+        for state, solutions, grad in iterate_rounds(
+                problem, topology, weights, config, state, transport, slack_phase_hook):
+            t = state.round
             phi, vi, ve, dual = metrics(solutions)
-            hat_solutions = engine.monitor(state.average)
+            hat_solutions = monitor(state.average)
             phi_hat, vi_hat, ve_hat, _ = metrics(hat_solutions)
             records.append(RoundRecord(
                 t, phi, phi_hat, phi_hat - f_star,
                 max(vi, vi_hat), max(ve, ve_hat), dual, t * msgs_per_round,
             ))
-            if (config.grad_tolerance is not None
-                    and np.abs(grad).max(initial=0.0) <= config.grad_tolerance):
+            if stalled(grad):
                 converged = True
                 break
         output_flat = state.average if state.round else start
         output_solutions = hat_solutions
         box_active = None
     else:
-        theta = half_squared_diameter(config.box_bound, layout.size)
         state = PgdState(start, 0)
         output_solutions = None
-        for t in range(1, config.rounds + 1):
-            new_state, solutions, grad = pgd_round(state, engine, config, theta)
+        for new_state, solutions, grad in iterate_rounds(
+                problem, topology, weights, config, state, transport, slack_phase_hook):
+            # Record the point the round consumed; stop before moving off it.
             phi, vi, ve, dual = metrics(solutions)
             records.append(RoundRecord(
-                t - 1, phi, math.nan, phi - f_star, vi, ve, dual,
-                (t - 1) * msgs_per_round,
+                state.round, phi, math.nan, phi - f_star, vi, ve, dual,
+                state.round * msgs_per_round,
             ))
-            if (config.grad_tolerance is not None
-                    and np.abs(grad).max(initial=0.0) <= config.grad_tolerance):
+            if stalled(grad):
                 converged = True
                 output_solutions = solutions
                 break
             state = new_state
         if output_solutions is None:
             # Final iterate never served a later round; evaluate it for the trace.
-            output_solutions = engine.monitor(state.point)
+            output_solutions = monitor(state.point)
             phi, vi, ve, dual = metrics(output_solutions)
             records.append(RoundRecord(
                 state.round, phi, math.nan, phi - f_star, vi, ve, dual,

@@ -16,16 +16,20 @@ problem shape this package solves.  The filter QP is re-solved each step,
 either centrally or by a fixed number of distributed rounds with the slack
 allocation reset to zero; every inner iterate already satisfies the coupled
 rows, so even a truncated inner loop never applies an unsafe input.
+
+The rows are the continuous-time decrease condition, so under the sampled
+Euler step the barrier obeys only  g[k+1] >= (1 - dt) g[k] - dt^2 sum_i ||u_i||^2
+and can settle below 0 by O(dt^2 ||u||^2): the exact (centralized) filter on
+``line_consensus_scenario()`` ends at g1(20 s) = -1.1e-6, every row satisfied.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import AdaConfig, AdaState, _RoundEngine, ada_round
+from .algorithms import AdaConfig, AdaState, iterate_rounds
 from .exceptions import RankDeficiencyError, ValidationError
 from .graph import Graph, build_weights, induce_topology
 from .oracle import solve_centralized
@@ -37,7 +41,7 @@ from .problem import (
     validate_licq,
 )
 from .simnet import DirectTransport
-from .slack import SlackLayout, stacked_primal
+from .slack import SlackLayout, SlackState, solve_all_agents, stacked_primal
 
 
 @dataclass(frozen=True)
@@ -170,21 +174,6 @@ class ClosedLoopResult:
         return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
 
-def _distributed_inputs(problem, topology, weights, layout, scenario, start):
-    """Truncated averaging rounds; returns (inputs, worst inner violation, final slack)."""
-    engine = _RoundEngine(problem, topology, weights, layout,
-                          DirectTransport(topology))
-    config = AdaConfig(scenario.gamma, scenario.inner_iterations)
-    state = AdaState(start, np.zeros(layout.size), np.zeros(layout.size), 0)
-    worst = 0.0
-    for _ in range(scenario.inner_iterations):
-        state, solutions, _ = ada_round(state, engine, config)
-        vi, _ = max_violation(problem, stacked_primal(solutions))
-        worst = max(worst, vi)
-    final_solutions = engine.monitor(state.average)
-    return stacked_primal(final_solutions), worst, state.average
-
-
 def run_closed_loop(scenario: CbfScenario, graph: Graph,
                     state: MultiAgentState) -> ClosedLoopResult:
     """Simulate the sampled closed loop over the scenario horizon.
@@ -209,6 +198,8 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     topology = induce_topology(problem, graph)
     weights = build_weights(topology)
     layout = SlackLayout.from_topology(topology)
+    transport = DirectTransport(topology)
+    config = AdaConfig(scenario.gamma, scenario.inner_iterations)
     slack = np.zeros(layout.size)
 
     for s in range(steps):
@@ -230,11 +221,16 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             u = sol.x.reshape(n, 2)
             inner_worst[s] = 0.0
         else:
+            # Truncated averaging rounds; the input is the primal at the average.
             start = slack if scenario.warm_start else np.zeros(layout.size)
-            flat, worst, slack = _distributed_inputs(
-                problem, topology, weights, layout, scenario, start
-            )
-            u = flat.reshape(n, 2)
+            inner = AdaState(start, np.zeros(layout.size), np.zeros(layout.size), 0)
+            worst = 0.0
+            for inner, solutions, _ in iterate_rounds(
+                    problem, topology, weights, config, inner, transport):
+                worst = max(worst, max_violation(problem, stacked_primal(solutions))[0])
+            slack = inner.average
+            final = solve_all_agents(SlackState(layout, slack), problem, topology, weights)
+            u = stacked_primal(final).reshape(n, 2)
             inner_worst[s] = worst
 
         applied_worst[s], _ = max_violation(problem, u.reshape(-1))

@@ -125,16 +125,24 @@ def _merged_run_config(args) -> dict:
     return merged
 
 
+def _custom_weights(custom, topology) -> dict[int, WeightMatrix]:
+    """The problem file's weight matrices, validated, keyed by constraint."""
+    out = {}
+    for l, matrix in (custom or {}).items():
+        if not 1 <= l <= topology.n_constraints:
+            raise ConfigError(
+                f"weights: constraint {l} out of range 1..{topology.n_constraints}")
+        out[l] = WeightMatrix(l, topology.participants_of(l), matrix)
+        out[l].validate(topology)
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg = _merged_run_config(args)
     problem, custom = formats.load_problem(cfg["problem"])
     topology = induce_topology(problem, problem.graph)
     weights = build_weights(topology)
-    if custom:
-        for l, matrix in custom.items():
-            wm = WeightMatrix(l, topology.participants_of(l), matrix)
-            wm.validate(topology)
-            weights[l] = wm
+    weights.update(_custom_weights(custom, topology))
 
     licq = validate_licq(problem)
     if not licq.all_full_rank:
@@ -192,8 +200,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem, _ = formats.load_problem(args.problem)
+    problem, custom = formats.load_problem(args.problem)
     topology = induce_topology(problem, problem.graph)
+    _custom_weights(custom, topology)
     connectivity = check_connectivity(topology)
     licq = validate_licq(problem)
     ok = connectivity.all_connected and licq.all_full_rank

@@ -245,9 +245,17 @@ class WeightMatrix:
     def weight(self, i: int, j: int) -> float:
         return float(self.entries[self.position(i), self.position(j)])
 
+    @property
+    def gap(self) -> np.ndarray:
+        """The consensus operator I - P, dense, in participant order."""
+        return np.eye(len(self.participants)) - self.entries
+
     def validate(self, topology: ConstraintTopology, tol: float = 1e-12) -> None:
         """Raise WeightMatrixError unless all structural invariants hold."""
         p = self.entries
+        l = self.constraint_index
+        if not np.all(np.isfinite(p)):
+            raise WeightMatrixError(f"constraint {l}: weight matrix entries must be finite")
         k = len(self.participants)
         if k == 0:
             return
@@ -257,7 +265,6 @@ class WeightMatrix:
             raise WeightMatrixError("weight matrix is not symmetric")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > tol:
             raise WeightMatrixError("weight matrix rows do not sum to 1")
-        l = self.constraint_index
         for a, i in enumerate(self.participants):
             hood = topology.neighborhood(l, i)
             for b, j in enumerate(self.participants):
@@ -316,6 +323,21 @@ def null_range_check(weights: WeightMatrix, tol: float = 1e-10) -> bool:
     k = len(weights.participants)
     if k <= 1:
         return True
-    gap = np.eye(k) - weights.entries
-    rank = int(np.sum(np.linalg.svd(gap, compute_uv=False) > tol))
+    rank = int(np.sum(np.linalg.svd(weights.gap, compute_uv=False) > tol))
     return rank == k - 1
+
+
+def consensus_gap(l: int, agent: int, topology, weights, view) -> float:
+    """Row ``agent`` of (I - P^[l]) v from one-hop data ``view[(l, j)] = v_j``.
+
+    Computes sum_{j in N_i^[l], j != i} p_ij (v_i - v_j): the slack term of a
+    row offset, or a gradient coordinate on the multipliers.  The difference
+    form gives exactly 0 for any constant v, not just 0 up to roundoff.
+    """
+    w = weights[l]
+    own = view[(l, agent)]
+    gap = 0.0
+    for j in topology.neighborhood(l, agent):
+        if j != agent:
+            gap += w.weight(agent, j) * (own - view[(l, j)])
+    return gap

@@ -30,6 +30,7 @@ from .exceptions import (
     DegenerateSubproblemError,
     UnboundedSubproblemError,
 )
+from .graph import consensus_gap
 from .problem import AgentObjective
 
 # Residuals above this are treated as violated when growing the working set;
@@ -202,29 +203,20 @@ def assemble_subproblem(agent: int, problem, topology, weights,
         sum_{j in N_i^[l]} p_ij (y_i - y_j) + b_i^[l],
 
     i.e. the consensus gap of the agent's slack plus its own offset share.
-    The difference form keeps constant shifts of a constraint's slack block
-    out of the offsets exactly, not just up to roundoff.
     """
     cons = problem.constraints
     m_ineq = cons.m_ineq
 
-    def offset_for(l, base):
-        w = weights[l]
-        y_i = slack_view[(l, agent)]
-        gap = 0.0
-        for j in topology.neighborhood(l, agent):
-            if j != agent:
-                gap += w.weight(agent, j) * (y_i - slack_view[(l, j)])
-        return gap + base
-
     ineq_rows = []
     for m in topology.agent_ineq_sets[agent - 1]:
         coeffs, b = cons.ineq_row(agent, m)
-        ineq_rows.append((m, coeffs, offset_for(m, b)))
+        gap = consensus_gap(m, agent, topology, weights, slack_view)
+        ineq_rows.append((m, coeffs, gap + b))
     eq_rows = []
     for q in topology.agent_eq_sets[agent - 1]:
         coeffs, g = cons.eq_row(agent, q)
-        eq_rows.append((q, coeffs, offset_for(m_ineq + q, g)))
+        gap = consensus_gap(m_ineq + q, agent, topology, weights, slack_view)
+        eq_rows.append((q, coeffs, gap + g))
     return LocalSubproblem.build(problem.objectives[agent - 1], ineq_rows, eq_rows)
 
 

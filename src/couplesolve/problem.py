@@ -40,7 +40,12 @@ class AgentObjective:
             raise DimensionMismatchError(
                 f"linear term {c.shape} does not match hessian {h.shape}"
             )
-        if not np.allclose(h, h.T, atol=1e-12, rtol=0):
+        for name, finite in (("hessian", np.isfinite(h).all()),
+                             ("linear", np.isfinite(c).all()),
+                             ("constant", math.isfinite(self.constant))):
+            if not finite:
+                raise ValidationError(f"objective {name} must be finite")
+        if not (np.abs(h - h.T) <= 1e-12).all():
             raise ValidationError("hessian must be symmetric")
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "linear", c)
@@ -84,6 +89,11 @@ class CouplingConstraints:
             raise ValidationError(f"agent {agent} out of range 1..{self.n_agents}")
         coeffs = np.asarray(coeffs, dtype=float)
         offset = float(offset)
+        for name, finite in (("coeffs", np.isfinite(coeffs).all()),
+                             ("offset", math.isfinite(offset))):
+            if not finite:
+                raise ValidationError(
+                    f"agent {agent} {kind} row {index}: {name} must be finite")
         if index in store[agent - 1]:
             raise ValidationError(f"duplicate {kind} row {index} for agent {agent}")
         if offset != 0.0 or np.any(coeffs != 0.0):
@@ -252,12 +262,10 @@ def operator_norms(topology, weights) -> dict[int, float]:
     """Spectral norm of I - P per constraint (0 for empty participant sets)."""
     out = {}
     for l in range(1, topology.n_constraints + 1):
-        k = len(topology.participants_of(l))
-        if k == 0:
-            out[l] = 0.0
+        if topology.participants_of(l):
+            out[l] = float(np.max(np.abs(np.linalg.eigvalsh(weights[l].gap))))
         else:
-            gap = np.eye(k) - weights[l].entries
-            out[l] = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
+            out[l] = 0.0
     return out
 
 

@@ -87,6 +87,21 @@ class NeighborView:
         return key in self._data
 
 
+def neighbor_views(topology, values: dict) -> list[dict]:
+    """Per-agent {(constraint, neighbor): value} over each closed neighborhood.
+
+    ``values`` maps each constraint l to {participant: value}; entry i - 1 of
+    the result holds what agent i may read, unmediated.
+    """
+    per_agent = [dict() for _ in range(topology.n_agents)]
+    for l, block in values.items():
+        for i in topology.participants_of(l):
+            view = per_agent[i - 1]
+            for j in topology.neighborhood(l, i):
+                view[(l, j)] = block[j]
+    return per_agent
+
+
 class BaseTransport:
     """Common bookkeeping: message counting per phase."""
 
@@ -98,22 +113,13 @@ class BaseTransport:
             for l in range(1, topology.n_constraints + 1)
         )
 
-    def _neighbor_data(self, values):
-        per_agent = [dict() for _ in range(self.topology.n_agents)]
-        for l, block in values.items():
-            for i in self.topology.participants_of(l):
-                view = per_agent[i - 1]
-                for j in self.topology.neighborhood(l, i):
-                    view[(l, j)] = block[j]
-        return per_agent
-
 
 class DirectTransport(BaseTransport):
     """In-memory exchange: plain dict views, same values, no mediation."""
 
     def gather(self, phase: Phase, values: dict) -> list[dict]:
         self.messages += self.messages_per_phase
-        return self._neighbor_data(values)
+        return neighbor_views(self.topology, values)
 
 
 class SimnetTransport(BaseTransport):
@@ -133,7 +139,7 @@ class SimnetTransport(BaseTransport):
                     self.log.append(Message(phase, l, a, b, block[a]))
                     self.log.append(Message(phase, l, b, a, block[b]))
         self.messages += self.messages_per_phase
-        data = self._neighbor_data(values)
+        data = neighbor_views(self.topology, values)
         return [
             NeighborView(i + 1, data[i], values, self.auditor)
             for i in range(self.topology.n_agents)

@@ -26,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DisconnectedSubgraphError, ValidationError
+from .graph import consensus_gap
 from .local_qp import KktSolution, assemble_subproblem, solve_kkt
-from .problem import aggregate_violation, objective_value
+from .problem import aggregate_violation
+from .simnet import neighbor_views
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,13 @@ class SlackLayout:
         start = self.starts[l - 1]
         return slice(start, start + len(self.participants[l - 1]))
 
+    def by_constraint(self, flat) -> dict[int, dict[int, float]]:
+        """{l: {participant: value}} from a flat vector in this layout."""
+        return {
+            l: {i: flat[start + a] for a, i in enumerate(members)}
+            for l, members, start in zip(self.constraints, self.participants, self.starts)
+        }
+
 
 @dataclass
 class SlackState:
@@ -92,17 +101,6 @@ class SlackState:
         return SlackState(self.layout, self.values.copy())
 
 
-def direct_views(slack: SlackState, topology) -> list[dict]:
-    """Per-agent {(constraint, neighbor): slack value} mappings, unmediated."""
-    views = [dict() for _ in range(topology.n_agents)]
-    for l in slack.layout.constraints:
-        for i in topology.participants_of(l):
-            view = views[i - 1]
-            for j in topology.neighborhood(l, i):
-                view[(l, j)] = slack.value(l, j)
-    return views
-
-
 def solve_all_agents(slack: SlackState, problem, topology, weights,
                      views: list | None = None) -> list[KktSolution]:
     """Solve every agent's subproblem at the given slack allocation.
@@ -111,7 +109,7 @@ def solve_all_agents(slack: SlackState, problem, topology, weights,
     values are read directly from the slack state.
     """
     if views is None:
-        views = direct_views(slack, topology)
+        views = neighbor_views(topology, slack.layout.by_constraint(slack.values))
     return [
         solve_kkt(assemble_subproblem(i, problem, topology, weights, views[i - 1]))
         for i in range(1, problem.n_agents + 1)
@@ -134,53 +132,30 @@ def allocation_objective(slack: SlackState, problem, topology, weights) -> float
     return total_objective(problem, solve_all_agents(slack, problem, topology, weights))
 
 
-def multiplier_coordinate(l: int, agent: int, topology, weights, mult_view) -> float:
-    """Consensus gap of the multipliers: one gradient coordinate, one-hop data."""
-    w = weights[l]
-    own = mult_view[(l, agent)]
-    gap = 0.0
-    for j in topology.neighborhood(l, agent):
-        if j != agent:
-            gap += w.weight(agent, j) * (own - mult_view[(l, j)])
-    return gap
-
-
-def gradient_block(l: int, topology, weights, multipliers: dict[int, float]) -> np.ndarray:
-    """Gradient of the allocation cost w.r.t. constraint l's slack block.
-
-    ``multipliers`` maps each participant to its row-l multiplier.  Equals
-    (I - P^[l])' applied to the stacked multipliers; assembled coordinatewise
-    with the same arithmetic an agent uses locally, so central and one-hop
-    evaluations agree exactly.
-    """
-    members = topology.participants_of(l)
-    view = {(l, i): multipliers[i] for i in members}
-    return np.array([
-        multiplier_coordinate(l, i, topology, weights, view) for i in members
-    ])
+def multipliers_by_constraint(solutions: list[KktSolution], topology) -> dict:
+    """{l: {participant: its row-l multiplier}}: what the multiplier exchange sends."""
+    m_ineq = topology.m_ineq
+    return {
+        l: {i: solutions[i - 1].multiplier(l, m_ineq) for i in topology.participants_of(l)}
+        for l in range(1, topology.n_constraints + 1)
+    }
 
 
 def assemble_gradient(solutions: list[KktSolution], topology, weights,
                       layout: SlackLayout, views: list | None = None) -> np.ndarray:
     """Full allocation-cost gradient from the agents' multipliers.
 
-    ``views`` may supply transport-mediated multiplier views (built from the
-    MULTIPLIER_EXCHANGE phase); by default multipliers are read directly from
-    the solutions.
+    Coordinate (l, i) is ``consensus_gap`` of the row-l multipliers, the
+    arithmetic agent i uses locally.  ``views`` may supply transport-mediated
+    multiplier views (built from the MULTIPLIER_EXCHANGE phase); by default
+    multipliers are read directly from the solutions.
     """
-    m_ineq = topology.m_ineq
     if views is None:
-        views = [dict() for _ in range(topology.n_agents)]
-        for l in layout.constraints:
-            for i in topology.participants_of(l):
-                for j in topology.neighborhood(l, i):
-                    views[i - 1][(l, j)] = solutions[j - 1].multiplier(l, m_ineq)
+        views = neighbor_views(topology, multipliers_by_constraint(solutions, topology))
     grad = np.zeros(layout.size)
     for l in layout.constraints:
         for i in topology.participants_of(l):
-            grad[layout.index(l, i)] = multiplier_coordinate(
-                l, i, topology, weights, views[i - 1]
-            )
+            grad[layout.index(l, i)] = consensus_gap(l, i, topology, weights, views[i - 1])
     return grad
 
 
@@ -211,7 +186,7 @@ def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights,
             cons.row(i, l)[0] @ blocks[i - 1] + cons.row(i, l)[1] for i in members
         ])
         rhs = residual.mean() - residual
-        gap = np.eye(len(members)) - weights[l].entries
+        gap = weights[l].gap
         y_block, *_ = np.linalg.lstsq(gap, rhs, rcond=None)
         if np.max(np.abs(gap @ y_block - rhs), initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max()):
             raise DisconnectedSubgraphError(
@@ -234,21 +209,19 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     per probe.
     """
     layout = slack.layout
-    base_solutions = solve_all_agents(slack, problem, topology, weights)
+    base_views = neighbor_views(topology, layout.by_constraint(slack.values))
+    base_solutions = solve_all_agents(slack, problem, topology, weights, base_views)
     base_costs = np.array([
         obj.value(sol.x) for obj, sol in zip(problem.objectives, base_solutions)
     ])
     total = float(base_costs.sum())
 
-    def probe(values, affected) -> float:
-        # Re-solve only the agents whose offsets see the perturbed coordinate.
+    def probe(l, agent, value) -> float:
+        # Re-solve only the agents whose offsets read the perturbed coordinate.
+        affected = topology.neighborhood(l, agent)
         cost = total - base_costs[[i - 1 for i in affected]].sum()
         for i in affected:
-            view = {
-                (l, j): values[layout.index(l, j)]
-                for l in topology.constraints_of(i)
-                for j in topology.neighborhood(l, i)
-            }
+            view = {**base_views[i - 1], (l, agent): value}
             sub = assemble_subproblem(i, problem, topology, weights, view)
             cost += problem.objectives[i - 1].value(solve_kkt(sub).x)
         return cost
@@ -259,13 +232,8 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
         for agent in topology.participants_of(l):
             k = layout.index(l, agent)
             h = base_step * (1.0 + abs(slack.values[k]))
-            affected = topology.neighborhood(l, agent)
-            up = slack.values.copy()
-            up[k] += h
-            down = slack.values.copy()
-            down[k] -= h
-            f_up = probe(up, affected)
-            f_down = probe(down, affected)
+            f_up = probe(l, agent, slack.values[k] + h)
+            f_down = probe(l, agent, slack.values[k] - h)
             grad[k] = (f_up - f_down) / (2.0 * h)
             forward = (f_up - total) / h
             backward = (total - f_down) / h

@@ -196,3 +196,18 @@ def test_warm_start_changes_inner_path_not_safety():
     warm = run_closed_loop(CbfScenario(warm_start=True, **base), graph, state)
     assert warm.applied_worst_violation.max() <= 1e-12
     assert not np.allclose(cold.inputs, warm.inputs)
+
+
+def test_first_step_applies_the_run_output():
+    # The filter's inner loop is the library's round loop: one cold-started
+    # control step applies exactly what ``run`` returns on the step problem.
+    scenario, graph, state = line_consensus_scenario(horizon=0.01)
+    problem = assemble_step_problem(state, scenario, graph)
+    topology = cs.induce_topology(problem, graph)
+    weights = cs.build_weights(topology)
+    expected = cs.run(problem, topology, weights,
+                      cs.AdaConfig(scenario.gamma, scenario.inner_iterations),
+                      transport="direct", check_gamma=False).output_primal
+    result = run_closed_loop(scenario, graph, state)
+    assert result.inputs.shape[0] == 1
+    assert np.array_equal(result.inputs[0].reshape(-1), expected)

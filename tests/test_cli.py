@@ -125,6 +125,45 @@ def test_check_flags_disconnected_participants(tmp_path, capsys):
     assert "validation failed" in text
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["agents"][0].update(linear=[float("nan")]), "linear"),
+    (lambda d: d["agents"][1].update(linear=[float("inf")]), "linear"),
+    (lambda d: d["eq"][0].update(offset=float("inf")), "offset"),
+    (lambda d: d["eq"][1].update(offset=float("nan")), "offset"),
+    (lambda d: d.update(weights=[{"constraint": 1,
+                                  "matrix": [[0.5, float("nan")], [0.5, 0.5]]}]),
+     "entries"),
+], ids=["nan-linear", "inf-linear", "inf-offset", "nan-offset", "nan-weight"])
+def test_non_finite_input_exits_2_naming_the_field(toy_file, tmp_path, capsys,
+                                                   edit, field):
+    # json reads and writes NaN and Infinity, so a problem file can carry them
+    data = json.loads(Path(toy_file).read_text())
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["run", str(path), "--algo", "ada", "--rounds", "2",
+                  "--output", str(tmp_path / "trace.csv")],
+                 ["check", str(path)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constraint", [0, 2])
+def test_custom_weight_constraint_out_of_range_exits_2(toy_file, tmp_path, capsys,
+                                                       constraint):
+    data = json.loads(Path(toy_file).read_text())
+    data["weights"] = [{"constraint": constraint, "matrix": [[0.5, 0.5], [0.5, 0.5]]}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["run", str(path), "--algo", "ada", "--rounds", "2",
+                  "--output", str(tmp_path / "trace.csv")],
+                 ["check", str(path)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert f"constraint {constraint} out of range 1..1" in capsys.readouterr().err
+
+
 def test_solve_central_prints_and_writes(toy_file, tmp_path, capsys):
     out = tmp_path / "sol.json"
     code = cli.main(["solve-central", toy_file, "--output", str(out)])

@@ -134,6 +134,15 @@ def test_validate_rejects_bad_row_sums(path4):
         cs.WeightMatrix(1, (1, 2, 3, 4), entries).validate(topo)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite_weights(path4, bad):
+    topo = _path_topology(path4)
+    entries = cs.metropolis_weights(1, topo).entries.copy()
+    entries[0, 1] = entries[1, 0] = bad
+    with pytest.raises(WeightMatrixError, match="entries must be finite"):
+        cs.WeightMatrix(1, (1, 2, 3, 4), entries).validate(topo)
+
+
 def test_null_range_fails_on_identity():
     # identity weights mean no mixing: the kernel of I - P is everything
     w = cs.WeightMatrix(1, (1, 2), np.eye(2))

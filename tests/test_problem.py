@@ -33,6 +33,33 @@ def test_linear_term_length_checked():
         cs.AgentObjective(np.eye(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("field, args", [
+    ("hessian", ([[math.nan]], [0.0], 0.0)),
+    ("hessian", ([[math.inf]], [0.0], 0.0)),
+    ("linear", ([[1.0]], [math.nan], 0.0)),
+    ("linear", ([[1.0]], [-math.inf], 0.0)),
+    ("constant", ([[1.0]], [0.0], math.nan)),
+])
+def test_non_finite_objective_rejected(field, args):
+    hessian, linear, constant = args
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        cs.AgentObjective(np.array(hessian), np.array(linear), constant)
+
+
+@pytest.mark.parametrize("field, coeffs, offset", [
+    ("coeffs", [math.nan], 0.0),
+    ("coeffs", [math.inf], 0.0),
+    ("offset", [1.0], math.nan),
+    ("offset", [1.0], math.inf),
+])
+def test_non_finite_row_rejected(field, coeffs, offset):
+    cons = cs.CouplingConstraints(1, m_ineq=1, q_eq=1)
+    with pytest.raises(ValidationError, match=f"inequality row 1: {field} must be finite"):
+        cons.add_ineq_row(1, 1, coeffs, offset)
+    with pytest.raises(ValidationError, match=f"equality row 1: {field} must be finite"):
+        cons.add_eq_row(1, 1, coeffs, offset)
+
+
 def test_duplicate_row_rejected():
     cons = cs.CouplingConstraints(2, m_ineq=1, q_eq=0)
     cons.add_ineq_row(1, 1, [1.0], 0.0)

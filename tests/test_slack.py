@@ -56,8 +56,9 @@ def test_assembled_gradient_known_point(toy):
 def test_equal_multipliers_give_bitwise_zero_gradient(toy):
     problem, topology, weights = toy
     # multiplier consensus means a zero gradient block, exactly
-    block = cs.gradient_block(1, topology, weights, {1: -0.75, 2: -0.75})
-    assert block.tolist() == [0.0, 0.0]
+    view = {(1, 1): -0.75, (1, 2): -0.75}
+    block = [cs.consensus_gap(1, i, topology, weights, view) for i in (1, 2)]
+    assert block == [0.0, 0.0]
 
 
 def test_offsets_invariant_under_block_translation(toy):
@@ -106,14 +107,14 @@ def test_finite_difference_matches_analytic(toy):
     assert fd == pytest.approx([1.0, -1.0], abs=1e-7)
 
 
-def test_direct_views_cover_neighborhoods(toy):
+def test_neighbor_views_cover_neighborhoods(toy):
     problem, topology, weights = toy
     layout = _layout(toy)
-    state = cs.SlackState(layout, np.array([2.0, 0.0]))
-    views = cs.direct_views(state, topology)
-    assert views[0][(1, 1)] == 2.0
-    assert views[0][(1, 2)] == 0.0
-    assert views[1][(1, 1)] == 2.0
+    values = layout.by_constraint(np.array([2.0, 0.0]))
+    assert values == {1: {1: 2.0, 2: 0.0}}
+    views = cs.neighbor_views(topology, values)
+    assert views[0] == {(1, 1): 2.0, (1, 2): 0.0}
+    assert views[1] == {(1, 1): 2.0, (1, 2): 0.0}
 
 
 def test_gradient_matches_objective_slope(toy):
