@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .local_qp import assemble_subproblem, solve_kkt
+from .local_qp import AgentBatch, WarmStart
 from .problem import lipschitz_bound, max_violation
 from .simnet import DirectTransport, Phase, SimnetTransport
 from .slack import (
@@ -152,31 +152,35 @@ def pgd_round(state: PgdState, evaluate, config: PgdConfig, theta: float):
     return PgdState(point, t), solutions, grad
 
 
-def iterate_rounds(problem, topology, weights, config, start, transport, hook=None):
+def iterate_rounds(problem, topology, weights, config, start, transport, hook=None,
+                   warm=None):
     """Yield (state, solutions, gradient) after each round of ``ada`` or ``pgd``.
 
     ``start`` is the initial AdaState or PgdState, and ``config`` (an
     AdaConfig or PgdConfig) picks the update and the round budget.  A round
     exchanges slack values over ``transport``, calls ``hook(views, t)`` if
     given, solves every agent's subproblem, exchanges the multipliers and
-    forms the consensus-gap gradient.  Stop early by leaving the loop.
+    forms the consensus-gap gradient.  ``warm`` is the stream of batched
+    local solves the rounds use; by default a fresh one over a newly
+    compiled batch.  Stop early by leaving the loop.
     """
     layout = SlackLayout.from_topology(topology)
+    if warm is None:
+        warm = WarmStart(AgentBatch(problem, topology, weights))
+    batch = warm.batch
 
     def evaluate(point, t):
         views = transport.gather(Phase.SLACK_EXCHANGE, layout.by_constraint(point))
         if hook is not None:
             hook(views, t)
-        solutions = [
-            solve_kkt(assemble_subproblem(i, problem, topology, weights, views[i - 1]))
-            for i in range(1, problem.n_agents + 1)
-        ]
+        solutions = warm.solve(batch.offsets(views))
         # Drop the slack views first: holding them while the multiplier views
         # are built adds collector passes, on 400 agents a full one per run.
         del views
         values = multipliers_by_constraint(solutions, topology)
         views = transport.gather(Phase.MULTIPLIER_EXCHANGE, values)
-        return solutions, assemble_gradient(solutions, topology, weights, layout, views)
+        return solutions, assemble_gradient(solutions, topology, weights, layout,
+                                            views, batch)
 
     is_ada = isinstance(config, AdaConfig)
     if not is_ada:
@@ -229,7 +233,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     """
     layout = SlackLayout.from_topology(topology)
     if isinstance(transport, str):
-        transport = {"simnet": SimnetTransport,
+        # No caller can reach a transport made here, so it keeps no message log.
+        transport = {"simnet": lambda t: SimnetTransport(t, record=False),
                      "direct": DirectTransport}[transport](topology)
 
     is_ada = isinstance(config, AdaConfig)
@@ -254,9 +259,14 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         vi, ve = max_violation(problem, stacked_primal(solutions))
         return phi, vi, ve, _dual_errors(topology, weights, solutions)
 
+    # Rounds and monitoring keep separate warm starts over one compiled batch.
+    batch = AgentBatch(problem, topology, weights)
+    watch = WarmStart(batch)
+
     def monitor(flat):
         # Trace metrics only: no transport, no message cost.
-        return solve_all_agents(SlackState(layout, flat), problem, topology, weights)
+        return solve_all_agents(SlackState(layout, flat), problem, topology, weights,
+                                warm=watch)
 
     def stalled(grad):
         return (config.grad_tolerance is not None
@@ -268,7 +278,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         phi, vi, ve, dual = metrics(hat_solutions)
         records.append(RoundRecord(0, phi, math.nan, math.nan, vi, ve, dual, 0))
         for state, solutions, grad in iterate_rounds(
-                problem, topology, weights, config, state, transport, slack_phase_hook):
+                problem, topology, weights, config, state, transport, slack_phase_hook,
+                WarmStart(batch)):
             t = state.round
             phi, vi, ve, dual = metrics(solutions)
             hat_solutions = monitor(state.average)
@@ -287,7 +298,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         state = PgdState(start, 0)
         output_solutions = None
         for new_state, solutions, grad in iterate_rounds(
-                problem, topology, weights, config, state, transport, slack_phase_hook):
+                problem, topology, weights, config, state, transport, slack_phase_hook,
+                WarmStart(batch)):
             # Record the point the round consumed; stop before moving off it.
             phi, vi, ve, dual = metrics(solutions)
             records.append(RoundRecord(
@@ -353,11 +365,12 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
         points.extend(box_bound * signs.astype(float))
     points.extend(rng.uniform(-box_bound, box_bound, size=(interior_samples, n)))
 
+    warm = WarmStart(AgentBatch(problem, topology, weights))
     worst = 0.0
     for flat in points:
         state = SlackState(layout, flat)
-        solutions = solve_all_agents(state, problem, topology, weights)
-        grad = assemble_gradient(solutions, topology, weights, layout)
+        solutions = solve_all_agents(state, problem, topology, weights, warm=warm)
+        grad = assemble_gradient(solutions, topology, weights, layout, batch=warm.batch)
         worst = max(worst, float(np.linalg.norm(grad)))
     return 2.0 * worst
 

@@ -32,6 +32,7 @@ import numpy as np
 from .algorithms import AdaConfig, AdaState, iterate_rounds
 from .exceptions import RankDeficiencyError, ValidationError
 from .graph import Graph, build_weights, induce_topology
+from .local_qp import AgentBatch, WarmStart
 from .oracle import solve_centralized
 from .problem import (
     AgentObjective,
@@ -201,6 +202,8 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     transport = DirectTransport(topology)
     config = AdaConfig(scenario.gamma, scenario.inner_iterations)
     slack = np.zeros(layout.size)
+    # Working sets carry over from step to step; factors are per step problem.
+    rounds = final = None
 
     for s in range(steps):
         times[s] = state.time
@@ -224,13 +227,17 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             # Truncated averaging rounds; the input is the primal at the average.
             start = slack if scenario.warm_start else np.zeros(layout.size)
             inner = AdaState(start, np.zeros(layout.size), np.zeros(layout.size), 0)
+            batch = AgentBatch(problem, topology, weights)
+            rounds = WarmStart(batch, rounds.working if rounds else None)
+            final = WarmStart(batch, final.working if final else None)
             worst = 0.0
             for inner, solutions, _ in iterate_rounds(
-                    problem, topology, weights, config, inner, transport):
+                    problem, topology, weights, config, inner, transport, warm=rounds):
                 worst = max(worst, max_violation(problem, stacked_primal(solutions))[0])
             slack = inner.average
-            final = solve_all_agents(SlackState(layout, slack), problem, topology, weights)
-            u = stacked_primal(final).reshape(n, 2)
+            applied = solve_all_agents(SlackState(layout, slack), problem, topology,
+                                       weights, warm=final)
+            u = stacked_primal(applied).reshape(n, 2)
             inner_worst[s] = worst
 
         applied_worst[s], _ = max_violation(problem, u.reshape(-1))

@@ -55,6 +55,18 @@ def load_problem(path) -> tuple[ProblemSpec, dict[int, WeightMatrix] | None]:
     return problem_from_dict(data, where=str(path))
 
 
+def _cast(value, cast, field: str):
+    """``cast(value)``, or a ConfigError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field} must be numeric, got {value!r}") from exc
+
+
+def _floats(value):
+    return np.array(value, dtype=float)
+
+
 def problem_from_dict(data: dict, where: str = "problem"):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
@@ -64,52 +76,69 @@ def problem_from_dict(data: dict, where: str = "problem"):
 
     objectives = []
     for k, spec in enumerate(data["agents"], start=1):
-        _reject_unknown(spec, _AGENT_KEYS, f"{where}: agents[{k}]")
+        field = f"{where}: agents[{k}]"
+        _reject_unknown(spec, _AGENT_KEYS, field)
         try:
-            dim = int(spec["dim"])
+            dim = _cast(spec["dim"], int, f"{field} dim")
             obj = AgentObjective(
-                np.array(spec["hessian"], dtype=float),
-                np.array(spec["linear"], dtype=float),
-                float(spec.get("constant", 0.0)),
+                _cast(spec["hessian"], _floats, f"{field} hessian"),
+                _cast(spec["linear"], _floats, f"{field} linear"),
+                _cast(spec.get("constant", 0.0), float, f"{field} constant"),
             )
         except KeyError as exc:
-            raise ConfigError(f"{where}: agents[{k}] missing key {exc}") from exc
+            raise ConfigError(f"{field} missing key {exc}") from exc
         if obj.dim != dim:
             raise ConfigError(
-                f"{where}: agents[{k}] declares dim={dim} but hessian is "
+                f"{field} declares dim={dim} but hessian is "
                 f"{obj.dim}x{obj.dim}"
             )
         objectives.append(obj)
     n = len(objectives)
 
-    ineq_entries = data.get("ineq", [])
-    eq_entries = data.get("eq", [])
-    for name, entries in (("ineq", ineq_entries), ("eq", eq_entries)):
-        for k, row in enumerate(entries):
-            _reject_unknown(row, _ROW_KEYS, f"{where}: {name}[{k}]")
+    rows = {}
+    for name in ("ineq", "eq"):
+        rows[name] = []
+        for k, row in enumerate(data.get(name, [])):
+            field = f"{where}: {name}[{k}]"
+            _reject_unknown(row, _ROW_KEYS, field)
             for key in ("agent", "row", "coeffs", "offset"):
                 if key not in row:
-                    raise ConfigError(f"{where}: {name}[{k}] missing '{key}'")
-    m_ineq = int(data.get("m_ineq", max((r["row"] for r in ineq_entries), default=0)))
-    q_eq = int(data.get("q_eq", max((r["row"] for r in eq_entries), default=0)))
+                    raise ConfigError(f"{field} missing '{key}'")
+            rows[name].append((_cast(row["agent"], int, f"{field} agent"),
+                               _cast(row["row"], int, f"{field} row"),
+                               _cast(row["coeffs"], _floats, f"{field} coeffs"),
+                               _cast(row["offset"], float, f"{field} offset")))
+    m_ineq = _cast(data.get("m_ineq", max((r[1] for r in rows["ineq"]), default=0)),
+                   int, f"{where}: m_ineq")
+    q_eq = _cast(data.get("q_eq", max((r[1] for r in rows["eq"]), default=0)),
+                 int, f"{where}: q_eq")
 
     cons = CouplingConstraints(n, m_ineq, q_eq)
-    for row in ineq_entries:
-        cons.add_ineq_row(int(row["agent"]), int(row["row"]),
-                          np.array(row["coeffs"], dtype=float), float(row["offset"]))
-    for row in eq_entries:
-        cons.add_eq_row(int(row["agent"]), int(row["row"]),
-                        np.array(row["coeffs"], dtype=float), float(row["offset"]))
+    for row in rows["ineq"]:
+        cons.add_ineq_row(*row)
+    for row in rows["eq"]:
+        cons.add_eq_row(*row)
 
-    graph = Graph.from_edges(n, data.get("edges", []))
+    edges = []
+    for k, edge in enumerate(data.get("edges", [])):
+        field = f"{where}: edges[{k}]"
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ConfigError(f"{field} must be a pair of agents")
+        edges.append(tuple(_cast(i, int, field) for i in edge))
+    graph = Graph.from_edges(n, edges)
     problem = ProblemSpec(tuple(objectives), cons, graph)
 
     custom = None
     if "weights" in data:
         custom = {}
         for k, entry in enumerate(data["weights"]):
-            _reject_unknown(entry, {"constraint", "matrix"}, f"{where}: weights[{k}]")
-            custom[int(entry["constraint"])] = np.array(entry["matrix"], dtype=float)
+            field = f"{where}: weights[{k}]"
+            _reject_unknown(entry, {"constraint", "matrix"}, field)
+            for key in ("constraint", "matrix"):
+                if key not in entry:
+                    raise ConfigError(f"{field} missing '{key}'")
+            custom[_cast(entry["constraint"], int, f"{field} constraint")] = _cast(
+                entry["matrix"], _floats, f"{field} matrix")
     return problem, custom
 
 

@@ -18,6 +18,17 @@ violated inequality (lowest index on ties), drop the working row with the
 most negative multiplier (lowest index on ties), repeat.  A visited-set guard
 and an iteration cap of 100 x (number of inequality rows) turn cycling into a
 degeneracy error instead of an infinite loop.
+
+From one round to the next only the offsets change.  ``AgentQP`` compiles
+everything else once: H, c, the rows, their base offsets and the consensus
+terms that turn neighbour slacks into offsets.  For a fixed working set W the
+KKT solution is affine in the offsets, z = s_W + M_W off, and ``AgentQP``
+caches that map per working set.  ``WarmStart.solve`` evaluates every agent's
+map for the working set it ended on last time in one stacked pass, accepts
+each solution that passes the active-set loop's own termination test and
+residual bound, and hands the rest to the loop, started from that set.  The
+loop then solves through the same cached maps, so an answer depends only on
+its final working set and the offsets, never on where the search started.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .exceptions import (
     DegenerateSubproblemError,
     UnboundedSubproblemError,
 )
-from .graph import consensus_gap
 from .problem import AgentObjective
 
 # Residuals above this are treated as violated when growing the working set;
@@ -122,8 +132,12 @@ def _reduced_curvature_ok(h, rows, tol=1e-10) -> bool:
     return bool(np.linalg.eigvalsh(reduced).min() > tol)
 
 
-def solve_kkt(sub: LocalSubproblem) -> KktSolution:
+def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> KktSolution:
     """Exactly minimize the subproblem via primal active-set iteration.
+
+    ``start`` names the inequality rows (by index, like ``active_set``) of
+    the first working set.  With ``qp``, the compiled QP ``sub`` was built
+    from, each working set's KKT system is solved through its cached factor.
 
     Raises UnboundedSubproblemError when the Hessian is not positive definite
     on the equality nullspace (no unique bounded minimizer), and
@@ -136,14 +150,20 @@ def solve_kkt(sub: LocalSubproblem) -> KktSolution:
     e, eta = sub.eq_matrix, sub.eq_offsets
     k_i = a.shape[0]
 
-    working: list[int] = []   # positions into the inequality rows
-    visited = {frozenset()}
+    position = {idx: pos for pos, idx in enumerate(sub.ineq_indices)}
+    working = sorted(position[idx] for idx in start)  # positions into the inequality rows
+    visited = {frozenset(working)}
     cap = 100 * max(1, k_i)
+    if qp is not None:
+        offsets = qp.padded(beta, eta)
 
     for _ in range(cap + 1):
         rows = np.vstack([e, a[working]]) if working else e
-        rhs = np.concatenate([-eta, -beta[working]])
-        solved = _kkt_solve(h, c, rows, rhs)
+        if qp is None:
+            rhs = np.concatenate([-eta, -beta[working]])
+            solved = _kkt_solve(h, c, rows, rhs)
+        else:
+            solved = qp.kkt_solve(tuple(working), offsets)
         if solved is None:
             if not _reduced_curvature_ok(h, rows):
                 raise UnboundedSubproblemError(
@@ -192,6 +212,197 @@ def solve_kkt(sub: LocalSubproblem) -> KktSolution:
     )
 
 
+def _gap(p, own, v):
+    """sum_k p[..., k] (own - v[..., k]), added up in k order from 0.0.
+
+    The arithmetic of ``consensus_gap``: with the neighbours in its order
+    and zero-weight padding after them, every entry is bit-identical to it.
+    """
+    gap = np.zeros(own.shape)
+    for k in range(p.shape[-1]):
+        gap = gap + p[..., k] * (own - v[..., k])
+    return gap
+
+
+def _affine(m, s, offsets):
+    """s + m @ offsets, added up in offset order, one agent or stacked.
+
+    Elementwise, so an agent's entries do not depend on the batch around it.
+    """
+    z = s.copy()
+    for j in range(offsets.shape[-1]):
+        z += m[..., j] * offsets[..., j, None]
+    return z
+
+
+def _residual_ok(h, c, rows, kkt, z, offsets):
+    """``_kkt_solve``'s residual bound on padded solutions z = (x, multipliers).
+
+    ``kkt`` marks the rows in the KKT system.  Works on one agent or on a
+    stack; returns (bound holds, every row's residual rows @ x + offsets).
+    """
+    dim = h.shape[-1]
+    x, mults = z[..., :dim], z[..., dim:]
+    row_residual = np.einsum("...rd,...d->...r", rows, x) + offsets
+    stationarity = (np.einsum("...ij,...j->...i", h, x)
+                    + np.einsum("...rd,...r->...d", rows, mults) + c)
+    residual = np.maximum(np.abs(stationarity).max(-1, initial=0.0),
+                          np.abs(np.where(kkt, row_residual, 0.0)).max(-1, initial=0.0))
+    target = np.maximum(np.abs(c).max(-1, initial=0.0),
+                        np.abs(np.where(kkt, offsets, 0.0)).max(-1, initial=0.0))
+    scale = 1.0 + target + np.abs(z).max(-1, initial=0.0)
+    ok = (residual <= 1e-8 * scale) & np.isfinite(z).all(-1)
+    return ok, row_residual
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """One working set's KKT solution as an affine map z = s + m @ offsets."""
+
+    m: np.ndarray     # (dim + width, width)
+    s: np.ndarray     # (dim + width,)
+    kkt: np.ndarray   # rows in the KKT system: equalities and working inequalities
+    work: np.ndarray  # working inequality rows
+    free: np.ndarray  # inequality rows outside the working set
+
+
+class AgentQP:
+    """One agent's subproblem compiled once, everything but the offsets.
+
+    Rows are the agent's inequalities then equalities, each ascending.  Row
+    r of constraint l has the base offset b_i^[l] and the consensus terms
+    (j, p_ij) over j in N_i^[l] minus i, ascending, the order
+    ``consensus_gap`` visits them.  Arrays are zero-padded to ``shape`` =
+    (dim, width, reach): block dimension, rows and neighbours per row, so a
+    batch can stack its agents.  A solution z is padded the same way: x in
+    z[:dim], row r's multiplier in z[dim + r].
+    """
+
+    def __init__(self, agent, problem, topology, weights, shape=None):
+        cons = problem.constraints
+        obj = problem.objectives[agent - 1]
+        ineq = topology.agent_ineq_sets[agent - 1]
+        eq = topology.agent_eq_sets[agent - 1]
+        constraints = ineq + tuple(cons.m_ineq + q for q in eq)
+        neighbours = [[j for j in topology.neighborhood(l, agent) if j != agent]
+                      for l in constraints]
+        if shape is None:
+            shape = (obj.dim, len(constraints), max(map(len, neighbours), default=0))
+        dim, width, reach = shape
+        d = obj.dim
+
+        self.objective = obj
+        self.shape = shape
+        self.constraints = constraints
+        self.ineq_indices = ineq
+        self.eq_indices = eq
+        self.n_ineq = len(ineq)
+        self.position = {idx: pos for pos, idx in enumerate(ineq)}
+        self.hessian = np.zeros((dim, dim))
+        self.hessian[:d, :d] = obj.hessian
+        self.linear = np.zeros(dim)
+        self.linear[:d] = obj.linear
+        self.rows = np.zeros((width, dim))
+        self.base = np.zeros(width)
+        self.p = np.zeros((width, reach))
+        # The read pass: row r's own value, then its neighbours', each into
+        # its slot of a (width, reach + 1) buffer.
+        self.keys, slots = [], []
+        for r, (l, nbrs) in enumerate(zip(constraints, neighbours)):
+            coeffs, b = cons.row(agent, l)
+            self.rows[r, :d] = coeffs
+            self.base[r] = b
+            self.keys.append((l, agent))
+            slots.append(r * (reach + 1))
+            for k, j in enumerate(nbrs):
+                self.p[r, k] = weights[l].weight(agent, j)
+                self.keys.append((l, j))
+                slots.append(r * (reach + 1) + k + 1)
+        self.slots = np.array(slots, dtype=int)
+        self._factors = {}
+
+    def offsets(self, view) -> np.ndarray:
+        """Row offsets ``consensus_gap(l, i, ..., view) + b_i^[l]``, padded."""
+        _, width, reach = self.shape
+        buf = np.zeros(width * (reach + 1))
+        buf[self.slots] = [view[key] for key in self.keys]
+        buf = buf.reshape(width, reach + 1)
+        return _gap(self.p, buf[:, 0], buf[:, 1:]) + self.base
+
+    def padded(self, ineq_offsets, eq_offsets) -> np.ndarray:
+        offsets = np.zeros(self.shape[1])
+        offsets[:self.n_ineq] = ineq_offsets
+        offsets[self.n_ineq:len(self.constraints)] = eq_offsets
+        return offsets
+
+    def subproblem(self, offsets) -> LocalSubproblem:
+        d, k_i, k = self.objective.dim, self.n_ineq, len(self.constraints)
+        return LocalSubproblem(self.objective, self.ineq_indices, self.rows[:k_i, :d],
+                               offsets[:k_i], self.eq_indices, self.rows[k_i:k, :d],
+                               offsets[k_i:k])
+
+    def factor(self, working: tuple) -> _Factor | None:
+        """The cached affine map of a working set (positions); None when singular."""
+        try:
+            return self._factors[working]
+        except KeyError:
+            pass
+        dim, width, _ = self.shape
+        d, k_i, k = self.objective.dim, self.n_ineq, len(self.constraints)
+        rows = [*range(k_i, k), *working]  # solve_kkt's order: equalities first
+        g = self.rows[rows, :d]
+        kkt = np.zeros((d + len(rows), d + len(rows)))
+        kkt[:d, :d] = self.objective.hessian
+        kkt[:d, d:] = g.T
+        kkt[d:, :d] = g
+        try:
+            inverse = np.linalg.inv(kkt)
+        except np.linalg.LinAlgError:
+            inverse = None
+        factor = None
+        if inverse is not None and np.isfinite(inverse).all():
+            out = [*range(d), *(dim + r for r in rows)]
+            m = np.zeros((dim + width, width))
+            s = np.zeros(dim + width)
+            s[out] = inverse[:, :d] @ -self.objective.linear
+            m[np.ix_(out, rows)] = -inverse[:, d:]
+            in_kkt = np.zeros(width, dtype=bool)
+            in_kkt[rows] = True
+            work = np.zeros(width, dtype=bool)
+            work[list(working)] = True
+            free = np.zeros(width, dtype=bool)
+            free[:k_i] = True
+            free[list(working)] = False
+            factor = _Factor(m, s, in_kkt, work, free)
+        self._factors[working] = factor
+        return factor
+
+    def kkt_solve(self, working: tuple, offsets):
+        """``_kkt_solve`` through the cached factor: (x, multipliers) or None.
+
+        The multipliers come in ``solve_kkt``'s order: equalities, then the
+        working inequalities.
+        """
+        factor = self.factor(working)
+        if factor is None:
+            return None
+        z = _affine(factor.m, factor.s, offsets)
+        ok, _ = _residual_ok(self.hessian, self.linear, self.rows, factor.kkt, z, offsets)
+        if not ok:
+            return None
+        dim, k = self.shape[0], len(self.constraints)
+        return z[:self.objective.dim], z[[dim + r for r in (*range(self.n_ineq, k), *working)]]
+
+    def solution(self, z, values, working: tuple) -> KktSolution:
+        """The KktSolution of padded z (``values`` is z as a list) at a working set."""
+        dim, k_i = self.shape[0], self.n_ineq
+        mults = values[dim:dim + len(self.constraints)]
+        return KktSolution(z[:self.objective.dim],
+                           dict(zip(self.ineq_indices, mults[:k_i])),
+                           dict(zip(self.eq_indices, mults[k_i:])),
+                           tuple(self.ineq_indices[pos] for pos in working))
+
+
 def assemble_subproblem(agent: int, problem, topology, weights,
                         slack_view) -> LocalSubproblem:
     """Fold the agent's slack shares into its local constraint offsets.
@@ -204,20 +415,139 @@ def assemble_subproblem(agent: int, problem, topology, weights,
 
     i.e. the consensus gap of the agent's slack plus its own offset share.
     """
-    cons = problem.constraints
-    m_ineq = cons.m_ineq
+    qp = AgentQP(agent, problem, topology, weights)
+    return qp.subproblem(qp.offsets(slack_view))
 
-    ineq_rows = []
-    for m in topology.agent_ineq_sets[agent - 1]:
-        coeffs, b = cons.ineq_row(agent, m)
-        gap = consensus_gap(m, agent, topology, weights, slack_view)
-        ineq_rows.append((m, coeffs, gap + b))
-    eq_rows = []
-    for q in topology.agent_eq_sets[agent - 1]:
-        coeffs, g = cons.eq_row(agent, q)
-        gap = consensus_gap(m_ineq + q, agent, topology, weights, slack_view)
-        eq_rows.append((q, coeffs, gap + g))
-    return LocalSubproblem.build(problem.objectives[agent - 1], ineq_rows, eq_rows)
+
+class AgentBatch:
+    """Every agent's compiled QP, padded to one shape and stacked.
+
+    Built once per (problem, topology, weights); ``WarmStart`` streams over
+    it share its agents' factor caches.
+    """
+
+    def __init__(self, problem, topology, weights):
+        from .slack import SlackLayout  # slack builds on this module
+
+        agents = range(1, problem.n_agents + 1)
+        shape = (
+            max(problem.dims),
+            max(len(topology.constraints_of(i)) for i in agents),
+            max((len(topology.neighborhood(l, i)) - 1
+                 for l in range(1, topology.n_constraints + 1)
+                 for i in topology.participants_of(l)), default=0),
+        )
+        self.shape = shape
+        self.qps = [AgentQP(i, problem, topology, weights, shape) for i in agents]
+        self.hessian = np.stack([qp.hessian for qp in self.qps])
+        self.linear = np.stack([qp.linear for qp in self.qps])
+        self.rows = np.stack([qp.rows for qp in self.qps])
+        self.base = np.stack([qp.base for qp in self.qps])
+        self.p = np.stack([qp.p for qp in self.qps])
+
+        _, width, reach = shape
+        layout = SlackLayout.from_topology(topology)
+        self.keys = [qp.keys for qp in self.qps]
+        self.slots = np.array([a * width * (reach + 1) + slot
+                               for a, qp in enumerate(self.qps) for slot in qp.slots],
+                              dtype=int)
+        self.flat = np.array([layout.index(l, j) for keys in self.keys for l, j in keys],
+                             dtype=int)
+        # Each row's own slack coordinate, where its gap lands in a gradient.
+        self.cells = np.array([a * width + r for a, qp in enumerate(self.qps)
+                               for r in range(len(qp.constraints))], dtype=int)
+        self.coords = np.array([layout.index(l, a) for a, qp in enumerate(self.qps, start=1)
+                                for l in qp.constraints], dtype=int)
+        self.size = layout.size
+
+    def gaps(self, values) -> np.ndarray:
+        """Every agent row's sum_j p_ij (v_i - v_j): (I - P^[l]) v, per row.
+
+        ``values`` is either the agents' views, read key by key as
+        ``consensus_gap`` reads them, or a flat vector in slack layout.
+        """
+        _, width, reach = self.shape
+        buf = np.zeros(len(self.qps) * width * (reach + 1))
+        if isinstance(values, np.ndarray):
+            buf[self.slots] = values[self.flat]
+        else:
+            buf[self.slots] = [view[key] for view, keys in zip(values, self.keys)
+                               for key in keys]
+        buf = buf.reshape(len(self.qps), width, reach + 1)
+        return _gap(self.p, buf[..., 0], buf[..., 1:])
+
+    def offsets(self, values) -> np.ndarray:
+        """Every agent's row offsets, each bit-identical to ``assemble_subproblem``'s."""
+        return self.gaps(values) + self.base
+
+    def gradient(self, values) -> np.ndarray:
+        """(I - P) v in slack layout, each entry bit-identical to ``consensus_gap``."""
+        grad = np.zeros(self.size)
+        grad[self.coords] = self.gaps(values).reshape(-1)[self.cells]
+        return grad
+
+
+class WarmStart:
+    """One stream of batched solves and its warm-start memory.
+
+    Keeps each agent's last working set (positions into its inequality
+    rows) with that set's factor, stacked.  ``working`` seeds the sets, for
+    example from a stream over an earlier batch of the same topology.
+    """
+
+    def __init__(self, batch: AgentBatch, working=None):
+        n = len(batch.qps)
+        dim, width, _ = batch.shape
+        self.batch = batch
+        self.working = [()] * n
+        self.m = np.zeros((n, dim + width, width))
+        self.s = np.zeros((n, dim + width))
+        self.kkt = np.zeros((n, width), dtype=bool)
+        self.work = np.zeros((n, width), dtype=bool)
+        self.free = np.zeros((n, width), dtype=bool)
+        self.ready = np.zeros(n, dtype=bool)
+        for a in range(n):
+            self._use(a, () if working is None else working[a])
+
+    def _use(self, a: int, working: tuple) -> None:
+        factor = self.batch.qps[a].factor(working)
+        self.working[a] = working
+        self.ready[a] = factor is not None
+        if factor is not None:
+            self.m[a], self.s[a] = factor.m, factor.s
+            self.kkt[a], self.work[a], self.free[a] = factor.kkt, factor.work, factor.free
+
+    def solve(self, offsets, agents=None) -> list[KktSolution]:
+        """Solve every agent's QP, or the listed 0-based ``agents``, at ``offsets``.
+
+        One stacked pass evaluates each agent's last working set and keeps
+        the solutions that pass ``solve_kkt``'s termination test and
+        residual bound; ``solve_kkt``, started from that set, solves the
+        others.
+        """
+        sel = slice(None) if agents is None else np.asarray(agents, dtype=int)
+        batch = self.batch
+        z = _affine(self.m[sel], self.s[sel], offsets)
+        ok, row_residual = _residual_ok(batch.hessian[sel], batch.linear[sel],
+                                        batch.rows[sel], self.kkt[sel], z, offsets)
+        ok &= self.ready[sel]
+        ok &= np.where(self.free[sel], row_residual, -np.inf).max(-1, initial=-np.inf) <= _ADD_TOL
+        mults = z[:, batch.shape[0]:]
+        ok &= np.where(self.work[sel], mults, np.inf).min(-1, initial=np.inf) >= -_DROP_TOL
+
+        values = z.tolist()
+        out = []
+        order = range(len(batch.qps)) if agents is None else agents
+        for row, (a, accepted) in enumerate(zip(order, ok.tolist())):
+            qp = batch.qps[a]
+            if accepted:
+                out.append(qp.solution(z[row], values[row], self.working[a]))
+                continue
+            start = tuple(qp.ineq_indices[pos] for pos in self.working[a])
+            sol = solve_kkt(qp.subproblem(offsets[row]), start, qp)
+            self._use(a, tuple(qp.position[idx] for idx in sol.active_set))
+            out.append(sol)
+        return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import DisconnectedSubgraphError, ValidationError
 from .graph import consensus_gap
-from .local_qp import KktSolution, assemble_subproblem, solve_kkt
+from .local_qp import AgentBatch, KktSolution, WarmStart
 from .problem import aggregate_violation
 from .simnet import neighbor_views
 
@@ -102,18 +102,18 @@ class SlackState:
 
 
 def solve_all_agents(slack: SlackState, problem, topology, weights,
-                     views: list | None = None) -> list[KktSolution]:
+                     views: list | None = None,
+                     warm: WarmStart | None = None) -> list[KktSolution]:
     """Solve every agent's subproblem at the given slack allocation.
 
     ``views`` may supply transport-mediated neighborhood views; by default
-    values are read directly from the slack state.
+    values are read directly from the slack state.  ``warm`` is the stream
+    of batched solves to use (and advance); by default a fresh one over a
+    newly compiled batch.
     """
-    if views is None:
-        views = neighbor_views(topology, slack.layout.by_constraint(slack.values))
-    return [
-        solve_kkt(assemble_subproblem(i, problem, topology, weights, views[i - 1]))
-        for i in range(1, problem.n_agents + 1)
-    ]
+    if warm is None:
+        warm = WarmStart(AgentBatch(problem, topology, weights))
+    return warm.solve(warm.batch.offsets(slack.values if views is None else views))
 
 
 def total_objective(problem, solutions: list[KktSolution]) -> float:
@@ -142,14 +142,25 @@ def multipliers_by_constraint(solutions: list[KktSolution], topology) -> dict:
 
 
 def assemble_gradient(solutions: list[KktSolution], topology, weights,
-                      layout: SlackLayout, views: list | None = None) -> np.ndarray:
+                      layout: SlackLayout, views: list | None = None,
+                      batch: AgentBatch | None = None) -> np.ndarray:
     """Full allocation-cost gradient from the agents' multipliers.
 
     Coordinate (l, i) is ``consensus_gap`` of the row-l multipliers, the
     arithmetic agent i uses locally.  ``views`` may supply transport-mediated
     multiplier views (built from the MULTIPLIER_EXCHANGE phase); by default
-    multipliers are read directly from the solutions.
+    multipliers are read directly from the solutions.  ``batch``, the
+    agents' compiled QPs, computes the same numbers in one stacked pass.
     """
+    if batch is not None:
+        if views is None:
+            m_ineq = topology.m_ineq
+            views = np.array([
+                solutions[i - 1].multiplier(l, m_ineq)
+                for l, members in zip(layout.constraints, layout.participants)
+                for i in members
+            ], dtype=float).reshape(layout.size)
+        return batch.gradient(views)
     if views is None:
         views = neighbor_views(topology, multipliers_by_constraint(solutions, topology))
     grad = np.zeros(layout.size)
@@ -209,8 +220,9 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     per probe.
     """
     layout = slack.layout
+    warm = WarmStart(AgentBatch(problem, topology, weights))
     base_views = neighbor_views(topology, layout.by_constraint(slack.values))
-    base_solutions = solve_all_agents(slack, problem, topology, weights, base_views)
+    base_solutions = solve_all_agents(slack, problem, topology, weights, base_views, warm)
     base_costs = np.array([
         obj.value(sol.x) for obj, sol in zip(problem.objectives, base_solutions)
     ])
@@ -218,12 +230,14 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
 
     def probe(l, agent, value) -> float:
         # Re-solve only the agents whose offsets read the perturbed coordinate.
-        affected = topology.neighborhood(l, agent)
-        cost = total - base_costs[[i - 1 for i in affected]].sum()
-        for i in affected:
-            view = {**base_views[i - 1], (l, agent): value}
-            sub = assemble_subproblem(i, problem, topology, weights, view)
-            cost += problem.objectives[i - 1].value(solve_kkt(sub).x)
+        affected = [i - 1 for i in topology.neighborhood(l, agent)]
+        cost = total - base_costs[affected].sum()
+        offsets = np.array([
+            warm.batch.qps[a].offsets({**base_views[a], (l, agent): value})
+            for a in affected
+        ])
+        for a, sol in zip(affected, warm.solve(offsets, affected)):
+            cost += problem.objectives[a].value(sol.x)
         return cost
 
     grad = np.zeros(layout.size)

@@ -164,6 +164,42 @@ def test_custom_weight_constraint_out_of_range_exits_2(toy_file, tmp_path, capsy
         assert f"constraint {constraint} out of range 1..1" in capsys.readouterr().err
 
 
+def _exits_2_naming(data, tmp_path, capsys, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["run", str(path), "--algo", "ada", "--rounds", "2",
+                  "--output", str(tmp_path / "trace.csv")],
+                 ["check", str(path)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["eq"][0].update(offset="x"), "eq[0] offset"),
+    (lambda d: d["agents"][0].update(dim="two"), "agents[1] dim"),
+    (lambda d: d["eq"][1].update(row="first"), "eq[1] row"),
+    (lambda d: d["eq"][0].update(agent="one"), "eq[0] agent"),
+    (lambda d: d["eq"][1].update(coeffs=["x"]), "eq[1] coeffs"),
+], ids=["offset", "dim", "row", "agent", "coeffs"])
+def test_non_numeric_field_exits_2_naming_the_field(toy_file, tmp_path, capsys,
+                                                    edit, field):
+    data = json.loads(Path(toy_file).read_text())
+    edit(data)
+    _exits_2_naming(data, tmp_path, capsys, f"{field} must be numeric")
+
+
+@pytest.mark.parametrize("missing", ["constraint", "matrix"])
+def test_weights_entry_missing_key_exits_2(toy_file, tmp_path, capsys, missing):
+    data = json.loads(Path(toy_file).read_text())
+    entry = {"constraint": 1, "matrix": [[0.5, 0.5], [0.5, 0.5]]}
+    del entry[missing]
+    data["weights"] = [entry]
+    _exits_2_naming(data, tmp_path, capsys, f"weights[0] missing '{missing}'")
+
+
 def test_solve_central_prints_and_writes(toy_file, tmp_path, capsys):
     out = tmp_path / "sol.json"
     code = cli.main(["solve-central", toy_file, "--output", str(out)])

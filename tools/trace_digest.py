@@ -1,15 +1,22 @@
-"""Print one SHA-256 per fixed case of couplesolve's numeric output.
+"""Print one SHA-256 per fixed case of couplesolve's numeric output, or the drift.
 
 Usage, from the repository root::
 
     python3 tools/trace_digest.py --src src
     python3 tools/trace_digest.py --src /path/to/other/checkout/src
+    python3 tools/trace_digest.py --src src --compare /path/to/old/checkout/src
 
 Imports ``couplesolve`` from ``--src`` and runs every case with public API
 only, so two source trees can be compared: identical lines mean bit-identical
 traces, primal outputs, multipliers, gradients and closed-loop trajectories.
 The instance generators are this repository's ``tests/gen.py`` and
 ``benchmarks/instances.py``.
+
+With ``--compare OLD_SRC`` the cases run once per source tree, each in a
+fresh process, and every line gives a case's largest absolute and relative
+difference (new against old) in its trace cells, its primal output (the
+applied inputs for the closed loop) and its finite-difference gradient
+(``-`` where a case has none); a summary line closes the output.
 
 Cases:
 
@@ -31,6 +38,8 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +81,22 @@ def digest(*values) -> str:
     return h.hexdigest()
 
 
-def run_digest(result) -> str:
+def run_parts(result) -> tuple:
     solutions = [(s.x, s.ineq_multipliers, s.eq_multipliers, s.active_set)
                  for s in result.output_solutions]
-    return digest(result.trace.records, result.final_state,
-                  result.output_slack.values, result.output_primal, solutions,
-                  result.converged, result.box_active, result.messages)
+    return (result.trace.records, result.final_state, result.output_slack.values,
+            result.output_primal, solutions, result.converged, result.box_active,
+            result.messages)
+
+
+def trace_cells(records) -> np.ndarray:
+    """The trace's float cells, record by record."""
+    return np.array([[r.phi, r.phi_hat, r.obj_err, r.max_ineq_viol, r.max_eq_resid,
+                      *r.dual_cons_err] for r in records], dtype=float)
 
 
 def cases(cs, gen, instances):
+    """Yield (name, values to digest, {group: array compared by --compare})."""
     for seed in range(25):
         problem, topology, weights = gen.strongly_convex_instance(seed)
         oracle = cs.solve_centralized(problem)
@@ -88,7 +104,9 @@ def cases(cs, gen, instances):
         for transport in ("simnet", "direct"):
             result = cs.run(problem, topology, weights, cs.AdaConfig(gamma, 30),
                             oracle=oracle, transport=transport)
-            yield f"sc{seed}-ada-{transport}", run_digest(result)
+            yield (f"sc{seed}-ada-{transport}", run_parts(result),
+                   {"trace": trace_cells(result.trace.records),
+                    "primal": result.output_primal})
 
     for seed in range(12):
         problem, topology, weights = gen.reduced_space_instance(seed)
@@ -102,7 +120,9 @@ def cases(cs, gen, instances):
             fd = cs.finite_difference_gradient(result.output_slack, problem,
                                                topology, weights)
             yield (f"rs{seed}-pgd{label}",
-                   digest(box, grad_bound, run_digest(result), fd))
+                   (box, grad_bound, digest(*run_parts(result)), fd),
+                   {"trace": trace_cells(result.trace.records),
+                    "primal": result.output_primal, "fd": fd[0]})
 
     ring = instances.strongly_convex_ring(
         instances.Draws(400, 1, 0.005), 400, 3, 120, 30, 5).problem
@@ -110,34 +130,105 @@ def cases(cs, gen, instances):
     weights = cs.build_weights(topology)
     gamma = 1.0 / (2.0 * cs.lipschitz_bound(ring, topology, weights))
     result = cs.run(ring, topology, weights, cs.AdaConfig(gamma, 4))
-    yield "ring400-prefix", run_digest(result)
+    yield ("ring400-prefix", run_parts(result),
+           {"trace": trace_cells(result.trace.records), "primal": result.output_primal})
 
     for label, warm in (("cold", False), ("warm", True)):
         scenario, graph, state = cs.line_consensus_scenario(horizon=0.5,
                                                             warm_start=warm)
         out = cs.run_closed_loop(scenario, graph, state)
-        yield f"cbf-{label}", digest(out.times, out.positions, out.barrier_values,
-                                     out.inputs, out.inner_worst_violation,
-                                     out.applied_worst_violation)
+        yield (f"cbf-{label}",
+               (out.times, out.positions, out.barrier_values, out.inputs,
+                out.inner_worst_violation, out.applied_worst_violation),
+               {"trace": np.concatenate([out.positions.reshape(-1),
+                                         out.barrier_values.reshape(-1)]),
+                "primal": out.inputs.reshape(-1)})
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True,
-                        help="directory holding the couplesolve package to import")
-    args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    if not (src / "couplesolve" / "__init__.py").is_file():
-        print(f"error: no couplesolve package under {src}", file=sys.stderr)
-        return 2
+def load(src: Path):
+    """Import couplesolve from ``src`` and the instance generators."""
     sys.path[:0] = [str(src), str(ROOT / "tests"), str(ROOT / "benchmarks")]
     import couplesolve as cs
     import gen
     import instances
 
     print(f"couplesolve from {Path(cs.__file__).parent}", file=sys.stderr)
-    for name, value in cases(cs, gen, instances):
-        print(f"{name} {value}")
+    return cs, gen, instances
+
+
+def collect(src: Path) -> dict:
+    """Every case's compared arrays under one source tree (run in a fresh process)."""
+    return {name: groups for name, _, groups in cases(*load(src))}
+
+
+GROUPS = ("trace", "primal", "fd")
+
+
+def drift(old, new) -> tuple[float, float] | None:
+    """(largest |new - old|, largest |new - old| / max(|new|, |old|)); None on a shape change.
+
+    Matching NaNs count as equal.
+    """
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    if old.shape != new.shape:
+        return None
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    diff = np.where(same, 0.0, np.abs(new - old))
+    scale = np.maximum(np.abs(new), np.abs(old))
+    rel = np.divide(diff, scale, out=np.where(diff > 0, np.inf, 0.0), where=scale > 0)
+    return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
+
+
+def compare(new_src: Path, old_src: Path) -> None:
+    context = get_context("spawn")
+    results = []
+    for src in (old_src, new_src):
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            results.append(pool.submit(collect, src).result())
+    old, new = results
+    worst = {group: [0.0, 0.0] for group in GROUPS}
+    identical = 0
+    for name, groups in new.items():
+        cells = [name]
+        exact = True
+        for group in GROUPS:
+            if group not in groups:
+                cells.append(f"{group} -")
+                continue
+            found = drift(old[name][group], groups[group])
+            if found is None:
+                cells.append(f"{group} shape {np.shape(old[name][group])}->"
+                             f"{np.shape(groups[group])}")
+                exact = False
+                continue
+            cells.append(f"{group} {found[0]:.3g} {found[1]:.3g}")
+            exact = exact and found == (0.0, 0.0)
+            worst[group] = [max(w, f) for w, f in zip(worst[group], found)]
+        identical += exact
+        print(" ".join(cells))
+    summary = " ".join(f"{group} {w[0]:.3g} {w[1]:.3g}" for group, w in worst.items())
+    print(f"worst {summary}; {identical} of {len(new)} cases identical")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True,
+                        help="directory holding the couplesolve package to import")
+    parser.add_argument("--compare", metavar="OLD_SRC",
+                        help="print each case's drift from the package under OLD_SRC")
+    args = parser.parse_args(argv)
+    sources = [Path(args.src).resolve()]
+    if args.compare:
+        sources.append(Path(args.compare).resolve())
+    for src in sources:
+        if not (src / "couplesolve" / "__init__.py").is_file():
+            print(f"error: no couplesolve package under {src}", file=sys.stderr)
+            return 2
+    if args.compare:
+        compare(*sources)
+        return 0
+    for name, parts, _ in cases(*load(sources[0])):
+        print(f"{name} {digest(*parts)}")
     return 0
 
 
