@@ -254,10 +254,13 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     records = []
     converged = False
 
-    def metrics(solutions):
+    def primal_metrics(solutions):
         phi = total_objective(problem, solutions)
         vi, ve = max_violation(problem, stacked_primal(solutions))
-        return phi, vi, ve, _dual_errors(topology, weights, solutions)
+        return phi, vi, ve
+
+    def metrics(solutions):
+        return (*primal_metrics(solutions), _dual_errors(topology, weights, solutions))
 
     # Rounds and monitoring keep separate warm starts over one compiled batch.
     batch = AgentBatch(problem, topology, weights)
@@ -283,7 +286,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
             t = state.round
             phi, vi, ve, dual = metrics(solutions)
             hat_solutions = monitor(state.average)
-            phi_hat, vi_hat, ve_hat, _ = metrics(hat_solutions)
+            # The trace's dual column is the evaluated point's; the average's is not kept.
+            phi_hat, vi_hat, ve_hat = primal_metrics(hat_solutions)
             records.append(RoundRecord(
                 t, phi, phi_hat, phi_hat - f_star,
                 max(vi, vi_hat), max(ve, ve_hat), dual, t * msgs_per_round,

@@ -1,4 +1,4 @@
-"""JSON problem/scenario loading and trajectory CSV output.
+"""JSON problem/scenario loading and writing, and trajectory CSV output.
 
 Problem files (all indices 1-based)::
 
@@ -140,6 +140,25 @@ def problem_from_dict(data: dict, where: str = "problem"):
             custom[_cast(entry["constraint"], int, f"{field} constraint")] = _cast(
                 entry["matrix"], _floats, f"{field} matrix")
     return problem, custom
+
+
+def problem_to_dict(problem: ProblemSpec) -> dict:
+    """The problem-file form of ``problem``, read back by ``problem_from_dict``."""
+    cons = problem.constraints
+    rows = {"ineq": [], "eq": []}
+    for i in range(1, problem.n_agents + 1):
+        for name, stored in zip(rows, cons.agent_rows(i)):
+            rows[name] += [{"agent": i, "row": row, "coeffs": coeffs.tolist(),
+                            "offset": offset} for row, (coeffs, offset) in sorted(stored.items())]
+    return {
+        "agents": [{"dim": obj.dim, "hessian": obj.hessian.tolist(),
+                    "linear": obj.linear.tolist(), "constant": float(obj.constant)}
+                   for obj in problem.objectives],
+        **rows,
+        "edges": [list(edge) for edge in sorted(problem.graph.edges)],
+        "m_ineq": cons.m_ineq,
+        "q_eq": cons.q_eq,
+    }
 
 
 def load_scenario(path) -> CbfScenario:

@@ -136,8 +136,11 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> Kk
     """Exactly minimize the subproblem via primal active-set iteration.
 
     ``start`` names the inequality rows (by index, like ``active_set``) of
-    the first working set.  With ``qp``, the compiled QP ``sub`` was built
-    from, each working set's KKT system is solved through its cached factor.
+    the first working set.  ``qp`` is any compiled KKT solver of ``sub``:
+    ``qp.padded(beta, eta)`` lays out its offsets and ``qp.kkt_solve(working,
+    offsets)`` gives ``_kkt_solve``'s answer for a working set (positions),
+    or None.  ``AgentQP`` solves through cached per-set factors, the oracle's
+    block solver through a Schur complement.
 
     Raises UnboundedSubproblemError when the Hessian is not positive definite
     on the equality nullspace (no unique bounded minimizer), and

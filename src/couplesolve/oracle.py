@@ -11,6 +11,11 @@ feasibility first.  Stacked equality rows may be linearly dependent even when
 every agent's local rows are independent; dependent-but-consistent rows are
 reduced away and the returned multipliers are the least-squares (minimum
 norm) ones, flagged as non-unique.
+
+When every agent block has a Cholesky factor, the active-set loop solves each
+working set through the Schur complement of the blocks (the range-space
+method, Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 16.2);
+otherwise (positive semidefinite blocks) through the dense KKT system.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .exceptions import InfeasibleProblemError, SolverError
-from .local_qp import LocalSubproblem, solve_kkt, verify_kkt
+from .local_qp import LocalSubproblem, _kkt_solve, solve_kkt, verify_kkt
 from .problem import AgentObjective, ProblemSpec
 
 _FEAS_TOL = 1e-9
@@ -63,6 +68,83 @@ def stacked_arrays(problem: ProblemSpec):
             e[q - 1, slices[i - 1]] = coeffs
             g[q - 1] += off
     return h, c, const, a, b, e, g
+
+
+class _StackedObjective(AgentObjective):
+    """The block-diagonal sum of the agents' costs, not re-validated.
+
+    Every block passed ``AgentObjective``'s checks when the problem was built
+    and has a Cholesky factor; checking the stacked Hessian again would cost
+    an O(n^3) eigendecomposition.
+    """
+
+    def __post_init__(self):
+        pass
+
+
+class _BlockKkt:
+    """Working-set KKT solves of the stacked program through its blocks' factors.
+
+    With the stacked rows R (inequalities, then equalities), Y = H^-1 R' and
+    x0 = -H^-1 c, the KKT system of a working set W (the equalities and the
+    working inequalities) reduces to the |W| x |W| Schur complement
+
+        S[W, W] lam = r0[W] + offsets[W],   x = x0 - Y[:, W] lam,
+
+    with S = R Y and r0 = R x0, all computed once.  The protocol is
+    ``AgentQP``'s, so ``solve_kkt`` runs its one active-set loop on it.
+    """
+
+    def __init__(self, problem: ProblemSpec, h, c, rows):
+        """Raises LinAlgError when some agent block is not positive definite."""
+        cols_by_dim = {}
+        for sl in problem.block_slices():
+            cols_by_dim.setdefault(sl.stop - sl.start, []).append(range(sl.start, sl.stop))
+        k = rows.shape[0]
+        rhs = np.column_stack([rows.T, -c])
+        solved = np.empty_like(rhs)
+        self.blocks = []  # (columns (agents, dim), Hessian blocks (agents, dim, dim))
+        for cols in map(np.array, cols_by_dim.values()):
+            blocks = h[cols[:, :, None], cols[:, None, :]]
+            chol = np.linalg.cholesky(blocks)
+            half = np.linalg.solve(chol, rhs[cols])
+            solved[cols] = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
+            self.blocks.append((cols, blocks))
+        self.n_ineq = problem.constraints.m_ineq
+        self.hessian, self.linear, self.rows = h, c, rows
+        self.y, self.x0 = solved[:, :k], solved[:, k]
+        self.schur = rows @ self.y
+        self.r0 = rows @ self.x0
+
+    def padded(self, ineq_offsets, eq_offsets) -> np.ndarray:
+        return np.concatenate([ineq_offsets, eq_offsets])
+
+    def kkt_solve(self, working: tuple, offsets):
+        """``_kkt_solve`` of a working set: (x, multipliers) or None.
+
+        The multipliers come in ``solve_kkt``'s order: equalities, then the
+        working inequalities.  A set whose Schur complement is singular, or
+        whose solution misses ``_kkt_solve``'s residual bound, is solved by
+        ``_kkt_solve`` itself.
+        """
+        sel = [*range(self.n_ineq, len(offsets)), *working]
+        rows, rhs = self.rows[sel], -offsets[sel]
+        try:
+            lam = np.linalg.solve(self.schur[np.ix_(sel, sel)], self.r0[sel] + offsets[sel])
+        except np.linalg.LinAlgError:
+            return _kkt_solve(self.hessian, self.linear, rows, rhs)
+        x = self.x0 - self.y[:, sel] @ lam
+        hx = np.empty_like(x)
+        for cols, blocks in self.blocks:
+            hx[cols] = np.einsum("aij,aj->ai", blocks, x[cols])
+        # _kkt_solve's bound on the full KKT residual, without the dense matrix.
+        sol = np.concatenate([x, lam])
+        target = np.concatenate([-self.linear, rhs])
+        residual = np.concatenate([hx + rows.T @ lam + self.linear, rows @ x - rhs])
+        scale = 1.0 + np.abs(target).max(initial=0.0) + np.abs(sol).max(initial=0.0)
+        if np.isfinite(sol).all() and np.abs(residual).max(initial=0.0) <= 1e-8 * scale:
+            return x, lam
+        return _kkt_solve(self.hessian, self.linear, rows, rhs)
 
 
 def _phase1_violation(a, b, e, g, dim):
@@ -116,13 +198,19 @@ def solve_centralized(problem: ProblemSpec) -> OracleSolution:
         basis = None
         e_red, g_red = e, g
 
-    objective = AgentObjective(h, c, const)
+    # Positive definite blocks take the Schur-complement path; semidefinite
+    # ones the dense KKT system, with the stacked Hessian validated whole.
+    try:
+        block = _BlockKkt(problem, h, c, np.vstack([a, e_red]))
+    except np.linalg.LinAlgError:
+        block = None
+    objective = (AgentObjective if block is None else _StackedObjective)(h, c, const)
     sub = LocalSubproblem.build(
         objective,
         [(m + 1, a[m], b[m]) for m in range(a.shape[0])],
         [(k + 1, e_red[k], g_red[k]) for k in range(e_red.shape[0])],
     )
-    sol = solve_kkt(sub)
+    sol = solve_kkt(sub, qp=block)
     report = verify_kkt(sub, sol)
     if not report.ok(tol=1e-8):
         raise SolverError(f"centralized KKT residuals too large: {report}")

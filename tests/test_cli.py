@@ -3,10 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import couplesolve
-from couplesolve import cli
+from couplesolve import cli, formats
+
+from gen import strongly_convex_instance
+from reference import dense_oracle
 
 
 @pytest.fixture()
@@ -209,6 +213,24 @@ def test_solve_central_prints_and_writes(toy_file, tmp_path, capsys):
     assert payload["value"] == 1.0
     assert payload["eq_multipliers"] == [-1.0]
     assert json.loads(out.read_text()) == payload
+
+
+def test_solve_central_multi_agent_is_deterministic_and_exact(tmp_path, capsys):
+    problem, _, _ = strongly_convex_instance(9)  # 6 agents, two active inequalities
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(formats.problem_to_dict(problem)))
+    outs = []
+    for _ in range(2):
+        assert cli.main(["solve-central", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    x, value, mu, lam, active = dense_oracle(problem)
+    assert payload["active_set"] == list(active) == [1, 2]
+    assert payload["unique_multipliers"]
+    for key, want in (("x", x), ("value", value), ("ineq_multipliers", mu),
+                      ("eq_multipliers", lam)):
+        assert np.allclose(payload[key], want, rtol=0, atol=1e-10), key
 
 
 def test_solve_central_infeasible_exits_3(tmp_path, capsys):

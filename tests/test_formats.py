@@ -10,8 +10,11 @@ from couplesolve.formats import (
     load_problem,
     load_scenario,
     problem_from_dict,
+    problem_to_dict,
     scenario_from_dict,
 )
+
+from gen import strongly_convex_instance
 
 
 def _toy_dict():
@@ -130,3 +133,23 @@ def test_trajectory_layout(tmp_path):
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(0.02)
     assert last[6:] == [""] * 5  # no input at the final instant
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_problem_dict_round_trips_through_json(seed):
+    problem, _, _ = strongly_convex_instance(seed)
+    loaded, custom = problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+    assert custom is None
+    assert loaded.graph == problem.graph
+    for new, old in zip(loaded.objectives, problem.objectives):
+        assert np.array_equal(new.hessian, old.hessian)
+        assert np.array_equal(new.linear, old.linear)
+        assert new.constant == old.constant
+    cons, want = loaded.constraints, problem.constraints
+    assert (cons.m_ineq, cons.q_eq) == (want.m_ineq, want.q_eq)
+    for i in range(1, problem.n_agents + 1):
+        for new, old in zip(cons.agent_rows(i), want.agent_rows(i)):
+            assert new.keys() == old.keys()
+            for row in new:
+                assert np.array_equal(new[row][0], old[row][0])
+                assert new[row][1] == old[row][1]

@@ -3,10 +3,13 @@ import pytest
 from scipy.optimize import minimize
 
 import couplesolve as cs
+from couplesolve import oracle
 from couplesolve.exceptions import InfeasibleProblemError
+from couplesolve.local_qp import _kkt_solve, solve_kkt
 from couplesolve.oracle import stacked_arrays
 
-from gen import strongly_convex_instance
+from gen import reduced_space_instance, strongly_convex_instance
+from reference import dense_oracle
 
 
 def test_toy_solution_is_exact(toy):
@@ -133,3 +136,129 @@ def test_zero_gap_at_oracle_point(seed):
     gap = cs.duality_gap(problem, sol.x, sol.ineq_multipliers,
                          sol.eq_multipliers)
     assert abs(gap) <= 1e-8 * (1 + abs(sol.value))
+
+
+@pytest.fixture
+def oracle_paths(monkeypatch):
+    """The compiled solver each oracle solve used: a ``_BlockKkt``, or None (dense)."""
+    used = []
+
+    def spy(sub, start=(), qp=None):
+        used.append(qp)
+        return solve_kkt(sub, start, qp)
+
+    monkeypatch.setattr(oracle, "solve_kkt", spy)
+    return used
+
+
+def _agrees_with_dense(problem, exact=False):
+    sol = cs.solve_centralized(problem)
+    x, value, mu, lam, active = dense_oracle(problem)
+    assert sol.active_set == active
+    got = (sol.x, sol.value, sol.ineq_multipliers, sol.eq_multipliers)
+    for new, old in zip(got, (x, value, mu, lam)):
+        if exact:
+            assert np.array_equal(new, old)
+        else:
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-10)
+    return sol
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_block_path_matches_dense_oracle(seed, oracle_paths):
+    problem, _, _ = strongly_convex_instance(seed)
+    _agrees_with_dense(problem)
+    assert len(oracle_paths) == 1 and isinstance(oracle_paths[0], oracle._BlockKkt)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_semidefinite_blocks_take_the_dense_path(seed, oracle_paths):
+    problem, _, _ = reduced_space_instance(seed)
+    _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == [None]
+
+
+@pytest.fixture
+def doubled(toy):
+    problem, _, _ = toy
+    obj = problem.objectives[0]
+    cons = cs.CouplingConstraints(2, m_ineq=1, q_eq=2)
+    for k in (1, 2):  # the same coupled row twice
+        cons.add_eq_row(1, k, [1.0], -1.0)
+        cons.add_eq_row(2, k, [1.0], -1.0)
+    cons.add_ineq_row(1, 1, [-1.0], 1.25)  # x1 >= 1.25, active at the optimum
+    return cs.ProblemSpec((obj, obj), cons, problem.graph)
+
+
+def test_block_path_keeps_dependent_equality_reduction(doubled, oracle_paths):
+    sol = _agrees_with_dense(doubled)
+    assert isinstance(oracle_paths[0], oracle._BlockKkt)
+    assert not sol.unique_multipliers
+    assert sol.active_set == (1,)
+    assert sol.x == pytest.approx([1.25, 0.75])
+
+
+def test_any_semidefinite_block_keeps_the_dense_path(oracle_paths):
+    # min 1/2 x1^2 + x2  s.t.  x1 + x2 = 2: agent 2's block is singular
+    # (PSD) although the stacked program is bounded.
+    objs = (cs.AgentObjective(np.eye(1), np.zeros(1)),
+            cs.AgentObjective(np.zeros((1, 1)), np.ones(1)))
+    cons = cs.CouplingConstraints(2, m_ineq=0, q_eq=1)
+    cons.add_eq_row(1, 1, [1.0], -1.0)
+    cons.add_eq_row(2, 1, [1.0], -1.0)
+    problem = cs.ProblemSpec(objs, cons, cs.Graph.from_edges(2, [(1, 2)]))
+    sol = _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == [None]
+    assert sol.x == pytest.approx([1.0, 1.0])
+    h, c, _, a, _, e, _ = stacked_arrays(problem)
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle._BlockKkt(problem, h, c, np.vstack([a, e]))
+
+
+def _compiled(problem):
+    h, c, _, a, b, e, g = stacked_arrays(problem)
+    return oracle._BlockKkt(problem, h, c, np.vstack([a, e])), np.concatenate([b, g])
+
+
+def _dense(block, working, offsets):
+    sel = [*range(block.n_ineq, len(offsets)), *working]
+    return _kkt_solve(block.hessian, block.linear, block.rows[sel], -offsets[sel])
+
+
+def _same_answer(got, want):
+    if want is None:
+        return got is None
+    return got is not None and all(map(np.array_equal, got, want))
+
+
+def test_working_set_missing_the_residual_bound_is_solved_densely():
+    for seed in range(25):
+        problem, _, _ = strongly_convex_instance(seed)
+        block, offsets = _compiled(problem)
+        for working in {(), tuple(range(block.n_ineq))}:
+            answer = block.kkt_solve(working, offsets)
+            want = _dense(block, working, offsets)
+            assert want is not None
+            np.testing.assert_allclose(np.concatenate(answer), np.concatenate(want),
+                                       rtol=0, atol=1e-10)
+            block.x0 = block.x0 + 1e-3  # a Schur solution far off its KKT system
+            assert _same_answer(block.kkt_solve(working, offsets), want)
+            block.x0 = block.x0 - 1e-3
+
+
+def test_singular_working_set_answers_like_dense():
+    obj = cs.AgentObjective(np.eye(2), np.zeros(2))
+    cons = cs.CouplingConstraints(2, m_ineq=2, q_eq=1)
+    for m in (1, 2):  # one inequality twice: working both is singular
+        cons.add_ineq_row(1, m, [-1.0, 0.0], 0.5)
+        cons.add_ineq_row(2, m, [-1.0, 0.0], 0.5)
+    cons.add_eq_row(1, 1, [0.0, 1.0], -1.0)
+    cons.add_eq_row(2, 1, [0.0, 1.0], -1.0)
+    problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
+    block, offsets = _compiled(problem)
+    for working in ((0, 1), (0,), ()):
+        assert _same_answer(block.kkt_solve(working, offsets),
+                            _dense(block, working, offsets))
+    assert block.kkt_solve((0, 1), offsets) is None
+    sol = _agrees_with_dense(problem)
+    assert sol.active_set == (1,)

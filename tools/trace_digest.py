@@ -15,8 +15,9 @@ The instance generators are this repository's ``tests/gen.py`` and
 With ``--compare OLD_SRC`` the cases run once per source tree, each in a
 fresh process, and every line gives a case's largest absolute and relative
 difference (new against old) in its trace cells, its primal output (the
-applied inputs for the closed loop) and its finite-difference gradient
-(``-`` where a case has none); a summary line closes the output.
+applied inputs for the closed loop), its finite-difference gradient and its
+centralized oracle solution (x, value and both multiplier vectors; ``-``
+where a case has none); a summary line closes the output.
 
 Cases:
 
@@ -27,7 +28,7 @@ Cases:
   without and with a gradient-norm stop, each followed by the
   finite-difference gradient at the run's output allocation;
 * ``ring400-prefix``: the benchmark's 400-agent ring (seed 1), 4 ``ada``
-  rounds over the simnet transport;
+  rounds over the simnet transport (the oracle is compared, not digested);
 * ``cbf-cold`` and ``cbf-warm``: ``line_consensus_scenario(horizon=0.5)``
   with cold and warm slack starts.
 """
@@ -95,6 +96,12 @@ def trace_cells(records) -> np.ndarray:
                       *r.dual_cons_err] for r in records], dtype=float)
 
 
+def oracle_cells(oracle) -> np.ndarray:
+    """The centralized solution's x, value and multipliers, in one vector."""
+    return np.concatenate([oracle.x, [oracle.value], oracle.ineq_multipliers,
+                           oracle.eq_multipliers])
+
+
 def cases(cs, gen, instances):
     """Yield (name, values to digest, {group: array compared by --compare})."""
     for seed in range(25):
@@ -106,7 +113,7 @@ def cases(cs, gen, instances):
                             oracle=oracle, transport=transport)
             yield (f"sc{seed}-ada-{transport}", run_parts(result),
                    {"trace": trace_cells(result.trace.records),
-                    "primal": result.output_primal})
+                    "primal": result.output_primal, "oracle": oracle_cells(oracle)})
 
     for seed in range(12):
         problem, topology, weights = gen.reduced_space_instance(seed)
@@ -122,7 +129,8 @@ def cases(cs, gen, instances):
             yield (f"rs{seed}-pgd{label}",
                    (box, grad_bound, digest(*run_parts(result)), fd),
                    {"trace": trace_cells(result.trace.records),
-                    "primal": result.output_primal, "fd": fd[0]})
+                    "primal": result.output_primal, "fd": fd[0],
+                    "oracle": oracle_cells(oracle)})
 
     ring = instances.strongly_convex_ring(
         instances.Draws(400, 1, 0.005), 400, 3, 120, 30, 5).problem
@@ -131,7 +139,8 @@ def cases(cs, gen, instances):
     gamma = 1.0 / (2.0 * cs.lipschitz_bound(ring, topology, weights))
     result = cs.run(ring, topology, weights, cs.AdaConfig(gamma, 4))
     yield ("ring400-prefix", run_parts(result),
-           {"trace": trace_cells(result.trace.records), "primal": result.output_primal})
+           {"trace": trace_cells(result.trace.records), "primal": result.output_primal,
+            "oracle": oracle_cells(cs.solve_centralized(ring))})
 
     for label, warm in (("cold", False), ("warm", True)):
         scenario, graph, state = cs.line_consensus_scenario(horizon=0.5,
@@ -161,7 +170,7 @@ def collect(src: Path) -> dict:
     return {name: groups for name, _, groups in cases(*load(src))}
 
 
-GROUPS = ("trace", "primal", "fd")
+GROUPS = ("trace", "primal", "fd", "oracle")
 
 
 def drift(old, new) -> tuple[float, float] | None:
