@@ -85,7 +85,6 @@ from .problem import (
 )
 from .simnet import (
     Auditor,
-    DirectTransport,
     Phase,
     SimnetTransport,
     exchange,

@@ -34,7 +34,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .local_qp import AgentBatch, WarmStart
 from .problem import lipschitz_bound, max_violation
-from .simnet import DirectTransport, Phase, SimnetTransport
+from .simnet import Phase, SimnetTransport
 from .slack import (
     SlackLayout,
     SlackState,
@@ -227,15 +227,17 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         transport="simnet", slack_phase_hook=None, check_gamma=True) -> RunResult:
     """Run one algorithm to its round budget (or early gradient-norm stop).
 
-    ``transport`` is "simnet", "direct", or a transport instance.  ``oracle``
-    (a centralized solution) enables the objective-error trace column.  The
-    trace carries one row per iterate, row 0 being the start.
+    ``transport`` is a SimnetTransport, or "simnet" or "direct": both name a
+    new strict one.  ``oracle`` (a centralized solution) enables the
+    objective-error trace column.  The trace carries one row per iterate,
+    row 0 being the start.
     """
     layout = SlackLayout.from_topology(topology)
-    if isinstance(transport, str):
-        # No caller can reach a transport made here, so it keeps no message log.
-        transport = {"simnet": lambda t: SimnetTransport(t, record=False),
-                     "direct": DirectTransport}[transport](topology)
+    if isinstance(transport, str) and transport in ("simnet", "direct"):
+        transport = SimnetTransport(topology)
+    elif not isinstance(transport, SimnetTransport):
+        raise ValidationError(f"transport must be 'simnet', 'direct' or a "
+                              f"SimnetTransport, got {transport!r}")
 
     is_ada = isinstance(config, AdaConfig)
     if is_ada and check_gamma:

@@ -41,7 +41,7 @@ from .problem import (
     max_violation,
     validate_licq,
 )
-from .simnet import DirectTransport
+from .simnet import SimnetTransport
 from .slack import SlackLayout, SlackState, solve_all_agents, stacked_primal
 
 
@@ -76,6 +76,9 @@ class Barrier:
         return float(self.radius_sq - np.sum(deltas * deltas))
 
 
+SOLVERS = ("distributed", "centralized")
+
+
 @dataclass(frozen=True)
 class CbfScenario:
     barriers: tuple[Barrier, ...]
@@ -92,7 +95,7 @@ class CbfScenario:
             raise ValidationError("dt and horizon must be positive")
         if self.inner_iterations < 1:
             raise ValidationError("inner_iterations must be >= 1")
-        if self.solver not in ("distributed", "centralized"):
+        if self.solver not in SOLVERS:
             raise ValidationError(f"unknown solver '{self.solver}'")
 
 
@@ -181,9 +184,11 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
 
     The constraint topology is fixed (participants never change), so the
     induced subgraphs and weights are computed once; per step only the row
-    coefficients and offsets are refreshed.  Aborts with a diagnostic when an
-    agent's barrier rows become linearly dependent (LICQ failure, e.g. an
-    agent exactly at a barrier center or two barrier gradients aligned).
+    coefficients and offsets are refreshed.  Inner rounds exchange over one
+    strict ``SimnetTransport``, so agents read one-hop values only.  Aborts
+    with a diagnostic when an agent's barrier rows become linearly dependent
+    (LICQ failure, e.g. an agent exactly at a barrier center or two barrier
+    gradients aligned).
     """
     steps = int(round(scenario.horizon / scenario.dt))
     n, k = graph.n_agents, len(scenario.barriers)
@@ -199,7 +204,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     topology = induce_topology(problem, graph)
     weights = build_weights(topology)
     layout = SlackLayout.from_topology(topology)
-    transport = DirectTransport(topology)
+    transport = SimnetTransport(topology)
     config = AdaConfig(scenario.gamma, scenario.inner_iterations)
     slack = np.zeros(layout.size)
     # Working sets carry over from step to step; factors are per step problem.

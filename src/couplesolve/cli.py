@@ -29,7 +29,7 @@ from .algorithms import (
     estimate_gradient_bound,
     run,
 )
-from .cbf import line_consensus_scenario, run_closed_loop
+from .cbf import SOLVERS, line_consensus_scenario, run_closed_loop
 from .exceptions import ConfigError, SolverError, ValidationError
 from .graph import WeightMatrix, build_weights, check_connectivity, induce_topology
 from .oracle import solve_centralized
@@ -42,6 +42,8 @@ _RUN_CONFIG_KEYS = {
     "problem", "algorithm", "rounds", "gamma", "box_bound", "grad_bound",
     "oracle", "output", "transport", "seed", "emit_gnuplot",
 }
+_ALGORITHMS = ("ada", "pgd")
+_TRANSPORTS = ("simnet", "direct")  # two names for one transport
 
 
 def _setup_logging() -> None:
@@ -61,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a distributed algorithm on a problem file")
     p_run.add_argument("problem", nargs="?", help="problem JSON file")
     p_run.add_argument("--config", help="JSON config file; flags override its values")
-    p_run.add_argument("--algo", choices=["ada", "pgd"], dest="algorithm")
+    p_run.add_argument("--algo", choices=_ALGORITHMS, dest="algorithm")
     p_run.add_argument("--rounds", type=int)
     p_run.add_argument("--gamma", help="ada base step, a number or 'auto'")
     p_run.add_argument("--box-bound", type=float, dest="box_bound")
@@ -69,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--oracle", action="store_true", dest="oracle", default=None,
                        help="compute the centralized optimum for error metrics")
     p_run.add_argument("--no-oracle", action="store_false", dest="oracle")
-    p_run.add_argument("--transport", choices=["simnet", "direct"])
+    p_run.add_argument("--transport", choices=_TRANSPORTS)
     p_run.add_argument("--seed", type=int, help="seed for gradient-bound sampling")
     p_run.add_argument("--output", help="trace CSV path (default trace.csv)")
     p_run.add_argument("--emit-gnuplot", action="store_true", default=None,
@@ -88,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=float)
     p_sim.add_argument("--inner", type=int, dest="inner_iterations")
     p_sim.add_argument("--gamma", type=float)
-    p_sim.add_argument("--solver", choices=["distributed", "centralized"])
+    p_sim.add_argument("--solver", choices=SOLVERS)
     p_sim.add_argument("--warm-start", action="store_true", default=None)
     p_sim.add_argument("--output", default="trajectory.csv")
     return parser
@@ -107,9 +109,7 @@ def _merged_run_config(args) -> dict:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-        unknown = sorted(set(data) - _RUN_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown keys {unknown}")
+        formats.reject_unknown(data, _RUN_CONFIG_KEYS, args.config)
         merged.update(data)
     for key in ("problem", "algorithm", "rounds", "gamma", "box_bound",
                 "grad_bound", "oracle", "transport", "seed", "output",
@@ -120,6 +120,20 @@ def _merged_run_config(args) -> dict:
     for key in ("problem", "algorithm", "rounds"):
         if merged[key] is None:
             raise ConfigError(f"run: missing required option '{key}'")
+    formats.one_of(merged["algorithm"], _ALGORITHMS, "run: algorithm")
+    formats.one_of(merged["transport"], _TRANSPORTS, "run: transport")
+    for key in ("rounds", "seed"):
+        merged[key] = formats.integer(merged[key], f"run: {key}")
+    if merged["gamma"] not in (None, "auto"):
+        merged["gamma"] = formats.number(merged["gamma"], "run: gamma")
+    for key in ("box_bound", "grad_bound"):
+        if merged[key] is not None:
+            merged[key] = formats.number(merged[key], f"run: {key}")
+    for key in ("oracle", "emit_gnuplot"):
+        formats.flag(merged[key], f"run: {key}")
+    for key in ("problem", "output"):  # open() would take an int as a file descriptor
+        if not isinstance(merged[key], str):
+            raise ConfigError(f"run: {key} must be a file path, got {merged[key]!r}")
     if merged["rounds"] < 0:
         raise ConfigError("run: rounds must be nonnegative")
     return merged
@@ -173,7 +187,7 @@ def _cmd_run(args) -> int:
         grad_bound = cfg["grad_bound"]
         if grad_bound is None:
             grad_bound = estimate_gradient_bound(
-                problem, topology, weights, box, seed=int(cfg["seed"])
+                problem, topology, weights, box, seed=cfg["seed"]
             )
             logger.info("estimated gradient bound = %.6g", grad_bound)
         config = PgdConfig(box_bound=float(box), grad_bound=float(grad_bound),

@@ -18,7 +18,8 @@ Scenario files for the closed-loop demo::
     {"dt": 0.01, "horizon": 20.0, "inner_iterations": 10,
      "gamma": 0.01, "solver": "distributed", "warm_start": false}
 
-Unknown keys are rejected by name so config typos fail loudly.
+Unknown keys are rejected by name so config typos fail loudly, and a value
+of the wrong type raises a ConfigError naming its field.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 
 import numpy as np
 
-from .cbf import CbfScenario, ClosedLoopResult, line_consensus_scenario
+from .cbf import SOLVERS, CbfScenario, ClosedLoopResult, line_consensus_scenario
 from .exceptions import ConfigError
 from .graph import Graph, WeightMatrix
 from .problem import AgentObjective, CouplingConstraints, ProblemSpec
@@ -39,7 +40,10 @@ _SCENARIO_KEYS = {"dt", "horizon", "inner_iterations", "gamma", "solver",
                   "warm_start"}
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
+def reject_unknown(mapping, allowed: set, where: str) -> None:
+    """A ConfigError unless ``mapping`` is an object with keys from ``allowed`` only."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where}: expected an object, got {mapping!r}")
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -63,6 +67,32 @@ def _cast(value, cast, field: str):
         raise ConfigError(f"{field} must be numeric, got {value!r}") from exc
 
 
+def number(value, field: str) -> float:
+    """``float(value)``, or a ConfigError naming the field."""
+    return _cast(value, float, field)
+
+
+def integer(value, field: str) -> int:
+    """An int or integral float (no boolean) as an int, or a ConfigError naming the field."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def flag(value, field: str) -> bool:
+    """A JSON boolean, or a ConfigError naming the field."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
+def one_of(value, names: tuple, field: str):
+    """``value`` if it is one of ``names``, else a ConfigError naming the field."""
+    if value not in names:
+        raise ConfigError(f"{field} must be one of {list(names)}, got {value!r}")
+    return value
+
+
 def _floats(value):
     return np.array(value, dtype=float)
 
@@ -70,14 +100,14 @@ def _floats(value):
 def problem_from_dict(data: dict, where: str = "problem"):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
-    _reject_unknown(data, _PROBLEM_KEYS, where)
+    reject_unknown(data, _PROBLEM_KEYS, where)
     if "agents" not in data or not data["agents"]:
         raise ConfigError(f"{where}: 'agents' must list at least one agent")
 
     objectives = []
     for k, spec in enumerate(data["agents"], start=1):
         field = f"{where}: agents[{k}]"
-        _reject_unknown(spec, _AGENT_KEYS, field)
+        reject_unknown(spec, _AGENT_KEYS, field)
         try:
             dim = _cast(spec["dim"], int, f"{field} dim")
             obj = AgentObjective(
@@ -100,7 +130,7 @@ def problem_from_dict(data: dict, where: str = "problem"):
         rows[name] = []
         for k, row in enumerate(data.get(name, [])):
             field = f"{where}: {name}[{k}]"
-            _reject_unknown(row, _ROW_KEYS, field)
+            reject_unknown(row, _ROW_KEYS, field)
             for key in ("agent", "row", "coeffs", "offset"):
                 if key not in row:
                     raise ConfigError(f"{field} missing '{key}'")
@@ -133,7 +163,7 @@ def problem_from_dict(data: dict, where: str = "problem"):
         custom = {}
         for k, entry in enumerate(data["weights"]):
             field = f"{where}: weights[{k}]"
-            _reject_unknown(entry, {"constraint", "matrix"}, field)
+            reject_unknown(entry, {"constraint", "matrix"}, field)
             for key in ("constraint", "matrix"):
                 if key not in entry:
                     raise ConfigError(f"{field} missing '{key}'")
@@ -171,10 +201,12 @@ def load_scenario(path) -> CbfScenario:
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> CbfScenario:
-    _reject_unknown(data, _SCENARIO_KEYS, where)
-    casts = {"dt": float, "horizon": float, "inner_iterations": int,
-             "gamma": float, "solver": str, "warm_start": bool}
-    overrides = {k: cast(data[k]) for k, cast in casts.items() if k in data}
+    reject_unknown(data, _SCENARIO_KEYS, where)
+    checks = {"dt": number, "horizon": number, "inner_iterations": integer,
+              "gamma": number, "warm_start": flag,
+              "solver": lambda value, field: one_of(value, SOLVERS, field)}
+    overrides = {k: check(data[k], f"{where}: {k}") for k, check in checks.items()
+                 if k in data}
     scenario, _, _ = line_consensus_scenario(**overrides)
     return scenario
 

@@ -161,14 +161,13 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> Kk
         offsets = qp.padded(beta, eta)
 
     for _ in range(cap + 1):
-        rows = np.vstack([e, a[working]]) if working else e
         if qp is None:
             rhs = np.concatenate([-eta, -beta[working]])
-            solved = _kkt_solve(h, c, rows, rhs)
+            solved = _kkt_solve(h, c, np.vstack([e, a[working]]), rhs)
         else:
             solved = qp.kkt_solve(tuple(working), offsets)
         if solved is None:
-            if not _reduced_curvature_ok(h, rows):
+            if not _reduced_curvature_ok(h, np.vstack([e, a[working]])):
                 raise UnboundedSubproblemError(
                     "Hessian is not positive definite on the working-set "
                     "nullspace: subproblem unbounded or minimizer non-unique"

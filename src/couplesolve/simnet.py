@@ -5,13 +5,12 @@ values (SLACK_EXCHANGE) over each constraint's induced edges, solve their
 local subproblems, then exchange the resulting multipliers
 (MULTIPLIER_EXCHANGE) to form gradient coordinates.  One phase costs
 ``sum_l 2 |edges of constraint l|`` messages (both directions; an agent's own
-value is free).  The mailbox hands each agent a view covering exactly its
-closed neighborhood per constraint; reads outside that set raise by default,
-or are recorded as violations in audit mode so that injected faults can be
-detected rather than crash the replay.
-
-The transports never change numerics: a mailbox-mediated run and a direct
-in-memory run read identical floats, so their traces are bit-identical.
+value is free).  The transport hands each agent a view holding exactly its
+closed neighborhood per constraint, so a permitted read is a plain dict
+lookup; any other read raises by default, or is recorded as a violation in
+audit mode so that injected faults can be detected rather than crash the
+replay.  Audit mode never changes numerics: an audited and a strict run read
+identical floats, so their traces are bit-identical.
 """
 
 from __future__ import annotations
@@ -27,55 +26,31 @@ class Phase(enum.Enum):
     MULTIPLIER_EXCHANGE = "multiplier"
 
 
-@dataclass(frozen=True)
-class Message:
-    phase: Phase
-    constraint: int
-    source: int
-    destination: int
-    value: float
-
-
 @dataclass
 class Auditor:
-    """Records every mediated read and any out-of-neighborhood access."""
+    """Records every out-of-neighborhood read as (agent, constraint, source)."""
 
-    reads: list = field(default_factory=list)
     violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def verify(self, topology) -> bool:
-        """Cross-check all recorded reads against the permitted neighborhoods."""
-        if self.violations:
-            return False
-        for agent, l, source in self.reads:
-            if source not in topology.neighborhood(l, agent):
-                return False
-        return True
 
+class NeighborView(dict):
+    """One agent's {(constraint, neighbor): value}, exactly its closed neighborhoods.
 
-class NeighborView:
-    """Mapping (constraint, neighbor) -> value restricted to one agent's reach."""
+    Built only by ``neighbor_views``, which sets ``agent``, the full exchange
+    ``_full`` and the ``_auditor`` (or None).  A key outside the
+    neighborhoods reaches ``__missing__``: it raises LocalityViolationError,
+    or with an auditor is recorded and served from the full exchange so a
+    replay can continue and report.
+    """
 
-    __slots__ = ("agent", "_data", "_full", "_auditor")
+    __slots__ = ("agent", "_full", "_auditor")
 
-    def __init__(self, agent, data, full, auditor):
-        self.agent = agent
-        self._data = data
-        self._full = full
-        self._auditor = auditor
-
-    def __getitem__(self, key):
-        if key in self._data:
-            if self._auditor is not None:
-                self._auditor.reads.append((self.agent, key[0], key[1]))
-            return self._data[key]
+    def __missing__(self, key):
         if self._auditor is not None:
-            # Audit mode: record the breach and serve the value anyway so a
-            # replay can continue and report, rather than crash.
             self._auditor.violations.append((self.agent, key[0], key[1]))
             return self._full[key[0]][key[1]]
         raise LocalityViolationError(
@@ -83,17 +58,20 @@ class NeighborView:
             f"{key[1]} outside its neighborhood"
         )
 
-    def __contains__(self, key):
-        return key in self._data
 
-
-def neighbor_views(topology, values: dict) -> list[dict]:
-    """Per-agent {(constraint, neighbor): value} over each closed neighborhood.
+def neighbor_views(topology, values: dict, auditor: Auditor | None = None
+                   ) -> list[NeighborView]:
+    """Per-agent views {(constraint, neighbor): value} over each closed neighborhood.
 
     ``values`` maps each constraint l to {participant: value}; entry i - 1 of
-    the result holds what agent i may read, unmediated.
+    the result holds what agent i may read.  Reads outside it raise, or are
+    recorded by ``auditor`` and served.
     """
-    per_agent = [dict() for _ in range(topology.n_agents)]
+    per_agent = []
+    for i in range(1, topology.n_agents + 1):
+        view = NeighborView()
+        view.agent, view._full, view._auditor = i, values, auditor
+        per_agent.append(view)
     for l, block in values.items():
         for i in topology.participants_of(l):
             view = per_agent[i - 1]
@@ -102,54 +80,27 @@ def neighbor_views(topology, values: dict) -> list[dict]:
     return per_agent
 
 
-class BaseTransport:
-    """Common bookkeeping: message counting per phase."""
+class SimnetTransport:
+    """Exchange over the constraint subgraphs: message counts and locality-checked views."""
 
-    def __init__(self, topology):
+    def __init__(self, topology, audit: bool = False):
         self.topology = topology
+        self.auditor = Auditor() if audit else None
         self.messages = 0
         self.messages_per_phase = sum(
             2 * len(topology.edges_of(l))
             for l in range(1, topology.n_constraints + 1)
         )
 
-
-class DirectTransport(BaseTransport):
-    """In-memory exchange: plain dict views, same values, no mediation."""
-
-    def gather(self, phase: Phase, values: dict) -> list[dict]:
-        self.messages += self.messages_per_phase
-        return neighbor_views(self.topology, values)
-
-
-class SimnetTransport(BaseTransport):
-    """Mailbox-mediated exchange with locality enforcement and logging."""
-
-    def __init__(self, topology, audit: bool = False, record: bool = True):
-        super().__init__(topology)
-        self.auditor = Auditor() if audit else None
-        self.record = record
-        self.log: list[Message] = []
-
     def gather(self, phase: Phase, values: dict) -> list[NeighborView]:
-        if self.record:
-            for l in range(1, self.topology.n_constraints + 1):
-                block = values.get(l, {})
-                for a, b in sorted(self.topology.edges_of(l)):
-                    self.log.append(Message(phase, l, a, b, block[a]))
-                    self.log.append(Message(phase, l, b, a, block[b]))
         self.messages += self.messages_per_phase
-        data = neighbor_views(self.topology, values)
-        return [
-            NeighborView(i + 1, data[i], values, self.auditor)
-            for i in range(self.topology.n_agents)
-        ]
+        return neighbor_views(self.topology, values, self.auditor)
 
 
 def exchange(phase: Phase, values: dict, topology,
              audit: bool = False) -> tuple[list[NeighborView], int]:
     """One standalone exchange: (per-agent views, messages sent)."""
-    transport = SimnetTransport(topology, audit=audit, record=False)
+    transport = SimnetTransport(topology, audit=audit)
     views = transport.gather(phase, values)
     return views, transport.messages
 
@@ -164,7 +115,7 @@ def locality_audit(problem, topology, weights, config, initial_slack=None,
     """
     from .algorithms import run  # local import: algorithms builds on simnet
 
-    transport = SimnetTransport(topology, audit=True, record=False)
+    transport = SimnetTransport(topology, audit=True)
     run(problem, topology, weights, config, initial_slack=initial_slack,
         transport=transport, slack_phase_hook=probe)
-    return transport.auditor.verify(topology)
+    return transport.auditor.ok

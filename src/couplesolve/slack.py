@@ -102,18 +102,15 @@ class SlackState:
 
 
 def solve_all_agents(slack: SlackState, problem, topology, weights,
-                     views: list | None = None,
                      warm: WarmStart | None = None) -> list[KktSolution]:
     """Solve every agent's subproblem at the given slack allocation.
 
-    ``views`` may supply transport-mediated neighborhood views; by default
-    values are read directly from the slack state.  ``warm`` is the stream
-    of batched solves to use (and advance); by default a fresh one over a
-    newly compiled batch.
+    ``warm`` is the stream of batched solves to use (and advance); by
+    default a fresh one over a newly compiled batch.
     """
     if warm is None:
         warm = WarmStart(AgentBatch(problem, topology, weights))
-    return warm.solve(warm.batch.offsets(slack.values if views is None else views))
+    return warm.solve(warm.batch.offsets(slack.values))
 
 
 def total_objective(problem, solutions: list[KktSolution]) -> float:
@@ -222,7 +219,7 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     layout = slack.layout
     warm = WarmStart(AgentBatch(problem, topology, weights))
     base_views = neighbor_views(topology, layout.by_constraint(slack.values))
-    base_solutions = solve_all_agents(slack, problem, topology, weights, base_views, warm)
+    base_solutions = solve_all_agents(slack, problem, topology, weights, warm)
     base_costs = np.array([
         obj.value(sol.x) for obj, sol in zip(problem.objectives, base_solutions)
     ])

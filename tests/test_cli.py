@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,60 @@ def test_run_config_rejects_unknown_keys(toy_file, tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg)])
     assert code == 2
     assert "gama" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("transport", "bogus", "transport must be one of ['simnet', 'direct']"),
+    ("algorithm", "adam", "algorithm must be one of ['ada', 'pgd']"),
+    ("rounds", 2.5, "rounds must be an integer"),
+    ("rounds", True, "rounds must be an integer"),
+    ("gamma", "abc", "gamma must be numeric"),
+    ("seed", "x", "seed must be an integer"),
+    ("box_bound", "big", "box_bound must be numeric"),
+    ("grad_bound", [1.0], "grad_bound must be numeric"),
+    ("oracle", "yes", "oracle must be true or false"),
+    ("emit_gnuplot", 1, "emit_gnuplot must be true or false"),
+    ("output", 1, "output must be a file path"),
+    ("problem", 0, "problem must be a file path"),
+], ids=["transport", "algorithm", "rounds-fraction", "rounds-bool", "gamma", "seed",
+        "box_bound", "grad_bound", "oracle", "emit_gnuplot", "output", "problem"])
+def test_bad_run_config_value_exits_2_naming_the_key(toy_file, tmp_path, capsys,
+                                                     key, value, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"problem": toy_file, "algorithm": "ada", "rounds": 3,
+                               "gamma": 0.25, "output": str(tmp_path / "trace.csv"),
+                               key: value}))
+    code = cli.main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"run: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_run_config_accepts_integral_rounds_and_auto_gamma(toy_file, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"algorithm": "ada", "rounds": 3.0, "gamma": "auto",
+                               "seed": 1, "oracle": False, "transport": "direct",
+                               "output": str(tmp_path / "trace.csv")}))
+    assert cli.main(["run", toy_file, "--config", str(cfg)]) == 0
+    assert "rounds: 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dt", "x", "dt must be numeric"),
+    ("horizon", None, "horizon must be numeric"),
+    ("inner_iterations", 2.5, "inner_iterations must be an integer"),
+    ("warm_start", "no", "warm_start must be true or false"),
+    ("solver", "exact", "solver must be one of ['distributed', 'centralized']"),
+], ids=["dt", "horizon", "inner_iterations", "warm_start", "solver"])
+def test_bad_scenario_value_exits_2_naming_the_key(tmp_path, capsys, key, value, message):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"horizon": 0.02, key: value}))
+    code = cli.main(["cbf-sim", str(scn), "--output", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{scn}: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_run_missing_file_exits_2(capsys):
@@ -195,6 +250,26 @@ def test_non_numeric_field_exits_2_naming_the_field(toy_file, tmp_path, capsys,
     _exits_2_naming(data, tmp_path, capsys, f"{field} must be numeric")
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["agents"].__setitem__(0, 5), "agents[1]"),
+    (lambda d: d["eq"].__setitem__(1, [1, 1]), "eq[1]"),
+    (lambda d: d.update(weights=[None]), "weights[0]"),
+], ids=["agent", "row", "weights"])
+def test_non_object_entry_exits_2_naming_it(toy_file, tmp_path, capsys, edit, field):
+    data = json.loads(Path(toy_file).read_text())
+    edit(data)
+    _exits_2_naming(data, tmp_path, capsys, f"{field}: expected an object")
+
+
+def test_non_object_run_config_or_scenario_exits_2(toy_file, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    for argv in (["run", toy_file, "--algo", "ada", "--rounds", "1", "--config", str(path)],
+                 ["cbf-sim", str(path)]):
+        assert cli.main(argv) == 2
+        assert f"{path}: expected an object, got []" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("missing", ["constraint", "matrix"])
 def test_weights_entry_missing_key_exits_2(toy_file, tmp_path, capsys, missing):
     data = json.loads(Path(toy_file).read_text())
@@ -285,12 +360,18 @@ def test_trace_output_is_deterministic(toy_file, tmp_path):
 
 
 def test_console_entry_point(toy_file, tmp_path):
+    # The child runs the imported copy: its directory leads the inherited
+    # PYTHONPATH.
+    package_root = str(Path(couplesolve.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH", "")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, inherited)))}
     out = str(tmp_path / "trace.csv")
     proc = subprocess.run(
         [sys.executable, "-m", "couplesolve.cli", "run", toy_file,
          "--algo", "ada", "--rounds", "3", "--gamma", "0.25",
          "--output", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "trace:" in proc.stdout

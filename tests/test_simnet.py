@@ -3,8 +3,9 @@ import pytest
 
 import couplesolve as cs
 from couplesolve.exceptions import LocalityViolationError
-from couplesolve.simnet import Message
-from couplesolve.trace import records_equal
+from couplesolve.trace import records_equal, traces_equal
+
+from gen import strongly_convex_instance
 
 
 def test_exchange_counts_messages(toy):
@@ -27,8 +28,10 @@ def test_strict_view_raises_outside_neighborhood(path4):
                            {1: {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}}, topology)
     assert views[0][(1, 2)] == 0.2
     assert (1, 4) not in views[0]
-    with pytest.raises(LocalityViolationError):
-        views[0][(1, 4)]  # agents 1 and 4 are not adjacent on the path
+    # agents 1 and 4 are not adjacent on the path: a locality error, not a KeyError
+    with pytest.raises(LocalityViolationError, match="agent 1 read constraint 1") as caught:
+        views[0][(1, 4)]
+    assert not isinstance(caught.value, KeyError)
 
 
 def test_audit_mode_serves_and_records(path4):
@@ -45,30 +48,16 @@ def test_audit_mode_serves_and_records(path4):
     auditor = views[0]._auditor
     assert not auditor.ok
     assert auditor.violations == [(1, 1, 4)]
-    assert not auditor.verify(topology)
 
 
-def test_transport_message_log(toy):
-    _, topology, _ = toy
-    transport = cs.SimnetTransport(topology)
-    transport.gather(cs.Phase.SLACK_EXCHANGE, {1: {1: 2.0, 2: 0.0}})
-    assert transport.log == [
-        Message(cs.Phase.SLACK_EXCHANGE, 1, 1, 2, 2.0),
-        Message(cs.Phase.SLACK_EXCHANGE, 1, 2, 1, 0.0),
-    ]
-    assert transport.messages == 2
-
-
-def test_direct_and_simnet_views_read_identical_floats(toy):
+def test_gathered_views_read_values_bitwise(toy):
     _, topology, _ = toy
     values = {1: {1: 0.12345678901234567, 2: -3.2109876543210987}}
-    direct = cs.DirectTransport(topology).gather(cs.Phase.SLACK_EXCHANGE,
-                                                 values)
-    mediated = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE,
-                                                   values)
-    for i in (0, 1):
-        for key in ((1, 1), (1, 2)):
-            assert direct[i][key] == mediated[i][key]  # bitwise
+    views = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, values)
+    for view in views:
+        assert sorted(view) == [(1, 1), (1, 2)]  # the whole closed neighbourhood
+        for (l, j), value in view.items():
+            assert value.hex() == values[l][j].hex()
 
 
 def test_algorithm_runs_bit_identical_across_transports(toy):
@@ -82,6 +71,45 @@ def test_algorithm_runs_bit_identical_across_transports(toy):
     for a, b in zip(res_direct.trace.records, res_simnet.trace.records):
         assert records_equal(a, b)  # exact float equality, NaN-aware
     assert res_direct.messages == res_simnet.messages
+
+
+def test_run_rejects_an_unknown_transport(toy):
+    problem, topology, weights = toy
+    with pytest.raises(cs.ValidationError, match="bogus"):
+        cs.run(problem, topology, weights, cs.AdaConfig(gamma=0.25, rounds=1),
+               transport="bogus")
+
+
+@pytest.mark.parametrize("dropped", list(cs.Phase), ids=lambda p: p.value)
+def test_run_reads_offsets_and_gradient_only_through_the_views(toy, dropped):
+    problem, topology, weights = toy
+
+    class DroppingTransport(cs.SimnetTransport):
+        """Leaves agent 1's permitted read of agent 2 out of one phase's views."""
+
+        def gather(self, phase, values):
+            views = super().gather(phase, values)
+            if phase is dropped:
+                del views[0][(1, 2)]
+            return views
+
+    with pytest.raises(LocalityViolationError, match="agent 1 read constraint 1"):
+        cs.run(problem, topology, weights, cs.AdaConfig(gamma=0.25, rounds=2),
+               transport=DroppingTransport(topology))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_audited_run_is_bit_identical_to_strict(seed):
+    problem, topology, weights = strongly_convex_instance(seed)
+    gamma = 1.0 / (2.0 * cs.lipschitz_bound(problem, topology, weights))
+    config = cs.AdaConfig(gamma, 15)
+    strict = cs.run(problem, topology, weights, config)
+    transport = cs.SimnetTransport(topology, audit=True)
+    audited = cs.run(problem, topology, weights, config, transport=transport)
+    assert transport.auditor.ok
+    assert traces_equal(strict.trace, audited.trace)
+    assert np.array_equal(strict.output_primal, audited.output_primal)
+    assert strict.messages == audited.messages
 
 
 def test_locality_audit_clean_run(toy):

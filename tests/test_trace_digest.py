@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("trace_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_report_is_true_only_when_every_case_matches(capsys):
+    report = _tool().report
+    case = {"trace": np.array([1.0, np.nan]), "primal": np.array([2.0])}
+    assert report({"a": case}, {"a": case})  # matching NaNs count as equal
+    assert "1 of 1 cases identical" in capsys.readouterr().out
+
+    moved = {**case, "primal": np.array([2.5])}
+    assert not report({"a": case}, {"a": moved})
+    assert "a trace 0 0 primal 0.5 0.2" in capsys.readouterr().out
+
+    assert not report({"a": case}, {"a": {**case, "primal": np.zeros(2)}})
+    assert "primal shape (1,)->(2,)" in capsys.readouterr().out
+
+    assert not report({"a": case, "b": case}, {"a": case, "c": case})
+    out = capsys.readouterr().out
+    assert "b only in old" in out
+    assert "c only in new" in out

@@ -17,7 +17,9 @@ fresh process, and every line gives a case's largest absolute and relative
 difference (new against old) in its trace cells, its primal output (the
 applied inputs for the closed loop), its finite-difference gradient and its
 centralized oracle solution (x, value and both multiplier vectors; ``-``
-where a case has none); a summary line closes the output.
+where a case has none); a case run by one tree only prints ``only in old``
+or ``only in new``, and a summary line closes the output.  The exit status is
+0 when every case is in both trees and identical, 1 otherwise.
 
 Cases:
 
@@ -188,16 +190,27 @@ def drift(old, new) -> tuple[float, float] | None:
     return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
 
 
-def compare(new_src: Path, old_src: Path) -> None:
+def compare(new_src: Path, old_src: Path) -> bool:
+    """Collect the cases under both trees and ``report`` their drift."""
     context = get_context("spawn")
     results = []
     for src in (old_src, new_src):
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             results.append(pool.submit(collect, src).result())
-    old, new = results
+    return report(*results)
+
+
+def report(old: dict, new: dict) -> bool:
+    """Print each case's drift; True iff every case is in both trees and identical."""
     worst = {group: [0.0, 0.0] for group in GROUPS}
     identical = 0
+    for name in old:
+        if name not in new:
+            print(f"{name} only in old")
     for name, groups in new.items():
+        if name not in old:
+            print(f"{name} only in new")
+            continue
         cells = [name]
         exact = True
         for group in GROUPS:
@@ -217,6 +230,7 @@ def compare(new_src: Path, old_src: Path) -> None:
         print(" ".join(cells))
     summary = " ".join(f"{group} {w[0]:.3g} {w[1]:.3g}" for group, w in worst.items())
     print(f"worst {summary}; {identical} of {len(new)} cases identical")
+    return identical == len(new) == len(old)
 
 
 def main(argv=None) -> int:
@@ -234,8 +248,7 @@ def main(argv=None) -> int:
             print(f"error: no couplesolve package under {src}", file=sys.stderr)
             return 2
     if args.compare:
-        compare(*sources)
-        return 0
+        return 0 if compare(*sources) else 1
     for name, parts, _ in cases(*load(sources[0])):
         print(f"{name} {digest(*parts)}")
     return 0
