@@ -66,6 +66,7 @@ from .local_qp import (
     KktReport,
     KktSolution,
     LocalSubproblem,
+    StackedSolutions,
     assemble_subproblem,
     solve_kkt,
     verify_kkt,

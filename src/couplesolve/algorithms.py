@@ -21,6 +21,12 @@ Every evaluated allocation yields a primal block vector satisfying the
 coupled constraints, so feasibility holds at all rounds, not just in the
 limit.  Monitoring evaluations (the running average, round 0, the final
 iterate) bypass the transport and are free of message cost.
+
+Rounds and monitoring work on the stacked local solution (one padded row
+per agent, see ``local_qp.StackedSolutions``): the trace's objective,
+coupled-row residuals and dual consensus errors come from ``AgentBatch`` in
+one pass each, and per-agent ``KktSolution`` objects are built only when
+``RunResult.output_solutions`` is read.
 """
 
 from __future__ import annotations
@@ -28,22 +34,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ValidationError
-from .local_qp import AgentBatch, WarmStart
-from .problem import lipschitz_bound, max_violation
+from .local_qp import AgentBatch, KktSolution, StackedSolutions, WarmStart
+from .problem import lipschitz_bound, offset_scale
 from .simnet import Phase, SimnetTransport
-from .slack import (
-    SlackLayout,
-    SlackState,
-    assemble_gradient,
-    multipliers_by_constraint,
-    solve_all_agents,
-    stacked_primal,
-    total_objective,
-)
+from .slack import SlackLayout, SlackState
 from .trace import RoundRecord, RunTrace
 
 logger = logging.getLogger("couplesolve")
@@ -115,16 +114,21 @@ class RunResult:
     final_state: AdaState | PgdState
     output_slack: SlackState
     output_primal: np.ndarray
-    output_solutions: list
+    output_stacked: StackedSolutions
     converged: bool
     box_active: bool | None
     messages: int
 
+    @cached_property
+    def output_solutions(self) -> list[KktSolution]:
+        """Every agent's KktSolution at the output, built from ``output_stacked`` on first read."""
+        return self.output_stacked.kkt_solutions()
+
 
 def ada_round(state: AdaState, evaluate, config: AdaConfig):
-    """Advance one round; returns (new state, solutions at the new point, gradient).
+    """Advance one round; returns (new state, solution at the new point, gradient).
 
-    ``evaluate(point, t)`` returns (agent solutions, gradient) at ``point``.
+    ``evaluate(point, t)`` returns (stacked solution, gradient) at ``point``.
     """
     t = state.round + 1
     gamma_t, big_gamma_t = ada_schedule(t, config.gamma)
@@ -133,36 +137,38 @@ def ada_round(state: AdaState, evaluate, config: AdaConfig):
     else:
         theta = gamma_t / big_gamma_t
         point = (1.0 - theta) * state.average + theta * state.accumulator
-    solutions, grad = evaluate(point, t)
+    z, grad = evaluate(point, t)
     if t == 1:
         accumulator = -gamma_t * grad
         average = accumulator.copy()
     else:
         accumulator = state.accumulator - gamma_t * grad
         average = (1.0 - theta) * state.average + theta * accumulator
-    return AdaState(point, accumulator, average, t), solutions, grad
+    return AdaState(point, accumulator, average, t), z, grad
 
 
 def pgd_round(state: PgdState, evaluate, config: PgdConfig, theta: float):
-    """Advance one round; returns (new state, solutions at the consumed point, gradient)."""
+    """Advance one round; returns (new state, solution at the consumed point, gradient)."""
     t = state.round + 1
-    solutions, grad = evaluate(state.point, t)
+    z, grad = evaluate(state.point, t)
     step = pgd_stepsize(t, theta, config.grad_bound)
     point = np.clip(state.point - step * grad, -config.box_bound, config.box_bound)
-    return PgdState(point, t), solutions, grad
+    return PgdState(point, t), z, grad
 
 
 def iterate_rounds(problem, topology, weights, config, start, transport, hook=None,
                    warm=None):
-    """Yield (state, solutions, gradient) after each round of ``ada`` or ``pgd``.
+    """Yield (state, z, gradient) after each round of ``ada`` or ``pgd``.
 
     ``start`` is the initial AdaState or PgdState, and ``config`` (an
     AdaConfig or PgdConfig) picks the update and the round budget.  A round
     exchanges slack values over ``transport``, calls ``hook(views, t)`` if
     given, solves every agent's subproblem, exchanges the multipliers and
-    forms the consensus-gap gradient.  ``warm`` is the stream of batched
-    local solves the rounds use; by default a fresh one over a newly
-    compiled batch.  Stop early by leaving the loop.
+    forms the consensus-gap gradient.  z is the round's stacked local
+    solution, ``WarmStart.solve_stacked``'s array for ``warm.batch``.
+    ``warm`` is the stream of batched local solves the rounds use; by
+    default a fresh one over a newly compiled batch.  Stop early by leaving
+    the loop.
     """
     layout = SlackLayout.from_topology(topology)
     if warm is None:
@@ -173,14 +179,13 @@ def iterate_rounds(problem, topology, weights, config, start, transport, hook=No
         views = transport.gather(Phase.SLACK_EXCHANGE, layout.by_constraint(point))
         if hook is not None:
             hook(views, t)
-        solutions = warm.solve(batch.offsets(views))
+        z = warm.solve_stacked(batch.offsets(views))
         # Drop the slack views first: holding them while the multiplier views
         # are built adds collector passes, on 400 agents a full one per run.
         del views
-        values = multipliers_by_constraint(solutions, topology)
-        views = transport.gather(Phase.MULTIPLIER_EXCHANGE, values)
-        return solutions, assemble_gradient(solutions, topology, weights, layout,
-                                            views, batch)
+        views = transport.gather(Phase.MULTIPLIER_EXCHANGE,
+                                 layout.by_constraint(batch.multipliers(z)))
+        return z, batch.gradient(views)
 
     is_ada = isinstance(config, AdaConfig)
     if not is_ada:
@@ -188,23 +193,10 @@ def iterate_rounds(problem, topology, weights, config, start, transport, hook=No
     state = start
     for _ in range(config.rounds):
         if is_ada:
-            state, solutions, grad = ada_round(state, evaluate, config)
+            state, z, grad = ada_round(state, evaluate, config)
         else:
-            state, solutions, grad = pgd_round(state, evaluate, config, theta)
-        yield state, solutions, grad
-
-
-def _dual_errors(topology, weights, solutions):
-    m_ineq = topology.m_ineq
-    out = []
-    for l in range(1, topology.n_constraints + 1):
-        members = topology.participants_of(l)
-        if not members:
-            out.append(0.0)
-            continue
-        mults = np.array([solutions[i - 1].multiplier(l, m_ineq) for i in members])
-        out.append(float(np.linalg.norm(weights[l].gap @ mults)))
-    return tuple(out)
+            state, z, grad = pgd_round(state, evaluate, config, theta)
+        yield state, z, grad
 
 
 def _warn_on_gamma(problem, topology, weights, config):
@@ -256,22 +248,20 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     records = []
     converged = False
 
-    def primal_metrics(solutions):
-        phi = total_objective(problem, solutions)
-        vi, ve = max_violation(problem, stacked_primal(solutions))
-        return phi, vi, ve
-
-    def metrics(solutions):
-        return (*primal_metrics(solutions), _dual_errors(topology, weights, solutions))
-
     # Rounds and monitoring keep separate warm starts over one compiled batch.
     batch = AgentBatch(problem, topology, weights)
     watch = WarmStart(batch)
 
     def monitor(flat):
         # Trace metrics only: no transport, no message cost.
-        return solve_all_agents(SlackState(layout, flat), problem, topology, weights,
-                                warm=watch)
+        return watch.solve_stacked(batch.offsets(flat))
+
+    def primal_metrics(z):
+        return (batch.objective(z), *batch.violation(z))
+
+    def dual_at(z):
+        # Where no round formed the gradient: from the multipliers directly.
+        return batch.dual_errors(batch.gradient(batch.multipliers(z)))
 
     def stalled(grad):
         return (config.grad_tolerance is not None
@@ -279,50 +269,55 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
 
     if is_ada:
         state = AdaState(start, np.zeros(layout.size), np.zeros(layout.size), 0)
-        hat_solutions = monitor(start)
-        phi, vi, ve, dual = metrics(hat_solutions)
-        records.append(RoundRecord(0, phi, math.nan, math.nan, vi, ve, dual, 0))
-        for state, solutions, grad in iterate_rounds(
+        output = monitor(start)
+        phi, vi, ve = primal_metrics(output)
+        records.append(RoundRecord(0, phi, math.nan, math.nan, vi, ve,
+                                   dual_at(output), 0))
+        # Round 1 evaluates the start again: seeded with the sets the monitor
+        # ended on, every agent is accepted in the stacked pass.
+        for state, z, grad in iterate_rounds(
                 problem, topology, weights, config, state, transport, slack_phase_hook,
-                WarmStart(batch)):
+                WarmStart(batch, watch.working)):
             t = state.round
-            phi, vi, ve, dual = metrics(solutions)
-            hat_solutions = monitor(state.average)
+            phi, vi, ve = primal_metrics(z)
+            output = monitor(state.average)
             # The trace's dual column is the evaluated point's; the average's is not kept.
-            phi_hat, vi_hat, ve_hat = primal_metrics(hat_solutions)
+            phi_hat, vi_hat, ve_hat = primal_metrics(output)
             records.append(RoundRecord(
                 t, phi, phi_hat, phi_hat - f_star,
-                max(vi, vi_hat), max(ve, ve_hat), dual, t * msgs_per_round,
+                max(vi, vi_hat), max(ve, ve_hat), batch.dual_errors(grad),
+                t * msgs_per_round,
             ))
             if stalled(grad):
                 converged = True
                 break
         output_flat = state.average if state.round else start
-        output_solutions = hat_solutions
+        output_work = watch.work
         box_active = None
     else:
         state = PgdState(start, 0)
-        output_solutions = None
-        for new_state, solutions, grad in iterate_rounds(
+        rounds = WarmStart(batch)
+        output = None
+        for new_state, z, grad in iterate_rounds(
                 problem, topology, weights, config, state, transport, slack_phase_hook,
-                WarmStart(batch)):
+                rounds):
             # Record the point the round consumed; stop before moving off it.
-            phi, vi, ve, dual = metrics(solutions)
+            phi, vi, ve = primal_metrics(z)
             records.append(RoundRecord(
-                state.round, phi, math.nan, phi - f_star, vi, ve, dual,
+                state.round, phi, math.nan, phi - f_star, vi, ve, batch.dual_errors(grad),
                 state.round * msgs_per_round,
             ))
             if stalled(grad):
                 converged = True
-                output_solutions = solutions
+                output, output_work = z, rounds.work
                 break
             state = new_state
-        if output_solutions is None:
+        if output is None:
             # Final iterate never served a later round; evaluate it for the trace.
-            output_solutions = monitor(state.point)
-            phi, vi, ve, dual = metrics(output_solutions)
+            output, output_work = monitor(state.point), watch.work
+            phi, vi, ve = primal_metrics(output)
             records.append(RoundRecord(
-                state.round, phi, math.nan, phi - f_star, vi, ve, dual,
+                state.round, phi, math.nan, phi - f_star, vi, ve, dual_at(output),
                 state.round * msgs_per_round,
             ))
         output_flat = state.point
@@ -339,8 +334,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         trace=RunTrace(n_cons, tuple(records)),
         final_state=state,
         output_slack=SlackState(layout, output_flat),
-        output_primal=stacked_primal(output_solutions),
-        output_solutions=output_solutions,
+        output_primal=batch.primal(output),
+        output_stacked=batch.solutions(output, output_work.copy()),
         converged=converged,
         box_active=box_active,
         messages=transport.messages,
@@ -371,12 +366,11 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
         points.extend(box_bound * signs.astype(float))
     points.extend(rng.uniform(-box_bound, box_bound, size=(interior_samples, n)))
 
-    warm = WarmStart(AgentBatch(problem, topology, weights))
+    batch = AgentBatch(problem, topology, weights)
+    warm = WarmStart(batch)
     worst = 0.0
     for flat in points:
-        state = SlackState(layout, flat)
-        solutions = solve_all_agents(state, problem, topology, weights, warm=warm)
-        grad = assemble_gradient(solutions, topology, weights, layout, batch=warm.batch)
+        grad = batch.gradient(batch.multipliers(warm.solve_stacked(batch.offsets(flat))))
         worst = max(worst, float(np.linalg.norm(grad)))
     return 2.0 * worst
 
@@ -385,12 +379,7 @@ def default_box_bound(problem, topology, weights, oracle=None) -> float:
     """10x the largest offset magnitude / optimal slack magnitude."""
     from .slack import feasible_slack_from_primal
 
-    cons = problem.constraints
-    scale = 0.0
-    for i in range(1, problem.n_agents + 1):
-        ineq, eq = cons.agent_rows(i)
-        for _, off in list(ineq.values()) + list(eq.values()):
-            scale = max(scale, abs(off))
+    scale = offset_scale(problem)
     if oracle is not None:
         star = feasible_slack_from_primal(oracle.x, problem, topology, weights)
         if star.values.size:

@@ -42,7 +42,7 @@ from .problem import (
     validate_licq,
 )
 from .simnet import SimnetTransport
-from .slack import SlackLayout, SlackState, solve_all_agents, stacked_primal
+from .slack import SlackLayout
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,11 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             rounds = WarmStart(batch, rounds.working if rounds else None)
             final = WarmStart(batch, final.working if final else None)
             worst = 0.0
-            for inner, solutions, _ in iterate_rounds(
+            for inner, z, _ in iterate_rounds(
                     problem, topology, weights, config, inner, transport, warm=rounds):
-                worst = max(worst, max_violation(problem, stacked_primal(solutions))[0])
+                worst = max(worst, batch.violation(z)[0])
             slack = inner.average
-            applied = solve_all_agents(SlackState(layout, slack), problem, topology,
-                                       weights, warm=final)
-            u = stacked_primal(applied).reshape(n, 2)
+            u = batch.primal(final.solve_stacked(batch.offsets(slack))).reshape(n, 2)
             inner_worst[s] = worst
 
         applied_worst[s], _ = max_violation(problem, u.reshape(-1))

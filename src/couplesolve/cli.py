@@ -7,7 +7,9 @@ Subcommands::
     couplesolve solve-central PROBLEM [--output FILE]
     couplesolve cbf-sim [SCENARIO] [options]
 
-Exit codes: 0 success, 2 validation/config failure, 3 solver failure.  The
+Exit codes: 0 success, 2 validation/config failure, 3 solver failure
+(including a ``run`` whose recorded iterates or output violate a coupled row
+beyond tolerance or are not finite; its trace is still written).  The
 environment variable COUPLESOLVE_LOG (debug/info/warning/error) sets the log
 level.  Outputs are deterministic: identical inputs and options produce
 byte-identical files.
@@ -18,8 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import formats
 from .algorithms import (
@@ -33,7 +38,7 @@ from .cbf import SOLVERS, line_consensus_scenario, run_closed_loop
 from .exceptions import ConfigError, SolverError, ValidationError
 from .graph import WeightMatrix, build_weights, check_connectivity, induce_topology
 from .oracle import solve_centralized
-from .problem import lipschitz_bound, validate_licq
+from .problem import lipschitz_bound, max_violation, offset_scale, validate_licq
 from .trace import emit_trace, gnuplot_script
 
 logger = logging.getLogger("couplesolve")
@@ -210,7 +215,30 @@ def _cmd_run(args) -> int:
     print(f"max equality residual: {last.max_eq_resid:.6g}")
     print(f"messages: {result.messages}")
     print(f"trace: {cfg['output']}")
+    _check_feasible(problem, result, cfg["algorithm"] == "ada")
     return 0
+
+
+def _check_feasible(problem, result, averaged: bool) -> None:
+    """SolverError unless every recorded iterate and the output is finite and
+    violates no coupled row by more than 1e-9 (1 + largest |row offset|)."""
+    tolerance = 1e-9 * (1.0 + offset_scale(problem))
+    for r in result.trace.records:
+        values = [r.phi, r.max_ineq_viol, r.max_eq_resid]
+        if averaged and r.round:
+            values.append(r.phi_hat)
+        if not all(map(math.isfinite, values)):
+            raise SolverError(f"iterate {r.round} is not finite")
+        if max(r.max_ineq_viol, r.max_eq_resid) > tolerance:
+            raise SolverError(
+                f"iterate {r.round} violates a coupled row by "
+                f"{max(r.max_ineq_viol, r.max_eq_resid):.3g} (tolerance {tolerance:.3g})")
+    if not np.isfinite(result.output_primal).all():
+        raise SolverError("the output is not finite")
+    worst = max(max_violation(problem, result.output_primal))
+    if worst > tolerance:
+        raise SolverError(f"the output violates a coupled row by {worst:.3g} "
+                          f"(tolerance {tolerance:.3g})")
 
 
 def _cmd_check(args) -> int:

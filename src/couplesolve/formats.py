@@ -19,7 +19,8 @@ Scenario files for the closed-loop demo::
      "gamma": 0.01, "solver": "distributed", "warm_start": false}
 
 Unknown keys are rejected by name so config typos fail loudly, and a value
-of the wrong type raises a ConfigError naming its field.
+of the wrong type (a non-list ``agents``, ``ineq``, ``eq``, ``edges`` or
+``weights`` too) raises a ConfigError naming its field.
 """
 
 from __future__ import annotations
@@ -97,15 +98,24 @@ def _floats(value):
     return np.array(value, dtype=float)
 
 
+def _list(data: dict, key: str, where: str) -> list:
+    """``data[key]`` (default empty), or a ConfigError naming the key unless it is a list."""
+    value = data.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: '{key}' must be a list, got {value!r}")
+    return value
+
+
 def problem_from_dict(data: dict, where: str = "problem"):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
     reject_unknown(data, _PROBLEM_KEYS, where)
-    if "agents" not in data or not data["agents"]:
+    agents = _list(data, "agents", where)
+    if not agents:
         raise ConfigError(f"{where}: 'agents' must list at least one agent")
 
     objectives = []
-    for k, spec in enumerate(data["agents"], start=1):
+    for k, spec in enumerate(agents, start=1):
         field = f"{where}: agents[{k}]"
         reject_unknown(spec, _AGENT_KEYS, field)
         try:
@@ -128,7 +138,7 @@ def problem_from_dict(data: dict, where: str = "problem"):
     rows = {}
     for name in ("ineq", "eq"):
         rows[name] = []
-        for k, row in enumerate(data.get(name, [])):
+        for k, row in enumerate(_list(data, name, where)):
             field = f"{where}: {name}[{k}]"
             reject_unknown(row, _ROW_KEYS, field)
             for key in ("agent", "row", "coeffs", "offset"):
@@ -150,7 +160,7 @@ def problem_from_dict(data: dict, where: str = "problem"):
         cons.add_eq_row(*row)
 
     edges = []
-    for k, edge in enumerate(data.get("edges", [])):
+    for k, edge in enumerate(_list(data, "edges", where)):
         field = f"{where}: edges[{k}]"
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise ConfigError(f"{field} must be a pair of agents")
@@ -161,7 +171,7 @@ def problem_from_dict(data: dict, where: str = "problem"):
     custom = None
     if "weights" in data:
         custom = {}
-        for k, entry in enumerate(data["weights"]):
+        for k, entry in enumerate(_list(data, "weights", where)):
             field = f"{where}: weights[{k}]"
             reject_unknown(entry, {"constraint", "matrix"}, field)
             for key in ("constraint", "matrix"):

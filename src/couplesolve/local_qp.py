@@ -23,12 +23,19 @@ From one round to the next only the offsets change.  ``AgentQP`` compiles
 everything else once: H, c, the rows, their base offsets and the consensus
 terms that turn neighbour slacks into offsets.  For a fixed working set W the
 KKT solution is affine in the offsets, z = s_W + M_W off, and ``AgentQP``
-caches that map per working set.  ``WarmStart.solve`` evaluates every agent's
-map for the working set it ended on last time in one stacked pass, accepts
-each solution that passes the active-set loop's own termination test and
-residual bound, and hands the rest to the loop, started from that set.  The
-loop then solves through the same cached maps, so an answer depends only on
-its final working set and the offsets, never on where the search started.
+caches that map per working set.  ``WarmStart.solve_stacked`` evaluates
+every agent's map for the working set it ended on last time in one stacked
+pass, accepts each solution that passes the active-set loop's own
+termination test and residual bound, and hands the rest to the loop, started
+from that set.  The loop then solves through the same cached maps, so an
+answer depends only on its final working set and the offsets, never on where
+the search started.
+
+The answer is one stacked, padded array z, one row per agent, and
+``AgentBatch`` computes from it what a round needs: the objective, the
+coupled-row residuals, the multipliers each exchange sends and the
+consensus-gap gradient.  ``KktSolution`` objects are built only on request,
+by ``WarmStart.solve`` or ``StackedSolutions.kkt_solutions``.
 """
 
 from __future__ import annotations
@@ -395,14 +402,44 @@ class AgentQP:
         dim, k = self.shape[0], len(self.constraints)
         return z[:self.objective.dim], z[[dim + r for r in (*range(self.n_ineq, k), *working)]]
 
-    def solution(self, z, values, working: tuple) -> KktSolution:
-        """The KktSolution of padded z (``values`` is z as a list) at a working set."""
-        dim, k_i = self.shape[0], self.n_ineq
-        mults = values[dim:dim + len(self.constraints)]
-        return KktSolution(z[:self.objective.dim],
-                           dict(zip(self.ineq_indices, mults[:k_i])),
-                           dict(zip(self.eq_indices, mults[k_i:])),
-                           tuple(self.ineq_indices[pos] for pos in working))
+    def stack(self, sol: KktSolution) -> np.ndarray:
+        """A KktSolution as padded z: x, then the row multipliers in row order."""
+        dim, width, _ = self.shape
+        z = np.zeros(dim + width)
+        z[:self.objective.dim] = sol.x
+        z[dim:dim + len(self.constraints)] = (
+            [sol.ineq_multipliers[idx] for idx in self.ineq_indices]
+            + [sol.eq_multipliers[idx] for idx in self.eq_indices])
+        return z
+
+
+@dataclass(frozen=True)
+class StackedSolutions:
+    """Agents' padded solutions z with their working sets, as ``WarmStart`` leaves them.
+
+    Row a of ``z`` is x in its first ``dims[a]`` entries, then the row
+    multipliers (inequalities, then equalities, each ascending) from column
+    ``dim``; ``work[a]`` marks the working inequality rows.  Holds arrays
+    and the row indices only, so keeping it keeps no batch alive.
+    """
+
+    z: np.ndarray
+    work: np.ndarray
+    dim: int
+    dims: tuple[int, ...]
+    ineq_indices: tuple[tuple[int, ...], ...]
+    eq_indices: tuple[tuple[int, ...], ...]
+
+    def kkt_solutions(self) -> list[KktSolution]:
+        out = []
+        for z, mults, work, d, ineq, eq in zip(self.z, self.z[:, self.dim:].tolist(),
+                                               self.work, self.dims, self.ineq_indices,
+                                               self.eq_indices):
+            k_i = len(ineq)
+            out.append(KktSolution(z[:d], dict(zip(ineq, mults[:k_i])),
+                                   dict(zip(eq, mults[k_i:k_i + len(eq)])),
+                                   tuple(ineq[pos] for pos in np.flatnonzero(work))))
+        return out
 
 
 def assemble_subproblem(agent: int, problem, topology, weights,
@@ -425,7 +462,10 @@ class AgentBatch:
     """Every agent's compiled QP, padded to one shape and stacked.
 
     Built once per (problem, topology, weights); ``WarmStart`` streams over
-    it share its agents' factor caches.
+    it share its agents' factor caches.  Besides the stacked QPs it reads a
+    stacked solution z (see ``StackedSolutions``) in one pass each: the
+    objective, the coupled-row residuals, the primal vector and the
+    multipliers in slack layout.
     """
 
     def __init__(self, problem, topology, weights):
@@ -443,11 +483,17 @@ class AgentBatch:
         self.qps = [AgentQP(i, problem, topology, weights, shape) for i in agents]
         self.hessian = np.stack([qp.hessian for qp in self.qps])
         self.linear = np.stack([qp.linear for qp in self.qps])
+        self.constant = np.array([obj.constant for obj in problem.objectives], dtype=float)
         self.rows = np.stack([qp.rows for qp in self.qps])
         self.base = np.stack([qp.base for qp in self.qps])
         self.p = np.stack([qp.p for qp in self.qps])
+        self.dims = problem.dims
+        self.ineq_indices = topology.agent_ineq_sets
+        self.eq_indices = topology.agent_eq_sets
+        self.m_ineq = topology.m_ineq
+        self.n_constraints = topology.n_constraints
 
-        _, width, reach = shape
+        dim, width, reach = shape
         layout = SlackLayout.from_topology(topology)
         self.keys = [qp.keys for qp in self.qps]
         self.slots = np.array([a * width * (reach + 1) + slot
@@ -455,11 +501,16 @@ class AgentBatch:
                               dtype=int)
         self.flat = np.array([layout.index(l, j) for keys in self.keys for l, j in keys],
                              dtype=int)
-        # Each row's own slack coordinate, where its gap lands in a gradient.
+        # Each agent row, agent by agent: its cell in a (n, width) array, its
+        # slack coordinate (where its gap lands in a gradient) and its
+        # constraint.  Rows and slack coordinates match one to one.
         self.cells = np.array([a * width + r for a, qp in enumerate(self.qps)
                                for r in range(len(qp.constraints))], dtype=int)
         self.coords = np.array([layout.index(l, a) for a, qp in enumerate(self.qps, start=1)
                                 for l in qp.constraints], dtype=int)
+        self.constraint = np.array([l - 1 for qp in self.qps for l in qp.constraints],
+                                   dtype=int)
+        self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
         self.size = layout.size
 
     def gaps(self, values) -> np.ndarray:
@@ -487,6 +538,55 @@ class AgentBatch:
         grad = np.zeros(self.size)
         grad[self.coords] = self.gaps(values).reshape(-1)[self.cells]
         return grad
+
+    def multipliers(self, z) -> np.ndarray:
+        """Every agent's row multipliers in slack layout: what the multiplier exchange sends."""
+        flat = np.zeros(self.size)
+        flat[self.coords] = z[:, self.shape[0]:].reshape(-1)[self.cells]
+        return flat
+
+    def primal(self, z) -> np.ndarray:
+        """The stacked primal vector x_1, ..., x_n of a stacked solution."""
+        return z[:, :self.shape[0]][self.x_mask]
+
+    def objective(self, z) -> float:
+        """Sum over agents of 1/2 x'Hx + c'x + constant."""
+        x = z[:, :self.shape[0]]
+        hx = np.einsum("nij,nj->ni", self.hessian, x)
+        values = np.einsum("ni,ni->n", 0.5 * hx + self.linear, x) + self.constant
+        return float(values.sum())
+
+    def residuals(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """``aggregate_violation`` of the stacked primal: (inequality rows, equality rows).
+
+        Each coupled row is sum_i (A_i x_i + b_i), added up over its
+        participants in agent order.
+        """
+        shares = np.einsum("nrd,nd->nr", self.rows, z[:, :self.shape[0]]) + self.base
+        rows = np.bincount(self.constraint, weights=shares.reshape(-1)[self.cells],
+                           minlength=self.n_constraints)
+        return rows[:self.m_ineq], rows[self.m_ineq:]
+
+    def violation(self, z) -> tuple[float, float]:
+        """``max_violation`` of the stacked primal: worst inequality and equality residual."""
+        ineq, eq = self.residuals(z)
+        return max(float(ineq.max(initial=0.0)), 0.0), float(np.abs(eq).max(initial=0.0))
+
+    def dual_errors(self, grad) -> tuple[float, ...]:
+        """Per constraint the 2-norm of a gradient's block, ||(I - P^[l]) mu^[l]||."""
+        squares = np.bincount(self.constraint, weights=grad[self.coords] ** 2,
+                              minlength=self.n_constraints)
+        return tuple(np.sqrt(squares).tolist())
+
+    def solutions(self, z, work, agents=None) -> StackedSolutions:
+        """z and the working-row masks of all agents, or of the listed ones, row by row."""
+        if agents is None:
+            dims, ineq, eq = self.dims, self.ineq_indices, self.eq_indices
+        else:
+            dims = tuple(self.dims[a] for a in agents)
+            ineq = tuple(self.ineq_indices[a] for a in agents)
+            eq = tuple(self.eq_indices[a] for a in agents)
+        return StackedSolutions(z, work, self.shape[0], dims, ineq, eq)
 
 
 class WarmStart:
@@ -519,13 +619,14 @@ class WarmStart:
             self.m[a], self.s[a] = factor.m, factor.s
             self.kkt[a], self.work[a], self.free[a] = factor.kkt, factor.work, factor.free
 
-    def solve(self, offsets, agents=None) -> list[KktSolution]:
+    def solve_stacked(self, offsets, agents=None) -> np.ndarray:
         """Solve every agent's QP, or the listed 0-based ``agents``, at ``offsets``.
 
-        One stacked pass evaluates each agent's last working set and keeps
-        the solutions that pass ``solve_kkt``'s termination test and
-        residual bound; ``solve_kkt``, started from that set, solves the
-        others.
+        Returns the padded solutions z, one row per agent (see
+        ``StackedSolutions``).  One stacked pass evaluates each agent's last
+        working set and keeps the solutions that pass ``solve_kkt``'s
+        termination test and residual bound; ``solve_kkt``, started from
+        that set, solves the others, and their answers are written into z.
         """
         sel = slice(None) if agents is None else np.asarray(agents, dtype=int)
         batch = self.batch
@@ -537,19 +638,20 @@ class WarmStart:
         mults = z[:, batch.shape[0]:]
         ok &= np.where(self.work[sel], mults, np.inf).min(-1, initial=np.inf) >= -_DROP_TOL
 
-        values = z.tolist()
-        out = []
-        order = range(len(batch.qps)) if agents is None else agents
-        for row, (a, accepted) in enumerate(zip(order, ok.tolist())):
+        for row in np.flatnonzero(~ok).tolist():
+            a = row if agents is None else agents[row]
             qp = batch.qps[a]
-            if accepted:
-                out.append(qp.solution(z[row], values[row], self.working[a]))
-                continue
             start = tuple(qp.ineq_indices[pos] for pos in self.working[a])
             sol = solve_kkt(qp.subproblem(offsets[row]), start, qp)
             self._use(a, tuple(qp.position[idx] for idx in sol.active_set))
-            out.append(sol)
-        return out
+            z[row] = qp.stack(sol)
+        return z
+
+    def solve(self, offsets, agents=None) -> list[KktSolution]:
+        """``solve_stacked``'s answer as one KktSolution per agent."""
+        z = self.solve_stacked(offsets, agents)
+        sel = slice(None) if agents is None else np.asarray(agents, dtype=int)
+        return self.batch.solutions(z, self.work[sel], agents).kkt_solutions()
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,17 @@ def max_violation(problem: ProblemSpec, x: np.ndarray) -> tuple[float, float]:
     return max(worst_ineq, 0.0), worst_eq
 
 
+def offset_scale(problem: ProblemSpec) -> float:
+    """The largest |row offset| over every agent's rows (0 without rows)."""
+    cons = problem.constraints
+    scale = 0.0
+    for i in range(1, problem.n_agents + 1):
+        for rows in cons.agent_rows(i):
+            for _, offset in rows.values():
+                scale = max(scale, abs(offset))
+    return scale
+
+
 # ---------------------------------------------------------------------------
 # regularity checks and the dual-gradient Lipschitz estimate
 # ---------------------------------------------------------------------------

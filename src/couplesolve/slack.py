@@ -49,16 +49,19 @@ class SlackLayout:
         for members in participants:
             starts.append(total)
             total += len(members)
-        layout = cls(constraints, participants, tuple(starts), total)
-        object.__setattr__(layout, "_index", {
-            (l, i): layout.starts[l - 1] + a
-            for l, members in zip(constraints, participants)
-            for a, i in enumerate(members)
-        })
-        return layout
+        return cls(constraints, participants, tuple(starts), total)
 
     def index(self, l: int, agent: int) -> int:
-        return self._index[(l, agent)]
+        try:
+            index = self._index
+        except AttributeError:
+            # Built on first use: a layout kept with a result holds no dict.
+            index = {(l, i): start + a
+                     for l, members, start in zip(self.constraints, self.participants,
+                                                  self.starts)
+                     for a, i in enumerate(members)}
+            object.__setattr__(self, "_index", index)
+        return index[(l, agent)]
 
     def block(self, l: int) -> slice:
         start = self.starts[l - 1]
@@ -66,6 +69,7 @@ class SlackLayout:
 
     def by_constraint(self, flat) -> dict[int, dict[int, float]]:
         """{l: {participant: value}} from a flat vector in this layout."""
+        flat = np.asarray(flat).tolist()
         return {
             l: {i: flat[start + a] for a, i in enumerate(members)}
             for l, members, start in zip(self.constraints, self.participants, self.starts)
@@ -139,25 +143,15 @@ def multipliers_by_constraint(solutions: list[KktSolution], topology) -> dict:
 
 
 def assemble_gradient(solutions: list[KktSolution], topology, weights,
-                      layout: SlackLayout, views: list | None = None,
-                      batch: AgentBatch | None = None) -> np.ndarray:
+                      layout: SlackLayout, views: list | None = None) -> np.ndarray:
     """Full allocation-cost gradient from the agents' multipliers.
 
     Coordinate (l, i) is ``consensus_gap`` of the row-l multipliers, the
     arithmetic agent i uses locally.  ``views`` may supply transport-mediated
     multiplier views (built from the MULTIPLIER_EXCHANGE phase); by default
-    multipliers are read directly from the solutions.  ``batch``, the
-    agents' compiled QPs, computes the same numbers in one stacked pass.
+    multipliers are read directly from the solutions.  The reference for
+    ``AgentBatch.gradient``, which rounds use.
     """
-    if batch is not None:
-        if views is None:
-            m_ineq = topology.m_ineq
-            views = np.array([
-                solutions[i - 1].multiplier(l, m_ineq)
-                for l, members in zip(layout.constraints, layout.participants)
-                for i in members
-            ], dtype=float).reshape(layout.size)
-        return batch.gradient(views)
     if views is None:
         views = neighbor_views(topology, multipliers_by_constraint(solutions, topology))
     grad = np.zeros(layout.size)

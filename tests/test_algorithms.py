@@ -1,12 +1,17 @@
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import couplesolve as cs
+from couplesolve import algorithms, local_qp
 from couplesolve.exceptions import ValidationError
 from couplesolve.trace import traces_equal
+
+from gen import strongly_convex_instance
 
 
 def _slack(topology, values):
@@ -217,3 +222,76 @@ def test_default_box_bound_scales_with_offsets(toy):
     oracle = cs.solve_centralized(problem)
     # optimal slack is zero here, so the offset scale still wins
     assert cs.default_box_bound(problem, topology, weights, oracle) == 10.0
+
+
+def test_kkt_solutions_are_built_only_when_the_output_is_read(toy, monkeypatch):
+    problem, topology, weights = toy
+    built = []
+
+    class Spy(local_qp.KktSolution):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(local_qp, "KktSolution", Spy)
+    for config in (cs.AdaConfig(0.25, 10), cs.PgdConfig(5.0, 2.0, 10)):
+        del built[:]
+        result = cs.run(problem, topology, weights, config)
+        assert not built  # every agent accepted: no solve_kkt, no KktSolution
+        solutions = result.output_solutions
+        assert len(built) == problem.n_agents
+        assert result.output_solutions is solutions
+        reference = cs.solve_all_agents(result.output_slack, problem, topology, weights)
+        for got, ref in zip(solutions, reference):
+            assert np.array_equal(got.x, ref.x)
+            assert (got.eq_multipliers, got.active_set) == (ref.eq_multipliers,
+                                                           ref.active_set)
+
+
+def test_run_result_keeps_no_batch_alive(monkeypatch):
+    problem, topology, weights = strongly_convex_instance(3)
+    batches = []
+
+    class Tracked(local_qp.AgentBatch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(weakref.ref(self))
+
+    monkeypatch.setattr(algorithms, "AgentBatch", Tracked)
+    for config in (cs.AdaConfig(0.01, 5), cs.PgdConfig(10.0, 10.0, 5)):
+        del batches[:]
+        result = cs.run(problem, topology, weights, config)
+        gc.collect()
+        assert batches and all(ref() is None for ref in batches)
+        assert len(result.output_solutions) == problem.n_agents
+
+
+def test_seeded_first_round_needs_no_fallback(monkeypatch):
+    # Round 1 evaluates the start the monitor just solved; its stream starts
+    # from the working sets the monitor ended on, so the stacked pass
+    # accepts every agent, while the cold monitor solve itself falls back.
+    events = []
+    loop = local_qp.solve_kkt
+
+    def spy(*args):
+        events.append("solve_kkt")
+        return loop(*args)
+
+    class Marking(cs.SimnetTransport):
+        def gather(self, phase, values):
+            events.append(phase)
+            return super().gather(phase, values)
+
+    monkeypatch.setattr(local_qp, "solve_kkt", spy)
+    cold = 0
+    for seed in range(25):
+        problem, topology, weights = strongly_convex_instance(seed)
+        layout = cs.SlackLayout.from_topology(topology)
+        start = cs.SlackState(layout, np.random.default_rng(seed).uniform(-2, 2, layout.size))
+        del events[:]
+        cs.run(problem, topology, weights, cs.AdaConfig(0.01, 2), initial_slack=start,
+               transport=Marking(topology), check_gamma=False)
+        first = events.index(cs.Phase.SLACK_EXCHANGE)
+        cold += "solve_kkt" in events[:first]
+        assert events[first + 1] == cs.Phase.MULTIPLIER_EXCHANGE
+    assert cold

@@ -10,6 +10,7 @@ import pytest
 import couplesolve as cs
 from couplesolve import local_qp
 from couplesolve.local_qp import AgentBatch, WarmStart, assemble_subproblem
+from couplesolve.problem import aggregate_violation
 from couplesolve.slack import multipliers_by_constraint
 from bruteforce import brute_force_solve
 from gen import reduced_space_instance, strongly_convex_instance
@@ -138,12 +139,53 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
         reference = cs.assemble_gradient(solutions, topology, weights, layout)
         mults = multipliers_by_constraint(solutions, topology)
         mult_views, _ = cs.exchange(cs.Phase.MULTIPLIER_EXCHANGE, mults, topology)
-        assert np.array_equal(
-            cs.assemble_gradient(solutions, topology, weights, layout, batch=batch),
-            reference)
-        assert np.array_equal(
-            cs.assemble_gradient(solutions, topology, weights, layout, mult_views, batch),
-            reference)
+        z = WarmStart(batch).solve_stacked(batch.offsets(flat))
+        assert np.array_equal(batch.gradient(batch.multipliers(z)), reference)
+        assert np.array_equal(batch.gradient(mult_views), reference)
+
+
+def _close(got, ref):
+    ref = np.asarray(ref, dtype=float)
+    return bool(np.all(np.abs(np.asarray(got) - ref) <= 1e-13 * (1.0 + np.abs(ref))))
+
+
+@pytest.mark.parametrize("make, seed", FAMILIES, ids=IDS)
+def test_stacked_metrics_match_the_reference_functions(make, seed):
+    # What rounds read from z against the per-agent functions the trace was
+    # computed with before: the objective, the coupled rows, the dense
+    # (I - P) mu and the KktSolutions.
+    problem, topology, weights = make(seed)
+    # Objective constants too, which the generators leave at 0.
+    problem = cs.ProblemSpec(tuple(cs.AgentObjective(obj.hessian, obj.linear, 0.25 * i)
+                                   for i, obj in enumerate(problem.objectives)),
+                             problem.constraints, problem.graph)
+    batch = AgentBatch(problem, topology, weights)
+    layout, points = _points(topology, seed)
+    warm = WarmStart(batch)
+    for flat in points:
+        z = warm.solve_stacked(batch.offsets(flat))
+        solutions = cs.solve_all_agents(cs.SlackState(layout, flat), problem, topology,
+                                        weights)
+        primal = cs.stacked_primal(solutions)
+        assert np.array_equal(batch.primal(z), primal)
+        mults = multipliers_by_constraint(solutions, topology)
+        assert np.array_equal(batch.multipliers(z),
+                              [mults[l][i] for l, members in
+                               zip(layout.constraints, layout.participants) for i in members])
+        for got, ref in zip(batch.solutions(z, warm.work).kkt_solutions(), solutions):
+            assert np.array_equal(got.x, ref.x)
+            assert got.ineq_multipliers == ref.ineq_multipliers
+            assert got.eq_multipliers == ref.eq_multipliers
+            assert got.active_set == ref.active_set
+
+        assert _close(batch.objective(z), cs.total_objective(problem, solutions))
+        for got, ref in zip(batch.residuals(z), aggregate_violation(problem, primal)):
+            assert got.shape == ref.shape and _close(got, ref)
+        assert _close(batch.violation(z), cs.max_violation(problem, primal))
+        dense = [np.linalg.norm(weights[l].gap @ [mults[l][i] for i in members])
+                 if members else 0.0
+                 for l, members in zip(layout.constraints, layout.participants)]
+        assert _close(batch.dual_errors(batch.gradient(batch.multipliers(z))), dense)
 
 
 def test_unbounded_agent_keeps_its_diagnosis():

@@ -261,6 +261,38 @@ def test_non_object_entry_exits_2_naming_it(toy_file, tmp_path, capsys, edit, fi
     _exits_2_naming(data, tmp_path, capsys, f"{field}: expected an object")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("agents", 5), ("agents", "ab"), ("ineq", 3), ("eq", {"row": 1}), ("edges", 5),
+    ("weights", 4),
+], ids=["agents-int", "agents-str", "ineq", "eq", "edges", "weights"])
+def test_non_list_field_exits_2_naming_the_key(toy_file, tmp_path, capsys, key, value):
+    data = json.loads(Path(toy_file).read_text())
+    data[key] = value
+    _exits_2_naming(data, tmp_path, capsys, f"'{key}' must be a list, got {value!r}")
+
+
+def test_run_exits_3_on_a_violated_iterate_and_still_writes_the_trace(tmp_path, capsys):
+    # Every cost x100 puts the auto step above the true gradient Lipschitz
+    # constant of this instance, and ada diverges off the coupled rows.
+    problem, _, _ = strongly_convex_instance(11)
+    data = formats.problem_to_dict(problem)
+    for agent in data["agents"]:
+        agent["hessian"] = (100 * np.array(agent["hessian"])).tolist()
+        agent["linear"] = (100 * np.array(agent["linear"])).tolist()
+    path, out = tmp_path / "x100.json", tmp_path / "trace.csv"
+    path.write_text(json.dumps(data))
+    code = cli.main(["run", str(path), "--algo", "ada", "--gamma", "auto",
+                     "--rounds", "200", "--oracle", "--output", str(out)])
+    assert code == 3
+    assert "violates a coupled row" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 202
+
+    data["agents"] = formats.problem_to_dict(problem)["agents"]  # unit costs converge
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), "--algo", "ada", "--gamma", "auto",
+                     "--rounds", "200", "--output", str(out)]) == 0
+
+
 def test_non_object_run_config_or_scenario_exits_2(toy_file, tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")

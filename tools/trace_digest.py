@@ -15,7 +15,8 @@ The instance generators are this repository's ``tests/gen.py`` and
 With ``--compare OLD_SRC`` the cases run once per source tree, each in a
 fresh process, and every line gives a case's largest absolute and relative
 difference (new against old) in its trace cells, its primal output (the
-applied inputs for the closed loop), its finite-difference gradient and its
+applied inputs for the closed loop), its output solutions (every agent's x,
+multipliers and active rows), its finite-difference gradient and its
 centralized oracle solution (x, value and both multiplier vectors; ``-``
 where a case has none); a case run by one tree only prints ``only in old``
 or ``only in new``, and a summary line closes the output.  The exit status is
@@ -98,6 +99,15 @@ def trace_cells(records) -> np.ndarray:
                       *r.dual_cons_err] for r in records], dtype=float)
 
 
+def solution_cells(solutions) -> np.ndarray:
+    """Every agent's x, multipliers (by row index) and active rows, in one vector."""
+    return np.concatenate([
+        np.concatenate([s.x, [s.ineq_multipliers[k] for k in sorted(s.ineq_multipliers)],
+                        [s.eq_multipliers[k] for k in sorted(s.eq_multipliers)],
+                        s.active_set])
+        for s in solutions])
+
+
 def oracle_cells(oracle) -> np.ndarray:
     """The centralized solution's x, value and multipliers, in one vector."""
     return np.concatenate([oracle.x, [oracle.value], oracle.ineq_multipliers,
@@ -115,7 +125,9 @@ def cases(cs, gen, instances):
                             oracle=oracle, transport=transport)
             yield (f"sc{seed}-ada-{transport}", run_parts(result),
                    {"trace": trace_cells(result.trace.records),
-                    "primal": result.output_primal, "oracle": oracle_cells(oracle)})
+                    "primal": result.output_primal,
+                    "solutions": solution_cells(result.output_solutions),
+                    "oracle": oracle_cells(oracle)})
 
     for seed in range(12):
         problem, topology, weights = gen.reduced_space_instance(seed)
@@ -131,7 +143,8 @@ def cases(cs, gen, instances):
             yield (f"rs{seed}-pgd{label}",
                    (box, grad_bound, digest(*run_parts(result)), fd),
                    {"trace": trace_cells(result.trace.records),
-                    "primal": result.output_primal, "fd": fd[0],
+                    "primal": result.output_primal,
+                    "solutions": solution_cells(result.output_solutions), "fd": fd[0],
                     "oracle": oracle_cells(oracle)})
 
     ring = instances.strongly_convex_ring(
@@ -142,6 +155,7 @@ def cases(cs, gen, instances):
     result = cs.run(ring, topology, weights, cs.AdaConfig(gamma, 4))
     yield ("ring400-prefix", run_parts(result),
            {"trace": trace_cells(result.trace.records), "primal": result.output_primal,
+            "solutions": solution_cells(result.output_solutions),
             "oracle": oracle_cells(cs.solve_centralized(ring))})
 
     for label, warm in (("cold", False), ("warm", True)):
@@ -172,7 +186,7 @@ def collect(src: Path) -> dict:
     return {name: groups for name, _, groups in cases(*load(src))}
 
 
-GROUPS = ("trace", "primal", "fd", "oracle")
+GROUPS = ("trace", "primal", "solutions", "fd", "oracle")
 
 
 def drift(old, new) -> tuple[float, float] | None:
