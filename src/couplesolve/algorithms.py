@@ -47,6 +47,9 @@ from .trace import RoundRecord, RunTrace
 
 logger = logging.getLogger("couplesolve")
 
+# Rows (agent QPs) per lock-step solve in estimate_gradient_bound.
+_SAMPLE_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class AdaConfig:
@@ -347,7 +350,10 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
     """Sampled bound on the allocation-cost gradient norm over the box.
 
     Evaluates the gradient at all box corners (capped at 2^10 corners) plus
-    uniform interior samples, and doubles the largest norm seen.
+    uniform interior samples, and doubles the largest norm seen.  Every
+    agent at every point is one row of ``AgentBatch.solve_rows``, solved
+    cold; the points go through in chunks of ``_SAMPLE_ROWS`` rows, which
+    bounds the loop's temporaries.
     """
     layout = SlackLayout.from_topology(topology)
     n = layout.size
@@ -367,11 +373,18 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
     points.extend(rng.uniform(-box_bound, box_bound, size=(interior_samples, n)))
 
     batch = AgentBatch(problem, topology, weights)
-    warm = WarmStart(batch)
+    n_agents, width = len(batch.qps), batch.shape[1]
+    cold = batch.sets.ids_of([(a, ()) for a in range(n_agents)])
+    chunk = max(1, _SAMPLE_ROWS // n_agents)
+    points = np.array(points)
     worst = 0.0
-    for flat in points:
-        grad = batch.gradient(batch.multipliers(warm.solve_stacked(batch.offsets(flat))))
-        worst = max(worst, float(np.linalg.norm(grad)))
+    for first in range(0, len(points), chunk):
+        flat = points[first:first + chunk]
+        z, _ = batch.solve_rows(np.tile(np.arange(n_agents), len(flat)),
+                                batch.offsets(flat).reshape(-1, width),
+                                np.tile(cold, len(flat)))
+        for grad in batch.gradient(batch.multipliers(z.reshape(len(flat), n_agents, -1))):
+            worst = max(worst, float(np.linalg.norm(grad)))
     return 2.0 * worst
 
 

@@ -22,14 +22,26 @@ degeneracy error instead of an infinite loop.
 From one round to the next only the offsets change.  ``AgentQP`` compiles
 everything else once: H, c, the rows, their base offsets and the consensus
 terms that turn neighbour slacks into offsets.  For a fixed working set W the
-KKT solution is affine in the offsets, z = s_W + M_W off, and ``AgentQP``
-caches that map per working set.  ``WarmStart.solve_stacked`` evaluates
-every agent's map for the working set it ended on last time in one stacked
-pass, accepts each solution that passes the active-set loop's own
-termination test and residual bound, and hands the rest to the loop, started
-from that set.  The loop then solves through the same cached maps, so an
-answer depends only on its final working set and the offsets, never on where
-the search started.
+KKT solution is affine in the offsets, z = s_W + M_W off.  ``AgentBatch``
+keeps every working set its solves meet in one table, each map stacked
+under an id; the maps of newly met sets are built together, one stacked
+inverse per KKT size.
+
+``AgentBatch.solve_rows`` runs ``solve_kkt``'s loop in lock step over many
+rows, a row being one agent's QP at one set of offsets from one starting
+working set (an agent may fill many rows).  Each iteration gathers every
+pending row's map by id, evaluates all of them in one elementwise pass, and
+makes each row's move at once: add the most violated free row, else drop
+the most negative working multiplier, else accept.  Each row keeps its own
+visited-set guard and iteration cap, and a failing row raises
+``solve_kkt``'s diagnosis.  ``WarmStart.solve_stacked`` evaluates every
+agent's map for the working set it ended on last time in one stacked pass,
+accepts each solution that passes the loop's termination test and residual
+bound, and continues the rest in ``solve_rows``'s loop, the stacked pass
+standing as its first iteration.  An answer depends only on its final
+working set and the offsets, never on where the search started or on the
+rows beside it.  ``solve_kkt`` stays the scalar reference and the oracle's
+loop.
 
 The answer is one stacked, padded array z, one row per agent, and
 ``AgentBatch`` computes from it what a round needs: the objective, the
@@ -146,7 +158,7 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> Kk
     the first working set.  ``qp`` is any compiled KKT solver of ``sub``:
     ``qp.padded(beta, eta)`` lays out its offsets and ``qp.kkt_solve(working,
     offsets)`` gives ``_kkt_solve``'s answer for a working set (positions),
-    or None.  ``AgentQP`` solves through cached per-set factors, the oracle's
+    or None.  ``AgentQP`` solves through per-set affine maps, the oracle's
     block solver through a Schur complement.
 
     Raises UnboundedSubproblemError when the Hessian is not positive definite
@@ -174,12 +186,7 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> Kk
         else:
             solved = qp.kkt_solve(tuple(working), offsets)
         if solved is None:
-            if not _reduced_curvature_ok(h, np.vstack([e, a[working]])):
-                raise UnboundedSubproblemError(
-                    "Hessian is not positive definite on the working-set "
-                    "nullspace: subproblem unbounded or minimizer non-unique"
-                )
-            raise DegenerateSubproblemError("singular KKT system")
+            raise _singular(h, np.vstack([e, a[working]]))
         x, mults = solved
         eq_mults = mults[: e.shape[0]]
         w_mults = mults[e.shape[0]:]
@@ -192,9 +199,7 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> Kk
                 working = sorted(working + [worst])
                 key = frozenset(working)
                 if key in visited:
-                    raise DegenerateSubproblemError(
-                        "active-set iteration revisited a working set"
-                    )
+                    raise _revisited()
                 visited.add(key)
                 continue
 
@@ -203,9 +208,7 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> Kk
             working = working[:drop] + working[drop + 1:]
             key = frozenset(working)
             if key in visited:
-                raise DegenerateSubproblemError(
-                    "active-set iteration revisited a working set"
-                )
+                raise _revisited()
             visited.add(key)
             continue
 
@@ -216,9 +219,25 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> Kk
         active = tuple(sub.ineq_indices[pos] for pos in working)
         return KktSolution(x, mu, lam, active)
 
-    raise DegenerateSubproblemError(
-        f"active-set iteration exceeded {cap} iterations"
-    )
+    raise _capped(cap)
+
+
+def _singular(h, rows) -> Exception:
+    """Why a working set's KKT system has no solution: missing curvature or degeneracy."""
+    if not _reduced_curvature_ok(h, rows):
+        return UnboundedSubproblemError(
+            "Hessian is not positive definite on the working-set "
+            "nullspace: subproblem unbounded or minimizer non-unique"
+        )
+    return DegenerateSubproblemError("singular KKT system")
+
+
+def _revisited() -> Exception:
+    return DegenerateSubproblemError("active-set iteration revisited a working set")
+
+
+def _capped(cap: int) -> Exception:
+    return DegenerateSubproblemError(f"active-set iteration exceeded {cap} iterations")
 
 
 def _gap(p, own, v):
@@ -264,15 +283,83 @@ def _residual_ok(h, c, rows, kkt, z, offsets):
     return ok, row_residual
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """One working set's KKT solution as an affine map z = s + m @ offsets."""
+def _accepted(free, work, row_residual, mults):
+    """Where ``solve_kkt`` stops, on stacked solutions: no free row is
+    violated and no working multiplier is negative."""
+    return ((np.where(free, row_residual, -np.inf).max(-1, initial=-np.inf) <= _ADD_TOL)
+            & (np.where(work, mults, np.inf).min(-1, initial=np.inf) >= -_DROP_TOL))
 
-    m: np.ndarray     # (dim + width, width)
-    s: np.ndarray     # (dim + width,)
-    kkt: np.ndarray   # rows in the KKT system: equalities and working inequalities
-    work: np.ndarray  # working inequality rows
-    free: np.ndarray  # inequality rows outside the working set
+
+def _moves(free, work, row_residual, mults):
+    """``solve_kkt``'s next move on stacked solutions it does not accept.
+
+    r adds free row r, the most violated (lowest index on ties); width + r
+    drops working row r, the most negative multiplier (lowest index on
+    ties).  Adding comes first, as in the loop.
+    """
+    violation = np.where(free, row_residual, -np.inf)
+    drop = free.shape[-1] + np.where(work, mults, np.inf).argmin(-1)
+    return np.where(violation.max(-1) > _ADD_TOL, violation.argmax(-1), drop)
+
+
+def _inverses(kkt) -> np.ndarray:
+    """``np.linalg.inv`` of each stacked matrix; NaN where one is singular."""
+    try:
+        return np.linalg.inv(kkt)
+    except np.linalg.LinAlgError:
+        out = np.full_like(kkt, np.nan)
+        for j, matrix in enumerate(kkt):
+            try:
+                out[j] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _factors(pairs, dim: int, width: int):
+    """The affine maps of (AgentQP, working positions) pairs, stacked.
+
+    Per pair: m (dim + width, width) and s (dim + width,), the KKT solution
+    z = s + m @ offsets; masks of the rows in the KKT system (equalities and
+    working inequalities), of the working rows and of the free inequality
+    rows; and ready, False where the KKT system is singular (m and s then
+    stay zero).  Pairs with the same block dimension and KKT row count share
+    one stacked inverse.
+    """
+    n = len(pairs)
+    m = np.zeros((n, dim + width, width))
+    s = np.zeros((n, dim + width))
+    kkt = np.zeros((n, width), dtype=bool)
+    work = np.zeros((n, width), dtype=bool)
+    free = np.zeros((n, width), dtype=bool)
+    ready = np.zeros(n, dtype=bool)
+    groups = {}
+    for j, (qp, working) in enumerate(pairs):
+        rows = (*range(qp.n_ineq, len(qp.constraints)), *working)  # solve_kkt's order
+        groups.setdefault((qp.objective.dim, len(rows)), []).append((j, rows))
+        free[j, :qp.n_ineq] = True
+    for (d, r), members in groups.items():
+        at = np.array([j for j, _ in members], dtype=int)
+        rows = np.array([kkt_rows for _, kkt_rows in members], dtype=int).reshape(len(at), r)
+        qps = [pairs[j][0] for j in at.tolist()]
+        g = np.stack([qp.rows[:, :d] for qp in qps])[np.arange(len(at))[:, None], rows]
+        linear = np.stack([qp.linear[:d] for qp in qps])
+        system = np.zeros((len(at), d + r, d + r))
+        system[:, :d, :d] = np.stack([qp.hessian[:d, :d] for qp in qps])
+        system[:, :d, d:] = g.transpose(0, 2, 1)
+        system[:, d:, :d] = g
+        inverse = _inverses(system)
+        solved = np.isfinite(inverse).all((1, 2))
+        at, rows, inverse, linear = at[solved], rows[solved], inverse[solved], linear[solved]
+        out = np.concatenate([np.broadcast_to(np.arange(d), (len(at), d)), dim + rows], axis=1)
+        s[at[:, None], out] = (inverse[:, :, :d] @ -linear[:, :, None])[..., 0]
+        m[at[:, None, None], out[:, :, None], rows[:, None, :]] = -inverse[:, :, d:]
+        kkt[at[:, None], rows] = True
+        ready[at] = True
+    for j, (qp, working) in enumerate(pairs):
+        work[j, list(working)] = True
+        free[j, list(working)] = False
+    return m, s, kkt, work, free, ready
 
 
 class AgentQP:
@@ -328,7 +415,6 @@ class AgentQP:
                 self.keys.append((l, j))
                 slots.append(r * (reach + 1) + k + 1)
         self.slots = np.array(slots, dtype=int)
-        self._factors = {}
 
     def offsets(self, view) -> np.ndarray:
         """Row offsets ``consensus_gap(l, i, ..., view) + b_i^[l]``, padded."""
@@ -350,67 +436,27 @@ class AgentQP:
                                offsets[:k_i], self.eq_indices, self.rows[k_i:k, :d],
                                offsets[k_i:k])
 
-    def factor(self, working: tuple) -> _Factor | None:
-        """The cached affine map of a working set (positions); None when singular."""
-        try:
-            return self._factors[working]
-        except KeyError:
-            pass
-        dim, width, _ = self.shape
-        d, k_i, k = self.objective.dim, self.n_ineq, len(self.constraints)
-        rows = [*range(k_i, k), *working]  # solve_kkt's order: equalities first
-        g = self.rows[rows, :d]
-        kkt = np.zeros((d + len(rows), d + len(rows)))
-        kkt[:d, :d] = self.objective.hessian
-        kkt[:d, d:] = g.T
-        kkt[d:, :d] = g
-        try:
-            inverse = np.linalg.inv(kkt)
-        except np.linalg.LinAlgError:
-            inverse = None
-        factor = None
-        if inverse is not None and np.isfinite(inverse).all():
-            out = [*range(d), *(dim + r for r in rows)]
-            m = np.zeros((dim + width, width))
-            s = np.zeros(dim + width)
-            s[out] = inverse[:, :d] @ -self.objective.linear
-            m[np.ix_(out, rows)] = -inverse[:, d:]
-            in_kkt = np.zeros(width, dtype=bool)
-            in_kkt[rows] = True
-            work = np.zeros(width, dtype=bool)
-            work[list(working)] = True
-            free = np.zeros(width, dtype=bool)
-            free[:k_i] = True
-            free[list(working)] = False
-            factor = _Factor(m, s, in_kkt, work, free)
-        self._factors[working] = factor
-        return factor
+    def singular(self, working: tuple) -> Exception:
+        """``solve_kkt``'s diagnosis of a working set (positions) it cannot solve."""
+        d, k = self.objective.dim, len(self.constraints)
+        return _singular(self.objective.hessian,
+                         self.rows[[*range(self.n_ineq, k), *working], :d])
 
     def kkt_solve(self, working: tuple, offsets):
-        """``_kkt_solve`` through the cached factor: (x, multipliers) or None.
+        """``_kkt_solve`` through the working set's affine map: (x, multipliers) or None.
 
         The multipliers come in ``solve_kkt``'s order: equalities, then the
-        working inequalities.
+        working inequalities.  The scalar reference of ``AgentBatch.solve_rows``.
         """
-        factor = self.factor(working)
-        if factor is None:
+        m, s, kkt, _, _, ready = _factors([(self, working)], *self.shape[:2])
+        if not ready[0]:
             return None
-        z = _affine(factor.m, factor.s, offsets)
-        ok, _ = _residual_ok(self.hessian, self.linear, self.rows, factor.kkt, z, offsets)
+        z = _affine(m[0], s[0], offsets)
+        ok, _ = _residual_ok(self.hessian, self.linear, self.rows, kkt[0], z, offsets)
         if not ok:
             return None
         dim, k = self.shape[0], len(self.constraints)
         return z[:self.objective.dim], z[[dim + r for r in (*range(self.n_ineq, k), *working)]]
-
-    def stack(self, sol: KktSolution) -> np.ndarray:
-        """A KktSolution as padded z: x, then the row multipliers in row order."""
-        dim, width, _ = self.shape
-        z = np.zeros(dim + width)
-        z[:self.objective.dim] = sol.x
-        z[dim:dim + len(self.constraints)] = (
-            [sol.ineq_multipliers[idx] for idx in self.ineq_indices]
-            + [sol.eq_multipliers[idx] for idx in self.eq_indices])
-        return z
 
 
 @dataclass(frozen=True)
@@ -458,14 +504,77 @@ def assemble_subproblem(agent: int, problem, topology, weights,
     return qp.subproblem(qp.offsets(slack_view))
 
 
+class _SetTable:
+    """Every working set a batch's solves have met, with its affine map, stacked.
+
+    A set is an (agent, working positions) pair and gets an id on first
+    use; ``m``, ``s``, ``kkt``, ``work``, ``free`` and ``ready`` hold each
+    id's map and masks (see ``_factors``), so a gather by id replaces a
+    Python lookup per agent.
+    """
+
+    def __init__(self, qps, shape):
+        dim, width, _ = shape
+        self.qps = qps
+        self.width = width
+        self.ids = {}   # (agent, working) -> id
+        self.keys = []  # id -> (agent, working)
+        self.m = np.zeros((0, dim + width, width))
+        self.s = np.zeros((0, dim + width))
+        self.kkt = np.zeros((0, width), dtype=bool)
+        self.work = np.zeros((0, width), dtype=bool)
+        self.free = np.zeros((0, width), dtype=bool)
+        self.ready = np.zeros(0, dtype=bool)
+
+    def ids_of(self, keys) -> np.ndarray:
+        """The ids of (agent, working) pairs; the new ones are factored together."""
+        new = [key for key in dict.fromkeys(keys) if key not in self.ids]
+        if new:
+            first, last = len(self.keys), len(self.keys) + len(new)
+            if last > len(self.ready):
+                for name in ("m", "s", "kkt", "work", "free", "ready"):
+                    old = getattr(self, name)
+                    grown = np.zeros((max(16, 2 * last),) + old.shape[1:], dtype=old.dtype)
+                    grown[:first] = old[:first]
+                    setattr(self, name, grown)
+            (self.m[first:last], self.s[first:last], self.kkt[first:last],
+             self.work[first:last], self.free[first:last], self.ready[first:last]) = _factors(
+                [(self.qps[agent], working) for agent, working in new],
+                self.s.shape[1] - self.width, self.width)
+            self.ids.update((key, first + k) for k, key in enumerate(new))
+            self.keys += new
+        return np.array([self.ids[key] for key in keys], dtype=int)
+
+    def gather(self, ids) -> tuple[np.ndarray, ...]:
+        """m, s, kkt, work, free and ready of each id, gathered."""
+        return (self.m[ids], self.s[ids], self.kkt[ids], self.work[ids], self.free[ids],
+                self.ready[ids])
+
+    def moved(self, ids, moves) -> np.ndarray:
+        """The id each set reaches by its ``_moves`` move, one lookup per distinct pair."""
+        span = 2 * self.width
+        codes, inverse = np.unique(ids * span + moves, return_inverse=True)
+        out = []
+        for code in codes.tolist():
+            agent, working = self.keys[code // span]
+            r = code % span
+            if r < self.width:
+                working = tuple(sorted((*working, r)))
+            else:
+                working = tuple(p for p in working if p != r - self.width)
+            out.append((agent, working))
+        return self.ids_of(out)[inverse]
+
+
 class AgentBatch:
     """Every agent's compiled QP, padded to one shape and stacked.
 
-    Built once per (problem, topology, weights); ``WarmStart`` streams over
-    it share its agents' factor caches.  Besides the stacked QPs it reads a
-    stacked solution z (see ``StackedSolutions``) in one pass each: the
-    objective, the coupled-row residuals, the primal vector and the
-    multipliers in slack layout.
+    Built once per (problem, topology, weights); ``sets`` holds every
+    working set its solves have met with its affine map, and ``solve_rows``
+    is the lock-step active-set loop, which ``WarmStart`` streams over it
+    share.  Besides the stacked QPs it reads a stacked solution z (see
+    ``StackedSolutions``) in one pass each: the objective, the coupled-row
+    residuals, the primal vector and the multipliers in slack layout.
     """
 
     def __init__(self, problem, topology, weights):
@@ -512,21 +621,109 @@ class AgentBatch:
                                    dtype=int)
         self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
         self.size = layout.size
+        self.cap = 100 * np.maximum(1, [qp.n_ineq for qp in self.qps])
+        self.sets = _SetTable(self.qps, shape)
+
+    def solve_rows(self, agents, offsets, start) -> tuple[np.ndarray, np.ndarray]:
+        """``solve_kkt``'s active-set loop, run in lock step over many rows.
+
+        Row r is 0-based agent ``agents[r]``'s QP at ``offsets[r]``, started
+        from the working set ``start[r]`` (an id in ``sets``); an agent may
+        fill many rows.  Each iteration evaluates every pending row's set
+        through its affine map (``_affine``, ``_residual_ok``: elementwise,
+        so a row's bits do not depend on the rows around it) and makes
+        ``solve_kkt``'s move (``_moves``) on all of them at once.  Each row
+        keeps its own visited-set guard and cap of 100 x max(1, k_i)
+        iterations.  Returns the padded solutions z and each row's final set
+        id.  Raises what ``solve_kkt`` raises for the lowest failing row.
+        """
+        agents = np.asarray(agents, dtype=int)
+        ids = np.array(start, dtype=int)
+        return self._lockstep(agents, offsets, ids, *self._evaluate(agents, offsets, ids))
+
+    def _evaluate(self, agents, offsets, ids):
+        """Each row's KKT solution for its set: (z, solved, row residuals).
+
+        Solved: the set's KKT system is regular and its solution passes
+        ``_residual_ok``'s bound.
+        """
+        sets = self.sets
+        z = _affine(sets.m[ids], sets.s[ids], offsets)
+        ok, row_residual = _residual_ok(self.hessian[agents], self.linear[agents],
+                                        self.rows[agents], sets.kkt[ids], z, offsets)
+        return z, ok & sets.ready[ids], row_residual
+
+    def _lockstep(self, agents, offsets, ids, zp, ok, row_residual):
+        """``solve_rows`` given the ``_evaluate`` of the start sets ``ids``."""
+        sets, dim = self.sets, self.shape[0]
+        z = np.zeros((len(agents), dim + self.shape[1]))
+        evaluated = np.ones(len(agents), dtype=int)
+        history = [ids.copy()]  # every row's set at each evaluation
+        pending = np.arange(len(agents))
+        failed, error = len(agents), None
+        while True:
+            sid = ids[pending]
+            free, work, mults = sets.free[sid], sets.work[sid], zp[:, dim:]
+            done = ok & _accepted(free, work, row_residual, mults)
+            z[pending[done]] = zp[done]
+            stepping = ok & ~done
+            rows = pending[stepping]
+            if rows.size:
+                new = sets.moved(sid[stepping], _moves(free[stepping], work[stepping],
+                                                      row_residual[stepping],
+                                                      mults[stepping]))
+            else:
+                new = rows
+            seen = np.zeros(rows.size, dtype=bool)
+            for past in history:
+                seen |= past[rows] == new
+            stop = seen | (evaluated[rows] > self.cap[agents[rows]])
+            ids[rows] = new
+
+            # Rows after a failed one no longer matter; the lowest failure's
+            # diagnosis is raised once the rows before it are done.
+            if not ok.all() or stop.any():
+                unsolved = pending[~ok]
+                first = int(np.concatenate([unsolved, rows[stop]]).min())
+                if first < failed:
+                    failed = first
+                    agent, working = sets.keys[ids[failed]]
+                    if failed in unsolved:
+                        error = self.qps[agent].singular(working)
+                    elif failed in rows[seen]:
+                        error = _revisited()
+                    else:
+                        error = _capped(int(self.cap[agent]))
+            pending = rows[~stop]
+            pending = pending[pending < failed]
+            if not pending.size:
+                break
+            history.append(ids.copy())
+            evaluated[pending] += 1
+            zp, ok, row_residual = self._evaluate(agents[pending], offsets[pending],
+                                                  ids[pending])
+        if error is not None:
+            raise error
+        return z, ids
 
     def gaps(self, values) -> np.ndarray:
         """Every agent row's sum_j p_ij (v_i - v_j): (I - P^[l]) v, per row.
 
         ``values`` is either the agents' views, read key by key as
-        ``consensus_gap`` reads them, or a flat vector in slack layout.
+        ``consensus_gap`` reads them, or flat vectors in slack layout, one
+        per leading index (elementwise, so each is what it gives alone).
         """
         _, width, reach = self.shape
-        buf = np.zeros(len(self.qps) * width * (reach + 1))
         if isinstance(values, np.ndarray):
-            buf[self.slots] = values[self.flat]
+            lead = values.shape[:-1]
+            buf = np.zeros(lead + (len(self.qps) * width * (reach + 1),))
+            buf.T[self.slots] = values.T[self.flat]  # .T: the slack axis first
         else:
+            lead = ()
+            buf = np.zeros(len(self.qps) * width * (reach + 1))
             buf[self.slots] = [view[key] for view, keys in zip(values, self.keys)
                                for key in keys]
-        buf = buf.reshape(len(self.qps), width, reach + 1)
+        buf = buf.reshape(lead + (len(self.qps), width, reach + 1))
         return _gap(self.p, buf[..., 0], buf[..., 1:])
 
     def offsets(self, values) -> np.ndarray:
@@ -535,14 +732,18 @@ class AgentBatch:
 
     def gradient(self, values) -> np.ndarray:
         """(I - P) v in slack layout, each entry bit-identical to ``consensus_gap``."""
-        grad = np.zeros(self.size)
-        grad[self.coords] = self.gaps(values).reshape(-1)[self.cells]
+        gaps = self.gaps(values)
+        grad = np.zeros(gaps.shape[:-2] + (self.size,))
+        grad.T[self.coords] = gaps.reshape(grad.shape[:-1] + (-1,)).T[self.cells]
         return grad
 
     def multipliers(self, z) -> np.ndarray:
-        """Every agent's row multipliers in slack layout: what the multiplier exchange sends."""
-        flat = np.zeros(self.size)
-        flat[self.coords] = z[:, self.shape[0]:].reshape(-1)[self.cells]
+        """Every agent's row multipliers in slack layout: what the multiplier exchange sends.
+
+        z may stack solutions ahead of the agent axis; so does the answer.
+        """
+        flat = np.zeros(z.shape[:-2] + (self.size,))
+        flat.T[self.coords] = z[..., self.shape[0]:].reshape(flat.shape[:-1] + (-1,)).T[self.cells]
         return flat
 
     def primal(self, z) -> np.ndarray:
@@ -592,59 +793,49 @@ class AgentBatch:
 class WarmStart:
     """One stream of batched solves and its warm-start memory.
 
-    Keeps each agent's last working set (positions into its inequality
-    rows) with that set's factor, stacked.  ``working`` seeds the sets, for
-    example from a stream over an earlier batch of the same topology.
+    Keeps each agent's last working set as an id in ``batch.sets`` (its
+    positions into the agent's inequality rows in ``working``), with that
+    set's map and masks stacked.  ``working`` seeds the sets, for example
+    from a stream over an earlier batch of the same topology.
     """
 
     def __init__(self, batch: AgentBatch, working=None):
-        n = len(batch.qps)
-        dim, width, _ = batch.shape
         self.batch = batch
-        self.working = [()] * n
-        self.m = np.zeros((n, dim + width, width))
-        self.s = np.zeros((n, dim + width))
-        self.kkt = np.zeros((n, width), dtype=bool)
-        self.work = np.zeros((n, width), dtype=bool)
-        self.free = np.zeros((n, width), dtype=bool)
-        self.ready = np.zeros(n, dtype=bool)
-        for a in range(n):
-            self._use(a, () if working is None else working[a])
+        self.ids = batch.sets.ids_of([(a, () if working is None else working[a])
+                                      for a in range(len(batch.qps))])
+        self.m, self.s, self.kkt, self.work, self.free, self.ready = batch.sets.gather(self.ids)
 
-    def _use(self, a: int, working: tuple) -> None:
-        factor = self.batch.qps[a].factor(working)
-        self.working[a] = working
-        self.ready[a] = factor is not None
-        if factor is not None:
-            self.m[a], self.s[a] = factor.m, factor.s
-            self.kkt[a], self.work[a], self.free[a] = factor.kkt, factor.work, factor.free
+    @property
+    def working(self) -> list[tuple]:
+        keys = self.batch.sets.keys
+        return [keys[sid][1] for sid in self.ids.tolist()]
 
     def solve_stacked(self, offsets, agents=None) -> np.ndarray:
         """Solve every agent's QP, or the listed 0-based ``agents``, at ``offsets``.
 
         Returns the padded solutions z, one row per agent (see
         ``StackedSolutions``).  One stacked pass evaluates each agent's last
-        working set and keeps the solutions that pass ``solve_kkt``'s
-        termination test and residual bound; ``solve_kkt``, started from
-        that set, solves the others, and their answers are written into z.
+        working set and keeps the solutions ``solve_kkt`` would accept
+        there.  The others go on in ``AgentBatch.solve_rows``'s lock-step
+        loop, with this pass as its first iteration; their answers and
+        final sets are written back in one scatter.
         """
         sel = slice(None) if agents is None else np.asarray(agents, dtype=int)
         batch = self.batch
         z = _affine(self.m[sel], self.s[sel], offsets)
-        ok, row_residual = _residual_ok(batch.hessian[sel], batch.linear[sel],
-                                        batch.rows[sel], self.kkt[sel], z, offsets)
-        ok &= self.ready[sel]
-        ok &= np.where(self.free[sel], row_residual, -np.inf).max(-1, initial=-np.inf) <= _ADD_TOL
-        mults = z[:, batch.shape[0]:]
-        ok &= np.where(self.work[sel], mults, np.inf).min(-1, initial=np.inf) >= -_DROP_TOL
-
-        for row in np.flatnonzero(~ok).tolist():
-            a = row if agents is None else agents[row]
-            qp = batch.qps[a]
-            start = tuple(qp.ineq_indices[pos] for pos in self.working[a])
-            sol = solve_kkt(qp.subproblem(offsets[row]), start, qp)
-            self._use(a, tuple(qp.position[idx] for idx in sol.active_set))
-            z[row] = qp.stack(sol)
+        solved, row_residual = _residual_ok(batch.hessian[sel], batch.linear[sel],
+                                            batch.rows[sel], self.kkt[sel], z, offsets)
+        solved &= self.ready[sel]
+        redo = np.flatnonzero(~(solved & _accepted(self.free[sel], self.work[sel],
+                                                   row_residual, z[:, batch.shape[0]:])))
+        if redo.size:
+            # This pass is the loop's first iteration for the rows it rejects.
+            rows = redo if agents is None else sel[redo]
+            z[redo], ids = batch._lockstep(rows, offsets[redo], self.ids[rows], z[redo],
+                                           solved[redo], row_residual[redo])
+            self.ids[rows] = ids
+            (self.m[rows], self.s[rows], self.kkt[rows], self.work[rows], self.free[rows],
+             self.ready[rows]) = batch.sets.gather(ids)
         return z
 
     def solve(self, offsets, agents=None) -> list[KktSolution]:

@@ -208,40 +208,50 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     more than 1e-3 — the signature of probing across an active-set boundary —
     and should be excluded from comparisons against the analytic gradient.
     Only the agents in the perturbed coordinate's neighborhood are re-solved
-    per probe.
+    per probe, every probe's agents in one lock-step
+    ``AgentBatch.solve_rows`` call started from the base solution's sets.
     """
     layout = slack.layout
     warm = WarmStart(AgentBatch(problem, topology, weights))
+    batch = warm.batch
     base_views = neighbor_views(topology, layout.by_constraint(slack.values))
-    base_solutions = solve_all_agents(slack, problem, topology, weights, warm)
-    base_costs = np.array([
-        obj.value(sol.x) for obj, sol in zip(problem.objectives, base_solutions)
-    ])
+    base = warm.solve_stacked(batch.offsets(slack.values))
+    base_costs = np.array([obj.value(z[:obj.dim])
+                           for obj, z in zip(problem.objectives, base)])
     total = float(base_costs.sum())
 
-    def probe(l, agent, value) -> float:
-        # Re-solve only the agents whose offsets read the perturbed coordinate.
-        affected = [i - 1 for i in topology.neighborhood(l, agent)]
-        cost = total - base_costs[affected].sum()
-        offsets = np.array([
-            warm.batch.qps[a].offsets({**base_views[a], (l, agent): value})
-            for a in affected
-        ])
-        for a, sol in zip(affected, warm.solve(offsets, affected)):
-            cost += problem.objectives[a].value(sol.x)
-        return cost
-
-    grad = np.zeros(layout.size)
-    flagged = np.zeros(layout.size, dtype=bool)
+    # Per coordinate an up and a down probe; each re-solves only the agents
+    # whose offsets read the perturbed coordinate.
+    steps, probes, agents, offsets = [], [], [], []
     for l in layout.constraints:
         for agent in topology.participants_of(l):
             k = layout.index(l, agent)
             h = base_step * (1.0 + abs(slack.values[k]))
-            f_up = probe(l, agent, slack.values[k] + h)
-            f_down = probe(l, agent, slack.values[k] - h)
-            grad[k] = (f_up - f_down) / (2.0 * h)
-            forward = (f_up - total) / h
-            backward = (total - f_down) / h
-            if abs(forward - backward) > 1e-3:
-                flagged[k] = True
+            steps.append((k, h))
+            affected = [i - 1 for i in topology.neighborhood(l, agent)]
+            for value in (slack.values[k] + h, slack.values[k] - h):
+                probes.append(affected)
+                agents += affected
+                offsets += [batch.qps[a].offsets({**base_views[a], (l, agent): value})
+                            for a in affected]
+    z, _ = batch.solve_rows(agents, np.reshape(offsets, (len(agents), batch.shape[1])),
+                            warm.ids[agents])
+
+    costs, row = [], 0
+    for affected in probes:
+        cost = total - base_costs[affected].sum()
+        for a in affected:
+            obj = problem.objectives[a]
+            cost += obj.value(z[row, :obj.dim])
+            row += 1
+        costs.append(cost)
+
+    grad = np.zeros(layout.size)
+    flagged = np.zeros(layout.size, dtype=bool)
+    for (k, h), f_up, f_down in zip(steps, costs[::2], costs[1::2]):
+        grad[k] = (f_up - f_down) / (2.0 * h)
+        forward = (f_up - total) / h
+        backward = (total - f_down) / h
+        if abs(forward - backward) > 1e-3:
+            flagged[k] = True
     return grad, flagged

@@ -28,10 +28,41 @@ class RoundRecord:
     msgs: int
 
 
-@dataclass(frozen=True)
 class RunTrace:
-    n_constraints: int
-    records: tuple[RoundRecord, ...]
+    """A run's records, kept as arrays: a round column, a message column and
+    the float cells (phi through max_eq_resid, then the dual consensus
+    errors), a row per record.
+
+    ``records`` rebuilds the RoundRecords on each read, with the same
+    values.  A kept trace holds 8 bytes per cell instead of a Python float
+    per cell and an object per record, and a float column whose cells share
+    one bit pattern (``phi_hat`` under ``pgd``, the dual error of a
+    constraint with one participant) as that one value.
+    """
+
+    def __init__(self, n_constraints: int, records):
+        self.n_constraints = n_constraints
+        self.rounds = np.array([r.round for r in records], dtype=np.int64)
+        self.msgs = np.array([r.msgs for r in records], dtype=np.int64)
+        cells = np.array([(r.phi, r.phi_hat, r.obj_err, r.max_ineq_viol,
+                           r.max_eq_resid, *r.dual_cons_err) for r in records],
+                         dtype=float).reshape(len(records), 5 + n_constraints)
+        bits = cells.view(np.int64)
+        self._varying = ~(bits == bits[:1]).all(0)
+        self._first = cells[:1].copy()
+        self._columns = cells[:, self._varying].copy()
+
+    @property
+    def cells(self) -> np.ndarray:
+        cells = np.repeat(self._first, len(self), axis=0)
+        cells[:, self._varying] = self._columns
+        return cells
+
+    @property
+    def records(self) -> tuple[RoundRecord, ...]:
+        return tuple(RoundRecord(t, *row[:5], tuple(row[5:]), m)
+                     for t, row, m in zip(self.rounds.tolist(), self.cells.tolist(),
+                                          self.msgs.tolist()))
 
     def header(self) -> list[str]:
         return (
@@ -41,13 +72,12 @@ class RunTrace:
         )
 
     def column(self, name: str) -> np.ndarray:
-        if name.startswith("dual_cons_err_"):
-            l = int(name.rsplit("_", 1)[1])
-            return np.array([r.dual_cons_err[l - 1] for r in self.records])
-        return np.array([getattr(r, name) for r in self.records])
+        if name in ("round", "msgs"):
+            return (self.rounds if name == "round" else self.msgs).copy()
+        return self.cells[:, self.header().index(name) - 1].copy()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rounds)
 
 
 def _fmt(x: float) -> str:
@@ -56,12 +86,9 @@ def _fmt(x: float) -> str:
 
 def trace_lines(trace: RunTrace) -> list[str]:
     lines = [",".join(trace.header())]
-    for r in trace.records:
-        cells = [str(r.round), _fmt(r.phi), _fmt(r.phi_hat), _fmt(r.obj_err),
-                 _fmt(r.max_ineq_viol), _fmt(r.max_eq_resid)]
-        cells += [_fmt(v) for v in r.dual_cons_err]
-        cells.append(str(r.msgs))
-        lines.append(",".join(cells))
+    for t, row, msgs in zip(trace.rounds.tolist(), trace.cells.tolist(),
+                            trace.msgs.tolist()):
+        lines.append(",".join([str(t), *map(_fmt, row), str(msgs)]))
     return lines
 
 

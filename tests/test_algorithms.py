@@ -11,7 +11,7 @@ from couplesolve import algorithms, local_qp
 from couplesolve.exceptions import ValidationError
 from couplesolve.trace import traces_equal
 
-from gen import strongly_convex_instance
+from gen import reduced_space_instance, strongly_convex_instance
 
 
 def _slack(topology, values):
@@ -216,6 +216,36 @@ def test_estimate_gradient_bound_is_deterministic(toy):
     assert a >= 2 * math.sqrt(2) * 0.5
 
 
+def _sequential_gradient_bound(problem, topology, weights, box_bound, seed=0):
+    """estimate_gradient_bound's points, solved one at a time through one warm stream."""
+    n = cs.SlackLayout.from_topology(topology).size
+    rng = np.random.default_rng(seed)
+    if n <= 10:
+        points = [np.array([box_bound if mask >> k & 1 else -box_bound for k in range(n)])
+                  for mask in range(2 ** n)]
+    else:
+        points = list(box_bound * (rng.integers(0, 2, size=(2 ** 10, n)) * 2 - 1).astype(float))
+    points.extend(rng.uniform(-box_bound, box_bound, size=(50, n)))
+    batch = local_qp.AgentBatch(problem, topology, weights)
+    warm = local_qp.WarmStart(batch)
+    worst = 0.0
+    for flat in points:
+        grad = batch.gradient(batch.multipliers(warm.solve_stacked(batch.offsets(flat))))
+        worst = max(worst, float(np.linalg.norm(grad)))
+    return 2.0 * worst
+
+
+@pytest.mark.parametrize("make, seed",
+                         [(strongly_convex_instance, seed) for seed in range(25)]
+                         + [(reduced_space_instance, seed) for seed in range(12)])
+def test_gradient_bound_matches_a_sequential_warm_reference(make, seed):
+    # Cold lock-step rows in chunks give the bits of one warm solve per point.
+    problem, topology, weights = make(seed)
+    for box in (0.5, 2.0, 10.0):
+        got = cs.estimate_gradient_bound(problem, topology, weights, box, seed=seed)
+        assert got == _sequential_gradient_bound(problem, topology, weights, box, seed)
+
+
 def test_default_box_bound_scales_with_offsets(toy):
     problem, topology, weights = toy
     assert cs.default_box_bound(problem, topology, weights) == 10.0
@@ -237,7 +267,7 @@ def test_kkt_solutions_are_built_only_when_the_output_is_read(toy, monkeypatch):
     for config in (cs.AdaConfig(0.25, 10), cs.PgdConfig(5.0, 2.0, 10)):
         del built[:]
         result = cs.run(problem, topology, weights, config)
-        assert not built  # every agent accepted: no solve_kkt, no KktSolution
+        assert not built  # every agent accepted: no fallback, no KktSolution
         solutions = result.output_solutions
         assert len(built) == problem.n_agents
         assert result.output_solutions is solutions
@@ -271,10 +301,10 @@ def test_seeded_first_round_needs_no_fallback(monkeypatch):
     # from the working sets the monitor ended on, so the stacked pass
     # accepts every agent, while the cold monitor solve itself falls back.
     events = []
-    loop = local_qp.solve_kkt
+    loop = local_qp.AgentBatch._lockstep
 
     def spy(*args):
-        events.append("solve_kkt")
+        events.append("lockstep")
         return loop(*args)
 
     class Marking(cs.SimnetTransport):
@@ -282,7 +312,7 @@ def test_seeded_first_round_needs_no_fallback(monkeypatch):
             events.append(phase)
             return super().gather(phase, values)
 
-    monkeypatch.setattr(local_qp, "solve_kkt", spy)
+    monkeypatch.setattr(local_qp.AgentBatch, "_lockstep", spy)
     cold = 0
     for seed in range(25):
         problem, topology, weights = strongly_convex_instance(seed)
@@ -292,6 +322,6 @@ def test_seeded_first_round_needs_no_fallback(monkeypatch):
         cs.run(problem, topology, weights, cs.AdaConfig(0.01, 2), initial_slack=start,
                transport=Marking(topology), check_gamma=False)
         first = events.index(cs.Phase.SLACK_EXCHANGE)
-        cold += "solve_kkt" in events[:first]
+        cold += "lockstep" in events[:first]
         assert events[first + 1] == cs.Phase.MULTIPLIER_EXCHANGE
     assert cold

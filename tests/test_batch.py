@@ -49,14 +49,15 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
     batch = AgentBatch(problem, topology, weights)
     layout, points = _points(topology, seed)
 
-    fallbacks = []
+    fallbacks = []  # rows entering the lock-step loop
     loop = local_qp.solve_kkt
+    lockstep = AgentBatch._lockstep
 
-    def counted(sub, start=(), qp=None):
-        fallbacks.append(qp)
-        return loop(sub, start, qp)
+    def counted(self, agents, *args):
+        fallbacks.extend(agents)
+        return lockstep(self, agents, *args)
 
-    monkeypatch.setattr(local_qp, "solve_kkt", counted)
+    monkeypatch.setattr(AgentBatch, "_lockstep", counted)
     ran = {"correct": 0, "empty": 0, "wrong": 0}
     misled = 0  # agents whose wrong start differs from the correct one
     for flat in points:
@@ -105,6 +106,123 @@ def test_answer_depends_only_on_the_final_working_set(make, seed):
                 assert a.ineq_multipliers == b.ineq_multipliers
                 assert a.eq_multipliers == b.eq_multipliers
                 assert a.active_set == b.active_set
+
+
+def _padded(qp, sol):
+    """A KktSolution as a padded z row: x, then the row multipliers in row order."""
+    dim, width, _ = qp.shape
+    z = np.zeros(dim + width)
+    z[:qp.objective.dim] = sol.x
+    z[dim:dim + len(qp.constraints)] = (
+        [sol.ineq_multipliers[idx] for idx in qp.ineq_indices]
+        + [sol.eq_multipliers[idx] for idx in qp.eq_indices])
+    return z
+
+
+@pytest.mark.parametrize("make, seed", FAMILIES, ids=IDS)
+def test_lockstep_rows_match_cold_solves(make, seed):
+    # One agent at many offsets, and every agent at every offset shuffled
+    # into one batch: each row is the cold compiled solve_kkt, bit for bit.
+    problem, topology, weights = make(seed)
+    batch = AgentBatch(problem, topology, weights)
+    layout = cs.SlackLayout.from_topology(topology)
+    rng = np.random.default_rng(2000 + seed)
+    offsets = batch.offsets(rng.uniform(-3.0, 3.0, size=(12, layout.size)))
+    cold = batch.sets.ids_of([(a, ()) for a in range(len(batch.qps))])
+    expected = {}
+    for a, qp in enumerate(batch.qps):
+        z, ids = batch.solve_rows(np.full(len(offsets), a), offsets[:, a],
+                                  np.full(len(offsets), cold[a]))
+        for p, (got, sid) in enumerate(zip(z, ids)):
+            sol = local_qp.solve_kkt(qp.subproblem(offsets[p, a]), (), qp)
+            expected[p, a] = _padded(qp, sol)
+            assert np.array_equal(got, expected[p, a])
+            assert batch.sets.keys[sid] == (a, tuple(qp.position[i] for i in sol.active_set))
+    pairs = [(p, a) for p in range(len(offsets)) for a in range(len(batch.qps))]
+    order = rng.permutation(len(pairs))
+    agents = np.array([pairs[k][1] for k in order])
+    z, _ = batch.solve_rows(agents, np.array([offsets[pairs[k]] for k in order]),
+                            cold[agents])
+    for got, k in zip(z, order):
+        assert np.array_equal(got, expected[pairs[k]])
+
+
+def _failing_batch():
+    """At its FAILING offsets, 0-based agent 0 cycles and agent 1 has a flat, unpinned direction."""
+    cycling = cs.AgentObjective(2.0 * np.eye(2), np.array([-1.0, 1.0]))
+    flat = cs.AgentObjective(np.diag([1.0, 0.0]), np.array([0.0, -1.0]))
+    good = cs.AgentObjective(np.eye(2), np.zeros(2))
+    cons = cs.CouplingConstraints(3, m_ineq=4, q_eq=0)
+    for l, row in enumerate([[-1.0, -1.0], [2.0, -1.0], [-1.0, 1.0], [1.0, -2.0]], start=1):
+        cons.add_ineq_row(1, l, row, 0.0)
+        cons.add_ineq_row(3, l, [1.0, 0.5], 0.0)
+    cons.add_ineq_row(2, 1, [1.0, 0.0], 0.0)
+    graph = cs.Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+    problem = cs.ProblemSpec((cycling, flat, good), cons, graph)
+    topology = cs.induce_topology(problem, graph)
+    return AgentBatch(problem, topology, cs.build_weights(topology))
+
+
+FAILING = {0: [-2.0, -1.0, 2.0, 0.0], 1: [0.0, 0.0, 0.0, 0.0]}
+
+
+def test_lockstep_failures_raise_what_solve_kkt_raises():
+    batch = _failing_batch()
+    good = [(0, [-5.0, -5.0, -5.0, -5.0]), (2, [0.5, -1.0, 0.25, -2.0]), (2, [-1.0] * 4)]
+    raised = set()
+    for bad in ([0, 1], [1, 0]):
+        # The lowest failing row decides, as in one solve_kkt per row.
+        rows = [good[0], (bad[0], FAILING[bad[0]]), good[1], (bad[1], FAILING[bad[1]]),
+                good[2]]
+        agents = np.array([a for a, _ in rows])
+        offsets = np.array([off for _, off in rows])
+        qp = batch.qps[bad[0]]
+        with pytest.raises(cs.SolverError) as expected:
+            local_qp.solve_kkt(qp.subproblem(offsets[1]), (), qp)
+        cold = batch.sets.ids_of([(a, ()) for a in agents])
+        with pytest.raises(cs.SolverError) as got:
+            batch.solve_rows(agents, offsets, cold)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        raised.add((type(got.value), str(got.value)))
+    assert {kind for kind, _ in raised} == {cs.UnboundedSubproblemError,
+                                             cs.DegenerateSubproblemError}
+    assert any("revisited" in message for _, message in raised)
+    # The good rows alone solve.
+    z, _ = batch.solve_rows([a for a, _ in good], np.array([off for _, off in good]),
+                            batch.sets.ids_of([(a, ()) for a, _ in good]))
+    assert np.isfinite(z).all()
+
+
+@pytest.mark.parametrize("start, offset", [((), -1.0), ((0, 1), -3.0)],
+                         ids=["add", "drop"])
+def test_lockstep_breaks_ties_as_solve_kkt(start, offset):
+    # min 1/2|x|^2 - 2(x1 + x2) s.t. x1 + b <= 0, x2 + b <= 0: from the empty
+    # set both rows are equally violated, from both rows both multipliers
+    # are equally negative; the lowest row goes first either way.
+    obj = cs.AgentObjective(np.eye(2), np.array([-2.0, -2.0]))
+    cons = cs.CouplingConstraints(2, m_ineq=2, q_eq=0)
+    for l in (1, 2):
+        cons.add_ineq_row(1, l, np.eye(2)[l - 1], 0.0)
+        cons.add_ineq_row(2, l, np.eye(2)[l - 1], 0.0)
+    graph = cs.Graph.from_edges(2, [(1, 2)])
+    problem = cs.ProblemSpec((obj, obj), cons, graph)
+    topology = cs.induce_topology(problem, graph)
+    batch = AgentBatch(problem, topology, cs.build_weights(topology))
+    qp, offsets = batch.qps[0], np.array([offset, offset])
+
+    visited = []
+    kkt_solve = qp.kkt_solve
+
+    def spy(working, padded):
+        visited.append(working)
+        return kkt_solve(working, padded)
+
+    qp.kkt_solve = spy
+    local_qp.solve_kkt(qp.subproblem(offsets), tuple(qp.ineq_indices[p] for p in start), qp)
+    batch.solve_rows([0], offsets[None], batch.sets.ids_of([(0, start)]))
+    assert [working for _, working in batch.sets.keys] == visited
+    assert len(visited) == 3
 
 
 @pytest.mark.parametrize("make, seed", FAMILIES, ids=IDS)
