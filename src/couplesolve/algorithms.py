@@ -116,11 +116,15 @@ class RunResult:
     trace: RunTrace
     final_state: AdaState | PgdState
     output_slack: SlackState
-    output_primal: np.ndarray
     output_stacked: StackedSolutions
     converged: bool
     box_active: bool | None
     messages: int
+
+    @property
+    def output_primal(self) -> np.ndarray:
+        """The stacked primal output, read off ``output_stacked`` on each access."""
+        return self.output_stacked.primal()
 
     @cached_property
     def output_solutions(self) -> list[KktSolution]:
@@ -166,33 +170,29 @@ def iterate_rounds(problem, topology, weights, config, start, transport, hook=No
     ``start`` is the initial AdaState or PgdState, and ``config`` (an
     AdaConfig or PgdConfig) picks the update and the round budget.  A round
     exchanges slack values over ``transport``, calls ``hook(views, t)`` if
-    given, solves every agent's subproblem, exchanges the multipliers and
-    forms the consensus-gap gradient.  z is the round's stacked local
-    solution, ``WarmStart.solve_stacked``'s array for ``warm.batch``.
+    given (``views``: the slack ``simnet.Exchange``), solves every agent's
+    subproblem, exchanges the multipliers and forms the consensus-gap
+    gradient, reading both through the exchanges.  z is the round's stacked
+    local solution, ``WarmStart.solve_stacked``'s array for ``warm.batch``.
     ``warm`` is the stream of batched local solves the rounds use; by
     default a fresh one over a newly compiled batch.  Stop early by leaving
     the loop.
     """
-    layout = SlackLayout.from_topology(topology)
     if warm is None:
         warm = WarmStart(AgentBatch(problem, topology, weights))
     batch = warm.batch
 
     def evaluate(point, t):
-        views = transport.gather(Phase.SLACK_EXCHANGE, layout.by_constraint(point))
+        views = transport.gather(Phase.SLACK_EXCHANGE, point)
         if hook is not None:
             hook(views, t)
         z = warm.solve_stacked(batch.offsets(views))
-        # Drop the slack views first: holding them while the multiplier views
-        # are built adds collector passes, on 400 agents a full one per run.
-        del views
-        views = transport.gather(Phase.MULTIPLIER_EXCHANGE,
-                                 layout.by_constraint(batch.multipliers(z)))
+        views = transport.gather(Phase.MULTIPLIER_EXCHANGE, batch.multipliers(z))
         return z, batch.gradient(views)
 
     is_ada = isinstance(config, AdaConfig)
     if not is_ada:
-        theta = half_squared_diameter(config.box_bound, layout.size)
+        theta = half_squared_diameter(config.box_bound, batch.size)
     state = start
     for _ in range(config.rounds):
         if is_ada:
@@ -222,8 +222,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         transport="simnet", slack_phase_hook=None, check_gamma=True) -> RunResult:
     """Run one algorithm to its round budget (or early gradient-norm stop).
 
-    ``transport`` is a SimnetTransport, or "simnet" or "direct": both name a
-    new strict one.  ``oracle`` (a centralized solution) enables the
+    ``transport`` is a SimnetTransport over ``topology``, or "simnet" or
+    "direct": both name a new strict one.  ``oracle`` (a centralized solution) enables the
     objective-error trace column.  The trace carries one row per iterate,
     row 0 being the start.
     """
@@ -233,6 +233,9 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     elif not isinstance(transport, SimnetTransport):
         raise ValidationError(f"transport must be 'simnet', 'direct' or a "
                               f"SimnetTransport, got {transport!r}")
+    elif transport.topology is not topology and transport.topology != topology:
+        raise ValidationError("transport was built over another topology than the "
+                              "one the run solves on")
 
     is_ada = isinstance(config, AdaConfig)
     if is_ada and check_gamma:
@@ -337,7 +340,6 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         trace=RunTrace(n_cons, tuple(records)),
         final_state=state,
         output_slack=SlackState(layout, output_flat),
-        output_primal=batch.primal(output),
         output_stacked=batch.solutions(output, output_work.copy()),
         converged=converged,
         box_active=box_active,

@@ -476,6 +476,10 @@ class StackedSolutions:
     ineq_indices: tuple[tuple[int, ...], ...]
     eq_indices: tuple[tuple[int, ...], ...]
 
+    def primal(self) -> np.ndarray:
+        """The stacked primal vector x_1, ..., x_n."""
+        return self.z[:, :self.dim][np.arange(self.dim) < np.array(self.dims)[:, None]]
+
     def kkt_solutions(self) -> list[KktSolution]:
         out = []
         for z, mults, work, d, ineq, eq in zip(self.z, self.z[:, self.dim:].tolist(),
@@ -604,12 +608,14 @@ class AgentBatch:
 
         dim, width, reach = shape
         layout = SlackLayout.from_topology(topology)
-        self.keys = [qp.keys for qp in self.qps]
+        # The read pass: read k is agent readers[k]'s (0-based) read of slack
+        # coordinate flat[k], into its buffer slot slots[k].
         self.slots = np.array([a * width * (reach + 1) + slot
                                for a, qp in enumerate(self.qps) for slot in qp.slots],
                               dtype=int)
-        self.flat = np.array([layout.index(l, j) for keys in self.keys for l, j in keys],
+        self.flat = np.array([layout.index(l, j) for qp in self.qps for l, j in qp.keys],
                              dtype=int)
+        self.readers = np.repeat(np.arange(len(self.qps)), [len(qp.keys) for qp in self.qps])
         # Each agent row, agent by agent: its cell in a (n, width) array, its
         # slack coordinate (where its gap lands in a gradient) and its
         # constraint.  Rows and slack coordinates match one to one.
@@ -709,20 +715,17 @@ class AgentBatch:
     def gaps(self, values) -> np.ndarray:
         """Every agent row's sum_j p_ij (v_i - v_j): (I - P^[l]) v, per row.
 
-        ``values`` is either the agents' views, read key by key as
-        ``consensus_gap`` reads them, or flat vectors in slack layout, one
-        per leading index (elementwise, so each is what it gives alone).
+        ``values`` is either a ``simnet.Exchange``, through which every agent
+        reads the terms ``consensus_gap`` reads (all reads checked in one
+        pass), or flat vectors in slack layout, one per leading index
+        (elementwise, so each is what it gives alone).
         """
+        if not isinstance(values, np.ndarray):
+            values = values.checked(self.readers, self.flat)
         _, width, reach = self.shape
-        if isinstance(values, np.ndarray):
-            lead = values.shape[:-1]
-            buf = np.zeros(lead + (len(self.qps) * width * (reach + 1),))
-            buf.T[self.slots] = values.T[self.flat]  # .T: the slack axis first
-        else:
-            lead = ()
-            buf = np.zeros(len(self.qps) * width * (reach + 1))
-            buf[self.slots] = [view[key] for view, keys in zip(values, self.keys)
-                               for key in keys]
+        lead = values.shape[:-1]
+        buf = np.zeros(lead + (len(self.qps) * width * (reach + 1),))
+        buf.T[self.slots] = values.T[self.flat]  # .T: the slack axis first
         buf = buf.reshape(lead + (len(self.qps), width, reach + 1))
         return _gap(self.p, buf[..., 0], buf[..., 1:])
 

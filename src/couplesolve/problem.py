@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,8 +151,9 @@ class ProblemSpec:
     def n_agents(self) -> int:
         return len(self.objectives)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
+        """Block dimensions, built once: every batch and kept result shares the tuple."""
         return tuple(obj.dim for obj in self.objectives)
 
     def block_slices(self) -> tuple[slice, ...]:

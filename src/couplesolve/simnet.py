@@ -5,20 +5,31 @@ values (SLACK_EXCHANGE) over each constraint's induced edges, solve their
 local subproblems, then exchange the resulting multipliers
 (MULTIPLIER_EXCHANGE) to form gradient coordinates.  One phase costs
 ``sum_l 2 |edges of constraint l|`` messages (both directions; an agent's own
-value is free).  The transport hands each agent a view holding exactly its
-closed neighborhood per constraint, so a permitted read is a plain dict
-lookup; any other read raises by default, or is recorded as a violation in
-audit mode so that injected faults can be detected rather than crash the
-replay.  Audit mode never changes numerics: an audited and a strict run read
-identical floats, so their traces are bit-identical.
+value is free).
+
+A phase delivers one vector in slack layout (``slack.SlackLayout``) as an
+``Exchange``.  Agent i may read coordinate (l, j) only when j is in its
+closed neighborhood in constraint l; ``Neighborhoods`` compiles these
+permitted (agent, coordinate) pairs once per topology, as sorted codes.  The
+batched solver reads every agent at once through ``Exchange.checked``, which
+checks all its (reader, coordinate) pairs in one vectorized pass.  Hooks,
+probes and references index ``exchange[i - 1]`` for agent i's
+``NeighborView``, a read-only mapping built only when indexed.  Any read
+outside the neighborhoods raises by default, or is recorded as a violation in
+audit mode and served, so that injected faults can be detected rather than
+crash the replay.  Audit mode never changes numerics: an audited and a
+strict run read identical floats, so their traces are bit-identical.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .exceptions import LocalityViolationError
+import numpy as np
+
+from .exceptions import LocalityViolationError, ValidationError
 
 
 class Phase(enum.Enum):
@@ -37,69 +48,172 @@ class Auditor:
         return not self.violations
 
 
-class NeighborView(dict):
-    """One agent's {(constraint, neighbor): value}, exactly its closed neighborhoods.
+class Neighborhoods:
+    """Every agent's permitted reads: the slack coordinates of its closed neighborhoods.
 
-    Built only by ``neighbor_views``, which sets ``agent``, the full exchange
-    ``_full`` and the ``_auditor`` (or None).  A key outside the
-    neighborhoods reaches ``__missing__``: it raises LocalityViolationError,
-    or with an auditor is recorded and served from the full exchange so a
-    replay can continue and report.
+    ``codes`` holds one code ``agent * size + coordinate`` per permitted
+    (0-based agent, coordinate) pair, ascending, then a sentinel above every
+    code, so memory grows with the pairs.  ``key[k]`` is coordinate k's
+    (constraint, participant).
     """
 
-    __slots__ = ("agent", "_full", "_auditor")
+    def __init__(self, topology):
+        from .slack import SlackLayout  # slack builds on this module
 
-    def __missing__(self, key):
-        if self._auditor is not None:
-            self._auditor.violations.append((self.agent, key[0], key[1]))
-            return self._full[key[0]][key[1]]
-        raise LocalityViolationError(
-            f"agent {self.agent} read constraint {key[0]} value of agent "
-            f"{key[1]} outside its neighborhood"
-        )
+        layout = SlackLayout.from_topology(topology)
+        self.layout = layout
+        self.size = layout.size
+        self.n_agents = topology.n_agents
+        self.key = [(l, j) for l, members in zip(layout.constraints, layout.participants)
+                    for j in members]
+        codes = []
+        for l, members, start in zip(layout.constraints, layout.participants, layout.starts):
+            coord = {j: start + a for a, j in enumerate(members)}
+            codes += [(i - 1) * layout.size + coord[j]
+                      for i in members for j in topology.neighborhood(l, i)]
+        self.codes = np.append(np.unique(np.array(codes, dtype=np.int64)),
+                               np.iinfo(np.int64).max)
+
+    def coords_of(self, agent: int) -> np.ndarray:
+        """Agent's permitted coordinates, ascending."""
+        first, last = np.searchsorted(self.codes, [(agent - 1) * self.size,
+                                                   agent * self.size])
+        return self.codes[first:last] - (agent - 1) * self.size
 
 
-def neighbor_views(topology, values: dict, auditor: Auditor | None = None
-                   ) -> list[NeighborView]:
-    """Per-agent views {(constraint, neighbor): value} over each closed neighborhood.
+class Exchange(Sequence):
+    """One phase's delivery: ``values`` in slack layout, read within each agent's neighborhoods.
 
-    ``values`` maps each constraint l to {participant: value}; entry i - 1 of
-    the result holds what agent i may read.  Reads outside it raise, or are
-    recorded by ``auditor`` and served.
+    ``exchange[i - 1]`` is agent i's ``NeighborView``, built when first
+    indexed; ``checked`` serves many agents' reads at once.  A delivery
+    withheld from a view (``del view[key]``) is outside the neighborhood for
+    both.
     """
-    per_agent = []
-    for i in range(1, topology.n_agents + 1):
-        view = NeighborView()
-        view.agent, view._full, view._auditor = i, values, auditor
-        per_agent.append(view)
-    for l, block in values.items():
-        for i in topology.participants_of(l):
-            view = per_agent[i - 1]
-            for j in topology.neighborhood(l, i):
-                view[(l, j)] = block[j]
-    return per_agent
+
+    def __init__(self, neighborhoods: Neighborhoods, values, auditor: Auditor | None = None):
+        values = np.array(values, dtype=float)  # a copy: the delivery is a snapshot
+        if values.shape != (neighborhoods.size,):
+            raise ValidationError(f"exchanged vector has shape {values.shape}, "
+                                  f"slack layout expects ({neighborhoods.size},)")
+        self.neighborhoods = neighborhoods
+        self.values = values
+        self.auditor = auditor
+        self._withheld = None  # per code, True once its delivery is withheld
+        self._views = {}
+
+    def __len__(self) -> int:
+        return self.neighborhoods.n_agents
+
+    def __getitem__(self, index) -> NeighborView:
+        index = range(len(self))[index]
+        view = self._views.get(index)
+        if view is None:
+            view = self._views[index] = NeighborView(self, index + 1)
+        return view
+
+    def checked(self, readers, coords) -> np.ndarray:
+        """``values``, once every read of coordinate ``coords[k]`` by 0-based agent
+        ``readers[k]`` is checked, all in one vectorized pass.
+
+        A read outside the reader's neighborhoods raises LocalityViolationError
+        naming the first such read, or with an auditor is recorded, in read
+        order, and served.
+        """
+        nb = self.neighborhoods
+        codes = readers * nb.size + coords
+        at = np.searchsorted(nb.codes, codes)
+        permitted = nb.codes[at] == codes
+        if self._withheld is not None:
+            permitted &= ~self._withheld[at]
+        if not permitted.all():
+            for k in np.flatnonzero(~permitted).tolist():
+                self._outside(int(readers[k]) + 1, nb.key[coords[k]])
+        return self.values
+
+    def _outside(self, agent: int, key) -> None:
+        """A read of ``key`` outside agent's neighborhoods: raise, or record it."""
+        if self.auditor is None:
+            raise LocalityViolationError(
+                f"agent {agent} read constraint {key[0]} value of agent "
+                f"{key[1]} outside its neighborhood"
+            )
+        self.auditor.violations.append((agent, key[0], key[1]))
+
+    def _withhold(self, agent: int, coord: int) -> None:
+        nb = self.neighborhoods
+        if self._withheld is None:
+            self._withheld = np.zeros(len(nb.codes), dtype=bool)
+        self._withheld[np.searchsorted(nb.codes, (agent - 1) * nb.size + coord)] = True
+
+
+class NeighborView(Mapping):
+    """Agent i's {(constraint, neighbor): value}, exactly its closed neighborhoods.
+
+    Read-only; built by ``Exchange`` when indexed.  A key outside the
+    neighborhoods raises LocalityViolationError, or with an auditor is
+    recorded and served from the whole delivery so a replay can continue and
+    report.  ``del view[key]`` withholds that delivery from the agent.
+    """
+
+    __slots__ = ("agent", "_exchange", "_coords")
+
+    def __init__(self, exchange: Exchange, agent: int):
+        key = exchange.neighborhoods.key
+        self.agent = agent
+        self._exchange = exchange
+        self._coords = {key[c]: c for c in exchange.neighborhoods.coords_of(agent).tolist()}
+
+    def __getitem__(self, key) -> float:
+        coord = self._coords.get(key)
+        if coord is None:
+            self._exchange._outside(self.agent, key)
+            coord = self._exchange.neighborhoods.layout.index(*key)
+        return float(self._exchange.values[coord])
+
+    def __contains__(self, key) -> bool:
+        return key in self._coords
+
+    def __iter__(self):
+        return iter(self._coords)
+
+    def __len__(self) -> int:
+        return len(self._coords)
+
+    def __delitem__(self, key) -> None:
+        self._exchange._withhold(self.agent, self._coords.pop(key))
+
+
+def neighbor_views(topology, values, auditor: Auditor | None = None) -> Exchange:
+    """Every agent's reads of a vector in slack layout, each within its closed neighborhoods.
+
+    Entry i - 1 of the result is agent i's view.  Reads outside it raise, or
+    are recorded by ``auditor`` and served.
+    """
+    return Exchange(Neighborhoods(topology), values, auditor)
 
 
 class SimnetTransport:
-    """Exchange over the constraint subgraphs: message counts and locality-checked views."""
+    """Exchange over the constraint subgraphs: message counts and locality-checked reads."""
 
     def __init__(self, topology, audit: bool = False):
         self.topology = topology
         self.auditor = Auditor() if audit else None
+        self.neighborhoods = Neighborhoods(topology)
         self.messages = 0
         self.messages_per_phase = sum(
             2 * len(topology.edges_of(l))
             for l in range(1, topology.n_constraints + 1)
         )
 
-    def gather(self, phase: Phase, values: dict) -> list[NeighborView]:
+    def gather(self, phase: Phase, values) -> Exchange:
+        """Deliver ``values``, one per slack coordinate, to every agent's neighbors."""
         self.messages += self.messages_per_phase
-        return neighbor_views(self.topology, values, self.auditor)
+        return Exchange(self.neighborhoods, values, self.auditor)
 
 
-def exchange(phase: Phase, values: dict, topology,
-             audit: bool = False) -> tuple[list[NeighborView], int]:
-    """One standalone exchange: (per-agent views, messages sent)."""
+def exchange(phase: Phase, values, topology,
+             audit: bool = False) -> tuple[Exchange, int]:
+    """One standalone exchange of a vector in slack layout: (delivery, messages sent)."""
     transport = SimnetTransport(topology, audit=audit)
     views = transport.gather(phase, values)
     return views, transport.messages

@@ -67,14 +67,6 @@ class SlackLayout:
         start = self.starts[l - 1]
         return slice(start, start + len(self.participants[l - 1]))
 
-    def by_constraint(self, flat) -> dict[int, dict[int, float]]:
-        """{l: {participant: value}} from a flat vector in this layout."""
-        flat = np.asarray(flat).tolist()
-        return {
-            l: {i: flat[start + a] for a, i in enumerate(members)}
-            for l, members, start in zip(self.constraints, self.participants, self.starts)
-        }
-
 
 @dataclass
 class SlackState:
@@ -133,13 +125,12 @@ def allocation_objective(slack: SlackState, problem, topology, weights) -> float
     return total_objective(problem, solve_all_agents(slack, problem, topology, weights))
 
 
-def multipliers_by_constraint(solutions: list[KktSolution], topology) -> dict:
-    """{l: {participant: its row-l multiplier}}: what the multiplier exchange sends."""
+def stacked_multipliers(solutions: list[KktSolution], topology) -> np.ndarray:
+    """Each participant's row-l multiplier in slack layout: what the multiplier exchange sends."""
     m_ineq = topology.m_ineq
-    return {
-        l: {i: solutions[i - 1].multiplier(l, m_ineq) for i in topology.participants_of(l)}
-        for l in range(1, topology.n_constraints + 1)
-    }
+    return np.array([solutions[i - 1].multiplier(l, m_ineq)
+                     for l in range(1, topology.n_constraints + 1)
+                     for i in topology.participants_of(l)], dtype=float)
 
 
 def assemble_gradient(solutions: list[KktSolution], topology, weights,
@@ -148,12 +139,12 @@ def assemble_gradient(solutions: list[KktSolution], topology, weights,
 
     Coordinate (l, i) is ``consensus_gap`` of the row-l multipliers, the
     arithmetic agent i uses locally.  ``views`` may supply transport-mediated
-    multiplier views (built from the MULTIPLIER_EXCHANGE phase); by default
-    multipliers are read directly from the solutions.  The reference for
+    multiplier views (a MULTIPLIER_EXCHANGE ``simnet.Exchange``); by default
+    they are built from the solutions' multipliers.  The reference for
     ``AgentBatch.gradient``, which rounds use.
     """
     if views is None:
-        views = neighbor_views(topology, multipliers_by_constraint(solutions, topology))
+        views = neighbor_views(topology, stacked_multipliers(solutions, topology))
     grad = np.zeros(layout.size)
     for l in layout.constraints:
         for i in topology.participants_of(l):
@@ -214,7 +205,7 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     layout = slack.layout
     warm = WarmStart(AgentBatch(problem, topology, weights))
     batch = warm.batch
-    base_views = neighbor_views(topology, layout.by_constraint(slack.values))
+    base_views = [dict(view) for view in neighbor_views(topology, slack.values)]
     base = warm.solve_stacked(batch.offsets(slack.values))
     base_costs = np.array([obj.value(z[:obj.dim])
                            for obj, z in zip(problem.objectives, base)])

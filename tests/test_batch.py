@@ -11,7 +11,7 @@ import couplesolve as cs
 from couplesolve import local_qp
 from couplesolve.local_qp import AgentBatch, WarmStart, assemble_subproblem
 from couplesolve.problem import aggregate_violation
-from couplesolve.slack import multipliers_by_constraint
+from couplesolve.slack import stacked_multipliers
 from bruteforce import brute_force_solve
 from gen import reduced_space_instance, strongly_convex_instance
 
@@ -61,7 +61,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
     ran = {"correct": 0, "empty": 0, "wrong": 0}
     misled = 0  # agents whose wrong start differs from the correct one
     for flat in points:
-        views = cs.neighbor_views(topology, layout.by_constraint(flat))
+        views = cs.neighbor_views(topology, flat)
         subs = [assemble_subproblem(i, problem, topology, weights, views[i - 1])
                 for i in range(1, problem.n_agents + 1)]
         cold = [loop(sub) for sub in subs]
@@ -233,9 +233,8 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
     cons = problem.constraints
     width = batch.shape[1]
     for flat in points:
-        values = layout.by_constraint(flat)
-        views = cs.neighbor_views(topology, values)
-        mediated, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE, values, topology)
+        views = cs.neighbor_views(topology, flat)
+        mediated, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE, flat, topology)
         expected = np.zeros((problem.n_agents, width))
         for i in range(1, problem.n_agents + 1):
             for r, l in enumerate(topology.constraints_of(i)):
@@ -255,7 +254,7 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
         solutions = cs.solve_all_agents(cs.SlackState(layout, flat), problem,
                                         topology, weights)
         reference = cs.assemble_gradient(solutions, topology, weights, layout)
-        mults = multipliers_by_constraint(solutions, topology)
+        mults = stacked_multipliers(solutions, topology)
         mult_views, _ = cs.exchange(cs.Phase.MULTIPLIER_EXCHANGE, mults, topology)
         z = WarmStart(batch).solve_stacked(batch.offsets(flat))
         assert np.array_equal(batch.gradient(batch.multipliers(z)), reference)
@@ -286,10 +285,8 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
                                         weights)
         primal = cs.stacked_primal(solutions)
         assert np.array_equal(batch.primal(z), primal)
-        mults = multipliers_by_constraint(solutions, topology)
-        assert np.array_equal(batch.multipliers(z),
-                              [mults[l][i] for l, members in
-                               zip(layout.constraints, layout.participants) for i in members])
+        mults = stacked_multipliers(solutions, topology)
+        assert np.array_equal(batch.multipliers(z), mults)
         for got, ref in zip(batch.solutions(z, warm.work).kkt_solutions(), solutions):
             assert np.array_equal(got.x, ref.x)
             assert got.ineq_multipliers == ref.ineq_multipliers
@@ -300,7 +297,7 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
         for got, ref in zip(batch.residuals(z), aggregate_violation(problem, primal)):
             assert got.shape == ref.shape and _close(got, ref)
         assert _close(batch.violation(z), cs.max_violation(problem, primal))
-        dense = [np.linalg.norm(weights[l].gap @ [mults[l][i] for i in members])
+        dense = [np.linalg.norm(weights[l].gap @ mults[layout.block(l)])
                  if members else 0.0
                  for l, members in zip(layout.constraints, layout.participants)]
         assert _close(batch.dual_errors(batch.gradient(batch.multipliers(z))), dense)

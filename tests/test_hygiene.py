@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import couplesolve as cs
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "couplesolve"
 
 
@@ -33,3 +35,10 @@ def test_unused_import_is_reported(tmp_path):
                       "import math\nimport os.path\nfrom json import dumps, loads\n"
                       "print(os.path.sep, loads)\n")
     assert unused_imports(module) == ["dumps", "math"]
+
+
+def test_transport_defines_gather_on_its_class():
+    # benchmarks/tracer.py wraps only a gather defined on the transport class
+    # itself; an inherited one would leave simnet.gather.* and simnet.messages
+    # reading 0 without an error.
+    assert "gather" in vars(cs.SimnetTransport)

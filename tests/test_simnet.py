@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import couplesolve as cs
+from couplesolve import simnet
 from couplesolve.exceptions import LocalityViolationError
+from couplesolve.local_qp import AgentBatch
 from couplesolve.trace import records_equal, traces_equal
 
 from gen import strongly_convex_instance
@@ -10,8 +12,7 @@ from gen import strongly_convex_instance
 
 def test_exchange_counts_messages(toy):
     _, topology, _ = toy
-    views, count = cs.exchange(cs.Phase.SLACK_EXCHANGE,
-                               {1: {1: 2.0, 2: 0.0}}, topology)
+    views, count = cs.exchange(cs.Phase.SLACK_EXCHANGE, [2.0, 0.0], topology)
     assert count == 2  # one edge, both directions
     assert views[0][(1, 2)] == 0.0
     assert views[1][(1, 1)] == 2.0
@@ -24,8 +25,7 @@ def test_strict_view_raises_outside_neighborhood(path4):
         cons.add_ineq_row(i, 1, [1.0], 0.0)
     problem = cs.ProblemSpec((obj,) * 4, cons, path4)
     topology = cs.induce_topology(problem, path4)
-    views, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE,
-                           {1: {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}}, topology)
+    views, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE, [0.1, 0.2, 0.3, 0.4], topology)
     assert views[0][(1, 2)] == 0.2
     assert (1, 4) not in views[0]
     # agents 1 and 4 are not adjacent on the path: a locality error, not a KeyError
@@ -41,23 +41,23 @@ def test_audit_mode_serves_and_records(path4):
         cons.add_ineq_row(i, 1, [1.0], 0.0)
     problem = cs.ProblemSpec((obj,) * 4, cons, path4)
     topology = cs.induce_topology(problem, path4)
-    views, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE,
-                           {1: {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}}, topology,
+    views, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE, [0.1, 0.2, 0.3, 0.4], topology,
                            audit=True)
     assert views[0][(1, 4)] == 0.4  # served, not raised
-    auditor = views[0]._auditor
+    auditor = views.auditor
     assert not auditor.ok
     assert auditor.violations == [(1, 1, 4)]
 
 
 def test_gathered_views_read_values_bitwise(toy):
     _, topology, _ = toy
-    values = {1: {1: 0.12345678901234567, 2: -3.2109876543210987}}
+    layout = cs.SlackLayout.from_topology(topology)
+    values = [0.12345678901234567, -3.2109876543210987]
     views = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, values)
     for view in views:
         assert sorted(view) == [(1, 1), (1, 2)]  # the whole closed neighbourhood
         for (l, j), value in view.items():
-            assert value.hex() == values[l][j].hex()
+            assert value.hex() == values[layout.index(l, j)].hex()
 
 
 def test_algorithm_runs_bit_identical_across_transports(toy):
@@ -80,22 +80,90 @@ def test_run_rejects_an_unknown_transport(toy):
                transport="bogus")
 
 
+def test_run_rejects_a_transport_over_another_topology():
+    problem, topology, weights = strongly_convex_instance(0)
+    other = strongly_convex_instance(3)[1]
+    assert other != topology
+    with pytest.raises(cs.ValidationError, match="another topology"):
+        cs.run(problem, topology, weights, cs.AdaConfig(gamma=0.01, rounds=1),
+               transport=cs.SimnetTransport(other))
+
+
+def test_run_without_a_hook_builds_no_per_agent_view(toy, monkeypatch):
+    problem, topology, weights = toy
+    built = []
+    init = simnet.NeighborView.__init__
+
+    def spy(self, exchange, agent):
+        built.append(agent)
+        init(self, exchange, agent)
+
+    monkeypatch.setattr(simnet.NeighborView, "__init__", spy)
+    transport = cs.SimnetTransport(topology)
+    cs.run(problem, topology, weights, cs.AdaConfig(gamma=0.25, rounds=3),
+           transport=transport)
+    assert transport.messages == 3 * 2 * transport.messages_per_phase
+    assert built == []
+    # A hook that reads agent 2's view builds that view only.
+    cs.run(problem, topology, weights, cs.AdaConfig(gamma=0.25, rounds=3),
+           slack_phase_hook=lambda views, t: views[1][(1, 1)])
+    assert built == [2, 2, 2]
+
+
+class DroppingTransport(cs.SimnetTransport):
+    """Leaves agent 1's permitted read of agent 2 out of one phase's views."""
+
+    def __init__(self, topology, dropped, audit=False):
+        super().__init__(topology, audit=audit)
+        self.dropped = dropped
+
+    def gather(self, phase, values):
+        views = super().gather(phase, values)
+        if phase is self.dropped:
+            del views[0][(1, 2)]
+        return views
+
+
+@pytest.mark.parametrize("dropped", list(cs.Phase), ids=lambda p: p.value)
+def test_audited_run_records_withheld_reads_and_serves_them(toy, dropped):
+    problem, topology, weights = toy
+    config = cs.AdaConfig(gamma=0.25, rounds=4)
+    strict = cs.run(problem, topology, weights, config)
+    transport = DroppingTransport(topology, dropped, audit=True)
+    audited = cs.run(problem, topology, weights, config, transport=transport)
+    # Agent 1 reads agent 2's value of constraint 1 once per phase.
+    assert transport.auditor.violations == [(1, 1, 2)] * config.rounds
+    assert traces_equal(strict.trace, audited.trace)
+    assert np.array_equal(strict.output_primal, audited.output_primal)
+
+
+def test_batch_over_a_wider_topology_reads_outside_a_narrower_transport(path4):
+    obj = cs.AgentObjective(np.eye(1), np.zeros(1))
+    cons = cs.CouplingConstraints(4, m_ineq=1, q_eq=0)
+    for i in range(1, 5):
+        cons.add_ineq_row(i, 1, [1.0], 0.0)
+    complete = cs.Graph.from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    problem = cs.ProblemSpec((obj,) * 4, cons, complete)
+    wide = cs.induce_topology(problem, complete)
+    batch = AgentBatch(problem, wide, cs.build_weights(wide))
+    flat = [0.1, 0.2, 0.3, 0.4]
+    views = cs.SimnetTransport(cs.induce_topology(problem, path4)).gather(
+        cs.Phase.SLACK_EXCHANGE, flat)
+    # Agent 1 reads agents 2, 3 and 4 on the complete graph; only 2 is its
+    # neighbour on the path.
+    with pytest.raises(LocalityViolationError,
+                       match="agent 1 read constraint 1 value of agent 3 outside"):
+        batch.offsets(views)
+    assert np.array_equal(batch.offsets(cs.SimnetTransport(wide).gather(
+        cs.Phase.SLACK_EXCHANGE, flat)), batch.offsets(np.array(flat)))
+
+
 @pytest.mark.parametrize("dropped", list(cs.Phase), ids=lambda p: p.value)
 def test_run_reads_offsets_and_gradient_only_through_the_views(toy, dropped):
     problem, topology, weights = toy
-
-    class DroppingTransport(cs.SimnetTransport):
-        """Leaves agent 1's permitted read of agent 2 out of one phase's views."""
-
-        def gather(self, phase, values):
-            views = super().gather(phase, values)
-            if phase is dropped:
-                del views[0][(1, 2)]
-            return views
-
     with pytest.raises(LocalityViolationError, match="agent 1 read constraint 1"):
         cs.run(problem, topology, weights, cs.AdaConfig(gamma=0.25, rounds=2),
-               transport=DroppingTransport(topology))
+               transport=DroppingTransport(topology, dropped))
 
 
 @pytest.mark.parametrize("seed", range(5))
