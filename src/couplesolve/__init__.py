@@ -67,7 +67,6 @@ from .local_qp import (
     KktSolution,
     LocalSubproblem,
     StackedSolutions,
-    assemble_subproblem,
     solve_kkt,
     verify_kkt,
 )
@@ -95,13 +94,8 @@ from .simnet import (
 from .slack import (
     SlackLayout,
     SlackState,
-    allocation_objective,
-    assemble_gradient,
     feasible_slack_from_primal,
     finite_difference_gradient,
-    solve_all_agents,
-    stacked_primal,
-    total_objective,
 )
 from .trace import RoundRecord, RunTrace, emit_trace, parse_trace, traces_equal
 

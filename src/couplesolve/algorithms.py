@@ -355,8 +355,11 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
     uniform interior samples, and doubles the largest norm seen.  Every
     agent at every point is one row of ``AgentBatch.solve_rows``, solved
     cold; the points go through in chunks of ``_SAMPLE_ROWS`` rows, which
-    bounds the loop's temporaries.
+    bounds the loop's temporaries.  Raises ValidationError for a negative
+    ``interior_samples``.
     """
+    if interior_samples < 0:
+        raise ValidationError(f"interior_samples must be non-negative, got {interior_samples}")
     layout = SlackLayout.from_topology(topology)
     n = layout.size
     if n == 0:

@@ -20,7 +20,8 @@ Scenario files for the closed-loop demo::
 
 Unknown keys are rejected by name so config typos fail loudly, and a value
 of the wrong type (a non-list ``agents``, ``ineq``, ``eq``, ``edges`` or
-``weights`` too) raises a ConfigError naming its field.
+``weights`` too) raises a ConfigError naming its field.  An index or count
+must be an integer: a fraction or a boolean is rejected, never truncated.
 """
 
 from __future__ import annotations
@@ -119,11 +120,11 @@ def problem_from_dict(data: dict, where: str = "problem"):
         field = f"{where}: agents[{k}]"
         reject_unknown(spec, _AGENT_KEYS, field)
         try:
-            dim = _cast(spec["dim"], int, f"{field} dim")
+            dim = integer(spec["dim"], f"{field} dim")
             obj = AgentObjective(
                 _cast(spec["hessian"], _floats, f"{field} hessian"),
                 _cast(spec["linear"], _floats, f"{field} linear"),
-                _cast(spec.get("constant", 0.0), float, f"{field} constant"),
+                number(spec.get("constant", 0.0), f"{field} constant"),
             )
         except KeyError as exc:
             raise ConfigError(f"{field} missing key {exc}") from exc
@@ -144,14 +145,14 @@ def problem_from_dict(data: dict, where: str = "problem"):
             for key in ("agent", "row", "coeffs", "offset"):
                 if key not in row:
                     raise ConfigError(f"{field} missing '{key}'")
-            rows[name].append((_cast(row["agent"], int, f"{field} agent"),
-                               _cast(row["row"], int, f"{field} row"),
+            rows[name].append((integer(row["agent"], f"{field} agent"),
+                               integer(row["row"], f"{field} row"),
                                _cast(row["coeffs"], _floats, f"{field} coeffs"),
-                               _cast(row["offset"], float, f"{field} offset")))
-    m_ineq = _cast(data.get("m_ineq", max((r[1] for r in rows["ineq"]), default=0)),
-                   int, f"{where}: m_ineq")
-    q_eq = _cast(data.get("q_eq", max((r[1] for r in rows["eq"]), default=0)),
-                 int, f"{where}: q_eq")
+                               number(row["offset"], f"{field} offset")))
+    m_ineq = integer(data.get("m_ineq", max((r[1] for r in rows["ineq"]), default=0)),
+                     f"{where}: m_ineq")
+    q_eq = integer(data.get("q_eq", max((r[1] for r in rows["eq"]), default=0)),
+                   f"{where}: q_eq")
 
     cons = CouplingConstraints(n, m_ineq, q_eq)
     for row in rows["ineq"]:
@@ -164,7 +165,7 @@ def problem_from_dict(data: dict, where: str = "problem"):
         field = f"{where}: edges[{k}]"
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise ConfigError(f"{field} must be a pair of agents")
-        edges.append(tuple(_cast(i, int, field) for i in edge))
+        edges.append(tuple(integer(i, field) for i in edge))
     graph = Graph.from_edges(n, edges)
     problem = ProblemSpec(tuple(objectives), cons, graph)
 
@@ -177,7 +178,7 @@ def problem_from_dict(data: dict, where: str = "problem"):
             for key in ("constraint", "matrix"):
                 if key not in entry:
                     raise ConfigError(f"{field} missing '{key}'")
-            custom[_cast(entry["constraint"], int, f"{field} constraint")] = _cast(
+            custom[integer(entry["constraint"], f"{field} constraint")] = _cast(
                 entry["matrix"], _floats, f"{field} matrix")
     return problem, custom
 

@@ -47,7 +47,7 @@ The answer is one stacked, padded array z, one row per agent, and
 ``AgentBatch`` computes from it what a round needs: the objective, the
 coupled-row residuals, the multipliers each exchange sends and the
 consensus-gap gradient.  ``KktSolution`` objects are built only on request,
-by ``WarmStart.solve`` or ``StackedSolutions.kkt_solutions``.
+by ``StackedSolutions.kkt_solutions``.
 """
 
 from __future__ import annotations
@@ -492,22 +492,6 @@ class StackedSolutions:
         return out
 
 
-def assemble_subproblem(agent: int, problem, topology, weights,
-                        slack_view) -> LocalSubproblem:
-    """Fold the agent's slack shares into its local constraint offsets.
-
-    ``slack_view`` maps (constraint index, neighbor) to that neighbor's slack
-    value and must cover the agent's closed neighborhood in every constraint
-    it participates in.  The offset of row l becomes
-
-        sum_{j in N_i^[l]} p_ij (y_i - y_j) + b_i^[l],
-
-    i.e. the consensus gap of the agent's slack plus its own offset share.
-    """
-    qp = AgentQP(agent, problem, topology, weights)
-    return qp.subproblem(qp.offsets(slack_view))
-
-
 class _SetTable:
     """Every working set a batch's solves have met, with its affine map, stacked.
 
@@ -730,7 +714,7 @@ class AgentBatch:
         return _gap(self.p, buf[..., 0], buf[..., 1:])
 
     def offsets(self, values) -> np.ndarray:
-        """Every agent's row offsets, each bit-identical to ``assemble_subproblem``'s."""
+        """Every agent's row offsets, each bit-identical to ``AgentQP.offsets``."""
         return self.gaps(values) + self.base
 
     def gradient(self, values) -> np.ndarray:
@@ -782,15 +766,10 @@ class AgentBatch:
                               minlength=self.n_constraints)
         return tuple(np.sqrt(squares).tolist())
 
-    def solutions(self, z, work, agents=None) -> StackedSolutions:
-        """z and the working-row masks of all agents, or of the listed ones, row by row."""
-        if agents is None:
-            dims, ineq, eq = self.dims, self.ineq_indices, self.eq_indices
-        else:
-            dims = tuple(self.dims[a] for a in agents)
-            ineq = tuple(self.ineq_indices[a] for a in agents)
-            eq = tuple(self.eq_indices[a] for a in agents)
-        return StackedSolutions(z, work, self.shape[0], dims, ineq, eq)
+    def solutions(self, z, work) -> StackedSolutions:
+        """Every agent's row of z with its working-row mask."""
+        return StackedSolutions(z, work, self.shape[0], self.dims, self.ineq_indices,
+                                self.eq_indices)
 
 
 class WarmStart:
@@ -813,8 +792,8 @@ class WarmStart:
         keys = self.batch.sets.keys
         return [keys[sid][1] for sid in self.ids.tolist()]
 
-    def solve_stacked(self, offsets, agents=None) -> np.ndarray:
-        """Solve every agent's QP, or the listed 0-based ``agents``, at ``offsets``.
+    def solve_stacked(self, offsets) -> np.ndarray:
+        """Solve every agent's QP at ``offsets``.
 
         Returns the padded solutions z, one row per agent (see
         ``StackedSolutions``).  One stacked pass evaluates each agent's last
@@ -823,29 +802,21 @@ class WarmStart:
         loop, with this pass as its first iteration; their answers and
         final sets are written back in one scatter.
         """
-        sel = slice(None) if agents is None else np.asarray(agents, dtype=int)
         batch = self.batch
-        z = _affine(self.m[sel], self.s[sel], offsets)
-        solved, row_residual = _residual_ok(batch.hessian[sel], batch.linear[sel],
-                                            batch.rows[sel], self.kkt[sel], z, offsets)
-        solved &= self.ready[sel]
-        redo = np.flatnonzero(~(solved & _accepted(self.free[sel], self.work[sel],
-                                                   row_residual, z[:, batch.shape[0]:])))
+        z = _affine(self.m, self.s, offsets)
+        solved, row_residual = _residual_ok(batch.hessian, batch.linear, batch.rows,
+                                            self.kkt, z, offsets)
+        solved &= self.ready
+        redo = np.flatnonzero(~(solved & _accepted(self.free, self.work, row_residual,
+                                                   z[:, batch.shape[0]:])))
         if redo.size:
             # This pass is the loop's first iteration for the rows it rejects.
-            rows = redo if agents is None else sel[redo]
-            z[redo], ids = batch._lockstep(rows, offsets[redo], self.ids[rows], z[redo],
+            z[redo], ids = batch._lockstep(redo, offsets[redo], self.ids[redo], z[redo],
                                            solved[redo], row_residual[redo])
-            self.ids[rows] = ids
-            (self.m[rows], self.s[rows], self.kkt[rows], self.work[rows], self.free[rows],
-             self.ready[rows]) = batch.sets.gather(ids)
+            self.ids[redo] = ids
+            (self.m[redo], self.s[redo], self.kkt[redo], self.work[redo], self.free[redo],
+             self.ready[redo]) = batch.sets.gather(ids)
         return z
-
-    def solve(self, offsets, agents=None) -> list[KktSolution]:
-        """``solve_stacked``'s answer as one KktSolution per agent."""
-        z = self.solve_stacked(offsets, agents)
-        sel = slice(None) if agents is None else np.asarray(agents, dtype=int)
-        return self.batch.solutions(z, self.work[sel], agents).kkt_solutions()
 
 
 @dataclass(frozen=True)

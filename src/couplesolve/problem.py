@@ -71,6 +71,9 @@ class CouplingConstraints:
 
     def __init__(self, n_agents: int, m_ineq: int, q_eq: int,
                  ineq_rows=None, eq_rows=None):
+        for name, count in (("m_ineq", m_ineq), ("q_eq", q_eq)):
+            if count < 0:
+                raise ValidationError(f"{name} must be non-negative, got {count}")
         self.n_agents = n_agents
         self.m_ineq = m_ineq
         self.q_eq = q_eq

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DisconnectedSubgraphError, ValidationError
-from .graph import consensus_gap
-from .local_qp import AgentBatch, KktSolution, WarmStart
+from .local_qp import AgentBatch, WarmStart
 from .problem import aggregate_violation
 from .simnet import neighbor_views
 
@@ -97,61 +96,6 @@ class SlackState:
         return SlackState(self.layout, self.values.copy())
 
 
-def solve_all_agents(slack: SlackState, problem, topology, weights,
-                     warm: WarmStart | None = None) -> list[KktSolution]:
-    """Solve every agent's subproblem at the given slack allocation.
-
-    ``warm`` is the stream of batched solves to use (and advance); by
-    default a fresh one over a newly compiled batch.
-    """
-    if warm is None:
-        warm = WarmStart(AgentBatch(problem, topology, weights))
-    return warm.solve(warm.batch.offsets(slack.values))
-
-
-def total_objective(problem, solutions: list[KktSolution]) -> float:
-    """Sum of the agents' objective values at their subproblem optima."""
-    return float(sum(
-        obj.value(sol.x) for obj, sol in zip(problem.objectives, solutions)
-    ))
-
-
-def stacked_primal(solutions: list[KktSolution]) -> np.ndarray:
-    return np.concatenate([sol.x for sol in solutions])
-
-
-def allocation_objective(slack: SlackState, problem, topology, weights) -> float:
-    """Optimal total cost of the decoupled problem at one slack allocation."""
-    return total_objective(problem, solve_all_agents(slack, problem, topology, weights))
-
-
-def stacked_multipliers(solutions: list[KktSolution], topology) -> np.ndarray:
-    """Each participant's row-l multiplier in slack layout: what the multiplier exchange sends."""
-    m_ineq = topology.m_ineq
-    return np.array([solutions[i - 1].multiplier(l, m_ineq)
-                     for l in range(1, topology.n_constraints + 1)
-                     for i in topology.participants_of(l)], dtype=float)
-
-
-def assemble_gradient(solutions: list[KktSolution], topology, weights,
-                      layout: SlackLayout, views: list | None = None) -> np.ndarray:
-    """Full allocation-cost gradient from the agents' multipliers.
-
-    Coordinate (l, i) is ``consensus_gap`` of the row-l multipliers, the
-    arithmetic agent i uses locally.  ``views`` may supply transport-mediated
-    multiplier views (a MULTIPLIER_EXCHANGE ``simnet.Exchange``); by default
-    they are built from the solutions' multipliers.  The reference for
-    ``AgentBatch.gradient``, which rounds use.
-    """
-    if views is None:
-        views = neighbor_views(topology, stacked_multipliers(solutions, topology))
-    grad = np.zeros(layout.size)
-    for l in layout.constraints:
-        for i in topology.participants_of(l):
-            grad[layout.index(l, i)] = consensus_gap(l, i, topology, weights, views[i - 1])
-    return grad
-
-
 def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights,
                                feas_tol: float = 1e-9) -> SlackState:
     """Slack allocation whose per-agent rows reproduce a feasible primal.
@@ -201,7 +145,10 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     Only the agents in the perturbed coordinate's neighborhood are re-solved
     per probe, every probe's agents in one lock-step
     ``AgentBatch.solve_rows`` call started from the base solution's sets.
+    Raises ValidationError unless ``base_step`` is positive and finite.
     """
+    if not 0.0 < base_step < np.inf:
+        raise ValidationError(f"base_step must be positive and finite, got {base_step!r}")
     layout = slack.layout
     warm = WarmStart(AgentBatch(problem, topology, weights))
     batch = warm.batch

@@ -1,17 +1,22 @@
-"""Dense reference solve of the stacked coupled program.
+"""References the library's array paths are checked against.
 
-Cold ``solve_kkt`` on the stacked ``LocalSubproblem`` built from
-``stacked_arrays``: one dense KKT factorization per working set, the stacked
-Hessian validated whole, dependent equality rows reduced to least-squares
-multipliers.  ``solve_centralized`` must agree with it.
+``dense_oracle``: cold ``solve_kkt`` on the stacked ``LocalSubproblem`` built
+from ``stacked_arrays``: one dense KKT factorization per working set, the
+stacked Hessian validated whole, dependent equality rows reduced to
+least-squares multipliers.  ``solve_centralized`` must agree with it.
+
+The per-agent references of a round: every agent's ``KktSolution`` from a
+fresh stream, their objective summed through ``AgentObjective.value``, their
+multipliers read through ``KktSolution.multiplier`` and the gradient formed
+coordinate by coordinate with ``consensus_gap``, as each agent forms its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from couplesolve import AgentObjective
-from couplesolve.local_qp import LocalSubproblem, solve_kkt
+from couplesolve import AgentObjective, consensus_gap, neighbor_views
+from couplesolve.local_qp import AgentBatch, LocalSubproblem, WarmStart, solve_kkt
 from couplesolve.oracle import stacked_arrays
 
 
@@ -35,3 +40,37 @@ def dense_oracle(problem):
     if basis is not None:
         lam = basis @ lam
     return sol.x, objective.value(sol.x), mu, lam, sol.active_set
+
+
+def kkt_solutions_at(warm, offsets):
+    """``warm``'s stacked solve at ``offsets``, one KktSolution per agent."""
+    z = warm.solve_stacked(offsets)
+    return warm.batch.solutions(z, warm.work).kkt_solutions()
+
+
+def fresh_solutions(problem, topology, weights, values):
+    """Every agent's KktSolution at the slack allocation ``values``, from a fresh stream."""
+    warm = WarmStart(AgentBatch(problem, topology, weights))
+    return kkt_solutions_at(warm, warm.batch.offsets(values))
+
+
+def total_objective(problem, solutions) -> float:
+    """Sum of the agents' objective values at their solutions."""
+    return float(sum(obj.value(sol.x) for obj, sol in zip(problem.objectives, solutions)))
+
+
+def stacked_multipliers(solutions, topology) -> np.ndarray:
+    """Each participant's row-l multiplier in slack layout: what the multiplier exchange sends."""
+    return np.array([solutions[i - 1].multiplier(l, topology.m_ineq)
+                     for l in range(1, topology.n_constraints + 1)
+                     for i in topology.participants_of(l)], dtype=float)
+
+
+def consensus_gradient(solutions, topology, weights, layout) -> np.ndarray:
+    """Coordinate (l, i): ``consensus_gap`` of agent i's view of the row-l multipliers."""
+    views = neighbor_views(topology, stacked_multipliers(solutions, topology))
+    grad = np.zeros(layout.size)
+    for l in layout.constraints:
+        for i in topology.participants_of(l):
+            grad[layout.index(l, i)] = consensus_gap(l, i, topology, weights, views[i - 1])
+    return grad

@@ -20,6 +20,7 @@ from couplesolve.cbf import (
     nominal_consensus,
     run_closed_loop,
 )
+from couplesolve.local_qp import AgentBatch, WarmStart
 from couplesolve.trace import traces_equal
 
 from bruteforce import brute_force_solve
@@ -139,8 +140,10 @@ def test_criterion_04_gradient_matches_finite_differences():
         rng = np.random.default_rng(seed + 1)
         for _ in range(20):
             state = cs.SlackState(layout, rng.uniform(-2, 2, size=layout.size))
-            solutions = cs.solve_all_agents(state, problem, topology, weights)
-            analytic = cs.assemble_gradient(solutions, topology, weights, layout)
+            warm = WarmStart(AgentBatch(problem, topology, weights))
+            batch = warm.batch
+            analytic = batch.gradient(batch.multipliers(
+                warm.solve_stacked(batch.offsets(state.values))))
             fd, flagged = cs.finite_difference_gradient(
                 state, problem, topology, weights)
             keep = ~flagged

@@ -12,6 +12,7 @@ from couplesolve.exceptions import ValidationError
 from couplesolve.trace import traces_equal
 
 from gen import reduced_space_instance, strongly_convex_instance
+from reference import fresh_solutions
 
 
 def _slack(topology, values):
@@ -216,6 +217,12 @@ def test_estimate_gradient_bound_is_deterministic(toy):
     assert a >= 2 * math.sqrt(2) * 0.5
 
 
+def test_estimate_gradient_bound_rejects_negative_interior_samples(toy):
+    problem, topology, weights = toy
+    with pytest.raises(ValidationError, match="interior_samples must be non-negative"):
+        cs.estimate_gradient_bound(problem, topology, weights, 1.0, interior_samples=-1)
+
+
 def _sequential_gradient_bound(problem, topology, weights, box_bound, seed=0):
     """estimate_gradient_bound's points, solved one at a time through one warm stream."""
     n = cs.SlackLayout.from_topology(topology).size
@@ -271,7 +278,7 @@ def test_kkt_solutions_are_built_only_when_the_output_is_read(toy, monkeypatch):
         solutions = result.output_solutions
         assert len(built) == problem.n_agents
         assert result.output_solutions is solutions
-        reference = cs.solve_all_agents(result.output_slack, problem, topology, weights)
+        reference = fresh_solutions(problem, topology, weights, result.output_slack.values)
         for got, ref in zip(solutions, reference):
             assert np.array_equal(got.x, ref.x)
             assert (got.eq_multipliers, got.active_set) == (ref.eq_multipliers,

@@ -9,10 +9,11 @@ import pytest
 
 import couplesolve as cs
 from couplesolve import local_qp
-from couplesolve.local_qp import AgentBatch, WarmStart, assemble_subproblem
+from couplesolve.local_qp import AgentBatch, AgentQP, WarmStart
 from couplesolve.problem import aggregate_violation
-from couplesolve.slack import stacked_multipliers
 from bruteforce import brute_force_solve
+from reference import (consensus_gradient, fresh_solutions, kkt_solutions_at,
+                       stacked_multipliers, total_objective)
 from gen import reduced_space_instance, strongly_convex_instance
 
 FAMILIES = ([(strongly_convex_instance, seed) for seed in range(25)]
@@ -62,16 +63,14 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
     misled = 0  # agents whose wrong start differs from the correct one
     for flat in points:
         views = cs.neighbor_views(topology, flat)
-        subs = [assemble_subproblem(i, problem, topology, weights, views[i - 1])
-                for i in range(1, problem.n_agents + 1)]
+        subs = [qp.subproblem(qp.offsets(view)) for qp, view in zip(batch.qps, views)]
         cold = [loop(sub) for sub in subs]
         starts = [_starts(qp, sol.active_set) for qp, sol in zip(batch.qps, cold)]
         misled += sum(s["wrong"] != s["correct"] for s in starts)
         offsets = batch.offsets(views)
         for kind in ran:
             del fallbacks[:]
-            warm = WarmStart(batch, [s[kind] for s in starts])
-            batched = warm.solve(offsets)
+            batched = kkt_solutions_at(WarmStart(batch, [s[kind] for s in starts]), offsets)
             ran[kind] += len(fallbacks)
             if kind == "correct":
                 assert not fallbacks  # the acceptance pass takes every correct set
@@ -97,10 +96,10 @@ def test_answer_depends_only_on_the_final_working_set(make, seed):
     layout, points = _points(topology, seed)
     for flat in points:
         offsets = batch.offsets(flat)
-        cold = WarmStart(batch).solve(offsets)
+        cold = kkt_solutions_at(WarmStart(batch), offsets)
         starts = [_starts(qp, sol.active_set) for qp, sol in zip(batch.qps, cold)]
         for kind in ("correct", "wrong"):
-            again = WarmStart(batch, [s[kind] for s in starts]).solve(offsets)
+            again = kkt_solutions_at(WarmStart(batch, [s[kind] for s in starts]), offsets)
             for a, b in zip(cold, again):
                 assert np.array_equal(a.x, b.x)
                 assert a.ineq_multipliers == b.ineq_multipliers
@@ -244,16 +243,16 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
                     np.array([qp.offsets(view) for qp, view in zip(batch.qps, views)])):
             assert np.array_equal(got, expected)
         for i in range(1, problem.n_agents + 1):
-            sub = assemble_subproblem(i, problem, topology, weights, views[i - 1])
+            qp = AgentQP(i, problem, topology, weights)  # unpadded, its own shape
+            sub = qp.subproblem(qp.offsets(views[i - 1]))
             k_i = len(sub.ineq_indices)
             assert np.array_equal(sub.ineq_offsets, expected[i - 1, :k_i])
             assert np.array_equal(sub.eq_offsets,
                                   expected[i - 1, k_i:k_i + len(sub.eq_indices)])
 
         # The gradient reads the multiplier views through the same terms.
-        solutions = cs.solve_all_agents(cs.SlackState(layout, flat), problem,
-                                        topology, weights)
-        reference = cs.assemble_gradient(solutions, topology, weights, layout)
+        solutions = fresh_solutions(problem, topology, weights, flat)
+        reference = consensus_gradient(solutions, topology, weights, layout)
         mults = stacked_multipliers(solutions, topology)
         mult_views, _ = cs.exchange(cs.Phase.MULTIPLIER_EXCHANGE, mults, topology)
         z = WarmStart(batch).solve_stacked(batch.offsets(flat))
@@ -281,9 +280,8 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
     warm = WarmStart(batch)
     for flat in points:
         z = warm.solve_stacked(batch.offsets(flat))
-        solutions = cs.solve_all_agents(cs.SlackState(layout, flat), problem, topology,
-                                        weights)
-        primal = cs.stacked_primal(solutions)
+        solutions = fresh_solutions(problem, topology, weights, flat)
+        primal = np.concatenate([sol.x for sol in solutions])
         assert np.array_equal(batch.primal(z), primal)
         mults = stacked_multipliers(solutions, topology)
         assert np.array_equal(batch.multipliers(z), mults)
@@ -293,7 +291,7 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
             assert got.eq_multipliers == ref.eq_multipliers
             assert got.active_set == ref.active_set
 
-        assert _close(batch.objective(z), cs.total_objective(problem, solutions))
+        assert _close(batch.objective(z), total_objective(problem, solutions))
         for got, ref in zip(batch.residuals(z), aggregate_violation(problem, primal)):
             assert got.shape == ref.shape and _close(got, ref)
         assert _close(batch.violation(z), cs.max_violation(problem, primal))
@@ -315,5 +313,6 @@ def test_unbounded_agent_keeps_its_diagnosis():
     topology = cs.induce_topology(problem, graph)
     weights = cs.build_weights(topology)
     state = cs.SlackState.zeros(cs.SlackLayout.from_topology(topology))
+    warm = WarmStart(AgentBatch(problem, topology, weights))
     with pytest.raises(cs.UnboundedSubproblemError):
-        cs.solve_all_agents(state, problem, topology, weights)
+        warm.solve_stacked(warm.batch.offsets(state.values))

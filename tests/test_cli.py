@@ -228,7 +228,7 @@ def _exits_2_naming(data, tmp_path, capsys, message):
     path.write_text(json.dumps(data))
     for argv in (["run", str(path), "--algo", "ada", "--rounds", "2",
                   "--output", str(tmp_path / "trace.csv")],
-                 ["check", str(path)]):
+                 ["check", str(path)], ["solve-central", str(path)]):
         capsys.readouterr()
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -236,18 +236,29 @@ def _exits_2_naming(data, tmp_path, capsys, message):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("edit, field", [
-    (lambda d: d["eq"][0].update(offset="x"), "eq[0] offset"),
-    (lambda d: d["agents"][0].update(dim="two"), "agents[1] dim"),
-    (lambda d: d["eq"][1].update(row="first"), "eq[1] row"),
-    (lambda d: d["eq"][0].update(agent="one"), "eq[0] agent"),
-    (lambda d: d["eq"][1].update(coeffs=["x"]), "eq[1] coeffs"),
-], ids=["offset", "dim", "row", "agent", "coeffs"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["eq"][0].update(offset="x"), "eq[0] offset must be numeric"),
+    (lambda d: d["agents"][0].update(dim="two"), "agents[1] dim must be an integer"),
+    (lambda d: d["eq"][1].update(row="first"), "eq[1] row must be an integer"),
+    (lambda d: d["eq"][0].update(agent="one"), "eq[0] agent must be an integer"),
+    (lambda d: d["eq"][1].update(coeffs=["x"]), "eq[1] coeffs must be numeric"),
+    (lambda d: d["eq"][1].update(agent=2.9), "eq[1] agent must be an integer, got 2.9"),
+    (lambda d: d["eq"][1].update(agent=True), "eq[1] agent must be an integer, got True"),
+    (lambda d: d["eq"][0].update(row=1.4), "eq[0] row must be an integer, got 1.4"),
+    (lambda d: d["agents"][1].update(dim=1.6), "agents[2] dim must be an integer, got 1.6"),
+    (lambda d: d.update(edges=[[1.5, 2]]), "edges[0] must be an integer, got 1.5"),
+    (lambda d: d.update(weights=[{"constraint": 1.5, "matrix": [[0.5, 0.5], [0.5, 0.5]]}]),
+     "weights[0] constraint must be an integer, got 1.5"),
+    (lambda d: d.update(m_ineq=-1), "m_ineq must be non-negative, got -1"),
+    (lambda d: d.update(q_eq=-1), "q_eq must be non-negative, got -1"),
+], ids=["offset", "dim", "row", "agent", "coeffs", "agent-fraction", "agent-bool",
+        "row-fraction", "dim-fraction", "edge-fraction", "weight-constraint-fraction",
+        "m_ineq-negative", "q_eq-negative"])
 def test_non_numeric_field_exits_2_naming_the_field(toy_file, tmp_path, capsys,
-                                                    edit, field):
+                                                    edit, message):
     data = json.loads(Path(toy_file).read_text())
     edit(data)
-    _exits_2_naming(data, tmp_path, capsys, f"{field} must be numeric")
+    _exits_2_naming(data, tmp_path, capsys, message)
 
 
 @pytest.mark.parametrize("edit, field", [

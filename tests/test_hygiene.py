@@ -1,11 +1,13 @@
-"""Static checks over the package source."""
+"""Static checks over the package source and the scripts that call it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import couplesolve as cs
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "couplesolve"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "couplesolve"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -42,3 +44,48 @@ def test_transport_defines_gather_on_its_class():
     # itself; an inherited one would leave simnet.gather.* and simnet.messages
     # reading 0 without an error.
     assert "gather" in vars(cs.SimnetTransport)
+
+
+def library_references(path: Path) -> set[tuple[str, str]]:
+    """(module, attribute) pairs a script reads from couplesolve.
+
+    Every ``<alias>.<name>`` of an ``import couplesolve[.<mod>] as <alias>``
+    and every ``entry_hook("couplesolve.<mod>", "<attr>", ...)`` call.
+    """
+    tree = ast.parse(path.read_text())
+    aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name.split(".")[0] == "couplesolve"}
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add((aliases[node.value.id], node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "entry_hook" and len(node.args) >= 2
+              and all(isinstance(arg, ast.Constant) for arg in node.args[:2])
+              and str(node.args[0].value).startswith("couplesolve")):
+            found.add((node.args[0].value, node.args[1].value))
+    return found
+
+
+def test_benchmark_and_tool_scripts_read_only_names_the_library_has():
+    # A name these scripts call that the library no longer has would crash
+    # the benchmark or the digest tool; fail here first.
+    scripts = sorted([*ROOT.glob("benchmarks/*.py"), *ROOT.glob("tools/*.py")])
+    refs = {ref for path in scripts for ref in library_references(path)}
+    assert ("couplesolve", "run") in refs
+    assert ("couplesolve.cbf", "euler_step") in refs
+    missing = sorted(f"{module}.{attr}" for module, attr in refs
+                     if not hasattr(importlib.import_module(module), attr))
+    assert missing == []
+
+
+def test_library_references_see_aliases_and_entry_hooks(tmp_path):
+    script = tmp_path / "script.py"
+    script.write_text("import couplesolve as cs\nimport couplesolve.formats as formats\n"
+                      "cs.run(cs.gone)\nformats.emit_trajectory\n"
+                      "with entry_hook('couplesolve.cbf', 'euler_step', f):\n    pass\n")
+    assert library_references(script) == {
+        ("couplesolve", "run"), ("couplesolve", "gone"),
+        ("couplesolve.formats", "emit_trajectory"), ("couplesolve.cbf", "euler_step")}

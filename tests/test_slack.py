@@ -3,7 +3,8 @@ import pytest
 
 import couplesolve as cs
 from couplesolve.exceptions import ValidationError
-from couplesolve.local_qp import assemble_subproblem
+from couplesolve.local_qp import AgentBatch, WarmStart
+from reference import consensus_gradient, fresh_solutions, total_objective
 
 
 def _layout(toy):
@@ -29,28 +30,32 @@ def test_state_accessors(toy):
     assert state.values[0] == 2.0
 
 
-def test_solve_all_agents_known_point(toy):
-    problem, topology, weights = toy
-    state = cs.SlackState(_layout(toy), np.array([2.0, 0.0]))
-    sols = cs.solve_all_agents(state, problem, topology, weights)
+def _stacked(toy, values):
+    """A fresh stream's stacked solve at one allocation: (batch, z, KktSolutions)."""
+    warm = WarmStart(AgentBatch(*toy))
+    z = warm.solve_stacked(warm.batch.offsets(np.asarray(values, dtype=float)))
+    return warm.batch, z, warm.batch.solutions(z, warm.work).kkt_solutions()
+
+
+def test_stacked_solve_known_point(toy):
+    problem = toy[0]
+    batch, z, sols = _stacked(toy, [2.0, 0.0])
     # agent 1 absorbs the slack surplus, agent 2 covers the rest
     assert sols[0].x == pytest.approx([0.0])
     assert sols[1].x == pytest.approx([2.0])
     assert sols[0].eq_multipliers[1] == pytest.approx(0.0)
     assert sols[1].eq_multipliers[1] == pytest.approx(-2.0)
-    assert cs.total_objective(problem, sols) == pytest.approx(2.0)
-    assert cs.stacked_primal(sols) == pytest.approx([0.0, 2.0])
-    assert cs.allocation_objective(state, problem, topology, weights) == (
-        pytest.approx(2.0))
+    assert total_objective(problem, sols) == pytest.approx(2.0)
+    assert batch.objective(z) == pytest.approx(2.0)
+    assert batch.primal(z) == pytest.approx([0.0, 2.0])
 
 
-def test_assembled_gradient_known_point(toy):
+def test_stacked_gradient_known_point(toy):
     problem, topology, weights = toy
-    layout = _layout(toy)
-    state = cs.SlackState(layout, np.array([2.0, 0.0]))
-    sols = cs.solve_all_agents(state, problem, topology, weights)
-    grad = cs.assemble_gradient(sols, topology, weights, layout)
-    assert grad == pytest.approx([1.0, -1.0])
+    batch, z, sols = _stacked(toy, [2.0, 0.0])
+    assert batch.gradient(batch.multipliers(z)) == pytest.approx([1.0, -1.0])
+    assert consensus_gradient(sols, topology, weights, _layout(toy)) == (
+        pytest.approx([1.0, -1.0]))
 
 
 def test_equal_multipliers_give_bitwise_zero_gradient(toy):
@@ -64,14 +69,14 @@ def test_equal_multipliers_give_bitwise_zero_gradient(toy):
 def test_offsets_invariant_under_block_translation(toy):
     problem, topology, weights = toy
     layout = _layout(toy)
+    qps = AgentBatch(problem, topology, weights).qps
 
     def offsets(values):
         state = cs.SlackState(layout, np.asarray(values, dtype=float))
         out = []
-        for agent in (1, 2):
+        for qp in qps:
             view = {(1, j): state.value(1, j) for j in (1, 2)}
-            sub = assemble_subproblem(agent, problem, topology, weights, view)
-            out.append(sub.eq_offsets[0])
+            out.append(qp.offsets(view)[qp.n_ineq])  # the agent's one equality row
         return out
 
     base = offsets([0.625, -0.25])
@@ -86,8 +91,8 @@ def test_optimum_reached_at_feasible_slack(toy):
                                          topology, weights)
     assert star.values == pytest.approx([1.0, -1.0])
     # the allocation built from any feasible primal reproduces its residuals
-    sols = cs.solve_all_agents(star, problem, topology, weights)
-    assert cs.total_objective(problem, sols) <= 2.0 + 1e-12
+    sols = fresh_solutions(problem, topology, weights, star.values)
+    assert total_objective(problem, sols) <= 2.0 + 1e-12
 
 
 def test_feasible_slack_rejects_infeasible_primal(toy):
@@ -107,6 +112,14 @@ def test_finite_difference_matches_analytic(toy):
     assert fd == pytest.approx([1.0, -1.0], abs=1e-7)
 
 
+@pytest.mark.parametrize("base_step", [0.0, -1e-5, float("nan"), float("inf")])
+def test_finite_difference_rejects_a_bad_base_step(toy, base_step):
+    problem, topology, weights = toy
+    state = cs.SlackState(_layout(toy), np.array([2.0, 0.0]))
+    with pytest.raises(ValidationError, match="base_step must be positive and finite"):
+        cs.finite_difference_gradient(state, problem, topology, weights, base_step=base_step)
+
+
 def test_neighbor_views_cover_neighborhoods(toy):
     problem, topology, weights = toy
     views = cs.neighbor_views(topology, np.array([2.0, 0.0]))
@@ -115,19 +128,16 @@ def test_neighbor_views_cover_neighborhoods(toy):
 
 
 def test_gradient_matches_objective_slope(toy):
-    # the assembled gradient must predict allocation-cost changes to first
+    # the stacked gradient must predict allocation-cost changes to first
     # order along a coordinate direction
     problem, topology, weights = toy
-    layout = _layout(toy)
     y = np.array([0.5, -0.25])
-    state = cs.SlackState(layout, y)
-    sols = cs.solve_all_agents(state, problem, topology, weights)
-    grad = cs.assemble_gradient(sols, topology, weights, layout)
+    batch, z, _ = _stacked(toy, y)
+    grad = batch.gradient(batch.multipliers(z))
     h = 1e-6
     for k in range(2):
         bumped = y.copy()
         bumped[k] += h
-        up = cs.allocation_objective(cs.SlackState(layout, bumped), problem,
-                                     topology, weights)
-        down = cs.allocation_objective(state, problem, topology, weights)
+        up = total_objective(problem, fresh_solutions(problem, topology, weights, bumped))
+        down = total_objective(problem, fresh_solutions(problem, topology, weights, y))
         assert (up - down) / h == pytest.approx(grad[k], abs=1e-4)
