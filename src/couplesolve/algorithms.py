@@ -378,7 +378,7 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
     points.extend(rng.uniform(-box_bound, box_bound, size=(interior_samples, n)))
 
     batch = AgentBatch(problem, topology, weights)
-    n_agents, width = len(batch.qps), batch.shape[1]
+    n_agents, width = batch.n_agents, batch.shape[1]
     cold = batch.sets.ids_of([(a, ()) for a in range(n_agents)])
     chunk = max(1, _SAMPLE_ROWS // n_agents)
     points = np.array(points)

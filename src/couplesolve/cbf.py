@@ -15,7 +15,9 @@ decrease conditions  d/dt g >= -alpha(g), which split into per-agent rows
 problem shape this package solves.  The filter QP is re-solved each step,
 either centrally or by a fixed number of distributed rounds with the slack
 allocation reset to zero; every inner iterate already satisfies the coupled
-rows, so even a truncated inner loop never applies an unsafe input.
+rows, so even a truncated inner loop never applies an unsafe input.  From
+step to step only the nominal inputs and the rows move, so the distributed
+filter compiles its ``AgentBatch`` once and refreshes it in place.
 
 The rows are the continuous-time decrease condition, so under the sampled
 Euler step the barrier obeys only  g[k+1] >= (1 - dt) g[k] - dt^2 sum_i ||u_i||^2
@@ -25,7 +27,10 @@ and can settle below 0 by O(dt^2 ||u||^2): the exact (centralized) filter on
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,15 +39,8 @@ from .exceptions import RankDeficiencyError, ValidationError
 from .graph import Graph, build_weights, induce_topology
 from .local_qp import AgentBatch, WarmStart
 from .oracle import solve_centralized
-from .problem import (
-    AgentObjective,
-    CouplingConstraints,
-    ProblemSpec,
-    max_violation,
-    validate_licq,
-)
+from .problem import AgentObjective, CouplingConstraints, ProblemSpec
 from .simnet import SimnetTransport
-from .slack import SlackLayout
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,31 @@ class MultiAgentState:
 
 @dataclass(frozen=True)
 class Barrier:
-    """Disk-sum barrier: radius_sq - sum_i ||z_i - center||^2 >= 0."""
+    """Disk-sum barrier: radius_sq - sum_i ||z_i - center||^2 >= 0.
+
+    Raises ValidationError unless the center is two finite numbers,
+    ``radius_sq`` a finite number > 0 and ``agents`` a non-empty tuple of
+    distinct agent numbers.
+    """
 
     center: tuple[float, float]
     radius_sq: float
     agents: tuple[int, ...]
+
+    def __post_init__(self):
+        try:
+            center = np.asarray(self.center, dtype=float)
+        except (TypeError, ValueError):
+            center = None
+        if center is None or center.shape != (2,) or not np.isfinite(center).all():
+            raise ValidationError(f"barrier center must be two finite numbers, got {self.center!r}")
+        if not _positive(self.radius_sq):
+            raise ValidationError(
+                f"barrier radius_sq must be a finite number > 0, got {self.radius_sq!r}")
+        agents = tuple(self.agents)
+        if not agents or len(set(agents)) != len(agents) or not all(map(_integer, agents)):
+            raise ValidationError(
+                f"barrier agents must be distinct agent numbers, at least one, got {self.agents!r}")
 
     def value(self, positions: np.ndarray) -> float:
         deltas = positions[[i - 1 for i in self.agents]] - np.asarray(self.center)
@@ -79,8 +97,26 @@ class Barrier:
 SOLVERS = ("distributed", "centralized")
 
 
+def _positive(value) -> bool:
+    """Is value a finite real number > 0 (no boolean)?"""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _integer(value) -> bool:
+    """Is value an integer (no boolean)?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CbfScenario:
+    """The filter's barriers and how the loop runs.
+
+    Raises ValidationError, naming the field, unless ``dt``, ``horizon`` and
+    ``gamma`` are finite numbers > 0, ``inner_iterations`` an integer >= 1
+    and ``solver`` one of ``SOLVERS``.
+    """
+
     barriers: tuple[Barrier, ...]
     dt: float = 0.01
     horizon: float = 20.0
@@ -91,10 +127,13 @@ class CbfScenario:
     alpha: object = None  # optional scalar hook applied to the barrier value
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValidationError("dt and horizon must be positive")
-        if self.inner_iterations < 1:
-            raise ValidationError("inner_iterations must be >= 1")
+        for name in ("dt", "horizon", "gamma"):
+            value = getattr(self, name)
+            if not _positive(value):
+                raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+        inner = self.inner_iterations
+        if not (_integer(inner) and inner >= 1):
+            raise ValidationError(f"inner_iterations must be an integer >= 1, got {inner!r}")
         if self.solver not in SOLVERS:
             raise ValidationError(f"unknown solver '{self.solver}'")
 
@@ -132,9 +171,136 @@ def nominal_consensus(state: MultiAgentState, graph: Graph) -> np.ndarray:
     return out
 
 
+def _check_agents(scenario: CbfScenario, graph: Graph, n_agents: int) -> None:
+    """ValidationError unless the graph and every barrier fit ``n_agents`` agents."""
+    if graph.n_agents != n_agents:
+        raise ValidationError(f"graph has {graph.n_agents} agents but the state has {n_agents}")
+    for m, barrier in enumerate(scenario.barriers, start=1):
+        for i in barrier.agents:
+            if not 1 <= i <= n_agents:
+                raise ValidationError(f"barrier {m} names agent {i}, outside 1..{n_agents}")
+
+
+# validate_licq's default rank tolerance.
+_RANK_TOL = 1e-9
+
+
+class _Step(NamedTuple):
+    """The filter QP's parameters at one state (pairs as in ``_FilterRows``)."""
+
+    linear: np.ndarray    # (n, 2) minus the nominal inputs
+    constant: np.ndarray  # (n,) half their squared norms
+    coeffs: np.ndarray    # (P, 2) pair p's row coefficients 2 (z_i - center)
+    offsets: np.ndarray   # (P,) pair p's row offset
+
+
+class _FilterRows:
+    """Where the filter QP's parameters go, laid out once per scenario and graph.
+
+    Pair p is 0-based agent ``agent[p]`` in 0-based barrier ``barrier[p]``,
+    in the order ``assemble_step_problem`` adds the rows: barrier by barrier,
+    each barrier's agents in its order.  Each agent's rows are its barriers
+    ascending, padded to the widest agent as ``AgentBatch`` stacks them:
+    pair p's row is cell ``cell[p]`` of a flat (n, width) array.  Raises
+    ValidationError when the graph and the state disagree on the agent
+    count or a barrier names an agent outside 1..n.
+    """
+
+    def __init__(self, scenario: CbfScenario, graph: Graph, n_agents: int):
+        _check_agents(scenario, graph, n_agents)
+        barriers = scenario.barriers
+        pairs = [(i - 1, m) for m, barrier in enumerate(barriers) for i in barrier.agents]
+        self.scenario, self.graph, self.n = scenario, graph, n_agents
+        self.agent = np.array([a for a, _ in pairs], dtype=int)
+        self.barrier = np.array([m for _, m in pairs], dtype=int)
+        self.center = np.array([barriers[m].center for _, m in pairs], dtype=float).reshape(-1, 2)
+        self.n_g = np.array([len(barriers[m].agents) for _, m in pairs], dtype=int)
+        self.share = np.array([barriers[m].radius_sq / len(barriers[m].agents)
+                               for _, m in pairs], dtype=float)
+        count = np.bincount(self.agent, minlength=n_agents)
+        self.width = int(count.max(initial=0))
+        rank, seen = [], [0] * n_agents
+        for a, _ in pairs:
+            rank.append(seen[a])
+            seen[a] += 1
+        self.cell = self.agent * self.width + np.array(rank, dtype=int)
+        self.by_count = [(k, np.flatnonzero(count == k)) for k in np.unique(count) if k]
+        # aggregate_violation's order: agent by agent, each agent's rows ascending.
+        self.by_agent = sorted(zip(range(len(pairs)), self.agent.tolist(),
+                                   self.barrier.tolist()), key=lambda pair: pair[1])
+
+    def at(self, state: MultiAgentState) -> _Step:
+        """The parameters at ``state``, with ``assemble_step_problem``'s arithmetic.
+
+        Raises the ValidationError the problem's constructors raise for the
+        first value that is not finite.
+        """
+        scenario = self.scenario
+        nominal = nominal_consensus(state, self.graph)
+        deltas = state.positions[self.agent] - self.center
+        if scenario.alpha is None:
+            offsets = np.array([float(delta @ delta) for delta in deltas]) - self.share
+        else:
+            decrease = np.array([float(scenario.alpha(barrier.value(state.positions)))
+                                 for barrier in scenario.barriers])
+            offsets = -decrease[self.barrier] / self.n_g
+        step = _Step(-nominal, np.array([0.5 * float(v @ v) for v in nominal]),
+                     2.0 * deltas, offsets)
+        if not all(np.isfinite(values).all() for values in step):
+            self.problem(step)  # raises the constructors' ValidationError
+        return step
+
+    def problem(self, step: _Step) -> ProblemSpec:
+        """The filter QP with these parameters."""
+        objectives = tuple(AgentObjective(np.eye(2), linear, float(constant))
+                           for linear, constant in zip(step.linear, step.constant))
+        cons = CouplingConstraints(self.n, m_ineq=len(self.scenario.barriers), q_eq=0)
+        for a, m, coeffs, offset in zip(self.agent.tolist(), self.barrier.tolist(),
+                                        step.coeffs, step.offsets.tolist()):
+            cons.add_ineq_row(a + 1, m + 1, coeffs, offset)
+        return ProblemSpec(objectives, cons, self.graph)
+
+    def padded(self, step: _Step) -> tuple[np.ndarray, np.ndarray]:
+        """The rows (n, width, 2) and offsets (n, width), laid out as ``AgentBatch``'s."""
+        rows = np.zeros((self.n * self.width, 2))
+        rows[self.cell] = step.coeffs
+        base = np.zeros(self.n * self.width)
+        base[self.cell] = step.offsets
+        return rows.reshape(self.n, self.width, 2), base.reshape(self.n, self.width)
+
+    def licq_failures(self, rows: np.ndarray) -> tuple[int, ...]:
+        """The agents (1-based) whose padded rows fail ``validate_licq``'s rank rule.
+
+        One batched singular value decomposition per row count.
+        """
+        failed = []
+        for k, agents in self.by_count:
+            sv = np.linalg.svd(rows[agents, :k], compute_uv=False)
+            ok = (k <= rows.shape[-1]) & (sv[:, -1] > _RANK_TOL * np.maximum(1.0, sv[:, 0]))
+            failed += (agents[~ok] + 1).tolist()
+        return tuple(sorted(failed))
+
+    def violation(self, step: _Step, u: np.ndarray) -> float:
+        """``max_violation``'s inequality figure of the inputs u (n, 2).
+
+        ``aggregate_violation``'s arithmetic: coeffs @ u_i + offset per
+        pair, added up per barrier over its agents in ascending order.
+        """
+        rows = np.zeros(len(self.scenario.barriers))
+        for p, a, m in self.by_agent:
+            rows[m] += step.coeffs[p] @ u[a] + step.offsets[p]
+        return max(float(np.max(rows, initial=0.0)), 0.0)
+
+
 def assemble_step_problem(state: MultiAgentState, scenario: CbfScenario,
                           graph: Graph) -> ProblemSpec:
-    """The safety-filter QP at the current positions."""
+    """The safety-filter QP at the current positions.
+
+    Raises ValidationError when the graph and the state disagree on the
+    agent count, a barrier names an agent outside 1..n, or a value is not
+    finite.
+    """
+    _check_agents(scenario, graph, state.n_agents)
     nominal = nominal_consensus(state, graph)
     objectives = tuple(
         AgentObjective(np.eye(2), -nominal[i], 0.5 * float(nominal[i] @ nominal[i]))
@@ -182,14 +348,23 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
                     state: MultiAgentState) -> ClosedLoopResult:
     """Simulate the sampled closed loop over the scenario horizon.
 
-    The constraint topology is fixed (participants never change), so the
-    induced subgraphs and weights are computed once; per step only the row
-    coefficients and offsets are refreshed.  Inner rounds exchange over one
-    strict ``SimnetTransport``, so agents read one-hop values only.  Aborts
-    with a diagnostic when an agent's barrier rows become linearly dependent
-    (LICQ failure, e.g. an agent exactly at a barrier center or two barrier
-    gradients aligned).
+    The participants never change, so the step problems differ only in the
+    nominal inputs (each agent's linear term and constant) and the barrier
+    rows and offsets.  Compiled once, from the problem at ``state``: the
+    induced subgraphs, the weights, one strict ``SimnetTransport`` (agents
+    read one-hop values only) and, for the distributed solver, one
+    ``AgentBatch``.  Per step the parameters are computed in one pass and
+    the batch is refreshed in place; its two streams, the inner rounds'
+    and the applied solve's, keep their working sets across steps.  The
+    centralized solver builds each step's ``ProblemSpec``.  Aborts with a
+    diagnostic when an agent's barrier rows become linearly dependent (LICQ
+    failure, e.g. an agent exactly at a barrier center or two barrier
+    gradients aligned): one batched singular value decomposition per row
+    count, ``validate_licq``'s rule.  Raises ValidationError when a
+    parameter is not finite, when the graph and the state disagree on the
+    agent count or when a barrier names an agent outside 1..n.
     """
+    rows = _FilterRows(scenario, graph, state.n_agents)
     steps = int(round(scenario.horizon / scenario.dt))
     n, k = graph.n_agents, len(scenario.barriers)
 
@@ -203,38 +378,42 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     problem = assemble_step_problem(state, scenario, graph)
     topology = induce_topology(problem, graph)
     weights = build_weights(topology)
-    layout = SlackLayout.from_topology(topology)
-    transport = SimnetTransport(topology)
-    config = AdaConfig(scenario.gamma, scenario.inner_iterations)
-    slack = np.zeros(layout.size)
-    # Working sets carry over from step to step; factors are per step problem.
-    rounds = final = None
+    distributed = scenario.solver == "distributed"
+    if distributed:
+        batch = AgentBatch(problem, topology, weights)
+        transport = SimnetTransport(topology)
+        config = AdaConfig(scenario.gamma, scenario.inner_iterations)
+        slack = np.zeros(batch.size)
+        # Working sets carry over from step to step; their maps are built
+        # again over each step's rows.
+        rounds = final = None
 
     for s in range(steps):
         times[s] = state.time
         positions[s] = state.positions
         barrier_values[s] = [b.value(state.positions) for b in scenario.barriers]
 
-        problem = assemble_step_problem(state, scenario, graph)
-        licq = validate_licq(problem)
-        if not licq.all_full_rank:
+        step = rows.at(state)
+        padded = rows.padded(step)
+        failures = rows.licq_failures(padded[0])
+        if failures:
             raise RankDeficiencyError(
-                f"step {s} (t={state.time:.3f}): agents {licq.failures()} have "
+                f"step {s} (t={state.time:.3f}): agents {failures} have "
                 "linearly dependent barrier rows; the sampled problem is "
                 "degenerate at this state"
             )
 
-        if scenario.solver == "centralized":
-            sol = solve_centralized(problem)
+        if not distributed:
+            sol = solve_centralized(rows.problem(step))
             u = sol.x.reshape(n, 2)
             inner_worst[s] = 0.0
         else:
             # Truncated averaging rounds; the input is the primal at the average.
-            start = slack if scenario.warm_start else np.zeros(layout.size)
-            inner = AdaState(start, np.zeros(layout.size), np.zeros(layout.size), 0)
-            batch = AgentBatch(problem, topology, weights)
-            rounds = WarmStart(batch, rounds.working if rounds else None)
-            final = WarmStart(batch, final.working if final else None)
+            seeds = (rounds.working, final.working) if rounds else (None, None)
+            batch.refresh(step.linear, step.constant, *padded)
+            rounds, final = (WarmStart(batch, working) for working in seeds)
+            start = slack if scenario.warm_start else np.zeros(batch.size)
+            inner = AdaState(start, np.zeros(batch.size), np.zeros(batch.size), 0)
             worst = 0.0
             for inner, z, _ in iterate_rounds(
                     problem, topology, weights, config, inner, transport, warm=rounds):
@@ -243,7 +422,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             u = batch.primal(final.solve_stacked(batch.offsets(slack))).reshape(n, 2)
             inner_worst[s] = worst
 
-        applied_worst[s], _ = max_violation(problem, u.reshape(-1))
+        applied_worst[s] = rows.violation(step, u)
         inputs[s] = u
         state = euler_step(state, u, scenario.dt)
 

@@ -31,7 +31,7 @@ import json
 import numpy as np
 
 from .cbf import SOLVERS, CbfScenario, ClosedLoopResult, line_consensus_scenario
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ValidationError
 from .graph import Graph, WeightMatrix
 from .problem import AgentObjective, CouplingConstraints, ProblemSpec
 
@@ -218,7 +218,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> CbfScenario:
               "solver": lambda value, field: one_of(value, SOLVERS, field)}
     overrides = {k: check(data[k], f"{where}: {k}") for k, check in checks.items()
                  if k in data}
-    scenario, _, _ = line_consensus_scenario(**overrides)
+    try:
+        scenario, _, _ = line_consensus_scenario(**overrides)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return scenario
 
 

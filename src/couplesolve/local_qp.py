@@ -23,9 +23,12 @@ From one round to the next only the offsets change.  ``AgentQP`` compiles
 everything else once: H, c, the rows, their base offsets and the consensus
 terms that turn neighbour slacks into offsets.  For a fixed working set W the
 KKT solution is affine in the offsets, z = s_W + M_W off.  ``AgentBatch``
-keeps every working set its solves meet in one table, each map stacked
-under an id; the maps of newly met sets are built together, one stacked
-inverse per KKT size.
+stacks every agent's compiled QP and keeps every working set its solves
+meet in one table, each map stacked under an id; the maps of newly met sets
+are built together, one stacked inverse per KKT size, from the batch's
+stacked arrays.  ``AgentBatch.refresh`` overwrites c, the constants, the
+rows and their base offsets in place for a problem of the same structure
+(the safety filter's next step) and empties the table.
 
 ``AgentBatch.solve_rows`` runs ``solve_kkt``'s loop in lock step over many
 rows, a row being one agent's QP at one set of offsets from one starting
@@ -316,17 +319,20 @@ def _inverses(kkt) -> np.ndarray:
         return out
 
 
-def _factors(pairs, dim: int, width: int):
-    """The affine maps of (AgentQP, working positions) pairs, stacked.
+def _factors(hessian, linear, rows, counts, pairs):
+    """The affine maps of (agent, working positions) pairs, stacked.
 
-    Per pair: m (dim + width, width) and s (dim + width,), the KKT solution
-    z = s + m @ offsets; masks of the rows in the KKT system (equalities and
-    working inequalities), of the working rows and of the free inequality
-    rows; and ready, False where the KKT system is singular (m and s then
-    stay zero).  Pairs with the same block dimension and KKT row count share
-    one stacked inverse.
+    ``hessian`` (n, dim, dim), ``linear`` (n, dim) and ``rows`` (n, width,
+    dim) stack the agents' padded parameters, and ``counts[agent]`` is its
+    (block dimension, inequality rows, rows).  Per pair: m (dim + width,
+    width) and s (dim + width,), the KKT solution z = s + m @ offsets; masks
+    of the rows in the KKT system (equalities and working inequalities), of
+    the working rows and of the free inequality rows; and ready, False where
+    the KKT system is singular (m and s then stay zero).  Pairs with the same
+    block dimension and KKT row count share one stacked inverse.
     """
     n = len(pairs)
+    width, dim = rows.shape[-2:]
     m = np.zeros((n, dim + width, width))
     s = np.zeros((n, dim + width))
     kkt = np.zeros((n, width), dtype=bool)
@@ -334,29 +340,29 @@ def _factors(pairs, dim: int, width: int):
     free = np.zeros((n, width), dtype=bool)
     ready = np.zeros(n, dtype=bool)
     groups = {}
-    for j, (qp, working) in enumerate(pairs):
-        rows = (*range(qp.n_ineq, len(qp.constraints)), *working)  # solve_kkt's order
-        groups.setdefault((qp.objective.dim, len(rows)), []).append((j, rows))
-        free[j, :qp.n_ineq] = True
+    for j, (agent, working) in enumerate(pairs):
+        d, k_i, k = counts[agent]
+        kkt_rows = (*range(k_i, k), *working)  # solve_kkt's order
+        groups.setdefault((d, len(kkt_rows)), []).append((j, agent, kkt_rows))
+        free[j, :k_i] = True
     for (d, r), members in groups.items():
-        at = np.array([j for j, _ in members], dtype=int)
-        rows = np.array([kkt_rows for _, kkt_rows in members], dtype=int).reshape(len(at), r)
-        qps = [pairs[j][0] for j in at.tolist()]
-        g = np.stack([qp.rows[:, :d] for qp in qps])[np.arange(len(at))[:, None], rows]
-        linear = np.stack([qp.linear[:d] for qp in qps])
+        at = np.array([j for j, _, _ in members], dtype=int)
+        agents = np.array([agent for _, agent, _ in members], dtype=int)
+        sel = np.array([kkt_rows for _, _, kkt_rows in members], dtype=int).reshape(len(at), r)
+        g = rows[agents[:, None], sel, :d]
         system = np.zeros((len(at), d + r, d + r))
-        system[:, :d, :d] = np.stack([qp.hessian[:d, :d] for qp in qps])
+        system[:, :d, :d] = hessian[agents, :d, :d]
         system[:, :d, d:] = g.transpose(0, 2, 1)
         system[:, d:, :d] = g
         inverse = _inverses(system)
         solved = np.isfinite(inverse).all((1, 2))
-        at, rows, inverse, linear = at[solved], rows[solved], inverse[solved], linear[solved]
-        out = np.concatenate([np.broadcast_to(np.arange(d), (len(at), d)), dim + rows], axis=1)
-        s[at[:, None], out] = (inverse[:, :, :d] @ -linear[:, :, None])[..., 0]
-        m[at[:, None, None], out[:, :, None], rows[:, None, :]] = -inverse[:, :, d:]
-        kkt[at[:, None], rows] = True
+        at, agents, sel, inverse = at[solved], agents[solved], sel[solved], inverse[solved]
+        out = np.concatenate([np.broadcast_to(np.arange(d), (len(at), d)), dim + sel], axis=1)
+        s[at[:, None], out] = (inverse[:, :, :d] @ -linear[agents, :d, None])[..., 0]
+        m[at[:, None, None], out[:, :, None], sel[:, None, :]] = -inverse[:, :, d:]
+        kkt[at[:, None], sel] = True
         ready[at] = True
-    for j, (qp, working) in enumerate(pairs):
+    for j, (_, working) in enumerate(pairs):
         work[j, list(working)] = True
         free[j, list(working)] = False
     return m, s, kkt, work, free, ready
@@ -436,19 +442,15 @@ class AgentQP:
                                offsets[:k_i], self.eq_indices, self.rows[k_i:k, :d],
                                offsets[k_i:k])
 
-    def singular(self, working: tuple) -> Exception:
-        """``solve_kkt``'s diagnosis of a working set (positions) it cannot solve."""
-        d, k = self.objective.dim, len(self.constraints)
-        return _singular(self.objective.hessian,
-                         self.rows[[*range(self.n_ineq, k), *working], :d])
-
     def kkt_solve(self, working: tuple, offsets):
         """``_kkt_solve`` through the working set's affine map: (x, multipliers) or None.
 
         The multipliers come in ``solve_kkt``'s order: equalities, then the
         working inequalities.  The scalar reference of ``AgentBatch.solve_rows``.
         """
-        m, s, kkt, _, _, ready = _factors([(self, working)], *self.shape[:2])
+        counts = [(self.objective.dim, self.n_ineq, len(self.constraints))]
+        m, s, kkt, _, _, ready = _factors(self.hessian[None], self.linear[None], self.rows[None],
+                                          counts, [(0, working)])
         if not ready[0]:
             return None
         z = _affine(m[0], s[0], offsets)
@@ -498,12 +500,13 @@ class _SetTable:
     A set is an (agent, working positions) pair and gets an id on first
     use; ``m``, ``s``, ``kkt``, ``work``, ``free`` and ``ready`` hold each
     id's map and masks (see ``_factors``), so a gather by id replaces a
-    Python lookup per agent.
+    Python lookup per agent.  Maps are built from the batch's own stacked
+    parameters, which ``AgentBatch.refresh`` overwrites in place.
     """
 
-    def __init__(self, qps, shape):
-        dim, width, _ = shape
-        self.qps = qps
+    def __init__(self, batch):
+        dim, width, _ = batch.shape
+        self.params = (batch.hessian, batch.linear, batch.rows, batch.counts)
         self.width = width
         self.ids = {}   # (agent, working) -> id
         self.keys = []  # id -> (agent, working)
@@ -527,8 +530,7 @@ class _SetTable:
                     setattr(self, name, grown)
             (self.m[first:last], self.s[first:last], self.kkt[first:last],
              self.work[first:last], self.free[first:last], self.ready[first:last]) = _factors(
-                [(self.qps[agent], working) for agent, working in new],
-                self.s.shape[1] - self.width, self.width)
+                *self.params, new)
             self.ids.update((key, first + k) for k, key in enumerate(new))
             self.keys += new
         return np.array([self.ids[key] for key in keys], dtype=int)
@@ -557,12 +559,15 @@ class _SetTable:
 class AgentBatch:
     """Every agent's compiled QP, padded to one shape and stacked.
 
-    Built once per (problem, topology, weights); ``sets`` holds every
-    working set its solves have met with its affine map, and ``solve_rows``
-    is the lock-step active-set loop, which ``WarmStart`` streams over it
-    share.  Besides the stacked QPs it reads a stacked solution z (see
-    ``StackedSolutions``) in one pass each: the objective, the coupled-row
-    residuals, the primal vector and the multipliers in slack layout.
+    Built once per (problem, topology, weights) from one ``AgentQP`` per
+    agent, which it does not keep: the stacked arrays are the one copy of the
+    parameters, and ``refresh`` overwrites them in place for a problem of the
+    same structure.  ``sets`` holds every working set its solves have met
+    with its affine map, and ``solve_rows`` is the lock-step active-set
+    loop, which ``WarmStart`` streams over it share.  Besides the stacked
+    QPs it reads a stacked solution z (see ``StackedSolutions``) in one pass
+    each: the objective, the coupled-row residuals, the primal vector and
+    the multipliers in slack layout.
     """
 
     def __init__(self, problem, topology, weights):
@@ -577,13 +582,16 @@ class AgentBatch:
                  for i in topology.participants_of(l)), default=0),
         )
         self.shape = shape
-        self.qps = [AgentQP(i, problem, topology, weights, shape) for i in agents]
-        self.hessian = np.stack([qp.hessian for qp in self.qps])
-        self.linear = np.stack([qp.linear for qp in self.qps])
+        qps = [AgentQP(i, problem, topology, weights, shape) for i in agents]
+        self.n_agents = len(qps)
+        self.hessian = np.stack([qp.hessian for qp in qps])
+        self.linear = np.stack([qp.linear for qp in qps])
         self.constant = np.array([obj.constant for obj in problem.objectives], dtype=float)
-        self.rows = np.stack([qp.rows for qp in self.qps])
-        self.base = np.stack([qp.base for qp in self.qps])
-        self.p = np.stack([qp.p for qp in self.qps])
+        self.rows = np.stack([qp.rows for qp in qps])
+        self.base = np.stack([qp.base for qp in qps])
+        self.p = np.stack([qp.p for qp in qps])
+        # Per agent: (block dimension, inequality rows, rows).
+        self.counts = [(qp.objective.dim, qp.n_ineq, len(qp.constraints)) for qp in qps]
         self.dims = problem.dims
         self.ineq_indices = topology.agent_ineq_sets
         self.eq_indices = topology.agent_eq_sets
@@ -595,24 +603,39 @@ class AgentBatch:
         # The read pass: read k is agent readers[k]'s (0-based) read of slack
         # coordinate flat[k], into its buffer slot slots[k].
         self.slots = np.array([a * width * (reach + 1) + slot
-                               for a, qp in enumerate(self.qps) for slot in qp.slots],
+                               for a, qp in enumerate(qps) for slot in qp.slots],
                               dtype=int)
-        self.flat = np.array([layout.index(l, j) for qp in self.qps for l, j in qp.keys],
-                             dtype=int)
-        self.readers = np.repeat(np.arange(len(self.qps)), [len(qp.keys) for qp in self.qps])
+        self.flat = np.array([layout.index(l, j) for qp in qps for l, j in qp.keys], dtype=int)
+        self.readers = np.repeat(np.arange(len(qps)), [len(qp.keys) for qp in qps])
         # Each agent row, agent by agent: its cell in a (n, width) array, its
         # slack coordinate (where its gap lands in a gradient) and its
         # constraint.  Rows and slack coordinates match one to one.
-        self.cells = np.array([a * width + r for a, qp in enumerate(self.qps)
+        self.cells = np.array([a * width + r for a, qp in enumerate(qps)
                                for r in range(len(qp.constraints))], dtype=int)
-        self.coords = np.array([layout.index(l, a) for a, qp in enumerate(self.qps, start=1)
+        self.coords = np.array([layout.index(l, a) for a, qp in enumerate(qps, start=1)
                                 for l in qp.constraints], dtype=int)
-        self.constraint = np.array([l - 1 for qp in self.qps for l in qp.constraints],
-                                   dtype=int)
+        self.constraint = np.array([l - 1 for qp in qps for l in qp.constraints], dtype=int)
         self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
         self.size = layout.size
-        self.cap = 100 * np.maximum(1, [qp.n_ineq for qp in self.qps])
-        self.sets = _SetTable(self.qps, shape)
+        self.cap = 100 * np.maximum(1, [qp.n_ineq for qp in qps])
+        self.sets = _SetTable(self)
+
+    def refresh(self, linear, constant, rows, base) -> None:
+        """Overwrite the parameters in place: a problem of the same structure.
+
+        ``linear`` (n, dim), ``constant`` (n,), ``rows`` (n, width, dim) and
+        ``base`` (n, width) are laid out like the attributes of those names,
+        padding included; the Hessians, the topology and the weights stay.
+        Every working set's map depends on the rows, so ``sets`` starts
+        empty, and a stream over the batch goes on as a new one seeded with
+        the sets it ended on: ``WarmStart(batch, working)``, with
+        ``working = stream.working`` read before the refresh.
+        """
+        self.linear[...] = linear
+        self.constant[...] = constant
+        self.rows[...] = rows
+        self.base[...] = base
+        self.sets = _SetTable(self)
 
     def solve_rows(self, agents, offsets, start) -> tuple[np.ndarray, np.ndarray]:
         """``solve_kkt``'s active-set loop, run in lock step over many rows.
@@ -679,7 +702,9 @@ class AgentBatch:
                     failed = first
                     agent, working = sets.keys[ids[failed]]
                     if failed in unsolved:
-                        error = self.qps[agent].singular(working)
+                        d, k_i, k = self.counts[agent]
+                        error = _singular(self.hessian[agent, :d, :d],
+                                          self.rows[agent, [*range(k_i, k), *working], :d])
                     elif failed in rows[seen]:
                         error = _revisited()
                     else:
@@ -708,9 +733,9 @@ class AgentBatch:
             values = values.checked(self.readers, self.flat)
         _, width, reach = self.shape
         lead = values.shape[:-1]
-        buf = np.zeros(lead + (len(self.qps) * width * (reach + 1),))
+        buf = np.zeros(lead + (self.n_agents * width * (reach + 1),))
         buf.T[self.slots] = values.T[self.flat]  # .T: the slack axis first
-        buf = buf.reshape(lead + (len(self.qps), width, reach + 1))
+        buf = buf.reshape(lead + (self.n_agents, width, reach + 1))
         return _gap(self.p, buf[..., 0], buf[..., 1:])
 
     def offsets(self, values) -> np.ndarray:
@@ -784,7 +809,7 @@ class WarmStart:
     def __init__(self, batch: AgentBatch, working=None):
         self.batch = batch
         self.ids = batch.sets.ids_of([(a, () if working is None else working[a])
-                                      for a in range(len(batch.qps))])
+                                      for a in range(batch.n_agents)])
         self.m, self.s, self.kkt, self.work, self.free, self.ready = batch.sets.gather(self.ids)
 
     @property

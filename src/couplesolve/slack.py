@@ -28,7 +28,6 @@ import numpy as np
 from .exceptions import DisconnectedSubgraphError, ValidationError
 from .local_qp import AgentBatch, WarmStart
 from .problem import aggregate_violation
-from .simnet import neighbor_views
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     layout = slack.layout
     warm = WarmStart(AgentBatch(problem, topology, weights))
     batch = warm.batch
-    base_views = [dict(view) for view in neighbor_views(topology, slack.values)]
     base = warm.solve_stacked(batch.offsets(slack.values))
     base_costs = np.array([obj.value(z[:obj.dim])
                            for obj, z in zip(problem.objectives, base)])
@@ -168,10 +166,11 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
             steps.append((k, h))
             affected = [i - 1 for i in topology.neighborhood(l, agent)]
             for value in (slack.values[k] + h, slack.values[k] - h):
+                point = slack.values.copy()
+                point[k] = value
                 probes.append(affected)
                 agents += affected
-                offsets += [batch.qps[a].offsets({**base_views[a], (l, agent): value})
-                            for a in affected]
+                offsets.extend(batch.offsets(point)[affected])
     z, _ = batch.solve_rows(agents, np.reshape(offsets, (len(agents), batch.shape[1])),
                             warm.ids[agents])
 

@@ -9,15 +9,26 @@ The per-agent references of a round: every agent's ``KktSolution`` from a
 fresh stream, their objective summed through ``AgentObjective.value``, their
 multipliers read through ``KktSolution.multiplier`` and the gradient formed
 coordinate by coordinate with ``consensus_gap``, as each agent forms its own.
+
+The closed loop rebuilt at every step: ``rebuilt_closed_loop`` assembles
+each step's filter QP with ``assemble_step_problem``, checks it with
+``validate_licq``, compiles a fresh ``AgentBatch`` with two fresh
+``WarmStart`` streams and checks the applied input with ``max_violation``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from couplesolve import AgentObjective, consensus_gap, neighbor_views
+from couplesolve import (AgentObjective, SlackLayout, build_weights, consensus_gap,
+                         induce_topology, max_violation, neighbor_views, solve_centralized,
+                         validate_licq)
+from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
+from couplesolve.cbf import ClosedLoopResult, assemble_step_problem, euler_step
+from couplesolve.exceptions import RankDeficiencyError
 from couplesolve.local_qp import AgentBatch, LocalSubproblem, WarmStart, solve_kkt
 from couplesolve.oracle import stacked_arrays
+from couplesolve.simnet import SimnetTransport
 
 
 def dense_oracle(problem):
@@ -74,3 +85,59 @@ def consensus_gradient(solutions, topology, weights, layout) -> np.ndarray:
         for i in topology.participants_of(l):
             grad[layout.index(l, i)] = consensus_gap(l, i, topology, weights, views[i - 1])
     return grad
+
+
+def rebuilt_closed_loop(scenario, graph, state):
+    """``run_closed_loop`` with every step's problem, LICQ report and batch built anew."""
+    steps = int(round(scenario.horizon / scenario.dt))
+    n, k = graph.n_agents, len(scenario.barriers)
+    times = np.zeros(steps + 1)
+    positions = np.zeros((steps + 1, n, 2))
+    barrier_values = np.zeros((steps + 1, k))
+    inputs = np.zeros((steps, n, 2))
+    inner_worst = np.zeros(steps)
+    applied_worst = np.zeros(steps)
+
+    problem = assemble_step_problem(state, scenario, graph)
+    topology = induce_topology(problem, graph)
+    weights = build_weights(topology)
+    transport = SimnetTransport(topology)
+    config = AdaConfig(scenario.gamma, scenario.inner_iterations)
+    size = SlackLayout.from_topology(topology).size
+    slack = np.zeros(size)
+    rounds = final = None
+    for s in range(steps):
+        times[s] = state.time
+        positions[s] = state.positions
+        barrier_values[s] = [b.value(state.positions) for b in scenario.barriers]
+        problem = assemble_step_problem(state, scenario, graph)
+        licq = validate_licq(problem)
+        if not licq.all_full_rank:
+            raise RankDeficiencyError(
+                f"step {s} (t={state.time:.3f}): agents {licq.failures()} have "
+                "linearly dependent barrier rows; the sampled problem is "
+                "degenerate at this state"
+            )
+        if scenario.solver == "centralized":
+            u = solve_centralized(problem).x.reshape(n, 2)
+        else:
+            start = slack if scenario.warm_start else np.zeros(size)
+            inner = AdaState(start, np.zeros(size), np.zeros(size), 0)
+            batch = AgentBatch(problem, topology, weights)
+            rounds = WarmStart(batch, rounds.working if rounds else None)
+            final = WarmStart(batch, final.working if final else None)
+            worst = 0.0
+            for inner, z, _ in iterate_rounds(problem, topology, weights, config, inner,
+                                              transport, warm=rounds):
+                worst = max(worst, batch.violation(z)[0])
+            slack = inner.average
+            u = batch.primal(final.solve_stacked(batch.offsets(slack))).reshape(n, 2)
+            inner_worst[s] = worst
+        applied_worst[s], _ = max_violation(problem, u.reshape(-1))
+        inputs[s] = u
+        state = euler_step(state, u, scenario.dt)
+    times[steps] = state.time
+    positions[steps] = state.positions
+    barrier_values[steps] = [b.value(state.positions) for b in scenario.barriers]
+    return ClosedLoopResult(times, positions, barrier_values, inputs, inner_worst,
+                            applied_worst, scenario)

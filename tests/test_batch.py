@@ -37,6 +37,12 @@ def _deviation(sol, x, mu, lam):
     return worst
 
 
+def _qps(problem, topology, weights, batch):
+    """Every agent's ``AgentQP`` at the batch's shape: the QPs the batch stacks."""
+    return [AgentQP(i, problem, topology, weights, batch.shape)
+            for i in range(1, problem.n_agents + 1)]
+
+
 def _starts(qp, active):
     """Correct, empty and deliberately wrong first working sets (positions)."""
     correct = tuple(qp.position[idx] for idx in active)
@@ -48,6 +54,7 @@ def _starts(qp, active):
 def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypatch):
     problem, topology, weights = make(seed)
     batch = AgentBatch(problem, topology, weights)
+    qps = _qps(problem, topology, weights, batch)
     layout, points = _points(topology, seed)
 
     fallbacks = []  # rows entering the lock-step loop
@@ -63,9 +70,9 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
     misled = 0  # agents whose wrong start differs from the correct one
     for flat in points:
         views = cs.neighbor_views(topology, flat)
-        subs = [qp.subproblem(qp.offsets(view)) for qp, view in zip(batch.qps, views)]
+        subs = [qp.subproblem(qp.offsets(view)) for qp, view in zip(qps, views)]
         cold = [loop(sub) for sub in subs]
-        starts = [_starts(qp, sol.active_set) for qp, sol in zip(batch.qps, cold)]
+        starts = [_starts(qp, sol.active_set) for qp, sol in zip(qps, cold)]
         misled += sum(s["wrong"] != s["correct"] for s in starts)
         offsets = batch.offsets(views)
         for kind in ran:
@@ -75,7 +82,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
             if kind == "correct":
                 assert not fallbacks  # the acceptance pass takes every correct set
             for a, (sub, ref, sol) in enumerate(zip(subs, cold, batched)):
-                qp = batch.qps[a]
+                qp = qps[a]
                 first = tuple(qp.ineq_indices[p] for p in starts[a][kind])
                 expected = brute_force_solve(sub)
                 assert expected is not None
@@ -93,11 +100,12 @@ def test_answer_depends_only_on_the_final_working_set(make, seed):
     # working set gives one set of bits.
     problem, topology, weights = make(seed)
     batch = AgentBatch(problem, topology, weights)
+    qps = _qps(problem, topology, weights, batch)
     layout, points = _points(topology, seed)
     for flat in points:
         offsets = batch.offsets(flat)
         cold = kkt_solutions_at(WarmStart(batch), offsets)
-        starts = [_starts(qp, sol.active_set) for qp, sol in zip(batch.qps, cold)]
+        starts = [_starts(qp, sol.active_set) for qp, sol in zip(qps, cold)]
         for kind in ("correct", "wrong"):
             again = kkt_solutions_at(WarmStart(batch, [s[kind] for s in starts]), offsets)
             for a, b in zip(cold, again):
@@ -127,9 +135,9 @@ def test_lockstep_rows_match_cold_solves(make, seed):
     layout = cs.SlackLayout.from_topology(topology)
     rng = np.random.default_rng(2000 + seed)
     offsets = batch.offsets(rng.uniform(-3.0, 3.0, size=(12, layout.size)))
-    cold = batch.sets.ids_of([(a, ()) for a in range(len(batch.qps))])
+    cold = batch.sets.ids_of([(a, ()) for a in range(batch.n_agents)])
     expected = {}
-    for a, qp in enumerate(batch.qps):
+    for a, qp in enumerate(_qps(problem, topology, weights, batch)):
         z, ids = batch.solve_rows(np.full(len(offsets), a), offsets[:, a],
                                   np.full(len(offsets), cold[a]))
         for p, (got, sid) in enumerate(zip(z, ids)):
@@ -137,7 +145,7 @@ def test_lockstep_rows_match_cold_solves(make, seed):
             expected[p, a] = _padded(qp, sol)
             assert np.array_equal(got, expected[p, a])
             assert batch.sets.keys[sid] == (a, tuple(qp.position[i] for i in sol.active_set))
-    pairs = [(p, a) for p in range(len(offsets)) for a in range(len(batch.qps))]
+    pairs = [(p, a) for p in range(len(offsets)) for a in range(batch.n_agents)]
     order = rng.permutation(len(pairs))
     agents = np.array([pairs[k][1] for k in order])
     z, _ = batch.solve_rows(agents, np.array([offsets[pairs[k]] for k in order]),
@@ -147,7 +155,10 @@ def test_lockstep_rows_match_cold_solves(make, seed):
 
 
 def _failing_batch():
-    """At its FAILING offsets, 0-based agent 0 cycles and agent 1 has a flat, unpinned direction."""
+    """At its FAILING offsets, 0-based agent 0 cycles and agent 1 has a flat, unpinned direction.
+
+    Returns the batch and the ``AgentQP``s it stacks.
+    """
     cycling = cs.AgentObjective(2.0 * np.eye(2), np.array([-1.0, 1.0]))
     flat = cs.AgentObjective(np.diag([1.0, 0.0]), np.array([0.0, -1.0]))
     good = cs.AgentObjective(np.eye(2), np.zeros(2))
@@ -159,14 +170,16 @@ def _failing_batch():
     graph = cs.Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
     problem = cs.ProblemSpec((cycling, flat, good), cons, graph)
     topology = cs.induce_topology(problem, graph)
-    return AgentBatch(problem, topology, cs.build_weights(topology))
+    weights = cs.build_weights(topology)
+    batch = AgentBatch(problem, topology, weights)
+    return batch, _qps(problem, topology, weights, batch)
 
 
 FAILING = {0: [-2.0, -1.0, 2.0, 0.0], 1: [0.0, 0.0, 0.0, 0.0]}
 
 
 def test_lockstep_failures_raise_what_solve_kkt_raises():
-    batch = _failing_batch()
+    batch, qps = _failing_batch()
     good = [(0, [-5.0, -5.0, -5.0, -5.0]), (2, [0.5, -1.0, 0.25, -2.0]), (2, [-1.0] * 4)]
     raised = set()
     for bad in ([0, 1], [1, 0]):
@@ -175,7 +188,7 @@ def test_lockstep_failures_raise_what_solve_kkt_raises():
                 good[2]]
         agents = np.array([a for a, _ in rows])
         offsets = np.array([off for _, off in rows])
-        qp = batch.qps[bad[0]]
+        qp = qps[bad[0]]
         with pytest.raises(cs.SolverError) as expected:
             local_qp.solve_kkt(qp.subproblem(offsets[1]), (), qp)
         cold = batch.sets.ids_of([(a, ()) for a in agents])
@@ -207,8 +220,9 @@ def test_lockstep_breaks_ties_as_solve_kkt(start, offset):
     graph = cs.Graph.from_edges(2, [(1, 2)])
     problem = cs.ProblemSpec((obj, obj), cons, graph)
     topology = cs.induce_topology(problem, graph)
-    batch = AgentBatch(problem, topology, cs.build_weights(topology))
-    qp, offsets = batch.qps[0], np.array([offset, offset])
+    weights = cs.build_weights(topology)
+    batch = AgentBatch(problem, topology, weights)
+    qp, offsets = AgentQP(1, problem, topology, weights, batch.shape), np.array([offset, offset])
 
     visited = []
     kkt_solve = qp.kkt_solve
@@ -240,7 +254,8 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
                 gap = cs.consensus_gap(l, i, topology, weights, views[i - 1])
                 expected[i - 1, r] = gap + cons.row(i, l)[1]
         for got in (batch.offsets(views), batch.offsets(mediated), batch.offsets(flat),
-                    np.array([qp.offsets(view) for qp, view in zip(batch.qps, views)])):
+                    np.array([qp.offsets(view) for qp, view in
+                              zip(_qps(problem, topology, weights, batch), views)])):
             assert np.array_equal(got, expected)
         for i in range(1, problem.n_agents + 1):
             qp = AgentQP(i, problem, topology, weights)  # unpadded, its own shape

@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import couplesolve as cs
+import reference
+from couplesolve import cbf
+from couplesolve import problem as problem_module
 from couplesolve.cbf import (
+    SOLVERS,
     Barrier,
     CbfScenario,
     ClosedLoopResult,
@@ -17,6 +22,7 @@ from couplesolve.cbf import (
     run_closed_loop,
 )
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
+from couplesolve.local_qp import AgentBatch, WarmStart
 
 
 def test_state_validation():
@@ -211,3 +217,196 @@ def test_first_step_applies_the_run_output():
     result = run_closed_loop(scenario, graph, state)
     assert result.inputs.shape[0] == 1
     assert np.array_equal(result.inputs[0].reshape(-1), expected)
+
+
+RESULT_ARRAYS = ("times", "positions", "barrier_values", "inputs",
+                 "inner_worst_violation", "applied_worst_violation")
+
+
+def _case(name):
+    if name == "binding":
+        graph, barriers, state = _binding_setup()
+        return CbfScenario(barriers, dt=0.01, horizon=0.3, gamma=0.05), graph, state
+    if name == "reversed":
+        # Each barrier lists its agents in descending order: its rows are
+        # added in that order, its residual is summed in agent order.
+        scenario, graph, state = line_consensus_scenario(horizon=0.5)
+        barriers = tuple(replace(b, agents=b.agents[::-1]) for b in scenario.barriers)
+        return replace(scenario, barriers=barriers), graph, state
+    overrides = {"cold": {}, "warm": {"warm_start": True},
+                 "alpha": {"alpha": lambda g: 2.0 * g},
+                 "centralized": {"solver": "centralized"}}[name]
+    return line_consensus_scenario(horizon=0.5, **overrides)
+
+
+@pytest.mark.parametrize("name", ["cold", "warm", "alpha", "binding", "reversed",
+                                  "centralized"])
+def test_closed_loop_matches_the_per_step_rebuild(name):
+    scenario, graph, state = _case(name)
+    got = run_closed_loop(scenario, graph, state)
+    expected = reference.rebuilt_closed_loop(scenario, graph, state)
+    for key in RESULT_ARRAYS:
+        assert np.array_equal(getattr(got, key), getattr(expected, key)), key
+    assert got.applied_worst_violation.max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["cold", "alpha", "binding", "reversed"])
+def test_filter_rows_build_the_assembled_problem(name):
+    scenario, graph, state = _case(name)
+    filter_rows = cbf._FilterRows(scenario, graph, state.n_agents)
+    for positions in run_closed_loop(scenario, graph, state).positions[::10]:
+        at = MultiAgentState(0.0, positions)
+        got = filter_rows.problem(filter_rows.at(at))
+        expected = assemble_step_problem(at, scenario, graph)
+        for a, b in zip(got.objectives, expected.objectives):
+            assert np.array_equal(a.linear, b.linear) and a.constant == b.constant
+        for i in range(1, graph.n_agents + 1):
+            rows, want = got.constraints.agent_rows(i)[0], expected.constraints.agent_rows(i)[0]
+            assert list(rows) == list(want)
+            for m, (coeffs, offset) in want.items():
+                assert np.array_equal(rows[m][0], coeffs) and rows[m][1] == offset
+
+
+@pytest.mark.parametrize("name", ["cold", "alpha", "reversed"])
+def test_applied_row_check_is_max_violation(name):
+    scenario, graph, state = _case(name)
+    filter_rows = cbf._FilterRows(scenario, graph, state.n_agents)
+    rng = np.random.default_rng(3)
+    for positions in run_closed_loop(scenario, graph, state).positions[::5]:
+        at = MultiAgentState(0.0, positions)
+        step, problem = filter_rows.at(at), assemble_step_problem(at, scenario, graph)
+        for u in rng.normal(scale=3.0, size=(20, graph.n_agents, 2)):
+            assert filter_rows.violation(step, u) == cs.max_violation(problem, u.reshape(-1))[0]
+
+
+@pytest.mark.parametrize("name", ["cold", "alpha", "binding"])
+def test_refreshed_batch_equals_a_fresh_compile(name):
+    scenario, graph, state = _case(name)
+    filter_rows = cbf._FilterRows(scenario, graph, state.n_agents)
+    problem = assemble_step_problem(state, scenario, graph)
+    topology = cs.induce_topology(problem, graph)
+    weights = cs.build_weights(topology)
+    compiled = AgentBatch(problem, topology, weights)
+    rng = np.random.default_rng(7)
+    for positions in run_closed_loop(scenario, graph, state).positions[1::10]:
+        at = MultiAgentState(0.0, positions)
+        step = filter_rows.at(at)
+        compiled.refresh(step.linear, step.constant, *filter_rows.padded(step))
+        fresh = AgentBatch(assemble_step_problem(at, scenario, graph), topology, weights)
+        for key in ("hessian", "linear", "constant", "rows", "base"):
+            assert np.array_equal(getattr(compiled, key), getattr(fresh, key)), key
+        # The same solves meet the same sets, with the same maps.
+        offsets = fresh.offsets(rng.uniform(-5.0, 5.0, size=(3, fresh.size)))
+        solved = []
+        for batch in (compiled, fresh):
+            warm = WarmStart(batch)
+            solved.append([warm.solve_stacked(point) for point in offsets])
+        assert compiled.sets.keys == fresh.sets.keys
+        met = len(fresh.sets.keys)
+        for key in ("m", "s", "kkt", "work", "free", "ready"):
+            assert np.array_equal(getattr(compiled.sets, key)[:met],
+                                  getattr(fresh.sets, key)[:met]), key
+        assert all(np.array_equal(a, b) for a, b in zip(*solved))
+
+
+def test_refresh_empties_the_set_table():
+    scenario, graph, state = line_consensus_scenario()
+    problem = assemble_step_problem(state, scenario, graph)
+    topology = cs.induce_topology(problem, graph)
+    batch = AgentBatch(problem, topology, cs.build_weights(topology))
+    warm = WarmStart(batch)
+    warm.solve_stacked(batch.offsets(np.zeros(batch.size)))
+    working = warm.working
+    assert batch.sets.keys
+    batch.refresh(batch.linear, batch.constant, batch.rows, batch.base)
+    assert batch.sets.keys == []
+    assert WarmStart(batch, working).working == working
+
+
+def test_agent_at_a_barrier_center_names_the_step_and_time():
+    scenario, graph, state = line_consensus_scenario(horizon=0.05)
+    positions = state.positions.copy()
+    positions[2] = scenario.barriers[0].center  # agent 3: a zero barrier row
+    at = MultiAgentState(0.25, positions)
+    for solver in SOLVERS:
+        with pytest.raises(RankDeficiencyError,
+                           match=r"^step 0 \(t=0\.250\): agents \(3,\) have linearly "
+                                 "dependent barrier rows"):
+            run_closed_loop(replace(scenario, solver=solver), graph, at)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_alpha_turning_nan_raises_validation_error(solver):
+    calls = []
+
+    def alpha(g):
+        calls.append(g)
+        return math.nan if len(calls) >= 3 else 2.0 * g
+
+    graph, barriers, state = _binding_setup()
+    scenario = CbfScenario(barriers, dt=0.01, horizon=0.05, gamma=0.05, alpha=alpha,
+                           solver=solver)
+    with pytest.raises(ValidationError, match="agent 1 inequality row 1: offset must be finite"):
+        run_closed_loop(scenario, graph, state)
+    assert len(calls) == 3  # the compile, step 0 and step 1
+
+
+@pytest.mark.parametrize("horizon", [0.05, 0.2])
+def test_distributed_loop_compiles_once(monkeypatch, horizon):
+    counts = {"batch": 0, "assemble": 0, "licq": 0}
+    init = AgentBatch.__init__
+    assemble = cbf.assemble_step_problem
+    licq = problem_module.validate_licq
+
+    def counting(name, function):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(AgentBatch, "__init__", counting("batch", init))
+    monkeypatch.setattr(cbf, "assemble_step_problem", counting("assemble", assemble))
+    monkeypatch.setattr(problem_module, "validate_licq", counting("licq", licq))
+    scenario, graph, state = line_consensus_scenario(horizon=horizon)
+    result = run_closed_loop(scenario, graph, state)
+    assert result.inputs.shape[0] == round(horizon / scenario.dt)
+    assert counts["batch"] == 1
+    assert counts["assemble"] <= 1
+    assert counts["licq"] <= 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", math.nan), ("dt", math.inf), ("horizon", math.inf), ("horizon", 0.0),
+    ("gamma", math.nan), ("gamma", -0.1), ("gamma", True), ("inner_iterations", 2.5),
+    ("inner_iterations", True), ("inner_iterations", 0),
+])
+def test_scenario_rejects_bad_numbers_naming_the_field(field, value):
+    barrier = (Barrier((0.0, 0.0), 1.0, (1,)),)
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        CbfScenario(barrier, **{field: value})
+
+
+@pytest.mark.parametrize("center, radius_sq, agents, field", [
+    ((math.nan, 0.0), 1.0, (1,), "center"),
+    ((0.0,), 1.0, (1,), "center"),
+    ((0.0, 0.0), 0.0, (1,), "radius_sq"),
+    ((0.0, 0.0), math.inf, (1,), "radius_sq"),
+    ((0.0, 0.0), 1.0, (), "agents"),
+    ((0.0, 0.0), 1.0, (1, 1), "agents"),
+    ((0.0, 0.0), 1.0, (1.5,), "agents"),
+])
+def test_barrier_rejects_bad_fields(center, radius_sq, agents, field):
+    with pytest.raises(ValidationError, match=f"^barrier {field} must be"):
+        Barrier(center, radius_sq, agents)
+
+
+def test_closed_loop_rejects_agents_outside_the_state():
+    scenario, graph, state = line_consensus_scenario(horizon=0.02)
+    wide = replace(scenario, barriers=(*scenario.barriers, Barrier((0.0, 0.0), 1.0, (2, 9))))
+    with pytest.raises(ValidationError, match=r"^barrier 3 names agent 9, outside 1\.\.7$"):
+        run_closed_loop(wide, graph, state)
+    with pytest.raises(ValidationError, match=r"^barrier 3 names agent 9"):
+        assemble_step_problem(state, wide, graph)
+    bigger = cs.Graph.from_edges(8, [(i, i + 1) for i in range(1, 8)])
+    with pytest.raises(ValidationError, match="^graph has 8 agents but the state has 7$"):
+        run_closed_loop(scenario, bigger, state)

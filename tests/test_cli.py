@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,7 +141,11 @@ def test_run_config_accepts_integral_rounds_and_auto_gamma(toy_file, tmp_path, c
     ("inner_iterations", 2.5, "inner_iterations must be an integer"),
     ("warm_start", "no", "warm_start must be true or false"),
     ("solver", "exact", "solver must be one of ['distributed', 'centralized']"),
-], ids=["dt", "horizon", "inner_iterations", "warm_start", "solver"])
+    ("gamma", math.nan, "gamma must be a finite number > 0, got nan"),
+    ("dt", -0.01, "dt must be a finite number > 0, got -0.01"),
+    ("inner_iterations", 0, "inner_iterations must be an integer >= 1, got 0"),
+], ids=["dt", "horizon", "inner_iterations", "warm_start", "solver", "gamma-nan",
+        "dt-negative", "inner_iterations-zero"])
 def test_bad_scenario_value_exits_2_naming_the_key(tmp_path, capsys, key, value, message):
     scn = tmp_path / "scn.json"
     scn.write_text(json.dumps({"horizon": 0.02, key: value}))
@@ -148,6 +153,20 @@ def test_bad_scenario_value_exits_2_naming_the_key(tmp_path, capsys, key, value,
     err = capsys.readouterr().err
     assert code == 2
     assert f"{scn}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "nan", "dt must be a finite number > 0, got nan"),
+    ("--horizon", "inf", "horizon must be a finite number > 0, got inf"),
+    ("--gamma", "nan", "gamma must be a finite number > 0, got nan"),
+    ("--inner", "0", "inner_iterations must be an integer >= 1, got 0"),
+], ids=["dt-nan", "horizon-inf", "gamma-nan", "inner-zero"])
+def test_bad_cbf_sim_flag_exits_2_naming_the_field(tmp_path, capsys, flag, value, message):
+    code = cli.main(["cbf-sim", flag, value, "--output", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {message}" in err
     assert "Traceback" not in err
 
 

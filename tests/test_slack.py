@@ -3,7 +3,7 @@ import pytest
 
 import couplesolve as cs
 from couplesolve.exceptions import ValidationError
-from couplesolve.local_qp import AgentBatch, WarmStart
+from couplesolve.local_qp import AgentBatch, AgentQP, WarmStart
 from reference import consensus_gradient, fresh_solutions, total_objective
 
 
@@ -69,7 +69,9 @@ def test_equal_multipliers_give_bitwise_zero_gradient(toy):
 def test_offsets_invariant_under_block_translation(toy):
     problem, topology, weights = toy
     layout = _layout(toy)
-    qps = AgentBatch(problem, topology, weights).qps
+    shape = AgentBatch(problem, topology, weights).shape
+    qps = [AgentQP(i, problem, topology, weights, shape)
+           for i in range(1, problem.n_agents + 1)]
 
     def offsets(values):
         state = cs.SlackState(layout, np.asarray(values, dtype=float))
