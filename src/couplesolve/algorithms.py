@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,24 +52,53 @@ logger = logging.getLogger("couplesolve")
 _SAMPLE_ROWS = 2048
 
 
+def _real(value) -> bool:
+    """Is value a finite real number (no boolean)?"""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _positive(value) -> bool:
+    """Is value a finite real number > 0 (no boolean)?"""
+    return _real(value) and value > 0
+
+
+def _integer(value) -> bool:
+    """Is value an integer (no boolean)?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_run_fields(config, *positive) -> None:
+    """ValidationError naming the first field out of range: the ``positive``
+    ones must be finite numbers > 0, ``rounds`` an integer >= 0 and
+    ``grad_tolerance`` None or a finite number >= 0."""
+    for name in positive:
+        value = getattr(config, name)
+        if not _positive(value):
+            raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+    if not (_integer(config.rounds) and config.rounds >= 0):
+        raise ValidationError(f"rounds must be an integer >= 0, got {config.rounds!r}")
+    tol = config.grad_tolerance
+    if tol is not None and not (_real(tol) and tol >= 0):
+        raise ValidationError(
+            f"grad_tolerance must be None or a finite number >= 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class AdaConfig:
-    """Accelerated dual averaging: base step gamma > 0, round budget."""
+    """Accelerated dual averaging: finite base step gamma > 0, round budget."""
 
     gamma: float
     rounds: int
     grad_tolerance: float | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValidationError("gamma must be positive")
-        if self.rounds < 0:
-            raise ValidationError("rounds must be nonnegative")
+        _check_run_fields(self, "gamma")
 
 
 @dataclass(frozen=True)
 class PgdConfig:
-    """Projected gradient: box half-width C, gradient bound G, round budget."""
+    """Projected gradient: finite box half-width C > 0, gradient bound G > 0, round budget."""
 
     box_bound: float
     grad_bound: float
@@ -76,10 +106,7 @@ class PgdConfig:
     grad_tolerance: float | None = None
 
     def __post_init__(self):
-        if self.box_bound <= 0 or self.grad_bound <= 0:
-            raise ValidationError("box_bound and grad_bound must be positive")
-        if self.rounds < 0:
-            raise ValidationError("rounds must be nonnegative")
+        _check_run_fields(self, "box_bound", "grad_bound")
 
 
 def ada_schedule(t: int, gamma: float) -> tuple[float, float]:
@@ -163,23 +190,20 @@ def pgd_round(state: PgdState, evaluate, config: PgdConfig, theta: float):
     return PgdState(point, t), z, grad
 
 
-def iterate_rounds(problem, topology, weights, config, start, transport, hook=None,
-                   warm=None):
+def iterate_rounds(warm, config, start, transport, hook=None):
     """Yield (state, z, gradient) after each round of ``ada`` or ``pgd``.
 
-    ``start`` is the initial AdaState or PgdState, and ``config`` (an
-    AdaConfig or PgdConfig) picks the update and the round budget.  A round
-    exchanges slack values over ``transport``, calls ``hook(views, t)`` if
-    given (``views``: the slack ``simnet.Exchange``), solves every agent's
+    ``warm`` is the stream of batched local solves the rounds use, a
+    ``WarmStart`` over the compiled ``AgentBatch`` of the problem.  ``start``
+    is the initial AdaState or PgdState, and ``config`` (an AdaConfig or
+    PgdConfig) picks the update and the round budget.  A round exchanges
+    slack values over ``transport``, calls ``hook(views, t)`` if given
+    (``views``: the slack ``simnet.Exchange``), solves every agent's
     subproblem, exchanges the multipliers and forms the consensus-gap
     gradient, reading both through the exchanges.  z is the round's stacked
     local solution, ``WarmStart.solve_stacked``'s array for ``warm.batch``.
-    ``warm`` is the stream of batched local solves the rounds use; by
-    default a fresh one over a newly compiled batch.  Stop early by leaving
-    the loop.
+    Stop early by leaving the loop.
     """
-    if warm is None:
-        warm = WarmStart(AgentBatch(problem, topology, weights))
     batch = warm.batch
 
     def evaluate(point, t):
@@ -281,9 +305,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
                                    dual_at(output), 0))
         # Round 1 evaluates the start again: seeded with the sets the monitor
         # ended on, every agent is accepted in the stacked pass.
-        for state, z, grad in iterate_rounds(
-                problem, topology, weights, config, state, transport, slack_phase_hook,
-                WarmStart(batch, watch.working)):
+        for state, z, grad in iterate_rounds(WarmStart(batch, watch.working), config, state,
+                                             transport, slack_phase_hook):
             t = state.round
             phi, vi, ve = primal_metrics(z)
             output = monitor(state.average)
@@ -304,9 +327,8 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         state = PgdState(start, 0)
         rounds = WarmStart(batch)
         output = None
-        for new_state, z, grad in iterate_rounds(
-                problem, topology, weights, config, state, transport, slack_phase_hook,
-                rounds):
+        for new_state, z, grad in iterate_rounds(rounds, config, state, transport,
+                                                 slack_phase_hook):
             # Record the point the round consumed; stop before moving off it.
             phi, vi, ve = primal_metrics(z)
             records.append(RoundRecord(
@@ -355,9 +377,11 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
     uniform interior samples, and doubles the largest norm seen.  Every
     agent at every point is one row of ``AgentBatch.solve_rows``, solved
     cold; the points go through in chunks of ``_SAMPLE_ROWS`` rows, which
-    bounds the loop's temporaries.  Raises ValidationError for a negative
-    ``interior_samples``.
+    bounds the loop's temporaries.  Raises ValidationError unless
+    ``box_bound`` is a finite number > 0 and ``interior_samples`` >= 0.
     """
+    if not _positive(box_bound):
+        raise ValidationError(f"box_bound must be a finite number > 0, got {box_bound!r}")
     if interior_samples < 0:
         raise ValidationError(f"interior_samples must be non-negative, got {interior_samples}")
     layout = SlackLayout.from_topology(topology)

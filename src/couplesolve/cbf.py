@@ -16,8 +16,8 @@ problem shape this package solves.  The filter QP is re-solved each step,
 either centrally or by a fixed number of distributed rounds with the slack
 allocation reset to zero; every inner iterate already satisfies the coupled
 rows, so even a truncated inner loop never applies an unsafe input.  From
-step to step only the nominal inputs and the rows move, so the distributed
-filter compiles its ``AgentBatch`` once and refreshes it in place.
+step to step only the nominal inputs and the rows move, so the filter
+compiles its ``AgentBatch`` once and refreshes it in place.
 
 The rows are the continuous-time decrease condition, so under the sampled
 Euler step the barrier obeys only  g[k+1] >= (1 - dt) g[k] - dt^2 sum_i ||u_i||^2
@@ -27,14 +27,12 @@ and can settle below 0 by O(dt^2 ||u||^2): the exact (centralized) filter on
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .algorithms import AdaConfig, AdaState, iterate_rounds
+from .algorithms import AdaConfig, AdaState, _integer, _positive, iterate_rounds
 from .exceptions import RankDeficiencyError, ValidationError
 from .graph import Graph, build_weights, induce_topology
 from .local_qp import AgentBatch, WarmStart
@@ -95,17 +93,6 @@ class Barrier:
 
 
 SOLVERS = ("distributed", "centralized")
-
-
-def _positive(value) -> bool:
-    """Is value a finite real number > 0 (no boolean)?"""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
-
-
-def _integer(value) -> bool:
-    """Is value an integer (no boolean)?"""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -181,10 +168,6 @@ def _check_agents(scenario: CbfScenario, graph: Graph, n_agents: int) -> None:
                 raise ValidationError(f"barrier {m} names agent {i}, outside 1..{n_agents}")
 
 
-# validate_licq's default rank tolerance.
-_RANK_TOL = 1e-9
-
-
 class _Step(NamedTuple):
     """The filter QP's parameters at one state (pairs as in ``_FilterRows``)."""
 
@@ -199,11 +182,11 @@ class _FilterRows:
 
     Pair p is 0-based agent ``agent[p]`` in 0-based barrier ``barrier[p]``,
     in the order ``assemble_step_problem`` adds the rows: barrier by barrier,
-    each barrier's agents in its order.  Each agent's rows are its barriers
-    ascending, padded to the widest agent as ``AgentBatch`` stacks them:
-    pair p's row is cell ``cell[p]`` of a flat (n, width) array.  Raises
-    ValidationError when the graph and the state disagree on the agent
-    count or a barrier names an agent outside 1..n.
+    each barrier's agents in its order.  ``by_agent`` lists them agent by
+    agent, each agent's barriers ascending, the order of ``AgentBatch``'s
+    rows; ``order`` holds their pair numbers.  Raises ValidationError when
+    the graph and the state disagree on the agent count or a barrier names
+    an agent outside 1..n.
     """
 
     def __init__(self, scenario: CbfScenario, graph: Graph, n_agents: int):
@@ -217,17 +200,9 @@ class _FilterRows:
         self.n_g = np.array([len(barriers[m].agents) for _, m in pairs], dtype=int)
         self.share = np.array([barriers[m].radius_sq / len(barriers[m].agents)
                                for _, m in pairs], dtype=float)
-        count = np.bincount(self.agent, minlength=n_agents)
-        self.width = int(count.max(initial=0))
-        rank, seen = [], [0] * n_agents
-        for a, _ in pairs:
-            rank.append(seen[a])
-            seen[a] += 1
-        self.cell = self.agent * self.width + np.array(rank, dtype=int)
-        self.by_count = [(k, np.flatnonzero(count == k)) for k in np.unique(count) if k]
-        # aggregate_violation's order: agent by agent, each agent's rows ascending.
         self.by_agent = sorted(zip(range(len(pairs)), self.agent.tolist(),
                                    self.barrier.tolist()), key=lambda pair: pair[1])
+        self.order = np.array([p for p, _, _ in self.by_agent], dtype=int)
 
     def at(self, state: MultiAgentState) -> _Step:
         """The parameters at ``state``, with ``assemble_step_problem``'s arithmetic.
@@ -259,26 +234,6 @@ class _FilterRows:
                                         step.coeffs, step.offsets.tolist()):
             cons.add_ineq_row(a + 1, m + 1, coeffs, offset)
         return ProblemSpec(objectives, cons, self.graph)
-
-    def padded(self, step: _Step) -> tuple[np.ndarray, np.ndarray]:
-        """The rows (n, width, 2) and offsets (n, width), laid out as ``AgentBatch``'s."""
-        rows = np.zeros((self.n * self.width, 2))
-        rows[self.cell] = step.coeffs
-        base = np.zeros(self.n * self.width)
-        base[self.cell] = step.offsets
-        return rows.reshape(self.n, self.width, 2), base.reshape(self.n, self.width)
-
-    def licq_failures(self, rows: np.ndarray) -> tuple[int, ...]:
-        """The agents (1-based) whose padded rows fail ``validate_licq``'s rank rule.
-
-        One batched singular value decomposition per row count.
-        """
-        failed = []
-        for k, agents in self.by_count:
-            sv = np.linalg.svd(rows[agents, :k], compute_uv=False)
-            ok = (k <= rows.shape[-1]) & (sv[:, -1] > _RANK_TOL * np.maximum(1.0, sv[:, 0]))
-            failed += (agents[~ok] + 1).tolist()
-        return tuple(sorted(failed))
 
     def violation(self, step: _Step, u: np.ndarray) -> float:
         """``max_violation``'s inequality figure of the inputs u (n, 2).
@@ -351,18 +306,18 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     The participants never change, so the step problems differ only in the
     nominal inputs (each agent's linear term and constant) and the barrier
     rows and offsets.  Compiled once, from the problem at ``state``: the
-    induced subgraphs, the weights, one strict ``SimnetTransport`` (agents
-    read one-hop values only) and, for the distributed solver, one
-    ``AgentBatch``.  Per step the parameters are computed in one pass and
-    the batch is refreshed in place; its two streams, the inner rounds'
-    and the applied solve's, keep their working sets across steps.  The
-    centralized solver builds each step's ``ProblemSpec``.  Aborts with a
-    diagnostic when an agent's barrier rows become linearly dependent (LICQ
-    failure, e.g. an agent exactly at a barrier center or two barrier
-    gradients aligned): one batched singular value decomposition per row
-    count, ``validate_licq``'s rule.  Raises ValidationError when a
-    parameter is not finite, when the graph and the state disagree on the
-    agent count or when a barrier names an agent outside 1..n.
+    induced subgraphs, the weights, the filter QP as one ``AgentBatch`` and,
+    for the distributed solver, one strict ``SimnetTransport`` (agents read
+    one-hop values only).  Per step the parameters are computed in one pass
+    and the batch is refreshed in place; the run aborts with a diagnostic
+    when an agent's barrier rows become linearly dependent (LICQ failure,
+    e.g. an agent exactly at a barrier center or two barrier gradients
+    aligned, by ``AgentBatch.rank_failures``).  The distributed solver's two
+    streams, the inner rounds' and the applied solve's, keep their working
+    sets across steps; the centralized solver solves the step's
+    ``ProblemSpec``.  Raises ValidationError when a parameter is not finite,
+    when the graph and the state disagree on the agent count or when a
+    barrier names an agent outside 1..n.
     """
     rows = _FilterRows(scenario, graph, state.n_agents)
     steps = int(round(scenario.horizon / scenario.dt))
@@ -378,15 +333,15 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     problem = assemble_step_problem(state, scenario, graph)
     topology = induce_topology(problem, graph)
     weights = build_weights(topology)
+    batch = AgentBatch(problem, topology, weights)
     distributed = scenario.solver == "distributed"
     if distributed:
-        batch = AgentBatch(problem, topology, weights)
         transport = SimnetTransport(topology)
         config = AdaConfig(scenario.gamma, scenario.inner_iterations)
         slack = np.zeros(batch.size)
-        # Working sets carry over from step to step; their maps are built
-        # again over each step's rows.
-        rounds = final = None
+    # Working sets carry over from step to step; their maps are built again
+    # over each step's rows.
+    rounds = final = None
 
     for s in range(steps):
         times[s] = state.time
@@ -394,8 +349,11 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
         barrier_values[s] = [b.value(state.positions) for b in scenario.barriers]
 
         step = rows.at(state)
-        padded = rows.padded(step)
-        failures = rows.licq_failures(padded[0])
+        # Read before the refresh empties the batch's set table.
+        seeds = (rounds.working, final.working) if rounds else (None, None)
+        batch.refresh(step.linear, step.constant, step.coeffs[rows.order],
+                      step.offsets[rows.order])
+        failures = batch.rank_failures()
         if failures:
             raise RankDeficiencyError(
                 f"step {s} (t={state.time:.3f}): agents {failures} have "
@@ -409,14 +367,11 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             inner_worst[s] = 0.0
         else:
             # Truncated averaging rounds; the input is the primal at the average.
-            seeds = (rounds.working, final.working) if rounds else (None, None)
-            batch.refresh(step.linear, step.constant, *padded)
             rounds, final = (WarmStart(batch, working) for working in seeds)
             start = slack if scenario.warm_start else np.zeros(batch.size)
             inner = AdaState(start, np.zeros(batch.size), np.zeros(batch.size), 0)
             worst = 0.0
-            for inner, z, _ in iterate_rounds(
-                    problem, topology, weights, config, inner, transport, warm=rounds):
+            for inner, z, _ in iterate_rounds(rounds, config, inner, transport):
                 worst = max(worst, batch.violation(z)[0])
             slack = inner.average
             u = batch.primal(final.solve_stacked(batch.offsets(slack))).reshape(n, 2)

@@ -129,11 +129,13 @@ def _merged_run_config(args) -> dict:
     formats.one_of(merged["transport"], _TRANSPORTS, "run: transport")
     for key in ("rounds", "seed"):
         merged[key] = formats.integer(merged[key], f"run: {key}")
-    if merged["gamma"] not in (None, "auto"):
-        merged["gamma"] = formats.number(merged["gamma"], "run: gamma")
-    for key in ("box_bound", "grad_bound"):
-        if merged[key] is not None:
-            merged[key] = formats.number(merged[key], f"run: {key}")
+    for key in ("gamma", "box_bound", "grad_bound"):
+        value = merged[key]
+        if value is None or key == "gamma" and value == "auto":
+            continue
+        merged[key] = value = formats.number(value, f"run: {key}")
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"run: {key} must be a finite number > 0, got {value!r}")
     for key in ("oracle", "emit_gnuplot"):
         formats.flag(merged[key], f"run: {key}")
     for key in ("problem", "output"):  # open() would take an int as a file descriptor

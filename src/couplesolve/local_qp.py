@@ -19,14 +19,14 @@ most negative multiplier (lowest index on ties), repeat.  A visited-set guard
 and an iteration cap of 100 x (number of inequality rows) turn cycling into a
 degeneracy error instead of an infinite loop.
 
-From one round to the next only the offsets change.  ``AgentQP`` compiles
-everything else once: H, c, the rows, their base offsets and the consensus
-terms that turn neighbour slacks into offsets.  For a fixed working set W the
-KKT solution is affine in the offsets, z = s_W + M_W off.  ``AgentBatch``
-stacks every agent's compiled QP and keeps every working set its solves
-meet in one table, each map stacked under an id; the maps of newly met sets
-are built together, one stacked inverse per KKT size, from the batch's
-stacked arrays.  ``AgentBatch.refresh`` overwrites c, the constants, the
+From one round to the next only the offsets change.  ``AgentBatch``
+compiles everything else once, in one pass straight into stacked arrays: H,
+c, the rows, their base offsets and the consensus terms that turn neighbour
+slacks into offsets.  For a fixed working set W the KKT solution is affine
+in the offsets, z = s_W + M_W off.  The batch keeps every working set its
+solves meet in one table, each map stacked under an id; the maps of newly
+met sets are built together, one stacked inverse per KKT size, from the
+batch's stacked arrays.  ``AgentBatch.refresh`` overwrites c, the constants, the
 rows and their base offsets in place for a problem of the same structure
 (the safety filter's next step) and empties the table.
 
@@ -63,7 +63,7 @@ from .exceptions import (
     DegenerateSubproblemError,
     UnboundedSubproblemError,
 )
-from .problem import AgentObjective
+from .problem import AgentObjective, full_row_rank
 
 # Residuals above this are treated as violated when growing the working set;
 # multipliers below its negative are dropped.
@@ -154,15 +154,16 @@ def _reduced_curvature_ok(h, rows, tol=1e-10) -> bool:
     return bool(np.linalg.eigvalsh(reduced).min() > tol)
 
 
-def solve_kkt(sub: LocalSubproblem, start=(), qp: "AgentQP | None" = None) -> KktSolution:
+def solve_kkt(sub: LocalSubproblem, start=(), qp=None) -> KktSolution:
     """Exactly minimize the subproblem via primal active-set iteration.
 
     ``start`` names the inequality rows (by index, like ``active_set``) of
     the first working set.  ``qp`` is any compiled KKT solver of ``sub``:
     ``qp.padded(beta, eta)`` lays out its offsets and ``qp.kkt_solve(working,
     offsets)`` gives ``_kkt_solve``'s answer for a working set (positions),
-    or None.  ``AgentQP`` solves through per-set affine maps, the oracle's
-    block solver through a Schur complement.
+    or None.  The oracle's ``_BlockKkt`` solves through a Schur complement;
+    the tests' one-agent view of an ``AgentBatch`` through the batch's
+    per-set affine maps.
 
     Raises UnboundedSubproblemError when the Hessian is not positive definite
     on the equality nullspace (no unique bounded minimizer), and
@@ -368,99 +369,6 @@ def _factors(hessian, linear, rows, counts, pairs):
     return m, s, kkt, work, free, ready
 
 
-class AgentQP:
-    """One agent's subproblem compiled once, everything but the offsets.
-
-    Rows are the agent's inequalities then equalities, each ascending.  Row
-    r of constraint l has the base offset b_i^[l] and the consensus terms
-    (j, p_ij) over j in N_i^[l] minus i, ascending, the order
-    ``consensus_gap`` visits them.  Arrays are zero-padded to ``shape`` =
-    (dim, width, reach): block dimension, rows and neighbours per row, so a
-    batch can stack its agents.  A solution z is padded the same way: x in
-    z[:dim], row r's multiplier in z[dim + r].
-    """
-
-    def __init__(self, agent, problem, topology, weights, shape=None):
-        cons = problem.constraints
-        obj = problem.objectives[agent - 1]
-        ineq = topology.agent_ineq_sets[agent - 1]
-        eq = topology.agent_eq_sets[agent - 1]
-        constraints = ineq + tuple(cons.m_ineq + q for q in eq)
-        neighbours = [[j for j in topology.neighborhood(l, agent) if j != agent]
-                      for l in constraints]
-        if shape is None:
-            shape = (obj.dim, len(constraints), max(map(len, neighbours), default=0))
-        dim, width, reach = shape
-        d = obj.dim
-
-        self.objective = obj
-        self.shape = shape
-        self.constraints = constraints
-        self.ineq_indices = ineq
-        self.eq_indices = eq
-        self.n_ineq = len(ineq)
-        self.position = {idx: pos for pos, idx in enumerate(ineq)}
-        self.hessian = np.zeros((dim, dim))
-        self.hessian[:d, :d] = obj.hessian
-        self.linear = np.zeros(dim)
-        self.linear[:d] = obj.linear
-        self.rows = np.zeros((width, dim))
-        self.base = np.zeros(width)
-        self.p = np.zeros((width, reach))
-        # The read pass: row r's own value, then its neighbours', each into
-        # its slot of a (width, reach + 1) buffer.
-        self.keys, slots = [], []
-        for r, (l, nbrs) in enumerate(zip(constraints, neighbours)):
-            coeffs, b = cons.row(agent, l)
-            self.rows[r, :d] = coeffs
-            self.base[r] = b
-            self.keys.append((l, agent))
-            slots.append(r * (reach + 1))
-            for k, j in enumerate(nbrs):
-                self.p[r, k] = weights[l].weight(agent, j)
-                self.keys.append((l, j))
-                slots.append(r * (reach + 1) + k + 1)
-        self.slots = np.array(slots, dtype=int)
-
-    def offsets(self, view) -> np.ndarray:
-        """Row offsets ``consensus_gap(l, i, ..., view) + b_i^[l]``, padded."""
-        _, width, reach = self.shape
-        buf = np.zeros(width * (reach + 1))
-        buf[self.slots] = [view[key] for key in self.keys]
-        buf = buf.reshape(width, reach + 1)
-        return _gap(self.p, buf[:, 0], buf[:, 1:]) + self.base
-
-    def padded(self, ineq_offsets, eq_offsets) -> np.ndarray:
-        offsets = np.zeros(self.shape[1])
-        offsets[:self.n_ineq] = ineq_offsets
-        offsets[self.n_ineq:len(self.constraints)] = eq_offsets
-        return offsets
-
-    def subproblem(self, offsets) -> LocalSubproblem:
-        d, k_i, k = self.objective.dim, self.n_ineq, len(self.constraints)
-        return LocalSubproblem(self.objective, self.ineq_indices, self.rows[:k_i, :d],
-                               offsets[:k_i], self.eq_indices, self.rows[k_i:k, :d],
-                               offsets[k_i:k])
-
-    def kkt_solve(self, working: tuple, offsets):
-        """``_kkt_solve`` through the working set's affine map: (x, multipliers) or None.
-
-        The multipliers come in ``solve_kkt``'s order: equalities, then the
-        working inequalities.  The scalar reference of ``AgentBatch.solve_rows``.
-        """
-        counts = [(self.objective.dim, self.n_ineq, len(self.constraints))]
-        m, s, kkt, _, _, ready = _factors(self.hessian[None], self.linear[None], self.rows[None],
-                                          counts, [(0, working)])
-        if not ready[0]:
-            return None
-        z = _affine(m[0], s[0], offsets)
-        ok, _ = _residual_ok(self.hessian, self.linear, self.rows, kkt[0], z, offsets)
-        if not ok:
-            return None
-        dim, k = self.shape[0], len(self.constraints)
-        return z[:self.objective.dim], z[[dim + r for r in (*range(self.n_ineq, k), *working)]]
-
-
 @dataclass(frozen=True)
 class StackedSolutions:
     """Agents' padded solutions z with their working sets, as ``WarmStart`` leaves them.
@@ -557,85 +465,116 @@ class _SetTable:
 
 
 class AgentBatch:
-    """Every agent's compiled QP, padded to one shape and stacked.
+    """Every agent's QP, compiled once from (problem, topology, weights), stacked.
 
-    Built once per (problem, topology, weights) from one ``AgentQP`` per
-    agent, which it does not keep: the stacked arrays are the one copy of the
-    parameters, and ``refresh`` overwrites them in place for a problem of the
-    same structure.  ``sets`` holds every working set its solves have met
-    with its affine map, and ``solve_rows`` is the lock-step active-set
-    loop, which ``WarmStart`` streams over it share.  Besides the stacked
-    QPs it reads a stacked solution z (see ``StackedSolutions``) in one pass
-    each: the objective, the coupled-row residuals, the primal vector and
-    the multipliers in slack layout.
+    The one owner of the layout.  Agent a (0-based) is agent i = a + 1; its
+    row r is constraint l, the r-th of ``topology.constraints_of(i)``, with
+    the coefficients and base offset b_i^[l] of ``constraints.row(i, l)`` and
+    the weights p_ij over j in N_i^[l] minus i, in ``consensus_gap``'s order.
+    Arrays are zero-padded to ``shape`` = (dim, width, reach): block
+    dimension, rows and neighbours per row; so is a solution z: x in
+    z[a, :dim], row r's multiplier in z[a, dim + r].  The stacked arrays are
+    the one copy of the parameters, which ``refresh`` overwrites.  ``sets``
+    holds every working set its solves have met with its affine map, and
+    ``solve_rows`` is the lock-step active-set loop, which ``WarmStart``
+    streams over it share.  Besides the stacked QPs it reads a stacked
+    solution z (see ``StackedSolutions``) in one pass each: the objective,
+    the coupled-row residuals, the primal vector and the multipliers in
+    slack layout.
     """
 
     def __init__(self, problem, topology, weights):
         from .slack import SlackLayout  # slack builds on this module
 
-        agents = range(1, problem.n_agents + 1)
-        shape = (
-            max(problem.dims),
-            max(len(topology.constraints_of(i)) for i in agents),
-            max((len(topology.neighborhood(l, i)) - 1
-                 for l in range(1, topology.n_constraints + 1)
-                 for i in topology.participants_of(l)), default=0),
-        )
-        self.shape = shape
-        qps = [AgentQP(i, problem, topology, weights, shape) for i in agents]
-        self.n_agents = len(qps)
-        self.hessian = np.stack([qp.hessian for qp in qps])
-        self.linear = np.stack([qp.linear for qp in qps])
+        cons = problem.constraints
+        layout = SlackLayout.from_topology(topology)
+        constraints = [topology.constraints_of(i) for i in range(1, problem.n_agents + 1)]
+        # Per agent row: N_i^[l] minus i, ascending, the order consensus_gap visits.
+        neighbours = [[[j for j in topology.neighborhood(l, i) if j != i] for l in ls]
+                      for i, ls in enumerate(constraints, start=1)]
+        n, dim, width = len(constraints), max(problem.dims), max(map(len, constraints))
+        reach = max((len(nbrs) for agent in neighbours for nbrs in agent), default=0)
+        self.shape = (dim, width, reach)
+        self.n_agents = n
+        self.hessian = np.zeros((n, dim, dim))
+        self.linear = np.zeros((n, dim))
         self.constant = np.array([obj.constant for obj in problem.objectives], dtype=float)
-        self.rows = np.stack([qp.rows for qp in qps])
-        self.base = np.stack([qp.base for qp in qps])
-        self.p = np.stack([qp.p for qp in qps])
+        self.rows = np.zeros((n, width, dim))
+        self.base = np.zeros((n, width))
+        self.p = np.zeros((n, width, reach))
+        # The read pass: read k is agent readers[k]'s (0-based) read of slack
+        # coordinate flat[k], into its buffer slot slots[k]; a row reads its
+        # own value, then its neighbours'.  Each agent row, agent by agent:
+        # its cell in a (n, width) array, its slack coordinate (where its gap
+        # lands in a gradient) and its constraint.  Rows and slack coordinates
+        # match one to one.
+        slots, flat, readers, cells, coords, constraint = [], [], [], [], [], []
         # Per agent: (block dimension, inequality rows, rows).
-        self.counts = [(qp.objective.dim, qp.n_ineq, len(qp.constraints)) for qp in qps]
+        self.counts = []
+        for a, (obj, ls, agent_nbrs) in enumerate(zip(problem.objectives, constraints,
+                                                      neighbours)):
+            i, d = a + 1, obj.dim
+            self.hessian[a, :d, :d] = obj.hessian
+            self.linear[a, :d] = obj.linear
+            self.counts.append((d, len(topology.agent_ineq_sets[a]), len(ls)))
+            for r, (l, nbrs) in enumerate(zip(ls, agent_nbrs)):
+                coeffs, b = cons.row(i, l)
+                self.rows[a, r, :d] = coeffs
+                self.base[a, r] = b
+                self.p[a, r, :len(nbrs)] = [weights[l].weight(i, j) for j in nbrs]
+                first = (a * width + r) * (reach + 1)
+                slots += range(first, first + 1 + len(nbrs))
+                flat += [layout.index(l, j) for j in (i, *nbrs)]
+                readers += [a] * (1 + len(nbrs))
+                cells.append(a * width + r)
+                coords.append(layout.index(l, i))
+                constraint.append(l - 1)
+        (self.slots, self.flat, self.readers, self.cells, self.coords,
+         self.constraint) = (np.array(v, dtype=int)
+                             for v in (slots, flat, readers, cells, coords, constraint))
         self.dims = problem.dims
         self.ineq_indices = topology.agent_ineq_sets
         self.eq_indices = topology.agent_eq_sets
         self.m_ineq = topology.m_ineq
         self.n_constraints = topology.n_constraints
-
-        dim, width, reach = shape
-        layout = SlackLayout.from_topology(topology)
-        # The read pass: read k is agent readers[k]'s (0-based) read of slack
-        # coordinate flat[k], into its buffer slot slots[k].
-        self.slots = np.array([a * width * (reach + 1) + slot
-                               for a, qp in enumerate(qps) for slot in qp.slots],
-                              dtype=int)
-        self.flat = np.array([layout.index(l, j) for qp in qps for l, j in qp.keys], dtype=int)
-        self.readers = np.repeat(np.arange(len(qps)), [len(qp.keys) for qp in qps])
-        # Each agent row, agent by agent: its cell in a (n, width) array, its
-        # slack coordinate (where its gap lands in a gradient) and its
-        # constraint.  Rows and slack coordinates match one to one.
-        self.cells = np.array([a * width + r for a, qp in enumerate(qps)
-                               for r in range(len(qp.constraints))], dtype=int)
-        self.coords = np.array([layout.index(l, a) for a, qp in enumerate(qps, start=1)
-                                for l in qp.constraints], dtype=int)
-        self.constraint = np.array([l - 1 for qp in qps for l in qp.constraints], dtype=int)
         self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
         self.size = layout.size
-        self.cap = 100 * np.maximum(1, [qp.n_ineq for qp in qps])
+        self.cap = 100 * np.maximum(1, [k_i for _, k_i, _ in self.counts])
+        groups = {}  # the rank check's: agents by (rows, block dimension)
+        for a, (d, _, k) in enumerate(self.counts):
+            groups.setdefault((k, d), []).append(a)
+        self.by_shape = [(k, d, np.array(agents)) for (k, d), agents in sorted(groups.items())
+                         if k]
         self.sets = _SetTable(self)
 
-    def refresh(self, linear, constant, rows, base) -> None:
+    def refresh(self, linear, constant, coeffs, offsets) -> None:
         """Overwrite the parameters in place: a problem of the same structure.
 
-        ``linear`` (n, dim), ``constant`` (n,), ``rows`` (n, width, dim) and
-        ``base`` (n, width) are laid out like the attributes of those names,
-        padding included; the Hessians, the topology and the weights stay.
-        Every working set's map depends on the rows, so ``sets`` starts
-        empty, and a stream over the batch goes on as a new one seeded with
-        the sets it ended on: ``WarmStart(batch, working)``, with
-        ``working = stream.working`` read before the refresh.
+        ``linear`` (n, dim) and ``constant`` (n,) are laid out like the
+        attributes of those names; ``coeffs`` (R, dim), zero beyond each
+        agent's block dimension, and ``offsets`` (R,) hold the R agent rows
+        in ``cells`` order (agent by agent, each agent's rows in
+        ``constraints_of`` order), which the batch scatters into ``rows`` and
+        ``base``.  Every working set's map
+        depends on the rows, so ``sets`` starts empty, and a stream over the
+        batch goes on as a new one seeded with the sets it ended on:
+        ``WarmStart(batch, working)``, with ``working = stream.working`` read
+        before the refresh.
         """
         self.linear[...] = linear
         self.constant[...] = constant
-        self.rows[...] = rows
-        self.base[...] = base
+        self.rows.reshape(-1, self.shape[0])[self.cells] = coeffs
+        self.base.reshape(-1)[self.cells] = offsets
         self.sets = _SetTable(self)
+
+    def rank_failures(self) -> tuple[int, ...]:
+        """The agents (1-based) whose rows fail ``validate_licq``'s rank rule:
+        one batched singular value decomposition per (rows, block dimension)."""
+        failed = []
+        for k, d, agents in self.by_shape:
+            sv = np.linalg.svd(self.rows[agents, :k, :d], compute_uv=False)
+            failed += (agents[~full_row_rank(sv, k, d)] + 1).tolist()
+        return tuple(sorted(failed))
 
     def solve_rows(self, agents, offsets, start) -> tuple[np.ndarray, np.ndarray]:
         """``solve_kkt``'s active-set loop, run in lock step over many rows.
@@ -739,7 +678,7 @@ class AgentBatch:
         return _gap(self.p, buf[..., 0], buf[..., 1:])
 
     def offsets(self, values) -> np.ndarray:
-        """Every agent's row offsets, each bit-identical to ``AgentQP.offsets``."""
+        """Every agent's row offsets ``consensus_gap(l, i, ...) + b_i^[l]``, padded."""
         return self.gaps(values) + self.base
 
     def gradient(self, values) -> np.ndarray:

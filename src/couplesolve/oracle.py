@@ -91,8 +91,9 @@ class _BlockKkt:
 
         S[W, W] lam = r0[W] + offsets[W],   x = x0 - Y[:, W] lam,
 
-    with S = R Y and r0 = R x0, all computed once.  The protocol is
-    ``AgentQP``'s, so ``solve_kkt`` runs its one active-set loop on it.
+    with S = R Y and r0 = R x0, all computed once.  It implements
+    ``solve_kkt``'s ``qp`` protocol, so ``solve_kkt`` runs its one
+    active-set loop on it.
     """
 
     def __init__(self, problem: ProblemSpec, h, c, rows):

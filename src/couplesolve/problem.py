@@ -253,6 +253,14 @@ def stacked_rows(problem: ProblemSpec, agent: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+def full_row_rank(sv, n_rows, dim, rank_tol: float = 1e-9):
+    """The rank rule: k <= d rows with sigma_min > rank_tol * max(1, sigma_max).
+
+    ``sv``: one agent's k > 0 rows' singular values (descending), or a stack of them.
+    """
+    return (n_rows <= dim) & (sv[..., -1] > rank_tol * np.maximum(1.0, sv[..., 0]))
+
+
 def validate_licq(problem: ProblemSpec, rank_tol: float = 1e-9) -> LicqReport:
     """Check each agent's stacked constraint rows for full row rank.
 
@@ -269,7 +277,7 @@ def validate_licq(problem: ProblemSpec, rank_tol: float = 1e-9) -> LicqReport:
         sv = np.linalg.svd(rows, compute_uv=False)
         smax = float(sv[0])
         smin = float(sv[-1]) if k <= rows.shape[1] else 0.0
-        ok = k <= rows.shape[1] and smin > rank_tol * max(1.0, smax)
+        ok = bool(full_row_rank(sv, k, rows.shape[1], rank_tol))
         infos.append(AgentRankInfo(i, k, ok, smin, smax, smin ** 2))
     return LicqReport(tuple(infos))
 

@@ -1,5 +1,8 @@
 """References the library's array paths are checked against.
 
+``AgentView``: one agent of a compiled ``AgentBatch`` as a scalar QP, with
+``solve_kkt``'s ``qp`` protocol: the scalar reference of ``solve_rows``.
+
 ``dense_oracle``: cold ``solve_kkt`` on the stacked ``LocalSubproblem`` built
 from ``stacked_arrays``: one dense KKT factorization per working set, the
 stacked Hessian validated whole, dependent equality rows reduced to
@@ -26,9 +29,65 @@ from couplesolve import (AgentObjective, SlackLayout, build_weights, consensus_g
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
 from couplesolve.cbf import ClosedLoopResult, assemble_step_problem, euler_step
 from couplesolve.exceptions import RankDeficiencyError
-from couplesolve.local_qp import AgentBatch, LocalSubproblem, WarmStart, solve_kkt
+from couplesolve.local_qp import (AgentBatch, LocalSubproblem, WarmStart, _affine, _factors,
+                                  _gap, _residual_ok, solve_kkt)
 from couplesolve.oracle import stacked_arrays
 from couplesolve.simnet import SimnetTransport
+
+
+class AgentView:
+    """0-based agent ``a`` of ``batch`` as one scalar QP, read from the batch's arrays.
+
+    ``topology`` names the slack coordinates the agent reads, so ``offsets``
+    takes a one-hop view keyed by (constraint, agent).  Offsets are padded as in the batch.
+    """
+
+    def __init__(self, batch, topology, a):
+        d, self.n_ineq, self.n_rows = batch.counts[a]
+        self.batch, self.a, self.shape = batch, a, batch.shape
+        self.ineq_indices, self.eq_indices = batch.ineq_indices[a], batch.eq_indices[a]
+        self.position = {idx: pos for pos, idx in enumerate(self.ineq_indices)}
+        self.objective = AgentObjective(batch.hessian[a, :d, :d].copy(),
+                                        batch.linear[a, :d].copy(), float(batch.constant[a]))
+        # Slack coordinate k is the k-th (constraint, participant) pair.
+        names = [(l, j) for l in range(1, topology.n_constraints + 1)
+                 for j in topology.participants_of(l)]
+        mine = batch.readers == a
+        self.keys = [names[c] for c in batch.flat[mine]]
+        self.slots = batch.slots[mine] - a * batch.shape[1] * (batch.shape[2] + 1)
+
+    def offsets(self, view) -> np.ndarray:
+        """Row offsets ``consensus_gap(l, i, ..., view) + b_i^[l]``, padded."""
+        _, width, reach = self.shape
+        buf = np.zeros(width * (reach + 1))
+        buf[self.slots] = [view[key] for key in self.keys]
+        buf = buf.reshape(width, reach + 1)
+        return _gap(self.batch.p[self.a], buf[:, 0], buf[:, 1:]) + self.batch.base[self.a]
+
+    def padded(self, ineq_offsets, eq_offsets) -> np.ndarray:
+        return np.concatenate([ineq_offsets, eq_offsets, np.zeros(self.shape[1] - self.n_rows)])
+
+    def subproblem(self, offsets) -> LocalSubproblem:
+        rows, d, k_i, k = self.batch.rows[self.a], self.objective.dim, self.n_ineq, self.n_rows
+        return LocalSubproblem(self.objective, self.ineq_indices, rows[:k_i, :d],
+                               offsets[:k_i], self.eq_indices, rows[k_i:k, :d],
+                               offsets[k_i:k])
+
+    def kkt_solve(self, working: tuple, offsets):
+        """``_kkt_solve`` through the working set's affine map: (x, multipliers) or None.
+
+        The multipliers come in ``solve_kkt``'s order: equalities, then the
+        working inequalities.
+        """
+        h, c, rows = (array[self.a] for array in (self.batch.hessian, self.batch.linear,
+                                                  self.batch.rows))
+        m, s, kkt, _, _, ready = _factors(h[None], c[None], rows[None],
+                                          [self.batch.counts[self.a]], [(0, working)])
+        z = _affine(m[0], s[0], offsets)
+        if not (ready[0] and _residual_ok(h, c, rows, kkt[0], z, offsets)[0]):
+            return None
+        kept = [self.shape[0] + r for r in (*range(self.n_ineq, self.n_rows), *working)]
+        return z[:self.objective.dim], z[kept]
 
 
 def dense_oracle(problem):
@@ -127,8 +186,7 @@ def rebuilt_closed_loop(scenario, graph, state):
             rounds = WarmStart(batch, rounds.working if rounds else None)
             final = WarmStart(batch, final.working if final else None)
             worst = 0.0
-            for inner, z, _ in iterate_rounds(problem, topology, weights, config, inner,
-                                              transport, warm=rounds):
+            for inner, z, _ in iterate_rounds(rounds, config, inner, transport):
                 worst = max(worst, batch.violation(z)[0])
             slack = inner.average
             u = batch.primal(final.solve_stacked(batch.offsets(slack))).reshape(n, 2)

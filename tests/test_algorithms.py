@@ -38,6 +38,38 @@ def test_config_validation():
         cs.PgdConfig(box_bound=1.0, grad_bound=0.0, rounds=5)
 
 
+@pytest.mark.parametrize("make, field, value, message", [
+    (lambda v: cs.AdaConfig(v, 5), "gamma", math.nan, "a finite number > 0"),
+    (lambda v: cs.AdaConfig(v, 5), "gamma", math.inf, "a finite number > 0"),
+    (lambda v: cs.AdaConfig(v, 5), "gamma", True, "a finite number > 0"),
+    (lambda v: cs.AdaConfig(0.1, v), "rounds", 2.0, "an integer >= 0"),
+    (lambda v: cs.AdaConfig(0.1, v), "rounds", True, "an integer >= 0"),
+    (lambda v: cs.AdaConfig(0.1, 5, v), "grad_tolerance", math.nan, "None or a finite"),
+    (lambda v: cs.AdaConfig(0.1, 5, v), "grad_tolerance", -1e-3, "None or a finite"),
+    (lambda v: cs.PgdConfig(v, 1.0, 5), "box_bound", math.nan, "a finite number > 0"),
+    (lambda v: cs.PgdConfig(v, 1.0, 5), "box_bound", math.inf, "a finite number > 0"),
+    (lambda v: cs.PgdConfig(1.0, v, 5), "grad_bound", math.nan, "a finite number > 0"),
+    (lambda v: cs.PgdConfig(1.0, v, 5), "grad_bound", math.inf, "a finite number > 0"),
+    (lambda v: cs.PgdConfig(1.0, v, 5), "grad_bound", False, "a finite number > 0"),
+    (lambda v: cs.PgdConfig(1.0, 1.0, 5, v), "grad_tolerance", math.inf, "None or a finite"),
+], ids=["gamma-nan", "gamma-inf", "gamma-bool", "rounds-float", "rounds-bool", "tol-nan",
+        "tol-negative", "box-nan", "box-inf", "grad-nan", "grad-inf", "grad-bool", "tol-inf"])
+def test_config_rejects_non_finite_settings_naming_the_field(make, field, value, message):
+    with pytest.raises(ValidationError, match=f"{field} must be {message}.*got {value!r}"):
+        make(value)
+
+
+def test_config_accepts_zero_tolerance_and_numpy_numbers():
+    assert cs.AdaConfig(np.float64(0.1), np.int64(3), 0.0).grad_tolerance == 0.0
+    assert cs.PgdConfig(np.float32(2.0), 1, 0, None).rounds == 0
+
+
+@pytest.mark.parametrize("box", [math.nan, math.inf, 0.0, -1.0])
+def test_gradient_bound_rejects_a_bad_box(toy, box):
+    with pytest.raises(ValidationError, match=f"box_bound must be a finite number > 0, got {box}"):
+        cs.estimate_gradient_bound(*toy, box)
+
+
 def test_ada_first_round_from_known_start(toy):
     problem, topology, weights = toy
     oracle = cs.solve_centralized(problem)

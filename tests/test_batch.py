@@ -4,15 +4,20 @@ Every check runs over the ``tests/gen.py`` families: strongly convex seeds
 0-24 and reduced-space seeds 0-11, at random slack allocations.
 """
 
+import importlib.util
+import sys
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import couplesolve as cs
-from couplesolve import local_qp
-from couplesolve.local_qp import AgentBatch, AgentQP, WarmStart
+from couplesolve import cbf, local_qp
+from couplesolve.local_qp import AgentBatch, WarmStart
 from couplesolve.problem import aggregate_violation
 from bruteforce import brute_force_solve
-from reference import (consensus_gradient, fresh_solutions, kkt_solutions_at,
+from reference import (AgentView, consensus_gradient, fresh_solutions, kkt_solutions_at,
                        stacked_multipliers, total_objective)
 from gen import reduced_space_instance, strongly_convex_instance
 
@@ -37,10 +42,9 @@ def _deviation(sol, x, mu, lam):
     return worst
 
 
-def _qps(problem, topology, weights, batch):
-    """Every agent's ``AgentQP`` at the batch's shape: the QPs the batch stacks."""
-    return [AgentQP(i, problem, topology, weights, batch.shape)
-            for i in range(1, problem.n_agents + 1)]
+def _qps(topology, batch):
+    """Every agent's ``AgentView``: the QPs the batch stacks."""
+    return [AgentView(batch, topology, a) for a in range(batch.n_agents)]
 
 
 def _starts(qp, active):
@@ -54,7 +58,7 @@ def _starts(qp, active):
 def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypatch):
     problem, topology, weights = make(seed)
     batch = AgentBatch(problem, topology, weights)
-    qps = _qps(problem, topology, weights, batch)
+    qps = _qps(topology, batch)
     layout, points = _points(topology, seed)
 
     fallbacks = []  # rows entering the lock-step loop
@@ -100,7 +104,7 @@ def test_answer_depends_only_on_the_final_working_set(make, seed):
     # working set gives one set of bits.
     problem, topology, weights = make(seed)
     batch = AgentBatch(problem, topology, weights)
-    qps = _qps(problem, topology, weights, batch)
+    qps = _qps(topology, batch)
     layout, points = _points(topology, seed)
     for flat in points:
         offsets = batch.offsets(flat)
@@ -120,7 +124,7 @@ def _padded(qp, sol):
     dim, width, _ = qp.shape
     z = np.zeros(dim + width)
     z[:qp.objective.dim] = sol.x
-    z[dim:dim + len(qp.constraints)] = (
+    z[dim:dim + qp.n_rows] = (
         [sol.ineq_multipliers[idx] for idx in qp.ineq_indices]
         + [sol.eq_multipliers[idx] for idx in qp.eq_indices])
     return z
@@ -137,7 +141,7 @@ def test_lockstep_rows_match_cold_solves(make, seed):
     offsets = batch.offsets(rng.uniform(-3.0, 3.0, size=(12, layout.size)))
     cold = batch.sets.ids_of([(a, ()) for a in range(batch.n_agents)])
     expected = {}
-    for a, qp in enumerate(_qps(problem, topology, weights, batch)):
+    for a, qp in enumerate(_qps(topology, batch)):
         z, ids = batch.solve_rows(np.full(len(offsets), a), offsets[:, a],
                                   np.full(len(offsets), cold[a]))
         for p, (got, sid) in enumerate(zip(z, ids)):
@@ -154,11 +158,8 @@ def test_lockstep_rows_match_cold_solves(make, seed):
         assert np.array_equal(got, expected[pairs[k]])
 
 
-def _failing_batch():
-    """At its FAILING offsets, 0-based agent 0 cycles and agent 1 has a flat, unpinned direction.
-
-    Returns the batch and the ``AgentQP``s it stacks.
-    """
+def _failing_instance():
+    """Three agents; see ``_failing_batch``."""
     cycling = cs.AgentObjective(2.0 * np.eye(2), np.array([-1.0, 1.0]))
     flat = cs.AgentObjective(np.diag([1.0, 0.0]), np.array([0.0, -1.0]))
     good = cs.AgentObjective(np.eye(2), np.zeros(2))
@@ -170,9 +171,17 @@ def _failing_batch():
     graph = cs.Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
     problem = cs.ProblemSpec((cycling, flat, good), cons, graph)
     topology = cs.induce_topology(problem, graph)
-    weights = cs.build_weights(topology)
-    batch = AgentBatch(problem, topology, weights)
-    return batch, _qps(problem, topology, weights, batch)
+    return problem, topology, cs.build_weights(topology)
+
+
+def _failing_batch():
+    """At its FAILING offsets, 0-based agent 0 cycles and agent 1 has a flat, unpinned direction.
+
+    Returns the batch and the ``AgentView``s of its agents.
+    """
+    _, topology, weights = instance = _failing_instance()
+    batch = AgentBatch(*instance)
+    return batch, _qps(topology, batch)
 
 
 FAILING = {0: [-2.0, -1.0, 2.0, 0.0], 1: [0.0, 0.0, 0.0, 0.0]}
@@ -222,7 +231,7 @@ def test_lockstep_breaks_ties_as_solve_kkt(start, offset):
     topology = cs.induce_topology(problem, graph)
     weights = cs.build_weights(topology)
     batch = AgentBatch(problem, topology, weights)
-    qp, offsets = AgentQP(1, problem, topology, weights, batch.shape), np.array([offset, offset])
+    qp, offsets = AgentView(batch, topology, 0), np.array([offset, offset])
 
     visited = []
     kkt_solve = qp.kkt_solve
@@ -254,11 +263,10 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
                 gap = cs.consensus_gap(l, i, topology, weights, views[i - 1])
                 expected[i - 1, r] = gap + cons.row(i, l)[1]
         for got in (batch.offsets(views), batch.offsets(mediated), batch.offsets(flat),
-                    np.array([qp.offsets(view) for qp, view in
-                              zip(_qps(problem, topology, weights, batch), views)])):
+                    np.array([qp.offsets(v) for qp, v in zip(_qps(topology, batch), views)])):
             assert np.array_equal(got, expected)
         for i in range(1, problem.n_agents + 1):
-            qp = AgentQP(i, problem, topology, weights)  # unpadded, its own shape
+            qp = AgentView(batch, topology, i - 1)
             sub = qp.subproblem(qp.offsets(views[i - 1]))
             k_i = len(sub.ineq_indices)
             assert np.array_equal(sub.ineq_offsets, expected[i - 1, :k_i])
@@ -331,3 +339,113 @@ def test_unbounded_agent_keeps_its_diagnosis():
     warm = WarmStart(AgentBatch(problem, topology, weights))
     with pytest.raises(cs.UnboundedSubproblemError):
         warm.solve_stacked(warm.batch.offsets(state.values))
+
+
+def _ring():
+    """The benchmark's 400-agent ring instance (seed 1), from ``benchmarks/instances.py``."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "instances.py"
+    spec = importlib.util.spec_from_file_location("benchmark_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = instances  # its dataclasses look their module up
+    spec.loader.exec_module(instances)
+    problem = instances.strongly_convex_ring(
+        instances.Draws(400, 1, 0.005), 400, 3, 120, 30, 5).problem
+    topology = cs.induce_topology(problem, problem.graph)
+    return problem, topology, cs.build_weights(topology)
+
+
+def _refreshed_filter():
+    """The safety filter's batch compiled at the start and refreshed at a moved state.
+
+    Returns the batch and the (problem, topology, weights) it now holds.
+    """
+    scenario, graph, state = cs.line_consensus_scenario()
+    rows = cbf._FilterRows(scenario, graph, state.n_agents)
+    problem = cbf.assemble_step_problem(state, scenario, graph)
+    topology = cs.induce_topology(problem, graph)
+    weights = cs.build_weights(topology)
+    batch = AgentBatch(problem, topology, weights)
+    moved = cs.MultiAgentState(0.5, state.positions
+                               + np.random.default_rng(5).normal(scale=0.5, size=(7, 2)))
+    step = rows.at(moved)
+    batch.refresh(step.linear, step.constant, step.coeffs[rows.order], step.offsets[rows.order])
+    return batch, (cbf.assemble_step_problem(moved, scenario, graph), topology, weights)
+
+
+def _compiled(make, *args):
+    instance = make(*args)
+    return AgentBatch(*instance), instance
+
+
+COMPILED = ([partial(_compiled, make, seed) for make, seed in FAMILIES]
+            + [partial(_compiled, _failing_instance), partial(_compiled, _ring),
+               _refreshed_filter])
+
+
+@pytest.mark.parametrize("build", COMPILED, ids=IDS + ["failing", "ring400", "filter"])
+def test_compiled_arrays_are_the_problem_and_the_weights(build):
+    # Entry by entry from the ProblemSpec and the weights, each checked entry
+    # then cleared: what is left is padding and must be zero.
+    batch, (problem, topology, weights) = build()
+    cons = problem.constraints
+    constraints = [topology.constraints_of(i) for i in range(1, problem.n_agents + 1)]
+    neighbours = {(l, i): [j for j in topology.neighborhood(l, i) if j != i]
+                  for i, ls in enumerate(constraints, start=1) for l in ls}
+    assert batch.shape == (max(problem.dims), max(map(len, constraints)),
+                           max(map(len, neighbours.values()), default=0))
+    layout = cs.SlackLayout.from_topology(topology)
+    width = batch.shape[1]
+    left = {name: getattr(batch, name).copy()
+            for name in ("hessian", "linear", "constant", "rows", "base", "p")}
+    cells, coords, rows_of = [], [], []
+    for a, (obj, ls) in enumerate(zip(problem.objectives, constraints)):
+        i, d = a + 1, obj.dim
+        for name, got, want in (("hessian", left["hessian"][a, :d, :d], obj.hessian),
+                                ("linear", left["linear"][a, :d], obj.linear),
+                                ("constant", left["constant"][a:a + 1], [obj.constant])):
+            assert np.array_equal(got, want), (name, a)
+            got[...] = 0.0
+        assert batch.counts[a] == (d, len(topology.agent_ineq_sets[a]), len(ls))
+        for r, l in enumerate(ls):
+            coeffs, offset = cons.row(i, l)
+            assert np.array_equal(left["rows"][a, r, :d], coeffs), (a, r)
+            assert left["base"][a, r] == offset, (a, r)
+            left["rows"][a, r, :d] = left["base"][a, r] = 0.0
+            for k, j in enumerate(neighbours[l, i]):  # consensus_gap's order
+                assert left["p"][a, r, k] == weights[l].weight(i, j), (a, r, k)
+                left["p"][a, r, k] = 0.0
+            cells.append(a * width + r)
+            coords.append(layout.index(l, i))
+            rows_of.append(l - 1)
+    for name, rest in left.items():
+        assert not rest.any(), name
+    for name, want in (("cells", cells), ("coords", coords), ("constraint", rows_of)):
+        assert getattr(batch, name).tolist() == want, name
+    assert batch.rank_failures() == cs.validate_licq(problem).failures()
+
+
+def test_each_entry_point_compiles_one_batch(monkeypatch):
+    built = []
+    init = AgentBatch.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(AgentBatch, "__init__", counted)
+    ada, pgd = strongly_convex_instance(0), reduced_space_instance(0)
+    slack = cs.SlackState.zeros(cs.SlackLayout.from_topology(pgd[1]))
+    line = {solver: cs.line_consensus_scenario(horizon=0.03, solver=solver)
+            for solver in cbf.SOLVERS}
+    calls = {
+        "run-ada": lambda: cs.run(*ada, cs.AdaConfig(0.01, 3)),
+        "run-pgd": lambda: cs.run(*pgd, cs.PgdConfig(5.0, 5.0, 3)),
+        "closed-loop-distributed": lambda: cs.run_closed_loop(*line["distributed"]),
+        "closed-loop-centralized": lambda: cs.run_closed_loop(*line["centralized"]),
+        "gradient-bound": lambda: cs.estimate_gradient_bound(*pgd, 1.0, interior_samples=2),
+        "finite-difference": lambda: cs.finite_difference_gradient(slack, *pgd),
+    }
+    for name, call in calls.items():
+        del built[:]
+        call()
+        assert len(built) == 1, name

@@ -291,7 +291,8 @@ def test_refreshed_batch_equals_a_fresh_compile(name):
     for positions in run_closed_loop(scenario, graph, state).positions[1::10]:
         at = MultiAgentState(0.0, positions)
         step = filter_rows.at(at)
-        compiled.refresh(step.linear, step.constant, *filter_rows.padded(step))
+        compiled.refresh(step.linear, step.constant, step.coeffs[filter_rows.order],
+                         step.offsets[filter_rows.order])
         fresh = AgentBatch(assemble_step_problem(at, scenario, graph), topology, weights)
         for key in ("hessian", "linear", "constant", "rows", "base"):
             assert np.array_equal(getattr(compiled, key), getattr(fresh, key)), key
@@ -318,7 +319,8 @@ def test_refresh_empties_the_set_table():
     warm.solve_stacked(batch.offsets(np.zeros(batch.size)))
     working = warm.working
     assert batch.sets.keys
-    batch.refresh(batch.linear, batch.constant, batch.rows, batch.base)
+    batch.refresh(batch.linear, batch.constant, batch.rows.reshape(-1, 2)[batch.cells],
+                  batch.base.reshape(-1)[batch.cells])
     assert batch.sets.keys == []
     assert WarmStart(batch, working).working == working
 

@@ -111,8 +111,18 @@ def test_run_config_rejects_unknown_keys(toy_file, tmp_path, capsys):
     ("emit_gnuplot", 1, "emit_gnuplot must be true or false"),
     ("output", 1, "output must be a file path"),
     ("problem", 0, "problem must be a file path"),
+    ("gamma", math.nan, "gamma must be a finite number > 0, got nan"),
+    ("gamma", math.inf, "gamma must be a finite number > 0, got inf"),
+    ("gamma", -0.5, "gamma must be a finite number > 0, got -0.5"),
+    ("box_bound", math.nan, "box_bound must be a finite number > 0, got nan"),
+    ("box_bound", math.inf, "box_bound must be a finite number > 0, got inf"),
+    ("grad_bound", math.nan, "grad_bound must be a finite number > 0, got nan"),
+    ("grad_bound", math.inf, "grad_bound must be a finite number > 0, got inf"),
+    ("grad_bound", 0, "grad_bound must be a finite number > 0, got 0.0"),
 ], ids=["transport", "algorithm", "rounds-fraction", "rounds-bool", "gamma", "seed",
-        "box_bound", "grad_bound", "oracle", "emit_gnuplot", "output", "problem"])
+        "box_bound", "grad_bound", "oracle", "emit_gnuplot", "output", "problem",
+        "gamma-nan", "gamma-inf", "gamma-negative", "box_bound-nan", "box_bound-inf",
+        "grad_bound-nan", "grad_bound-inf", "grad_bound-zero"])
 def test_bad_run_config_value_exits_2_naming_the_key(toy_file, tmp_path, capsys,
                                                      key, value, message):
     cfg = tmp_path / "run.json"
@@ -167,6 +177,28 @@ def test_bad_cbf_sim_flag_exits_2_naming_the_field(tmp_path, capsys, flag, value
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma", "nan"], "gamma must be a finite number > 0, got nan"),
+    (["--gamma", "inf"], "gamma must be a finite number > 0, got inf"),
+    (["--algo", "pgd", "--grad-bound", "nan"], "grad_bound must be a finite number > 0, got nan"),
+    (["--algo", "pgd", "--box-bound", "nan"], "box_bound must be a finite number > 0, got nan"),
+    (["--algo", "pgd", "--box-bound", "inf"], "box_bound must be a finite number > 0, got inf"),
+    (["--algo", "pgd", "--box-bound", "2", "--grad-bound", "inf"],
+     "grad_bound must be a finite number > 0, got inf"),
+], ids=["gamma-nan", "gamma-inf", "grad-bound-nan", "box-bound-nan", "box-bound-inf",
+        "grad-bound-inf"])
+def test_non_finite_run_flag_exits_2_naming_the_field(tmp_path, capsys, flags, message):
+    problem, _, _ = strongly_convex_instance(3)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(formats.problem_to_dict(problem)))
+    code = cli.main(["run", str(path), "--algo", "ada", "--rounds", "5", *flags,
+                     "--output", str(tmp_path / "trace.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: run: {message}" in err
     assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import couplesolve as cs
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
+from couplesolve.local_qp import AgentBatch
 from couplesolve.problem import stacked_rows
 
 
@@ -153,6 +154,12 @@ def test_aggregate_residual_is_affine(a, b, w):
     assert rc[0] == pytest.approx(w * ra[0] + (1 - w) * rb[0], abs=1e-9)
 
 
+def _rank_failures(problem):
+    """The compiled batch's rank check: ``validate_licq``'s rule on the stacked rows."""
+    topology = cs.induce_topology(problem, problem.graph)
+    return AgentBatch(problem, topology, cs.build_weights(topology)).rank_failures()
+
+
 def test_licq_report_toy(toy):
     problem, _, _ = toy
     report = cs.validate_licq(problem)
@@ -170,6 +177,7 @@ def test_licq_detects_dependent_rows():
     problem = cs.ProblemSpec((obj,), cons, graph)
     report = cs.validate_licq(problem)
     assert report.failures() == (1,)
+    assert _rank_failures(problem) == (1,)
 
 
 def test_licq_more_rows_than_dims_fails():
@@ -180,6 +188,7 @@ def test_licq_more_rows_than_dims_fails():
     graph = cs.Graph(1, frozenset())
     problem = cs.ProblemSpec((obj,), cons, graph)
     assert cs.validate_licq(problem).failures() == (1,)
+    assert _rank_failures(problem) == (1,)
 
 
 def test_agent_without_rows_passes_licq():
@@ -191,6 +200,7 @@ def test_agent_without_rows_passes_licq():
     report = cs.validate_licq(problem)
     assert report.all_full_rank
     assert report.agents[1].n_rows == 0
+    assert _rank_failures(problem) == ()
     assert stacked_rows(problem, 2).shape == (0, 1)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 import couplesolve as cs
 from couplesolve.exceptions import ValidationError
-from couplesolve.local_qp import AgentBatch, AgentQP, WarmStart
-from reference import consensus_gradient, fresh_solutions, total_objective
+from couplesolve.local_qp import AgentBatch, WarmStart
+from reference import AgentView, consensus_gradient, fresh_solutions, total_objective
 
 
 def _layout(toy):
@@ -69,9 +69,8 @@ def test_equal_multipliers_give_bitwise_zero_gradient(toy):
 def test_offsets_invariant_under_block_translation(toy):
     problem, topology, weights = toy
     layout = _layout(toy)
-    shape = AgentBatch(problem, topology, weights).shape
-    qps = [AgentQP(i, problem, topology, weights, shape)
-           for i in range(1, problem.n_agents + 1)]
+    batch = AgentBatch(problem, topology, weights)
+    qps = [AgentView(batch, topology, a) for a in range(batch.n_agents)]
 
     def offsets(values):
         state = cs.SlackState(layout, np.asarray(values, dtype=float))

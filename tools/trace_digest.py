@@ -33,8 +33,9 @@ Cases:
   finite-difference gradient at the run's output allocation;
 * ``ring400-prefix``: the benchmark's 400-agent ring (seed 1), 4 ``ada``
   rounds over the simnet transport (the oracle is compared, not digested);
-* ``cbf-cold`` and ``cbf-warm``: ``line_consensus_scenario(horizon=0.5)``
-  with cold and warm slack starts.
+* ``cbf-cold``, ``cbf-warm`` and ``cbf-central``:
+  ``line_consensus_scenario(horizon=0.5)`` with the distributed filter from
+  cold and warm slack starts, and with the centralized filter.
 """
 
 from __future__ import annotations
@@ -158,9 +159,9 @@ def cases(cs, gen, instances):
             "solutions": solution_cells(result.output_solutions),
             "oracle": oracle_cells(cs.solve_centralized(ring))})
 
-    for label, warm in (("cold", False), ("warm", True)):
-        scenario, graph, state = cs.line_consensus_scenario(horizon=0.5,
-                                                            warm_start=warm)
+    for label, overrides in (("cold", {}), ("warm", {"warm_start": True}),
+                             ("central", {"solver": "centralized"})):
+        scenario, graph, state = cs.line_consensus_scenario(horizon=0.5, **overrides)
         out = cs.run_closed_loop(scenario, graph, state)
         yield (f"cbf-{label}",
                (out.times, out.positions, out.barrier_values, out.inputs,
