@@ -226,9 +226,10 @@ def iterate_rounds(warm, config, start, transport, hook=None):
         yield state, z, grad
 
 
-def _warn_on_gamma(problem, topology, weights, config):
+def _warn_on_gamma(problem, topology, weights, config, batch):
+    """Warn when gamma exceeds 1 / (2 L), L the bound on ``batch``'s LICQ report."""
     try:
-        bound = lipschitz_bound(problem, topology, weights)
+        bound = lipschitz_bound(problem, topology, weights, batch.licq())
     except ValidationError:
         logger.info(
             "gradient Lipschitz bound unavailable (problem not strongly "
@@ -261,9 +262,12 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         raise ValidationError("transport was built over another topology than the "
                               "one the run solves on")
 
+    # Rounds and monitoring keep separate warm starts over one compiled batch,
+    # whose stacked rows also give the gamma check its rank report.
+    batch = AgentBatch(problem, topology, weights)
     is_ada = isinstance(config, AdaConfig)
     if is_ada and check_gamma:
-        _warn_on_gamma(problem, topology, weights, config)
+        _warn_on_gamma(problem, topology, weights, config, batch)
 
     if initial_slack is None:
         start = np.zeros(layout.size)
@@ -277,9 +281,6 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     n_cons = topology.n_constraints
     records = []
     converged = False
-
-    # Rounds and monitoring keep separate warm starts over one compiled batch.
-    batch = AgentBatch(problem, topology, weights)
     watch = WarmStart(batch)
 
     def monitor(flat):

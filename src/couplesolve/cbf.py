@@ -27,6 +27,7 @@ and can settle below 0 by O(dt^2 ||u||^2): the exact (centralized) filter on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -100,8 +101,9 @@ class CbfScenario:
     """The filter's barriers and how the loop runs.
 
     Raises ValidationError, naming the field, unless ``dt``, ``horizon`` and
-    ``gamma`` are finite numbers > 0, ``inner_iterations`` an integer >= 1
-    and ``solver`` one of ``SOLVERS``.
+    ``gamma`` are finite numbers > 0, the horizon spans a finite number of
+    steps, at least one (``steps`` >= 1), ``inner_iterations`` is an integer >= 1 and ``solver``
+    one of ``SOLVERS``.
     """
 
     barriers: tuple[Barrier, ...]
@@ -113,11 +115,22 @@ class CbfScenario:
     warm_start: bool = False
     alpha: object = None  # optional scalar hook applied to the barrier value
 
+    @property
+    def steps(self) -> int:
+        """Control steps in the horizon: horizon / dt, rounded."""
+        return int(round(self.horizon / self.dt))
+
     def __post_init__(self):
         for name in ("dt", "horizon", "gamma"):
             value = getattr(self, name)
             if not _positive(value):
                 raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValidationError(f"horizon / dt must be finite, got {self.horizon!r} / "
+                                  f"{self.dt!r}")
+        if self.steps < 1:
+            raise ValidationError(f"horizon must span at least one step of dt={self.dt!r}, "
+                                  f"got {self.horizon!r}")
         inner = self.inner_iterations
         if not (_integer(inner) and inner >= 1):
             raise ValidationError(f"inner_iterations must be an integer >= 1, got {inner!r}")
@@ -312,7 +325,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     and the batch is refreshed in place; the run aborts with a diagnostic
     when an agent's barrier rows become linearly dependent (LICQ failure,
     e.g. an agent exactly at a barrier center or two barrier gradients
-    aligned, by ``AgentBatch.rank_failures``).  The distributed solver's two
+    aligned, by ``AgentBatch.licq``).  The distributed solver's two
     streams, the inner rounds' and the applied solve's, keep their working
     sets across steps; the centralized solver solves the step's
     ``ProblemSpec``.  Raises ValidationError when a parameter is not finite,
@@ -320,7 +333,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     barrier names an agent outside 1..n.
     """
     rows = _FilterRows(scenario, graph, state.n_agents)
-    steps = int(round(scenario.horizon / scenario.dt))
+    steps = scenario.steps
     n, k = graph.n_agents, len(scenario.barriers)
 
     times = np.zeros(steps + 1)
@@ -353,7 +366,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
         seeds = (rounds.working, final.working) if rounds else (None, None)
         batch.refresh(step.linear, step.constant, step.coeffs[rows.order],
                       step.offsets[rows.order])
-        failures = batch.rank_failures()
+        failures = batch.licq().failures()
         if failures:
             raise RankDeficiencyError(
                 f"step {s} (t={state.time:.3f}): agents {failures} have "

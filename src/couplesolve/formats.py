@@ -21,7 +21,9 @@ Scenario files for the closed-loop demo::
 Unknown keys are rejected by name so config typos fail loudly, and a value
 of the wrong type (a non-list ``agents``, ``ineq``, ``eq``, ``edges`` or
 ``weights`` too) raises a ConfigError naming its field.  An index or count
-must be an integer: a fraction or a boolean is rejected, never truncated.
+must be an integer: a fraction or a boolean is rejected, never truncated; a
+number (an offset, a constant, ``dt``, ``horizon`` or ``gamma``) must not be
+a boolean either.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ def _cast(value, cast, field: str):
 
 
 def number(value, field: str) -> float:
-    """``float(value)``, or a ConfigError naming the field."""
+    """``float(value)`` (no boolean), or a ConfigError naming the field."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{field} must be numeric, got {value!r}")
     return _cast(value, float, field)
 
 

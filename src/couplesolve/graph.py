@@ -131,57 +131,53 @@ def induce_topology(problem, graph: Graph) -> ConstraintTopology:
     """Compute participant sets, induced subgraphs and neighborhoods.
 
     An agent participates in a constraint row iff its coefficient row is
-    nonzero or its offset contribution is nonzero.  Deterministic: all sets
-    are stored in ascending order, independent of edge insertion order.
+    nonzero or its offset contribution is nonzero, which is exactly when
+    ``CouplingConstraints`` stores the row.  So the participant sets and each
+    agent's row sets come from one pass over the stored rows, agent by
+    agent, and each constraint's induced edges and closed neighborhoods
+    from one adjacency map of ``graph``.  Deterministic: all sets are stored
+    in ascending order, independent of edge insertion order.
     """
     cons = problem.constraints
     m_ineq, q_eq = cons.m_ineq, cons.q_eq
     n = graph.n_agents
 
-    participants = []
-    for l in range(1, m_ineq + q_eq + 1):
-        members = []
-        for i in range(1, n + 1):
-            row = cons.row(i, l)
-            if row is not None:
-                coeffs, offset = row
-                if offset != 0.0 or np.any(coeffs != 0.0):
-                    members.append(i)
-        participants.append(tuple(members))
+    members = [[] for _ in range(m_ineq + q_eq)]
+    agent_ineq, agent_eq = [], []
+    for i in range(1, n + 1):
+        ineq_rows, eq_rows = cons.agent_rows(i)
+        ineq, eq = tuple(sorted(ineq_rows)), tuple(sorted(eq_rows))
+        for m in ineq:
+            members[m - 1].append(i)
+        for q in eq:
+            members[m_ineq + q - 1].append(i)
+        agent_ineq.append(ineq)
+        agent_eq.append(eq)
+    participants = tuple(map(tuple, members))  # ascending: agents come in order
 
+    adjacency = {i: set() for i in range(1, n + 1)}
+    for a, b in graph.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     induced = []
     neighborhoods = {}
-    for l, members in enumerate(participants, start=1):
-        member_set = set(members)
-        edges = frozenset(
-            (a, b) for a, b in graph.edges if a in member_set and b in member_set
-        )
-        induced.append(edges)
-        for i in members:
-            close = {i}
-            for a, b in edges:
-                if a == i:
-                    close.add(b)
-                elif b == i:
-                    close.add(a)
-            neighborhoods[(l, i)] = tuple(sorted(close))
+    for l, agents in enumerate(participants, start=1):
+        inside = set(agents)
+        edges = []
+        for i in agents:
+            near = adjacency[i] & inside
+            edges += [(i, j) for j in near if i < j]
+            neighborhoods[(l, i)] = tuple(sorted((i, *near)))
+        induced.append(frozenset(edges))
 
-    agent_ineq = tuple(
-        tuple(m for m in range(1, m_ineq + 1) if i in participants[m - 1])
-        for i in range(1, n + 1)
-    )
-    agent_eq = tuple(
-        tuple(q for q in range(1, q_eq + 1) if i in participants[m_ineq + q - 1])
-        for i in range(1, n + 1)
-    )
     return ConstraintTopology(
         n_agents=n,
         m_ineq=m_ineq,
         q_eq=q_eq,
-        participants=tuple(participants),
+        participants=participants,
         induced_edges=tuple(induced),
-        agent_ineq_sets=agent_ineq,
-        agent_eq_sets=agent_eq,
+        agent_ineq_sets=tuple(agent_ineq),
+        agent_eq_sets=tuple(agent_eq),
         _neighborhoods=neighborhoods,
     )
 

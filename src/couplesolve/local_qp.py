@@ -28,7 +28,9 @@ solves meet in one table, each map stacked under an id; the maps of newly
 met sets are built together, one stacked inverse per KKT size, from the
 batch's stacked arrays.  ``AgentBatch.refresh`` overwrites c, the constants, the
 rows and their base offsets in place for a problem of the same structure
-(the safety filter's next step) and empties the table.
+(the safety filter's next step) and empties the table.  ``AgentBatch.licq``
+reads ``validate_licq``'s report off the stacked rows, so ``run``'s gamma
+check and the filter's per-step rank check need no per-agent SVD.
 
 ``AgentBatch.solve_rows`` runs ``solve_kkt``'s loop in lock step over many
 rows, a row being one agent's QP at one set of offsets from one starting
@@ -63,7 +65,7 @@ from .exceptions import (
     DegenerateSubproblemError,
     UnboundedSubproblemError,
 )
-from .problem import AgentObjective, full_row_rank
+from .problem import AgentObjective, LicqReport, licq_report
 
 # Residuals above this are treated as violated when growing the working set;
 # multipliers below its negative are dropped.
@@ -375,29 +377,36 @@ class StackedSolutions:
 
     Row a of ``z`` is x in its first ``dims[a]`` entries, then the row
     multipliers (inequalities, then equalities, each ascending) from column
-    ``dim``; ``work[a]`` marks the working inequality rows.  Holds arrays
-    and the row indices only, so keeping it keeps no batch alive.
+    ``dim``; ``work[a]`` marks the working inequality rows.  ``constraint``
+    holds every agent row's 0-based constraint index, agent by agent
+    (``AgentBatch.constraint``), and ``n_rows`` each agent's row count; a
+    constraint below ``m_ineq`` is an inequality row.  Holds arrays only,
+    so keeping it keeps no batch and no topology alive.
     """
 
     z: np.ndarray
     work: np.ndarray
     dim: int
     dims: tuple[int, ...]
-    ineq_indices: tuple[tuple[int, ...], ...]
-    eq_indices: tuple[tuple[int, ...], ...]
+    constraint: np.ndarray
+    n_rows: np.ndarray
+    m_ineq: int
 
     def primal(self) -> np.ndarray:
         """The stacked primal vector x_1, ..., x_n."""
         return self.z[:, :self.dim][np.arange(self.dim) < np.array(self.dims)[:, None]]
 
     def kkt_solutions(self) -> list[KktSolution]:
-        out = []
-        for z, mults, work, d, ineq, eq in zip(self.z, self.z[:, self.dim:].tolist(),
-                                               self.work, self.dims, self.ineq_indices,
-                                               self.eq_indices):
+        out, first, m_ineq = [], 0, self.m_ineq
+        rows = self.constraint.tolist()
+        for z, mults, work, d, k in zip(self.z, self.z[:, self.dim:].tolist(), self.work,
+                                        self.dims, self.n_rows.tolist()):
+            ls, first = rows[first:first + k], first + k
+            ineq = [l + 1 for l in ls if l < m_ineq]
+            eq = [l + 1 - m_ineq for l in ls if l >= m_ineq]
             k_i = len(ineq)
             out.append(KktSolution(z[:d], dict(zip(ineq, mults[:k_i])),
-                                   dict(zip(eq, mults[k_i:k_i + len(eq)])),
+                                   dict(zip(eq, mults[k_i:k])),
                                    tuple(ineq[pos] for pos in np.flatnonzero(work))))
         return out
 
@@ -533,8 +542,7 @@ class AgentBatch:
          self.constraint) = (np.array(v, dtype=int)
                              for v in (slots, flat, readers, cells, coords, constraint))
         self.dims = problem.dims
-        self.ineq_indices = topology.agent_ineq_sets
-        self.eq_indices = topology.agent_eq_sets
+        self.n_rows = np.array([k for _, _, k in self.counts], dtype=int)
         self.m_ineq = topology.m_ineq
         self.n_constraints = topology.n_constraints
         self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
@@ -567,14 +575,11 @@ class AgentBatch:
         self.base.reshape(-1)[self.cells] = offsets
         self.sets = _SetTable(self)
 
-    def rank_failures(self) -> tuple[int, ...]:
-        """The agents (1-based) whose rows fail ``validate_licq``'s rank rule:
-        one batched singular value decomposition per (rows, block dimension)."""
-        failed = []
-        for k, d, agents in self.by_shape:
-            sv = np.linalg.svd(self.rows[agents, :k, :d], compute_uv=False)
-            failed += (agents[~full_row_rank(sv, k, d)] + 1).tolist()
-        return tuple(sorted(failed))
+    def licq(self) -> LicqReport:
+        """``validate_licq``'s report from the stacked rows: one batched singular
+        value decomposition per (rows, block dimension) group of ``by_shape``."""
+        return licq_report(self.n_agents, ((agents, self.rows[agents, :k, :d])
+                                           for k, d, agents in self.by_shape))
 
     def solve_rows(self, agents, offsets, start) -> tuple[np.ndarray, np.ndarray]:
         """``solve_kkt``'s active-set loop, run in lock step over many rows.
@@ -732,8 +737,8 @@ class AgentBatch:
 
     def solutions(self, z, work) -> StackedSolutions:
         """Every agent's row of z with its working-row mask."""
-        return StackedSolutions(z, work, self.shape[0], self.dims, self.ineq_indices,
-                                self.eq_indices)
+        return StackedSolutions(z, work, self.shape[0], self.dims, self.constraint,
+                                self.n_rows, self.m_ineq)
 
 
 class WarmStart:

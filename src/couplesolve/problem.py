@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from functools import cached_property
 
 import numpy as np
@@ -242,14 +243,18 @@ class LicqReport:
         return tuple(a.agent for a in self.agents if not a.full_row_rank)
 
 
+def _row_list(problem: ProblemSpec, agent: int) -> list[np.ndarray]:
+    """Agent's constraint coefficient rows (inequalities then equalities, each ascending)."""
+    ineq_rows, eq_rows = problem.constraints.agent_rows(agent)
+    return ([ineq_rows[m][0] for m in sorted(ineq_rows)]
+            + [eq_rows[q][0] for q in sorted(eq_rows)])
+
+
 def stacked_rows(problem: ProblemSpec, agent: int) -> np.ndarray:
     """Agent's constraint coefficient rows stacked (inequalities then equalities)."""
-    ineq_rows, eq_rows = problem.constraints.agent_rows(agent)
-    d = problem.objectives[agent - 1].dim
-    rows = [ineq_rows[m][0] for m in sorted(ineq_rows)]
-    rows += [eq_rows[q][0] for q in sorted(eq_rows)]
+    rows = _row_list(problem, agent)
     if not rows:
-        return np.zeros((0, d))
+        return np.zeros((0, problem.objectives[agent - 1].dim))
     return np.vstack(rows)
 
 
@@ -261,36 +266,75 @@ def full_row_rank(sv, n_rows, dim, rank_tol: float = 1e-9):
     return (n_rows <= dim) & (sv[..., -1] > rank_tol * np.maximum(1.0, sv[..., 0]))
 
 
+def licq_report(n_agents: int, groups, rank_tol: float = 1e-9) -> LicqReport:
+    """The LicqReport of ``n_agents`` agents from their rows, stacked in groups.
+
+    ``groups`` yields (0-based agents, their rows stacked (count, k, d)),
+    k > 0, one group per (rows, block dimension); an agent in no group has
+    no rows.  One batched singular value decomposition per group, under the
+    rule ``full_row_rank``.
+    """
+    infos = [None] * n_agents
+    for agents, rows in groups:
+        _, k, d = rows.shape
+        sv = np.linalg.svd(rows, compute_uv=False)
+        smax = sv[:, 0].tolist()
+        smin = sv[:, -1].tolist() if k <= d else [0.0] * len(smax)
+        ok = full_row_rank(sv, k, d, rank_tol).tolist()
+        for a, good, lo, hi in zip(agents.tolist(), ok, smin, smax):
+            infos[a] = AgentRankInfo(a + 1, k, good, lo, hi, lo ** 2)
+    return LicqReport(tuple(info or AgentRankInfo(a + 1, 0, True, math.inf, 0.0, math.inf)
+                            for a, info in enumerate(infos)))
+
+
 def validate_licq(problem: ProblemSpec, rank_tol: float = 1e-9) -> LicqReport:
     """Check each agent's stacked constraint rows for full row rank.
 
     Full row rank of every agent's stack guarantees local subproblems are
     feasible for arbitrary offsets and that their multipliers are unique.
+    One pass over the stored rows groups the agents by (rows, block
+    dimension); each group's stacks go through one batched singular value
+    decomposition (``licq_report``).
     """
-    infos = []
-    for i in range(1, problem.n_agents + 1):
-        rows = stacked_rows(problem, i)
-        k = rows.shape[0]
-        if k == 0:
-            infos.append(AgentRankInfo(i, 0, True, math.inf, 0.0, math.inf))
-            continue
-        sv = np.linalg.svd(rows, compute_uv=False)
-        smax = float(sv[0])
-        smin = float(sv[-1]) if k <= rows.shape[1] else 0.0
-        ok = bool(full_row_rank(sv, k, rows.shape[1], rank_tol))
-        infos.append(AgentRankInfo(i, k, ok, smin, smax, smin ** 2))
-    return LicqReport(tuple(infos))
+    groups = {}
+    for a, d in enumerate(problem.dims):
+        rows = _row_list(problem, a + 1)
+        if rows:
+            agents, stacks = groups.setdefault((len(rows), d), ([], []))
+            agents.append(a)
+            stacks.append(rows)
+    return licq_report(problem.n_agents,
+                       ((np.array(agents), np.array(stacks, dtype=float))
+                        for agents, stacks in groups.values()), rank_tol)
+
+
+def _groups(keys: np.ndarray):
+    """(key, positions ascending) per distinct value of the int array ``keys``."""
+    for key in np.unique(keys).tolist():
+        yield key, np.flatnonzero(keys == key)
+
+
+def _operator_norms(topology, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(||I - P^[l]||_2, |V^[l]|) per constraint l, at l - 1: one batched
+    ``eigvalsh`` per participant count over the stacked I - P."""
+    sizes = np.fromiter(map(len, topology.participants), dtype=int,
+                        count=topology.n_constraints)
+    norms = np.zeros(topology.n_constraints)
+    for k, pos in _groups(sizes):
+        if k:
+            entries = np.array([weights[l].entries for l in (pos + 1).tolist()])
+            norms[pos] = np.abs(np.linalg.eigvalsh(np.eye(k) - entries)).max(axis=1)
+    return norms, sizes
 
 
 def operator_norms(topology, weights) -> dict[int, float]:
-    """Spectral norm of I - P per constraint (0 for empty participant sets)."""
-    out = {}
-    for l in range(1, topology.n_constraints + 1):
-        if topology.participants_of(l):
-            out[l] = float(np.max(np.abs(np.linalg.eigvalsh(weights[l].gap))))
-        else:
-            out[l] = 0.0
-    return out
+    """Spectral norm of I - P per constraint (0 for empty participant sets).
+
+    The constraints are grouped by participant count: one batched
+    ``eigvalsh`` per count over the stacked I - P (``WeightMatrix.gap``).
+    """
+    norms, _ = _operator_norms(topology, weights)
+    return dict(zip(range(1, topology.n_constraints + 1), norms.tolist()))
 
 
 def lipschitz_bound(problem: ProblemSpec, topology, weights,
@@ -310,7 +354,11 @@ def lipschitz_bound(problem: ProblemSpec, topology, weights,
                             * sqrt(m_ineq + q_eq).
 
     Requires every agent strongly convex (positive-definite Hessians) and
-    full-row-rank stacked constraint rows.
+    full-row-rank stacked constraint rows.  Computed on stacked factors:
+    ``operator_norms``, one batched ``eigvalsh`` per block dimension over
+    the Hessians of the agents with rows, and one vectorized max for every
+    agent's reach; the first agent (in order) whose Hessian is not positive
+    definite is the one named.
     """
     if licq is None:
         licq = validate_licq(problem)
@@ -318,24 +366,28 @@ def lipschitz_bound(problem: ProblemSpec, topology, weights,
         raise RankDeficiencyError(
             f"agents {licq.failures()} have rank-deficient constraint rows"
         )
-    norms = operator_norms(topology, weights)
+    norms, sizes = _operator_norms(topology, weights)
 
+    coupled = np.flatnonzero([info.n_rows for info in licq.agents])
     per_agent = 0.0
-    for info, obj in zip(licq.agents, problem.objectives):
-        if info.n_rows == 0:
-            continue
-        lo, hi = obj.curvature_range()
-        if lo <= 1e-12 * max(1.0, hi):
+    if coupled.size:
+        lo, hi = np.zeros(coupled.size), np.zeros(coupled.size)
+        for _, pos in _groups(np.array(problem.dims)[coupled]):
+            eigs = np.linalg.eigvalsh(np.array([problem.objectives[a].hessian
+                                                for a in coupled[pos].tolist()]))
+            lo[pos], hi[pos] = eigs[:, 0], eigs[:, -1]
+        flat = lo <= 1e-12 * np.maximum(1.0, hi)
+        if flat.any():
             raise ValidationError(
-                f"agent {info.agent}: Hessian not positive definite; "
-                "the gradient Lipschitz bound needs strong convexity"
+                f"agent {licq.agents[coupled[np.argmax(flat)]].agent}: Hessian not "
+                "positive definite; the gradient Lipschitz bound needs strong convexity"
             )
-        reach = max(norms[l] for l in topology.constraints_of(info.agent))
-        per_agent = max(per_agent, reach * math.sqrt(hi / info.gram_min))
+        # Reach: the largest norm over the constraints an agent takes part in.
+        reach = np.zeros(len(licq.agents))
+        members = np.fromiter(chain.from_iterable(topology.participants), dtype=int)
+        np.maximum.at(reach, members - 1, np.repeat(norms, sizes))
+        gram = np.array([licq.agents[a].gram_min for a in coupled.tolist()])
+        per_agent = float((reach[coupled] * np.sqrt(hi / gram)).max(initial=0.0))
 
-    network = max(
-        (norms[l] * math.sqrt(len(topology.participants_of(l)))
-         for l in range(1, topology.n_constraints + 1)),
-        default=0.0,
-    )
+    network = float((norms * np.sqrt(sizes)).max(initial=0.0))
     return per_agent * network * math.sqrt(topology.n_constraints)

@@ -14,9 +14,16 @@ Two families:
 
 Both produce feasible problems by construction: offsets are balanced around
 a sampled anchor point (with a strict margin on inequality rows).
+
+Two fixed instances besides: ``failing_instance``, whose local QPs fail in
+chosen ways, and ``benchmark_ring``, the benchmark's 400-agent ring.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -191,4 +198,39 @@ def reduced_space_instance(seed: int):
 
     problem = ProblemSpec(tuple(objectives), cons, graph)
     topology = induce_topology(problem, graph)
+    return problem, topology, build_weights(topology)
+
+
+def failing_instance():
+    """Three agents; returns (problem, topology, weights).
+
+    At chosen offsets agent 1's active-set loop cycles and agent 2 has a
+    flat, unpinned direction.  Agents 1 and 3 hold four rows in the plane,
+    so their rows are rank deficient.
+    """
+    cycling = AgentObjective(2.0 * np.eye(2), np.array([-1.0, 1.0]))
+    flat = AgentObjective(np.diag([1.0, 0.0]), np.array([0.0, -1.0]))
+    good = AgentObjective(np.eye(2), np.zeros(2))
+    cons = CouplingConstraints(3, m_ineq=4, q_eq=0)
+    for l, row in enumerate([[-1.0, -1.0], [2.0, -1.0], [-1.0, 1.0], [1.0, -2.0]], start=1):
+        cons.add_ineq_row(1, l, row, 0.0)
+        cons.add_ineq_row(3, l, [1.0, 0.5], 0.0)
+    cons.add_ineq_row(2, 1, [1.0, 0.0], 0.0)
+    graph = Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+    problem = ProblemSpec((cycling, flat, good), cons, graph)
+    topology = induce_topology(problem, graph)
+    return problem, topology, build_weights(topology)
+
+
+def benchmark_ring(seed: int = 1):
+    """The benchmark's 400-agent ring (``benchmarks/instances.py``); returns
+    (problem, topology, weights)."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "instances.py"
+    spec = importlib.util.spec_from_file_location("benchmark_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = instances  # its dataclasses look their module up
+    spec.loader.exec_module(instances)
+    problem = instances.strongly_convex_ring(
+        instances.Draws(400, seed, 0.005), 400, 3, 120, 30, 5).problem
+    topology = induce_topology(problem, problem.graph)
     return problem, topology, build_weights(topology)

@@ -13,6 +13,12 @@ fresh stream, their objective summed through ``AgentObjective.value``, their
 multipliers read through ``KktSolution.multiplier`` and the gradient formed
 coordinate by coordinate with ``consensus_gap``, as each agent forms its own.
 
+The set-up's scalar loops, which the batched set-up must reproduce bit for
+bit: ``scalar_induce_topology`` (``row`` per (agent, constraint) pair, a
+scan of every graph edge per constraint), ``scalar_validate_licq`` (one
+SVD per agent), ``scalar_operator_norms`` (one ``eigvalsh`` per constraint)
+and ``scalar_lipschitz_bound`` (one ``eigvalsh`` per agent with rows).
+
 The closed loop rebuilt at every step: ``rebuilt_closed_loop`` assembles
 each step's filter QP with ``assemble_step_problem``, checks it with
 ``validate_licq``, compiles a fresh ``AgentBatch`` with two fresh
@@ -21,6 +27,8 @@ each step's filter QP with ``assemble_step_problem``, checks it with
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from couplesolve import (AgentObjective, SlackLayout, build_weights, consensus_gap,
@@ -28,10 +36,12 @@ from couplesolve import (AgentObjective, SlackLayout, build_weights, consensus_g
                          validate_licq)
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
 from couplesolve.cbf import ClosedLoopResult, assemble_step_problem, euler_step
-from couplesolve.exceptions import RankDeficiencyError
+from couplesolve.exceptions import RankDeficiencyError, ValidationError
+from couplesolve.graph import ConstraintTopology
 from couplesolve.local_qp import (AgentBatch, LocalSubproblem, WarmStart, _affine, _factors,
                                   _gap, _residual_ok, solve_kkt)
 from couplesolve.oracle import stacked_arrays
+from couplesolve.problem import AgentRankInfo, LicqReport, full_row_rank, stacked_rows
 from couplesolve.simnet import SimnetTransport
 
 
@@ -45,7 +55,8 @@ class AgentView:
     def __init__(self, batch, topology, a):
         d, self.n_ineq, self.n_rows = batch.counts[a]
         self.batch, self.a, self.shape = batch, a, batch.shape
-        self.ineq_indices, self.eq_indices = batch.ineq_indices[a], batch.eq_indices[a]
+        self.ineq_indices = topology.agent_ineq_sets[a]
+        self.eq_indices = topology.agent_eq_sets[a]
         self.position = {idx: pos for pos, idx in enumerate(self.ineq_indices)}
         self.objective = AgentObjective(batch.hessian[a, :d, :d].copy(),
                                         batch.linear[a, :d].copy(), float(batch.constant[a]))
@@ -199,3 +210,108 @@ def rebuilt_closed_loop(scenario, graph, state):
     barrier_values[steps] = [b.value(state.positions) for b in scenario.barriers]
     return ClosedLoopResult(times, positions, barrier_values, inputs, inner_worst,
                             applied_worst, scenario)
+
+
+def scalar_induce_topology(problem, graph) -> ConstraintTopology:
+    """``induce_topology`` pair by pair: a row lookup per (agent, constraint)."""
+    cons = problem.constraints
+    m_ineq, q_eq = cons.m_ineq, cons.q_eq
+    n = graph.n_agents
+
+    participants = []
+    for l in range(1, m_ineq + q_eq + 1):
+        members = []
+        for i in range(1, n + 1):
+            row = cons.row(i, l)
+            if row is not None:
+                coeffs, offset = row
+                if offset != 0.0 or np.any(coeffs != 0.0):
+                    members.append(i)
+        participants.append(tuple(members))
+
+    induced = []
+    neighborhoods = {}
+    for l, members in enumerate(participants, start=1):
+        member_set = set(members)
+        edges = frozenset(
+            (a, b) for a, b in graph.edges if a in member_set and b in member_set
+        )
+        induced.append(edges)
+        for i in members:
+            close = {i}
+            for a, b in edges:
+                if a == i:
+                    close.add(b)
+                elif b == i:
+                    close.add(a)
+            neighborhoods[(l, i)] = tuple(sorted(close))
+
+    agent_ineq = tuple(
+        tuple(m for m in range(1, m_ineq + 1) if i in participants[m - 1])
+        for i in range(1, n + 1)
+    )
+    agent_eq = tuple(
+        tuple(q for q in range(1, q_eq + 1) if i in participants[m_ineq + q - 1])
+        for i in range(1, n + 1)
+    )
+    return ConstraintTopology(n, m_ineq, q_eq, tuple(participants), tuple(induced),
+                              agent_ineq, agent_eq, neighborhoods)
+
+
+def scalar_validate_licq(problem, rank_tol: float = 1e-9) -> LicqReport:
+    """``validate_licq`` agent by agent: one SVD per agent with rows."""
+    infos = []
+    for i in range(1, problem.n_agents + 1):
+        rows = stacked_rows(problem, i)
+        k = rows.shape[0]
+        if k == 0:
+            infos.append(AgentRankInfo(i, 0, True, math.inf, 0.0, math.inf))
+            continue
+        sv = np.linalg.svd(rows, compute_uv=False)
+        smax = float(sv[0])
+        smin = float(sv[-1]) if k <= rows.shape[1] else 0.0
+        ok = bool(full_row_rank(sv, k, rows.shape[1], rank_tol))
+        infos.append(AgentRankInfo(i, k, ok, smin, smax, smin ** 2))
+    return LicqReport(tuple(infos))
+
+
+def scalar_operator_norms(topology, weights) -> dict[int, float]:
+    """``operator_norms`` constraint by constraint: one ``eigvalsh`` each."""
+    out = {}
+    for l in range(1, topology.n_constraints + 1):
+        if topology.participants_of(l):
+            out[l] = float(np.max(np.abs(np.linalg.eigvalsh(weights[l].gap))))
+        else:
+            out[l] = 0.0
+    return out
+
+
+def scalar_lipschitz_bound(problem, topology, weights, licq=None) -> float:
+    """``lipschitz_bound`` agent by agent: one ``eigvalsh`` per agent with rows."""
+    if licq is None:
+        licq = scalar_validate_licq(problem)
+    if not licq.all_full_rank:
+        raise RankDeficiencyError(
+            f"agents {licq.failures()} have rank-deficient constraint rows"
+        )
+    norms = scalar_operator_norms(topology, weights)
+
+    per_agent = 0.0
+    for info, obj in zip(licq.agents, problem.objectives):
+        if info.n_rows == 0:
+            continue
+        lo, hi = obj.curvature_range()
+        if lo <= 1e-12 * max(1.0, hi):
+            raise ValidationError(
+                f"agent {info.agent}: Hessian not positive definite; "
+                "the gradient Lipschitz bound needs strong convexity"
+            )
+        reach = max(norms[l] for l in topology.constraints_of(info.agent))
+        per_agent = max(per_agent, reach * math.sqrt(hi / info.gram_min))
+
+    network = max(
+        (norms[l] * math.sqrt(len(topology.participants_of(l)))
+         for l in range(1, topology.n_constraints + 1)),
+        default=0.0,
+    )
+    return per_agent * network * math.sqrt(topology.n_constraints)

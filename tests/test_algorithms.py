@@ -1,6 +1,7 @@
 import gc
 import logging
 import math
+import types
 import weakref
 
 import numpy as np
@@ -333,6 +334,35 @@ def test_run_result_keeps_no_batch_alive(monkeypatch):
         gc.collect()
         assert batches and all(ref() is None for ref in batches)
         assert len(result.output_solutions) == problem.n_agents
+
+
+def _reachable(root) -> set:
+    """Ids of every object reachable from ``root``, not entering types, modules or functions."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_run_result_keeps_no_topology_index_tuple():
+    # A kept result stores its solutions' row indices as arrays; its
+    # KktSolutions still carry the topology's row sets, keyed by Python ints.
+    problem, topology, weights = strongly_convex_instance(3)
+    sets = (topology.agent_ineq_sets, topology.agent_eq_sets)
+    tuples = {id(t) for group in sets for t in (group, *group) if t}
+    for config in (cs.AdaConfig(0.01, 5), cs.PgdConfig(10.0, 10.0, 5)):
+        result = cs.run(problem, topology, weights, config)
+        assert not _reachable(result) & tuples
+        for a, sol in enumerate(result.output_solutions):
+            keys = (*sol.ineq_multipliers, *sol.eq_multipliers, *sol.active_set)
+            assert tuple(sol.ineq_multipliers) == topology.agent_ineq_sets[a]
+            assert tuple(sol.eq_multipliers) == topology.agent_eq_sets[a]
+            assert set(sol.active_set) <= set(topology.agent_ineq_sets[a])
+            assert all(type(key) is int for key in keys)
 
 
 def test_seeded_first_round_needs_no_fallback(monkeypatch):

@@ -4,10 +4,7 @@ Every check runs over the ``tests/gen.py`` families: strongly convex seeds
 0-24 and reduced-space seeds 0-11, at random slack allocations.
 """
 
-import importlib.util
-import sys
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,8 @@ from couplesolve.problem import aggregate_violation
 from bruteforce import brute_force_solve
 from reference import (AgentView, consensus_gradient, fresh_solutions, kkt_solutions_at,
                        stacked_multipliers, total_objective)
-from gen import reduced_space_instance, strongly_convex_instance
+from gen import (benchmark_ring, failing_instance, reduced_space_instance,
+                 strongly_convex_instance)
 
 FAMILIES = ([(strongly_convex_instance, seed) for seed in range(25)]
             + [(reduced_space_instance, seed) for seed in range(12)])
@@ -158,28 +156,12 @@ def test_lockstep_rows_match_cold_solves(make, seed):
         assert np.array_equal(got, expected[pairs[k]])
 
 
-def _failing_instance():
-    """Three agents; see ``_failing_batch``."""
-    cycling = cs.AgentObjective(2.0 * np.eye(2), np.array([-1.0, 1.0]))
-    flat = cs.AgentObjective(np.diag([1.0, 0.0]), np.array([0.0, -1.0]))
-    good = cs.AgentObjective(np.eye(2), np.zeros(2))
-    cons = cs.CouplingConstraints(3, m_ineq=4, q_eq=0)
-    for l, row in enumerate([[-1.0, -1.0], [2.0, -1.0], [-1.0, 1.0], [1.0, -2.0]], start=1):
-        cons.add_ineq_row(1, l, row, 0.0)
-        cons.add_ineq_row(3, l, [1.0, 0.5], 0.0)
-    cons.add_ineq_row(2, 1, [1.0, 0.0], 0.0)
-    graph = cs.Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
-    problem = cs.ProblemSpec((cycling, flat, good), cons, graph)
-    topology = cs.induce_topology(problem, graph)
-    return problem, topology, cs.build_weights(topology)
-
-
 def _failing_batch():
     """At its FAILING offsets, 0-based agent 0 cycles and agent 1 has a flat, unpinned direction.
 
     Returns the batch and the ``AgentView``s of its agents.
     """
-    _, topology, weights = instance = _failing_instance()
+    _, topology, weights = instance = failing_instance()
     batch = AgentBatch(*instance)
     return batch, _qps(topology, batch)
 
@@ -341,19 +323,6 @@ def test_unbounded_agent_keeps_its_diagnosis():
         warm.solve_stacked(warm.batch.offsets(state.values))
 
 
-def _ring():
-    """The benchmark's 400-agent ring instance (seed 1), from ``benchmarks/instances.py``."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "instances.py"
-    spec = importlib.util.spec_from_file_location("benchmark_instances", path)
-    instances = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = instances  # its dataclasses look their module up
-    spec.loader.exec_module(instances)
-    problem = instances.strongly_convex_ring(
-        instances.Draws(400, 1, 0.005), 400, 3, 120, 30, 5).problem
-    topology = cs.induce_topology(problem, problem.graph)
-    return problem, topology, cs.build_weights(topology)
-
-
 def _refreshed_filter():
     """The safety filter's batch compiled at the start and refreshed at a moved state.
 
@@ -378,7 +347,7 @@ def _compiled(make, *args):
 
 
 COMPILED = ([partial(_compiled, make, seed) for make, seed in FAMILIES]
-            + [partial(_compiled, _failing_instance), partial(_compiled, _ring),
+            + [partial(_compiled, failing_instance), partial(_compiled, benchmark_ring),
                _refreshed_filter])
 
 
@@ -421,7 +390,7 @@ def test_compiled_arrays_are_the_problem_and_the_weights(build):
         assert not rest.any(), name
     for name, want in (("cells", cells), ("coords", coords), ("constraint", rows_of)):
         assert getattr(batch, name).tolist() == want, name
-    assert batch.rank_failures() == cs.validate_licq(problem).failures()
+    assert batch.licq() == cs.validate_licq(problem)
 
 
 def test_each_entry_point_compiles_one_batch(monkeypatch):

@@ -388,6 +388,22 @@ def test_scenario_rejects_bad_numbers_naming_the_field(field, value):
         CbfScenario(barrier, **{field: value})
 
 
+@pytest.mark.parametrize("horizon, steps", [(0.004, 0), (0.005, 0), (0.006, 1), (0.02, 2)])
+def test_scenario_needs_at_least_one_step(horizon, steps):
+    barrier = (Barrier((0.0, 0.0), 1.0, (1,)),)
+    if steps:
+        assert CbfScenario(barrier, dt=0.01, horizon=horizon).steps == steps
+    else:
+        with pytest.raises(ValidationError, match="^horizon must span at least one step"):
+            CbfScenario(barrier, dt=0.01, horizon=horizon)
+
+
+def test_scenario_needs_a_finite_step_count():
+    barrier = (Barrier((0.0, 0.0), 1.0, (1,)),)
+    with pytest.raises(ValidationError, match=r"^horizon / dt must be finite, got 1e\+300 / 1e-10$"):
+        CbfScenario(barrier, dt=1e-10, horizon=1e300)
+
+
 @pytest.mark.parametrize("center, radius_sq, agents, field", [
     ((math.nan, 0.0), 1.0, (1,), "center"),
     ((0.0,), 1.0, (1,), "center"),

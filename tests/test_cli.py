@@ -119,10 +119,14 @@ def test_run_config_rejects_unknown_keys(toy_file, tmp_path, capsys):
     ("grad_bound", math.nan, "grad_bound must be a finite number > 0, got nan"),
     ("grad_bound", math.inf, "grad_bound must be a finite number > 0, got inf"),
     ("grad_bound", 0, "grad_bound must be a finite number > 0, got 0.0"),
+    ("gamma", True, "gamma must be numeric, got True"),
+    ("box_bound", True, "box_bound must be numeric, got True"),
+    ("grad_bound", False, "grad_bound must be numeric, got False"),
 ], ids=["transport", "algorithm", "rounds-fraction", "rounds-bool", "gamma", "seed",
         "box_bound", "grad_bound", "oracle", "emit_gnuplot", "output", "problem",
         "gamma-nan", "gamma-inf", "gamma-negative", "box_bound-nan", "box_bound-inf",
-        "grad_bound-nan", "grad_bound-inf", "grad_bound-zero"])
+        "grad_bound-nan", "grad_bound-inf", "grad_bound-zero", "gamma-bool",
+        "box_bound-bool", "grad_bound-bool"])
 def test_bad_run_config_value_exits_2_naming_the_key(toy_file, tmp_path, capsys,
                                                      key, value, message):
     cfg = tmp_path / "run.json"
@@ -154,8 +158,13 @@ def test_run_config_accepts_integral_rounds_and_auto_gamma(toy_file, tmp_path, c
     ("gamma", math.nan, "gamma must be a finite number > 0, got nan"),
     ("dt", -0.01, "dt must be a finite number > 0, got -0.01"),
     ("inner_iterations", 0, "inner_iterations must be an integer >= 1, got 0"),
+    ("dt", True, "dt must be numeric, got True"),
+    ("horizon", True, "horizon must be numeric, got True"),
+    ("gamma", False, "gamma must be numeric, got False"),
+    ("horizon", 0.004, "horizon must span at least one step of dt=0.01, got 0.004"),
 ], ids=["dt", "horizon", "inner_iterations", "warm_start", "solver", "gamma-nan",
-        "dt-negative", "inner_iterations-zero"])
+        "dt-negative", "inner_iterations-zero", "dt-bool", "horizon-bool", "gamma-bool",
+        "horizon-below-one-step"])
 def test_bad_scenario_value_exits_2_naming_the_key(tmp_path, capsys, key, value, message):
     scn = tmp_path / "scn.json"
     scn.write_text(json.dumps({"horizon": 0.02, key: value}))
@@ -171,7 +180,8 @@ def test_bad_scenario_value_exits_2_naming_the_key(tmp_path, capsys, key, value,
     ("--horizon", "inf", "horizon must be a finite number > 0, got inf"),
     ("--gamma", "nan", "gamma must be a finite number > 0, got nan"),
     ("--inner", "0", "inner_iterations must be an integer >= 1, got 0"),
-], ids=["dt-nan", "horizon-inf", "gamma-nan", "inner-zero"])
+    ("--horizon", "0.004", "horizon must span at least one step of dt=0.01, got 0.004"),
+], ids=["dt-nan", "horizon-inf", "gamma-nan", "inner-zero", "horizon-below-one-step"])
 def test_bad_cbf_sim_flag_exits_2_naming_the_field(tmp_path, capsys, flag, value, message):
     code = cli.main(["cbf-sim", flag, value, "--output", str(tmp_path / "t.csv")])
     err = capsys.readouterr().err
@@ -302,9 +312,12 @@ def _exits_2_naming(data, tmp_path, capsys, message):
      "weights[0] constraint must be an integer, got 1.5"),
     (lambda d: d.update(m_ineq=-1), "m_ineq must be non-negative, got -1"),
     (lambda d: d.update(q_eq=-1), "q_eq must be non-negative, got -1"),
+    (lambda d: d["eq"][0].update(offset=True), "eq[0] offset must be numeric, got True"),
+    (lambda d: d["agents"][0].update(constant=True),
+     "agents[1] constant must be numeric, got True"),
 ], ids=["offset", "dim", "row", "agent", "coeffs", "agent-fraction", "agent-bool",
         "row-fraction", "dim-fraction", "edge-fraction", "weight-constraint-fraction",
-        "m_ineq-negative", "q_eq-negative"])
+        "m_ineq-negative", "q_eq-negative", "offset-bool", "constant-bool"])
 def test_non_numeric_field_exits_2_naming_the_field(toy_file, tmp_path, capsys,
                                                     edit, message):
     data = json.loads(Path(toy_file).read_text())

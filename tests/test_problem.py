@@ -157,7 +157,7 @@ def test_aggregate_residual_is_affine(a, b, w):
 def _rank_failures(problem):
     """The compiled batch's rank check: ``validate_licq``'s rule on the stacked rows."""
     topology = cs.induce_topology(problem, problem.graph)
-    return AgentBatch(problem, topology, cs.build_weights(topology)).rank_failures()
+    return AgentBatch(problem, topology, cs.build_weights(topology)).licq().failures()
 
 
 def test_licq_report_toy(toy):

@@ -1,0 +1,128 @@
+"""The batched set-up against its scalar loops, bit for bit.
+
+``induce_topology``, ``validate_licq``, ``operator_norms`` and
+``lipschitz_bound`` group their work into stacked LAPACK calls; each must
+give what ``tests/reference.py``'s agent-by-agent and constraint-by-constraint
+loops give: equal bits for every float, or an exception of equal type and
+message.  Cases: the ``tests/gen.py`` families (strongly convex seeds 0-24,
+reduced-space seeds 0-11, whose PSD Hessians have no Lipschitz bound), the
+failing instance (rank-deficient rows) and the benchmark's 400-agent ring.
+"""
+
+import dataclasses
+import logging
+
+import numpy as np
+import pytest
+
+import couplesolve as cs
+from couplesolve import problem as problem_module
+from couplesolve.local_qp import AgentBatch
+from gen import (benchmark_ring, failing_instance, reduced_space_instance,
+                 strongly_convex_instance)
+from reference import (scalar_induce_topology, scalar_lipschitz_bound, scalar_operator_norms,
+                       scalar_validate_licq)
+
+CASES = ([(strongly_convex_instance, seed) for seed in range(25)]
+         + [(reduced_space_instance, seed) for seed in range(12)]
+         + [(failing_instance,), (benchmark_ring,)])
+IDS = ([f"sc{seed}" for seed in range(25)] + [f"rs{seed}" for seed in range(12)]
+       + ["failing", "ring400"])
+
+
+def _bits(value):
+    """``value`` with every float replaced by its bits, types kept."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits([getattr(value, f.name)
+                                            for f in dataclasses.fields(value)])
+    return type(value).__name__, value
+
+
+def _outcome(function, *args):
+    """The bits of ``function(*args)``, or the type and message it raised."""
+    try:
+        return "returned", _bits(function(*args))
+    except cs.CoupleSolveError as exc:
+        return "raised", type(exc), str(exc)
+
+
+@pytest.fixture(params=CASES, ids=IDS, scope="module")
+def case(request):
+    make, *args = request.param
+    return make(*args)
+
+
+def test_topology_is_the_scalar_loops(case):
+    problem, topology, _ = case
+    reference = scalar_induce_topology(problem, problem.graph)
+    assert topology == reference
+    assert _bits(topology) == _bits(reference)
+    assert topology._neighborhoods == reference._neighborhoods
+
+
+def test_licq_and_bound_are_the_scalar_loops(case):
+    problem, topology, weights = case
+    licq = cs.validate_licq(problem)
+    assert _bits(licq) == _bits(scalar_validate_licq(problem))
+    assert _bits(AgentBatch(problem, topology, weights).licq()) == _bits(licq)
+    assert _outcome(cs.operator_norms, topology, weights) == _outcome(
+        scalar_operator_norms, topology, weights)
+    for given in (None, licq):
+        assert _outcome(cs.lipschitz_bound, problem, topology, weights, given) == _outcome(
+            scalar_lipschitz_bound, problem, topology, weights, given)
+
+
+def test_failures_name_the_same_agents():
+    problem, topology, weights = failing_instance()
+    outcome = _outcome(cs.lipschitz_bound, problem, topology, weights)
+    assert outcome[:2] == ("raised", cs.RankDeficiencyError)
+    assert "agents (1, 3)" in outcome[2]
+    problem, topology, weights = reduced_space_instance(0)
+    outcome = _outcome(cs.lipschitz_bound, problem, topology, weights)
+    assert outcome[:2] == ("raised", cs.ValidationError)
+    assert outcome[2].startswith("agent 1: Hessian not positive definite")
+
+
+def _spied(monkeypatch):
+    """Count ``validate_licq`` calls and singular value decompositions."""
+    counts = {"licq": 0, "svd": 0}
+
+    def counting(name, function):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(problem_module, "validate_licq",
+                        counting("licq", problem_module.validate_licq))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    return counts
+
+
+def test_run_checks_gamma_on_the_compiled_batch(monkeypatch, caplog):
+    problem, topology, weights = strongly_convex_instance(4)
+    groups = len(AgentBatch(problem, topology, weights).by_shape)
+    bound = cs.lipschitz_bound(problem, topology, weights)
+    counts = _spied(monkeypatch)
+    for gamma, warned in ((1.0 / (2.0 * bound), False), (1.01 / (2.0 * bound), True)):
+        caplog.clear()
+        counts.update(licq=0, svd=0)
+        with caplog.at_level(logging.WARNING, logger="couplesolve"):
+            cs.run(problem, topology, weights, cs.AdaConfig(gamma, 2))
+        assert counts == {"licq": 0, "svd": groups}  # one SVD per (rows, dim) group
+        assert ("convergence guarantee void" in caplog.text) is warned
+
+
+def test_run_reports_a_psd_problem_without_validate_licq(monkeypatch, caplog):
+    problem, topology, weights = reduced_space_instance(2)
+    counts = _spied(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="couplesolve"):
+        cs.run(problem, topology, weights, cs.AdaConfig(0.01, 2))
+    assert counts["licq"] == 0
+    assert "gradient Lipschitz bound unavailable" in caplog.text

@@ -8,7 +8,8 @@ Usage, from the repository root::
 
 Imports ``couplesolve`` from ``--src`` and runs every case with public API
 only, so two source trees can be compared: identical lines mean bit-identical
-traces, primal outputs, multipliers, gradients and closed-loop trajectories.
+set-ups, traces, primal outputs, multipliers, gradients and closed-loop
+trajectories.
 The instance generators are this repository's ``tests/gen.py`` and
 ``benchmarks/instances.py``.
 
@@ -17,8 +18,8 @@ fresh process, and every line gives a case's largest absolute and relative
 difference (new against old) in its trace cells, its primal output (the
 applied inputs for the closed loop), its output solutions (every agent's x,
 multipliers and active rows), its finite-difference gradient and its
-centralized oracle solution (x, value and both multiplier vectors; ``-``
-where a case has none); a case run by one tree only prints ``only in old``
+centralized oracle solution (x, value and both multiplier vectors) and its
+set-up (see below; ``-`` where a case has none); a case run by one tree only prints ``only in old``
 or ``only in new``, and a summary line closes the output.  The exit status is
 0 when every case is in both trees and identical, 1 otherwise.
 
@@ -26,13 +27,17 @@ Cases:
 
 * ``sc<seed>-ada-simnet``: ``tests/gen.py`` strongly convex seeds 0-24,
   ``ada`` with gamma = 1 / (2 L), 30 rounds, oracle, over the simnet
-  transport (``"direct"`` names the same transport, so it has no case);
+  transport (``"direct"`` names the same transport, so it has no case),
+  with the set-up: the topology's participants, induced edges and
+  neighbourhoods, every ``AgentRankInfo`` of ``validate_licq``, the
+  ``operator_norms`` and ``lipschitz_bound``;
 * ``rs<seed>-pgd`` and ``rs<seed>-pgd-tol``: reduced-space seeds 0-11,
   ``pgd`` with the default box and the estimated gradient bound, 60 rounds,
   without and with a gradient-norm stop, each followed by the
   finite-difference gradient at the run's output allocation;
 * ``ring400-prefix``: the benchmark's 400-agent ring (seed 1), 4 ``ada``
-  rounds over the simnet transport (the oracle is compared, not digested);
+  rounds over the simnet transport (the oracle is compared, not digested),
+  with the set-up as above;
 * ``cbf-cold``, ``cbf-warm`` and ``cbf-central``:
   ``line_consensus_scenario(horizon=0.5)`` with the distributed filter from
   cold and warm slack starts, and with the centralized filter.
@@ -116,19 +121,40 @@ def oracle_cells(oracle) -> np.ndarray:
                            oracle.eq_multipliers])
 
 
+def setup_parts(cs, problem, topology, weights) -> tuple:
+    """The set-up's topology, rank report, operator norms and Lipschitz bound."""
+    licq = cs.validate_licq(problem)
+    hoods = [topology.neighborhood(l, i) for l in range(1, topology.n_constraints + 1)
+             for i in topology.participants_of(l)]
+    return (topology.participants, [sorted(edges) for edges in topology.induced_edges],
+            hoods, licq.agents, cs.operator_norms(topology, weights),
+            cs.lipschitz_bound(problem, topology, weights, licq))
+
+
+def setup_cells(parts) -> np.ndarray:
+    """The set-up in one vector, each set preceded by its size."""
+    participants, edges, hoods, ranks, norms, bound = parts
+    sets = [v for group in (participants, hoods) for members in group
+            for v in (len(members), *members)]
+    pairs = [v for induced in edges for v in (len(induced), *(i for e in induced for i in e))]
+    infos = [float(getattr(info, f.name)) for info in ranks for f in dataclasses.fields(info)]
+    return np.array([*sets, *pairs, *infos, *norms.values(), bound], dtype=float)
+
+
 def cases(cs, gen, instances):
     """Yield (name, values to digest, {group: array compared by --compare})."""
     for seed in range(25):
         problem, topology, weights = gen.strongly_convex_instance(seed)
         oracle = cs.solve_centralized(problem)
-        gamma = 1.0 / (2.0 * cs.lipschitz_bound(problem, topology, weights))
+        setup = setup_parts(cs, problem, topology, weights)
+        gamma = 1.0 / (2.0 * setup[-1])
         result = cs.run(problem, topology, weights, cs.AdaConfig(gamma, 30), oracle=oracle,
                         transport="simnet")
-        yield (f"sc{seed}-ada-simnet", run_parts(result),
+        yield (f"sc{seed}-ada-simnet", (*run_parts(result), setup),
                {"trace": trace_cells(result.trace.records),
                 "primal": result.output_primal,
                 "solutions": solution_cells(result.output_solutions),
-                "oracle": oracle_cells(oracle)})
+                "oracle": oracle_cells(oracle), "setup": setup_cells(setup)})
 
     for seed in range(12):
         problem, topology, weights = gen.reduced_space_instance(seed)
@@ -152,12 +178,12 @@ def cases(cs, gen, instances):
         instances.Draws(400, 1, 0.005), 400, 3, 120, 30, 5).problem
     topology = cs.induce_topology(ring, ring.graph)
     weights = cs.build_weights(topology)
-    gamma = 1.0 / (2.0 * cs.lipschitz_bound(ring, topology, weights))
-    result = cs.run(ring, topology, weights, cs.AdaConfig(gamma, 4))
-    yield ("ring400-prefix", run_parts(result),
+    setup = setup_parts(cs, ring, topology, weights)
+    result = cs.run(ring, topology, weights, cs.AdaConfig(1.0 / (2.0 * setup[-1]), 4))
+    yield ("ring400-prefix", (*run_parts(result), setup),
            {"trace": trace_cells(result.trace.records), "primal": result.output_primal,
             "solutions": solution_cells(result.output_solutions),
-            "oracle": oracle_cells(cs.solve_centralized(ring))})
+            "oracle": oracle_cells(cs.solve_centralized(ring)), "setup": setup_cells(setup)})
 
     for label, overrides in (("cold", {}), ("warm", {"warm_start": True}),
                              ("central", {"solver": "centralized"})):
@@ -187,7 +213,7 @@ def collect(src: Path) -> dict:
     return {name: groups for name, _, groups in cases(*load(src))}
 
 
-GROUPS = ("trace", "primal", "solutions", "fd", "oracle")
+GROUPS = ("trace", "primal", "solutions", "fd", "oracle", "setup")
 
 
 def drift(old, new) -> tuple[float, float] | None:
