@@ -87,7 +87,6 @@ from .simnet import (
     Auditor,
     Phase,
     SimnetTransport,
-    exchange,
     locality_audit,
     neighbor_views,
 )

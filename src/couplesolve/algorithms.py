@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import RankDeficiencyError, ValidationError
 from .local_qp import AgentBatch, KktSolution, StackedSolutions, WarmStart
 from .problem import lipschitz_bound, offset_scale
 from .simnet import Phase, SimnetTransport
@@ -50,6 +50,7 @@ logger = logging.getLogger("couplesolve")
 
 # Rows (agent QPs) per lock-step solve in estimate_gradient_bound.
 _SAMPLE_ROWS = 2048
+_INTERIOR_SAMPLES = 50  # uniform interior points it samples besides the box corners
 
 
 def _real(value) -> bool:
@@ -226,10 +227,10 @@ def iterate_rounds(warm, config, start, transport, hook=None):
         yield state, z, grad
 
 
-def _warn_on_gamma(problem, topology, weights, config, batch):
-    """Warn when gamma exceeds 1 / (2 L), L the bound on ``batch``'s LICQ report."""
+def _warn_on_gamma(problem, topology, weights, config, licq):
+    """Warn when gamma exceeds 1 / (2 L), L the bound on the full-rank ``licq`` report."""
     try:
-        bound = lipschitz_bound(problem, topology, weights, batch.licq())
+        bound = lipschitz_bound(problem, topology, weights, licq)
     except ValidationError:
         logger.info(
             "gradient Lipschitz bound unavailable (problem not strongly "
@@ -244,13 +245,15 @@ def _warn_on_gamma(problem, topology, weights, config, batch):
 
 
 def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
-        transport="simnet", slack_phase_hook=None, check_gamma=True) -> RunResult:
+        transport="simnet", slack_phase_hook=None) -> RunResult:
     """Run one algorithm to its round budget (or early gradient-norm stop).
 
     ``transport`` is a SimnetTransport over ``topology``, or "simnet" or
     "direct": both name a new strict one.  ``oracle`` (a centralized solution) enables the
     objective-error trace column.  The trace carries one row per iterate,
-    row 0 being the start.
+    row 0 being the start.  Raises RankDeficiencyError, before any exchange,
+    when an agent's stacked constraint rows are linearly dependent.  ``ada``
+    always checks gamma against 1 / (2 ``lipschitz_bound``) and warns above it.
     """
     layout = SlackLayout.from_topology(topology)
     if isinstance(transport, str) and transport in ("simnet", "direct"):
@@ -263,11 +266,15 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
                               "one the run solves on")
 
     # Rounds and monitoring keep separate warm starts over one compiled batch,
-    # whose stacked rows also give the gamma check its rank report.
+    # whose stacked rows also give the rank report.
     batch = AgentBatch(problem, topology, weights)
+    licq = batch.licq()
+    if not licq.all_full_rank:
+        raise RankDeficiencyError(
+            f"agents {licq.failures()} have linearly dependent constraint rows")
     is_ada = isinstance(config, AdaConfig)
-    if is_ada and check_gamma:
-        _warn_on_gamma(problem, topology, weights, config, batch)
+    if is_ada:
+        _warn_on_gamma(problem, topology, weights, config, licq)
 
     if initial_slack is None:
         start = np.zeros(layout.size)
@@ -370,21 +377,18 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     )
 
 
-def estimate_gradient_bound(problem, topology, weights, box_bound: float,
-                            interior_samples: int = 50, seed: int = 0) -> float:
+def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: int = 0) -> float:
     """Sampled bound on the allocation-cost gradient norm over the box.
 
     Evaluates the gradient at all box corners (capped at 2^10 corners) plus
-    uniform interior samples, and doubles the largest norm seen.  Every
-    agent at every point is one row of ``AgentBatch.solve_rows``, solved
-    cold; the points go through in chunks of ``_SAMPLE_ROWS`` rows, which
-    bounds the loop's temporaries.  Raises ValidationError unless
-    ``box_bound`` is a finite number > 0 and ``interior_samples`` >= 0.
+    ``_INTERIOR_SAMPLES`` uniform interior points drawn with ``seed``, and
+    doubles the largest norm seen.  Every agent at every point is one row of
+    ``AgentBatch.solve_rows``, solved cold; the points go through in chunks
+    of ``_SAMPLE_ROWS`` rows, which bounds the loop's temporaries.  Raises
+    ValidationError unless ``box_bound`` is a finite number > 0.
     """
     if not _positive(box_bound):
         raise ValidationError(f"box_bound must be a finite number > 0, got {box_bound!r}")
-    if interior_samples < 0:
-        raise ValidationError(f"interior_samples must be non-negative, got {interior_samples}")
     layout = SlackLayout.from_topology(topology)
     n = layout.size
     if n == 0:
@@ -400,7 +404,7 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float,
     else:
         signs = rng.integers(0, 2, size=(2 ** 10, n)) * 2 - 1
         points.extend(box_bound * signs.astype(float))
-    points.extend(rng.uniform(-box_bound, box_bound, size=(interior_samples, n)))
+    points.extend(rng.uniform(-box_bound, box_bound, size=(_INTERIOR_SAMPLES, n)))
 
     batch = AgentBatch(problem, topology, weights)
     n_agents, width = batch.n_agents, batch.shape[1]

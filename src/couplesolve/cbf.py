@@ -15,9 +15,10 @@ decrease conditions  d/dt g >= -alpha(g), which split into per-agent rows
 problem shape this package solves.  The filter QP is re-solved each step,
 either centrally or by a fixed number of distributed rounds with the slack
 allocation reset to zero; every inner iterate already satisfies the coupled
-rows, so even a truncated inner loop never applies an unsafe input.  From
-step to step only the nominal inputs and the rows move, so the filter
-compiles its ``AgentBatch`` once and refreshes it in place.
+rows, so even a truncated inner loop never applies an unsafe input.  The
+filter QP has one builder, ``_FilterRows``.  From step to step only the
+nominal inputs and the rows move, so the filter compiles its ``AgentBatch``
+once and refreshes it in place.
 
 The rows are the continuous-time decrease condition, so under the sampled
 Euler step the barrier obeys only  g[k+1] >= (1 - dt) g[k] - dt^2 sum_i ||u_i||^2
@@ -171,16 +172,6 @@ def nominal_consensus(state: MultiAgentState, graph: Graph) -> np.ndarray:
     return out
 
 
-def _check_agents(scenario: CbfScenario, graph: Graph, n_agents: int) -> None:
-    """ValidationError unless the graph and every barrier fit ``n_agents`` agents."""
-    if graph.n_agents != n_agents:
-        raise ValidationError(f"graph has {graph.n_agents} agents but the state has {n_agents}")
-    for m, barrier in enumerate(scenario.barriers, start=1):
-        for i in barrier.agents:
-            if not 1 <= i <= n_agents:
-                raise ValidationError(f"barrier {m} names agent {i}, outside 1..{n_agents}")
-
-
 class _Step(NamedTuple):
     """The filter QP's parameters at one state (pairs as in ``_FilterRows``)."""
 
@@ -191,21 +182,25 @@ class _Step(NamedTuple):
 
 
 class _FilterRows:
-    """Where the filter QP's parameters go, laid out once per scenario and graph.
+    """The filter QP's one builder: its layout, fixed per scenario and graph.
 
     Pair p is 0-based agent ``agent[p]`` in 0-based barrier ``barrier[p]``,
-    in the order ``assemble_step_problem`` adds the rows: barrier by barrier,
-    each barrier's agents in its order.  ``by_agent`` lists them agent by
-    agent, each agent's barriers ascending, the order of ``AgentBatch``'s
-    rows; ``order`` holds their pair numbers.  Raises ValidationError when
-    the graph and the state disagree on the agent count or a barrier names
-    an agent outside 1..n.
+    in the order ``problem`` adds the rows: barrier by barrier, each
+    barrier's agents in its order.  ``by_agent`` lists them agent by agent,
+    each agent's barriers ascending, the order of ``AgentBatch``'s rows;
+    ``order`` holds their pair numbers.  Raises ValidationError when the
+    graph and the state disagree on the agent count or a barrier names an
+    agent outside 1..n.
     """
 
     def __init__(self, scenario: CbfScenario, graph: Graph, n_agents: int):
-        _check_agents(scenario, graph, n_agents)
+        if graph.n_agents != n_agents:
+            raise ValidationError(f"graph has {graph.n_agents} agents but the state has {n_agents}")
         barriers = scenario.barriers
         pairs = [(i - 1, m) for m, barrier in enumerate(barriers) for i in barrier.agents]
+        for a, m in pairs:
+            if not 0 <= a < n_agents:
+                raise ValidationError(f"barrier {m + 1} names agent {a + 1}, outside 1..{n_agents}")
         self.scenario, self.graph, self.n = scenario, graph, n_agents
         self.agent = np.array([a for a, _ in pairs], dtype=int)
         self.barrier = np.array([m for _, m in pairs], dtype=int)
@@ -218,8 +213,10 @@ class _FilterRows:
         self.order = np.array([p for p, _, _ in self.by_agent], dtype=int)
 
     def at(self, state: MultiAgentState) -> _Step:
-        """The parameters at ``state``, with ``assemble_step_problem``'s arithmetic.
+        """The parameters at ``state``, in one pass.
 
+        A pair's offset is ||z_i - center||^2 - radius_sq / n_g under the identity
+        alpha, and the even split -alpha(g) / n_g of a custom alpha's decrease.
         Raises the ValidationError the problem's constructors raise for the
         first value that is not finite.
         """
@@ -262,34 +259,14 @@ class _FilterRows:
 
 def assemble_step_problem(state: MultiAgentState, scenario: CbfScenario,
                           graph: Graph) -> ProblemSpec:
-    """The safety-filter QP at the current positions.
+    """The safety-filter QP at the current positions, built by ``_FilterRows``.
 
     Raises ValidationError when the graph and the state disagree on the
     agent count, a barrier names an agent outside 1..n, or a value is not
     finite.
     """
-    _check_agents(scenario, graph, state.n_agents)
-    nominal = nominal_consensus(state, graph)
-    objectives = tuple(
-        AgentObjective(np.eye(2), -nominal[i], 0.5 * float(nominal[i] @ nominal[i]))
-        for i in range(graph.n_agents)
-    )
-    cons = CouplingConstraints(graph.n_agents, m_ineq=len(scenario.barriers), q_eq=0)
-    for m, barrier in enumerate(scenario.barriers, start=1):
-        n_g = len(barrier.agents)
-        if scenario.alpha is not None:
-            # Custom decrease rates need the barrier value, so the offsets are
-            # an even split of -alpha(g); the default identity alpha admits
-            # the purely local split below.
-            decrease = float(scenario.alpha(barrier.value(state.positions)))
-        for i in barrier.agents:
-            delta = state.positions[i - 1] - np.asarray(barrier.center)
-            if scenario.alpha is None:
-                offset = float(delta @ delta) - barrier.radius_sq / n_g
-            else:
-                offset = -decrease / n_g
-            cons.add_ineq_row(i, m, 2.0 * delta, offset)
-    return ProblemSpec(objectives, cons, graph)
+    rows = _FilterRows(scenario, graph, state.n_agents)
+    return rows.problem(rows.at(state))
 
 
 def euler_step(state: MultiAgentState, inputs: np.ndarray, dt: float) -> MultiAgentState:
@@ -318,14 +295,15 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
 
     The participants never change, so the step problems differ only in the
     nominal inputs (each agent's linear term and constant) and the barrier
-    rows and offsets.  Compiled once, from the problem at ``state``: the
-    induced subgraphs, the weights, the filter QP as one ``AgentBatch`` and,
-    for the distributed solver, one strict ``SimnetTransport`` (agents read
-    one-hop values only).  Per step the parameters are computed in one pass
-    and the batch is refreshed in place; the run aborts with a diagnostic
-    when an agent's barrier rows become linearly dependent (LICQ failure,
-    e.g. an agent exactly at a barrier center or two barrier gradients
-    aligned, by ``AgentBatch.licq``).  The distributed solver's two
+    rows and offsets.  Compiled once, from the problem ``_FilterRows``
+    builds at ``state``: the induced subgraphs, the weights, the filter QP
+    as one ``AgentBatch`` and, for the distributed solver, one strict
+    ``SimnetTransport`` (agents read one-hop values only).  Per step the
+    parameters are computed in one pass (``_FilterRows.at``) and the batch
+    is refreshed in place; the run aborts with a diagnostic when an agent's
+    barrier rows become linearly dependent (LICQ failure, e.g. an agent
+    exactly at a barrier center or two barrier gradients aligned, by
+    ``AgentBatch.licq``).  The distributed solver's two
     streams, the inner rounds' and the applied solve's, keep their working
     sets across steps; the centralized solver solves the step's
     ``ProblemSpec``.  Raises ValidationError when a parameter is not finite,
@@ -343,7 +321,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     inner_worst = np.zeros(steps)
     applied_worst = np.zeros(steps)
 
-    problem = assemble_step_problem(state, scenario, graph)
+    problem = rows.problem(rows.at(state))
     topology = induce_topology(problem, graph)
     weights = build_weights(topology)
     batch = AgentBatch(problem, topology, weights)

@@ -18,6 +18,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -43,9 +44,12 @@ from .trace import emit_trace, gnuplot_script
 
 logger = logging.getLogger("couplesolve")
 
-_RUN_CONFIG_KEYS = {
-    "problem", "algorithm", "rounds", "gamma", "box_bound", "grad_bound",
-    "oracle", "output", "transport", "seed", "emit_gnuplot",
+# The run settings a config file or a flag may set, with their defaults.
+_RUN_DEFAULTS = {
+    "problem": None, "algorithm": None, "rounds": None, "gamma": None,
+    "box_bound": None, "grad_bound": None, "oracle": True,
+    "transport": "simnet", "seed": 0, "output": "trace.csv",
+    "emit_gnuplot": False,
 }
 _ALGORITHMS = ("ada", "pgd")
 _TRANSPORTS = ("simnet", "direct")  # two names for one transport
@@ -102,23 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_run_config(args) -> dict:
-    merged = {
-        "problem": None, "algorithm": None, "rounds": None, "gamma": None,
-        "box_bound": None, "grad_bound": None, "oracle": True,
-        "transport": "simnet", "seed": 0, "output": "trace.csv",
-        "emit_gnuplot": False,
-    }
+    merged = dict(_RUN_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-        formats.reject_unknown(data, _RUN_CONFIG_KEYS, args.config)
+        formats.reject_unknown(data, set(_RUN_DEFAULTS), args.config)
         merged.update(data)
-    for key in ("problem", "algorithm", "rounds", "gamma", "box_bound",
-                "grad_bound", "oracle", "transport", "seed", "output",
-                "emit_gnuplot"):
+    for key in _RUN_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -284,21 +281,12 @@ def _cmd_solve_central(args) -> int:
 
 
 def _cmd_cbf_sim(args) -> int:
+    scenario, graph, state = line_consensus_scenario()
     if args.scenario:
         scenario = formats.load_scenario(args.scenario)
-    else:
-        scenario, _, _ = line_consensus_scenario()
-    merged = {
-        "dt": scenario.dt, "horizon": scenario.horizon,
-        "inner_iterations": scenario.inner_iterations,
-        "gamma": scenario.gamma, "solver": scenario.solver,
-        "warm_start": scenario.warm_start,
-    }
-    for key in ("dt", "horizon", "inner_iterations", "gamma", "solver", "warm_start"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    scenario, graph, state = line_consensus_scenario(**merged)
+    flags = {key: getattr(args, key) for key in formats.SCENARIO_CHECKS
+             if getattr(args, key) is not None}
+    scenario = dataclasses.replace(scenario, **flags)
     result = run_closed_loop(scenario, graph, state)
     formats.emit_trajectory(result, args.output)
 

@@ -40,8 +40,6 @@ from .problem import AgentObjective, CouplingConstraints, ProblemSpec
 _PROBLEM_KEYS = {"agents", "ineq", "eq", "edges", "m_ineq", "q_eq", "weights"}
 _AGENT_KEYS = {"dim", "hessian", "linear", "constant"}
 _ROW_KEYS = {"agent", "row", "coeffs", "offset"}
-_SCENARIO_KEYS = {"dt", "horizon", "inner_iterations", "gamma", "solver",
-                  "warm_start"}
 
 
 def reject_unknown(mapping, allowed: set, where: str) -> None:
@@ -97,6 +95,13 @@ def one_of(value, names: tuple, field: str):
     if value not in names:
         raise ConfigError(f"{field} must be one of {list(names)}, got {value!r}")
     return value
+
+
+# The scenario settings a file or a ``cbf-sim`` flag may set, with the
+# check a file's value must pass.
+SCENARIO_CHECKS = {"dt": number, "horizon": number, "inner_iterations": integer,
+                   "gamma": number, "warm_start": flag,
+                   "solver": lambda value, field: one_of(value, SOLVERS, field)}
 
 
 def _floats(value):
@@ -216,11 +221,8 @@ def load_scenario(path) -> CbfScenario:
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> CbfScenario:
-    reject_unknown(data, _SCENARIO_KEYS, where)
-    checks = {"dt": number, "horizon": number, "inner_iterations": integer,
-              "gamma": number, "warm_start": flag,
-              "solver": lambda value, field: one_of(value, SOLVERS, field)}
-    overrides = {k: check(data[k], f"{where}: {k}") for k, check in checks.items()
+    reject_unknown(data, set(SCENARIO_CHECKS), where)
+    overrides = {k: check(data[k], f"{where}: {k}") for k, check in SCENARIO_CHECKS.items()
                  if k in data}
     try:
         scenario, _, _ = line_consensus_scenario(**overrides)

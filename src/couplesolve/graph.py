@@ -26,6 +26,9 @@ from .exceptions import (
     WeightMatrixError,
 )
 
+_WEIGHT_TOL = 1e-12  # WeightMatrix.validate's bound on signs, symmetry and row sums
+_KERNEL_TOL = 1e-10  # null_range_check's singular-value floor
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -246,8 +249,8 @@ class WeightMatrix:
         """The consensus operator I - P, dense, in participant order."""
         return np.eye(len(self.participants)) - self.entries
 
-    def validate(self, topology: ConstraintTopology, tol: float = 1e-12) -> None:
-        """Raise WeightMatrixError unless all structural invariants hold."""
+    def validate(self, topology: ConstraintTopology) -> None:
+        """Raise WeightMatrixError unless all structural invariants hold, to ``_WEIGHT_TOL``."""
         p = self.entries
         l = self.constraint_index
         if not np.all(np.isfinite(p)):
@@ -255,11 +258,11 @@ class WeightMatrix:
         k = len(self.participants)
         if k == 0:
             return
-        if np.any(p < -tol):
+        if np.any(p < -_WEIGHT_TOL):
             raise WeightMatrixError("negative weight entry")
-        if not np.allclose(p, p.T, atol=tol, rtol=0):
+        if not np.allclose(p, p.T, atol=_WEIGHT_TOL, rtol=0):
             raise WeightMatrixError("weight matrix is not symmetric")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > tol:
+        if np.max(np.abs(p.sum(axis=1) - 1.0)) > _WEIGHT_TOL:
             raise WeightMatrixError("weight matrix rows do not sum to 1")
         for a, i in enumerate(self.participants):
             hood = topology.neighborhood(l, i)
@@ -310,16 +313,16 @@ def build_weights(topology: ConstraintTopology) -> dict[int, WeightMatrix]:
     }
 
 
-def null_range_check(weights: WeightMatrix, tol: float = 1e-10) -> bool:
+def null_range_check(weights: WeightMatrix) -> bool:
     """True iff the kernel of I - P is exactly the span of the ones vector.
 
     Checked via the rank of I - P: for k participants the rank must be k - 1
-    (singular values above ``tol``).  Trivially true for k <= 1.
+    (singular values above ``_KERNEL_TOL``).  Trivially true for k <= 1.
     """
     k = len(weights.participants)
     if k <= 1:
         return True
-    rank = int(np.sum(np.linalg.svd(weights.gap, compute_uv=False) > tol))
+    rank = int(np.sum(np.linalg.svd(weights.gap, compute_uv=False) > _KERNEL_TOL))
     return rank == k - 1
 
 

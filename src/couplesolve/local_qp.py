@@ -71,6 +71,7 @@ from .problem import AgentObjective, LicqReport, licq_report
 # multipliers below its negative are dropped.
 _ADD_TOL = 1e-10
 _DROP_TOL = 1e-11
+_DUAL_TOL = 1e-12  # KktReport.ok's bound on a negative inequality multiplier
 
 
 @dataclass(frozen=True)
@@ -798,12 +799,12 @@ class KktReport:
     dual: float              # max negative inequality multiplier, as >= 0
     complementarity: float   # max |mu_m * residual_m|
 
-    def ok(self, tol: float = 1e-9, dual_tol: float = 1e-12) -> bool:
+    def ok(self, tol: float = 1e-9) -> bool:
         return (
             self.stationarity <= tol
             and self.primal_ineq <= tol
             and self.primal_eq <= tol
-            and self.dual <= dual_tol
+            and self.dual <= _DUAL_TOL
             and self.complementarity <= tol
         )
 

@@ -24,6 +24,8 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, RankDeficiencyError, ValidationError
 
+_RANK_TOL = 1e-9  # the rank rule's relative singular-value floor (full_row_rank)
+
 
 @dataclass(frozen=True)
 class AgentObjective:
@@ -258,15 +260,15 @@ def stacked_rows(problem: ProblemSpec, agent: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def full_row_rank(sv, n_rows, dim, rank_tol: float = 1e-9):
-    """The rank rule: k <= d rows with sigma_min > rank_tol * max(1, sigma_max).
+def full_row_rank(sv, n_rows, dim):
+    """The rank rule: k <= d rows with sigma_min > _RANK_TOL * max(1, sigma_max).
 
     ``sv``: one agent's k > 0 rows' singular values (descending), or a stack of them.
     """
-    return (n_rows <= dim) & (sv[..., -1] > rank_tol * np.maximum(1.0, sv[..., 0]))
+    return (n_rows <= dim) & (sv[..., -1] > _RANK_TOL * np.maximum(1.0, sv[..., 0]))
 
 
-def licq_report(n_agents: int, groups, rank_tol: float = 1e-9) -> LicqReport:
+def licq_report(n_agents: int, groups) -> LicqReport:
     """The LicqReport of ``n_agents`` agents from their rows, stacked in groups.
 
     ``groups`` yields (0-based agents, their rows stacked (count, k, d)),
@@ -280,14 +282,14 @@ def licq_report(n_agents: int, groups, rank_tol: float = 1e-9) -> LicqReport:
         sv = np.linalg.svd(rows, compute_uv=False)
         smax = sv[:, 0].tolist()
         smin = sv[:, -1].tolist() if k <= d else [0.0] * len(smax)
-        ok = full_row_rank(sv, k, d, rank_tol).tolist()
+        ok = full_row_rank(sv, k, d).tolist()
         for a, good, lo, hi in zip(agents.tolist(), ok, smin, smax):
             infos[a] = AgentRankInfo(a + 1, k, good, lo, hi, lo ** 2)
     return LicqReport(tuple(info or AgentRankInfo(a + 1, 0, True, math.inf, 0.0, math.inf)
                             for a, info in enumerate(infos)))
 
 
-def validate_licq(problem: ProblemSpec, rank_tol: float = 1e-9) -> LicqReport:
+def validate_licq(problem: ProblemSpec) -> LicqReport:
     """Check each agent's stacked constraint rows for full row rank.
 
     Full row rank of every agent's stack guarantees local subproblems are
@@ -305,7 +307,7 @@ def validate_licq(problem: ProblemSpec, rank_tol: float = 1e-9) -> LicqReport:
             stacks.append(rows)
     return licq_report(problem.n_agents,
                        ((np.array(agents), np.array(stacks, dtype=float))
-                        for agents, stacks in groups.values()), rank_tol)
+                        for agents, stacks in groups.values()))
 
 
 def _groups(keys: np.ndarray):

@@ -64,12 +64,13 @@ class Neighborhoods:
         self.layout = layout
         self.size = layout.size
         self.n_agents = topology.n_agents
-        self.key = [(l, j) for l, members in zip(layout.constraints, layout.participants)
+        self.key = [(l, j) for l, members in enumerate(topology.participants, start=1)
                     for j in members]
         codes = []
-        for l, members, start in zip(layout.constraints, layout.participants, layout.starts):
+        for l, members, start in zip(layout.constraints, topology.participants,
+                                     layout.starts.tolist()):
             coord = {j: start + a for a, j in enumerate(members)}
-            codes += [(i - 1) * layout.size + coord[j]
+            codes += [(i - 1) * self.size + coord[j]
                       for i in members for j in topology.neighborhood(l, i)]
         self.codes = np.append(np.unique(np.array(codes, dtype=np.int64)),
                                np.iinfo(np.int64).max)
@@ -209,14 +210,6 @@ class SimnetTransport:
         """Deliver ``values``, one per slack coordinate, to every agent's neighbors."""
         self.messages += self.messages_per_phase
         return Exchange(self.neighborhoods, values, self.auditor)
-
-
-def exchange(phase: Phase, values, topology,
-             audit: bool = False) -> tuple[Exchange, int]:
-    """One standalone exchange of a vector in slack layout: (delivery, messages sent)."""
-    transport = SimnetTransport(topology, audit=audit)
-    views = transport.gather(phase, values)
-    return views, transport.messages
 
 
 def locality_audit(problem, topology, weights, config, initial_slack=None,

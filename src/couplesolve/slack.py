@@ -22,6 +22,7 @@ original coupled constraint — every slack allocation yields a conservative
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -29,41 +30,54 @@ from .exceptions import DisconnectedSubgraphError, ValidationError
 from .local_qp import AgentBatch, WarmStart
 from .problem import aggregate_violation
 
+_FEAS_TOL = 1e-9  # feasible_slack_from_primal's bound on the coupled-row residuals
+_FD_STEP = 1e-5  # finite_difference_gradient's relative probe step
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SlackLayout:
-    """Flat indexing of per-constraint slack blocks, participants ascending."""
+    """Flat indexing of per-constraint slack blocks, participants ascending.
 
-    constraints: tuple[int, ...]
-    participants: tuple[tuple[int, ...], ...]
-    starts: tuple[int, ...]
-    size: int
+    Two int arrays, so a layout kept with a result holds no topology tuple:
+    ``members``, the participants block after block, and ``starts``, block
+    l's first coordinate at l - 1, then the size.
+    """
+
+    members: np.ndarray
+    starts: np.ndarray
 
     @classmethod
     def from_topology(cls, topology) -> "SlackLayout":
-        constraints = tuple(range(1, topology.n_constraints + 1))
-        participants = tuple(topology.participants_of(l) for l in constraints)
-        starts, total = [], 0
-        for members in participants:
-            starts.append(total)
-            total += len(members)
-        return cls(constraints, participants, tuple(starts), total)
+        participants = topology.participants
+        return cls(np.fromiter(chain.from_iterable(participants), dtype=int),
+                   np.fromiter(accumulate(map(len, participants), initial=0), dtype=int))
+
+    @property
+    def constraints(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.starts)))
+
+    @property
+    def participants(self) -> tuple[tuple[int, ...], ...]:
+        members, starts = self.members.tolist(), self.starts.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip(starts, starts[1:]))
+
+    @property
+    def size(self) -> int:
+        return int(self.starts[-1])
 
     def index(self, l: int, agent: int) -> int:
         try:
             index = self._index
         except AttributeError:
             # Built on first use: a layout kept with a result holds no dict.
-            index = {(l, i): start + a
-                     for l, members, start in zip(self.constraints, self.participants,
-                                                  self.starts)
-                     for a, i in enumerate(members)}
+            # Coordinate k is the k-th (constraint, participant) pair.
+            constraint = np.repeat(np.arange(1, len(self.starts)), np.diff(self.starts))
+            index = dict(zip(zip(constraint.tolist(), self.members.tolist()), range(self.size)))
             object.__setattr__(self, "_index", index)
         return index[(l, agent)]
 
     def block(self, l: int) -> slice:
-        start = self.starts[l - 1]
-        return slice(start, start + len(self.participants[l - 1]))
+        return slice(int(self.starts[l - 1]), int(self.starts[l]))
 
 
 @dataclass
@@ -95,17 +109,16 @@ class SlackState:
         return SlackState(self.layout, self.values.copy())
 
 
-def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights,
-                               feas_tol: float = 1e-9) -> SlackState:
+def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> SlackState:
     """Slack allocation whose per-agent rows reproduce a feasible primal.
 
     For each constraint the per-participant residuals r are redistributed to
     their mean via the minimum-norm solution of (I - P) y = mean(r) - r.
-    Errors when x violates the coupled constraints or when the consensus
-    system is inconsistent (disconnected participants).
+    Errors when x violates the coupled constraints by more than ``_FEAS_TOL``
+    or when the consensus system is inconsistent (disconnected participants).
     """
     ineq, eq = aggregate_violation(problem, x)
-    if np.max(ineq, initial=0.0) > feas_tol or np.max(np.abs(eq), initial=0.0) > feas_tol:
+    if np.max(ineq, initial=0.0) > _FEAS_TOL or np.max(np.abs(eq), initial=0.0) > _FEAS_TOL:
         raise ValidationError(
             "primal point violates the coupled constraints; no slack "
             "allocation can certify it"
@@ -133,21 +146,17 @@ def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights,
     return state
 
 
-def finite_difference_gradient(slack: SlackState, problem, topology, weights,
-                               base_step: float = 1e-5):
+def finite_difference_gradient(slack: SlackState, problem, topology, weights):
     """Central-difference gradient of the allocation cost, with kink flags.
 
-    Per coordinate the step is ``base_step * (1 + |y_k|)``.  A coordinate is
+    Per coordinate the step is ``_FD_STEP * (1 + |y_k|)``.  A coordinate is
     flagged when its forward and backward one-sided differences disagree by
     more than 1e-3 — the signature of probing across an active-set boundary —
     and should be excluded from comparisons against the analytic gradient.
     Only the agents in the perturbed coordinate's neighborhood are re-solved
     per probe, every probe's agents in one lock-step
     ``AgentBatch.solve_rows`` call started from the base solution's sets.
-    Raises ValidationError unless ``base_step`` is positive and finite.
     """
-    if not 0.0 < base_step < np.inf:
-        raise ValidationError(f"base_step must be positive and finite, got {base_step!r}")
     layout = slack.layout
     warm = WarmStart(AgentBatch(problem, topology, weights))
     batch = warm.batch
@@ -162,7 +171,7 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights,
     for l in layout.constraints:
         for agent in topology.participants_of(l):
             k = layout.index(l, agent)
-            h = base_step * (1.0 + abs(slack.values[k]))
+            h = _FD_STEP * (1.0 + abs(slack.values[k]))
             steps.append((k, h))
             affected = [i - 1 for i in topology.neighborhood(l, agent)]
             for value in (slack.values[k] + h, slack.values[k] - h):

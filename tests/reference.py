@@ -19,8 +19,12 @@ scan of every graph edge per constraint), ``scalar_validate_licq`` (one
 SVD per agent), ``scalar_operator_norms`` (one ``eigvalsh`` per constraint)
 and ``scalar_lipschitz_bound`` (one ``eigvalsh`` per agent with rows).
 
+The filter QP built row by row: ``rowwise_step_problem`` adds each
+barrier's rows one agent at a time, with the offset arithmetic of both alpha
+branches written out; ``cbf._FilterRows`` must build the same problem.
+
 The closed loop rebuilt at every step: ``rebuilt_closed_loop`` assembles
-each step's filter QP with ``assemble_step_problem``, checks it with
+each step's filter QP with ``rowwise_step_problem``, checks it with
 ``validate_licq``, compiles a fresh ``AgentBatch`` with two fresh
 ``WarmStart`` streams and checks the applied input with ``max_violation``.
 """
@@ -31,11 +35,11 @@ import math
 
 import numpy as np
 
-from couplesolve import (AgentObjective, SlackLayout, build_weights, consensus_gap,
-                         induce_topology, max_violation, neighbor_views, solve_centralized,
-                         validate_licq)
+from couplesolve import (AgentObjective, CouplingConstraints, ProblemSpec, SlackLayout,
+                         build_weights, consensus_gap, induce_topology, max_violation,
+                         neighbor_views, solve_centralized, validate_licq)
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
-from couplesolve.cbf import ClosedLoopResult, assemble_step_problem, euler_step
+from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.graph import ConstraintTopology
 from couplesolve.local_qp import (AgentBatch, LocalSubproblem, WarmStart, _affine, _factors,
@@ -157,6 +161,28 @@ def consensus_gradient(solutions, topology, weights, layout) -> np.ndarray:
     return grad
 
 
+def rowwise_step_problem(state, scenario, graph) -> ProblemSpec:
+    """The safety-filter QP at ``state``, one row at a time."""
+    nominal = nominal_consensus(state, graph)
+    objectives = tuple(
+        AgentObjective(np.eye(2), -nominal[i], 0.5 * float(nominal[i] @ nominal[i]))
+        for i in range(graph.n_agents)
+    )
+    cons = CouplingConstraints(graph.n_agents, m_ineq=len(scenario.barriers), q_eq=0)
+    for m, barrier in enumerate(scenario.barriers, start=1):
+        n_g = len(barrier.agents)
+        if scenario.alpha is not None:
+            decrease = float(scenario.alpha(barrier.value(state.positions)))
+        for i in barrier.agents:
+            delta = state.positions[i - 1] - np.asarray(barrier.center)
+            if scenario.alpha is None:
+                offset = float(delta @ delta) - barrier.radius_sq / n_g
+            else:
+                offset = -decrease / n_g
+            cons.add_ineq_row(i, m, 2.0 * delta, offset)
+    return ProblemSpec(objectives, cons, graph)
+
+
 def rebuilt_closed_loop(scenario, graph, state):
     """``run_closed_loop`` with every step's problem, LICQ report and batch built anew."""
     steps = int(round(scenario.horizon / scenario.dt))
@@ -168,7 +194,7 @@ def rebuilt_closed_loop(scenario, graph, state):
     inner_worst = np.zeros(steps)
     applied_worst = np.zeros(steps)
 
-    problem = assemble_step_problem(state, scenario, graph)
+    problem = rowwise_step_problem(state, scenario, graph)
     topology = induce_topology(problem, graph)
     weights = build_weights(topology)
     transport = SimnetTransport(topology)
@@ -180,7 +206,7 @@ def rebuilt_closed_loop(scenario, graph, state):
         times[s] = state.time
         positions[s] = state.positions
         barrier_values[s] = [b.value(state.positions) for b in scenario.barriers]
-        problem = assemble_step_problem(state, scenario, graph)
+        problem = rowwise_step_problem(state, scenario, graph)
         licq = validate_licq(problem)
         if not licq.all_full_rank:
             raise RankDeficiencyError(
@@ -258,7 +284,7 @@ def scalar_induce_topology(problem, graph) -> ConstraintTopology:
                               agent_ineq, agent_eq, neighborhoods)
 
 
-def scalar_validate_licq(problem, rank_tol: float = 1e-9) -> LicqReport:
+def scalar_validate_licq(problem) -> LicqReport:
     """``validate_licq`` agent by agent: one SVD per agent with rows."""
     infos = []
     for i in range(1, problem.n_agents + 1):
@@ -270,7 +296,7 @@ def scalar_validate_licq(problem, rank_tol: float = 1e-9) -> LicqReport:
         sv = np.linalg.svd(rows, compute_uv=False)
         smax = float(sv[0])
         smin = float(sv[-1]) if k <= rows.shape[1] else 0.0
-        ok = bool(full_row_rank(sv, k, rows.shape[1], rank_tol))
+        ok = bool(full_row_rank(sv, k, rows.shape[1]))
         infos.append(AgentRankInfo(i, k, ok, smin, smax, smin ** 2))
     return LicqReport(tuple(infos))
 

@@ -58,7 +58,7 @@ def test_criterion_01_every_iterate_is_feasible():
             worst = max(worst, _trace_worst_violation(result.trace))
     problem, topology, weights = _cbf_qp()
     for config in (cs.AdaConfig(0.01, 20), cs.PgdConfig(10.0, 50.0, 20)):
-        result = cs.run(problem, topology, weights, config, check_gamma=False)
+        result = cs.run(problem, topology, weights, config)
         worst = max(worst, _trace_worst_violation(result.trace))
     elapsed = perf_counter() - t0
     ok = worst <= tol and elapsed < budget
@@ -302,8 +302,7 @@ def test_criterion_08_multiplier_consensus_on_the_filter_qp():
     budget = 30.0
     t0 = perf_counter()
     problem, topology, weights = _cbf_qp()
-    result = cs.run(problem, topology, weights, cs.AdaConfig(0.02, 2000),
-                    check_gamma=False)
+    result = cs.run(problem, topology, weights, cs.AdaConfig(0.02, 2000))
     active_err = result.trace.column("dual_cons_err_1")[1:]
     best_active = float(active_err.min())
     inactive_mults = [

@@ -9,7 +9,7 @@ import pytest
 
 import couplesolve as cs
 from couplesolve import algorithms, local_qp
-from couplesolve.exceptions import ValidationError
+from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.trace import traces_equal
 
 from gen import reduced_space_instance, strongly_convex_instance
@@ -173,18 +173,13 @@ def test_pgd_clips_start_into_box(toy, caplog):
     assert "box is active" in caplog.text
 
 
-def test_gamma_warning_and_suppression(toy, caplog):
+def test_gamma_warning_only_above_the_safe_step(toy, caplog):
     problem, topology, weights = toy
     # gradient Lipschitz bound here is sqrt(2), so 0.5 > 1/(2 sqrt(2))
     config = cs.AdaConfig(gamma=0.5, rounds=1)
     with caplog.at_level(logging.WARNING, logger="couplesolve"):
         cs.run(problem, topology, weights, config)
     assert "convergence guarantee void" in caplog.text
-
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="couplesolve"):
-        cs.run(problem, topology, weights, config, check_gamma=False)
-    assert caplog.text == ""
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="couplesolve"):
@@ -204,6 +199,44 @@ def test_gamma_check_reports_missing_curvature(path4, caplog):
     with caplog.at_level(logging.INFO, logger="couplesolve"):
         cs.run(problem, topology, weights, cs.AdaConfig(gamma=1.0, rounds=0))
     assert "Lipschitz bound unavailable" in caplog.text
+
+
+@pytest.mark.parametrize("config", [cs.AdaConfig(gamma=0.1, rounds=3),
+                                    cs.PgdConfig(box_bound=5.0, grad_bound=5.0, rounds=3)],
+                         ids=["ada", "pgd"])
+def test_run_rejects_dependent_rows_before_any_exchange(monkeypatch, caplog, config):
+    # Each agent's two equality rows are parallel: the run names both agents
+    # at its boundary, before any gather or lock-step solve, and does not
+    # blame the curvature.
+    obj = cs.AgentObjective(np.eye(2), np.zeros(2))
+    cons = cs.CouplingConstraints(2, m_ineq=0, q_eq=2)
+    for i in (1, 2):
+        cons.add_eq_row(i, 1, [1.0, 0.0], -1.0)
+        cons.add_eq_row(i, 2, [2.0, 0.0], -2.0)
+    graph = cs.Graph.from_edges(2, [(1, 2)])
+    problem = cs.ProblemSpec((obj, obj), cons, graph)
+    topology = cs.induce_topology(problem, graph)
+    weights = cs.build_weights(topology)
+    events = []
+
+    class Marking(cs.SimnetTransport):
+        def gather(self, phase, values):
+            events.append(phase)
+            return super().gather(phase, values)
+
+    loop = local_qp.AgentBatch._lockstep
+
+    def spy(*args):
+        events.append("lockstep")
+        return loop(*args)
+
+    monkeypatch.setattr(local_qp.AgentBatch, "_lockstep", spy)
+    with caplog.at_level(logging.INFO, logger="couplesolve"):
+        with pytest.raises(RankDeficiencyError,
+                           match=r"^agents \(1, 2\) have linearly dependent constraint rows$"):
+            cs.run(problem, topology, weights, config, transport=Marking(topology))
+    assert events == []
+    assert caplog.text == ""
 
 
 def test_replay_is_deterministic(toy):
@@ -248,12 +281,6 @@ def test_estimate_gradient_bound_is_deterministic(toy):
     # the corner (1, -1) has gradient (1, -1) scaled by the consensus gap;
     # doubling guarantees strict domination of every sampled norm
     assert a >= 2 * math.sqrt(2) * 0.5
-
-
-def test_estimate_gradient_bound_rejects_negative_interior_samples(toy):
-    problem, topology, weights = toy
-    with pytest.raises(ValidationError, match="interior_samples must be non-negative"):
-        cs.estimate_gradient_bound(problem, topology, weights, 1.0, interior_samples=-1)
 
 
 def _sequential_gradient_bound(problem, topology, weights, box_bound, seed=0):
@@ -349,10 +376,11 @@ def _reachable(root) -> set:
 
 
 def test_run_result_keeps_no_topology_index_tuple():
-    # A kept result stores its solutions' row indices as arrays; its
-    # KktSolutions still carry the topology's row sets, keyed by Python ints.
+    # A kept result stores its solutions' row indices and its slack layout
+    # as arrays; its KktSolutions still carry the topology's row sets, keyed
+    # by Python ints.
     problem, topology, weights = strongly_convex_instance(3)
-    sets = (topology.agent_ineq_sets, topology.agent_eq_sets)
+    sets = (topology.agent_ineq_sets, topology.agent_eq_sets, topology.participants)
     tuples = {id(t) for group in sets for t in (group, *group) if t}
     for config in (cs.AdaConfig(0.01, 5), cs.PgdConfig(10.0, 10.0, 5)):
         result = cs.run(problem, topology, weights, config)
@@ -389,7 +417,7 @@ def test_seeded_first_round_needs_no_fallback(monkeypatch):
         start = cs.SlackState(layout, np.random.default_rng(seed).uniform(-2, 2, layout.size))
         del events[:]
         cs.run(problem, topology, weights, cs.AdaConfig(0.01, 2), initial_slack=start,
-               transport=Marking(topology), check_gamma=False)
+               transport=Marking(topology))
         first = events.index(cs.Phase.SLACK_EXCHANGE)
         cold += "lockstep" in events[:first]
         assert events[first + 1] == cs.Phase.MULTIPLIER_EXCHANGE

@@ -238,7 +238,7 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
     width = batch.shape[1]
     for flat in points:
         views = cs.neighbor_views(topology, flat)
-        mediated, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE, flat, topology)
+        mediated = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, flat)
         expected = np.zeros((problem.n_agents, width))
         for i in range(1, problem.n_agents + 1):
             for r, l in enumerate(topology.constraints_of(i)):
@@ -259,7 +259,7 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
         solutions = fresh_solutions(problem, topology, weights, flat)
         reference = consensus_gradient(solutions, topology, weights, layout)
         mults = stacked_multipliers(solutions, topology)
-        mult_views, _ = cs.exchange(cs.Phase.MULTIPLIER_EXCHANGE, mults, topology)
+        mult_views = cs.SimnetTransport(topology).gather(cs.Phase.MULTIPLIER_EXCHANGE, mults)
         z = WarmStart(batch).solve_stacked(batch.offsets(flat))
         assert np.array_equal(batch.gradient(batch.multipliers(z)), reference)
         assert np.array_equal(batch.gradient(mult_views), reference)
@@ -411,7 +411,7 @@ def test_each_entry_point_compiles_one_batch(monkeypatch):
         "run-pgd": lambda: cs.run(*pgd, cs.PgdConfig(5.0, 5.0, 3)),
         "closed-loop-distributed": lambda: cs.run_closed_loop(*line["distributed"]),
         "closed-loop-centralized": lambda: cs.run_closed_loop(*line["centralized"]),
-        "gradient-bound": lambda: cs.estimate_gradient_bound(*pgd, 1.0, interior_samples=2),
+        "gradient-bound": lambda: cs.estimate_gradient_bound(*pgd, 1.0),
         "finite-difference": lambda: cs.finite_difference_gradient(slack, *pgd),
     }
     for name, call in calls.items():

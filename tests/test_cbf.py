@@ -213,7 +213,7 @@ def test_first_step_applies_the_run_output():
     weights = cs.build_weights(topology)
     expected = cs.run(problem, topology, weights,
                       cs.AdaConfig(scenario.gamma, scenario.inner_iterations),
-                      transport="direct", check_gamma=False).output_primal
+                      transport="direct").output_primal
     result = run_closed_loop(scenario, graph, state)
     assert result.inputs.shape[0] == 1
     assert np.array_equal(result.inputs[0].reshape(-1), expected)
@@ -256,15 +256,18 @@ def test_filter_rows_build_the_assembled_problem(name):
     filter_rows = cbf._FilterRows(scenario, graph, state.n_agents)
     for positions in run_closed_loop(scenario, graph, state).positions[::10]:
         at = MultiAgentState(0.0, positions)
-        got = filter_rows.problem(filter_rows.at(at))
-        expected = assemble_step_problem(at, scenario, graph)
-        for a, b in zip(got.objectives, expected.objectives):
-            assert np.array_equal(a.linear, b.linear) and a.constant == b.constant
-        for i in range(1, graph.n_agents + 1):
-            rows, want = got.constraints.agent_rows(i)[0], expected.constraints.agent_rows(i)[0]
-            assert list(rows) == list(want)
-            for m, (coeffs, offset) in want.items():
-                assert np.array_equal(rows[m][0], coeffs) and rows[m][1] == offset
+        expected = reference.rowwise_step_problem(at, scenario, graph)
+        for got in (filter_rows.problem(filter_rows.at(at)),
+                    assemble_step_problem(at, scenario, graph)):
+            for a, b in zip(got.objectives, expected.objectives):
+                assert np.array_equal(a.hessian, b.hessian)
+                assert np.array_equal(a.linear, b.linear) and a.constant == b.constant
+            for i in range(1, graph.n_agents + 1):
+                rows = got.constraints.agent_rows(i)[0]
+                want = expected.constraints.agent_rows(i)[0]
+                assert list(rows) == list(want)
+                for m, (coeffs, offset) in want.items():
+                    assert np.array_equal(rows[m][0], coeffs) and rows[m][1] == offset
 
 
 @pytest.mark.parametrize("name", ["cold", "alpha", "reversed"])

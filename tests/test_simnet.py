@@ -12,8 +12,9 @@ from gen import strongly_convex_instance
 
 def test_exchange_counts_messages(toy):
     _, topology, _ = toy
-    views, count = cs.exchange(cs.Phase.SLACK_EXCHANGE, [2.0, 0.0], topology)
-    assert count == 2  # one edge, both directions
+    transport = cs.SimnetTransport(topology)
+    views = transport.gather(cs.Phase.SLACK_EXCHANGE, [2.0, 0.0])
+    assert transport.messages == 2  # one edge, both directions
     assert views[0][(1, 2)] == 0.0
     assert views[1][(1, 1)] == 2.0
 
@@ -25,7 +26,7 @@ def test_strict_view_raises_outside_neighborhood(path4):
         cons.add_ineq_row(i, 1, [1.0], 0.0)
     problem = cs.ProblemSpec((obj,) * 4, cons, path4)
     topology = cs.induce_topology(problem, path4)
-    views, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE, [0.1, 0.2, 0.3, 0.4], topology)
+    views = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, [0.1, 0.2, 0.3, 0.4])
     assert views[0][(1, 2)] == 0.2
     assert (1, 4) not in views[0]
     # agents 1 and 4 are not adjacent on the path: a locality error, not a KeyError
@@ -41,8 +42,8 @@ def test_audit_mode_serves_and_records(path4):
         cons.add_ineq_row(i, 1, [1.0], 0.0)
     problem = cs.ProblemSpec((obj,) * 4, cons, path4)
     topology = cs.induce_topology(problem, path4)
-    views, _ = cs.exchange(cs.Phase.SLACK_EXCHANGE, [0.1, 0.2, 0.3, 0.4], topology,
-                           audit=True)
+    views = cs.SimnetTransport(topology, audit=True).gather(cs.Phase.SLACK_EXCHANGE,
+                                                            [0.1, 0.2, 0.3, 0.4])
     assert views[0][(1, 4)] == 0.4  # served, not raised
     auditor = views.auditor
     assert not auditor.ok

@@ -4,6 +4,7 @@ import pytest
 import couplesolve as cs
 from couplesolve.exceptions import ValidationError
 from couplesolve.local_qp import AgentBatch, WarmStart
+from gen import strongly_convex_instance
 from reference import AgentView, consensus_gradient, fresh_solutions, total_objective
 
 
@@ -18,6 +19,28 @@ def test_layout_indexing(toy):
     assert layout.index(1, 1) == 0
     assert layout.index(1, 2) == 1
     assert layout.block(1) == slice(0, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layout_reads_back_the_topology_as_python_ints(seed):
+    _, topology, _ = strongly_convex_instance(seed)
+    layout = cs.SlackLayout.from_topology(topology)
+    read = layout.participants
+    assert read == topology.participants
+    assert not any(a is b for a, b in zip(read, topology.participants) if a)
+    assert layout.constraints == tuple(range(1, topology.n_constraints + 1))
+    assert layout.size == sum(map(len, topology.participants))
+    coord = 0
+    for l, members in enumerate(topology.participants, start=1):
+        block = layout.block(l)
+        assert block == slice(coord, coord + len(members))
+        assert type(block.start) is int and type(block.stop) is int
+        for i in members:
+            index = layout.index(l, i)
+            assert index == coord and type(index) is int
+            coord += 1
+    reads = (layout.size, *layout.constraints, *(i for m in layout.participants for i in m))
+    assert all(type(v) is int for v in reads)
 
 
 def test_state_accessors(toy):
@@ -111,14 +134,6 @@ def test_finite_difference_matches_analytic(toy):
                                               weights)
     assert not flags.any()
     assert fd == pytest.approx([1.0, -1.0], abs=1e-7)
-
-
-@pytest.mark.parametrize("base_step", [0.0, -1e-5, float("nan"), float("inf")])
-def test_finite_difference_rejects_a_bad_base_step(toy, base_step):
-    problem, topology, weights = toy
-    state = cs.SlackState(_layout(toy), np.array([2.0, 0.0]))
-    with pytest.raises(ValidationError, match="base_step must be positive and finite"):
-        cs.finite_difference_gradient(state, problem, topology, weights, base_step=base_step)
 
 
 def test_neighbor_views_cover_neighborhoods(toy):

@@ -40,7 +40,10 @@ Cases:
   with the set-up as above;
 * ``cbf-cold``, ``cbf-warm`` and ``cbf-central``:
   ``line_consensus_scenario(horizon=0.5)`` with the distributed filter from
-  cold and warm slack starts, and with the centralized filter.
+  cold and warm slack starts, and with the centralized filter;
+* ``cbf-alpha`` and ``cbf-reversed``: the same scenario with the custom
+  decrease rate ``alpha(g) = 2 g``, and with both barriers listing their
+  agents in descending order (same line graph and initial state).
 """
 
 from __future__ import annotations
@@ -186,8 +189,12 @@ def cases(cs, gen, instances):
             "oracle": oracle_cells(cs.solve_centralized(ring)), "setup": setup_cells(setup)})
 
     for label, overrides in (("cold", {}), ("warm", {"warm_start": True}),
-                             ("central", {"solver": "centralized"})):
+                             ("central", {"solver": "centralized"}),
+                             ("alpha", {"alpha": lambda g: 2.0 * g}), ("reversed", {})):
         scenario, graph, state = cs.line_consensus_scenario(horizon=0.5, **overrides)
+        if label == "reversed":
+            scenario = dataclasses.replace(scenario, barriers=tuple(
+                dataclasses.replace(b, agents=b.agents[::-1]) for b in scenario.barriers))
         out = cs.run_closed_loop(scenario, graph, state)
         yield (f"cbf-{label}",
                (out.times, out.positions, out.barrier_values, out.inputs,
