@@ -62,14 +62,7 @@ from .graph import (
     metropolis_weights,
     null_range_check,
 )
-from .local_qp import (
-    KktReport,
-    KktSolution,
-    LocalSubproblem,
-    StackedSolutions,
-    solve_kkt,
-    verify_kkt,
-)
+from .local_qp import KktSolution, StackedSolutions
 from .oracle import OracleSolution, duality_gap, solve_centralized
 from .problem import (
     AgentObjective,
@@ -83,13 +76,7 @@ from .problem import (
     operator_norms,
     validate_licq,
 )
-from .simnet import (
-    Auditor,
-    Phase,
-    SimnetTransport,
-    locality_audit,
-    neighbor_views,
-)
+from .simnet import Phase, SimnetTransport, locality_audit
 from .slack import (
     SlackLayout,
     SlackState,

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import RankDeficiencyError, ValidationError
+from .exceptions import ValidationError
 from .local_qp import AgentBatch, KktSolution, StackedSolutions, WarmStart
 from .problem import lipschitz_bound, offset_scale
 from .simnet import Phase, SimnetTransport
@@ -268,10 +268,7 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     # Rounds and monitoring keep separate warm starts over one compiled batch,
     # whose stacked rows also give the rank report.
     batch = AgentBatch(problem, topology, weights)
-    licq = batch.licq()
-    if not licq.all_full_rank:
-        raise RankDeficiencyError(
-            f"agents {licq.failures()} have linearly dependent constraint rows")
+    licq = batch.full_rank_licq()
     is_ada = isinstance(config, AdaConfig)
     if is_ada:
         _warn_on_gamma(problem, topology, weights, config, licq)
@@ -385,7 +382,9 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
     doubles the largest norm seen.  Every agent at every point is one row of
     ``AgentBatch.solve_rows``, solved cold; the points go through in chunks
     of ``_SAMPLE_ROWS`` rows, which bounds the loop's temporaries.  Raises
-    ValidationError unless ``box_bound`` is a finite number > 0.
+    ValidationError unless ``box_bound`` is a finite number > 0, and
+    RankDeficiencyError, before any solve, when an agent's stacked constraint
+    rows are linearly dependent.
     """
     if not _positive(box_bound):
         raise ValidationError(f"box_bound must be a finite number > 0, got {box_bound!r}")
@@ -407,6 +406,7 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
     points.extend(rng.uniform(-box_bound, box_bound, size=(_INTERIOR_SAMPLES, n)))
 
     batch = AgentBatch(problem, topology, weights)
+    batch.full_rank_licq()
     n_agents, width = batch.n_agents, batch.shape[1]
     cold = batch.sets.ids_of([(a, ()) for a in range(n_agents)])
     chunk = max(1, _SAMPLE_ROWS // n_agents)

@@ -17,7 +17,11 @@ equality-constrained problem for the current working set, add the most
 violated inequality (lowest index on ties), drop the working row with the
 most negative multiplier (lowest index on ties), repeat.  A visited-set guard
 and an iteration cap of 100 x (number of inequality rows) turn cycling into a
-degeneracy error instead of an infinite loop.
+degeneracy error instead of an infinite loop.  The rules have one home:
+``_accepted`` (when to stop), ``_moves`` (which row to add or drop) and
+``_singular``/``_revisited``/``_capped`` (the diagnoses).  Two loops drive
+them: ``AgentBatch.solve_rows`` for the agents, and the centralized oracle
+(``oracle._active_set``) for the one stacked program.
 
 From one round to the next only the offsets change.  ``AgentBatch``
 compiles everything else once, in one pass straight into stacked arrays: H,
@@ -30,23 +34,24 @@ batch's stacked arrays.  ``AgentBatch.refresh`` overwrites c, the constants, the
 rows and their base offsets in place for a problem of the same structure
 (the safety filter's next step) and empties the table.  ``AgentBatch.licq``
 reads ``validate_licq``'s report off the stacked rows, so ``run``'s gamma
-check and the filter's per-step rank check need no per-agent SVD.
+check and the filter's per-step rank check need no per-agent SVD, and
+``AgentBatch.full_rank_licq`` is the rank check of every library entry point
+that solves on a batch.
 
-``AgentBatch.solve_rows`` runs ``solve_kkt``'s loop in lock step over many
+``AgentBatch.solve_rows`` runs the active-set loop in lock step over many
 rows, a row being one agent's QP at one set of offsets from one starting
 working set (an agent may fill many rows).  Each iteration gathers every
 pending row's map by id, evaluates all of them in one elementwise pass, and
 makes each row's move at once: add the most violated free row, else drop
 the most negative working multiplier, else accept.  Each row keeps its own
-visited-set guard and iteration cap, and a failing row raises
-``solve_kkt``'s diagnosis.  ``WarmStart.solve_stacked`` evaluates every
+visited-set guard and iteration cap, and a failing row raises its
+diagnosis.  ``WarmStart.solve_stacked`` evaluates every
 agent's map for the working set it ended on last time in one stacked pass,
 accepts each solution that passes the loop's termination test and residual
 bound, and continues the rest in ``solve_rows``'s loop, the stacked pass
 standing as its first iteration.  An answer depends only on its final
 working set and the offsets, never on where the search started or on the
-rows beside it.  ``solve_kkt`` stays the scalar reference and the oracle's
-loop.
+rows beside it.
 
 The answer is one stacked, padded array z, one row per agent, and
 ``AgentBatch`` computes from it what a round needs: the objective, the
@@ -63,49 +68,25 @@ import numpy as np
 
 from .exceptions import (
     DegenerateSubproblemError,
+    RankDeficiencyError,
     UnboundedSubproblemError,
 )
-from .problem import AgentObjective, LicqReport, licq_report
+from .problem import LicqReport, licq_report
 
 # Residuals above this are treated as violated when growing the working set;
 # multipliers below its negative are dropped.
 _ADD_TOL = 1e-10
 _DROP_TOL = 1e-11
-_DUAL_TOL = 1e-12  # KktReport.ok's bound on a negative inequality multiplier
-
-
-@dataclass(frozen=True)
-class LocalSubproblem:
-    """One agent's QP with explicit row indices for bookkeeping."""
-
-    objective: AgentObjective
-    ineq_indices: tuple[int, ...]
-    ineq_matrix: np.ndarray   # (k_i, d)
-    ineq_offsets: np.ndarray  # (k_i,)
-    eq_indices: tuple[int, ...]
-    eq_matrix: np.ndarray     # (k_e, d)
-    eq_offsets: np.ndarray    # (k_e,)
-
-    @classmethod
-    def build(cls, objective, ineq_rows, eq_rows) -> "LocalSubproblem":
-        """From iterables of (index, coeffs, offset), sorted by index."""
-        d = objective.dim
-
-        def pack(rows):
-            rows = sorted(rows, key=lambda r: r[0])
-            idx = tuple(r[0] for r in rows)
-            mat = np.array([r[1] for r in rows], dtype=float).reshape(len(rows), d)
-            off = np.array([r[2] for r in rows], dtype=float)
-            return idx, mat, off
-
-        ii, im, io = pack(ineq_rows)
-        ei, em, eo = pack(eq_rows)
-        return cls(objective, ii, im, io, ei, em, eo)
 
 
 @dataclass(frozen=True)
 class KktSolution:
-    """Exact optimizer of a LocalSubproblem with its unique multipliers."""
+    """One agent's exact optimizer with its unique multipliers, keyed by constraint index.
+
+    Inequality rows are keyed 1..m_ineq, equality rows 1..q_eq, and
+    ``active_set`` lists the working inequality rows ascending.  Built on
+    request by ``StackedSolutions.kkt_solutions``.
+    """
 
     x: np.ndarray
     ineq_multipliers: dict[int, float]
@@ -155,78 +136,6 @@ def _reduced_curvature_ok(h, rows, tol=1e-10) -> bool:
         return True
     reduced = basis.T @ h @ basis
     return bool(np.linalg.eigvalsh(reduced).min() > tol)
-
-
-def solve_kkt(sub: LocalSubproblem, start=(), qp=None) -> KktSolution:
-    """Exactly minimize the subproblem via primal active-set iteration.
-
-    ``start`` names the inequality rows (by index, like ``active_set``) of
-    the first working set.  ``qp`` is any compiled KKT solver of ``sub``:
-    ``qp.padded(beta, eta)`` lays out its offsets and ``qp.kkt_solve(working,
-    offsets)`` gives ``_kkt_solve``'s answer for a working set (positions),
-    or None.  The oracle's ``_BlockKkt`` solves through a Schur complement;
-    the tests' one-agent view of an ``AgentBatch`` through the batch's
-    per-set affine maps.
-
-    Raises UnboundedSubproblemError when the Hessian is not positive definite
-    on the equality nullspace (no unique bounded minimizer), and
-    DegenerateSubproblemError when the working-set iteration cycles or hits
-    its cap.
-    """
-    obj = sub.objective
-    h, c = obj.hessian, obj.linear
-    a, beta = sub.ineq_matrix, sub.ineq_offsets
-    e, eta = sub.eq_matrix, sub.eq_offsets
-    k_i = a.shape[0]
-
-    position = {idx: pos for pos, idx in enumerate(sub.ineq_indices)}
-    working = sorted(position[idx] for idx in start)  # positions into the inequality rows
-    visited = {frozenset(working)}
-    cap = 100 * max(1, k_i)
-    if qp is not None:
-        offsets = qp.padded(beta, eta)
-
-    for _ in range(cap + 1):
-        if qp is None:
-            rhs = np.concatenate([-eta, -beta[working]])
-            solved = _kkt_solve(h, c, np.vstack([e, a[working]]), rhs)
-        else:
-            solved = qp.kkt_solve(tuple(working), offsets)
-        if solved is None:
-            raise _singular(h, np.vstack([e, a[working]]))
-        x, mults = solved
-        eq_mults = mults[: e.shape[0]]
-        w_mults = mults[e.shape[0]:]
-
-        if k_i:
-            residual = a @ x + beta
-            residual[working] = 0.0  # working rows are solved as equalities
-            worst = int(np.argmax(residual))
-            if residual[worst] > _ADD_TOL:
-                working = sorted(working + [worst])
-                key = frozenset(working)
-                if key in visited:
-                    raise _revisited()
-                visited.add(key)
-                continue
-
-        if len(working) and w_mults.size and w_mults.min() < -_DROP_TOL:
-            drop = int(np.argmin(w_mults))
-            working = working[:drop] + working[drop + 1:]
-            key = frozenset(working)
-            if key in visited:
-                raise _revisited()
-            visited.add(key)
-            continue
-
-        mu = {idx: 0.0 for idx in sub.ineq_indices}
-        for pos, val in zip(working, w_mults):
-            mu[sub.ineq_indices[pos]] = float(val)
-        lam = {idx: float(val) for idx, val in zip(sub.eq_indices, eq_mults)}
-        active = tuple(sub.ineq_indices[pos] for pos in working)
-        return KktSolution(x, mu, lam, active)
-
-    raise _capped(cap)
 
 
 def _singular(h, rows) -> Exception:
@@ -291,14 +200,14 @@ def _residual_ok(h, c, rows, kkt, z, offsets):
 
 
 def _accepted(free, work, row_residual, mults):
-    """Where ``solve_kkt`` stops, on stacked solutions: no free row is
+    """Where the active-set loop stops, on stacked solutions: no free row is
     violated and no working multiplier is negative."""
     return ((np.where(free, row_residual, -np.inf).max(-1, initial=-np.inf) <= _ADD_TOL)
             & (np.where(work, mults, np.inf).min(-1, initial=np.inf) >= -_DROP_TOL))
 
 
 def _moves(free, work, row_residual, mults):
-    """``solve_kkt``'s next move on stacked solutions it does not accept.
+    """The active-set loop's next move on stacked solutions it does not accept.
 
     r adds free row r, the most violated (lowest index on ties); width + r
     drops working row r, the most negative multiplier (lowest index on
@@ -346,7 +255,7 @@ def _factors(hessian, linear, rows, counts, pairs):
     groups = {}
     for j, (agent, working) in enumerate(pairs):
         d, k_i, k = counts[agent]
-        kkt_rows = (*range(k_i, k), *working)  # solve_kkt's order
+        kkt_rows = (*range(k_i, k), *working)  # equalities, then working rows
         groups.setdefault((d, len(kkt_rows)), []).append((j, agent, kkt_rows))
         free[j, :k_i] = True
     for (d, r), members in groups.items():
@@ -582,18 +491,28 @@ class AgentBatch:
         return licq_report(self.n_agents, ((agents, self.rows[agents, :k, :d])
                                            for k, d, agents in self.by_shape))
 
+    def full_rank_licq(self) -> LicqReport:
+        """``licq()``, raising RankDeficiencyError naming the agents whose stacked
+        rows are linearly dependent: checked before any solve on the batch."""
+        licq = self.licq()
+        if not licq.all_full_rank:
+            raise RankDeficiencyError(
+                f"agents {licq.failures()} have linearly dependent constraint rows")
+        return licq
+
     def solve_rows(self, agents, offsets, start) -> tuple[np.ndarray, np.ndarray]:
-        """``solve_kkt``'s active-set loop, run in lock step over many rows.
+        """The active-set loop, run in lock step over many rows.
 
         Row r is 0-based agent ``agents[r]``'s QP at ``offsets[r]``, started
         from the working set ``start[r]`` (an id in ``sets``); an agent may
         fill many rows.  Each iteration evaluates every pending row's set
         through its affine map (``_affine``, ``_residual_ok``: elementwise,
-        so a row's bits do not depend on the rows around it) and makes
-        ``solve_kkt``'s move (``_moves``) on all of them at once.  Each row
-        keeps its own visited-set guard and cap of 100 x max(1, k_i)
+        so a row's bits do not depend on the rows around it), stops the rows
+        ``_accepted`` and makes the ``_moves`` move on the rest, all at once.
+        Each row keeps its own visited-set guard and cap of 100 x max(1, k_i)
         iterations.  Returns the padded solutions z and each row's final set
-        id.  Raises what ``solve_kkt`` raises for the lowest failing row.
+        id.  Raises the lowest failing row's diagnosis: ``_singular``,
+        ``_revisited`` or ``_capped``.
         """
         agents = np.asarray(agents, dtype=int)
         ids = np.array(start, dtype=int)
@@ -767,10 +686,10 @@ class WarmStart:
 
         Returns the padded solutions z, one row per agent (see
         ``StackedSolutions``).  One stacked pass evaluates each agent's last
-        working set and keeps the solutions ``solve_kkt`` would accept
-        there.  The others go on in ``AgentBatch.solve_rows``'s lock-step
-        loop, with this pass as its first iteration; their answers and
-        final sets are written back in one scatter.
+        working set and keeps the solutions ``_accepted`` accepts there.
+        The others go on in ``AgentBatch.solve_rows``'s lock-step loop, with
+        this pass as its first iteration; their answers and final sets are
+        written back in one scatter.
         """
         batch = self.batch
         z = _affine(self.m, self.s, offsets)
@@ -788,52 +707,3 @@ class WarmStart:
              self.ready[redo]) = batch.sets.gather(ids)
         return z
 
-
-@dataclass(frozen=True)
-class KktReport:
-    """Worst-case residuals of the KKT conditions at a candidate solution."""
-
-    stationarity: float
-    primal_ineq: float       # max positive inequality residual
-    primal_eq: float         # max |equality residual|
-    dual: float              # max negative inequality multiplier, as >= 0
-    complementarity: float   # max |mu_m * residual_m|
-
-    def ok(self, tol: float = 1e-9) -> bool:
-        return (
-            self.stationarity <= tol
-            and self.primal_ineq <= tol
-            and self.primal_eq <= tol
-            and self.dual <= _DUAL_TOL
-            and self.complementarity <= tol
-        )
-
-
-def verify_kkt(sub: LocalSubproblem, sol: KktSolution) -> KktReport:
-    """Recompute all KKT residuals of a solution against its subproblem."""
-    obj = sub.objective
-    grad = obj.hessian @ sol.x + obj.linear
-    for idx, row in zip(sub.ineq_indices, sub.ineq_matrix):
-        grad = grad + sol.ineq_multipliers[idx] * row
-    for idx, row in zip(sub.eq_indices, sub.eq_matrix):
-        grad = grad + sol.eq_multipliers[idx] * row
-
-    if sub.ineq_indices:
-        residual = sub.ineq_matrix @ sol.x + sub.ineq_offsets
-        mu = np.array([sol.ineq_multipliers[i] for i in sub.ineq_indices])
-        primal_ineq = float(np.max(residual, initial=0.0))
-        dual = float(max(0.0, -mu.min()))
-        comp = float(np.max(np.abs(mu * residual), initial=0.0))
-    else:
-        primal_ineq, dual, comp = 0.0, 0.0, 0.0
-    if sub.eq_indices:
-        primal_eq = float(np.max(np.abs(sub.eq_matrix @ sol.x + sub.eq_offsets)))
-    else:
-        primal_eq = 0.0
-    return KktReport(
-        stationarity=float(np.max(np.abs(grad), initial=0.0)),
-        primal_ineq=max(primal_ineq, 0.0),
-        primal_eq=primal_eq,
-        dual=dual,
-        complementarity=comp,
-    )

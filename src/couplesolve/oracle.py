@@ -4,30 +4,33 @@ Stacks all agent blocks into one QP
 
     min 1/2 x' H x + c' x   s.t.  A x + B <= 0,  E x + G = 0,
 
-with H block-diagonal and one row per coupled constraint, then solves it with
-the same exact active-set machinery the agents use locally.  A Phase-1
-linear program (minimize the sum of constraint violations) decides
+with H block-diagonal and one row per coupled constraint, then solves it
+exactly by active set, cold from the empty working set, with the lock-step
+loop's own rules: each move is ``local_qp._moves``', a set is accepted by
+``local_qp._accepted``, and a failure raises the loop's own diagnosis.  A
+Phase-1 linear program (minimize the sum of constraint violations) decides
 feasibility first.  Stacked equality rows may be linearly dependent even when
 every agent's local rows are independent; dependent-but-consistent rows are
 reduced away and the returned multipliers are the least-squares (minimum
 norm) ones, flagged as non-unique.
 
-When every agent block has a Cholesky factor, the active-set loop solves each
-working set through the Schur complement of the blocks (the range-space
-method, Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 16.2);
-otherwise (positive semidefinite blocks) through the dense KKT system.
+When every agent block has a Cholesky factor, each working set is solved
+through the Schur complement of the blocks (the range-space method, Nocedal &
+Wright, *Numerical Optimization*, 2nd ed., section 16.2); otherwise (positive
+semidefinite blocks) through the dense KKT system, ``local_qp._kkt_solve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .exceptions import InfeasibleProblemError, SolverError
-from .local_qp import LocalSubproblem, _kkt_solve, solve_kkt, verify_kkt
-from .problem import AgentObjective, ProblemSpec
+from .local_qp import _accepted, _capped, _kkt_solve, _moves, _revisited, _singular
+from .problem import ProblemSpec
 
 _FEAS_TOL = 1e-9
 
@@ -70,18 +73,6 @@ def stacked_arrays(problem: ProblemSpec):
     return h, c, const, a, b, e, g
 
 
-class _StackedObjective(AgentObjective):
-    """The block-diagonal sum of the agents' costs, not re-validated.
-
-    Every block passed ``AgentObjective``'s checks when the problem was built
-    and has a Cholesky factor; checking the stacked Hessian again would cost
-    an O(n^3) eigendecomposition.
-    """
-
-    def __post_init__(self):
-        pass
-
-
 class _BlockKkt:
     """Working-set KKT solves of the stacked program through its blocks' factors.
 
@@ -91,9 +82,8 @@ class _BlockKkt:
 
         S[W, W] lam = r0[W] + offsets[W],   x = x0 - Y[:, W] lam,
 
-    with S = R Y and r0 = R x0, all computed once.  It implements
-    ``solve_kkt``'s ``qp`` protocol, so ``solve_kkt`` runs its one
-    active-set loop on it.
+    with S = R Y and r0 = R x0, all computed once.  Its ``kkt_solve`` is
+    the oracle loop's evaluator on positive definite blocks.
     """
 
     def __init__(self, problem: ProblemSpec, h, c, rows):
@@ -117,13 +107,10 @@ class _BlockKkt:
         self.schur = rows @ self.y
         self.r0 = rows @ self.x0
 
-    def padded(self, ineq_offsets, eq_offsets) -> np.ndarray:
-        return np.concatenate([ineq_offsets, eq_offsets])
-
     def kkt_solve(self, working: tuple, offsets):
         """``_kkt_solve`` of a working set: (x, multipliers) or None.
 
-        The multipliers come in ``solve_kkt``'s order: equalities, then the
+        The multipliers come in ``_dense_kkt``'s order: equalities, then the
         working inequalities.  A set whose Schur complement is singular, or
         whose solution misses ``_kkt_solve``'s residual bound, is solved by
         ``_kkt_solve`` itself.
@@ -146,6 +133,53 @@ class _BlockKkt:
         if np.isfinite(sol).all() and np.abs(residual).max(initial=0.0) <= 1e-8 * scale:
             return x, lam
         return _kkt_solve(self.hessian, self.linear, rows, rhs)
+
+
+def _dense_kkt(h, c, rows, n_ineq, working, offsets):
+    """``_kkt_solve`` of a working set of the stacked rows: (x, multipliers) or None.
+
+    ``rows`` and ``offsets`` hold the inequalities, then the equalities;
+    ``working`` names inequality positions.  The multipliers come in the
+    system's order: equalities, then the working inequalities.
+    """
+    sel = [*range(n_ineq, len(offsets)), *working]
+    return _kkt_solve(h, c, rows[sel], -offsets[sel])
+
+
+def _active_set(evaluate, h, rows, offsets, n_ineq):
+    """The lock-step loop's active-set search on one program, cold from the empty set.
+
+    ``evaluate(working, offsets)`` solves a working set's KKT system:
+    (x, multipliers) or None when it is singular.  Each step is
+    ``_moves``' (add the most violated free row, else drop the most negative
+    working multiplier, lowest index on ties), a set ``_accepted`` ends the
+    search, and the visited-set guard and the cap of 100 x max(1, m) sets
+    raise what ``AgentBatch.solve_rows`` raises.  Returns (x, multipliers,
+    working).
+    """
+    a, b, n_eq = rows[:n_ineq], offsets[:n_ineq], len(rows) - n_ineq
+    working, visited, cap = (), {()}, 100 * max(1, n_ineq)
+    for _ in range(cap + 1):
+        solved = evaluate(working, offsets)
+        if solved is None:
+            raise _singular(h, rows[[*range(n_ineq, len(rows)), *working]])
+        x, mults = solved
+        work = np.zeros(n_ineq, dtype=bool)
+        work[list(working)] = True
+        spread = np.zeros(n_ineq)  # the working multipliers at their rows
+        spread[list(working)] = mults[n_eq:]
+        residual = a @ x + b
+        if _accepted(~work, work, residual, spread):
+            return x, mults, working
+        move = int(_moves(~work, work, residual, spread))
+        if move < n_ineq:
+            working = tuple(sorted((*working, move)))
+        else:
+            working = tuple(p for p in working if p != move - n_ineq)
+        if working in visited:
+            raise _revisited()
+        visited.add(working)
+    raise _capped(cap)
 
 
 def _phase1_violation(a, b, e, g, dim):
@@ -183,49 +217,50 @@ def solve_centralized(problem: ProblemSpec) -> OracleSolution:
 
     # Reduce dependent equality rows; consistency is already settled by
     # Phase-1, so dependent rows only make multipliers non-unique.
-    q = e.shape[0]
-    unique = True
-    if q:
+    basis, e_red, g_red = None, e, g
+    if e.shape[0]:
         u, sv, _ = np.linalg.svd(e @ e.T)
         rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
-        if rank < q:
-            unique = False
+        if rank < e.shape[0]:
             basis = u[:, :rank]
             e_red, g_red = basis.T @ e, basis.T @ g
-        else:
-            basis = None
-            e_red, g_red = e, g
-    else:
-        basis = None
-        e_red, g_red = e, g
 
-    # Positive definite blocks take the Schur-complement path; semidefinite
-    # ones the dense KKT system, with the stacked Hessian validated whole.
+    # Positive definite blocks take the Schur-complement path, semidefinite
+    # ones the dense KKT system.  Every block passed validation when the
+    # problem was built, so the stacked Hessian is not checked again.
+    m = a.shape[0]
+    rows, offsets = np.vstack([a, e_red]), np.concatenate([b, g_red])
     try:
-        block = _BlockKkt(problem, h, c, np.vstack([a, e_red]))
+        evaluate = _BlockKkt(problem, h, c, rows).kkt_solve
     except np.linalg.LinAlgError:
-        block = None
-    objective = (AgentObjective if block is None else _StackedObjective)(h, c, const)
-    sub = LocalSubproblem.build(
-        objective,
-        [(m + 1, a[m], b[m]) for m in range(a.shape[0])],
-        [(k + 1, e_red[k], g_red[k]) for k in range(e_red.shape[0])],
-    )
-    sol = solve_kkt(sub, qp=block)
-    report = verify_kkt(sub, sol)
-    if not report.ok(tol=1e-8):
-        raise SolverError(f"centralized KKT residuals too large: {report}")
+        evaluate = partial(_dense_kkt, h, c, rows, m)
+    x, mults, working = _active_set(evaluate, h, rows, offsets, m)
 
-    mu = np.array([sol.ineq_multipliers[m + 1] for m in range(a.shape[0])])
-    lam_red = np.array([sol.eq_multipliers[k + 1] for k in range(e_red.shape[0])])
+    mu = np.zeros(m)
+    mu[list(working)] = mults[e_red.shape[0]:]
+    lam_red = mults[:e_red.shape[0]]
+    # The certificate: every KKT residual within 1e-8, no inequality
+    # multiplier below -1e-12.
+    residual = a @ x + b
+    worst = np.array([np.abs(h @ x + c + a.T @ mu + e_red.T @ lam_red).max(initial=0.0),
+                      residual.max(initial=0.0),
+                      np.abs(e_red @ x + g_red).max(initial=0.0),
+                      np.abs(mu * residual).max(initial=0.0),
+                      max(0.0, -mu.min(initial=0.0))])
+    if not (worst <= [1e-8, 1e-8, 1e-8, 1e-8, 1e-12]).all():
+        raise SolverError("centralized KKT residuals too large: " + ", ".join(
+            f"{name} {value:.3e}" for name, value in zip(
+                ("stationarity", "primal_ineq", "primal_eq", "complementarity", "dual"),
+                worst)))
+
     lam = basis @ lam_red if basis is not None else lam_red
     return OracleSolution(
-        x=sol.x,
-        value=objective.value(sol.x),
+        x=x,
+        value=float(0.5 * x @ h @ x + c @ x + const),
         ineq_multipliers=mu,
         eq_multipliers=lam,
-        active_set=sol.active_set,
-        unique_multipliers=unique,
+        active_set=tuple(p + 1 for p in working),
+        unique_multipliers=basis is None,
     )
 
 

@@ -156,10 +156,13 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
     Only the agents in the perturbed coordinate's neighborhood are re-solved
     per probe, every probe's agents in one lock-step
     ``AgentBatch.solve_rows`` call started from the base solution's sets.
+    Raises RankDeficiencyError, before any solve, when an agent's stacked
+    constraint rows are linearly dependent.
     """
     layout = slack.layout
-    warm = WarmStart(AgentBatch(problem, topology, weights))
-    batch = warm.batch
+    batch = AgentBatch(problem, topology, weights)
+    batch.full_rank_licq()
+    warm = WarmStart(batch)
     base = warm.solve_stacked(batch.offsets(slack.values))
     base_costs = np.array([obj.value(z[:obj.dim])
                            for obj, z in zip(problem.objectives, base)])

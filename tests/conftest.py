@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import couplesolve as cs
+from couplesolve import local_qp
 
 
 @pytest.fixture
@@ -44,3 +45,35 @@ def diamond():
 @pytest.fixture
 def path4():
     return cs.Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+
+
+@pytest.fixture
+def dependent_rows():
+    """Two agents on one edge, each holding the parallel equality rows [1, 0] and [2, 0].
+
+    Both agents' stacked rows are linearly dependent (LICQ fails for agents
+    1 and 2), while the coupled rows are consistent.
+    """
+    obj = cs.AgentObjective(np.eye(2), np.zeros(2))
+    cons = cs.CouplingConstraints(2, m_ineq=0, q_eq=2)
+    for i in (1, 2):
+        cons.add_eq_row(i, 1, [1.0, 0.0], -1.0)
+        cons.add_eq_row(i, 2, [2.0, 0.0], -2.0)
+    graph = cs.Graph.from_edges(2, [(1, 2)])
+    problem = cs.ProblemSpec((obj, obj), cons, graph)
+    topology = cs.induce_topology(problem, graph)
+    return problem, topology, cs.build_weights(topology)
+
+
+@pytest.fixture
+def affine_calls(monkeypatch):
+    """Every evaluation of a working set's affine map, that is every local solve, from here on."""
+    calls = []
+    affine = local_qp._affine
+
+    def spy(*args):
+        calls.append(args)
+        return affine(*args)
+
+    monkeypatch.setattr(local_qp, "_affine", spy)
+    return calls

@@ -1,5 +1,14 @@
 """References the library's array paths are checked against.
 
+The scalar active-set solver: ``solve_kkt`` on a ``LocalSubproblem``, with
+dict-keyed ``KktSolution`` multipliers, and ``verify_kkt``'s ``KktReport`` of
+every KKT residual.  It applies the loop's rules one step at a time, written
+out (the library keeps them in ``local_qp._accepted`` and ``_moves``), and
+takes any compiled KKT solver through its ``qp`` protocol.  The library's two
+loops run on the same subproblem through ``solve_rows_cold`` (a one-agent
+``AgentBatch``, solved by ``solve_rows`` from the empty working set) and
+``centralized_kkt`` (``solve_centralized`` on the one-agent problem).
+
 ``AgentView``: one agent of a compiled ``AgentBatch`` as a scalar QP, with
 ``solve_kkt``'s ``qp`` protocol: the scalar reference of ``solve_rows``.
 
@@ -32,21 +41,209 @@ each step's filter QP with ``rowwise_step_problem``, checks it with
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from couplesolve import (AgentObjective, CouplingConstraints, ProblemSpec, SlackLayout,
-                         build_weights, consensus_gap, induce_topology, max_violation,
-                         neighbor_views, solve_centralized, validate_licq)
+from couplesolve import (AgentObjective, CouplingConstraints, Graph, KktSolution, ProblemSpec,
+                         SlackLayout, build_weights, consensus_gap, induce_topology,
+                         max_violation, solve_centralized, validate_licq)
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
 from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.graph import ConstraintTopology
-from couplesolve.local_qp import (AgentBatch, LocalSubproblem, WarmStart, _affine, _factors,
-                                  _gap, _residual_ok, solve_kkt)
+from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _affine, _capped,
+                                  _factors, _gap, _kkt_solve, _residual_ok, _revisited,
+                                  _singular)
 from couplesolve.oracle import stacked_arrays
 from couplesolve.problem import AgentRankInfo, LicqReport, full_row_rank, stacked_rows
-from couplesolve.simnet import SimnetTransport
+from couplesolve.simnet import SimnetTransport, neighbor_views
+
+_DUAL_TOL = 1e-12  # KktReport.ok's bound on a negative inequality multiplier
+
+
+@dataclass(frozen=True)
+class LocalSubproblem:
+    """One agent's QP with explicit row indices for bookkeeping."""
+
+    objective: AgentObjective
+    ineq_indices: tuple[int, ...]
+    ineq_matrix: np.ndarray   # (k_i, d)
+    ineq_offsets: np.ndarray  # (k_i,)
+    eq_indices: tuple[int, ...]
+    eq_matrix: np.ndarray     # (k_e, d)
+    eq_offsets: np.ndarray    # (k_e,)
+
+    @classmethod
+    def build(cls, objective, ineq_rows, eq_rows) -> "LocalSubproblem":
+        """From iterables of (index, coeffs, offset), sorted by index."""
+        d = objective.dim
+
+        def pack(rows):
+            rows = sorted(rows, key=lambda r: r[0])
+            idx = tuple(r[0] for r in rows)
+            mat = np.array([r[1] for r in rows], dtype=float).reshape(len(rows), d)
+            off = np.array([r[2] for r in rows], dtype=float)
+            return idx, mat, off
+
+        ii, im, io = pack(ineq_rows)
+        ei, em, eo = pack(eq_rows)
+        return cls(objective, ii, im, io, ei, em, eo)
+
+
+def solve_kkt(sub: LocalSubproblem, start=(), qp=None) -> KktSolution:
+    """Exactly minimize the subproblem via primal active-set iteration.
+
+    ``start`` names the inequality rows (by index, like ``active_set``) of
+    the first working set.  ``qp`` is any compiled KKT solver of ``sub``:
+    ``qp.padded(beta, eta)`` lays out its offsets and ``qp.kkt_solve(working,
+    offsets)`` gives ``_kkt_solve``'s answer for a working set (positions),
+    or None; ``AgentView`` solves through the batch's per-set affine maps.
+
+    Raises UnboundedSubproblemError when the Hessian is not positive definite
+    on the equality nullspace (no unique bounded minimizer), and
+    DegenerateSubproblemError when the working-set iteration cycles or hits
+    its cap.
+    """
+    obj = sub.objective
+    h, c = obj.hessian, obj.linear
+    a, beta = sub.ineq_matrix, sub.ineq_offsets
+    e, eta = sub.eq_matrix, sub.eq_offsets
+    k_i = a.shape[0]
+
+    position = {idx: pos for pos, idx in enumerate(sub.ineq_indices)}
+    working = sorted(position[idx] for idx in start)  # positions into the inequality rows
+    visited = {frozenset(working)}
+    cap = 100 * max(1, k_i)
+    if qp is not None:
+        offsets = qp.padded(beta, eta)
+
+    for _ in range(cap + 1):
+        if qp is None:
+            rhs = np.concatenate([-eta, -beta[working]])
+            solved = _kkt_solve(h, c, np.vstack([e, a[working]]), rhs)
+        else:
+            solved = qp.kkt_solve(tuple(working), offsets)
+        if solved is None:
+            raise _singular(h, np.vstack([e, a[working]]))
+        x, mults = solved
+        eq_mults = mults[: e.shape[0]]
+        w_mults = mults[e.shape[0]:]
+
+        if k_i:
+            residual = a @ x + beta
+            residual[working] = 0.0  # working rows are solved as equalities
+            worst = int(np.argmax(residual))
+            if residual[worst] > _ADD_TOL:
+                working = sorted(working + [worst])
+                key = frozenset(working)
+                if key in visited:
+                    raise _revisited()
+                visited.add(key)
+                continue
+
+        if len(working) and w_mults.size and w_mults.min() < -_DROP_TOL:
+            drop = int(np.argmin(w_mults))
+            working = working[:drop] + working[drop + 1:]
+            key = frozenset(working)
+            if key in visited:
+                raise _revisited()
+            visited.add(key)
+            continue
+
+        mu = {idx: 0.0 for idx in sub.ineq_indices}
+        for pos, val in zip(working, w_mults):
+            mu[sub.ineq_indices[pos]] = float(val)
+        lam = {idx: float(val) for idx, val in zip(sub.eq_indices, eq_mults)}
+        active = tuple(sub.ineq_indices[pos] for pos in working)
+        return KktSolution(x, mu, lam, active)
+
+    raise _capped(cap)
+
+
+@dataclass(frozen=True)
+class KktReport:
+    """Worst-case residuals of the KKT conditions at a candidate solution."""
+
+    stationarity: float
+    primal_ineq: float       # max positive inequality residual
+    primal_eq: float         # max |equality residual|
+    dual: float              # max negative inequality multiplier, as >= 0
+    complementarity: float   # max |mu_m * residual_m|
+
+    def ok(self, tol: float = 1e-9) -> bool:
+        return (
+            self.stationarity <= tol
+            and self.primal_ineq <= tol
+            and self.primal_eq <= tol
+            and self.dual <= _DUAL_TOL
+            and self.complementarity <= tol
+        )
+
+
+def verify_kkt(sub: LocalSubproblem, sol: KktSolution) -> KktReport:
+    """Recompute all KKT residuals of a solution against its subproblem."""
+    obj = sub.objective
+    grad = obj.hessian @ sol.x + obj.linear
+    for idx, row in zip(sub.ineq_indices, sub.ineq_matrix):
+        grad = grad + sol.ineq_multipliers[idx] * row
+    for idx, row in zip(sub.eq_indices, sub.eq_matrix):
+        grad = grad + sol.eq_multipliers[idx] * row
+
+    if sub.ineq_indices:
+        residual = sub.ineq_matrix @ sol.x + sub.ineq_offsets
+        mu = np.array([sol.ineq_multipliers[i] for i in sub.ineq_indices])
+        primal_ineq = float(np.max(residual, initial=0.0))
+        dual = float(max(0.0, -mu.min()))
+        comp = float(np.max(np.abs(mu * residual), initial=0.0))
+    else:
+        primal_ineq, dual, comp = 0.0, 0.0, 0.0
+    if sub.eq_indices:
+        primal_eq = float(np.max(np.abs(sub.eq_matrix @ sol.x + sub.eq_offsets)))
+    else:
+        primal_eq = 0.0
+    return KktReport(
+        stationarity=float(np.max(np.abs(grad), initial=0.0)),
+        primal_ineq=max(primal_ineq, 0.0),
+        primal_eq=primal_eq,
+        dual=dual,
+        complementarity=comp,
+    )
+
+
+def one_agent_problem(sub: LocalSubproblem) -> ProblemSpec:
+    """``sub`` as a one-agent problem, its inequality and equality rows renumbered 1, 2, ..."""
+    cons = CouplingConstraints(1, m_ineq=len(sub.ineq_indices), q_eq=len(sub.eq_indices))
+    for m, (coeffs, offset) in enumerate(zip(sub.ineq_matrix, sub.ineq_offsets), start=1):
+        cons.add_ineq_row(1, m, coeffs, offset)
+    for q, (coeffs, offset) in enumerate(zip(sub.eq_matrix, sub.eq_offsets), start=1):
+        cons.add_eq_row(1, q, coeffs, offset)
+    return ProblemSpec((sub.objective,), cons, Graph.from_edges(1, ()))
+
+
+def _keyed(sub, x, ineq, eq, working) -> KktSolution:
+    """A solution of ``sub`` with its multipliers and working rows keyed by ``sub``'s indices."""
+    return KktSolution(x, dict(zip(sub.ineq_indices, np.asarray(ineq).tolist())),
+                       dict(zip(sub.eq_indices, np.asarray(eq).tolist())),
+                       tuple(sub.ineq_indices[p] for p in working))
+
+
+def solve_rows_cold(sub: LocalSubproblem) -> KktSolution:
+    """``AgentBatch.solve_rows`` on ``sub`` alone, from the empty working set."""
+    problem = one_agent_problem(sub)
+    topology = induce_topology(problem, problem.graph)
+    batch = AgentBatch(problem, topology, build_weights(topology))
+    z, ids = batch.solve_rows([0], batch.base, batch.sets.ids_of([(0, ())]))
+    d, k_i, k = batch.counts[0]
+    mults = z[0, batch.shape[0]:]
+    return _keyed(sub, z[0, :d], mults[:k_i], mults[k_i:k], batch.sets.keys[ids[0]][1])
+
+
+def centralized_kkt(sub: LocalSubproblem) -> KktSolution:
+    """``solve_centralized`` on ``sub`` alone."""
+    sol = solve_centralized(one_agent_problem(sub))
+    return _keyed(sub, sol.x, sol.ineq_multipliers, sol.eq_multipliers,
+                  [m - 1 for m in sol.active_set])
 
 
 class AgentView:

@@ -204,19 +204,12 @@ def test_gamma_check_reports_missing_curvature(path4, caplog):
 @pytest.mark.parametrize("config", [cs.AdaConfig(gamma=0.1, rounds=3),
                                     cs.PgdConfig(box_bound=5.0, grad_bound=5.0, rounds=3)],
                          ids=["ada", "pgd"])
-def test_run_rejects_dependent_rows_before_any_exchange(monkeypatch, caplog, config):
+def test_run_rejects_dependent_rows_before_any_exchange(monkeypatch, caplog, config,
+                                                        dependent_rows):
     # Each agent's two equality rows are parallel: the run names both agents
     # at its boundary, before any gather or lock-step solve, and does not
     # blame the curvature.
-    obj = cs.AgentObjective(np.eye(2), np.zeros(2))
-    cons = cs.CouplingConstraints(2, m_ineq=0, q_eq=2)
-    for i in (1, 2):
-        cons.add_eq_row(i, 1, [1.0, 0.0], -1.0)
-        cons.add_eq_row(i, 2, [2.0, 0.0], -2.0)
-    graph = cs.Graph.from_edges(2, [(1, 2)])
-    problem = cs.ProblemSpec((obj, obj), cons, graph)
-    topology = cs.induce_topology(problem, graph)
-    weights = cs.build_weights(topology)
+    problem, topology, weights = dependent_rows
     events = []
 
     class Marking(cs.SimnetTransport):
@@ -237,6 +230,15 @@ def test_run_rejects_dependent_rows_before_any_exchange(monkeypatch, caplog, con
             cs.run(problem, topology, weights, config, transport=Marking(topology))
     assert events == []
     assert caplog.text == ""
+
+
+def test_gradient_bound_rejects_dependent_rows_before_any_solve(dependent_rows, affine_calls):
+    # The sampled bound names the agents as run does, not the singular KKT
+    # system its first lock-step solve would meet.
+    with pytest.raises(RankDeficiencyError,
+                       match=r"^agents \(1, 2\) have linearly dependent constraint rows$"):
+        cs.estimate_gradient_bound(*dependent_rows, box_bound=5.0)
+    assert affine_calls == []
 
 
 def test_replay_is_deterministic(toy):

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import couplesolve as cs
-from couplesolve import cbf, local_qp
+from couplesolve import cbf
 from couplesolve.local_qp import AgentBatch, WarmStart
 from couplesolve.problem import aggregate_violation
+from couplesolve.simnet import neighbor_views
 from bruteforce import brute_force_solve
 from reference import (AgentView, consensus_gradient, fresh_solutions, kkt_solutions_at,
-                       stacked_multipliers, total_objective)
+                       solve_kkt, stacked_multipliers, total_objective)
 from gen import (benchmark_ring, failing_instance, reduced_space_instance,
                  strongly_convex_instance)
 
@@ -60,7 +61,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
     layout, points = _points(topology, seed)
 
     fallbacks = []  # rows entering the lock-step loop
-    loop = local_qp.solve_kkt
+    loop = solve_kkt
     lockstep = AgentBatch._lockstep
 
     def counted(self, agents, *args):
@@ -71,7 +72,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
     ran = {"correct": 0, "empty": 0, "wrong": 0}
     misled = 0  # agents whose wrong start differs from the correct one
     for flat in points:
-        views = cs.neighbor_views(topology, flat)
+        views = neighbor_views(topology, flat)
         subs = [qp.subproblem(qp.offsets(view)) for qp, view in zip(qps, views)]
         cold = [loop(sub) for sub in subs]
         starts = [_starts(qp, sol.active_set) for qp, sol in zip(qps, cold)]
@@ -143,7 +144,7 @@ def test_lockstep_rows_match_cold_solves(make, seed):
         z, ids = batch.solve_rows(np.full(len(offsets), a), offsets[:, a],
                                   np.full(len(offsets), cold[a]))
         for p, (got, sid) in enumerate(zip(z, ids)):
-            sol = local_qp.solve_kkt(qp.subproblem(offsets[p, a]), (), qp)
+            sol = solve_kkt(qp.subproblem(offsets[p, a]), (), qp)
             expected[p, a] = _padded(qp, sol)
             assert np.array_equal(got, expected[p, a])
             assert batch.sets.keys[sid] == (a, tuple(qp.position[i] for i in sol.active_set))
@@ -181,7 +182,7 @@ def test_lockstep_failures_raise_what_solve_kkt_raises():
         offsets = np.array([off for _, off in rows])
         qp = qps[bad[0]]
         with pytest.raises(cs.SolverError) as expected:
-            local_qp.solve_kkt(qp.subproblem(offsets[1]), (), qp)
+            solve_kkt(qp.subproblem(offsets[1]), (), qp)
         cold = batch.sets.ids_of([(a, ()) for a in agents])
         with pytest.raises(cs.SolverError) as got:
             batch.solve_rows(agents, offsets, cold)
@@ -223,7 +224,7 @@ def test_lockstep_breaks_ties_as_solve_kkt(start, offset):
         return kkt_solve(working, padded)
 
     qp.kkt_solve = spy
-    local_qp.solve_kkt(qp.subproblem(offsets), tuple(qp.ineq_indices[p] for p in start), qp)
+    solve_kkt(qp.subproblem(offsets), tuple(qp.ineq_indices[p] for p in start), qp)
     batch.solve_rows([0], offsets[None], batch.sets.ids_of([(0, start)]))
     assert [working for _, working in batch.sets.keys] == visited
     assert len(visited) == 3
@@ -237,7 +238,7 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
     cons = problem.constraints
     width = batch.shape[1]
     for flat in points:
-        views = cs.neighbor_views(topology, flat)
+        views = neighbor_views(topology, flat)
         mediated = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, flat)
         expected = np.zeros((problem.n_agents, width))
         for i in range(1, problem.n_agents + 1):

@@ -39,6 +39,54 @@ def test_unused_import_is_reported(tmp_path):
     assert unused_imports(module) == ["dumps", "math"]
 
 
+TOLERANCES = {"_ADD_TOL", "_DROP_TOL"}
+
+
+def tolerance_readers(path: Path) -> set[str]:
+    """The functions of a module that read ``_ADD_TOL`` or ``_DROP_TOL``.
+
+    Qualified within the module (``Class.method``); a read outside any
+    function is ``<module>``, an import of either name counts as a read.
+    """
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if ((isinstance(node, ast.Name) and node.id in TOLERANCES
+             and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr in TOLERANCES)
+                or (isinstance(node, ast.alias) and node.name in TOLERANCES)):
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_active_set_rules_have_one_home():
+    # The add and drop tolerances are read by the two rules every loop
+    # applies, and the package has no scalar copy of the loop.
+    modules = sorted(SOURCE.glob("*.py"))
+    readers = {f"{p.stem}.{name}" for p in modules for name in tolerance_readers(p)}
+    assert readers == {"local_qp._accepted", "local_qp._moves"}
+    defined = sorted(f"{p.stem}.{node.name}" for p in modules
+                     for node in ast.walk(ast.parse(p.read_text()))
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name == "solve_kkt")
+    assert defined == []
+
+
+def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("from .local_qp import _DROP_TOL\n_ADD_TOL = 1.0\n"
+                      "def f(x):\n    return x > _ADD_TOL\n"
+                      "class C:\n    def g(self, q):\n        return q._DROP_TOL\n"
+                      "def h():\n    _ADD_TOL = 2.0\n")
+    assert tolerance_readers(module) == {"<module>", "f", "C.g"}
+
+
 def test_transport_defines_gather_on_its_class():
     # benchmarks/tracer.py wraps only a gather defined on the transport class
     # itself; an inherited one would leave simnet.gather.* and simnet.messages

@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 import couplesolve as cs
 from couplesolve import oracle
 from couplesolve.exceptions import InfeasibleProblemError
-from couplesolve.local_qp import _kkt_solve, solve_kkt
+from couplesolve.local_qp import _kkt_solve
 from couplesolve.oracle import stacked_arrays
 
 from gen import reduced_space_instance, strongly_convex_instance
@@ -140,14 +140,18 @@ def test_zero_gap_at_oracle_point(seed):
 
 @pytest.fixture
 def oracle_paths(monkeypatch):
-    """The compiled solver each oracle solve used: a ``_BlockKkt``, or None (dense)."""
+    """The compiled solver each oracle solve's loop evaluated its working sets
+    with: a ``_BlockKkt``, or None (the dense ``_kkt_solve``)."""
     used = []
+    loop = oracle._active_set
 
-    def spy(sub, start=(), qp=None):
-        used.append(qp)
-        return solve_kkt(sub, start, qp)
+    def spy(evaluate, *args):
+        block = getattr(evaluate, "__self__", None)
+        assert block is not None or evaluate.func is oracle._dense_kkt
+        used.append(block)
+        return loop(evaluate, *args)
 
-    monkeypatch.setattr(oracle, "solve_kkt", spy)
+    monkeypatch.setattr(oracle, "_active_set", spy)
     return used
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import couplesolve as cs
-from couplesolve.exceptions import ValidationError
+from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.local_qp import AgentBatch, WarmStart
+from couplesolve.simnet import neighbor_views
 from gen import strongly_convex_instance
 from reference import AgentView, consensus_gradient, fresh_solutions, total_objective
 
@@ -136,9 +137,20 @@ def test_finite_difference_matches_analytic(toy):
     assert fd == pytest.approx([1.0, -1.0], abs=1e-7)
 
 
+def test_finite_difference_rejects_dependent_rows_before_any_solve(dependent_rows,
+                                                                  affine_calls):
+    # The probe check names the agents as run does, not the singular KKT
+    # system its base solve would meet.
+    state = cs.SlackState(_layout(dependent_rows), np.zeros(4))
+    with pytest.raises(RankDeficiencyError,
+                       match=r"^agents \(1, 2\) have linearly dependent constraint rows$"):
+        cs.finite_difference_gradient(state, *dependent_rows)
+    assert affine_calls == []
+
+
 def test_neighbor_views_cover_neighborhoods(toy):
     problem, topology, weights = toy
-    views = cs.neighbor_views(topology, np.array([2.0, 0.0]))
+    views = neighbor_views(topology, np.array([2.0, 0.0]))
     assert views[0] == {(1, 1): 2.0, (1, 2): 0.0}
     assert views[1] == {(1, 1): 2.0, (1, 2): 0.0}
 
