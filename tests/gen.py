@@ -17,6 +17,10 @@ a sampled anchor point (with a strict margin on inequality rows).
 
 Two fixed instances besides: ``failing_instance``, whose local QPs fail in
 chosen ways, and ``benchmark_ring``, the benchmark's 400-agent ring.
+
+Two variants of a problem's rows: ``shifted_offsets`` moves every stored
+offset, and ``doubled_equality_instance`` stores a strongly convex
+instance's first equality row twice.
 """
 
 from __future__ import annotations
@@ -232,5 +236,46 @@ def benchmark_ring(seed: int = 1):
     spec.loader.exec_module(instances)
     problem = instances.strongly_convex_ring(
         instances.Draws(400, seed, 0.005), 400, 3, 120, 30, 5).problem
+    topology = induce_topology(problem, problem.graph)
+    return problem, topology, build_weights(topology)
+
+
+def _copy_rows(old: CouplingConstraints, cons: CouplingConstraints, shift: float) -> None:
+    """Add every row stored in ``old`` to ``cons``, its offset moved by ``shift``."""
+    for i in range(1, old.n_agents + 1):
+        ineq, eq = old.agent_rows(i)
+        for m, (coeffs, offset) in ineq.items():
+            cons.add_ineq_row(i, m, coeffs, offset + shift)
+        for q, (coeffs, offset) in eq.items():
+            cons.add_eq_row(i, q, coeffs, offset + shift)
+
+
+def shifted_offsets(problem: ProblemSpec, shift: float) -> ProblemSpec:
+    """``problem`` with every stored row's offset moved by ``shift``."""
+    old = problem.constraints
+    cons = CouplingConstraints(problem.n_agents, old.m_ineq, old.q_eq)
+    _copy_rows(old, cons, shift)
+    return ProblemSpec(problem.objectives, cons, problem.graph)
+
+
+def doubled_equality_instance(seed: int):
+    """``strongly_convex_instance(seed)`` with its first equality row stored
+    again as one more equality row; returns (problem, topology, weights).
+
+    Every participant of that row then holds two equal rows, so LICQ fails,
+    and the stacked equality rows are dependent but consistent.  The seed's
+    instance must have an equality row (seed 0 has one).
+    """
+    problem, _, _ = strongly_convex_instance(seed)
+    old = problem.constraints
+    if not old.q_eq:
+        raise ValueError(f"strongly convex seed {seed} has no equality row")
+    cons = CouplingConstraints(problem.n_agents, old.m_ineq, old.q_eq + 1)
+    _copy_rows(old, cons, 0.0)
+    for i in range(1, problem.n_agents + 1):
+        row = old.eq_row(i, 1)
+        if row is not None:
+            cons.add_eq_row(i, old.q_eq + 1, *row)
+    problem = ProblemSpec(problem.objectives, cons, problem.graph)
     topology = induce_topology(problem, problem.graph)
     return problem, topology, build_weights(topology)

@@ -1,14 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import couplesolve as cs
 from couplesolve import oracle
-from couplesolve.exceptions import InfeasibleProblemError
-from couplesolve.local_qp import _kkt_solve
+from couplesolve.exceptions import DimensionMismatchError, InfeasibleProblemError
 from couplesolve.oracle import stacked_arrays
 
-from gen import reduced_space_instance, strongly_convex_instance
+from gen import (benchmark_ring, doubled_equality_instance, reduced_space_instance,
+                 shifted_offsets, strongly_convex_instance)
 from reference import dense_oracle
 
 
@@ -53,7 +55,7 @@ def test_inactive_inequality_multiplier_is_zero(toy):
     assert sol.active_set == ()
 
 
-def test_infeasible_problem_is_reported():
+def test_infeasible_problem_is_reported(oracle_paths, linprog_calls):
     graph = cs.Graph.from_edges(2, [(1, 2)])
     obj = cs.AgentObjective(np.eye(1), np.zeros(1))
     cons = cs.CouplingConstraints(2, m_ineq=1, q_eq=1)
@@ -62,8 +64,10 @@ def test_infeasible_problem_is_reported():
     cons.add_ineq_row(1, 1, [1.0], 5.0)
     cons.add_ineq_row(2, 1, [1.0], 5.0)  # x1 + x2 <= -10
     problem = cs.ProblemSpec((obj, obj), cons, graph)
-    with pytest.raises(InfeasibleProblemError):
+    with pytest.raises(InfeasibleProblemError, match=r"Phase-1 violation 1\.200e\+01\)$"):
         cs.solve_centralized(problem)
+    assert oracle_paths == ["dense"]
+    assert len(linprog_calls) == 1
 
 
 def test_dependent_equality_rows_flagged_non_unique(toy):
@@ -85,6 +89,21 @@ def test_duality_gap_frozen_values(toy):
     problem, _, _ = toy
     assert cs.duality_gap(problem, np.array([0.0, 2.0]), [], [-1.0]) == 1.0
     assert cs.duality_gap(problem, np.array([1.0, 1.0]), [], [-1.0]) == 0.0
+
+
+@pytest.mark.parametrize("argument, given", [
+    ("x", {"x": np.zeros(1)}),
+    ("ineq_multipliers", {"ineq_multipliers": [0.0]}),
+    ("eq_multipliers", {"eq_multipliers": []}),
+])
+def test_duality_gap_rejects_a_wrong_length(argument, given, toy):
+    problem, _, _ = toy
+    args = {"x": np.ones(2), "ineq_multipliers": [], "eq_multipliers": [-1.0], **given}
+    expected = {"x": 2, "ineq_multipliers": 0, "eq_multipliers": 1}[argument]
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"^{argument} has shape \({len(given[argument])},\), "
+                             rf"expected \({expected},\)$"):
+        cs.duality_gap(problem, **args)
 
 
 def test_duality_gap_unbounded_block_returns_inf(path4):
@@ -140,19 +159,38 @@ def test_zero_gap_at_oracle_point(seed):
 
 @pytest.fixture
 def oracle_paths(monkeypatch):
-    """The compiled solver each oracle solve's loop evaluated its working sets
-    with: a ``_BlockKkt``, or None (the dense ``_kkt_solve``)."""
+    """The path each oracle solve took: "constraint" (answered and certified
+    in constraint space) or "dense"."""
     used = []
-    loop = oracle._active_set
+    solve, dense = oracle._ConstraintSpace.solve, oracle._dense_solve
 
-    def spy(evaluate, *args):
-        block = getattr(evaluate, "__self__", None)
-        assert block is not None or evaluate.func is oracle._dense_kkt
-        used.append(block)
-        return loop(evaluate, *args)
+    def constraint_spy(space):
+        solved = solve(space)
+        if solved is not None:
+            used.append("constraint")
+        return solved
 
-    monkeypatch.setattr(oracle, "_active_set", spy)
+    def dense_spy(problem):
+        used.append("dense")
+        return dense(problem)
+
+    monkeypatch.setattr(oracle._ConstraintSpace, "solve", constraint_spy)
+    monkeypatch.setattr(oracle, "_dense_solve", dense_spy)
     return used
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Every Phase-1 linear program from here on."""
+    calls = []
+    lp = oracle.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", spy)
+    return calls
 
 
 def _agrees_with_dense(problem, exact=False):
@@ -164,22 +202,60 @@ def _agrees_with_dense(problem, exact=False):
         if exact:
             assert np.array_equal(new, old)
         else:
-            np.testing.assert_allclose(new, old, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
     return sol
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_block_path_matches_dense_oracle(seed, oracle_paths):
-    problem, _, _ = strongly_convex_instance(seed)
-    _agrees_with_dense(problem)
-    assert len(oracle_paths) == 1 and isinstance(oracle_paths[0], oracle._BlockKkt)
+# Positive definite blocks under per-agent LICQ: the constraint space's premise.
+PREMISE = ([pytest.param(partial(strongly_convex_instance, seed), id=f"sc{seed}")
+            for seed in range(25)]
+           + [pytest.param(partial(benchmark_ring, seed), id=f"ring{seed}")
+              for seed in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("instance", PREMISE)
+def test_constraint_space_matches_dense_oracle(instance, oracle_paths, linprog_calls):
+    problem, _, _ = instance()
+    sol = _agrees_with_dense(problem)
+    assert sol.unique_multipliers
+    assert oracle_paths == ["constraint"]
+    assert linprog_calls == []
+
+
+@pytest.mark.parametrize("shift", [-1e3, 1e3])
+@pytest.mark.parametrize("instance", PREMISE)
+def test_every_offset_is_feasible_in_constraint_space(instance, shift, oracle_paths,
+                                                     linprog_calls):
+    problem = shifted_offsets(instance()[0], shift)
+    sol = cs.solve_centralized(problem)
+    assert oracle_paths == ["constraint"]
+    assert linprog_calls == []
+    vi, ve = cs.max_violation(problem, sol.x)
+    assert vi <= 1e-8 and ve <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_semidefinite_blocks_take_the_dense_path(seed, oracle_paths):
     problem, _, _ = reduced_space_instance(seed)
     _agrees_with_dense(problem, exact=True)
-    assert oracle_paths == [None]
+    assert oracle_paths == ["dense"]
+
+
+def test_certificate_miss_returns_the_dense_answer(oracle_paths, monkeypatch):
+    compile_ = oracle._ConstraintSpace.compile
+
+    def perturbed(problem):  # x far off its KKT system, whatever the working set
+        space = compile_(problem)
+        for group in space.groups:
+            group.x0[...] += 1e-3
+        return space
+
+    monkeypatch.setattr(oracle._ConstraintSpace, "compile", perturbed)
+    for seed in range(25):
+        problem, _, _ = strongly_convex_instance(seed)
+        _agrees_with_dense(problem, exact=True)
+        assert oracle_paths == ["dense"]
+        oracle_paths.clear()
 
 
 @pytest.fixture
@@ -194,12 +270,23 @@ def doubled(toy):
     return cs.ProblemSpec((obj, obj), cons, problem.graph)
 
 
-def test_block_path_keeps_dependent_equality_reduction(doubled, oracle_paths):
-    sol = _agrees_with_dense(doubled)
-    assert isinstance(oracle_paths[0], oracle._BlockKkt)
+def test_dependent_equality_rows_take_the_dense_reduction(doubled, oracle_paths,
+                                                         linprog_calls):
+    sol = _agrees_with_dense(doubled, exact=True)
+    assert oracle_paths == ["dense"]
+    assert len(linprog_calls) == 1
     assert not sol.unique_multipliers
     assert sol.active_set == (1,)
     assert sol.x == pytest.approx([1.25, 0.75])
+
+
+def test_doubled_equality_row_of_a_generated_instance_is_reduced(oracle_paths):
+    problem, _, _ = doubled_equality_instance(0)
+    sol = _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == ["dense"]
+    assert not sol.unique_multipliers
+    lam = sol.eq_multipliers
+    assert lam[0] == pytest.approx(lam[-1])  # the two copies share the weight
 
 
 def test_any_semidefinite_block_keeps_the_dense_path(oracle_paths):
@@ -212,45 +299,43 @@ def test_any_semidefinite_block_keeps_the_dense_path(oracle_paths):
     cons.add_eq_row(2, 1, [1.0], -1.0)
     problem = cs.ProblemSpec(objs, cons, cs.Graph.from_edges(2, [(1, 2)]))
     sol = _agrees_with_dense(problem, exact=True)
-    assert oracle_paths == [None]
+    assert oracle_paths == ["dense"]
     assert sol.x == pytest.approx([1.0, 1.0])
-    h, c, _, a, _, e, _ = stacked_arrays(problem)
+    assert oracle._ConstraintSpace.compile(problem) is None
+
+
+def test_row_without_an_agent_keeps_the_dense_path(oracle_paths):
+    # Equality row 2 is stored by no agent, so the stacked rows lose rank
+    # although every agent's own rows are independent.
+    obj = cs.AgentObjective(np.eye(1), np.zeros(1))
+    cons = cs.CouplingConstraints(2, m_ineq=0, q_eq=2)
+    cons.add_eq_row(1, 1, [1.0], -1.0)
+    cons.add_eq_row(2, 1, [1.0], -1.0)
+    problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
+    assert cs.validate_licq(problem).all_full_rank
+    assert oracle._ConstraintSpace.compile(problem) is None
+    sol = _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == ["dense"]
+    assert not sol.unique_multipliers
+
+
+def test_numerically_singular_working_set_keeps_the_dense_path(oracle_paths):
+    # Rows [1, 0] and [1, 1e-8] pass the rank rule, but 1 + 1e-16 rounds to
+    # 1, so S[W, W] is exactly singular in floating point.
+    obj = cs.AgentObjective(np.eye(2), np.zeros(2))
+    cons = cs.CouplingConstraints(2, m_ineq=0, q_eq=2)
+    for i in (1, 2):
+        cons.add_eq_row(i, 1, [1.0, 0.0], -1.0)
+        cons.add_eq_row(i, 2, [1.0, 1e-8], -1.0)
+    problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
+    assert cs.validate_licq(problem).all_full_rank
     with pytest.raises(np.linalg.LinAlgError):
-        oracle._BlockKkt(problem, h, c, np.vstack([a, e]))
+        oracle._ConstraintSpace.compile(problem).evaluate(())
+    _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == ["dense"]
 
 
-def _compiled(problem):
-    h, c, _, a, b, e, g = stacked_arrays(problem)
-    return oracle._BlockKkt(problem, h, c, np.vstack([a, e])), np.concatenate([b, g])
-
-
-def _dense(block, working, offsets):
-    sel = [*range(block.n_ineq, len(offsets)), *working]
-    return _kkt_solve(block.hessian, block.linear, block.rows[sel], -offsets[sel])
-
-
-def _same_answer(got, want):
-    if want is None:
-        return got is None
-    return got is not None and all(map(np.array_equal, got, want))
-
-
-def test_working_set_missing_the_residual_bound_is_solved_densely():
-    for seed in range(25):
-        problem, _, _ = strongly_convex_instance(seed)
-        block, offsets = _compiled(problem)
-        for working in {(), tuple(range(block.n_ineq))}:
-            answer = block.kkt_solve(working, offsets)
-            want = _dense(block, working, offsets)
-            assert want is not None
-            np.testing.assert_allclose(np.concatenate(answer), np.concatenate(want),
-                                       rtol=0, atol=1e-10)
-            block.x0 = block.x0 + 1e-3  # a Schur solution far off its KKT system
-            assert _same_answer(block.kkt_solve(working, offsets), want)
-            block.x0 = block.x0 - 1e-3
-
-
-def test_singular_working_set_answers_like_dense():
+def test_repeated_inequality_answers_like_dense(oracle_paths):
     obj = cs.AgentObjective(np.eye(2), np.zeros(2))
     cons = cs.CouplingConstraints(2, m_ineq=2, q_eq=1)
     for m in (1, 2):  # one inequality twice: working both is singular
@@ -259,10 +344,6 @@ def test_singular_working_set_answers_like_dense():
     cons.add_eq_row(1, 1, [0.0, 1.0], -1.0)
     cons.add_eq_row(2, 1, [0.0, 1.0], -1.0)
     problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
-    block, offsets = _compiled(problem)
-    for working in ((0, 1), (0,), ()):
-        assert _same_answer(block.kkt_solve(working, offsets),
-                            _dense(block, working, offsets))
-    assert block.kkt_solve((0, 1), offsets) is None
-    sol = _agrees_with_dense(problem)
+    sol = _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == ["dense"]
     assert sol.active_set == (1,)

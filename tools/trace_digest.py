@@ -35,6 +35,10 @@ Cases:
   ``pgd`` with the default box and the estimated gradient bound, 60 rounds,
   without and with a gradient-norm stop, each followed by the
   finite-difference gradient at the run's output allocation;
+* ``sc0-doubled-eq``: ``tests/gen.py`` strongly convex seed 0 with its
+  first equality row stored twice (``doubled_equality_instance``), the
+  centralized oracle only: every agent block is positive definite, LICQ
+  fails, and the dependent equality rows are reduced;
 * ``ring400-prefix``: the benchmark's 400-agent ring (seed 1), 4 ``ada``
   rounds over the simnet transport (the oracle is compared, not digested),
   with the set-up as above;
@@ -176,6 +180,9 @@ def cases(cs, gen, instances):
                     "primal": result.output_primal,
                     "solutions": solution_cells(result.output_solutions), "fd": fd[0],
                     "oracle": oracle_cells(oracle)})
+
+    oracle = cs.solve_centralized(gen.doubled_equality_instance(0)[0])
+    yield "sc0-doubled-eq", (oracle,), {"oracle": oracle_cells(oracle)}
 
     ring = instances.strongly_convex_ring(
         instances.Draws(400, 1, 0.005), 400, 3, 120, 30, 5).problem
