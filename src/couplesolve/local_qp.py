@@ -24,19 +24,19 @@ them: ``AgentBatch.solve_rows`` for the agents, and the centralized oracle
 (``oracle._active_set``) for the one stacked program.
 
 From one round to the next only the offsets change.  ``AgentBatch``
-compiles everything else once, in one pass straight into stacked arrays: H,
-c, the rows, their base offsets and the consensus terms that turn neighbour
-slacks into offsets.  For a fixed working set W the KKT solution is affine
-in the offsets, z = s_W + M_W off.  The batch keeps every working set its
-solves meet in one table, each map stacked under an id; the maps of newly
-met sets are built together, one stacked inverse per KKT size, from the
-batch's stacked arrays.  ``AgentBatch.refresh`` overwrites c, the constants, the
-rows and their base offsets in place for a problem of the same structure
-(the safety filter's next step) and empties the table.  ``AgentBatch.licq``
-reads ``validate_licq``'s report off the stacked rows, so ``run``'s gamma
-check and the filter's per-step rank check need no per-agent SVD, and
-``AgentBatch.full_rank_licq`` is the rank check of every library entry point
-that solves on a batch.
+compiles everything else once into stacked arrays: H, c, the rows and their
+base offsets from ``problem.agent_blocks``, and the consensus terms that
+turn neighbour slacks into offsets.  For a fixed working set W the KKT
+solution is affine in the offsets, z = s_W + M_W off.  The batch keeps every
+working set its solves meet in one table, each map stacked under an id; the
+maps of newly met sets are built together, one stacked inverse per KKT size,
+from the batch's stacked arrays.  ``AgentBatch.refresh`` overwrites c, the
+constants, the rows and their base offsets in place for a problem of the
+same structure (the safety filter's next step) and empties the table.
+``AgentBatch.licq`` reads ``validate_licq``'s report off the stacked rows,
+so ``run``'s gamma check and the filter's per-step rank check need no
+per-agent SVD, and ``AgentBatch.full_rank_licq`` is the rank check of every
+library entry point that solves on a batch.
 
 ``AgentBatch.solve_rows`` runs the active-set loop in lock step over many
 rows, a row being one agent's QP at one set of offsets from one starting
@@ -71,7 +71,7 @@ from .exceptions import (
     RankDeficiencyError,
     UnboundedSubproblemError,
 )
-from .problem import LicqReport, licq_report
+from .problem import LicqReport, agent_blocks, licq_report
 
 # Residuals above this are treated as violated when growing the working set;
 # multipliers below its negative are dropped.
@@ -388,8 +388,8 @@ class AgentBatch:
 
     The one owner of the layout.  Agent a (0-based) is agent i = a + 1; its
     row r is constraint l, the r-th of ``topology.constraints_of(i)``, with
-    the coefficients and base offset b_i^[l] of ``constraints.row(i, l)`` and
-    the weights p_ij over j in N_i^[l] minus i, in ``consensus_gap``'s order.
+    the coefficients and base offset b_i^[l] of its row r in ``agent_blocks``
+    and the weights p_ij over j in N_i^[l] minus i, in ``consensus_gap``'s order.
     Arrays are zero-padded to ``shape`` = (dim, width, reach): block
     dimension, rows and neighbours per row; so is a solution z: x in
     z[a, :dim], row r's multiplier in z[a, dim + r].  The stacked arrays are
@@ -405,7 +405,6 @@ class AgentBatch:
     def __init__(self, problem, topology, weights):
         from .slack import SlackLayout  # slack builds on this module
 
-        cons = problem.constraints
         layout = SlackLayout.from_topology(topology)
         constraints = [topology.constraints_of(i) for i in range(1, problem.n_agents + 1)]
         # Per agent row: N_i^[l] minus i, ascending, the order consensus_gap visits.
@@ -420,6 +419,15 @@ class AgentBatch:
         self.constant = np.array([obj.constant for obj in problem.objectives], dtype=float)
         self.rows = np.zeros((n, width, dim))
         self.base = np.zeros((n, width))
+        self.by_shape = []  # the rank check's: agents by (rows, block dimension)
+        for b in agent_blocks(problem):
+            agents, (_, k, d) = b.agents, b.rows.shape
+            self.hessian[agents, :d, :d] = b.hessian
+            self.linear[agents, :d] = b.linear
+            self.rows[agents, :k, :d] = b.rows
+            self.base[agents, :k] = b.offsets
+            if k:
+                self.by_shape.append((k, d, agents))
         self.p = np.zeros((n, width, reach))
         # The read pass: read k is agent readers[k]'s (0-based) read of slack
         # coordinate flat[k], into its buffer slot slots[k]; a row reads its
@@ -430,16 +438,10 @@ class AgentBatch:
         slots, flat, readers, cells, coords, constraint = [], [], [], [], [], []
         # Per agent: (block dimension, inequality rows, rows).
         self.counts = []
-        for a, (obj, ls, agent_nbrs) in enumerate(zip(problem.objectives, constraints,
-                                                      neighbours)):
-            i, d = a + 1, obj.dim
-            self.hessian[a, :d, :d] = obj.hessian
-            self.linear[a, :d] = obj.linear
+        for a, (d, ls, agent_nbrs) in enumerate(zip(problem.dims, constraints, neighbours)):
+            i = a + 1
             self.counts.append((d, len(topology.agent_ineq_sets[a]), len(ls)))
             for r, (l, nbrs) in enumerate(zip(ls, agent_nbrs)):
-                coeffs, b = cons.row(i, l)
-                self.rows[a, r, :d] = coeffs
-                self.base[a, r] = b
                 self.p[a, r, :len(nbrs)] = [weights[l].weight(i, j) for j in nbrs]
                 first = (a * width + r) * (reach + 1)
                 slots += range(first, first + 1 + len(nbrs))
@@ -458,11 +460,6 @@ class AgentBatch:
         self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
         self.size = layout.size
         self.cap = 100 * np.maximum(1, [k_i for _, k_i, _ in self.counts])
-        groups = {}  # the rank check's: agents by (rows, block dimension)
-        for a, (d, _, k) in enumerate(self.counts):
-            groups.setdefault((k, d), []).append(a)
-        self.by_shape = [(k, d, np.array(agents)) for (k, d), agents in sorted(groups.items())
-                         if k]
         self.sets = _SetTable(self)
 
     def refresh(self, linear, constant, coeffs, offsets) -> None:

@@ -8,7 +8,10 @@ with H block-diagonal and one row per coupled constraint, then solves it
 exactly by active set, cold from the empty working set, with the lock-step
 loop's own rules: each move is ``local_qp._moves``', a set is accepted by
 ``local_qp._accepted``, and a failure raises the loop's own diagnosis.  One
-loop, ``_active_set``, runs on either of two evaluations of a working set.
+loop, ``_active_set``, runs on either of two evaluations of a working set,
+both on one ``problem.agent_blocks``, and one blockwise check,
+``_certificate``, certifies either answer: each KKT residual within 1e-8
+(1e-12 for a negative multiplier) times max(1, the terms it compares).
 
 Constraint space (``_ConstraintSpace``), when every agent block has a
 Cholesky factor and every agent's rows have full row rank (LICQ).  Then the
@@ -19,16 +22,14 @@ S = R H^-1 R' is positive definite and R x = -offsets is solvable for every
 offset: the program is feasible and its multipliers are unique.  Each
 working set is one solve with S (the range-space method, Nocedal & Wright,
 *Numerical Optimization*, 2nd ed., section 16.2, carried fully into the
-m + q multipliers); x is recovered once, blockwise, and certified by the
-KKT residuals.
+m + q multipliers); x is recovered once, blockwise.
 
 Dense (``_dense_solve``), for every other input and for any answer the
 constraint space cannot certify.  A Phase-1 linear program (minimize the sum
-of constraint violations) decides feasibility first.  Stacked equality rows
-may be linearly dependent when some agent's rows are; dependent-but-consistent
-rows are reduced away and the returned multipliers are the least-squares
-(minimum norm) ones, flagged as non-unique.  Each working set is one dense
-KKT system, ``local_qp._kkt_solve``.
+of constraint violations) decides feasibility first.  Dependent but
+consistent equality rows are reduced away; the multipliers are then the
+least-squares (minimum norm) ones, flagged as non-unique.  Each working set
+is one dense KKT system, ``local_qp._kkt_solve``.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .exceptions import (DegenerateSubproblemError, DimensionMismatchError,
                          InfeasibleProblemError, SolverError)
 from .local_qp import _accepted, _capped, _kkt_solve, _moves, _revisited, _singular
-from .problem import ProblemSpec, licq_report
+from .problem import AgentBlock, ProblemSpec, agent_blocks, licq_report
 
 _FEAS_TOL = 1e-9
 
@@ -59,30 +61,17 @@ class OracleSolution:
 
 def stacked_arrays(problem: ProblemSpec):
     """(H, c, constant, A, B, E, G) of the stacked program."""
-    dims = problem.dims
-    total = sum(dims)
-    slices = problem.block_slices()
-    h = np.zeros((total, total))
-    c = np.zeros(total)
-    const = 0.0
-    for sl, obj in zip(slices, problem.objectives):
-        h[sl, sl] = obj.hessian
-        c[sl] = obj.linear
-        const += obj.constant
-    cons = problem.constraints
-    a = np.zeros((cons.m_ineq, total))
-    b = np.zeros(cons.m_ineq)
-    e = np.zeros((cons.q_eq, total))
-    g = np.zeros(cons.q_eq)
-    for i in range(1, problem.n_agents + 1):
-        ineq, eq = cons.agent_rows(i)
-        for m, (coeffs, off) in ineq.items():
-            a[m - 1, slices[i - 1]] = coeffs
-            b[m - 1] += off
-        for q, (coeffs, off) in eq.items():
-            e[q - 1, slices[i - 1]] = coeffs
-            g[q - 1] += off
-    return h, c, const, a, b, e, g
+    objectives, cons = problem.objectives, problem.constraints
+    h = block_diag(*(obj.hessian for obj in objectives))
+    c = np.concatenate([obj.linear for obj in objectives])
+    a, b = np.zeros((cons.m_ineq, len(c))), np.zeros(cons.m_ineq)
+    e, g = np.zeros((cons.q_eq, len(c))), np.zeros(cons.q_eq)
+    for i, sl in enumerate(problem.block_slices(), start=1):
+        for stored, coeffs, offsets in zip(cons.agent_rows(i), (a, e), (b, g)):
+            for l, (row, offset) in stored.items():
+                coeffs[l - 1, sl] = row
+                offsets[l - 1] += offset
+    return h, c, sum(obj.constant for obj in objectives), a, b, e, g
 
 
 def _dense_kkt(h, c, rows, offsets, n_ineq, working):
@@ -135,38 +124,59 @@ def _active_set(evaluate, n_ineq):
     raise _capped(cap)
 
 
-def _certified(worst) -> bool:
-    """The certificate on (stationarity, primal_ineq, primal_eq,
-    complementarity, dual): every KKT residual within 1e-8, no inequality
-    multiplier below -1e-12."""
-    return bool((np.asarray(worst) <= [1e-8, 1e-8, 1e-8, 1e-8, 1e-12]).all())
+_KKT_TOL = 1e-8    # the certificate's bound on each KKT residual, relative to its terms
+_DUAL_TOL = 1e-12  # and on a negative inequality multiplier, relative to the multipliers
+
+
+def _certificate(problem: ProblemSpec, blocks, x, nu):
+    """The stacked program at (x, nu), block by block: (value, worst, size).
+
+    ``nu`` holds the m + q multipliers (inequalities, then equalities).
+    ``worst`` is (stationarity, primal_ineq, primal_eq, complementarity,
+    dual), and ``size`` the largest term each compares: |H_i x_i|, |c_i| or
+    |R_i' nu_i|; a share |R_i x_i| or |b_i| (both row residuals); that times
+    the largest |mu|; the largest |mu|.  Offsets and linear terms times s
+    give x and nu times s, and scale each residual with its size.
+    """
+    m, size = problem.constraints.m_ineq, len(nu)
+    starts = np.cumsum([0, *problem.dims[:-1]])
+    value = sum(obj.constant for obj in problem.objectives)
+    row_residual = np.zeros(size)
+    stationarity = gradient_size = row_size = 0.0
+    for b in blocks:
+        hessian, linear = b.hessian, b.linear
+        xb = x[starts[b.agents][:, None] + np.arange(linear.shape[1])]
+        hx = (hessian @ xb[..., None])[..., 0]
+        value += float(np.sum(0.5 * (xb * hx).sum(1) + (linear * xb).sum(1)))
+        pull = (nu[b.index][:, None, :] @ b.rows)[:, 0]
+        stationarity = max(stationarity, np.abs(hx + linear + pull).max(initial=0.0))
+        gradient_size = max(gradient_size, *(np.abs(t).max(initial=0.0)
+                                             for t in (hx, linear, pull)))
+        products = (b.rows @ xb[..., None])[..., 0]
+        row_residual += np.bincount(b.index.ravel(), (products + b.offsets).ravel(),
+                                    minlength=size)
+        row_size = max(row_size, np.abs(products).max(initial=0.0),
+                       np.abs(b.offsets).max(initial=0.0))
+    mu, residual = nu[:m], row_residual[:m]
+    mu_size = np.abs(mu).max(initial=0.0)
+    worst = [stationarity, residual.max(initial=0.0), np.abs(row_residual[m:]).max(initial=0.0),
+             np.abs(mu * residual).max(initial=0.0), max(0.0, -mu.min(initial=0.0))]
+    return value, worst, [gradient_size, row_size, row_size, mu_size * row_size, mu_size]
+
+
+def _certified(worst, size) -> bool:
+    """Each residual of ``_certificate`` within its bound times max(1, its size)."""
+    bound = np.array([_KKT_TOL] * 4 + [_DUAL_TOL]) * np.maximum(1.0, size)
+    return bool((np.asarray(worst) <= bound).all())
 
 
 @dataclass(frozen=True)
-class _Group:
-    """The agents with one (block dimension d, row count k), stacked.
+class _Group(AgentBlock):
+    """One block of ``agent_blocks`` with ``y`` = H^-1 R_i' and ``x0`` the
+    unconstrained minimizer -H^-1 c_i."""
 
-    ``index[a, r]`` is the position of agent ``agents[a]``'s row r among
-    the m + q stacked rows (inequalities, then equalities); ``y`` holds
-    H^-1 R_i' and ``x0`` the unconstrained minimizer -H^-1 c_i.
-    """
-
-    agents: np.ndarray   # (g,), 0-based
-    index: np.ndarray    # (g, k)
-    hessian: np.ndarray  # (g, d, d)
-    linear: np.ndarray   # (g, d)
-    rows: np.ndarray     # (g, k, d)
-    offsets: np.ndarray  # (g, k)
-    y: np.ndarray        # (g, d, k)
-    x0: np.ndarray       # (g, d)
-
-    def primal(self, nu) -> np.ndarray:
-        """x_i = x0_i - H_i^-1 R_i' nu_i for every agent of the group."""
-        return self.x0 - (self.y @ nu[self.index][..., None])[..., 0]
-
-    def rows_at(self, x) -> np.ndarray:
-        """R_i x_i + b_i for every agent of the group, from its (g, d) blocks x."""
-        return (self.rows @ x[..., None])[..., 0] + self.offsets
+    y: np.ndarray   # (g, d, k)
+    x0: np.ndarray  # (g, d)
 
 
 class _ConstraintSpace:
@@ -180,59 +190,39 @@ class _ConstraintSpace:
     solution are r[ineq] - S[ineq, W] nu_W.
     """
 
-    def __init__(self, problem: ProblemSpec, groups: list[_Group]):
+    def __init__(self, problem: ProblemSpec, blocks, factors):
         cons = problem.constraints
-        self.problem, self.groups = problem, groups
-        self.m, size = cons.m_ineq, cons.m_ineq + cons.q_eq
-        self.s = np.zeros((size, size))
-        self.r = np.zeros(size)
-        for g in groups:
+        self.problem, self.m, size = problem, cons.m_ineq, cons.m_ineq + cons.q_eq
+        self.s, self.r, self.groups = np.zeros((size, size)), np.zeros(size), []
+        for b, chol in zip(blocks, factors):
+            k = b.rows.shape[1]
+            rhs = np.concatenate([b.rows.transpose(0, 2, 1), -b.linear[..., None]], axis=2)
+            solved = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))
+            g = _Group(**vars(b), y=solved[..., :k], x0=solved[..., k])
             cells = g.index[:, :, None] * size + g.index[:, None, :]
             self.s += np.bincount(cells.ravel(), (g.rows @ g.y).ravel(),
                                   minlength=size * size).reshape(size, size)
-            self.r += np.bincount(g.index.ravel(), g.rows_at(g.x0).ravel(), minlength=size)
+            r0 = (g.rows @ g.x0[..., None])[..., 0] + g.offsets  # R_i x0_i + b_i
+            self.r += np.bincount(g.index.ravel(), r0.ravel(), minlength=size)
+            self.groups.append(g)
 
     @classmethod
-    def compile(cls, problem: ProblemSpec) -> "_ConstraintSpace | None":
-        """The compiled program, or None off its premise: some block has no
-        Cholesky factor, some agent's rows are linearly dependent
-        (``licq_report`` on the groups' rows), or some row has no agent."""
+    def compile(cls, problem: ProblemSpec, blocks) -> "_ConstraintSpace | None":
+        """The compiled program from ``agent_blocks(problem)``, or None off its
+        premise: some block has no Cholesky factor, some agent's rows are
+        linearly dependent (``licq_report``), or some row has no agent."""
         cons = problem.constraints
-        m, size = cons.m_ineq, cons.m_ineq + cons.q_eq
-        members = {}
-        for a, obj in enumerate(problem.objectives):
-            ineq, eq = cons.agent_rows(a + 1)
-            stored = [*((l - 1, *ineq[l]) for l in sorted(ineq)),
-                      *((m + l - 1, *eq[l]) for l in sorted(eq))]
-            members.setdefault((obj.dim, len(stored)), []).append((a, stored))
-        groups = []
-        for (d, k), agent_rows in members.items():
-            agents = np.array([a for a, _ in agent_rows])
-            objectives = [problem.objectives[a] for a in agents.tolist()]
-            hessian = np.array([obj.hessian for obj in objectives])
-            try:
-                chol = np.linalg.cholesky(hessian)
-            except np.linalg.LinAlgError:
-                return None
-            linear = np.array([obj.linear for obj in objectives])
-            stored = [row for _, rows in agent_rows for row in rows]
-            index = np.array([l for l, _, _ in stored], dtype=int).reshape(len(agents), k)
-            rows = np.array([coeffs for _, coeffs, _ in stored],
-                            dtype=float).reshape(len(agents), k, d)
-            offsets = np.array([off for _, _, off in stored],
-                               dtype=float).reshape(len(agents), k)
-            rhs = np.concatenate([rows.transpose(0, 2, 1), -linear[..., None]], axis=2)
-            half = np.linalg.solve(chol, rhs)
-            solved = np.linalg.solve(chol.transpose(0, 2, 1), half)
-            groups.append(_Group(agents, index, hessian, linear, rows, offsets,
-                                 solved[..., :k], solved[..., k]))
-        licq = licq_report(problem.n_agents, ((g.agents, g.rows) for g in groups
-                                              if g.rows.shape[1]))
-        covered = np.bincount(np.concatenate([g.index.ravel() for g in groups]),
-                              minlength=size).all()
+        try:
+            factors = [np.linalg.cholesky(b.hessian) for b in blocks]
+        except np.linalg.LinAlgError:
+            return None
+        licq = licq_report(problem.n_agents, ((b.agents, b.rows) for b in blocks
+                                              if b.rows.shape[1]))
+        covered = np.bincount(np.concatenate([b.index.ravel() for b in blocks]),
+                              minlength=cons.m_ineq + cons.q_eq).all()
         if not (licq.all_full_rank and covered):
             return None
-        return cls(problem, groups)
+        return cls(problem, blocks, factors)
 
     def evaluate(self, working):
         """(nu_W, inequality residuals) of a working set; raises LinAlgError
@@ -256,25 +246,13 @@ class _ConstraintSpace:
         dims = self.problem.dims
         starts = np.cumsum([0, *dims[:-1]])
         x = np.zeros(sum(dims))
-        value = sum(obj.constant for obj in self.problem.objectives)
-        row_residual = np.zeros(size)
-        stationarity = 0.0
-        for g in self.groups:
-            xg = g.primal(nu)
+        for g in self.groups:  # x_i = x0_i - H_i^-1 R_i' nu_i
+            xg = g.x0 - (g.y @ nu[g.index][..., None])[..., 0]
             x[starts[g.agents][:, None] + np.arange(xg.shape[1])] = xg
-            hx = (g.hessian @ xg[..., None])[..., 0]
-            value += float(np.sum(0.5 * (xg * hx).sum(1) + (g.linear * xg).sum(1)))
-            grad = hx + g.linear + (nu[g.index][:, None, :] @ g.rows)[:, 0]
-            stationarity = max(stationarity, np.abs(grad).max(initial=0.0))
-            row_residual += np.bincount(g.index.ravel(), g.rows_at(xg).ravel(),
-                                        minlength=size)
-        mu, residual = nu[:m], row_residual[:m]
-        worst = [stationarity, residual.max(initial=0.0),
-                 np.abs(row_residual[m:]).max(initial=0.0),
-                 np.abs(mu * residual).max(initial=0.0), max(0.0, -mu.min(initial=0.0))]
-        if not _certified(worst):
+        value, worst, scale = _certificate(self.problem, self.groups, x, nu)
+        if not _certified(worst, scale):
             return None
-        return OracleSolution(x=x, value=float(value), ineq_multipliers=mu,
+        return OracleSolution(x=x, value=value, ineq_multipliers=nu[:m],
                               eq_multipliers=nu[m:], active_set=tuple(p + 1 for p in working),
                               unique_multipliers=True)
 
@@ -301,13 +279,11 @@ def _phase1_violation(a, b, e, g, dim):
     return float(res.fun)
 
 
-def _dense_solve(problem: ProblemSpec) -> OracleSolution:
+def _dense_solve(problem: ProblemSpec, blocks) -> OracleSolution:
     """The oracle on the dense stacked program: Phase-1, the reduction of
     dependent equality rows, one dense KKT system per working set."""
     h, c, const, a, b, e, g = stacked_arrays(problem)
-    dim = h.shape[0]
-
-    worst = _phase1_violation(a, b, e, g, dim)
+    worst = _phase1_violation(a, b, e, g, len(c))
     if worst > _FEAS_TOL:
         raise InfeasibleProblemError(
             f"coupled constraints are infeasible (Phase-1 violation {worst:.3e})"
@@ -327,24 +303,18 @@ def _dense_solve(problem: ProblemSpec) -> OracleSolution:
     # stacked Hessian is not checked again.
     m = a.shape[0]
     rows, offsets = np.vstack([a, e_red]), np.concatenate([b, g_red])
-    (mults, residual, x), working = _active_set(
-        partial(_dense_kkt, h, c, rows, offsets, m), m)
+    (mults, _, x), working = _active_set(partial(_dense_kkt, h, c, rows, offsets, m), m)
 
     mu = np.zeros(m)
     mu[list(working)] = mults[e_red.shape[0]:]
-    lam_red = mults[:e_red.shape[0]]
-    worst = np.array([np.abs(h @ x + c + a.T @ mu + e_red.T @ lam_red).max(initial=0.0),
-                      residual.max(initial=0.0),
-                      np.abs(e_red @ x + g_red).max(initial=0.0),
-                      np.abs(mu * residual).max(initial=0.0),
-                      max(0.0, -mu.min(initial=0.0))])
-    if not _certified(worst):
+    lam = mults[:e_red.shape[0]]
+    lam = lam if basis is None else basis @ lam  # unreduced
+    _, worst, size = _certificate(problem, blocks, x, np.concatenate([mu, lam]))
+    if not _certified(worst, size):
         raise SolverError("centralized KKT residuals too large: " + ", ".join(
             f"{name} {value:.3e}" for name, value in zip(
                 ("stationarity", "primal_ineq", "primal_eq", "complementarity", "dual"),
                 worst)))
-
-    lam = basis @ lam_red if basis is not None else lam_red
     return OracleSolution(
         x=x,
         value=float(0.5 * x @ h @ x + c @ x + const),
@@ -360,10 +330,12 @@ def solve_centralized(problem: ProblemSpec) -> OracleSolution:
 
     In constraint space where its premise holds and its answer is
     certified (``_ConstraintSpace``); on the dense stacked program otherwise.
+    Both paths read one ``agent_blocks`` and are certified by ``_certificate``.
     """
-    space = _ConstraintSpace.compile(problem)
+    blocks = agent_blocks(problem)
+    space = _ConstraintSpace.compile(problem, blocks)
     solved = space.solve() if space is not None else None
-    return solved if solved is not None else _dense_solve(problem)
+    return solved if solved is not None else _dense_solve(problem, blocks)
 
 
 def duality_gap(problem: ProblemSpec, x: np.ndarray,

@@ -11,6 +11,8 @@ per agent: an agent holds a row only if it participates in it (nonzero
 coefficients or a nonzero offset share).  Inequality rows are indexed
 1..m_ineq, equality rows 1..q_eq; a single "constraint index"
 l in 1..m_ineq+q_eq addresses inequalities first, then equalities.
+``agent_blocks`` stacks the stored rows in one walk, per (block dimension,
+row count): the rank check, both oracle paths and ``AgentBatch`` read them.
 """
 
 from __future__ import annotations
@@ -219,6 +221,55 @@ def offset_scale(problem: ProblemSpec) -> float:
     return scale
 
 
+@dataclass(frozen=True)
+class AgentBlock:
+    """The agents with one (block dimension d, row count k), their rows stacked.
+
+    ``rows[a]`` and ``offsets[a]`` are agent ``agents[a]``'s rows
+    (inequalities, then equalities, each ascending), and ``index[a, r]`` is
+    row r's position among the m + q stacked rows.  ``hessian`` and
+    ``linear`` stack the agents' costs on each read.
+    """
+
+    agents: np.ndarray   # (g,), 0-based, ascending
+    index: np.ndarray    # (g, k)
+    rows: np.ndarray     # (g, k, d)
+    offsets: np.ndarray  # (g, k)
+    objectives: tuple[AgentObjective, ...]
+
+    @property
+    def hessian(self) -> np.ndarray:  # (g, d, d)
+        return np.array([obj.hessian for obj in self.objectives])
+
+    @property
+    def linear(self) -> np.ndarray:  # (g, d)
+        return np.array([obj.linear for obj in self.objectives])
+
+
+def agent_blocks(problem: ProblemSpec) -> list[AgentBlock]:
+    """The one walk over ``CouplingConstraints.agent_rows`` that stacks rows.
+
+    Every agent is in exactly one block, one per (block dimension, row
+    count), an agent without rows in a block with k = 0; the blocks come in
+    the order of their first agents.
+    """
+    cons, m, members = problem.constraints, problem.constraints.m_ineq, {}
+    for a, obj in enumerate(problem.objectives):
+        ineq, eq = cons.agent_rows(a + 1)
+        stored = ([(l - 1, *ineq[l]) for l in sorted(ineq)]
+                  + [(m + l - 1, *eq[l]) for l in sorted(eq)])
+        agents, objectives, rows = members.setdefault((obj.dim, len(stored)), ([], [], []))
+        agents.append(a)
+        objectives.append(obj)
+        rows += stored
+    return [AgentBlock(np.array(agents),
+                       np.array([l for l, _, _ in rows], dtype=int).reshape(len(agents), k),
+                       np.array([c for _, c, _ in rows], dtype=float).reshape(len(agents), k, d),
+                       np.array([b for _, _, b in rows], dtype=float).reshape(len(agents), k),
+                       tuple(objectives))
+            for (d, k), (agents, objectives, rows) in members.items()]
+
+
 # ---------------------------------------------------------------------------
 # regularity checks and the dual-gradient Lipschitz estimate
 # ---------------------------------------------------------------------------
@@ -243,21 +294,6 @@ class LicqReport:
 
     def failures(self) -> tuple[int, ...]:
         return tuple(a.agent for a in self.agents if not a.full_row_rank)
-
-
-def _row_list(problem: ProblemSpec, agent: int) -> list[np.ndarray]:
-    """Agent's constraint coefficient rows (inequalities then equalities, each ascending)."""
-    ineq_rows, eq_rows = problem.constraints.agent_rows(agent)
-    return ([ineq_rows[m][0] for m in sorted(ineq_rows)]
-            + [eq_rows[q][0] for q in sorted(eq_rows)])
-
-
-def stacked_rows(problem: ProblemSpec, agent: int) -> np.ndarray:
-    """Agent's constraint coefficient rows stacked (inequalities then equalities)."""
-    rows = _row_list(problem, agent)
-    if not rows:
-        return np.zeros((0, problem.objectives[agent - 1].dim))
-    return np.vstack(rows)
 
 
 def full_row_rank(sv, n_rows, dim):
@@ -294,20 +330,11 @@ def validate_licq(problem: ProblemSpec) -> LicqReport:
 
     Full row rank of every agent's stack guarantees local subproblems are
     feasible for arbitrary offsets and that their multipliers are unique.
-    One pass over the stored rows groups the agents by (rows, block
-    dimension); each group's stacks go through one batched singular value
-    decomposition (``licq_report``).
+    Each block of ``agent_blocks`` with rows goes through one batched
+    singular value decomposition (``licq_report``).
     """
-    groups = {}
-    for a, d in enumerate(problem.dims):
-        rows = _row_list(problem, a + 1)
-        if rows:
-            agents, stacks = groups.setdefault((len(rows), d), ([], []))
-            agents.append(a)
-            stacks.append(rows)
-    return licq_report(problem.n_agents,
-                       ((np.array(agents), np.array(stacks, dtype=float))
-                        for agents, stacks in groups.values()))
+    return licq_report(problem.n_agents, ((b.agents, b.rows) for b in agent_blocks(problem)
+                                          if b.rows.shape[1]))
 
 
 def _groups(keys: np.ndarray):

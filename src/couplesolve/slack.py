@@ -28,9 +28,9 @@ import numpy as np
 
 from .exceptions import DisconnectedSubgraphError, ValidationError
 from .local_qp import AgentBatch, WarmStart
-from .problem import aggregate_violation
+from .oracle import _KKT_TOL, _certificate
+from .problem import agent_blocks
 
-_FEAS_TOL = 1e-9  # feasible_slack_from_primal's bound on the coupled-row residuals
 _FD_STEP = 1e-5  # finite_difference_gradient's relative probe step
 
 
@@ -114,18 +114,21 @@ def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> Sla
 
     For each constraint the per-participant residuals r are redistributed to
     their mean via the minimum-norm solution of (I - P) y = mean(r) - r.
-    Errors when x violates the coupled constraints by more than ``_FEAS_TOL``
-    or when the consensus system is inconsistent (disconnected participants).
+    Errors when x misses the row bound of the oracle's certificate
+    (``oracle._certificate``), so it accepts every point the oracle
+    certifies, or when the consensus system is inconsistent (disconnected
+    participants).
     """
-    ineq, eq = aggregate_violation(problem, x)
-    if np.max(ineq, initial=0.0) > _FEAS_TOL or np.max(np.abs(eq), initial=0.0) > _FEAS_TOL:
+    cons = problem.constraints
+    _, worst, size = _certificate(problem, agent_blocks(problem), x,
+                                  np.zeros(cons.m_ineq + cons.q_eq))
+    if max(worst[1:3]) > _KKT_TOL * max(1.0, size[1]):
         raise ValidationError(
             "primal point violates the coupled constraints; no slack "
             "allocation can certify it"
         )
     layout = SlackLayout.from_topology(topology)
     state = SlackState.zeros(layout)
-    cons = problem.constraints
     blocks = problem.split(x)
     for l in layout.constraints:
         members = topology.participants_of(l)

@@ -240,14 +240,16 @@ def benchmark_ring(seed: int = 1):
     return problem, topology, build_weights(topology)
 
 
-def _copy_rows(old: CouplingConstraints, cons: CouplingConstraints, shift: float) -> None:
-    """Add every row stored in ``old`` to ``cons``, its offset moved by ``shift``."""
+def _copy_rows(old: CouplingConstraints, cons: CouplingConstraints, shift: float,
+               scale: float = 1.0) -> None:
+    """Add every row stored in ``old`` to ``cons``, its offset scaled by
+    ``scale``, then moved by ``shift``."""
     for i in range(1, old.n_agents + 1):
         ineq, eq = old.agent_rows(i)
         for m, (coeffs, offset) in ineq.items():
-            cons.add_ineq_row(i, m, coeffs, offset + shift)
+            cons.add_ineq_row(i, m, coeffs, offset * scale + shift)
         for q, (coeffs, offset) in eq.items():
-            cons.add_eq_row(i, q, coeffs, offset + shift)
+            cons.add_eq_row(i, q, coeffs, offset * scale + shift)
 
 
 def shifted_offsets(problem: ProblemSpec, shift: float) -> ProblemSpec:
@@ -256,6 +258,19 @@ def shifted_offsets(problem: ProblemSpec, shift: float) -> ProblemSpec:
     cons = CouplingConstraints(problem.n_agents, old.m_ineq, old.q_eq)
     _copy_rows(old, cons, shift)
     return ProblemSpec(problem.objectives, cons, problem.graph)
+
+
+def scaled_problem(problem: ProblemSpec, scale: float) -> ProblemSpec:
+    """``problem`` with every linear term and stored row offset times ``scale``.
+
+    Its optimizer and multipliers are ``scale`` times ``problem``'s.
+    """
+    old = problem.constraints
+    cons = CouplingConstraints(problem.n_agents, old.m_ineq, old.q_eq)
+    _copy_rows(old, cons, 0.0, scale)
+    objectives = tuple(AgentObjective(obj.hessian, obj.linear * scale, obj.constant)
+                       for obj in problem.objectives)
+    return ProblemSpec(objectives, cons, problem.graph)
 
 
 def doubled_equality_instance(seed: int):

@@ -56,7 +56,7 @@ from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _a
                                   _factors, _gap, _kkt_solve, _residual_ok, _revisited,
                                   _singular)
 from couplesolve.oracle import stacked_arrays
-from couplesolve.problem import AgentRankInfo, LicqReport, full_row_rank, stacked_rows
+from couplesolve.problem import AgentRankInfo, LicqReport, full_row_rank
 from couplesolve.simnet import SimnetTransport, neighbor_views
 
 _DUAL_TOL = 1e-12  # KktReport.ok's bound on a negative inequality multiplier
@@ -479,6 +479,13 @@ def scalar_induce_topology(problem, graph) -> ConstraintTopology:
     )
     return ConstraintTopology(n, m_ineq, q_eq, tuple(participants), tuple(induced),
                               agent_ineq, agent_eq, neighborhoods)
+
+
+def stacked_rows(problem, agent: int) -> np.ndarray:
+    """Agent's constraint coefficient rows stacked (inequalities then equalities)."""
+    ineq, eq = problem.constraints.agent_rows(agent)
+    rows = [ineq[m][0] for m in sorted(ineq)] + [eq[q][0] for q in sorted(eq)]
+    return np.array(rows).reshape(len(rows), problem.objectives[agent - 1].dim)
 
 
 def scalar_validate_licq(problem) -> LicqReport:

@@ -42,21 +42,31 @@ def test_unused_import_is_reported(tmp_path):
 TOLERANCES = {"_ADD_TOL", "_DROP_TOL"}
 
 
-def tolerance_readers(path: Path) -> set[str]:
-    """The functions of a module that read ``_ADD_TOL`` or ``_DROP_TOL``.
+def reads_tolerance(node) -> bool:
+    """A read of ``_ADD_TOL`` or ``_DROP_TOL``: a load, an attribute or an import."""
+    return ((isinstance(node, ast.Name) and node.id in TOLERANCES
+             and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr in TOLERANCES)
+            or (isinstance(node, ast.alias) and node.name in TOLERANCES))
+
+
+def reads_stored_rows(node) -> bool:
+    """A read of ``CouplingConstraints.agent_rows`` or ``CouplingConstraints.row``."""
+    return isinstance(node, ast.Attribute) and node.attr in {"agent_rows", "row"}
+
+
+def readers(path: Path, reads=reads_tolerance) -> set[str]:
+    """The functions of a module with a node that ``reads``.
 
     Qualified within the module (``Class.method``); a read outside any
-    function is ``<module>``, an import of either name counts as a read.
+    function is ``<module>``.
     """
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = (*scope, node.name)
-        if ((isinstance(node, ast.Name) and node.id in TOLERANCES
-             and isinstance(node.ctx, ast.Load))
-                or (isinstance(node, ast.Attribute) and node.attr in TOLERANCES)
-                or (isinstance(node, ast.alias) and node.name in TOLERANCES)):
+        if reads(node):
             found.add(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -65,17 +75,32 @@ def tolerance_readers(path: Path) -> set[str]:
     return found
 
 
+def library_readers(reads) -> set[str]:
+    """``readers`` over every package module, as ``module.function``."""
+    return {f"{p.stem}.{name}" for p in sorted(SOURCE.glob("*.py"))
+            for name in readers(p, reads)}
+
+
 def test_active_set_rules_have_one_home():
     # The add and drop tolerances are read by the two rules every loop
     # applies, and the package has no scalar copy of the loop.
-    modules = sorted(SOURCE.glob("*.py"))
-    readers = {f"{p.stem}.{name}" for p in modules for name in tolerance_readers(p)}
-    assert readers == {"local_qp._accepted", "local_qp._moves"}
-    defined = sorted(f"{p.stem}.{node.name}" for p in modules
+    assert library_readers(reads_tolerance) == {"local_qp._accepted", "local_qp._moves"}
+    defined = sorted(f"{p.stem}.{node.name}" for p in sorted(SOURCE.glob("*.py"))
                      for node in ast.walk(ast.parse(p.read_text()))
                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                      and node.name == "solve_kkt")
     assert defined == []
+
+
+def test_stored_rows_are_stacked_in_one_place():
+    # problem.agent_blocks is the one walk that stacks every agent's rows:
+    # the rank check, both oracle paths and AgentBatch read its blocks.  The
+    # other readers take the stored rows one at a time.
+    assert library_readers(reads_stored_rows) == {
+        "problem.agent_blocks", "problem.aggregate_violation", "problem.offset_scale",
+        "graph.induce_topology", "oracle.stacked_arrays", "oracle.duality_gap",
+        "formats.problem_to_dict", "slack.feasible_slack_from_primal",
+        "problem.ProblemSpec.__post_init__"}
 
 
 def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):
@@ -84,7 +109,15 @@ def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):
                       "def f(x):\n    return x > _ADD_TOL\n"
                       "class C:\n    def g(self, q):\n        return q._DROP_TOL\n"
                       "def h():\n    _ADD_TOL = 2.0\n")
-    assert tolerance_readers(module) == {"<module>", "f", "C.g"}
+    assert readers(module) == {"<module>", "f", "C.g"}
+
+
+def test_stored_row_readers_see_attributes_only(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def f(cons, row):\n    return cons.row(1, row)\n"
+                      "class C:\n    def g(self):\n        return self.cons.agent_rows(1)\n"
+                      "def h(row, agent_rows):\n    return row, agent_rows\n")
+    assert readers(module, reads_stored_rows) == {"f", "C.g"}
 
 
 def test_transport_defines_gather_on_its_class():

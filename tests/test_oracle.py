@@ -8,9 +8,10 @@ import couplesolve as cs
 from couplesolve import oracle
 from couplesolve.exceptions import DimensionMismatchError, InfeasibleProblemError
 from couplesolve.oracle import stacked_arrays
+from couplesolve.problem import agent_blocks
 
 from gen import (benchmark_ring, doubled_equality_instance, reduced_space_instance,
-                 shifted_offsets, strongly_convex_instance)
+                 scaled_problem, shifted_offsets, strongly_convex_instance)
 from reference import dense_oracle
 
 
@@ -170,9 +171,9 @@ def oracle_paths(monkeypatch):
             used.append("constraint")
         return solved
 
-    def dense_spy(problem):
+    def dense_spy(*args):
         used.append("dense")
-        return dense(problem)
+        return dense(*args)
 
     monkeypatch.setattr(oracle._ConstraintSpace, "solve", constraint_spy)
     monkeypatch.setattr(oracle, "_dense_solve", dense_spy)
@@ -244,8 +245,8 @@ def test_semidefinite_blocks_take_the_dense_path(seed, oracle_paths):
 def test_certificate_miss_returns_the_dense_answer(oracle_paths, monkeypatch):
     compile_ = oracle._ConstraintSpace.compile
 
-    def perturbed(problem):  # x far off its KKT system, whatever the working set
-        space = compile_(problem)
+    def perturbed(*args):  # x far off its KKT system, whatever the working set
+        space = compile_(*args)
         for group in space.groups:
             group.x0[...] += 1e-3
         return space
@@ -256,6 +257,24 @@ def test_certificate_miss_returns_the_dense_answer(oracle_paths, monkeypatch):
         _agrees_with_dense(problem, exact=True)
         assert oracle_paths == ["dense"]
         oracle_paths.clear()
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e2, 1e4])
+@pytest.mark.parametrize("instance, seeds, path", [
+    (strongly_convex_instance, range(25), "constraint"),
+    (reduced_space_instance, range(12), "dense")], ids=["sc", "rs"])
+def test_scaled_problems_are_certified(instance, seeds, path, scale, oracle_paths):
+    # Offsets and linear terms times s give x and the multipliers times s,
+    # and complementarity times s^2: the certificate bounds each residual
+    # relative to its terms, so every scale is certified on its usual path.
+    for seed in seeds:
+        problem, _, _ = instance(seed)
+        base = cs.solve_centralized(problem)
+        oracle_paths.clear()
+        sol = cs.solve_centralized(scaled_problem(problem, scale))
+        assert oracle_paths == [path], seed
+        np.testing.assert_allclose(sol.x / scale, base.x, rtol=0,
+                                   atol=1e-9 * max(1.0, np.abs(base.x).max()))
 
 
 @pytest.fixture
@@ -301,7 +320,7 @@ def test_any_semidefinite_block_keeps_the_dense_path(oracle_paths):
     sol = _agrees_with_dense(problem, exact=True)
     assert oracle_paths == ["dense"]
     assert sol.x == pytest.approx([1.0, 1.0])
-    assert oracle._ConstraintSpace.compile(problem) is None
+    assert oracle._ConstraintSpace.compile(problem, agent_blocks(problem)) is None
 
 
 def test_row_without_an_agent_keeps_the_dense_path(oracle_paths):
@@ -313,7 +332,7 @@ def test_row_without_an_agent_keeps_the_dense_path(oracle_paths):
     cons.add_eq_row(2, 1, [1.0], -1.0)
     problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
     assert cs.validate_licq(problem).all_full_rank
-    assert oracle._ConstraintSpace.compile(problem) is None
+    assert oracle._ConstraintSpace.compile(problem, agent_blocks(problem)) is None
     sol = _agrees_with_dense(problem, exact=True)
     assert oracle_paths == ["dense"]
     assert not sol.unique_multipliers
@@ -330,7 +349,7 @@ def test_numerically_singular_working_set_keeps_the_dense_path(oracle_paths):
     problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
     assert cs.validate_licq(problem).all_full_rank
     with pytest.raises(np.linalg.LinAlgError):
-        oracle._ConstraintSpace.compile(problem).evaluate(())
+        oracle._ConstraintSpace.compile(problem, agent_blocks(problem)).evaluate(())
     _agrees_with_dense(problem, exact=True)
     assert oracle_paths == ["dense"]
 

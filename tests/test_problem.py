@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import couplesolve as cs
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.local_qp import AgentBatch
-from couplesolve.problem import stacked_rows
+from couplesolve.problem import agent_blocks
+from gen import (benchmark_ring, doubled_equality_instance, reduced_space_instance,
+                 strongly_convex_instance)
 
 
 def test_objective_value_and_curvature():
@@ -201,7 +203,42 @@ def test_agent_without_rows_passes_licq():
     assert report.all_full_rank
     assert report.agents[1].n_rows == 0
     assert _rank_failures(problem) == ()
-    assert stacked_rows(problem, 2).shape == (0, 1)
+    assert [(b.agents.tolist(), b.rows.shape) for b in agent_blocks(problem)] == [
+        ([0], (1, 1, 1)), ([1], (1, 0, 1))]
+
+
+BLOCK_INSTANCES = ([pytest.param(strongly_convex_instance, seed, id=f"sc{seed}")
+                    for seed in range(25)]
+                   + [pytest.param(reduced_space_instance, seed, id=f"rs{seed}")
+                      for seed in range(12)]
+                   + [pytest.param(doubled_equality_instance, 0, id="sc0-doubled-eq"),
+                      pytest.param(benchmark_ring, 1, id="ring1")])
+
+
+@pytest.mark.parametrize("instance, seed", BLOCK_INSTANCES)
+def test_agent_blocks_stack_every_agents_rows_once(instance, seed):
+    problem, _, _ = instance(seed)
+    cons = problem.constraints
+    blocks = agent_blocks(problem)
+    firsts = [int(b.agents[0]) for b in blocks]
+    assert firsts == sorted(firsts)  # in first-agent order
+    seen = np.concatenate([b.agents for b in blocks])
+    assert sorted(seen.tolist()) == list(range(problem.n_agents))  # each agent once
+    for b in blocks:
+        g, k, d = b.rows.shape
+        assert b.agents.tolist() == sorted(b.agents.tolist())
+        assert b.index.shape == b.offsets.shape == (g, k)
+        for a, index, rows, offsets in zip(b.agents.tolist(), b.index, b.rows, b.offsets):
+            obj = problem.objectives[a]
+            assert obj.dim == d
+            ineq, eq = cons.agent_rows(a + 1)
+            stored = ([(m - 1, *ineq[m]) for m in sorted(ineq)]
+                      + [(cons.m_ineq + q - 1, *eq[q]) for q in sorted(eq)])
+            assert index.tolist() == [l for l, _, _ in stored]
+            assert np.array_equal(rows, np.array([c for _, c, _ in stored]).reshape(k, d))
+            assert offsets.tolist() == [off for _, _, off in stored]
+        assert np.array_equal(b.hessian, [problem.objectives[a].hessian for a in b.agents])
+        assert np.array_equal(b.linear, [problem.objectives[a].linear for a in b.agents])
 
 
 def test_operator_norms_toy(toy):

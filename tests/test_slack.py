@@ -5,7 +5,7 @@ import couplesolve as cs
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.local_qp import AgentBatch, WarmStart
 from couplesolve.simnet import neighbor_views
-from gen import strongly_convex_instance
+from gen import reduced_space_instance, scaled_problem, strongly_convex_instance
 from reference import AgentView, consensus_gradient, fresh_solutions, total_objective
 
 
@@ -125,6 +125,34 @@ def test_feasible_slack_rejects_infeasible_primal(toy):
     with pytest.raises(ValidationError):
         cs.feasible_slack_from_primal(np.array([0.0, 0.0]), problem,
                                       topology, weights)
+
+
+@pytest.mark.parametrize("instance, seed", [(strongly_convex_instance, 0),
+                                            (strongly_convex_instance, 1),
+                                            (reduced_space_instance, 9)])
+def test_feasible_slack_accepts_what_the_oracle_certifies_at_scale(instance, seed):
+    # At 1e7 the certified optimum leaves row residuals of 2e-9 to 4e-9:
+    # within the certificate's bound relative to the rows' terms.
+    problem, _, _ = instance(seed)
+    problem = scaled_problem(problem, 1e7)
+    topology = cs.induce_topology(problem, problem.graph)
+    weights = cs.build_weights(topology)
+    sol = cs.solve_centralized(problem)
+    assert max(cs.max_violation(problem, sol.x)) > 1e-9
+    star = cs.feasible_slack_from_primal(sol.x, problem, topology, weights)
+    assert star.values.size
+    assert cs.default_box_bound(problem, topology, weights, sol) > 0.0
+
+
+def test_feasible_slack_rejects_a_point_off_a_row_at_unit_scale():
+    problem, topology, weights = strongly_convex_instance(0)
+    x = cs.solve_centralized(problem).x
+    agent = topology.participants_of(problem.constraints.m_ineq + 1)[0]
+    coeffs, _ = problem.constraints.eq_row(agent, 1)
+    x[problem.block_slices()[agent - 1]] += 1e-6 * coeffs / (coeffs @ coeffs)
+    assert cs.max_violation(problem, x)[1] == pytest.approx(1e-6)
+    with pytest.raises(ValidationError):
+        cs.feasible_slack_from_primal(x, problem, topology, weights)
 
 
 def test_finite_difference_matches_analytic(toy):

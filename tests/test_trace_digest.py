@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,3 +31,11 @@ def test_compare_report_is_true_only_when_every_case_matches(capsys):
     out = capsys.readouterr().out
     assert "b only in old" in out
     assert "c only in new" in out
+
+
+def test_drift_of_equal_infinite_cells_is_zero_without_warnings():
+    drift = _tool().drift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert drift([np.inf, 1.0], [np.inf, 1.0]) == (0.0, 0.0)
+        assert drift([np.inf, 1.0], [np.inf, 1.5]) == (0.5, 0.5 / 1.5)

@@ -239,7 +239,8 @@ def drift(old, new) -> tuple[float, float] | None:
     if old.shape != new.shape:
         return None
     same = (old == new) | (np.isnan(old) & np.isnan(new))
-    diff = np.where(same, 0.0, np.abs(new - old))
+    diff = np.zeros(old.shape)
+    diff[~same] = np.abs(new[~same] - old[~same])
     scale = np.maximum(np.abs(new), np.abs(old))
     rel = np.divide(diff, scale, out=np.where(diff > 0, np.inf, 0.0), where=scale > 0)
     return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
