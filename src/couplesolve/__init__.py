@@ -18,8 +18,10 @@ from .algorithms import (
     ada_schedule,
     default_box_bound,
     estimate_gradient_bound,
+    finite_difference_gradient,
     half_squared_diameter,
     iterate_rounds,
+    locality_audit,
     pgd_round,
     pgd_stepsize,
     run,
@@ -54,6 +56,8 @@ from .graph import (
     ConnectivityReport,
     ConstraintTopology,
     Graph,
+    SlackLayout,
+    SlackState,
     WeightMatrix,
     build_weights,
     check_connectivity,
@@ -63,7 +67,12 @@ from .graph import (
     null_range_check,
 )
 from .local_qp import KktSolution, StackedSolutions
-from .oracle import OracleSolution, duality_gap, solve_centralized
+from .oracle import (
+    OracleSolution,
+    duality_gap,
+    feasible_slack_from_primal,
+    solve_centralized,
+)
 from .problem import (
     AgentObjective,
     CouplingConstraints,
@@ -76,13 +85,7 @@ from .problem import (
     operator_norms,
     validate_licq,
 )
-from .simnet import Phase, SimnetTransport, locality_audit
-from .slack import (
-    SlackLayout,
-    SlackState,
-    feasible_slack_from_primal,
-    finite_difference_gradient,
-)
+from .simnet import Phase, SimnetTransport
 from .trace import RoundRecord, RunTrace, emit_trace, parse_trace, traces_equal
 
 __version__ = "0.1.0"

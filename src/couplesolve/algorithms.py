@@ -27,6 +27,11 @@ per agent, see ``local_qp.StackedSolutions``): the trace's objective,
 coupled-row residuals and dual consensus errors come from ``AgentBatch`` in
 one pass each, and per-agent ``KktSolution`` objects are built only when
 ``RunResult.output_solutions`` is read.
+
+Three checks drive the same machinery: ``estimate_gradient_bound`` samples
+the gradient over pgd's box, ``finite_difference_gradient`` probes the
+allocation cost coordinate by coordinate to check the analytic gradient,
+and ``locality_audit`` replays ``run`` over an auditing transport.
 """
 
 from __future__ import annotations
@@ -40,10 +45,11 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ValidationError
+from .graph import SlackLayout, SlackState
 from .local_qp import AgentBatch, KktSolution, StackedSolutions, WarmStart
+from .oracle import feasible_slack_from_primal
 from .problem import lipschitz_bound, offset_scale
 from .simnet import Phase, SimnetTransport
-from .slack import SlackLayout, SlackState
 from .trace import RoundRecord, RunTrace
 
 logger = logging.getLogger("couplesolve")
@@ -51,6 +57,7 @@ logger = logging.getLogger("couplesolve")
 # Rows (agent QPs) per lock-step solve in estimate_gradient_bound.
 _SAMPLE_ROWS = 2048
 _INTERIOR_SAMPLES = 50  # uniform interior points it samples besides the box corners
+_FD_STEP = 1e-5  # finite_difference_gradient's relative probe step
 
 
 def _real(value) -> bool:
@@ -268,7 +275,7 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     # Rounds and monitoring keep separate warm starts over one compiled batch,
     # whose stacked rows also give the rank report.
     batch = AgentBatch(problem, topology, weights)
-    licq = batch.full_rank_licq()
+    licq = batch.licq().require_full_rank()
     is_ada = isinstance(config, AdaConfig)
     if is_ada:
         _warn_on_gamma(problem, topology, weights, config, licq)
@@ -406,7 +413,7 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
     points.extend(rng.uniform(-box_bound, box_bound, size=(_INTERIOR_SAMPLES, n)))
 
     batch = AgentBatch(problem, topology, weights)
-    batch.full_rank_licq()
+    batch.licq().require_full_rank()
     n_agents, width = batch.n_agents, batch.shape[1]
     cold = batch.sets.ids_of([(a, ()) for a in range(n_agents)])
     chunk = max(1, _SAMPLE_ROWS // n_agents)
@@ -422,13 +429,85 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
     return 2.0 * worst
 
 
+def finite_difference_gradient(slack: SlackState, problem, topology, weights):
+    """Central-difference gradient of the allocation cost, with kink flags.
+
+    Per coordinate the step is ``_FD_STEP * (1 + |y_k|)``.  A coordinate is
+    flagged when its forward and backward one-sided differences disagree by
+    more than 1e-3 — the signature of probing across an active-set boundary —
+    and should be excluded from comparisons against the analytic gradient.
+    Only the agents in the perturbed coordinate's neighborhood are re-solved
+    per probe, every probe's agents in one lock-step
+    ``AgentBatch.solve_rows`` call started from the base solution's sets.
+    Raises RankDeficiencyError, before any solve, when an agent's stacked
+    constraint rows are linearly dependent.
+    """
+    layout = slack.layout
+    batch = AgentBatch(problem, topology, weights)
+    batch.licq().require_full_rank()
+    warm = WarmStart(batch)
+    base = warm.solve_stacked(batch.offsets(slack.values))
+    base_costs = np.array([obj.value(z[:obj.dim])
+                           for obj, z in zip(problem.objectives, base)])
+    total = float(base_costs.sum())
+
+    # Per coordinate an up and a down probe; each re-solves only the agents
+    # whose offsets read the perturbed coordinate.
+    steps, probes, agents, offsets = [], [], [], []
+    for l in layout.constraints:
+        for agent in topology.participants_of(l):
+            k = layout.index(l, agent)
+            h = _FD_STEP * (1.0 + abs(slack.values[k]))
+            steps.append((k, h))
+            affected = [i - 1 for i in topology.neighborhood(l, agent)]
+            for value in (slack.values[k] + h, slack.values[k] - h):
+                point = slack.values.copy()
+                point[k] = value
+                probes.append(affected)
+                agents += affected
+                offsets.extend(batch.offsets(point)[affected])
+    z, _ = batch.solve_rows(agents, np.reshape(offsets, (len(agents), batch.shape[1])),
+                            warm.ids[agents])
+
+    costs, row = [], 0
+    for affected in probes:
+        cost = total - base_costs[affected].sum()
+        for a in affected:
+            obj = problem.objectives[a]
+            cost += obj.value(z[row, :obj.dim])
+            row += 1
+        costs.append(cost)
+
+    grad = np.zeros(layout.size)
+    flagged = np.zeros(layout.size, dtype=bool)
+    for (k, h), f_up, f_down in zip(steps, costs[::2], costs[1::2]):
+        grad[k] = (f_up - f_down) / (2.0 * h)
+        forward = (f_up - total) / h
+        backward = (total - f_down) / h
+        if abs(forward - backward) > 1e-3:
+            flagged[k] = True
+    return grad, flagged
+
+
 def default_box_bound(problem, topology, weights, oracle=None) -> float:
     """10x the largest offset magnitude / optimal slack magnitude."""
-    from .slack import feasible_slack_from_primal
-
     scale = offset_scale(problem)
     if oracle is not None:
         star = feasible_slack_from_primal(oracle.x, problem, topology, weights)
         if star.values.size:
             scale = max(scale, float(np.abs(star.values).max()))
     return 10.0 * max(scale, 1e-6)
+
+
+def locality_audit(problem, topology, weights, config, initial_slack=None,
+                   probe=None) -> bool:
+    """Replay an algorithm run in audit mode; True iff all reads were local.
+
+    ``probe``, if given, is called as ``probe(views, round)`` after each
+    slack exchange and may perform additional reads through the views — the
+    hook exists to inject faults and verify they are caught.
+    """
+    transport = SimnetTransport(topology, audit=True)
+    run(problem, topology, weights, config, initial_slack=initial_slack,
+        transport=transport, slack_phase_hook=probe)
+    return transport.auditor.ok

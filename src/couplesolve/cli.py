@@ -162,11 +162,7 @@ def _cmd_run(args) -> int:
     weights = build_weights(topology)
     weights.update(_custom_weights(custom, topology))
 
-    licq = validate_licq(problem)
-    if not licq.all_full_rank:
-        raise ValidationError(
-            f"agents {licq.failures()} have linearly dependent constraint rows"
-        )
+    licq = validate_licq(problem).require_full_rank()
 
     oracle = solve_centralized(problem) if cfg["oracle"] else None
 

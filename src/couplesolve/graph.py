@@ -1,4 +1,4 @@
-"""Communication graph, per-constraint participant topology, consensus weights.
+"""Communication graph, per-constraint topology, consensus weights, slack coordinates.
 
 Each coupling constraint only involves a subset of agents (its participants).
 All information exchange for that constraint happens on the subgraph induced
@@ -12,11 +12,33 @@ on the induced edges.  Metropolis-Hastings weights are the default:
 
 where degrees are taken inside the induced subgraph.  Agent indices are
 1-based throughout the public API.
+
+The weights link the slack coordinates.  Replacing each coupled row
+sum_i (A_i x_i + b_i) <= 0  by per-agent rows
+
+    A_i^[l] x_i + sum_j p_ij (y_i^[l] - y_j^[l]) + b_i^[l]  <= 0
+
+(one slack coordinate per participant, consensus-weighted gaps) decouples the
+agents: for a fixed slack allocation ``y`` every agent solves its own QP, and
+summing the optimal costs gives a convex function of ``y`` whose minimum over
+all allocations equals the coupled optimum.  The gradient of that function in
+the coordinate (l, i) is the consensus gap of the participants' multipliers,
+
+    d/dy_i^[l]  =  sum_{j in N_i^[l]} p_ij (mu_i^[l] - mu_j^[l]),
+
+computable by agent i from one-hop multiplier exchange alone.  Because the
+weight matrices are symmetric, each gradient block sums to zero, so slack
+updates preserve the property that summing the per-agent rows reproduces the
+original coupled constraint — every slack allocation yields a conservative
+(violation-free) primal.  ``SlackLayout`` indexes the coordinates (l, i),
+``SlackState`` holds one allocation, and ``consensus_gap`` is the one-hop
+row of I - P that both the offsets and the gradient read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -324,6 +346,85 @@ def null_range_check(weights: WeightMatrix) -> bool:
         return True
     rank = int(np.sum(np.linalg.svd(weights.gap, compute_uv=False) > _KERNEL_TOL))
     return rank == k - 1
+
+
+# ---------------------------------------------------------------------------
+# slack coordinates
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SlackLayout:
+    """Flat indexing of per-constraint slack blocks, participants ascending.
+
+    Two int arrays, so a layout kept with a result holds no topology tuple:
+    ``members``, the participants block after block, and ``starts``, block
+    l's first coordinate at l - 1, then the size.
+    """
+
+    members: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def from_topology(cls, topology) -> "SlackLayout":
+        participants = topology.participants
+        return cls(np.fromiter(chain.from_iterable(participants), dtype=int),
+                   np.fromiter(accumulate(map(len, participants), initial=0), dtype=int))
+
+    @property
+    def constraints(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.starts)))
+
+    @property
+    def participants(self) -> tuple[tuple[int, ...], ...]:
+        members, starts = self.members.tolist(), self.starts.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip(starts, starts[1:]))
+
+    @property
+    def size(self) -> int:
+        return int(self.starts[-1])
+
+    def index(self, l: int, agent: int) -> int:
+        try:
+            index = self._index
+        except AttributeError:
+            # Built on first use: a layout kept with a result holds no dict.
+            # Coordinate k is the k-th (constraint, participant) pair.
+            constraint = np.repeat(np.arange(1, len(self.starts)), np.diff(self.starts))
+            index = dict(zip(zip(constraint.tolist(), self.members.tolist()), range(self.size)))
+            object.__setattr__(self, "_index", index)
+        return index[(l, agent)]
+
+    def block(self, l: int) -> slice:
+        return slice(int(self.starts[l - 1]), int(self.starts[l]))
+
+
+@dataclass
+class SlackState:
+    """One slack value per (constraint, participant), flat storage."""
+
+    layout: SlackLayout
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.layout.size,):
+            raise ValidationError(
+                f"slack vector has length {self.values.shape}, "
+                f"layout expects {self.layout.size}"
+            )
+
+    @classmethod
+    def zeros(cls, layout: SlackLayout) -> "SlackState":
+        return cls(layout, np.zeros(layout.size))
+
+    def block(self, l: int) -> np.ndarray:
+        return self.values[self.layout.block(l)]
+
+    def value(self, l: int, agent: int) -> float:
+        return float(self.values[self.layout.index(l, agent)])
+
+    def copy(self) -> "SlackState":
+        return SlackState(self.layout, self.values.copy())
 
 
 def consensus_gap(l: int, agent: int, topology, weights, view) -> float:

@@ -35,8 +35,8 @@ constants, the rows and their base offsets in place for a problem of the
 same structure (the safety filter's next step) and empties the table.
 ``AgentBatch.licq`` reads ``validate_licq``'s report off the stacked rows,
 so ``run``'s gamma check and the filter's per-step rank check need no
-per-agent SVD, and ``AgentBatch.full_rank_licq`` is the rank check of every
-library entry point that solves on a batch.
+per-agent SVD; every library entry point that solves on a batch checks its
+rank with ``LicqReport.require_full_rank`` before the first solve.
 
 ``AgentBatch.solve_rows`` runs the active-set loop in lock step over many
 rows, a row being one agent's QP at one set of offsets from one starting
@@ -66,11 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateSubproblemError,
-    RankDeficiencyError,
-    UnboundedSubproblemError,
-)
+from .exceptions import DegenerateSubproblemError, UnboundedSubproblemError
+from .graph import SlackLayout
 from .problem import LicqReport, agent_blocks, licq_report
 
 # Residuals above this are treated as violated when growing the working set;
@@ -403,8 +400,6 @@ class AgentBatch:
     """
 
     def __init__(self, problem, topology, weights):
-        from .slack import SlackLayout  # slack builds on this module
-
         layout = SlackLayout.from_topology(topology)
         constraints = [topology.constraints_of(i) for i in range(1, problem.n_agents + 1)]
         # Per agent row: N_i^[l] minus i, ascending, the order consensus_gap visits.
@@ -487,15 +482,6 @@ class AgentBatch:
         value decomposition per (rows, block dimension) group of ``by_shape``."""
         return licq_report(self.n_agents, ((agents, self.rows[agents, :k, :d])
                                            for k, d, agents in self.by_shape))
-
-    def full_rank_licq(self) -> LicqReport:
-        """``licq()``, raising RankDeficiencyError naming the agents whose stacked
-        rows are linearly dependent: checked before any solve on the batch."""
-        licq = self.licq()
-        if not licq.all_full_rank:
-            raise RankDeficiencyError(
-                f"agents {licq.failures()} have linearly dependent constraint rows")
-        return licq
 
     def solve_rows(self, agents, offsets, start) -> tuple[np.ndarray, np.ndarray]:
         """The active-set loop, run in lock step over many rows.

@@ -30,6 +30,10 @@ of constraint violations) decides feasibility first.  Dependent but
 consistent equality rows are reduced away; the multipliers are then the
 least-squares (minimum norm) ones, flagged as non-unique.  Each working set
 is one dense KKT system, ``local_qp._kkt_solve``.
+
+``feasible_slack_from_primal`` turns a point the certificate accepts into
+the slack allocation whose per-agent rows reproduce it: the optimal
+allocation, from the oracle's optimizer.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .exceptions import (DegenerateSubproblemError, DimensionMismatchError,
-                         InfeasibleProblemError, SolverError)
+                         DisconnectedSubgraphError, InfeasibleProblemError, SolverError,
+                         ValidationError)
+from .graph import SlackLayout, SlackState
 from .local_qp import _accepted, _capped, _kkt_solve, _moves, _revisited, _singular
 from .problem import AgentBlock, ProblemSpec, agent_blocks, licq_report
 
@@ -378,3 +384,42 @@ def duality_gap(problem: ProblemSpec, x: np.ndarray,
             return np.inf  # Lagrangian unbounded below in this block
         dual += 0.5 * xh @ obj.hessian @ xh + c_eff @ xh + const_eff
     return float(f_val - dual)
+
+
+def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> SlackState:
+    """Slack allocation whose per-agent rows reproduce a feasible primal.
+
+    For each constraint the per-participant residuals r are redistributed to
+    their mean via the minimum-norm solution of (I - P) y = mean(r) - r.
+    Errors when x misses the row bound of ``_certificate``, so it accepts
+    every point the oracle certifies, or when the consensus system is
+    inconsistent (disconnected participants).
+    """
+    cons = problem.constraints
+    _, worst, size = _certificate(problem, agent_blocks(problem), x,
+                                  np.zeros(cons.m_ineq + cons.q_eq))
+    if max(worst[1:3]) > _KKT_TOL * max(1.0, size[1]):
+        raise ValidationError(
+            "primal point violates the coupled constraints; no slack "
+            "allocation can certify it"
+        )
+    layout = SlackLayout.from_topology(topology)
+    state = SlackState.zeros(layout)
+    blocks = problem.split(x)
+    for l in layout.constraints:
+        members = topology.participants_of(l)
+        if not members:
+            continue
+        residual = np.array([
+            cons.row(i, l)[0] @ blocks[i - 1] + cons.row(i, l)[1] for i in members
+        ])
+        rhs = residual.mean() - residual
+        gap = weights[l].gap
+        y_block, *_ = np.linalg.lstsq(gap, rhs, rcond=None)
+        if np.max(np.abs(gap @ y_block - rhs), initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max()):
+            raise DisconnectedSubgraphError(
+                f"constraint {l}: consensus system inconsistent; participants "
+                "are not connected"
+            )
+        state.values[layout.block(l)] = y_block
+    return state

@@ -31,7 +31,11 @@ _RANK_TOL = 1e-9  # the rank rule's relative singular-value floor (full_row_rank
 
 @dataclass(frozen=True)
 class AgentObjective:
-    """One agent's quadratic cost 1/2 x'Hx + c'x + constant (H symmetric PSD)."""
+    """One agent's quadratic cost 1/2 x'Hx + c'x + constant (H symmetric PSD).
+
+    Symmetric to 1e-12 and positive semidefinite to -1e-10, each relative to
+    max(1, the Hessian's size): its largest entry, its largest eigenvalue.
+    """
 
     hessian: np.ndarray
     linear: np.ndarray
@@ -51,11 +55,16 @@ class AgentObjective:
                              ("constant", math.isfinite(self.constant))):
             if not finite:
                 raise ValidationError(f"objective {name} must be finite")
-        if not (np.abs(h - h.T) <= 1e-12).all():
+        # x > t * max(1, size) is x > t and x > t * size: the size is read
+        # only when the absolute bound t is missed.
+        asymmetry = np.abs(h - h.T).max(initial=0.0)
+        if asymmetry > 1e-12 and asymmetry > 1e-12 * np.abs(h).max():
             raise ValidationError("hessian must be symmetric")
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "linear", c)
-        if np.linalg.eigvalsh(h).min() < -1e-10:
+        eigs = np.linalg.eigvalsh(h)  # ascending
+        lowest = eigs.min()
+        if lowest < -1e-10 and lowest < -1e-10 * eigs[-1]:
             raise ValidationError("hessian must be positive semidefinite")
 
     @property
@@ -295,6 +304,17 @@ class LicqReport:
     def failures(self) -> tuple[int, ...]:
         return tuple(a.agent for a in self.agents if not a.full_row_rank)
 
+    def require_full_rank(self) -> "LicqReport":
+        """This report, once every agent has full row rank: the one rank check.
+
+        Raises RankDeficiencyError naming the agents whose stacked rows are
+        linearly dependent.
+        """
+        if not self.all_full_rank:
+            raise RankDeficiencyError(
+                f"agents {self.failures()} have linearly dependent constraint rows")
+        return self
+
 
 def full_row_rank(sv, n_rows, dim):
     """The rank rule: k <= d rows with sigma_min > _RANK_TOL * max(1, sigma_max).
@@ -391,10 +411,7 @@ def lipschitz_bound(problem: ProblemSpec, topology, weights,
     """
     if licq is None:
         licq = validate_licq(problem)
-    if not licq.all_full_rank:
-        raise RankDeficiencyError(
-            f"agents {licq.failures()} have rank-deficient constraint rows"
-        )
+    licq.require_full_rank()
     norms, sizes = _operator_norms(topology, weights)
 
     coupled = np.flatnonzero([info.n_rows for info in licq.agents])

@@ -7,7 +7,7 @@ local subproblems, then exchange the resulting multipliers
 ``sum_l 2 |edges of constraint l|`` messages (both directions; an agent's own
 value is free).
 
-A phase delivers one vector in slack layout (``slack.SlackLayout``) as an
+A phase delivers one vector in slack layout (``graph.SlackLayout``) as an
 ``Exchange``.  Agent i may read coordinate (l, j) only when j is in its
 closed neighborhood in constraint l; ``Neighborhoods`` compiles these
 permitted (agent, coordinate) pairs once per topology, as sorted codes.  The
@@ -17,8 +17,9 @@ probes and references index ``exchange[i - 1]`` for agent i's
 ``NeighborView``, a read-only mapping built only when indexed.  Any read
 outside the neighborhoods raises by default, or is recorded as a violation in
 audit mode and served, so that injected faults can be detected rather than
-crash the replay.  Audit mode never changes numerics: an audited and a
-strict run read identical floats, so their traces are bit-identical.
+crash the replay (``algorithms.locality_audit``).  Audit mode never changes
+numerics: an audited and a strict run read identical floats, so their traces
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import LocalityViolationError, ValidationError
+from .graph import SlackLayout
 
 
 class Phase(enum.Enum):
@@ -58,8 +60,6 @@ class Neighborhoods:
     """
 
     def __init__(self, topology):
-        from .slack import SlackLayout  # slack builds on this module
-
         layout = SlackLayout.from_topology(topology)
         self.layout = layout
         self.size = layout.size
@@ -210,19 +210,3 @@ class SimnetTransport:
         """Deliver ``values``, one per slack coordinate, to every agent's neighbors."""
         self.messages += self.messages_per_phase
         return Exchange(self.neighborhoods, values, self.auditor)
-
-
-def locality_audit(problem, topology, weights, config, initial_slack=None,
-                   probe=None) -> bool:
-    """Replay an algorithm run in audit mode; True iff all reads were local.
-
-    ``probe``, if given, is called as ``probe(views, round)`` after each
-    slack exchange and may perform additional reads through the views — the
-    hook exists to inject faults and verify they are caught.
-    """
-    from .algorithms import run  # local import: algorithms builds on simnet
-
-    transport = SimnetTransport(topology, audit=True)
-    run(problem, topology, weights, config, initial_slack=initial_slack,
-        transport=transport, slack_phase_hook=probe)
-    return transport.auditor.ok

@@ -522,7 +522,7 @@ def scalar_lipschitz_bound(problem, topology, weights, licq=None) -> float:
         licq = scalar_validate_licq(problem)
     if not licq.all_full_rank:
         raise RankDeficiencyError(
-            f"agents {licq.failures()} have rank-deficient constraint rows"
+            f"agents {licq.failures()} have linearly dependent constraint rows"
         )
     norms = scalar_operator_norms(topology, weights)
 

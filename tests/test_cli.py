@@ -415,6 +415,35 @@ def test_solve_central_multi_agent_is_deterministic_and_exact(tmp_path, capsys):
         assert np.allclose(payload[key], want, rtol=0, atol=1e-10), key
 
 
+def test_commands_accept_hessians_at_large_cost_scale(tmp_path, capsys):
+    # Two agents with 4-dim Hessians AᵀDA (eigenvalues from about 9e2 to
+    # 2.5e5) whose floating-point roundoff leaves them asymmetric beyond 1e-12.
+    rng = np.random.default_rng(1)
+    agents = []
+    for _ in range(2):
+        a = rng.standard_normal((4, 4))
+        hessian = a.T @ np.diag(1e4 * rng.uniform(0.5, 2.0, 4)) @ a
+        agents.append({"dim": 4, "hessian": hessian.tolist(),
+                       "linear": rng.standard_normal(4).tolist()})
+    assert max(np.abs(np.subtract(h, np.transpose(h))).max()
+               for h in (agent["hessian"] for agent in agents)) > 1e-12
+    unit = np.eye(4).tolist()
+    data = {
+        "agents": agents,
+        "ineq": [{"agent": 1, "row": 1, "coeffs": unit[0], "offset": -1.0},
+                 {"agent": 2, "row": 1, "coeffs": unit[1], "offset": -1.0}],
+        "eq": [{"agent": 1, "row": 1, "coeffs": unit[2], "offset": -1.0},
+               {"agent": 2, "row": 1, "coeffs": unit[3], "offset": 0.0}],
+        "edges": [[1, 2]],
+    }
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    for argv in (["check", str(path)], ["solve-central", str(path)],
+                 ["run", str(path), "--algo", "ada", "--rounds", "50", "--gamma", "1e-5",
+                  "--output", str(tmp_path / "trace.csv")]):
+        assert cli.main(argv) == 0, capsys.readouterr().err
+
+
 def test_solve_central_infeasible_exits_3(tmp_path, capsys):
     data = {
         "agents": [{"dim": 1, "hessian": [[1.0]], "linear": [0.0]}] * 2,

@@ -39,6 +39,59 @@ def test_unused_import_is_reported(tmp_path):
     assert unused_imports(module) == ["dumps", "math"]
 
 
+# Every intra-package import names a module earlier in this order.
+LAYERS = ("exceptions", "trace", "problem", "graph", "local_qp", "simnet", "oracle",
+          "algorithms", "cbf", "formats", "cli")
+
+
+def layering_faults(path: Path, layers=LAYERS) -> list[str]:
+    """A module's imports that break the layering.
+
+    An import inside a function or class body, and a ``from .x import`` or
+    ``from . import x`` whose module x is not earlier in ``layers`` than
+    the importing module itself.
+    """
+    rank = {name: k for k, name in enumerate(layers)}
+    tree = ast.parse(path.read_text())
+    faults = []
+
+    def visit(node, nested):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and nested:
+            faults.append(f"line {node.lineno}: import inside a function or class")
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            faults.extend(f"line {node.lineno}: imports {target}" for target in targets
+                          if rank.get(target, len(layers)) >= rank[path.stem])
+        nested = nested or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, nested)
+
+    visit(tree, False)
+    return faults
+
+
+def test_package_imports_one_way():
+    # No import hides in a function to dodge a cycle, and the modules import
+    # in one order, so the package has no cycle.
+    modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    assert sorted(p.stem for p in modules) == sorted(LAYERS)
+    faults = {p.name: found for p in modules if (found := layering_faults(p))}
+    assert faults == {}
+
+
+def test_layering_faults_see_nested_and_backward_imports(tmp_path):
+    module = tmp_path / "graph.py"
+    module.write_text("from . import trace\nfrom .exceptions import ValidationError\n"
+                      "from .local_qp import AgentBatch\nfrom .graph import Graph\n"
+                      "def f():\n    from .problem import agent_blocks\n"
+                      "class C:\n    import math\n")
+    assert layering_faults(module) == [
+        "line 3: imports local_qp", "line 4: imports graph",
+        "line 6: import inside a function or class",
+        "line 8: import inside a function or class"]
+
+
 TOLERANCES = {"_ADD_TOL", "_DROP_TOL"}
 
 
@@ -99,7 +152,7 @@ def test_stored_rows_are_stacked_in_one_place():
     assert library_readers(reads_stored_rows) == {
         "problem.agent_blocks", "problem.aggregate_violation", "problem.offset_scale",
         "graph.induce_topology", "oracle.stacked_arrays", "oracle.duality_gap",
-        "formats.problem_to_dict", "slack.feasible_slack_from_primal",
+        "formats.problem_to_dict", "oracle.feasible_slack_from_primal",
         "problem.ProblemSpec.__post_init__"}
 
 

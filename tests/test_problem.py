@@ -9,7 +9,7 @@ import couplesolve as cs
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.local_qp import AgentBatch
 from couplesolve.problem import agent_blocks
-from gen import (benchmark_ring, doubled_equality_instance, reduced_space_instance,
+from gen import (benchmark_ring, doubled_equality_instance, failing_instance, reduced_space_instance,
                  strongly_convex_instance)
 
 
@@ -29,6 +29,53 @@ def test_asymmetric_hessian_rejected():
 def test_indefinite_hessian_rejected():
     with pytest.raises(ValidationError):
         cs.AgentObjective(np.array([[-1.0]]), np.zeros(1))
+
+
+def scaled_hessians(scale, count, seed=1):
+    """``count`` 4 x 4 Hessians AᵀDA formed in floating point, D drawn from scale·[0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    return [a.T @ np.diag(scale * rng.uniform(0.5, 2.0, 4)) @ a
+            for a in rng.standard_normal((count, 4, 4))]
+
+
+def scaled_semidefinite(scale, count, seed=1):
+    """``count`` 3 x 3 Hessians scale·Q diag(1, 2, 0) Qᵀ, Q orthogonal, symmetrized."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for g in rng.standard_normal((count, 3, 3)):
+        q, _ = np.linalg.qr(g)
+        h = scale * q @ np.diag([1.0, 2.0, 0.0]) @ q.T
+        out.append(0.5 * (h + h.T))
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_hessians_at_large_cost_scale_construct(scale):
+    # Roundoff leaves many of these asymmetric beyond 1e-12 and some
+    # semidefinite ones below -1e-10: the bounds are relative above size 1.
+    hessians = scaled_hessians(scale, 300)
+    assert any((np.abs(h - h.T) > 1e-12).any() for h in hessians)
+    semidefinite = scaled_semidefinite(scale, 200)
+    if scale == 1e6:
+        assert any(np.linalg.eigvalsh(h).min() < -1e-10 for h in semidefinite)
+    for h in hessians + semidefinite:
+        cs.AgentObjective(h, np.zeros(len(h)))
+
+
+def test_relative_hessian_checks_still_reject_at_large_scale():
+    asymmetric = 1e4 * np.eye(2)
+    asymmetric[0, 1] += 1e-9 * 1e4
+    with pytest.raises(ValidationError, match="hessian must be symmetric"):
+        cs.AgentObjective(asymmetric, np.zeros(2))
+    with pytest.raises(ValidationError, match="hessian must be positive semidefinite"):
+        cs.AgentObjective(np.diag([1e4, -1e-6 * 1e4]), np.zeros(2))
+
+
+def test_lipschitz_bound_names_dependent_rows_like_every_rank_check():
+    problem, topology, weights = failing_instance()
+    with pytest.raises(RankDeficiencyError) as raised:
+        cs.lipschitz_bound(problem, topology, weights)
+    assert str(raised.value) == "agents (1, 3) have linearly dependent constraint rows"
 
 
 def test_linear_term_length_checked():
