@@ -389,12 +389,14 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
     doubles the largest norm seen.  Every agent at every point is one row of
     ``AgentBatch.solve_rows``, solved cold; the points go through in chunks
     of ``_SAMPLE_ROWS`` rows, which bounds the loop's temporaries.  Raises
-    ValidationError unless ``box_bound`` is a finite number > 0, and
-    RankDeficiencyError, before any solve, when an agent's stacked constraint
-    rows are linearly dependent.
+    ValidationError unless ``box_bound`` is a finite number > 0 and ``seed``
+    an integer >= 0, and RankDeficiencyError, before any solve, when an
+    agent's stacked constraint rows are linearly dependent.
     """
     if not _positive(box_bound):
         raise ValidationError(f"box_bound must be a finite number > 0, got {box_bound!r}")
+    if not (_integer(seed) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     layout = SlackLayout.from_topology(topology)
     n = layout.size
     if n == 0:

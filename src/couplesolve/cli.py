@@ -126,6 +126,8 @@ def _merged_run_config(args) -> dict:
     formats.one_of(merged["transport"], _TRANSPORTS, "run: transport")
     for key in ("rounds", "seed"):
         merged[key] = formats.integer(merged[key], f"run: {key}")
+        if merged[key] < 0:
+            raise ConfigError(f"run: {key} must be nonnegative")
     for key in ("gamma", "box_bound", "grad_bound"):
         value = merged[key]
         if value is None or key == "gamma" and value == "auto":
@@ -138,8 +140,6 @@ def _merged_run_config(args) -> dict:
     for key in ("problem", "output"):  # open() would take an int as a file descriptor
         if not isinstance(merged[key], str):
             raise ConfigError(f"run: {key} must be a file path, got {merged[key]!r}")
-    if merged["rounds"] < 0:
-        raise ConfigError("run: rounds must be nonnegative")
     return merged
 
 

@@ -158,26 +158,26 @@ def induce_topology(problem, graph: Graph) -> ConstraintTopology:
     An agent participates in a constraint row iff its coefficient row is
     nonzero or its offset contribution is nonzero, which is exactly when
     ``CouplingConstraints`` stores the row.  So the participant sets and each
-    agent's row sets come from one pass over the stored rows, agent by
-    agent, and each constraint's induced edges and closed neighborhoods
-    from one adjacency map of ``graph``.  Deterministic: all sets are stored
-    in ascending order, independent of edge insertion order.
+    agent's row sets come from one pass over the rows' positions in
+    ``problem.blocks``, agent by agent, and each constraint's induced edges
+    and closed neighborhoods from one adjacency map of ``graph``.
+    Deterministic: all sets are stored in ascending order, independent of
+    edge insertion order.
     """
-    cons = problem.constraints
-    m_ineq, q_eq = cons.m_ineq, cons.q_eq
+    m_ineq, q_eq = problem.constraints.m_ineq, problem.constraints.q_eq
     n = graph.n_agents
 
     members = [[] for _ in range(m_ineq + q_eq)]
     agent_ineq, agent_eq = [], []
-    for i in range(1, n + 1):
-        ineq_rows, eq_rows = cons.agent_rows(i)
-        ineq, eq = tuple(sorted(ineq_rows)), tuple(sorted(eq_rows))
-        for m in ineq:
-            members[m - 1].append(i)
-        for q in eq:
-            members[m_ineq + q - 1].append(i)
-        agent_ineq.append(ineq)
-        agent_eq.append(eq)
+    rows_of = [None] * n  # each agent's row positions, ascending
+    for block in problem.blocks:
+        for a, positions in zip(block.agents.tolist(), block.index.tolist()):
+            rows_of[a] = positions
+    for i, positions in enumerate(rows_of, start=1):
+        for l in positions:
+            members[l].append(i)
+        agent_ineq.append(tuple(l + 1 for l in positions if l < m_ineq))
+        agent_eq.append(tuple(l + 1 - m_ineq for l in positions if l >= m_ineq))
     participants = tuple(map(tuple, members))  # ascending: agents come in order
 
     adjacency = {i: set() for i in range(1, n + 1)}

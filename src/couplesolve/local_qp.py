@@ -25,7 +25,7 @@ them: ``AgentBatch.solve_rows`` for the agents, and the centralized oracle
 
 From one round to the next only the offsets change.  ``AgentBatch``
 compiles everything else once into stacked arrays: H, c, the rows and their
-base offsets from ``problem.agent_blocks``, and the consensus terms that
+base offsets from ``ProblemSpec.blocks``, and the consensus terms that
 turn neighbour slacks into offsets.  For a fixed working set W the KKT
 solution is affine in the offsets, z = s_W + M_W off.  The batch keeps every
 working set its solves meet in one table, each map stacked under an id; the
@@ -68,7 +68,7 @@ import numpy as np
 
 from .exceptions import DegenerateSubproblemError, UnboundedSubproblemError
 from .graph import SlackLayout
-from .problem import LicqReport, agent_blocks, licq_report
+from .problem import LicqReport, licq_report
 
 # Residuals above this are treated as violated when growing the working set;
 # multipliers below its negative are dropped.
@@ -385,7 +385,7 @@ class AgentBatch:
 
     The one owner of the layout.  Agent a (0-based) is agent i = a + 1; its
     row r is constraint l, the r-th of ``topology.constraints_of(i)``, with
-    the coefficients and base offset b_i^[l] of its row r in ``agent_blocks``
+    the coefficients and base offset b_i^[l] of its row r in ``problem.blocks``
     and the weights p_ij over j in N_i^[l] minus i, in ``consensus_gap``'s order.
     Arrays are zero-padded to ``shape`` = (dim, width, reach): block
     dimension, rows and neighbours per row; so is a solution z: x in
@@ -415,7 +415,7 @@ class AgentBatch:
         self.rows = np.zeros((n, width, dim))
         self.base = np.zeros((n, width))
         self.by_shape = []  # the rank check's: agents by (rows, block dimension)
-        for b in agent_blocks(problem):
+        for b in problem.blocks:
             agents, (_, k, d) = b.agents, b.rows.shape
             self.hessian[agents, :d, :d] = b.hessian
             self.linear[agents, :d] = b.linear

@@ -9,7 +9,7 @@ exactly by active set, cold from the empty working set, with the lock-step
 loop's own rules: each move is ``local_qp._moves``', a set is accepted by
 ``local_qp._accepted``, and a failure raises the loop's own diagnosis.  One
 loop, ``_active_set``, runs on either of two evaluations of a working set,
-both on one ``problem.agent_blocks``, and one blockwise check,
+both on ``ProblemSpec.blocks``, and one blockwise check,
 ``_certificate``, certifies either answer: each KKT residual within 1e-8
 (1e-12 for a negative multiplier) times max(1, the terms it compares).
 
@@ -50,7 +50,7 @@ from .exceptions import (DegenerateSubproblemError, DimensionMismatchError,
                          ValidationError)
 from .graph import SlackLayout, SlackState
 from .local_qp import _accepted, _capped, _kkt_solve, _moves, _revisited, _singular
-from .problem import AgentBlock, ProblemSpec, agent_blocks, licq_report
+from .problem import ProblemSpec, validate_licq
 
 _FEAS_TOL = 1e-9
 
@@ -67,17 +67,20 @@ class OracleSolution:
 
 def stacked_arrays(problem: ProblemSpec):
     """(H, c, constant, A, B, E, G) of the stacked program."""
-    objectives, cons = problem.objectives, problem.constraints
+    objectives, m = problem.objectives, problem.constraints.m_ineq
     h = block_diag(*(obj.hessian for obj in objectives))
     c = np.concatenate([obj.linear for obj in objectives])
-    a, b = np.zeros((cons.m_ineq, len(c))), np.zeros(cons.m_ineq)
-    e, g = np.zeros((cons.q_eq, len(c))), np.zeros(cons.q_eq)
-    for i, sl in enumerate(problem.block_slices(), start=1):
-        for stored, coeffs, offsets in zip(cons.agent_rows(i), (a, e), (b, g)):
-            for l, (row, offset) in stored.items():
-                coeffs[l - 1, sl] = row
-                offsets[l - 1] += offset
-    return h, c, sum(obj.constant for obj in objectives), a, b, e, g
+    size = m + problem.constraints.q_eq
+    rows, offsets = np.zeros((size, len(c))), np.zeros(size)
+    stacked = [None] * problem.n_agents  # each agent's (positions, rows, offsets)
+    for blk in problem.blocks:
+        for a, *agent in zip(blk.agents.tolist(), blk.index, blk.rows, blk.offsets):
+            stacked[a] = agent
+    for sl, (index, coeffs, shares) in zip(problem.block_slices(), stacked):
+        rows[index, sl] = coeffs
+        offsets[index] += shares  # agents ascending: each row's sum in agent order
+    return (h, c, sum(obj.constant for obj in objectives),
+            rows[:m], offsets[:m], rows[m:], offsets[m:])
 
 
 def _dense_kkt(h, c, rows, offsets, n_ineq, working):
@@ -134,7 +137,7 @@ _KKT_TOL = 1e-8    # the certificate's bound on each KKT residual, relative to i
 _DUAL_TOL = 1e-12  # and on a negative inequality multiplier, relative to the multipliers
 
 
-def _certificate(problem: ProblemSpec, blocks, x, nu):
+def _certificate(problem: ProblemSpec, x, nu):
     """The stacked program at (x, nu), block by block: (value, worst, size).
 
     ``nu`` holds the m + q multipliers (inequalities, then equalities).
@@ -149,7 +152,7 @@ def _certificate(problem: ProblemSpec, blocks, x, nu):
     value = sum(obj.constant for obj in problem.objectives)
     row_residual = np.zeros(size)
     stationarity = gradient_size = row_size = 0.0
-    for b in blocks:
+    for b in problem.blocks:
         hessian, linear = b.hessian, b.linear
         xb = x[starts[b.agents][:, None] + np.arange(linear.shape[1])]
         hx = (hessian @ xb[..., None])[..., 0]
@@ -176,15 +179,6 @@ def _certified(worst, size) -> bool:
     return bool((np.asarray(worst) <= bound).all())
 
 
-@dataclass(frozen=True)
-class _Group(AgentBlock):
-    """One block of ``agent_blocks`` with ``y`` = H^-1 R_i' and ``x0`` the
-    unconstrained minimizer -H^-1 c_i."""
-
-    y: np.ndarray   # (g, d, k)
-    x0: np.ndarray  # (g, d)
-
-
 class _ConstraintSpace:
     """The stacked program in its m + q multipliers, on positive definite
     blocks under per-agent LICQ.
@@ -193,42 +187,42 @@ class _ConstraintSpace:
     scattered by constraint position, and r = R x0 + b a sum of per-agent
     vectors.  A working set W (the equalities and the working inequalities)
     costs one solve S[W, W] nu_W = r[W]; the inequality residuals at its
-    solution are r[ineq] - S[ineq, W] nu_W.
+    solution are r[ineq] - S[ineq, W] nu_W.  ``groups`` holds (block, y, x0)
+    per block of ``problem.blocks``: y = H^-1 R_i' (g, d, k) and the
+    unconstrained minimizer x0 = -H^-1 c_i (g, d).
     """
 
-    def __init__(self, problem: ProblemSpec, blocks, factors):
+    def __init__(self, problem: ProblemSpec, factors):
         cons = problem.constraints
         self.problem, self.m, size = problem, cons.m_ineq, cons.m_ineq + cons.q_eq
         self.s, self.r, self.groups = np.zeros((size, size)), np.zeros(size), []
-        for b, chol in zip(blocks, factors):
+        for b, chol in zip(problem.blocks, factors):
             k = b.rows.shape[1]
             rhs = np.concatenate([b.rows.transpose(0, 2, 1), -b.linear[..., None]], axis=2)
             solved = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))
-            g = _Group(**vars(b), y=solved[..., :k], x0=solved[..., k])
-            cells = g.index[:, :, None] * size + g.index[:, None, :]
-            self.s += np.bincount(cells.ravel(), (g.rows @ g.y).ravel(),
+            y, x0 = solved[..., :k], solved[..., k]
+            cells = b.index[:, :, None] * size + b.index[:, None, :]
+            self.s += np.bincount(cells.ravel(), (b.rows @ y).ravel(),
                                   minlength=size * size).reshape(size, size)
-            r0 = (g.rows @ g.x0[..., None])[..., 0] + g.offsets  # R_i x0_i + b_i
-            self.r += np.bincount(g.index.ravel(), r0.ravel(), minlength=size)
-            self.groups.append(g)
+            r0 = (b.rows @ x0[..., None])[..., 0] + b.offsets  # R_i x0_i + b_i
+            self.r += np.bincount(b.index.ravel(), r0.ravel(), minlength=size)
+            self.groups.append((b, y, x0))
 
     @classmethod
-    def compile(cls, problem: ProblemSpec, blocks) -> "_ConstraintSpace | None":
-        """The compiled program from ``agent_blocks(problem)``, or None off its
+    def compile(cls, problem: ProblemSpec) -> "_ConstraintSpace | None":
+        """The compiled program from ``problem.blocks``, or None off its
         premise: some block has no Cholesky factor, some agent's rows are
-        linearly dependent (``licq_report``), or some row has no agent."""
+        linearly dependent (``validate_licq``), or some row has no agent."""
         cons = problem.constraints
         try:
-            factors = [np.linalg.cholesky(b.hessian) for b in blocks]
+            factors = [np.linalg.cholesky(b.hessian) for b in problem.blocks]
         except np.linalg.LinAlgError:
             return None
-        licq = licq_report(problem.n_agents, ((b.agents, b.rows) for b in blocks
-                                              if b.rows.shape[1]))
-        covered = np.bincount(np.concatenate([b.index.ravel() for b in blocks]),
+        covered = np.bincount(np.concatenate([b.index.ravel() for b in problem.blocks]),
                               minlength=cons.m_ineq + cons.q_eq).all()
-        if not (licq.all_full_rank and covered):
+        if not (validate_licq(problem).all_full_rank and covered):
             return None
-        return cls(problem, blocks, factors)
+        return cls(problem, factors)
 
     def evaluate(self, working):
         """(nu_W, inequality residuals) of a working set; raises LinAlgError
@@ -252,10 +246,10 @@ class _ConstraintSpace:
         dims = self.problem.dims
         starts = np.cumsum([0, *dims[:-1]])
         x = np.zeros(sum(dims))
-        for g in self.groups:  # x_i = x0_i - H_i^-1 R_i' nu_i
-            xg = g.x0 - (g.y @ nu[g.index][..., None])[..., 0]
-            x[starts[g.agents][:, None] + np.arange(xg.shape[1])] = xg
-        value, worst, scale = _certificate(self.problem, self.groups, x, nu)
+        for b, y, x0 in self.groups:  # x_i = x0_i - H_i^-1 R_i' nu_i
+            xb = x0 - (y @ nu[b.index][..., None])[..., 0]
+            x[starts[b.agents][:, None] + np.arange(xb.shape[1])] = xb
+        value, worst, scale = _certificate(self.problem, x, nu)
         if not _certified(worst, scale):
             return None
         return OracleSolution(x=x, value=value, ineq_multipliers=nu[:m],
@@ -285,7 +279,7 @@ def _phase1_violation(a, b, e, g, dim):
     return float(res.fun)
 
 
-def _dense_solve(problem: ProblemSpec, blocks) -> OracleSolution:
+def _dense_solve(problem: ProblemSpec) -> OracleSolution:
     """The oracle on the dense stacked program: Phase-1, the reduction of
     dependent equality rows, one dense KKT system per working set."""
     h, c, const, a, b, e, g = stacked_arrays(problem)
@@ -315,7 +309,7 @@ def _dense_solve(problem: ProblemSpec, blocks) -> OracleSolution:
     mu[list(working)] = mults[e_red.shape[0]:]
     lam = mults[:e_red.shape[0]]
     lam = lam if basis is None else basis @ lam  # unreduced
-    _, worst, size = _certificate(problem, blocks, x, np.concatenate([mu, lam]))
+    _, worst, size = _certificate(problem, x, np.concatenate([mu, lam]))
     if not _certified(worst, size):
         raise SolverError("centralized KKT residuals too large: " + ", ".join(
             f"{name} {value:.3e}" for name, value in zip(
@@ -336,12 +330,11 @@ def solve_centralized(problem: ProblemSpec) -> OracleSolution:
 
     In constraint space where its premise holds and its answer is
     certified (``_ConstraintSpace``); on the dense stacked program otherwise.
-    Both paths read one ``agent_blocks`` and are certified by ``_certificate``.
+    Both paths read ``problem.blocks`` and are certified by ``_certificate``.
     """
-    blocks = agent_blocks(problem)
-    space = _ConstraintSpace.compile(problem, blocks)
+    space = _ConstraintSpace.compile(problem)
     solved = space.solve() if space is not None else None
-    return solved if solved is not None else _dense_solve(problem, blocks)
+    return solved if solved is not None else _dense_solve(problem)
 
 
 def duality_gap(problem: ProblemSpec, x: np.ndarray,
@@ -366,6 +359,7 @@ def duality_gap(problem: ProblemSpec, x: np.ndarray,
                 f"{name} has shape {value.shape}, expected ({expected},)")
     f_val = 0.0
     dual = 0.0
+    # Stored rows in the order added, not blocks: the sums would round otherwise.
     for i, xi in enumerate(problem.split(x), start=1):
         obj = problem.objectives[i - 1]
         f_val += obj.value(xi)
@@ -396,8 +390,7 @@ def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> Sla
     inconsistent (disconnected participants).
     """
     cons = problem.constraints
-    _, worst, size = _certificate(problem, agent_blocks(problem), x,
-                                  np.zeros(cons.m_ineq + cons.q_eq))
+    _, worst, size = _certificate(problem, x, np.zeros(cons.m_ineq + cons.q_eq))
     if max(worst[1:3]) > _KKT_TOL * max(1.0, size[1]):
         raise ValidationError(
             "primal point violates the coupled constraints; no slack "
@@ -406,6 +399,7 @@ def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> Sla
     layout = SlackLayout.from_topology(topology)
     state = SlackState.zeros(layout)
     blocks = problem.split(x)
+    # Stored rows, not blocks: a strided row's coeffs @ x_i rounds unlike its copy's.
     for l in layout.constraints:
         members = topology.participants_of(l)
         if not members:

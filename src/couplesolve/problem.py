@@ -11,14 +11,15 @@ per agent: an agent holds a row only if it participates in it (nonzero
 coefficients or a nonzero offset share).  Inequality rows are indexed
 1..m_ineq, equality rows 1..q_eq; a single "constraint index"
 l in 1..m_ineq+q_eq addresses inequalities first, then equalities.
-``agent_blocks`` stacks the stored rows in one walk, per (block dimension,
-row count): the rank check, both oracle paths and ``AgentBatch`` read them.
+``ProblemSpec.blocks`` stacks the stored rows once, when the problem is
+built, per (block dimension, row count): the rank check, both oracle paths,
+``AgentBatch`` and the topology read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from functools import cached_property
 
@@ -141,12 +142,44 @@ class CouplingConstraints:
 
 
 @dataclass(frozen=True)
+class AgentBlock:
+    """The agents with one (block dimension d, row count k), their rows stacked.
+
+    ``rows[a]`` and ``offsets[a]`` are agent ``agents[a]``'s rows
+    (inequalities, then equalities, each ascending), and ``index[a, r]`` is
+    row r's position among the m + q stacked rows.  ``hessian`` and
+    ``linear`` stack the agents' costs on each read.
+    """
+
+    agents: np.ndarray   # (g,), 0-based, ascending
+    index: np.ndarray    # (g, k)
+    rows: np.ndarray     # (g, k, d)
+    offsets: np.ndarray  # (g, k)
+    objectives: tuple[AgentObjective, ...]
+
+    @property
+    def hessian(self) -> np.ndarray:  # (g, d, d)
+        return np.array([obj.hessian for obj in self.objectives])
+
+    @property
+    def linear(self) -> np.ndarray:  # (g, d)
+        return np.array([obj.linear for obj in self.objectives])
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
-    """Objectives, coupling constraints and the communication graph."""
+    """Objectives, coupling constraints and the communication graph.
+
+    The rows are read when the problem is built, by one walk that checks
+    each row's shape and stacks each agent into ``blocks``: one
+    ``AgentBlock`` per (block dimension, row count), in first-agent order.
+    A row added later is not seen.
+    """
 
     objectives: tuple[AgentObjective, ...]
     constraints: CouplingConstraints
     graph: "Graph"
+    blocks: tuple[AgentBlock, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.objectives)
@@ -154,15 +187,29 @@ class ProblemSpec:
             raise DimensionMismatchError(
                 "objectives, constraints and graph disagree on the agent count"
             )
-        for i in range(1, n + 1):
-            d = self.objectives[i - 1].dim
-            ineq, eq = self.constraints.agent_rows(i)
-            for idx, (coeffs, _) in {**ineq, **eq}.items():
-                if coeffs.shape != (d,):
-                    raise DimensionMismatchError(
-                        f"agent {i} row {idx}: coefficients {coeffs.shape} "
-                        f"do not match block dimension {d}"
-                    )
+        cons, members = self.constraints, {}
+        for a, (obj, d) in enumerate(zip(self.objectives, self.dims)):
+            stacked = []
+            for first, stored in zip((0, cons.m_ineq), cons.agent_rows(a + 1)):
+                for idx in sorted(stored):
+                    coeffs, offset = stored[idx]
+                    if coeffs.shape != (d,):
+                        raise DimensionMismatchError(
+                            f"agent {a + 1} row {idx}: coefficients {coeffs.shape} "
+                            f"do not match block dimension {d}"
+                        )
+                    stacked.append((first + idx - 1, coeffs, offset))
+            agents, objectives, rows = members.setdefault((d, len(stacked)), ([], [], []))
+            agents.append(a)
+            objectives.append(obj)
+            rows += stacked
+        object.__setattr__(self, "blocks", tuple(
+            AgentBlock(np.array(agents),
+                       np.array([l for l, _, _ in rows], dtype=int).reshape(len(agents), k),
+                       np.array([c for _, c, _ in rows], dtype=float).reshape(len(agents), k, d),
+                       np.array([b for _, _, b in rows], dtype=float).reshape(len(agents), k),
+                       tuple(objectives))
+            for (d, k), (agents, objectives, rows) in members.items()))
 
     @property
     def n_agents(self) -> int:
@@ -199,6 +246,7 @@ def aggregate_violation(problem: ProblemSpec, x: np.ndarray):
     <= 0), eq[q-1] = sum_i E_i^[q] x_i + g_i^[q] (feasible when = 0).  Affine
     in x by construction.
     """
+    # Stored rows, not blocks: a strided row's coeffs @ x_i rounds unlike its copy's.
     cons = problem.constraints
     ineq = np.zeros(cons.m_ineq)
     eq = np.zeros(cons.q_eq)
@@ -221,62 +269,7 @@ def max_violation(problem: ProblemSpec, x: np.ndarray) -> tuple[float, float]:
 
 def offset_scale(problem: ProblemSpec) -> float:
     """The largest |row offset| over every agent's rows (0 without rows)."""
-    cons = problem.constraints
-    scale = 0.0
-    for i in range(1, problem.n_agents + 1):
-        for rows in cons.agent_rows(i):
-            for _, offset in rows.values():
-                scale = max(scale, abs(offset))
-    return scale
-
-
-@dataclass(frozen=True)
-class AgentBlock:
-    """The agents with one (block dimension d, row count k), their rows stacked.
-
-    ``rows[a]`` and ``offsets[a]`` are agent ``agents[a]``'s rows
-    (inequalities, then equalities, each ascending), and ``index[a, r]`` is
-    row r's position among the m + q stacked rows.  ``hessian`` and
-    ``linear`` stack the agents' costs on each read.
-    """
-
-    agents: np.ndarray   # (g,), 0-based, ascending
-    index: np.ndarray    # (g, k)
-    rows: np.ndarray     # (g, k, d)
-    offsets: np.ndarray  # (g, k)
-    objectives: tuple[AgentObjective, ...]
-
-    @property
-    def hessian(self) -> np.ndarray:  # (g, d, d)
-        return np.array([obj.hessian for obj in self.objectives])
-
-    @property
-    def linear(self) -> np.ndarray:  # (g, d)
-        return np.array([obj.linear for obj in self.objectives])
-
-
-def agent_blocks(problem: ProblemSpec) -> list[AgentBlock]:
-    """The one walk over ``CouplingConstraints.agent_rows`` that stacks rows.
-
-    Every agent is in exactly one block, one per (block dimension, row
-    count), an agent without rows in a block with k = 0; the blocks come in
-    the order of their first agents.
-    """
-    cons, m, members = problem.constraints, problem.constraints.m_ineq, {}
-    for a, obj in enumerate(problem.objectives):
-        ineq, eq = cons.agent_rows(a + 1)
-        stored = ([(l - 1, *ineq[l]) for l in sorted(ineq)]
-                  + [(m + l - 1, *eq[l]) for l in sorted(eq)])
-        agents, objectives, rows = members.setdefault((obj.dim, len(stored)), ([], [], []))
-        agents.append(a)
-        objectives.append(obj)
-        rows += stored
-    return [AgentBlock(np.array(agents),
-                       np.array([l for l, _, _ in rows], dtype=int).reshape(len(agents), k),
-                       np.array([c for _, c, _ in rows], dtype=float).reshape(len(agents), k, d),
-                       np.array([b for _, _, b in rows], dtype=float).reshape(len(agents), k),
-                       tuple(objectives))
-            for (d, k), (agents, objectives, rows) in members.items()]
+    return max(float(np.abs(b.offsets).max(initial=0.0)) for b in problem.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +343,10 @@ def validate_licq(problem: ProblemSpec) -> LicqReport:
 
     Full row rank of every agent's stack guarantees local subproblems are
     feasible for arbitrary offsets and that their multipliers are unique.
-    Each block of ``agent_blocks`` with rows goes through one batched
+    Each block of ``problem.blocks`` with rows goes through one batched
     singular value decomposition (``licq_report``).
     """
-    return licq_report(problem.n_agents, ((b.agents, b.rows) for b in agent_blocks(problem)
+    return licq_report(problem.n_agents, ((b.agents, b.rows) for b in problem.blocks
                                           if b.rows.shape[1]))
 
 

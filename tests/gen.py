@@ -15,8 +15,9 @@ Two families:
 Both produce feasible problems by construction: offsets are balanced around
 a sampled anchor point (with a strict margin on inequality rows).
 
-Two fixed instances besides: ``failing_instance``, whose local QPs fail in
-chosen ways, and ``benchmark_ring``, the benchmark's 400-agent ring.
+Three fixed instances besides: ``failing_instance``, whose local QPs fail in
+chosen ways, ``benchmark_ring``, the benchmark's 400-agent ring, and
+``large_cost_scale_data``, a two-agent problem file at large cost scale.
 
 Two variants of a problem's rows: ``shifted_offsets`` moves every stored
 offset, and ``doubled_equality_instance`` stores a strongly convex
@@ -238,6 +239,28 @@ def benchmark_ring(seed: int = 1):
         instances.Draws(400, seed, 0.005), 400, 3, 120, 30, 5).problem
     topology = induce_topology(problem, problem.graph)
     return problem, topology, build_weights(topology)
+
+
+def large_cost_scale_data() -> dict:
+    """A problem file of two agents with 4-dim Hessians A'DA (eigenvalues from
+    about 9e2 to 2.5e5) whose floating-point roundoff leaves them asymmetric
+    beyond 1e-12; each agent stores one inequality and one equality unit row."""
+    rng = np.random.default_rng(1)
+    agents = []
+    for _ in range(2):
+        a = rng.standard_normal((4, 4))
+        hessian = a.T @ np.diag(1e4 * rng.uniform(0.5, 2.0, 4)) @ a
+        agents.append({"dim": 4, "hessian": hessian.tolist(),
+                       "linear": rng.standard_normal(4).tolist()})
+    unit = np.eye(4).tolist()
+    return {
+        "agents": agents,
+        "ineq": [{"agent": 1, "row": 1, "coeffs": unit[0], "offset": -1.0},
+                 {"agent": 2, "row": 1, "coeffs": unit[1], "offset": -1.0}],
+        "eq": [{"agent": 1, "row": 1, "coeffs": unit[2], "offset": -1.0},
+               {"agent": 2, "row": 1, "coeffs": unit[3], "offset": 0.0}],
+        "edges": [[1, 2]],
+    }
 
 
 def _copy_rows(old: CouplingConstraints, cons: CouplingConstraints, shift: float,

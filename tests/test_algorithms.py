@@ -71,6 +71,12 @@ def test_gradient_bound_rejects_a_bad_box(toy, box):
         cs.estimate_gradient_bound(*toy, box)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, True])
+def test_gradient_bound_rejects_a_bad_seed(toy, seed):
+    with pytest.raises(ValidationError, match=f"seed must be an integer >= 0, got {seed}"):
+        cs.estimate_gradient_bound(*toy, 1.0, seed=seed)
+
+
 def test_ada_first_round_from_known_start(toy):
     problem, topology, weights = toy
     oracle = cs.solve_centralized(problem)

@@ -11,7 +11,7 @@ import pytest
 import couplesolve
 from couplesolve import cli, formats
 
-from gen import strongly_convex_instance
+from gen import large_cost_scale_data, reduced_space_instance, strongly_convex_instance
 from reference import dense_oracle
 
 
@@ -105,6 +105,7 @@ def test_run_config_rejects_unknown_keys(toy_file, tmp_path, capsys):
     ("rounds", True, "rounds must be an integer"),
     ("gamma", "abc", "gamma must be numeric"),
     ("seed", "x", "seed must be an integer"),
+    ("seed", -3, "seed must be nonnegative"),
     ("box_bound", "big", "box_bound must be numeric"),
     ("grad_bound", [1.0], "grad_bound must be numeric"),
     ("oracle", "yes", "oracle must be true or false"),
@@ -123,6 +124,7 @@ def test_run_config_rejects_unknown_keys(toy_file, tmp_path, capsys):
     ("box_bound", True, "box_bound must be numeric, got True"),
     ("grad_bound", False, "grad_bound must be numeric, got False"),
 ], ids=["transport", "algorithm", "rounds-fraction", "rounds-bool", "gamma", "seed",
+        "seed-negative",
         "box_bound", "grad_bound", "oracle", "emit_gnuplot", "output", "problem",
         "gamma-nan", "gamma-inf", "gamma-negative", "box_bound-nan", "box_bound-inf",
         "grad_bound-nan", "grad_bound-inf", "grad_bound-zero", "gamma-bool",
@@ -198,8 +200,9 @@ def test_bad_cbf_sim_flag_exits_2_naming_the_field(tmp_path, capsys, flag, value
     (["--algo", "pgd", "--box-bound", "inf"], "box_bound must be a finite number > 0, got inf"),
     (["--algo", "pgd", "--box-bound", "2", "--grad-bound", "inf"],
      "grad_bound must be a finite number > 0, got inf"),
+    (["--algo", "pgd", "--seed", "-1"], "seed must be nonnegative"),
 ], ids=["gamma-nan", "gamma-inf", "grad-bound-nan", "box-bound-nan", "box-bound-inf",
-        "grad-bound-inf"])
+        "grad-bound-inf", "seed-negative"])
 def test_non_finite_run_flag_exits_2_naming_the_field(tmp_path, capsys, flags, message):
     problem, _, _ = strongly_convex_instance(3)
     path = tmp_path / "problem.json"
@@ -418,30 +421,34 @@ def test_solve_central_multi_agent_is_deterministic_and_exact(tmp_path, capsys):
 def test_commands_accept_hessians_at_large_cost_scale(tmp_path, capsys):
     # Two agents with 4-dim Hessians AᵀDA (eigenvalues from about 9e2 to
     # 2.5e5) whose floating-point roundoff leaves them asymmetric beyond 1e-12.
-    rng = np.random.default_rng(1)
-    agents = []
-    for _ in range(2):
-        a = rng.standard_normal((4, 4))
-        hessian = a.T @ np.diag(1e4 * rng.uniform(0.5, 2.0, 4)) @ a
-        agents.append({"dim": 4, "hessian": hessian.tolist(),
-                       "linear": rng.standard_normal(4).tolist()})
+    data = large_cost_scale_data()
     assert max(np.abs(np.subtract(h, np.transpose(h))).max()
-               for h in (agent["hessian"] for agent in agents)) > 1e-12
-    unit = np.eye(4).tolist()
-    data = {
-        "agents": agents,
-        "ineq": [{"agent": 1, "row": 1, "coeffs": unit[0], "offset": -1.0},
-                 {"agent": 2, "row": 1, "coeffs": unit[1], "offset": -1.0}],
-        "eq": [{"agent": 1, "row": 1, "coeffs": unit[2], "offset": -1.0},
-               {"agent": 2, "row": 1, "coeffs": unit[3], "offset": 0.0}],
-        "edges": [[1, 2]],
-    }
+               for h in (agent["hessian"] for agent in data["agents"])) > 1e-12
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps(data))
     for argv in (["check", str(path)], ["solve-central", str(path)],
                  ["run", str(path), "--algo", "ada", "--rounds", "50", "--gamma", "1e-5",
                   "--output", str(tmp_path / "trace.csv")]):
         assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def test_commands_check_an_inequality_row_beside_an_equality_row(tmp_path, capsys):
+    # Reduced-space seed 0: agent 1 (block dimension 2) stores inequality
+    # row 1 and equality row 1; the inequality row gets one coefficient.
+    problem, _, _ = reduced_space_instance(0)
+    data = formats.problem_to_dict(problem)
+    assert any((r["agent"], r["row"]) == (1, 1) for r in data["eq"])
+    (row,) = [r for r in data["ineq"] if (r["agent"], r["row"]) == (1, 1)]
+    row["coeffs"] = row["coeffs"][:1]
+    path = tmp_path / "shadowed.json"
+    path.write_text(json.dumps(data))
+    for argv in (["check", str(path)], ["solve-central", str(path)],
+                 ["run", str(path), "--algo", "ada", "--rounds", "3", "--gamma", "0.1",
+                  "--output", str(tmp_path / "trace.csv")]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "agent 1 row 1: coefficients (1,) do not match block dimension 2" in err
+        assert "Traceback" not in err
 
 
 def test_solve_central_infeasible_exits_3(tmp_path, capsys):

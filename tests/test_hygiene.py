@@ -84,7 +84,7 @@ def test_layering_faults_see_nested_and_backward_imports(tmp_path):
     module = tmp_path / "graph.py"
     module.write_text("from . import trace\nfrom .exceptions import ValidationError\n"
                       "from .local_qp import AgentBatch\nfrom .graph import Graph\n"
-                      "def f():\n    from .problem import agent_blocks\n"
+                      "def f():\n    from .problem import ProblemSpec\n"
                       "class C:\n    import math\n")
     assert layering_faults(module) == [
         "line 3: imports local_qp", "line 4: imports graph",
@@ -104,8 +104,10 @@ def reads_tolerance(node) -> bool:
 
 
 def reads_stored_rows(node) -> bool:
-    """A read of ``CouplingConstraints.agent_rows`` or ``CouplingConstraints.row``."""
-    return isinstance(node, ast.Attribute) and node.attr in {"agent_rows", "row"}
+    """A read of a ``CouplingConstraints`` row getter: ``agent_rows``, ``row``,
+    ``ineq_row`` or ``eq_row``."""
+    return isinstance(node, ast.Attribute) and node.attr in {
+        "agent_rows", "row", "ineq_row", "eq_row"}
 
 
 def readers(path: Path, reads=reads_tolerance) -> set[str]:
@@ -146,14 +148,18 @@ def test_active_set_rules_have_one_home():
 
 
 def test_stored_rows_are_stacked_in_one_place():
-    # problem.agent_blocks is the one walk that stacks every agent's rows:
-    # the rank check, both oracle paths and AgentBatch read its blocks.  The
-    # other readers take the stored rows one at a time.
-    assert library_readers(reads_stored_rows) == {
-        "problem.agent_blocks", "problem.aggregate_violation", "problem.offset_scale",
-        "graph.induce_topology", "oracle.stacked_arrays", "oracle.duality_gap",
-        "formats.problem_to_dict", "oracle.feasible_slack_from_primal",
-        "problem.ProblemSpec.__post_init__"}
+    # ProblemSpec's construction is the one walk that stacks every agent's
+    # rows into ProblemSpec.blocks, which every other reader reads.  The
+    # problem file's writer takes the stored rows as they are, and three
+    # readers keep bits the stack would move: a residual on a strided
+    # coefficient array (aggregate_violation, feasible_slack_from_primal)
+    # and a multiplier sum in the order the rows were added (duality_gap).
+    # The store's own getters call each other.
+    outside = {name for name in library_readers(reads_stored_rows)
+               if not name.startswith("problem.CouplingConstraints.")}
+    assert outside == {"problem.ProblemSpec.__post_init__", "formats.problem_to_dict",
+                       "problem.aggregate_violation", "oracle.feasible_slack_from_primal",
+                       "oracle.duality_gap"}
 
 
 def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):
@@ -169,8 +175,9 @@ def test_stored_row_readers_see_attributes_only(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text("def f(cons, row):\n    return cons.row(1, row)\n"
                       "class C:\n    def g(self):\n        return self.cons.agent_rows(1)\n"
-                      "def h(row, agent_rows):\n    return row, agent_rows\n")
-    assert readers(module, reads_stored_rows) == {"f", "C.g"}
+                      "def h(row, agent_rows):\n    return row, agent_rows\n"
+                      "def k(cons):\n    return cons.ineq_row(1, 1), cons.eq_row(1, 1)\n")
+    assert readers(module, reads_stored_rows) == {"f", "C.g", "k"}
 
 
 def test_transport_defines_gather_on_its_class():

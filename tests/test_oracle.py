@@ -8,7 +8,6 @@ import couplesolve as cs
 from couplesolve import oracle
 from couplesolve.exceptions import DimensionMismatchError, InfeasibleProblemError
 from couplesolve.oracle import stacked_arrays
-from couplesolve.problem import agent_blocks
 
 from gen import (benchmark_ring, doubled_equality_instance, reduced_space_instance,
                  scaled_problem, shifted_offsets, strongly_convex_instance)
@@ -247,8 +246,8 @@ def test_certificate_miss_returns_the_dense_answer(oracle_paths, monkeypatch):
 
     def perturbed(*args):  # x far off its KKT system, whatever the working set
         space = compile_(*args)
-        for group in space.groups:
-            group.x0[...] += 1e-3
+        for _, _, x0 in space.groups:
+            x0[...] += 1e-3
         return space
 
     monkeypatch.setattr(oracle._ConstraintSpace, "compile", perturbed)
@@ -320,7 +319,7 @@ def test_any_semidefinite_block_keeps_the_dense_path(oracle_paths):
     sol = _agrees_with_dense(problem, exact=True)
     assert oracle_paths == ["dense"]
     assert sol.x == pytest.approx([1.0, 1.0])
-    assert oracle._ConstraintSpace.compile(problem, agent_blocks(problem)) is None
+    assert oracle._ConstraintSpace.compile(problem) is None
 
 
 def test_row_without_an_agent_keeps_the_dense_path(oracle_paths):
@@ -332,7 +331,7 @@ def test_row_without_an_agent_keeps_the_dense_path(oracle_paths):
     cons.add_eq_row(2, 1, [1.0], -1.0)
     problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
     assert cs.validate_licq(problem).all_full_rank
-    assert oracle._ConstraintSpace.compile(problem, agent_blocks(problem)) is None
+    assert oracle._ConstraintSpace.compile(problem) is None
     sol = _agrees_with_dense(problem, exact=True)
     assert oracle_paths == ["dense"]
     assert not sol.unique_multipliers
@@ -349,7 +348,7 @@ def test_numerically_singular_working_set_keeps_the_dense_path(oracle_paths):
     problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
     assert cs.validate_licq(problem).all_full_rank
     with pytest.raises(np.linalg.LinAlgError):
-        oracle._ConstraintSpace.compile(problem, agent_blocks(problem)).evaluate(())
+        oracle._ConstraintSpace.compile(problem).evaluate(())
     _agrees_with_dense(problem, exact=True)
     assert oracle_paths == ["dense"]
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import couplesolve as cs
-from couplesolve.exceptions import RankDeficiencyError, ValidationError
-from couplesolve.local_qp import AgentBatch
-from couplesolve.problem import agent_blocks
-from gen import (benchmark_ring, doubled_equality_instance, failing_instance, reduced_space_instance,
-                 strongly_convex_instance)
+from couplesolve.exceptions import DimensionMismatchError, RankDeficiencyError, ValidationError
+from couplesolve import formats
+from couplesolve.local_qp import AgentBatch, WarmStart
+from gen import (benchmark_ring, doubled_equality_instance, failing_instance,
+                 large_cost_scale_data, reduced_space_instance, strongly_convex_instance)
 
 
 def test_objective_value_and_curvature():
@@ -151,6 +152,17 @@ def test_dimension_cross_checks(toy):
         cs.ProblemSpec((obj, obj), cons, graph)
 
 
+def test_shape_check_sees_an_inequality_row_beside_an_equality_row():
+    obj = cs.AgentObjective(np.eye(2), np.zeros(2))
+    cons = cs.CouplingConstraints(2, m_ineq=1, q_eq=1)
+    cons.add_ineq_row(1, 1, [1.0], -1.0)  # one coeff for a 2-dim agent
+    cons.add_eq_row(1, 1, [0.0, 1.0], -1.0)  # same index, right shape
+    graph = cs.Graph.from_edges(2, [(1, 2)])
+    with pytest.raises(DimensionMismatchError) as raised:
+        cs.ProblemSpec((obj, obj), cons, graph)
+    assert str(raised.value) == "agent 1 row 1: coefficients (1,) do not match block dimension 2"
+
+
 def test_graph_size_must_match_agent_count():
     obj = cs.AgentObjective(np.eye(1), np.zeros(1))
     cons = cs.CouplingConstraints(2, m_ineq=0, q_eq=0)
@@ -250,7 +262,7 @@ def test_agent_without_rows_passes_licq():
     assert report.all_full_rank
     assert report.agents[1].n_rows == 0
     assert _rank_failures(problem) == ()
-    assert [(b.agents.tolist(), b.rows.shape) for b in agent_blocks(problem)] == [
+    assert [(b.agents.tolist(), b.rows.shape) for b in problem.blocks] == [
         ([0], (1, 1, 1)), ([1], (1, 0, 1))]
 
 
@@ -266,7 +278,7 @@ BLOCK_INSTANCES = ([pytest.param(strongly_convex_instance, seed, id=f"sc{seed}")
 def test_agent_blocks_stack_every_agents_rows_once(instance, seed):
     problem, _, _ = instance(seed)
     cons = problem.constraints
-    blocks = agent_blocks(problem)
+    blocks = problem.blocks
     firsts = [int(b.agents[0]) for b in blocks]
     assert firsts == sorted(firsts)  # in first-agent order
     seen = np.concatenate([b.agents for b in blocks])
@@ -299,6 +311,43 @@ def test_lipschitz_bound_toy(toy):
     problem, topology, weights = toy
     assert cs.lipschitz_bound(problem, topology, weights) == pytest.approx(
         math.sqrt(2.0))
+
+
+def _large_cost_scale():
+    problem, _ = formats.problem_from_dict(large_cost_scale_data())
+    return problem
+
+
+def _costs_times_100(seed):
+    problem, _, _ = strongly_convex_instance(seed)
+    objectives = tuple(cs.AgentObjective(100.0 * obj.hessian, 100.0 * obj.linear,
+                                         100.0 * obj.constant) for obj in problem.objectives)
+    return cs.ProblemSpec(objectives, problem.constraints, problem.graph)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND in CHANGES.md: lipschitz_bound's per-agent factor "
+                   "sqrt(curv_i / lambda_min(R_i R_i')) misses the multiplier map's slope "
+                   "whenever curv_i / lambda_min(R_i R_i') > 1")
+@pytest.mark.parametrize("make", [_large_cost_scale, partial(_costs_times_100, 11)],
+                         ids=["large-cost-scale-file", "sc11-costs-x100"])
+def test_lipschitz_bound_dominates_observed_gradient_slopes(make):
+    # The slope |grad phi(y1) - grad phi(y2)| / |y1 - y2| over random pairs of
+    # allocations, each gradient from the agents' exact multipliers.  The
+    # correction of the bound (ROADMAP direction 1) removes the xfail marker.
+    problem = make()
+    topology = cs.induce_topology(problem, problem.graph)
+    weights = cs.build_weights(topology)
+    batch = AgentBatch(problem, topology, weights)
+    warm = WarmStart(batch)
+
+    def gradient(y):
+        return batch.gradient(batch.multipliers(warm.solve_stacked(batch.offsets(y))))
+
+    rng = np.random.default_rng(0)
+    slopes = [np.linalg.norm(gradient(y1) - gradient(y2)) / np.linalg.norm(y1 - y2)
+              for y1, y2 in rng.uniform(-10.0, 10.0, size=(100, 2, batch.size))]
+    assert cs.lipschitz_bound(problem, topology, weights) >= max(slopes)
 
 
 def test_lipschitz_needs_strong_convexity(toy):
