@@ -48,7 +48,7 @@ from .exceptions import ValidationError
 from .graph import SlackLayout, SlackState
 from .local_qp import AgentBatch, KktSolution, StackedSolutions, WarmStart
 from .oracle import feasible_slack_from_primal
-from .problem import lipschitz_bound, offset_scale
+from .problem import _integer, lipschitz_bound, offset_scale
 from .simnet import Phase, SimnetTransport
 from .trace import RoundRecord, RunTrace
 
@@ -69,11 +69,6 @@ def _real(value) -> bool:
 def _positive(value) -> bool:
     """Is value a finite real number > 0 (no boolean)?"""
     return _real(value) and value > 0
-
-
-def _integer(value) -> bool:
-    """Is value an integer (no boolean)?"""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_run_fields(config, *positive) -> None:

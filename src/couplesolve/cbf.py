@@ -34,12 +34,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algorithms import AdaConfig, AdaState, _integer, _positive, iterate_rounds
+from .algorithms import AdaConfig, AdaState, _positive, iterate_rounds
 from .exceptions import RankDeficiencyError, ValidationError
 from .graph import Graph, build_weights, induce_topology
 from .local_qp import AgentBatch, WarmStart
 from .oracle import solve_centralized
-from .problem import AgentObjective, CouplingConstraints, ProblemSpec
+from .problem import AgentObjective, CouplingConstraints, ProblemSpec, _integer
 from .simnet import SimnetTransport
 
 
@@ -186,11 +186,10 @@ class _FilterRows:
 
     Pair p is 0-based agent ``agent[p]`` in 0-based barrier ``barrier[p]``,
     in the order ``problem`` adds the rows: barrier by barrier, each
-    barrier's agents in its order.  ``by_agent`` lists them agent by agent,
-    each agent's barriers ascending, the order of ``AgentBatch``'s rows;
-    ``order`` holds their pair numbers.  Raises ValidationError when the
-    graph and the state disagree on the agent count or a barrier names an
-    agent outside 1..n.
+    barrier's agents in its order.  ``order`` lists their pair numbers agent
+    by agent, each agent's barriers ascending: the order of ``AgentBatch``'s
+    rows.  Raises ValidationError when the graph and the state disagree on
+    the agent count or a barrier names an agent outside 1..n.
     """
 
     def __init__(self, scenario: CbfScenario, graph: Graph, n_agents: int):
@@ -208,9 +207,7 @@ class _FilterRows:
         self.n_g = np.array([len(barriers[m].agents) for _, m in pairs], dtype=int)
         self.share = np.array([barriers[m].radius_sq / len(barriers[m].agents)
                                for _, m in pairs], dtype=float)
-        self.by_agent = sorted(zip(range(len(pairs)), self.agent.tolist(),
-                                   self.barrier.tolist()), key=lambda pair: pair[1])
-        self.order = np.array([p for p, _, _ in self.by_agent], dtype=int)
+        self.order = np.argsort(self.agent, kind="stable")
 
     def at(self, state: MultiAgentState) -> _Step:
         """The parameters at ``state``, in one pass.
@@ -244,17 +241,6 @@ class _FilterRows:
                                         step.coeffs, step.offsets.tolist()):
             cons.add_ineq_row(a + 1, m + 1, coeffs, offset)
         return ProblemSpec(objectives, cons, self.graph)
-
-    def violation(self, step: _Step, u: np.ndarray) -> float:
-        """``max_violation``'s inequality figure of the inputs u (n, 2).
-
-        ``aggregate_violation``'s arithmetic: coeffs @ u_i + offset per
-        pair, added up per barrier over its agents in ascending order.
-        """
-        rows = np.zeros(len(self.scenario.barriers))
-        for p, a, m in self.by_agent:
-            rows[m] += step.coeffs[p] @ u[a] + step.offsets[p]
-        return max(float(np.max(rows, initial=0.0)), 0.0)
 
 
 def assemble_step_problem(state: MultiAgentState, scenario: CbfScenario,
@@ -303,12 +289,13 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     is refreshed in place; the run aborts with a diagnostic when an agent's
     barrier rows become linearly dependent (LICQ failure, e.g. an agent
     exactly at a barrier center or two barrier gradients aligned, by
-    ``AgentBatch.licq``).  The distributed solver's two
-    streams, the inner rounds' and the applied solve's, keep their working
-    sets across steps; the centralized solver solves the step's
-    ``ProblemSpec``.  Raises ValidationError when a parameter is not finite,
-    when the graph and the state disagree on the agent count or when a
-    barrier names an agent outside 1..n.
+    ``AgentBatch.licq``).  The distributed solver's two streams, the inner
+    rounds' and the applied solve's, keep their working sets across steps;
+    the centralized solver solves the step's ``ProblemSpec``.  The batch
+    checks every input against the rows (``AgentBatch.violation``).  Raises
+    ValidationError when a parameter is not finite, when the graph and the
+    state disagree on the agent count or when a barrier names an agent
+    outside 1..n.
     """
     rows = _FilterRows(scenario, graph, state.n_agents)
     steps = scenario.steps
@@ -368,7 +355,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             u = batch.primal(final.solve_stacked(batch.offsets(slack))).reshape(n, 2)
             inner_worst[s] = worst
 
-        applied_worst[s] = rows.violation(step, u)
+        applied_worst[s] = batch.violation(u)[0]
         inputs[s] = u
         state = euler_step(state, u, scenario.dt)
 

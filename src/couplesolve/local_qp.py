@@ -68,7 +68,7 @@ import numpy as np
 
 from .exceptions import DegenerateSubproblemError, UnboundedSubproblemError
 from .graph import SlackLayout
-from .problem import LicqReport, licq_report
+from .problem import LicqReport, licq_report, row_shares
 
 # Residuals above this are treated as violated when growing the working set;
 # multipliers below its negative are dropped.
@@ -619,10 +619,11 @@ class AgentBatch:
     def residuals(self, z) -> tuple[np.ndarray, np.ndarray]:
         """``aggregate_violation`` of the stacked primal: (inequality rows, equality rows).
 
-        Each coupled row is sum_i (A_i x_i + b_i), added up over its
-        participants in agent order.
+        Each coupled row is sum_i (A_i x_i + b_i): ``row_shares`` on the padded
+        arrays, added up over its participants in ascending agent order.  z may
+        be the padded primal (n, dim) alone.
         """
-        shares = np.einsum("nrd,nd->nr", self.rows, z[:, :self.shape[0]]) + self.base
+        shares = row_shares(self.rows, self.base, z[:, :self.shape[0]])
         rows = np.bincount(self.constraint, weights=shares.reshape(-1)[self.cells],
                            minlength=self.n_constraints)
         return rows[:self.m_ineq], rows[self.m_ineq:]

@@ -50,7 +50,7 @@ from .exceptions import (DegenerateSubproblemError, DimensionMismatchError,
                          ValidationError)
 from .graph import SlackLayout, SlackState
 from .local_qp import _accepted, _capped, _kkt_solve, _moves, _revisited, _singular
-from .problem import ProblemSpec, validate_licq
+from .problem import ProblemSpec, agent_shares, aggregate_violation, row_shares, validate_licq
 
 _FEAS_TOL = 1e-9
 
@@ -147,10 +147,9 @@ def _certificate(problem: ProblemSpec, x, nu):
     the largest |mu|; the largest |mu|.  Offsets and linear terms times s
     give x and nu times s, and scale each residual with its size.
     """
-    m, size = problem.constraints.m_ineq, len(nu)
+    m = problem.constraints.m_ineq
     starts = np.cumsum([0, *problem.dims[:-1]])
     value = sum(obj.constant for obj in problem.objectives)
-    row_residual = np.zeros(size)
     stationarity = gradient_size = row_size = 0.0
     for b in problem.blocks:
         hessian, linear = b.hessian, b.linear
@@ -161,14 +160,11 @@ def _certificate(problem: ProblemSpec, x, nu):
         stationarity = max(stationarity, np.abs(hx + linear + pull).max(initial=0.0))
         gradient_size = max(gradient_size, *(np.abs(t).max(initial=0.0)
                                              for t in (hx, linear, pull)))
-        products = (b.rows @ xb[..., None])[..., 0]
-        row_residual += np.bincount(b.index.ravel(), (products + b.offsets).ravel(),
-                                    minlength=size)
-        row_size = max(row_size, np.abs(products).max(initial=0.0),
+        row_size = max(row_size, np.abs(row_shares(b.rows, 0.0, xb)).max(initial=0.0),
                        np.abs(b.offsets).max(initial=0.0))
-    mu, residual = nu[:m], row_residual[:m]
+    mu, (residual, eq_residual) = nu[:m], aggregate_violation(problem, x)
     mu_size = np.abs(mu).max(initial=0.0)
-    worst = [stationarity, residual.max(initial=0.0), np.abs(row_residual[m:]).max(initial=0.0),
+    worst = [stationarity, residual.max(initial=0.0), np.abs(eq_residual).max(initial=0.0),
              np.abs(mu * residual).max(initial=0.0), max(0.0, -mu.min(initial=0.0))]
     return value, worst, [gradient_size, row_size, row_size, mu_size * row_size, mu_size]
 
@@ -357,21 +353,21 @@ def duality_gap(problem: ProblemSpec, x: np.ndarray,
         if value.shape != (expected,):
             raise DimensionMismatchError(
                 f"{name} has shape {value.shape}, expected ({expected},)")
+    nu = np.concatenate([mu, lam])
+    lagrangian = [None] * problem.n_agents  # each agent's (linear, constant) terms
+    for b in problem.blocks:  # the multiplier terms added up over ascending rows
+        linear = b.linear
+        constant = np.array([obj.constant for obj in b.objectives])
+        for weight, coeffs, offsets in zip(nu[b.index].T, b.rows.transpose(1, 0, 2),
+                                           b.offsets.T):
+            linear = linear + weight[:, None] * coeffs
+            constant = constant + weight * offsets
+        for a, *terms in zip(b.agents.tolist(), linear, constant.tolist()):
+            lagrangian[a] = terms
     f_val = 0.0
     dual = 0.0
-    # Stored rows in the order added, not blocks: the sums would round otherwise.
-    for i, xi in enumerate(problem.split(x), start=1):
-        obj = problem.objectives[i - 1]
+    for obj, xi, (c_eff, const_eff) in zip(problem.objectives, problem.split(x), lagrangian):
         f_val += obj.value(xi)
-        c_eff = obj.linear.copy()
-        const_eff = obj.constant
-        ineq, eq = cons.agent_rows(i)
-        for m, (coeffs, off) in ineq.items():
-            c_eff += mu[m - 1] * coeffs
-            const_eff += mu[m - 1] * off
-        for k, (coeffs, off) in eq.items():
-            c_eff += lam[k - 1] * coeffs
-            const_eff += lam[k - 1] * off
         xh, *_ = np.linalg.lstsq(obj.hessian, -c_eff, rcond=None)
         if np.max(np.abs(obj.hessian @ xh + c_eff), initial=0.0) > 1e-9 * (
                 1.0 + np.abs(c_eff).max(initial=0.0)):
@@ -398,15 +394,12 @@ def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> Sla
         )
     layout = SlackLayout.from_topology(topology)
     state = SlackState.zeros(layout)
-    blocks = problem.split(x)
-    # Stored rows, not blocks: a strided row's coeffs @ x_i rounds unlike its copy's.
+    rows, shares = agent_shares(problem, x)
+    shares = shares[np.argsort(rows, kind="stable")]  # slack layout: row by row, agents ascending
     for l in layout.constraints:
-        members = topology.participants_of(l)
-        if not members:
+        if not topology.participants_of(l):
             continue
-        residual = np.array([
-            cons.row(i, l)[0] @ blocks[i - 1] + cons.row(i, l)[1] for i in members
-        ])
+        residual = shares[layout.block(l)]
         rhs = residual.mean() - residual
         gap = weights[l].gap
         y_block, *_ = np.linalg.lstsq(gap, rhs, rcond=None)

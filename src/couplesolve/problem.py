@@ -8,12 +8,12 @@ The problem solved throughout the package is
 
 with each agent i owning its block x_i.  Constraint rows are stored sparsely
 per agent: an agent holds a row only if it participates in it (nonzero
-coefficients or a nonzero offset share).  Inequality rows are indexed
-1..m_ineq, equality rows 1..q_eq; a single "constraint index"
-l in 1..m_ineq+q_eq addresses inequalities first, then equalities.
+coefficients or a nonzero offset share), as a copy the problem owns.
+Inequality rows are indexed 1..m_ineq, equality rows 1..q_eq; a single
+"constraint index" l in 1..m_ineq+q_eq addresses inequalities first.
 ``ProblemSpec.blocks`` stacks the stored rows once, when the problem is
-built, per (block dimension, row count): the rank check, both oracle paths,
-``AgentBatch`` and the topology read them.
+built, per (block dimension, row count), and every other reader reads them;
+every residual is ``row_shares`` summed in ascending agent order.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ import numpy as np
 from .exceptions import DimensionMismatchError, RankDeficiencyError, ValidationError
 
 _RANK_TOL = 1e-9  # the rank rule's relative singular-value floor (full_row_rank)
+
+
+def _integer(value) -> bool:
+    """Is value an integer (no boolean)?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -102,11 +107,14 @@ class CouplingConstraints:
             self.add_eq_row(agent, q, coeffs, offset)
 
     def _add(self, store, agent, index, limit, kind, coeffs, offset):
+        for name, value in (("agent", agent), (f"{kind} row index", index)):
+            if not _integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not 1 <= index <= limit:
             raise ValidationError(f"{kind} row {index} out of range 1..{limit}")
         if not 1 <= agent <= self.n_agents:
             raise ValidationError(f"agent {agent} out of range 1..{self.n_agents}")
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float)  # the problem's own contiguous copy
         offset = float(offset)
         for name, finite in (("coeffs", np.isfinite(coeffs).all()),
                              ("offset", math.isfinite(offset))):
@@ -123,18 +131,6 @@ class CouplingConstraints:
 
     def add_eq_row(self, agent: int, q: int, coeffs, offset: float) -> None:
         self._add(self._eq, agent, q, self.q_eq, "equality", coeffs, offset)
-
-    def ineq_row(self, agent: int, m: int):
-        return self._ineq[agent - 1].get(m)
-
-    def eq_row(self, agent: int, q: int):
-        return self._eq[agent - 1].get(q)
-
-    def row(self, agent: int, l: int):
-        """Row addressed by combined constraint index (inequalities first)."""
-        if l <= self.m_ineq:
-            return self.ineq_row(agent, l)
-        return self.eq_row(agent, l - self.m_ineq)
 
     def agent_rows(self, agent: int) -> tuple[dict, dict]:
         """(inequality rows, equality rows) of one agent, keyed by row index."""
@@ -239,32 +235,57 @@ def objective_value(problem: ProblemSpec, x: np.ndarray) -> float:
     )
 
 
+def row_shares(rows: np.ndarray, offsets, x: np.ndarray) -> np.ndarray:
+    """Each row's share a . x + b: rows (..., k, d) and offsets (..., k) at x (..., d).
+
+    The one arithmetic of every coupled-row residual: the products are added
+    up over the block dimension in coordinate order from 0.0, then the
+    offset.  A zero-padded coordinate adds an exact 0, so neither padding
+    nor the arrays' memory layout moves a bit.
+    """
+    products = np.zeros(rows.shape[:-1])
+    for j in range(rows.shape[-1]):
+        products += rows[..., j] * x[..., None, j]
+    return products + offsets
+
+
+def agent_shares(problem: ProblemSpec, x: np.ndarray):
+    """(rows, shares): every stored row's share at the stacked x.
+
+    One entry per agent and row it takes part in, agent by agent ascending,
+    each agent's rows ascending: the row's position among the m + q rows
+    (inequalities first) and its ``row_shares`` share, from ``problem.blocks``.
+    """
+    starts = np.cumsum([0, *problem.dims[:-1]])
+    agents, rows, shares = [], [], []
+    for b in problem.blocks:
+        _, k, d = b.rows.shape
+        xb = x[starts[b.agents][:, None] + np.arange(d)]
+        agents.append(np.repeat(b.agents, k))
+        rows.append(b.index.ravel())
+        shares.append(row_shares(b.rows, b.offsets, xb).ravel())
+    order = np.argsort(np.concatenate(agents), kind="stable")
+    return np.concatenate(rows)[order], np.concatenate(shares)[order]
+
+
 def aggregate_violation(problem: ProblemSpec, x: np.ndarray):
     """Stacked constraint residuals at x.
 
     Returns (ineq, eq): ineq[m-1] = sum_i A_i^[m] x_i + b_i^[m] (feasible when
-    <= 0), eq[q-1] = sum_i E_i^[q] x_i + g_i^[q] (feasible when = 0).  Affine
-    in x by construction.
+    <= 0), eq[q-1] = sum_i E_i^[q] x_i + g_i^[q] (feasible when = 0).  Each
+    row adds up its ``agent_shares`` over its participants in ascending
+    agent order, from 0.0.  Affine in x by construction.
     """
-    # Stored rows, not blocks: a strided row's coeffs @ x_i rounds unlike its copy's.
     cons = problem.constraints
-    ineq = np.zeros(cons.m_ineq)
-    eq = np.zeros(cons.q_eq)
-    for i, xi in enumerate(problem.split(x), start=1):
-        ineq_rows, eq_rows = cons.agent_rows(i)
-        for m, (coeffs, offset) in ineq_rows.items():
-            ineq[m - 1] += coeffs @ xi + offset
-        for q, (coeffs, offset) in eq_rows.items():
-            eq[q - 1] += coeffs @ xi + offset
-    return ineq, eq
+    rows, shares = agent_shares(problem, x)
+    total = np.bincount(rows, shares, minlength=cons.m_ineq + cons.q_eq).astype(float)
+    return total[:cons.m_ineq], total[cons.m_ineq:]
 
 
 def max_violation(problem: ProblemSpec, x: np.ndarray) -> tuple[float, float]:
     """(max positive inequality residual, max absolute equality residual)."""
     ineq, eq = aggregate_violation(problem, x)
-    worst_ineq = float(np.max(ineq, initial=0.0))
-    worst_eq = float(np.max(np.abs(eq), initial=0.0))
-    return max(worst_ineq, 0.0), worst_eq
+    return max(float(ineq.max(initial=0.0)), 0.0), float(np.abs(eq).max(initial=0.0))
 
 
 def offset_scale(problem: ProblemSpec) -> float:

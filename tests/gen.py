@@ -18,6 +18,7 @@ a sampled anchor point (with a strict margin on inequality rows).
 Three fixed instances besides: ``failing_instance``, whose local QPs fail in
 chosen ways, ``benchmark_ring``, the benchmark's 400-agent ring, and
 ``large_cost_scale_data``, a two-agent problem file at large cost scale.
+``mixed_dims_instance`` draws four agents of block dimensions 2, 7, 9 and 3.
 
 Two variants of a problem's rows: ``shifted_offsets`` moves every stored
 offset, and ``doubled_equality_instance`` stores a strongly convex
@@ -227,6 +228,44 @@ def failing_instance():
     return problem, topology, build_weights(topology)
 
 
+def mixed_dims_instance(seed: int):
+    """Four strongly convex agents of block dimensions 2, 7, 9 and 3 on a
+    path; returns (problem, topology, weights).
+
+    Inequality rows 1 (every agent) and 2 (agents 2, 3) and equality rows 1
+    (agents 1, 2) and 2 (agents 3, 4); each agent's rows are scaled
+    orthonormal and the offsets balance around a sampled anchor, as in
+    ``strongly_convex_instance``.  A batch pads every block to 9.
+    """
+    rng = np.random.default_rng(seed)
+    dims = (2, 7, 9, 3)
+    objectives = []
+    for d in dims:
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        hessian = basis @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ basis.T
+        objectives.append(AgentObjective(0.5 * (hessian + hessian.T), rng.uniform(-1, 1, size=d)))
+    participants = {1: (1, 2, 3, 4), 2: (2, 3), 3: (1, 2), 4: (3, 4)}  # inequalities first
+    rows = {}
+    for i, d in enumerate(dims, start=1):
+        ls = [l for l, members in participants.items() if i in members]
+        rows.update(zip(((l, i) for l in ls), _scaled_orthonormal_rows(rng, len(ls), d, 1.5)))
+    anchor = [rng.uniform(-1, 1, size=d) for d in dims]
+    cons = CouplingConstraints(4, m_ineq=2, q_eq=2)
+    for l, members in participants.items():
+        raw = {i: rng.uniform(-0.5, 0.5) for i in members}
+        aggregate = sum(float(rows[(l, i)] @ anchor[i - 1]) + raw[i] for i in members)
+        raw[members[0]] -= aggregate + (rng.uniform(0.2, 1.0) if l <= 2 else 0.0)
+        for i in members:
+            if l <= 2:
+                cons.add_ineq_row(i, l, rows[(l, i)], raw[i])
+            else:
+                cons.add_eq_row(i, l - 2, rows[(l, i)], raw[i])
+    graph = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    problem = ProblemSpec(tuple(objectives), cons, graph)
+    topology = induce_topology(problem, graph)
+    return problem, topology, build_weights(topology)
+
+
 def benchmark_ring(seed: int = 1):
     """The benchmark's 400-agent ring (``benchmarks/instances.py``); returns
     (problem, topology, weights)."""
@@ -311,7 +350,7 @@ def doubled_equality_instance(seed: int):
     cons = CouplingConstraints(problem.n_agents, old.m_ineq, old.q_eq + 1)
     _copy_rows(old, cons, 0.0)
     for i in range(1, problem.n_agents + 1):
-        row = old.eq_row(i, 1)
+        row = old.agent_rows(i)[1].get(1)
         if row is not None:
             cons.add_eq_row(i, old.q_eq + 1, *row)
     problem = ProblemSpec(problem.objectives, cons, problem.graph)

@@ -23,7 +23,7 @@ multipliers read through ``KktSolution.multiplier`` and the gradient formed
 coordinate by coordinate with ``consensus_gap``, as each agent forms its own.
 
 The set-up's scalar loops, which the batched set-up must reproduce bit for
-bit: ``scalar_induce_topology`` (``row`` per (agent, constraint) pair, a
+bit: ``scalar_induce_topology`` (``stored_row`` per (agent, constraint) pair, a
 scan of every graph edge per constraint), ``scalar_validate_licq`` (one
 SVD per agent), ``scalar_operator_norms`` (one ``eigvalsh`` per constraint)
 and ``scalar_lipschitz_bound`` (one ``eigvalsh`` per agent with rows).
@@ -435,6 +435,13 @@ def rebuilt_closed_loop(scenario, graph, state):
                             applied_worst, scenario)
 
 
+def stored_row(cons, agent: int, l: int):
+    """The (coeffs, offset) an agent stores for constraint l (inequalities
+    first), or None: a lookup in ``CouplingConstraints.agent_rows``."""
+    ineq, eq = cons.agent_rows(agent)
+    return ineq.get(l) if l <= cons.m_ineq else eq.get(l - cons.m_ineq)
+
+
 def scalar_induce_topology(problem, graph) -> ConstraintTopology:
     """``induce_topology`` pair by pair: a row lookup per (agent, constraint)."""
     cons = problem.constraints
@@ -445,7 +452,7 @@ def scalar_induce_topology(problem, graph) -> ConstraintTopology:
     for l in range(1, m_ineq + q_eq + 1):
         members = []
         for i in range(1, n + 1):
-            row = cons.row(i, l)
+            row = stored_row(cons, i, l)
             if row is not None:
                 coeffs, offset = row
                 if offset != 0.0 or np.any(coeffs != 0.0):

@@ -272,14 +272,20 @@ def test_filter_rows_build_the_assembled_problem(name):
 
 @pytest.mark.parametrize("name", ["cold", "alpha", "reversed"])
 def test_applied_row_check_is_max_violation(name):
+    # run_closed_loop checks the applied input on its refreshed batch.
     scenario, graph, state = _case(name)
     filter_rows = cbf._FilterRows(scenario, graph, state.n_agents)
+    problem = assemble_step_problem(state, scenario, graph)
+    topology = cs.induce_topology(problem, graph)
+    batch = AgentBatch(problem, topology, cs.build_weights(topology))
     rng = np.random.default_rng(3)
     for positions in run_closed_loop(scenario, graph, state).positions[::5]:
         at = MultiAgentState(0.0, positions)
         step, problem = filter_rows.at(at), assemble_step_problem(at, scenario, graph)
+        batch.refresh(step.linear, step.constant, step.coeffs[filter_rows.order],
+                      step.offsets[filter_rows.order])
         for u in rng.normal(scale=3.0, size=(20, graph.n_agents, 2)):
-            assert filter_rows.violation(step, u) == cs.max_violation(problem, u.reshape(-1))[0]
+            assert batch.violation(u) == cs.max_violation(problem, u.reshape(-1))
 
 
 @pytest.mark.parametrize("name", ["cold", "alpha", "binding"])

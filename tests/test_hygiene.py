@@ -149,17 +149,10 @@ def test_active_set_rules_have_one_home():
 
 def test_stored_rows_are_stacked_in_one_place():
     # ProblemSpec's construction is the one walk that stacks every agent's
-    # rows into ProblemSpec.blocks, which every other reader reads.  The
-    # problem file's writer takes the stored rows as they are, and three
-    # readers keep bits the stack would move: a residual on a strided
-    # coefficient array (aggregate_violation, feasible_slack_from_primal)
-    # and a multiplier sum in the order the rows were added (duality_gap).
-    # The store's own getters call each other.
-    outside = {name for name in library_readers(reads_stored_rows)
-               if not name.startswith("problem.CouplingConstraints.")}
-    assert outside == {"problem.ProblemSpec.__post_init__", "formats.problem_to_dict",
-                       "problem.aggregate_violation", "oracle.feasible_slack_from_primal",
-                       "oracle.duality_gap"}
+    # rows into ProblemSpec.blocks, which every other reader reads; the
+    # problem file's writer takes the stored rows as they are.
+    assert library_readers(reads_stored_rows) == {"problem.ProblemSpec.__post_init__",
+                                                   "formats.problem_to_dict"}
 
 
 def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):

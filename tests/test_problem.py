@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -11,7 +12,8 @@ from couplesolve.exceptions import DimensionMismatchError, RankDeficiencyError, 
 from couplesolve import formats
 from couplesolve.local_qp import AgentBatch, WarmStart
 from gen import (benchmark_ring, doubled_equality_instance, failing_instance,
-                 large_cost_scale_data, reduced_space_instance, strongly_convex_instance)
+                 large_cost_scale_data, mixed_dims_instance, reduced_space_instance,
+                 strongly_convex_instance)
 
 
 def test_objective_value_and_curvature():
@@ -118,6 +120,23 @@ def test_duplicate_row_rejected():
         cons.add_ineq_row(1, 1, [2.0], 0.0)
 
 
+@pytest.mark.parametrize("agent, index, named", [
+    (1, 1.5, "inequality row index must be an integer, got 1.5"),
+    (1, True, "inequality row index must be an integer, got True"),
+    (1, np.float64(1.0), "inequality row index must be an integer, got np.float64(1.0)"),
+    (1.0, 1, "agent must be an integer, got 1.0"),
+    (True, 1, "agent must be an integer, got True"),
+], ids=["row-float", "row-bool", "row-numpy-float", "agent-float", "agent-bool"])
+def test_row_and_agent_numbers_must_be_integers(agent, index, named):
+    cons = cs.CouplingConstraints(2, m_ineq=2, q_eq=2)
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        cons.add_ineq_row(agent, index, [1.0], 0.0)
+    with pytest.raises(ValidationError, match=re.escape(named.replace("inequality", "equality"))):
+        cons.add_eq_row(agent, index, [1.0], 0.0)
+    cons.add_ineq_row(np.int64(2), np.int64(2), [1.0], 0.0)  # numpy integers are integers
+    assert list(cons.agent_rows(2)[0]) == [2]
+
+
 def test_row_index_range_checked():
     cons = cs.CouplingConstraints(2, m_ineq=1, q_eq=1)
     with pytest.raises(ValidationError):
@@ -137,7 +156,8 @@ def test_all_zero_row_dropped():
 
 def test_combined_row_lookup(toy):
     problem, _, _ = toy
-    coeffs, offset = problem.constraints.row(1, 1)  # equality is constraint 1
+    _, eq = problem.constraints.agent_rows(1)
+    coeffs, offset = eq[1]  # equality row 1 is constraint 1
     assert coeffs.tolist() == [1.0]
     assert offset == -1.0
 
@@ -266,12 +286,13 @@ def test_agent_without_rows_passes_licq():
         ([0], (1, 1, 1)), ([1], (1, 0, 1))]
 
 
-BLOCK_INSTANCES = ([pytest.param(strongly_convex_instance, seed, id=f"sc{seed}")
-                    for seed in range(25)]
-                   + [pytest.param(reduced_space_instance, seed, id=f"rs{seed}")
-                      for seed in range(12)]
-                   + [pytest.param(doubled_equality_instance, 0, id="sc0-doubled-eq"),
-                      pytest.param(benchmark_ring, 1, id="ring1")])
+GEN_INSTANCES = ([pytest.param(strongly_convex_instance, seed, id=f"sc{seed}")
+                  for seed in range(25)]
+                 + [pytest.param(reduced_space_instance, seed, id=f"rs{seed}")
+                    for seed in range(12)])
+BLOCK_INSTANCES = GEN_INSTANCES + [
+    pytest.param(doubled_equality_instance, 0, id="sc0-doubled-eq"),
+    pytest.param(benchmark_ring, 1, id="ring1")]
 
 
 @pytest.mark.parametrize("instance, seed", BLOCK_INSTANCES)
@@ -298,6 +319,77 @@ def test_agent_blocks_stack_every_agents_rows_once(instance, seed):
             assert offsets.tolist() == [off for _, _, off in stored]
         assert np.array_equal(b.hessian, [problem.objectives[a].hessian for a in b.agents])
         assert np.array_equal(b.linear, [problem.objectives[a].linear for a in b.agents])
+
+
+def _padded(batch, x):
+    """A stacked primal as the batch's padded (n, dim) array."""
+    z = np.zeros(batch.x_mask.shape)
+    z[batch.x_mask] = x
+    return z
+
+
+def test_a_callers_later_edit_leaves_the_problem_as_built():
+    obj = cs.AgentObjective(np.eye(2), np.zeros(2))
+    c1, c2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    cons = cs.CouplingConstraints(2, m_ineq=1, q_eq=0)
+    cons.add_ineq_row(1, 1, c1, 1.0)
+    cons.add_ineq_row(2, 1, c2, 0.0)
+    problem = cs.ProblemSpec((obj, obj), cons, cs.Graph.from_edges(2, [(1, 2)]))
+    topology = cs.induce_topology(problem, problem.graph)
+    batch = AgentBatch(problem, topology, cs.build_weights(topology))
+    x = np.ones(4)
+    c1[0] = 5.0  # the caller reuses its array
+    c2[:] = np.nan
+    assert cs.aggregate_violation(problem, x)[0].tolist() == [3.0]
+    assert batch.residuals(_padded(batch, x))[0].tolist() == [3.0]
+    sol = cs.solve_centralized(problem)
+    assert sol.x.tolist() == [-0.5, 0.0, 0.0, -0.5]
+    assert cs.duality_gap(problem, sol.x, sol.ineq_multipliers, sol.eq_multipliers) == 0.0
+    assert [coeffs.tolist() for coeffs, _ in (cons.agent_rows(i)[0][1] for i in (1, 2))] == [
+        [1.0, 0.0], [0.0, 1.0]]
+
+
+def _readded(problem, order, view):
+    """``problem`` built again from its stored rows, added in ``order`` (1
+    forward, -1 reversed), each coefficient array passed as ``view`` makes it."""
+    old = problem.constraints
+    cons = cs.CouplingConstraints(problem.n_agents, old.m_ineq, old.q_eq)
+    rows = [(add, i, idx, coeffs, offset) for i in range(1, problem.n_agents + 1)
+            for add, stored in zip((cons.add_ineq_row, cons.add_eq_row), old.agent_rows(i))
+            for idx, (coeffs, offset) in stored.items()]
+    for add, i, idx, coeffs, offset in rows[::order]:
+        add(i, idx, view(coeffs), offset)
+    return cs.ProblemSpec(problem.objectives, cons, problem.graph)
+
+
+def _strided(coeffs):
+    """A strided view holding coeffs: every other entry of a doubled copy."""
+    return np.repeat(coeffs, 2)[::2]
+
+
+@pytest.mark.parametrize("instance, seed", GEN_INSTANCES + [
+    pytest.param(mixed_dims_instance, 0, id="mixed-dims-2-7-9-3")])
+def test_rows_in_any_order_or_layout_give_the_same_bits(instance, seed):
+    problem, topology, weights = instance(seed)
+    sol = cs.solve_centralized(problem)
+    rng = np.random.default_rng(seed)
+    cons = problem.constraints
+    points = [sol.x, *rng.uniform(-2.0, 2.0, size=(3, sol.x.size))]
+    multipliers = [(sol.ineq_multipliers, sol.eq_multipliers),
+                   (rng.uniform(0.0, 2.0, cons.m_ineq), rng.uniform(-2.0, 2.0, cons.q_eq))]
+
+    def figures(built):
+        batch = AgentBatch(built, topology, weights)
+        return ([np.concatenate(cs.aggregate_violation(built, x)) for x in points]
+                + [np.concatenate(batch.residuals(_padded(batch, x))) for x in points]
+                + [cs.feasible_slack_from_primal(sol.x, built, topology, weights).values]
+                + [np.array([cs.duality_gap(built, x, mu, lam) for x in points
+                             for mu, lam in multipliers])])
+
+    forward = figures(problem)
+    for order, view in ((-1, np.asarray), (1, _strided), (-1, _strided)):
+        for got, want in zip(figures(_readded(problem, order, view)), forward):
+            assert np.array_equal(got, want), (order, view.__name__)
 
 
 def test_operator_norms_toy(toy):
