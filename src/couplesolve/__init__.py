@@ -66,7 +66,7 @@ from .graph import (
     metropolis_weights,
     null_range_check,
 )
-from .local_qp import KktSolution, StackedSolutions
+from .local_qp import StackedSolutions
 from .oracle import (
     OracleSolution,
     duality_gap,

@@ -25,8 +25,7 @@ iterate) bypass the transport and are free of message cost.
 Rounds and monitoring work on the stacked local solution (one padded row
 per agent, see ``local_qp.StackedSolutions``): the trace's objective,
 coupled-row residuals and dual consensus errors come from ``AgentBatch`` in
-one pass each, and per-agent ``KktSolution`` objects are built only when
-``RunResult.output_solutions`` is read.
+one pass each, and ``RunResult.output_stacked`` keeps the output's arrays.
 
 Three checks drive the same machinery: ``estimate_gradient_bound`` samples
 the gradient over pgd's box, ``finite_difference_gradient`` probes the
@@ -40,13 +39,12 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ValidationError
 from .graph import SlackLayout, SlackState
-from .local_qp import AgentBatch, KktSolution, StackedSolutions, WarmStart
+from .local_qp import AgentBatch, StackedSolutions, WarmStart
 from .oracle import feasible_slack_from_primal
 from .problem import _integer, lipschitz_bound, offset_scale
 from .simnet import Phase, SimnetTransport
@@ -155,11 +153,6 @@ class RunResult:
     def output_primal(self) -> np.ndarray:
         """The stacked primal output, read off ``output_stacked`` on each access."""
         return self.output_stacked.primal()
-
-    @cached_property
-    def output_solutions(self) -> list[KktSolution]:
-        """Every agent's KktSolution at the output, built from ``output_stacked`` on first read."""
-        return self.output_stacked.kkt_solutions()
 
 
 def ada_round(state: AdaState, evaluate, config: AdaConfig):

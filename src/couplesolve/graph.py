@@ -47,9 +47,17 @@ from .exceptions import (
     ValidationError,
     WeightMatrixError,
 )
+from .problem import _integer
 
 _WEIGHT_TOL = 1e-12  # WeightMatrix.validate's bound on signs, symmetry and row sums
 _KERNEL_TOL = 1e-10  # null_range_check's singular-value floor
+
+
+def _endpoint(value) -> int:
+    """An edge endpoint as a Python int; ValidationError naming it unless it is an integer."""
+    if not _integer(value):
+        raise ValidationError(f"edge endpoint must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -60,10 +68,13 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if not _integer(self.n_agents):
+            raise ValidationError(f"n_agents must be an integer, got {self.n_agents!r}")
         if self.n_agents < 1:
-            raise ValidationError("graph needs at least one agent")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n_agents):
+            raise ValidationError(f"graph needs at least one agent, got {self.n_agents}")
+        for edge in self.edges:
+            i, j = map(_endpoint, edge)
+            if not 1 <= i < j <= self.n_agents:
                 raise ValidationError(
                     f"edge ({i}, {j}) out of range or not canonical (i < j)"
                 )
@@ -73,7 +84,7 @@ class Graph:
         """Build from any iterable of pairs; orientation and duplicates ignored."""
         canonical = set()
         for i, j in edges:
-            i, j = int(i), int(j)
+            i, j = _endpoint(i), _endpoint(j)
             if i == j:
                 raise ValidationError(f"self-loop on agent {i}")
             canonical.add((min(i, j), max(i, j)))
@@ -88,9 +99,6 @@ class Graph:
             elif b == i:
                 out.add(a)
         return tuple(sorted(out))
-
-    def degree(self, i: int) -> int:
-        return len(self.neighborhood(i)) - 1
 
 
 def _connected(nodes: tuple[int, ...], edges) -> bool:

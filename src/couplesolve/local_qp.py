@@ -56,8 +56,9 @@ rows beside it.
 The answer is one stacked, padded array z, one row per agent, and
 ``AgentBatch`` computes from it what a round needs: the objective, the
 coupled-row residuals, the multipliers each exchange sends and the
-consensus-gap gradient.  ``KktSolution`` objects are built only on request,
-by ``StackedSolutions.kkt_solutions``.
+consensus-gap gradient.  A run's output keeps z and the working-row masks
+as ``StackedSolutions``; agent i's multiplier columns follow
+``topology.constraints_of(i)``.
 """
 
 from __future__ import annotations
@@ -74,27 +75,6 @@ from .problem import LicqReport, licq_report, row_shares
 # multipliers below its negative are dropped.
 _ADD_TOL = 1e-10
 _DROP_TOL = 1e-11
-
-
-@dataclass(frozen=True)
-class KktSolution:
-    """One agent's exact optimizer with its unique multipliers, keyed by constraint index.
-
-    Inequality rows are keyed 1..m_ineq, equality rows 1..q_eq, and
-    ``active_set`` lists the working inequality rows ascending.  Built on
-    request by ``StackedSolutions.kkt_solutions``.
-    """
-
-    x: np.ndarray
-    ineq_multipliers: dict[int, float]
-    eq_multipliers: dict[int, float]
-    active_set: tuple[int, ...]
-
-    def multiplier(self, l: int, m_ineq: int) -> float:
-        """Multiplier addressed by combined constraint index."""
-        if l <= m_ineq:
-            return self.ineq_multipliers[l]
-        return self.eq_multipliers[l - m_ineq]
 
 
 def _kkt_solve(h, c, rows, rhs):
@@ -181,12 +161,20 @@ def _residual_ok(h, c, rows, kkt, z, offsets):
 
     ``kkt`` marks the rows in the KKT system.  Works on one agent or on a
     stack; returns (bound holds, every row's residual rows @ x + offsets).
+    The row residuals are ``row_shares``; the stationarity H x + rows' mults
+    + c is added up in coordinate order, H's columns first, then the rows,
+    then c.  A zero-padded column or row adds an exact 0, so an agent's bits
+    do not depend on the padding its batch needs.
     """
     dim = h.shape[-1]
     x, mults = z[..., :dim], z[..., dim:]
-    row_residual = np.einsum("...rd,...d->...r", rows, x) + offsets
-    stationarity = (np.einsum("...ij,...j->...i", h, x)
-                    + np.einsum("...rd,...r->...d", rows, mults) + c)
+    row_residual = row_shares(rows, offsets, x)
+    stationarity = np.zeros(c.shape)
+    for j in range(dim):
+        stationarity += h[..., :, j] * x[..., j, None]
+    for r in range(rows.shape[-2]):
+        stationarity += rows[..., r, :] * mults[..., r, None]
+    stationarity += c
     residual = np.maximum(np.abs(stationarity).max(-1, initial=0.0),
                           np.abs(np.where(kkt, row_residual, 0.0)).max(-1, initial=0.0))
     target = np.maximum(np.abs(c).max(-1, initial=0.0),
@@ -282,40 +270,21 @@ def _factors(hessian, linear, rows, counts, pairs):
 class StackedSolutions:
     """Agents' padded solutions z with their working sets, as ``WarmStart`` leaves them.
 
-    Row a of ``z`` is x in its first ``dims[a]`` entries, then the row
-    multipliers (inequalities, then equalities, each ascending) from column
-    ``dim``; ``work[a]`` marks the working inequality rows.  ``constraint``
-    holds every agent row's 0-based constraint index, agent by agent
-    (``AgentBatch.constraint``), and ``n_rows`` each agent's row count; a
-    constraint below ``m_ineq`` is an inequality row.  Holds arrays only,
-    so keeping it keeps no batch and no topology alive.
+    Row a of ``z`` is agent i = a + 1's x in its first ``dims[a]`` entries,
+    then from column ``dim`` its row multipliers in ``topology.constraints_of(i)``
+    order (inequalities, then equalities, each ascending); ``work[a]`` marks
+    the working inequality rows among them.  Holds arrays only, so keeping it
+    keeps no batch and no topology alive.
     """
 
     z: np.ndarray
     work: np.ndarray
     dim: int
     dims: tuple[int, ...]
-    constraint: np.ndarray
-    n_rows: np.ndarray
-    m_ineq: int
 
     def primal(self) -> np.ndarray:
         """The stacked primal vector x_1, ..., x_n."""
         return self.z[:, :self.dim][np.arange(self.dim) < np.array(self.dims)[:, None]]
-
-    def kkt_solutions(self) -> list[KktSolution]:
-        out, first, m_ineq = [], 0, self.m_ineq
-        rows = self.constraint.tolist()
-        for z, mults, work, d, k in zip(self.z, self.z[:, self.dim:].tolist(), self.work,
-                                        self.dims, self.n_rows.tolist()):
-            ls, first = rows[first:first + k], first + k
-            ineq = [l + 1 for l in ls if l < m_ineq]
-            eq = [l + 1 - m_ineq for l in ls if l >= m_ineq]
-            k_i = len(ineq)
-            out.append(KktSolution(z[:d], dict(zip(ineq, mults[:k_i])),
-                                   dict(zip(eq, mults[k_i:k])),
-                                   tuple(ineq[pos] for pos in np.flatnonzero(work))))
-        return out
 
 
 class _SetTable:
@@ -449,7 +418,6 @@ class AgentBatch:
          self.constraint) = (np.array(v, dtype=int)
                              for v in (slots, flat, readers, cells, coords, constraint))
         self.dims = problem.dims
-        self.n_rows = np.array([k for _, _, k in self.counts], dtype=int)
         self.m_ineq = topology.m_ineq
         self.n_constraints = topology.n_constraints
         self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
@@ -641,8 +609,7 @@ class AgentBatch:
 
     def solutions(self, z, work) -> StackedSolutions:
         """Every agent's row of z with its working-row mask."""
-        return StackedSolutions(z, work, self.shape[0], self.dims, self.constraint,
-                                self.n_rows, self.m_ineq)
+        return StackedSolutions(z, work, self.shape[0], self.dims)
 
 
 class WarmStart:

@@ -80,20 +80,19 @@ class AgentObjective:
     def value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.hessian @ x + self.linear @ x + self.constant)
 
-    def curvature_range(self) -> tuple[float, float]:
-        """(smallest, largest) eigenvalue of the Hessian."""
-        eigs = np.linalg.eigvalsh(self.hessian)
-        return float(eigs[0]), float(eigs[-1])
-
 
 class CouplingConstraints:
     """Sparse per-agent rows of the coupled inequality/equality constraints."""
 
     def __init__(self, n_agents: int, m_ineq: int, q_eq: int,
                  ineq_rows=None, eq_rows=None):
-        for name, count in (("m_ineq", m_ineq), ("q_eq", q_eq)):
-            if count < 0:
-                raise ValidationError(f"{name} must be non-negative, got {count}")
+        for name, count, least in (("n_agents", n_agents, 1), ("m_ineq", m_ineq, 0),
+                                   ("q_eq", q_eq, 0)):
+            if not _integer(count):
+                raise ValidationError(f"{name} must be an integer, got {count!r}")
+            if count < least:
+                bound = "positive" if least else "non-negative"
+                raise ValidationError(f"{name} must be {bound}, got {count}")
         self.n_agents = n_agents
         self.m_ineq = m_ineq
         self.q_eq = q_eq

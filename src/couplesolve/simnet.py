@@ -184,15 +184,6 @@ class NeighborView(Mapping):
         self._exchange._withhold(self.agent, self._coords.pop(key))
 
 
-def neighbor_views(topology, values, auditor: Auditor | None = None) -> Exchange:
-    """Every agent's reads of a vector in slack layout, each within its closed neighborhoods.
-
-    Entry i - 1 of the result is agent i's view.  Reads outside it raise, or
-    are recorded by ``auditor`` and served.
-    """
-    return Exchange(Neighborhoods(topology), values, auditor)
-
-
 class SimnetTransport:
     """Exchange over the constraint subgraphs: message counts and locality-checked reads."""
 

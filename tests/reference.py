@@ -1,7 +1,7 @@
 """References the library's array paths are checked against.
 
 The scalar active-set solver: ``solve_kkt`` on a ``LocalSubproblem``, with
-dict-keyed ``KktSolution`` multipliers, and ``verify_kkt``'s ``KktReport`` of
+its dict-keyed record ``KktSolution``, and ``verify_kkt``'s ``KktReport`` of
 every KKT residual.  It applies the loop's rules one step at a time, written
 out (the library keeps them in ``local_qp._accepted`` and ``_moves``), and
 takes any compiled KKT solver through its ``qp`` protocol.  The library's two
@@ -17,10 +17,11 @@ from ``stacked_arrays``: one dense KKT factorization per working set, the
 stacked Hessian validated whole, dependent equality rows reduced to
 least-squares multipliers.  ``solve_centralized`` must agree with it.
 
-The per-agent references of a round: every agent's ``KktSolution`` from a
-fresh stream, their objective summed through ``AgentObjective.value``, their
-multipliers read through ``KktSolution.multiplier`` and the gradient formed
-coordinate by coordinate with ``consensus_gap``, as each agent forms its own.
+The per-agent references of a round: every agent's ``KktSolution`` from
+``solve_kkt`` on its ``AgentView`` from the empty working set, their
+objective summed through ``AgentObjective.value``, their multipliers read
+through ``KktSolution.multiplier`` and the gradient formed coordinate by
+coordinate with ``consensus_gap``, as each agent forms its own.
 
 The set-up's scalar loops, which the batched set-up must reproduce bit for
 bit: ``scalar_induce_topology`` (``stored_row`` per (agent, constraint) pair, a
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from couplesolve import (AgentObjective, CouplingConstraints, Graph, KktSolution, ProblemSpec,
-                         SlackLayout, build_weights, consensus_gap, induce_topology,
-                         max_violation, solve_centralized, validate_licq)
+from couplesolve import (AgentObjective, CouplingConstraints, Graph, ProblemSpec, SlackLayout,
+                         build_weights, consensus_gap, induce_topology, max_violation,
+                         solve_centralized, validate_licq)
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
 from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
@@ -57,9 +58,29 @@ from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _a
                                   _singular)
 from couplesolve.oracle import stacked_arrays
 from couplesolve.problem import AgentRankInfo, LicqReport, full_row_rank
-from couplesolve.simnet import SimnetTransport, neighbor_views
+from couplesolve.simnet import Exchange, Neighborhoods, SimnetTransport
 
 _DUAL_TOL = 1e-12  # KktReport.ok's bound on a negative inequality multiplier
+
+
+@dataclass(frozen=True)
+class KktSolution:
+    """One agent's optimizer with its multipliers, keyed by constraint index.
+
+    Inequality rows are keyed by their indices, equality rows likewise, and
+    ``active_set`` lists the working inequality rows ascending.
+    """
+
+    x: np.ndarray
+    ineq_multipliers: dict[int, float]
+    eq_multipliers: dict[int, float]
+    active_set: tuple[int, ...]
+
+    def multiplier(self, l: int, m_ineq: int) -> float:
+        """Multiplier addressed by combined constraint index."""
+        if l <= m_ineq:
+            return self.ineq_multipliers[l]
+        return self.eq_multipliers[l - m_ineq]
 
 
 @dataclass(frozen=True)
@@ -324,16 +345,13 @@ def dense_oracle(problem):
     return sol.x, objective.value(sol.x), mu, lam, sol.active_set
 
 
-def kkt_solutions_at(warm, offsets):
-    """``warm``'s stacked solve at ``offsets``, one KktSolution per agent."""
-    z = warm.solve_stacked(offsets)
-    return warm.batch.solutions(z, warm.work).kkt_solutions()
-
-
 def fresh_solutions(problem, topology, weights, values):
-    """Every agent's KktSolution at the slack allocation ``values``, from a fresh stream."""
-    warm = WarmStart(AgentBatch(problem, topology, weights))
-    return kkt_solutions_at(warm, warm.batch.offsets(values))
+    """Every agent's KktSolution at the slack allocation ``values``: ``solve_kkt`` on
+    its ``AgentView``, from the empty working set."""
+    batch = AgentBatch(problem, topology, weights)
+    offsets = batch.offsets(values)
+    views = [AgentView(batch, topology, a) for a in range(batch.n_agents)]
+    return [solve_kkt(view.subproblem(offsets[a]), (), view) for a, view in enumerate(views)]
 
 
 def total_objective(problem, solutions) -> float:
@@ -350,7 +368,7 @@ def stacked_multipliers(solutions, topology) -> np.ndarray:
 
 def consensus_gradient(solutions, topology, weights, layout) -> np.ndarray:
     """Coordinate (l, i): ``consensus_gap`` of agent i's view of the row-l multipliers."""
-    views = neighbor_views(topology, stacked_multipliers(solutions, topology))
+    views = Exchange(Neighborhoods(topology), stacked_multipliers(solutions, topology))
     grad = np.zeros(layout.size)
     for l in layout.constraints:
         for i in topology.participants_of(l):
@@ -537,7 +555,8 @@ def scalar_lipschitz_bound(problem, topology, weights, licq=None) -> float:
     for info, obj in zip(licq.agents, problem.objectives):
         if info.n_rows == 0:
             continue
-        lo, hi = obj.curvature_range()
+        eigs = np.linalg.eigvalsh(obj.hessian)
+        lo, hi = float(eigs[0]), float(eigs[-1])
         if lo <= 1e-12 * max(1.0, hi):
             raise ValidationError(
                 f"agent {info.agent}: Hessian not positive definite; "

@@ -306,8 +306,9 @@ def test_criterion_08_multiplier_consensus_on_the_filter_qp():
     result = cs.run(problem, topology, weights, cs.AdaConfig(0.02, 2000))
     active_err = result.trace.column("dual_cons_err_1")[1:]
     best_active = float(active_err.min())
+    stacked = result.output_stacked  # agent i's multipliers in constraints_of(i) order
     inactive_mults = [
-        abs(result.output_solutions[i - 1].multiplier(2, topology.m_ineq))
+        abs(stacked.z[i - 1, stacked.dim + topology.constraints_of(i).index(2)])
         for i in topology.participants_of(2)
     ]
     worst_inactive = max(inactive_mults)

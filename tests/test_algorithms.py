@@ -329,28 +329,22 @@ def test_default_box_bound_scales_with_offsets(toy):
     assert cs.default_box_bound(problem, topology, weights, oracle) == 10.0
 
 
-def test_kkt_solutions_are_built_only_when_the_output_is_read(toy, monkeypatch):
-    problem, topology, weights = toy
-    built = []
-
-    class Spy(local_qp.KktSolution):
-        def __init__(self, *args):
-            built.append(self)
-            super().__init__(*args)
-
-    monkeypatch.setattr(local_qp, "KktSolution", Spy)
-    for config in (cs.AdaConfig(0.25, 10), cs.PgdConfig(5.0, 2.0, 10)):
-        del built[:]
-        result = cs.run(problem, topology, weights, config)
-        assert not built  # every agent accepted: no fallback, no KktSolution
-        solutions = result.output_solutions
-        assert len(built) == problem.n_agents
-        assert result.output_solutions is solutions
-        reference = fresh_solutions(problem, topology, weights, result.output_slack.values)
-        for got, ref in zip(solutions, reference):
-            assert np.array_equal(got.x, ref.x)
-            assert (got.eq_multipliers, got.active_set) == (ref.eq_multipliers,
-                                                           ref.active_set)
+def test_output_stacked_is_the_fresh_reference_solve(toy):
+    # Agent i's row of z holds its x, then its multipliers in
+    # topology.constraints_of(i) order; work marks its working rows.
+    for (problem, topology, weights), gamma in ((toy, 0.25), (strongly_convex_instance(3), 0.01)):
+        for config in (cs.AdaConfig(gamma, 10), cs.PgdConfig(5.0, 2.0, 10)):
+            result = cs.run(problem, topology, weights, config)
+            stacked = result.output_stacked
+            reference = fresh_solutions(problem, topology, weights,
+                                        result.output_slack.values)
+            for a, ref in enumerate(reference):
+                ineq = topology.agent_ineq_sets[a]
+                mults = [*ref.ineq_multipliers.values(), *ref.eq_multipliers.values()]
+                assert np.array_equal(stacked.z[a, :stacked.dims[a]], ref.x)
+                assert stacked.z[a, stacked.dim:stacked.dim + len(mults)].tolist() == mults
+                assert tuple(ineq[p] for p in np.flatnonzero(stacked.work[a])) == (
+                    ref.active_set)
 
 
 def test_run_result_keeps_no_batch_alive(monkeypatch):
@@ -368,7 +362,7 @@ def test_run_result_keeps_no_batch_alive(monkeypatch):
         result = cs.run(problem, topology, weights, config)
         gc.collect()
         assert batches and all(ref() is None for ref in batches)
-        assert len(result.output_solutions) == problem.n_agents
+        assert result.output_stacked.z.shape[0] == problem.n_agents
 
 
 def _reachable(root) -> set:
@@ -384,21 +378,13 @@ def _reachable(root) -> set:
 
 
 def test_run_result_keeps_no_topology_index_tuple():
-    # A kept result stores its solutions' row indices and its slack layout
-    # as arrays; its KktSolutions still carry the topology's row sets, keyed
-    # by Python ints.
+    # A kept result stores its solutions and its slack layout as arrays.
     problem, topology, weights = strongly_convex_instance(3)
     sets = (topology.agent_ineq_sets, topology.agent_eq_sets, topology.participants)
     tuples = {id(t) for group in sets for t in (group, *group) if t}
     for config in (cs.AdaConfig(0.01, 5), cs.PgdConfig(10.0, 10.0, 5)):
         result = cs.run(problem, topology, weights, config)
         assert not _reachable(result) & tuples
-        for a, sol in enumerate(result.output_solutions):
-            keys = (*sol.ineq_multipliers, *sol.eq_multipliers, *sol.active_set)
-            assert tuple(sol.ineq_multipliers) == topology.agent_ineq_sets[a]
-            assert tuple(sol.eq_multipliers) == topology.agent_eq_sets[a]
-            assert set(sol.active_set) <= set(topology.agent_ineq_sets[a])
-            assert all(type(key) is int for key in keys)
 
 
 def test_seeded_first_round_needs_no_fallback(monkeypatch):

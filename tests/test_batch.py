@@ -11,12 +11,12 @@ import pytest
 
 import couplesolve as cs
 from couplesolve import cbf
-from couplesolve.local_qp import AgentBatch, WarmStart
+from couplesolve.local_qp import AgentBatch, WarmStart, _kkt_solve, _residual_ok
 from couplesolve.problem import aggregate_violation
-from couplesolve.simnet import neighbor_views
+from couplesolve.simnet import Exchange, Neighborhoods
 from bruteforce import brute_force_solve
-from reference import (AgentView, consensus_gradient, fresh_solutions, kkt_solutions_at,
-                       solve_kkt, stacked_multipliers, stored_row, total_objective)
+from reference import (AgentView, consensus_gradient, fresh_solutions, solve_kkt,
+                       stacked_multipliers, stored_row, total_objective)
 from gen import (benchmark_ring, failing_instance, mixed_dims_instance, reduced_space_instance,
                  strongly_convex_instance)
 
@@ -32,13 +32,24 @@ def _points(topology, seed, count=3):
     return layout, [rng.uniform(-2.0, 2.0, size=layout.size) for _ in range(count)]
 
 
-def _deviation(sol, x, mu, lam):
-    worst = float(np.abs(sol.x - x).max(initial=0.0))
-    for idx, val in mu.items():
-        worst = max(worst, abs(sol.ineq_multipliers[idx] - val))
-    for idx, val in lam.items():
-        worst = max(worst, abs(sol.eq_multipliers[idx] - val))
-    return worst
+def _padded(qp, x, mu, lam):
+    """A keyed solution as a padded z row: x, then the row multipliers in row order."""
+    dim, width, _ = qp.shape
+    z = np.zeros(dim + width)
+    z[:qp.objective.dim] = x
+    z[dim:dim + qp.n_rows] = ([mu[idx] for idx in qp.ineq_indices]
+                              + [lam[idx] for idx in qp.eq_indices])
+    return z
+
+
+def _row(qp, sol):
+    """A ``KktSolution`` as a padded z row."""
+    return _padded(qp, sol.x, sol.ineq_multipliers, sol.eq_multipliers)
+
+
+def _working(qp, sol):
+    """A ``KktSolution``'s working rows as positions into the agent's inequality rows."""
+    return tuple(qp.position[idx] for idx in sol.active_set)
 
 
 def _qps(topology, batch):
@@ -72,7 +83,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
     ran = {"correct": 0, "empty": 0, "wrong": 0}
     misled = 0  # agents whose wrong start differs from the correct one
     for flat in points:
-        views = neighbor_views(topology, flat)
+        views = Exchange(Neighborhoods(topology), flat)
         subs = [qp.subproblem(qp.offsets(view)) for qp, view in zip(qps, views)]
         cold = [loop(sub) for sub in subs]
         starts = [_starts(qp, sol.active_set) for qp, sol in zip(qps, cold)]
@@ -80,20 +91,22 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
         offsets = batch.offsets(views)
         for kind in ran:
             del fallbacks[:]
-            batched = kkt_solutions_at(WarmStart(batch, [s[kind] for s in starts]), offsets)
+            warm = WarmStart(batch, [s[kind] for s in starts])
+            batched = warm.solve_stacked(offsets)
             ran[kind] += len(fallbacks)
             if kind == "correct":
                 assert not fallbacks  # the acceptance pass takes every correct set
-            for a, (sub, ref, sol) in enumerate(zip(subs, cold, batched)):
+            for a, (sub, ref, z) in enumerate(zip(subs, cold, batched)):
                 qp = qps[a]
                 first = tuple(qp.ineq_indices[p] for p in starts[a][kind])
                 expected = brute_force_solve(sub)
                 assert expected is not None
-                for other in (sol, loop(sub, first), loop(sub, first, qp)):
-                    assert other.active_set == ref.active_set
-                    assert _deviation(other, ref.x, ref.ineq_multipliers,
-                                      ref.eq_multipliers) <= TOL
-                    assert _deviation(other, *expected) <= TOL
+                others = [loop(sub, first), loop(sub, first, qp)]
+                assert warm.working[a] == _working(qp, ref)
+                assert all(sol.active_set == ref.active_set for sol in others)
+                for other in (z, *(_row(qp, sol) for sol in others)):
+                    assert np.abs(other - _row(qp, ref)).max() <= TOL
+                    assert np.abs(other - _padded(qp, *expected)).max() <= TOL
     assert ran["wrong"] == misled  # each wrong start went through the loop
 
 
@@ -107,26 +120,14 @@ def test_answer_depends_only_on_the_final_working_set(make, seed):
     layout, points = _points(topology, seed)
     for flat in points:
         offsets = batch.offsets(flat)
-        cold = kkt_solutions_at(WarmStart(batch), offsets)
-        starts = [_starts(qp, sol.active_set) for qp, sol in zip(qps, cold)]
+        cold = WarmStart(batch)
+        z = cold.solve_stacked(offsets)
+        starts = [_starts(qp, [qp.ineq_indices[p] for p in working])
+                  for qp, working in zip(qps, cold.working)]
         for kind in ("correct", "wrong"):
-            again = kkt_solutions_at(WarmStart(batch, [s[kind] for s in starts]), offsets)
-            for a, b in zip(cold, again):
-                assert np.array_equal(a.x, b.x)
-                assert a.ineq_multipliers == b.ineq_multipliers
-                assert a.eq_multipliers == b.eq_multipliers
-                assert a.active_set == b.active_set
-
-
-def _padded(qp, sol):
-    """A KktSolution as a padded z row: x, then the row multipliers in row order."""
-    dim, width, _ = qp.shape
-    z = np.zeros(dim + width)
-    z[:qp.objective.dim] = sol.x
-    z[dim:dim + qp.n_rows] = (
-        [sol.ineq_multipliers[idx] for idx in qp.ineq_indices]
-        + [sol.eq_multipliers[idx] for idx in qp.eq_indices])
-    return z
+            again = WarmStart(batch, [s[kind] for s in starts])
+            assert np.array_equal(again.solve_stacked(offsets), z)
+            assert again.working == cold.working
 
 
 @pytest.mark.parametrize("make, seed", FAMILIES, ids=IDS)
@@ -145,7 +146,7 @@ def test_lockstep_rows_match_cold_solves(make, seed):
                                   np.full(len(offsets), cold[a]))
         for p, (got, sid) in enumerate(zip(z, ids)):
             sol = solve_kkt(qp.subproblem(offsets[p, a]), (), qp)
-            expected[p, a] = _padded(qp, sol)
+            expected[p, a] = _row(qp, sol)
             assert np.array_equal(got, expected[p, a])
             assert batch.sets.keys[sid] == (a, tuple(qp.position[i] for i in sol.active_set))
     pairs = [(p, a) for p in range(len(offsets)) for a in range(batch.n_agents)]
@@ -155,6 +156,34 @@ def test_lockstep_rows_match_cold_solves(make, seed):
                             cold[agents])
     for got, k in zip(z, order):
         assert np.array_equal(got, expected[pairs[k]])
+
+
+def test_residual_check_is_padding_free():
+    # One agent's KKT solution checked alone and zero-padded beside a wider
+    # agent, as in a batch: the same verdict and the same row residual bits.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        d = int(rng.integers(2, 10))
+        k = int(rng.integers(1, d + 1))
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        h = basis @ np.diag(rng.uniform(0.3, 3.0, size=d)) @ basis.T
+        c, rows, offsets = rng.normal(size=d), rng.normal(size=(k, d)), rng.normal(size=k)
+        x, mults = _kkt_solve(h, c, rows, -offsets)
+        ok, residual = _residual_ok(h, c, rows, np.ones(k, dtype=bool),
+                                    np.concatenate([x, mults]), offsets)
+        assert ok
+
+        dim, width = d + int(rng.integers(1, 7)), k + int(rng.integers(1, 4))
+        h_pad, c_pad = np.zeros((2, dim, dim)), np.zeros((2, dim))
+        rows_pad = np.zeros((2, width, dim))
+        h_pad[0, :d, :d], c_pad[0, :d], rows_pad[0, :k, :d] = h, c, rows
+        h_pad[1], c_pad[1], rows_pad[1] = (np.eye(dim), rng.normal(size=dim),
+                                           rng.normal(size=(width, dim)))
+        z, off, kkt = np.zeros((2, dim + width)), np.zeros((2, width)), np.zeros((2, width), bool)
+        z[0, :d], z[0, dim:dim + k], off[0, :k], kkt[0, :k] = x, mults, offsets, True
+        padded_ok, padded = _residual_ok(h_pad, c_pad, rows_pad, kkt, z, off)
+        assert padded_ok[0] == ok
+        assert padded[0, :k].tobytes() == residual.tobytes()
 
 
 def _failing_batch():
@@ -238,7 +267,7 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
     cons = problem.constraints
     width = batch.shape[1]
     for flat in points:
-        views = neighbor_views(topology, flat)
+        views = Exchange(Neighborhoods(topology), flat)
         mediated = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, flat)
         expected = np.zeros((problem.n_agents, width))
         for i in range(1, problem.n_agents + 1):
@@ -276,8 +305,8 @@ def _close(got, ref):
 def test_stacked_metrics_match_the_reference_functions(make, seed):
     # What rounds read from z against the per-agent functions the trace was
     # computed with before: the objective, the coupled rows, the dense
-    # (I - P) mu and the KktSolutions.  The coupled rows are bit for bit,
-    # blocks padded to 9 or not.
+    # (I - P) mu and every agent's reference solve, row by row of z with its
+    # working set.  The coupled rows are bit for bit, blocks padded to 9 or not.
     problem, topology, weights = make(seed)
     # Objective constants too, which the generators leave at 0.
     problem = cs.ProblemSpec(tuple(cs.AgentObjective(obj.hessian, obj.linear, 0.25 * i)
@@ -293,11 +322,9 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
         assert np.array_equal(batch.primal(z), primal)
         mults = stacked_multipliers(solutions, topology)
         assert np.array_equal(batch.multipliers(z), mults)
-        for got, ref in zip(batch.solutions(z, warm.work).kkt_solutions(), solutions):
-            assert np.array_equal(got.x, ref.x)
-            assert got.ineq_multipliers == ref.ineq_multipliers
-            assert got.eq_multipliers == ref.eq_multipliers
-            assert got.active_set == ref.active_set
+        for a, (qp, ref) in enumerate(zip(_qps(topology, batch), solutions)):
+            assert np.array_equal(z[a], _row(qp, ref))
+            assert np.flatnonzero(warm.work[a]).tolist() == list(_working(qp, ref))
 
         assert _close(batch.objective(z), total_objective(problem, solutions))
         for got, ref in zip(batch.residuals(z), aggregate_violation(problem, primal)):

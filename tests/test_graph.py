@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,12 +29,25 @@ def test_edge_out_of_range_rejected():
         cs.Graph.from_edges(2, [(1, 3)])
 
 
+@pytest.mark.parametrize("build, named", [
+    (lambda: cs.Graph(2.5, frozenset()), "n_agents must be an integer, got 2.5"),
+    (lambda: cs.Graph(0, frozenset()), "graph needs at least one agent, got 0"),
+    (lambda: cs.Graph.from_edges(3, [(1.5, 2)]), "edge endpoint must be an integer, got 1.5"),
+    (lambda: cs.Graph.from_edges(3, [(1, True)]), "edge endpoint must be an integer, got True"),
+    (lambda: cs.Graph(3, frozenset({(1, 2.0)})), "edge endpoint must be an integer, got 2.0"),
+], ids=["n_agents-float", "n_agents-zero", "edge-float", "edge-bool", "edge-float-direct"])
+def test_graph_numbers_must_be_integers_in_range(build, named):
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        build()
+    g = cs.Graph.from_edges(np.int64(3), [(np.int64(2), np.int32(1))])  # numpy integers pass
+    assert g.edges == {(1, 2)}
+    assert all(type(i) is int for edge in g.edges for i in edge)
+
+
 def test_neighborhood_includes_self():
     g = cs.Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
     assert g.neighborhood(2) == (1, 2, 3)
     assert g.neighborhood(1) == (1, 2)
-    assert g.degree(1) == 1
-    assert g.degree(2) == 2
 
 
 def test_induced_topology_on_shared_example(diamond):

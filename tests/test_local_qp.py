@@ -15,7 +15,8 @@ from couplesolve.exceptions import (
     InfeasibleProblemError,
     UnboundedSubproblemError,
 )
-from reference import LocalSubproblem, centralized_kkt, solve_kkt, solve_rows_cold, verify_kkt
+from reference import (KktSolution, LocalSubproblem, centralized_kkt, solve_kkt, solve_rows_cold,
+                       verify_kkt)
 
 SOLVERS = pytest.mark.parametrize("solve", [solve_kkt, solve_rows_cold, centralized_kkt],
                                   ids=["reference", "solve_rows", "centralized"])
@@ -133,8 +134,8 @@ def test_verify_kkt_accepts_solver_output(solve):
 def test_verify_kkt_flags_wrong_point():
     sub = _sub([[1.0]], [-2.0], ineq=[(1, [1.0], -1.0)])
     sol = solve_kkt(sub)
-    fake = cs.KktSolution(np.array([0.5]), sol.ineq_multipliers,
-                          sol.eq_multipliers, sol.active_set)
+    fake = KktSolution(np.array([0.5]), sol.ineq_multipliers,
+                       sol.eq_multipliers, sol.active_set)
     assert not verify_kkt(sub, fake).ok()
 
 

@@ -19,9 +19,7 @@ from gen import (benchmark_ring, doubled_equality_instance, failing_instance,
 def test_objective_value_and_curvature():
     obj = cs.AgentObjective(np.diag([2.0, 4.0]), np.array([1.0, 0.0]), 3.0)
     assert obj.value(np.array([1.0, 1.0])) == pytest.approx(3 + 1 + 3)
-    lo, hi = obj.curvature_range()
-    assert lo == pytest.approx(2.0)
-    assert hi == pytest.approx(4.0)
+    assert np.linalg.eigvalsh(obj.hessian) == pytest.approx([2.0, 4.0])
 
 
 def test_asymmetric_hessian_rejected():
@@ -135,6 +133,24 @@ def test_row_and_agent_numbers_must_be_integers(agent, index, named):
         cons.add_eq_row(agent, index, [1.0], 0.0)
     cons.add_ineq_row(np.int64(2), np.int64(2), [1.0], 0.0)  # numpy integers are integers
     assert list(cons.agent_rows(2)[0]) == [2]
+
+
+@pytest.mark.parametrize("args, named", [
+    ((2, 1.5, 0), "m_ineq must be an integer, got 1.5"),
+    ((2, 0, np.float64(1.0)), "q_eq must be an integer, got np.float64(1.0)"),
+    ((2.0, 1, 0), "n_agents must be an integer, got 2.0"),
+    ((2, True, 0), "m_ineq must be an integer, got True"),
+    ((-1, 1, 0), "n_agents must be positive, got -1"),
+    ((0, 1, 0), "n_agents must be positive, got 0"),
+    ((2, 0, -2), "q_eq must be non-negative, got -2"),
+], ids=["m_ineq-float", "q_eq-numpy-float", "n_agents-float", "m_ineq-bool",
+        "n_agents-negative", "n_agents-zero", "q_eq-negative"])
+def test_constraint_counts_must_be_integers_in_range(args, named):
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        cs.CouplingConstraints(*args)
+    cons = cs.CouplingConstraints(np.int64(2), np.int32(1), np.int64(0))  # numpy integers pass
+    cons.add_ineq_row(2, 1, [1.0], 0.0)
+    assert list(cons.agent_rows(2)[0]) == [1]
 
 
 def test_row_index_range_checked():

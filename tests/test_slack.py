@@ -4,7 +4,6 @@ import pytest
 import couplesolve as cs
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.local_qp import AgentBatch, WarmStart
-from couplesolve.simnet import neighbor_views
 from gen import reduced_space_instance, scaled_problem, strongly_convex_instance
 from reference import AgentView, consensus_gradient, fresh_solutions, total_objective
 
@@ -55,20 +54,19 @@ def test_state_accessors(toy):
 
 
 def _stacked(toy, values):
-    """A fresh stream's stacked solve at one allocation: (batch, z, KktSolutions)."""
+    """A fresh stream's stacked solve at one allocation: (batch, z)."""
     warm = WarmStart(AgentBatch(*toy))
-    z = warm.solve_stacked(warm.batch.offsets(np.asarray(values, dtype=float)))
-    return warm.batch, z, warm.batch.solutions(z, warm.work).kkt_solutions()
+    return warm.batch, warm.solve_stacked(warm.batch.offsets(np.asarray(values, dtype=float)))
 
 
 def test_stacked_solve_known_point(toy):
-    problem = toy[0]
-    batch, z, sols = _stacked(toy, [2.0, 0.0])
+    problem, topology, weights = toy
+    batch, z = _stacked(toy, [2.0, 0.0])
+    sols = fresh_solutions(problem, topology, weights, np.array([2.0, 0.0]))
     # agent 1 absorbs the slack surplus, agent 2 covers the rest
-    assert sols[0].x == pytest.approx([0.0])
-    assert sols[1].x == pytest.approx([2.0])
-    assert sols[0].eq_multipliers[1] == pytest.approx(0.0)
-    assert sols[1].eq_multipliers[1] == pytest.approx(-2.0)
+    assert z[:, 0] == pytest.approx([0.0, 2.0])  # each agent's one coordinate
+    assert z[:, 1] == pytest.approx([0.0, -2.0])  # and its one equality row's multiplier
+    assert [sol.eq_multipliers[1] for sol in sols] == pytest.approx([0.0, -2.0])
     assert total_objective(problem, sols) == pytest.approx(2.0)
     assert batch.objective(z) == pytest.approx(2.0)
     assert batch.primal(z) == pytest.approx([0.0, 2.0])
@@ -76,7 +74,8 @@ def test_stacked_solve_known_point(toy):
 
 def test_stacked_gradient_known_point(toy):
     problem, topology, weights = toy
-    batch, z, sols = _stacked(toy, [2.0, 0.0])
+    batch, z = _stacked(toy, [2.0, 0.0])
+    sols = fresh_solutions(problem, topology, weights, np.array([2.0, 0.0]))
     assert batch.gradient(batch.multipliers(z)) == pytest.approx([1.0, -1.0])
     assert consensus_gradient(sols, topology, weights, _layout(toy)) == (
         pytest.approx([1.0, -1.0]))
@@ -180,7 +179,7 @@ def test_finite_difference_rejects_dependent_rows_before_any_solve(dependent_row
 
 def test_neighbor_views_cover_neighborhoods(toy):
     problem, topology, weights = toy
-    views = neighbor_views(topology, np.array([2.0, 0.0]))
+    views = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, np.array([2.0, 0.0]))
     assert views[0] == {(1, 1): 2.0, (1, 2): 0.0}
     assert views[1] == {(1, 1): 2.0, (1, 2): 0.0}
 
@@ -190,7 +189,7 @@ def test_gradient_matches_objective_slope(toy):
     # order along a coordinate direction
     problem, topology, weights = toy
     y = np.array([0.5, -0.25])
-    batch, z, _ = _stacked(toy, y)
+    batch, z = _stacked(toy, y)
     grad = batch.gradient(batch.multipliers(z))
     h = 1e-6
     for k in range(2):

@@ -4,6 +4,10 @@ from pathlib import Path
 
 import numpy as np
 
+import couplesolve as cs
+from gen import strongly_convex_instance
+from reference import fresh_solutions
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
 
 
@@ -39,3 +43,20 @@ def test_drift_of_equal_infinite_cells_is_zero_without_warnings():
         warnings.simplefilter("error")
         assert drift([np.inf, 1.0], [np.inf, 1.0]) == (0.0, 0.0)
         assert drift([np.inf, 1.0], [np.inf, 1.5]) == (0.5, 0.5 / 1.5)
+
+
+def test_solution_cells_are_the_keyed_reference_solve():
+    # The digest's solutions group, read off output_stacked with the case's
+    # topology: every agent's x, its multipliers by row index and its active
+    # rows, as the keyed reference solve gives them at the output allocation.
+    problem, topology, weights = strongly_convex_instance(3)
+    result = cs.run(problem, topology, weights, cs.AdaConfig(0.01, 10))
+    reference = fresh_solutions(problem, topology, weights, result.output_slack.values)
+    expected = np.concatenate([
+        np.concatenate([s.x, [s.ineq_multipliers[k] for k in sorted(s.ineq_multipliers)],
+                        [s.eq_multipliers[k] for k in sorted(s.eq_multipliers)],
+                        s.active_set])
+        for s in reference])
+    assert any(s.active_set for s in reference)
+    got = _tool().solution_cells(result.output_stacked, topology)
+    assert got.tobytes() == expected.tobytes()

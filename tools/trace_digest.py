@@ -17,7 +17,8 @@ With ``--compare OLD_SRC`` the cases run once per source tree, each in a
 fresh process, and every line gives a case's largest absolute and relative
 difference (new against old) in its trace cells, its primal output (the
 applied inputs for the closed loop), its output solutions (every agent's x,
-multipliers and active rows), its finite-difference gradient and its
+multipliers and active rows, read off ``RunResult.output_stacked`` with the
+case's topology), its finite-difference gradient and its
 centralized oracle solution (x, value and both multiplier vectors) and its
 set-up (see below; ``-`` where a case has none); a case run by one tree only prints ``only in old``
 or ``only in new``, and a summary line closes the output.  The exit status is
@@ -99,12 +100,26 @@ def digest(*values) -> str:
     return h.hexdigest()
 
 
-def run_parts(result) -> tuple:
-    solutions = [(s.x, s.ineq_multipliers, s.eq_multipliers, s.active_set)
-                 for s in result.output_solutions]
+def keyed_solutions(stacked, topology) -> list[tuple]:
+    """Every agent's (x, {inequality row: multiplier}, {equality row: multiplier},
+    working inequality rows), read off a run's ``output_stacked``.
+
+    Agent i's multiplier columns follow ``topology.constraints_of(i)``.
+    """
+    out = []
+    for z, mults, work, d, ineq, eq in zip(stacked.z, stacked.z[:, stacked.dim:].tolist(),
+                                           stacked.work, stacked.dims,
+                                           topology.agent_ineq_sets, topology.agent_eq_sets):
+        k_i = len(ineq)
+        out.append((z[:d], dict(zip(ineq, mults[:k_i])), dict(zip(eq, mults[k_i:])),
+                    tuple(ineq[pos] for pos in np.flatnonzero(work))))
+    return out
+
+
+def run_parts(result, topology) -> tuple:
     return (result.trace.records, result.final_state, result.output_slack.values,
-            result.output_primal, solutions, result.converged, result.box_active,
-            result.messages)
+            result.output_primal, keyed_solutions(result.output_stacked, topology),
+            result.converged, result.box_active, result.messages)
 
 
 def trace_cells(records) -> np.ndarray:
@@ -113,13 +128,12 @@ def trace_cells(records) -> np.ndarray:
                       *r.dual_cons_err] for r in records], dtype=float)
 
 
-def solution_cells(solutions) -> np.ndarray:
+def solution_cells(stacked, topology) -> np.ndarray:
     """Every agent's x, multipliers (by row index) and active rows, in one vector."""
     return np.concatenate([
-        np.concatenate([s.x, [s.ineq_multipliers[k] for k in sorted(s.ineq_multipliers)],
-                        [s.eq_multipliers[k] for k in sorted(s.eq_multipliers)],
-                        s.active_set])
-        for s in solutions])
+        np.concatenate([x, [ineq[k] for k in sorted(ineq)], [eq[k] for k in sorted(eq)],
+                        active])
+        for x, ineq, eq, active in keyed_solutions(stacked, topology)])
 
 
 def oracle_cells(oracle) -> np.ndarray:
@@ -157,10 +171,10 @@ def cases(cs, gen, instances):
         gamma = 1.0 / (2.0 * setup[-1])
         result = cs.run(problem, topology, weights, cs.AdaConfig(gamma, 30), oracle=oracle,
                         transport="simnet")
-        yield (f"sc{seed}-ada-simnet", (*run_parts(result), setup),
+        yield (f"sc{seed}-ada-simnet", (*run_parts(result, topology), setup),
                {"trace": trace_cells(result.trace.records),
                 "primal": result.output_primal,
-                "solutions": solution_cells(result.output_solutions),
+                "solutions": solution_cells(result.output_stacked, topology),
                 "oracle": oracle_cells(oracle), "setup": setup_cells(setup)})
 
     for seed in range(12):
@@ -175,10 +189,11 @@ def cases(cs, gen, instances):
             fd = cs.finite_difference_gradient(result.output_slack, problem,
                                                topology, weights)
             yield (f"rs{seed}-pgd{label}",
-                   (box, grad_bound, digest(*run_parts(result)), fd),
+                   (box, grad_bound, digest(*run_parts(result, topology)), fd),
                    {"trace": trace_cells(result.trace.records),
                     "primal": result.output_primal,
-                    "solutions": solution_cells(result.output_solutions), "fd": fd[0],
+                    "solutions": solution_cells(result.output_stacked, topology),
+                    "fd": fd[0],
                     "oracle": oracle_cells(oracle)})
 
     oracle = cs.solve_centralized(gen.doubled_equality_instance(0)[0])
@@ -190,9 +205,9 @@ def cases(cs, gen, instances):
     weights = cs.build_weights(topology)
     setup = setup_parts(cs, ring, topology, weights)
     result = cs.run(ring, topology, weights, cs.AdaConfig(1.0 / (2.0 * setup[-1]), 4))
-    yield ("ring400-prefix", (*run_parts(result), setup),
+    yield ("ring400-prefix", (*run_parts(result, topology), setup),
            {"trace": trace_cells(result.trace.records), "primal": result.output_primal,
-            "solutions": solution_cells(result.output_solutions),
+            "solutions": solution_cells(result.output_stacked, topology),
             "oracle": oracle_cells(cs.solve_centralized(ring)), "setup": setup_cells(setup)})
 
     for label, overrides in (("cold", {}), ("warm", {"warm_start": True}),
