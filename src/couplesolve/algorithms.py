@@ -244,11 +244,13 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     """Run one algorithm to its round budget (or early gradient-norm stop).
 
     ``transport`` is a SimnetTransport over ``topology``, or "simnet" or
-    "direct": both name a new strict one.  ``oracle`` (a centralized solution) enables the
-    objective-error trace column.  The trace carries one row per iterate,
-    row 0 being the start.  Raises RankDeficiencyError, before any exchange,
-    when an agent's stacked constraint rows are linearly dependent.  ``ada``
-    always checks gamma against 1 / (2 ``lipschitz_bound``) and warns above it.
+    "direct": both name a new strict one.  ``oracle`` (a centralized
+    solution) enables the objective-error trace column.  The trace carries
+    one row per iterate, row 0 being the start.  Before any solve or
+    exchange, raises ValidationError unless ``initial_slack`` is finite and
+    in the topology's slack layout, and RankDeficiencyError when an agent's
+    stacked constraint rows are linearly dependent.  ``ada`` always checks
+    gamma against 1 / (2 ``lipschitz_bound``) and warns above it.
     """
     layout = SlackLayout.from_topology(topology)
     if isinstance(transport, str) and transport in ("simnet", "direct"):
@@ -259,6 +261,14 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     elif transport.topology is not topology and transport.topology != topology:
         raise ValidationError("transport was built over another topology than the "
                               "one the run solves on")
+    if initial_slack is None:
+        start = np.zeros(layout.size)
+    else:
+        given, start = initial_slack.layout, np.array(initial_slack.values, dtype=float)
+        if not (np.array_equal(given.members, layout.members)
+                and np.array_equal(given.starts, layout.starts)
+                and start.shape == (layout.size,) and np.isfinite(start).all()):
+            raise ValidationError("initial_slack must be finite, in the topology's slack layout")
 
     # Rounds and monitoring keep separate warm starts over one compiled batch,
     # whose stacked rows also give the rank report.
@@ -268,10 +278,6 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     if is_ada:
         _warn_on_gamma(problem, topology, weights, config, licq)
 
-    if initial_slack is None:
-        start = np.zeros(layout.size)
-    else:
-        start = np.asarray(initial_slack.values, dtype=float).copy()
     if not is_ada:
         start = np.clip(start, -config.box_bound, config.box_bound)
 

@@ -380,7 +380,7 @@ class AgentBatch:
         self.n_agents = n
         self.hessian = np.zeros((n, dim, dim))
         self.linear = np.zeros((n, dim))
-        self.constant = np.array([obj.constant for obj in problem.objectives], dtype=float)
+        self.constant = np.zeros(n)
         self.rows = np.zeros((n, width, dim))
         self.base = np.zeros((n, width))
         self.by_shape = []  # the rank check's: agents by (rows, block dimension)
@@ -388,6 +388,7 @@ class AgentBatch:
             agents, (_, k, d) = b.agents, b.rows.shape
             self.hessian[agents, :d, :d] = b.hessian
             self.linear[agents, :d] = b.linear
+            self.constant[agents] = b.constant
             self.rows[agents, :k, :d] = b.rows
             self.base[agents, :k] = b.offsets
             if k:

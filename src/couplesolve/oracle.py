@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .exceptions import (DegenerateSubproblemError, DimensionMismatchError,
@@ -66,21 +65,17 @@ class OracleSolution:
 
 
 def stacked_arrays(problem: ProblemSpec):
-    """(H, c, constant, A, B, E, G) of the stacked program."""
-    objectives, m = problem.objectives, problem.constraints.m_ineq
-    h = block_diag(*(obj.hessian for obj in objectives))
-    c = np.concatenate([obj.linear for obj in objectives])
-    size = m + problem.constraints.q_eq
-    rows, offsets = np.zeros((size, len(c))), np.zeros(size)
-    stacked = [None] * problem.n_agents  # each agent's (positions, rows, offsets)
-    for blk in problem.blocks:
-        for a, *agent in zip(blk.agents.tolist(), blk.index, blk.rows, blk.offsets):
-            stacked[a] = agent
-    for sl, (index, coeffs, shares) in zip(problem.block_slices(), stacked):
-        rows[index, sl] = coeffs
-        offsets[index] += shares  # agents ascending: each row's sum in agent order
-    return (h, c, sum(obj.constant for obj in objectives),
-            rows[:m], offsets[:m], rows[m:], offsets[m:])
+    """(H, c, constant, A, B, E, G) of the stacked program, scattered from
+    ``problem.blocks``: the offsets B and G are the residuals at x = 0."""
+    cons, n = problem.constraints, sum(problem.dims)
+    h, c, rows = np.zeros((n, n)), np.zeros(n), np.zeros((cons.m_ineq + cons.q_eq, n))
+    for b in problem.blocks:
+        h[b.columns[:, :, None], b.columns[:, None, :]] = b.hessian
+        c[b.columns] = b.linear
+        rows[b.index[:, :, None], b.columns[:, None, :]] = b.rows
+    ineq, eq = aggregate_violation(problem, np.zeros(n))
+    return (h, c, sum(obj.constant for obj in problem.objectives),
+            rows[:cons.m_ineq], ineq, rows[cons.m_ineq:], eq)
 
 
 def _dense_kkt(h, c, rows, offsets, n_ineq, working):
@@ -148,18 +143,16 @@ def _certificate(problem: ProblemSpec, x, nu):
     give x and nu times s, and scale each residual with its size.
     """
     m = problem.constraints.m_ineq
-    starts = np.cumsum([0, *problem.dims[:-1]])
-    value = sum(obj.constant for obj in problem.objectives)
+    value = sum(obj.constant for obj in problem.objectives)  # in agent order
     stationarity = gradient_size = row_size = 0.0
     for b in problem.blocks:
-        hessian, linear = b.hessian, b.linear
-        xb = x[starts[b.agents][:, None] + np.arange(linear.shape[1])]
-        hx = (hessian @ xb[..., None])[..., 0]
-        value += float(np.sum(0.5 * (xb * hx).sum(1) + (linear * xb).sum(1)))
+        xb = x[b.columns]
+        hx = (b.hessian @ xb[..., None])[..., 0]
+        value += float(np.sum(0.5 * (xb * hx).sum(1) + (b.linear * xb).sum(1)))
         pull = (nu[b.index][:, None, :] @ b.rows)[:, 0]
-        stationarity = max(stationarity, np.abs(hx + linear + pull).max(initial=0.0))
+        stationarity = max(stationarity, np.abs(hx + b.linear + pull).max(initial=0.0))
         gradient_size = max(gradient_size, *(np.abs(t).max(initial=0.0)
-                                             for t in (hx, linear, pull)))
+                                             for t in (hx, b.linear, pull)))
         row_size = max(row_size, np.abs(row_shares(b.rows, 0.0, xb)).max(initial=0.0),
                        np.abs(b.offsets).max(initial=0.0))
     mu, (residual, eq_residual) = nu[:m], aggregate_violation(problem, x)
@@ -239,12 +232,9 @@ class _ConstraintSpace:
         nu = np.zeros(size)
         nu[m:] = mults[:size - m]
         nu[list(working)] = mults[size - m:]
-        dims = self.problem.dims
-        starts = np.cumsum([0, *dims[:-1]])
-        x = np.zeros(sum(dims))
+        x = np.zeros(sum(self.problem.dims))
         for b, y, x0 in self.groups:  # x_i = x0_i - H_i^-1 R_i' nu_i
-            xb = x0 - (y @ nu[b.index][..., None])[..., 0]
-            x[starts[b.agents][:, None] + np.arange(xb.shape[1])] = xb
+            x[b.columns] = x0 - (y @ nu[b.index][..., None])[..., 0]
         value, worst, scale = _certificate(self.problem, x, nu)
         if not _certified(worst, scale):
             return None
@@ -356,16 +346,14 @@ def duality_gap(problem: ProblemSpec, x: np.ndarray,
     nu = np.concatenate([mu, lam])
     lagrangian = [None] * problem.n_agents  # each agent's (linear, constant) terms
     for b in problem.blocks:  # the multiplier terms added up over ascending rows
-        linear = b.linear
-        constant = np.array([obj.constant for obj in b.objectives])
+        linear, constant = b.linear, b.constant
         for weight, coeffs, offsets in zip(nu[b.index].T, b.rows.transpose(1, 0, 2),
                                            b.offsets.T):
             linear = linear + weight[:, None] * coeffs
             constant = constant + weight * offsets
         for a, *terms in zip(b.agents.tolist(), linear, constant.tolist()):
             lagrangian[a] = terms
-    f_val = 0.0
-    dual = 0.0
+    f_val = dual = 0.0
     for obj, xi, (c_eff, const_eff) in zip(problem.objectives, problem.split(x), lagrangian):
         f_val += obj.value(xi)
         xh, *_ = np.linalg.lstsq(obj.hessian, -c_eff, rcond=None)

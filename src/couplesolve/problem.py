@@ -6,28 +6,30 @@ The problem solved throughout the package is
     subject to sum_i (A_i x_i + b_i) <= 0      (m_ineq rows)
                sum_i (E_i x_i + g_i)  = 0      (q_eq rows),
 
-with each agent i owning its block x_i.  Constraint rows are stored sparsely
-per agent: an agent holds a row only if it participates in it (nonzero
-coefficients or a nonzero offset share), as a copy the problem owns.
-Inequality rows are indexed 1..m_ineq, equality rows 1..q_eq; a single
-"constraint index" l in 1..m_ineq+q_eq addresses inequalities first.
-``ProblemSpec.blocks`` stacks the stored rows once, when the problem is
-built, per (block dimension, row count), and every other reader reads them;
-every residual is ``row_shares`` summed in ascending agent order.
+with each agent i owning its block x_i and the problem owning a copy of each
+cost.  Constraint rows are stored sparsely per agent: an agent holds a row
+only if it participates in it (nonzero coefficients or a nonzero offset
+share), as a copy the problem owns.  Inequality rows are indexed 1..m_ineq,
+equality rows 1..q_eq; a single "constraint index" l in 1..m_ineq+q_eq
+addresses inequalities first.  ``ProblemSpec.blocks`` stacks the costs and
+stored rows once, when the problem is built, per (block dimension, row
+count), and every other reader reads them; every residual is
+``row_shares`` summed in ascending agent order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from functools import cached_property
+from itertools import accumulate, chain
+from functools import cached_property, partial
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError, RankDeficiencyError, ValidationError
 
 _RANK_TOL = 1e-9  # the rank rule's relative singular-value floor (full_row_rank)
+_float_copy = partial(np.array, dtype=float)
 
 
 def _integer(value) -> bool:
@@ -35,12 +37,23 @@ def _integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _numeric(value, cast, name: str):
+    """``cast(value)`` (no boolean), or a ValidationError naming the objective field."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(name)
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"objective {name} must be numeric, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class AgentObjective:
     """One agent's quadratic cost 1/2 x'Hx + c'x + constant (H symmetric PSD).
 
-    Symmetric to 1e-12 and positive semidefinite to -1e-10, each relative to
-    max(1, the Hessian's size): its largest entry, its largest eigenvalue.
+    Holds float copies of its inputs.  Symmetric to 1e-12 and positive
+    semidefinite to -1e-10, each relative to max(1, the Hessian's size): its
+    largest entry, its largest eigenvalue.
     """
 
     hessian: np.ndarray
@@ -48,8 +61,9 @@ class AgentObjective:
     constant: float = 0.0
 
     def __post_init__(self):
-        h = np.asarray(self.hessian, dtype=float)
-        c = np.asarray(self.linear, dtype=float)
+        h = _numeric(self.hessian, _float_copy, "hessian")  # the problem's own copies
+        c = _numeric(self.linear, _float_copy, "linear")
+        constant = _numeric(self.constant, float, "constant")
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"hessian must be square, got {h.shape}")
         if c.shape != (h.shape[0],):
@@ -58,7 +72,7 @@ class AgentObjective:
             )
         for name, finite in (("hessian", np.isfinite(h).all()),
                              ("linear", np.isfinite(c).all()),
-                             ("constant", math.isfinite(self.constant))):
+                             ("constant", math.isfinite(constant))):
             if not finite:
                 raise ValidationError(f"objective {name} must be finite")
         # x > t * max(1, size) is x > t and x > t * size: the size is read
@@ -66,8 +80,8 @@ class AgentObjective:
         asymmetry = np.abs(h - h.T).max(initial=0.0)
         if asymmetry > 1e-12 and asymmetry > 1e-12 * np.abs(h).max():
             raise ValidationError("hessian must be symmetric")
-        object.__setattr__(self, "hessian", h)
-        object.__setattr__(self, "linear", c)
+        for name, value in (("hessian", h), ("linear", c), ("constant", constant)):
+            object.__setattr__(self, name, value)
         eigs = np.linalg.eigvalsh(h)  # ascending
         lowest = eigs.min()
         if lowest < -1e-10 and lowest < -1e-10 * eigs[-1]:
@@ -138,27 +152,22 @@ class CouplingConstraints:
 
 @dataclass(frozen=True)
 class AgentBlock:
-    """The agents with one (block dimension d, row count k), their rows stacked.
+    """The agents with one (block dimension d, row count k), their costs and rows stacked.
 
-    ``rows[a]`` and ``offsets[a]`` are agent ``agents[a]``'s rows
-    (inequalities, then equalities, each ascending), and ``index[a, r]`` is
-    row r's position among the m + q stacked rows.  ``hessian`` and
-    ``linear`` stack the agents' costs on each read.
+    Agent ``agents[a]`` has its block at ``columns[a]`` in the stacked primal
+    vector, its cost in ``hessian[a]``, ``linear[a]`` and ``constant[a]``,
+    and its rows in ``rows[a]`` and ``offsets[a]`` (inequalities, then
+    equalities, each ascending), row r at ``index[a, r]`` among the m + q.
     """
 
-    agents: np.ndarray   # (g,), 0-based, ascending
-    index: np.ndarray    # (g, k)
-    rows: np.ndarray     # (g, k, d)
-    offsets: np.ndarray  # (g, k)
-    objectives: tuple[AgentObjective, ...]
-
-    @property
-    def hessian(self) -> np.ndarray:  # (g, d, d)
-        return np.array([obj.hessian for obj in self.objectives])
-
-    @property
-    def linear(self) -> np.ndarray:  # (g, d)
-        return np.array([obj.linear for obj in self.objectives])
+    agents: np.ndarray    # (g,), 0-based, ascending
+    columns: np.ndarray   # (g, d)
+    index: np.ndarray     # (g, k)
+    rows: np.ndarray      # (g, k, d)
+    offsets: np.ndarray   # (g, k)
+    hessian: np.ndarray   # (g, d, d)
+    linear: np.ndarray    # (g, d)
+    constant: np.ndarray  # (g,)
 
 
 @dataclass(frozen=True)
@@ -166,9 +175,9 @@ class ProblemSpec:
     """Objectives, coupling constraints and the communication graph.
 
     The rows are read when the problem is built, by one walk that checks
-    each row's shape and stacks each agent into ``blocks``: one
-    ``AgentBlock`` per (block dimension, row count), in first-agent order.
-    A row added later is not seen.
+    each row's shape and stacks each agent's rows and cost into ``blocks``:
+    one ``AgentBlock`` per (block dimension, row count), in first-agent
+    order.  A row added later is not seen.
     """
 
     objectives: tuple[AgentObjective, ...]
@@ -198,12 +207,15 @@ class ProblemSpec:
             agents.append(a)
             objectives.append(obj)
             rows += stacked
+        starts = np.fromiter(accumulate(self.dims, initial=0), dtype=int)
         object.__setattr__(self, "blocks", tuple(
-            AgentBlock(np.array(agents),
+            AgentBlock(np.array(agents), starts[agents][:, None] + np.arange(d),
                        np.array([l for l, _, _ in rows], dtype=int).reshape(len(agents), k),
                        np.array([c for _, c, _ in rows], dtype=float).reshape(len(agents), k, d),
                        np.array([b for _, _, b in rows], dtype=float).reshape(len(agents), k),
-                       tuple(objectives))
+                       np.array([obj.hessian for obj in objectives]),
+                       np.array([obj.linear for obj in objectives]),
+                       np.array([obj.constant for obj in objectives]))
             for (d, k), (agents, objectives, rows) in members.items()))
 
     @property
@@ -217,11 +229,8 @@ class ProblemSpec:
 
     def block_slices(self) -> tuple[slice, ...]:
         """Slices of each agent's block inside the stacked primal vector."""
-        out, start = [], 0
-        for d in self.dims:
-            out.append(slice(start, start + d))
-            start += d
-        return tuple(out)
+        starts = list(accumulate(self.dims, initial=0))
+        return tuple(map(slice, starts, starts[1:]))
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         return [x[s] for s in self.block_slices()]
@@ -255,14 +264,11 @@ def agent_shares(problem: ProblemSpec, x: np.ndarray):
     each agent's rows ascending: the row's position among the m + q rows
     (inequalities first) and its ``row_shares`` share, from ``problem.blocks``.
     """
-    starts = np.cumsum([0, *problem.dims[:-1]])
     agents, rows, shares = [], [], []
     for b in problem.blocks:
-        _, k, d = b.rows.shape
-        xb = x[starts[b.agents][:, None] + np.arange(d)]
-        agents.append(np.repeat(b.agents, k))
+        agents.append(np.repeat(b.agents, b.rows.shape[1]))
         rows.append(b.index.ravel())
-        shares.append(row_shares(b.rows, b.offsets, xb).ravel())
+        shares.append(row_shares(b.rows, b.offsets, x[b.columns]).ravel())
     order = np.argsort(np.concatenate(agents), kind="stable")
     return np.concatenate(rows)[order], np.concatenate(shares)[order]
 
@@ -384,8 +390,8 @@ def _operator_norms(topology, weights) -> tuple[np.ndarray, np.ndarray]:
     norms = np.zeros(topology.n_constraints)
     for k, pos in _groups(sizes):
         if k:
-            entries = np.array([weights[l].entries for l in (pos + 1).tolist()])
-            norms[pos] = np.abs(np.linalg.eigvalsh(np.eye(k) - entries)).max(axis=1)
+            gaps = np.array([weights[l].gap for l in (pos + 1).tolist()])
+            norms[pos] = np.abs(np.linalg.eigvalsh(gaps)).max(axis=1)
     return norms, sizes
 
 
@@ -417,8 +423,8 @@ def lipschitz_bound(problem: ProblemSpec, topology, weights,
 
     Requires every agent strongly convex (positive-definite Hessians) and
     full-row-rank stacked constraint rows.  Computed on stacked factors:
-    ``operator_norms``, one batched ``eigvalsh`` per block dimension over
-    the Hessians of the agents with rows, and one vectorized max for every
+    ``operator_norms``, one batched ``eigvalsh`` per block of
+    ``problem.blocks`` with rows, and one vectorized max for every
     agent's reach; the first agent (in order) whose Hessian is not positive
     definite is the one named.
     """
@@ -427,26 +433,24 @@ def lipschitz_bound(problem: ProblemSpec, topology, weights,
     licq.require_full_rank()
     norms, sizes = _operator_norms(topology, weights)
 
-    coupled = np.flatnonzero([info.n_rows for info in licq.agents])
-    per_agent = 0.0
-    if coupled.size:
-        lo, hi = np.zeros(coupled.size), np.zeros(coupled.size)
-        for _, pos in _groups(np.array(problem.dims)[coupled]):
-            eigs = np.linalg.eigvalsh(np.array([problem.objectives[a].hessian
-                                                for a in coupled[pos].tolist()]))
-            lo[pos], hi[pos] = eigs[:, 0], eigs[:, -1]
-        flat = lo <= 1e-12 * np.maximum(1.0, hi)
-        if flat.any():
-            raise ValidationError(
-                f"agent {licq.agents[coupled[np.argmax(flat)]].agent}: Hessian not "
-                "positive definite; the gradient Lipschitz bound needs strong convexity"
-            )
-        # Reach: the largest norm over the constraints an agent takes part in.
-        reach = np.zeros(len(licq.agents))
-        members = np.fromiter(chain.from_iterable(topology.participants), dtype=int)
-        np.maximum.at(reach, members - 1, np.repeat(norms, sizes))
-        gram = np.array([licq.agents[a].gram_min for a in coupled.tolist()])
-        per_agent = float((reach[coupled] * np.sqrt(hi / gram)).max(initial=0.0))
+    n = problem.n_agents
+    lo, hi, coupled = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    for b in problem.blocks:
+        if b.rows.shape[1]:
+            eigs = np.linalg.eigvalsh(b.hessian)
+            lo[b.agents], hi[b.agents], coupled[b.agents] = eigs[:, 0], eigs[:, -1], True
+    flat = coupled & (lo <= 1e-12 * np.maximum(1.0, hi))
+    if flat.any():
+        raise ValidationError(
+            f"agent {np.argmax(flat) + 1}: Hessian not positive definite; the "
+            "gradient Lipschitz bound needs strong convexity"
+        )
+    # Reach: the largest norm over the constraints an agent takes part in.
+    reach = np.zeros(n)
+    members = np.fromiter(chain.from_iterable(topology.participants), dtype=int)
+    np.maximum.at(reach, members - 1, np.repeat(norms, sizes))
+    gram = np.array([info.gram_min for info in licq.agents])
+    per_agent = float((reach[coupled] * np.sqrt(hi[coupled] / gram[coupled])).max(initial=0.0))
 
     network = float((norms * np.sqrt(sizes)).max(initial=0.0))
     return per_agent * network * math.sqrt(topology.n_constraints)

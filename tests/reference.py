@@ -16,6 +16,10 @@ loops run on the same subproblem through ``solve_rows_cold`` (a one-agent
 from ``stacked_arrays``: one dense KKT factorization per working set, the
 stacked Hessian validated whole, dependent equality rows reduced to
 least-squares multipliers.  ``solve_centralized`` must agree with it.
+``scalar_stacked_arrays`` builds the same stacked program agent by agent:
+``block_diag`` over the objectives, each agent's stored rows scattered into
+its columns, and the offsets summed agent by agent; ``stacked_arrays``, which
+scatters ``ProblemSpec.blocks``, must reproduce it bit for bit.
 
 The per-agent references of a round: every agent's ``KktSolution`` from
 ``solve_kkt`` on its ``AgentView`` from the empty working set, their
@@ -45,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from couplesolve import (AgentObjective, CouplingConstraints, Graph, ProblemSpec, SlackLayout,
                          build_weights, consensus_gap, induce_topology, max_violation,
@@ -343,6 +348,24 @@ def dense_oracle(problem):
     if basis is not None:
         lam = basis @ lam
     return sol.x, objective.value(sol.x), mu, lam, sol.active_set
+
+
+def scalar_stacked_arrays(problem):
+    """``stacked_arrays`` agent by agent: (H, c, constant, A, B, E, G)."""
+    objectives, cons = problem.objectives, problem.constraints
+    h = block_diag(*(obj.hessian for obj in objectives))
+    c = np.concatenate([obj.linear for obj in objectives])
+    size = cons.m_ineq + cons.q_eq
+    rows, offsets = np.zeros((size, len(c))), np.zeros(size)
+    for agent, columns in enumerate(problem.block_slices(), start=1):
+        ineq, eq = cons.agent_rows(agent)
+        for first, stored in ((0, ineq), (cons.m_ineq, eq)):
+            for index, (coeffs, offset) in stored.items():
+                rows[first + index - 1, columns] = coeffs
+                offsets[first + index - 1] += offset  # agents ascending: each row's sum in agent order
+    m = cons.m_ineq
+    return (h, c, sum(obj.constant for obj in objectives),
+            rows[:m], offsets[:m], rows[m:], offsets[m:])
 
 
 def fresh_solutions(problem, topology, weights, values):

@@ -238,6 +238,43 @@ def test_run_rejects_dependent_rows_before_any_exchange(monkeypatch, caplog, con
     assert caplog.text == ""
 
 
+def _bad_starts(toy_topology, layout):
+    """Starts ``run`` must refuse, keyed by case: off the run's slack layout, or not finite."""
+    reordered = cs.SlackLayout(layout.members[::-1].copy(), layout.starts)
+    values = {"nan": (0, math.nan), "inf": (-1, math.inf), "minus-inf": (1, -math.inf)}
+    starts = {"smaller-topology": cs.SlackState.zeros(cs.SlackLayout.from_topology(toy_topology)),
+              "reordered-members": cs.SlackState.zeros(reordered)}
+    for name, (k, value) in values.items():
+        starts[name] = cs.SlackState.zeros(layout)
+        starts[name].values[k] = value
+    return starts
+
+
+@pytest.mark.parametrize("start", ["smaller-topology", "reordered-members", "nan", "inf",
+                                   "minus-inf"])
+@pytest.mark.parametrize("config", [cs.AdaConfig(gamma=0.1, rounds=3),
+                                    cs.PgdConfig(box_bound=5.0, grad_bound=5.0, rounds=3)],
+                         ids=["ada", "pgd"])
+def test_run_rejects_a_bad_initial_slack_before_any_solve(toy, config, start, affine_calls):
+    # A start of another layout, or one holding NaN or inf, is bad input: it
+    # fails at the boundary, before any exchange or local solve, not as an
+    # IndexError or a singular KKT system.
+    problem, topology, weights = strongly_convex_instance(0)
+    events = []
+
+    class Marking(cs.SimnetTransport):
+        def gather(self, phase, values):
+            events.append(phase)
+            return super().gather(phase, values)
+
+    initial = _bad_starts(toy[1], cs.SlackLayout.from_topology(topology))[start]
+    with pytest.raises(ValidationError, match=r"^initial_slack must be finite, in the "
+                                              r"topology's slack layout$"):
+        cs.run(problem, topology, weights, config, initial_slack=initial,
+               transport=Marking(topology))
+    assert events == [] and affine_calls == []
+
+
 def test_gradient_bound_rejects_dependent_rows_before_any_solve(dependent_rows, affine_calls):
     # The sampled bound names the agents as run does, not the singular KKT
     # system its first lock-step solve would meet.

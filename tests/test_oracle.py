@@ -9,9 +9,10 @@ from couplesolve import oracle
 from couplesolve.exceptions import DimensionMismatchError, InfeasibleProblemError
 from couplesolve.oracle import stacked_arrays
 
-from gen import (benchmark_ring, doubled_equality_instance, reduced_space_instance,
-                 scaled_problem, shifted_offsets, strongly_convex_instance)
-from reference import dense_oracle
+from gen import (benchmark_ring, doubled_equality_instance, mixed_dims_instance,
+                 reduced_space_instance, scaled_problem, shifted_offsets,
+                 strongly_convex_instance)
+from reference import dense_oracle, scalar_stacked_arrays
 
 
 def test_toy_solution_is_exact(toy):
@@ -23,6 +24,20 @@ def test_toy_solution_is_exact(toy):
     assert sol.ineq_multipliers.size == 0
     assert sol.active_set == ()
     assert sol.unique_multipliers
+
+
+@pytest.mark.parametrize("instance, seed", [
+    *(pytest.param(strongly_convex_instance, seed, id=f"sc{seed}") for seed in range(25)),
+    *(pytest.param(reduced_space_instance, seed, id=f"rs{seed}") for seed in range(12)),
+    pytest.param(doubled_equality_instance, 0, id="sc0-doubled-eq"),
+    pytest.param(mixed_dims_instance, 0, id="mixed-dims-2-7-9-3"),
+    pytest.param(benchmark_ring, 1, id="ring1")])
+def test_stacked_arrays_scatter_the_blocks_bit_for_bit(instance, seed):
+    # The blocks' costs and rows scattered by their columns, and the offsets
+    # as the residuals at 0, give the agent-by-agent construction exactly.
+    problem, _, _ = instance(seed)
+    got, want = stacked_arrays(problem), scalar_stacked_arrays(problem)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_active_inequality_multiplier():

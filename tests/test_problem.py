@@ -22,6 +22,56 @@ def test_objective_value_and_curvature():
     assert np.linalg.eigvalsh(obj.hessian) == pytest.approx([2.0, 4.0])
 
 
+@pytest.mark.parametrize("hessian, linear, constant, field", [
+    pytest.param(np.eye(1), np.zeros(1), "x", "constant", id="constant-text"),
+    pytest.param(np.eye(1), np.zeros(1), None, "constant", id="constant-none"),
+    pytest.param(np.eye(1), np.zeros(1), True, "constant", id="constant-bool"),
+    pytest.param(np.eye(1), np.zeros(1), np.bool_(False), "constant", id="constant-numpy-bool"),
+    pytest.param([["a"]], np.zeros(1), 0.0, "hessian", id="hessian-text"),
+    pytest.param([[1.0, 0.0], [0.0]], np.zeros(2), 0.0, "hessian", id="hessian-ragged"),
+    pytest.param(np.eye(1), ["b"], 0.0, "linear", id="linear-text"),
+    pytest.param(np.eye(1), [{}], 0.0, "linear", id="linear-object")])
+def test_objective_rejects_non_numeric_input_naming_the_field(hessian, linear, constant, field):
+    with pytest.raises(ValidationError, match=rf"^objective {field} must be numeric, got "):
+        cs.AgentObjective(hessian, linear, constant)
+
+
+@pytest.mark.parametrize("constant", [3, np.int64(3), np.float32(3.0), 3.0],
+                         ids=["int", "numpy-int", "numpy-float32", "float"])
+def test_objective_stores_its_constant_as_a_float(constant):
+    obj = cs.AgentObjective(np.eye(1), np.zeros(1), constant)
+    assert type(obj.constant) is float and obj.constant == 3.0
+
+
+def test_problem_owns_its_costs():
+    # Editing the caller's arrays in place after the problem is built, even
+    # to an indefinite Hessian, changes nothing the problem holds or solves.
+    hessian, linear = np.eye(2), np.array([0.0, -1.0])
+    obj = cs.AgentObjective(hessian, linear, 0.5)
+    cons = cs.CouplingConstraints(2, m_ineq=1, q_eq=1)
+    for i in (1, 2):
+        cons.add_eq_row(i, 1, [1.0, 0.0], -1.0)
+        cons.add_ineq_row(i, 1, [0.0, 1.0], -0.25)
+    graph = cs.Graph.from_edges(2, [(1, 2)])
+    problem = cs.ProblemSpec((obj, obj), cons, graph)
+    topology = cs.induce_topology(problem, graph)
+    weights = cs.build_weights(topology)
+
+    def held():
+        batch = AgentBatch(problem, topology, weights)
+        sol = cs.solve_centralized(problem)
+        return [obj.hessian, obj.linear, *(a for b in problem.blocks
+                                           for a in (b.hessian, b.linear, b.constant)),
+                batch.hessian, batch.linear, batch.constant,
+                sol.x, sol.value, sol.ineq_multipliers, sol.eq_multipliers]
+
+    before = [np.copy(a) for a in held()]
+    hessian[...] = [[-5.0, 0.0], [0.0, 1.0]]
+    linear[...] = [3.0, 4.0]
+    assert all(np.array_equal(a, b) for a, b in zip(held(), before, strict=True))
+    assert before[-3] == 1.5625  # 2 * (1/2 (1 + 1/16) - 1/4 + 1/2), at x_i = (1, 1/4)
+
+
 def test_asymmetric_hessian_rejected():
     with pytest.raises(ValidationError):
         cs.AgentObjective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
@@ -308,6 +358,7 @@ GEN_INSTANCES = ([pytest.param(strongly_convex_instance, seed, id=f"sc{seed}")
                     for seed in range(12)])
 BLOCK_INSTANCES = GEN_INSTANCES + [
     pytest.param(doubled_equality_instance, 0, id="sc0-doubled-eq"),
+    pytest.param(mixed_dims_instance, 0, id="mixed-dims-2-7-9-3"),
     pytest.param(benchmark_ring, 1, id="ring1")]
 
 
@@ -320,13 +371,16 @@ def test_agent_blocks_stack_every_agents_rows_once(instance, seed):
     assert firsts == sorted(firsts)  # in first-agent order
     seen = np.concatenate([b.agents for b in blocks])
     assert sorted(seen.tolist()) == list(range(problem.n_agents))  # each agent once
+    slices = problem.block_slices()
     for b in blocks:
         g, k, d = b.rows.shape
         assert b.agents.tolist() == sorted(b.agents.tolist())
         assert b.index.shape == b.offsets.shape == (g, k)
-        for a, index, rows, offsets in zip(b.agents.tolist(), b.index, b.rows, b.offsets):
+        for a, columns, index, rows, offsets in zip(b.agents.tolist(), b.columns, b.index,
+                                                    b.rows, b.offsets):
             obj = problem.objectives[a]
             assert obj.dim == d
+            assert columns.tolist() == list(range(slices[a].start, slices[a].stop))
             ineq, eq = cons.agent_rows(a + 1)
             stored = ([(m - 1, *ineq[m]) for m in sorted(ineq)]
                       + [(cons.m_ineq + q - 1, *eq[q]) for q in sorted(eq)])
@@ -335,6 +389,7 @@ def test_agent_blocks_stack_every_agents_rows_once(instance, seed):
             assert offsets.tolist() == [off for _, _, off in stored]
         assert np.array_equal(b.hessian, [problem.objectives[a].hessian for a in b.agents])
         assert np.array_equal(b.linear, [problem.objectives[a].linear for a in b.agents])
+        assert b.constant.tolist() == [problem.objectives[a].constant for a in b.agents]
 
 
 def _padded(batch, x):
