@@ -264,8 +264,9 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     if initial_slack is None:
         start = np.zeros(layout.size)
     else:
-        given, start = initial_slack.layout, np.array(initial_slack.values, dtype=float)
-        if not (np.array_equal(given.members, layout.members)
+        given = initial_slack.layout if isinstance(initial_slack, SlackState) else None
+        start = None if given is None else np.array(initial_slack.values, dtype=float)
+        if not (given is not None and np.array_equal(given.members, layout.members)
                 and np.array_equal(given.starts, layout.starts)
                 and start.shape == (layout.size,) and np.isfinite(start).all()):
             raise ValidationError("initial_slack must be finite, in the topology's slack layout")

@@ -51,9 +51,9 @@ def _numeric(value, cast, name: str):
 class AgentObjective:
     """One agent's quadratic cost 1/2 x'Hx + c'x + constant (H symmetric PSD).
 
-    Holds float copies of its inputs.  Symmetric to 1e-12 and positive
-    semidefinite to -1e-10, each relative to max(1, the Hessian's size): its
-    largest entry, its largest eigenvalue.
+    Holds read-only float copies of its inputs.  Non-empty, symmetric to
+    1e-12 and positive semidefinite to -1e-10, each relative to max(1, the
+    Hessian's size): its largest entry, its largest eigenvalue.
     """
 
     hessian: np.ndarray
@@ -66,6 +66,8 @@ class AgentObjective:
         constant = _numeric(self.constant, float, "constant")
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"hessian must be square, got {h.shape}")
+        if h.shape[0] == 0:
+            raise ValidationError("hessian must not be empty, got shape (0, 0)")
         if c.shape != (h.shape[0],):
             raise DimensionMismatchError(
                 f"linear term {c.shape} does not match hessian {h.shape}"
@@ -82,6 +84,7 @@ class AgentObjective:
             raise ValidationError("hessian must be symmetric")
         for name, value in (("hessian", h), ("linear", c), ("constant", constant)):
             object.__setattr__(self, name, value)
+        h.flags.writeable = c.flags.writeable = False
         eigs = np.linalg.eigvalsh(h)  # ascending
         lowest = eigs.min()
         if lowest < -1e-10 and lowest < -1e-10 * eigs[-1]:

@@ -239,19 +239,21 @@ def test_run_rejects_dependent_rows_before_any_exchange(monkeypatch, caplog, con
 
 
 def _bad_starts(toy_topology, layout):
-    """Starts ``run`` must refuse, keyed by case: off the run's slack layout, or not finite."""
+    """Starts ``run`` must refuse, keyed by case: off the run's slack layout
+    (a plain array has none), or not finite."""
     reordered = cs.SlackLayout(layout.members[::-1].copy(), layout.starts)
     values = {"nan": (0, math.nan), "inf": (-1, math.inf), "minus-inf": (1, -math.inf)}
     starts = {"smaller-topology": cs.SlackState.zeros(cs.SlackLayout.from_topology(toy_topology)),
-              "reordered-members": cs.SlackState.zeros(reordered)}
+              "reordered-members": cs.SlackState.zeros(reordered),
+              "plain-array": np.zeros(layout.size)}
     for name, (k, value) in values.items():
         starts[name] = cs.SlackState.zeros(layout)
         starts[name].values[k] = value
     return starts
 
 
-@pytest.mark.parametrize("start", ["smaller-topology", "reordered-members", "nan", "inf",
-                                   "minus-inf"])
+@pytest.mark.parametrize("start", ["smaller-topology", "reordered-members", "plain-array",
+                                   "nan", "inf", "minus-inf"])
 @pytest.mark.parametrize("config", [cs.AdaConfig(gamma=0.1, rounds=3),
                                     cs.PgdConfig(box_bound=5.0, grad_bound=5.0, rounds=3)],
                          ids=["ada", "pgd"])

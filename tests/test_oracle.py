@@ -6,7 +6,8 @@ from scipy.optimize import minimize
 
 import couplesolve as cs
 from couplesolve import oracle
-from couplesolve.exceptions import DimensionMismatchError, InfeasibleProblemError
+from couplesolve.exceptions import (DegenerateSubproblemError, DimensionMismatchError,
+                                    InfeasibleProblemError)
 from couplesolve.oracle import stacked_arrays
 
 from gen import (benchmark_ring, doubled_equality_instance, mixed_dims_instance,
@@ -208,6 +209,52 @@ def linprog_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def proposals(monkeypatch):
+    """Per constraint-space solve from here on, [the working sets the
+    primal-dual proposals evaluated, whether the cold loop ran after them]."""
+    solves = []
+    primal_dual, cold = oracle._primal_dual, oracle._active_set
+
+    def primal_dual_spy(evaluate, n_ineq):
+        record = [0, False]
+        solves.append(record)
+
+        def counted(working):
+            record[0] += 1
+            return evaluate(working)
+
+        return primal_dual(counted, n_ineq)
+
+    def cold_spy(evaluate, n_ineq):
+        if isinstance(getattr(evaluate, "__self__", None), oracle._ConstraintSpace):
+            solves[-1][1] = True
+        return cold(evaluate, n_ineq)
+
+    monkeypatch.setattr(oracle, "_primal_dual", primal_dual_spy)
+    monkeypatch.setattr(oracle, "_active_set", cold_spy)
+    return solves
+
+
+def _cold_answer(problem):
+    """The cold loop's certified answer in constraint space, or the dense
+    answer where the cold loop has none."""
+    space = oracle._ConstraintSpace.compile(problem)
+    try:
+        found = oracle._active_set(space.evaluate, space.m)
+    except (np.linalg.LinAlgError, DegenerateSubproblemError):
+        found = None
+    solved = None if found is None else space.recover(*found)
+    return oracle._dense_solve(problem) if solved is None else solved
+
+
+def _identical(sol, other):
+    """Equal bit for bit in every field."""
+    return all(np.array_equal(getattr(sol, f), getattr(other, f))
+               for f in ("x", "value", "ineq_multipliers", "eq_multipliers", "active_set",
+                         "unique_multipliers"))
+
+
 def _agrees_with_dense(problem, exact=False):
     sol = cs.solve_centralized(problem)
     x, value, mu, lam, active = dense_oracle(problem)
@@ -235,6 +282,134 @@ def test_constraint_space_matches_dense_oracle(instance, oracle_paths, linprog_c
     assert sol.unique_multipliers
     assert oracle_paths == ["constraint"]
     assert linprog_calls == []
+
+
+def _offsets_moved(seed):
+    return (shifted_offsets(strongly_convex_instance(seed)[0], 1e4),)
+
+
+def _costs_scaled(seed):
+    return (scaled_problem(strongly_convex_instance(seed)[0], 1e8),)
+
+
+@pytest.mark.parametrize("instance", [
+    *PREMISE,
+    *(pytest.param(partial(_offsets_moved, seed), id=f"sc{seed}+1e4") for seed in range(25)),
+    *(pytest.param(partial(_costs_scaled, seed), id=f"sc{seed}x1e8") for seed in range(25))])
+def test_proposals_answer_as_the_cold_loop(instance, proposals):
+    # The answer depends only on the accepted set: the proposals reach the
+    # cold loop's in a handful of steps, with no fallback.
+    problem = instance()[0]
+    sol = cs.solve_centralized(problem)
+    [(steps, fell_back)] = proposals
+    assert steps <= 5 and not fell_back
+    assert _identical(sol, _cold_answer(problem))
+
+
+def test_primal_dual_proposals_on_scripted_sets():
+    calls = []
+
+    def scripted(working):  # a working row's own residual does not keep it
+        calls.append(working)
+        mults, residual = {(): ([], [1.0, 0.0]), (0,): ([-1.0], [5.0, 1.0]),
+                           (1,): ([0.5], [-1.0, 0.0])}[working]
+        return np.array(mults), np.array(residual)
+
+    (mults, _), working = oracle._primal_dual(scripted, 2)
+    assert working == (1,) and mults.tolist() == [0.5]
+    assert calls == [(), (0,), (1,)]
+    calls.clear()
+
+    def cycling(working):  # row 0 and row 1 each push the other out
+        calls.append(working)
+        residual = {(): [1.0, -1.0], (0,): [0.0, 1.0], (1,): [1.0, 0.0]}[working]
+        return -np.ones(len(working)), np.array(residual)
+
+    assert oracle._primal_dual(cycling, 2) is None
+    assert calls == [(), (0,), (1,)]
+    calls.clear()
+
+    def shifting(working):  # each set proposes a new row alone
+        calls.append(working)
+        residual = np.zeros(30)
+        residual[len(calls)] = 1.0
+        return -np.ones(len(working)), residual
+
+    assert oracle._primal_dual(shifting, 30) is None
+    assert calls == [(), *((k,) for k in range(1, oracle._PDAS_STEPS))]
+
+
+def _proposed_on(monkeypatch, tamper):
+    """The primal-dual proposals see ``tamper(evaluate)``; the cold loop the true one."""
+    primal_dual = oracle._primal_dual
+    monkeypatch.setattr(oracle, "_primal_dual",
+                        lambda evaluate, n_ineq: primal_dual(tamper(evaluate), n_ineq))
+
+
+def _repeating(evaluate):
+    def evaluate_(working):  # every working row dropped, no free row violated
+        mults, residual = evaluate(working)
+        if working:
+            mults, residual = -np.ones_like(mults), -np.ones_like(residual)
+        return mults, residual
+    return evaluate_
+
+
+def _singular(evaluate):
+    def evaluate_(working):
+        if working:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return evaluate(working)
+    return evaluate_
+
+
+def _capped(monkeypatch):
+    monkeypatch.setattr(oracle, "_PDAS_STEPS", 1)
+
+
+def _missed_once(monkeypatch):
+    recover, calls = oracle._ConstraintSpace.recover, []
+
+    def first_missed(space, *found):
+        calls.append(found)
+        return None if len(calls) == 1 else recover(space, *found)
+
+    monkeypatch.setattr(oracle._ConstraintSpace, "recover", first_missed)
+
+
+@pytest.mark.parametrize("force, always", [
+    pytest.param(partial(_proposed_on, tamper=_repeating), False, id="repeated-set"),
+    pytest.param(_capped, False, id="capped"),
+    pytest.param(partial(_proposed_on, tamper=_singular), False, id="singular-set"),
+    pytest.param(_missed_once, True, id="certificate-miss")])
+def test_each_fallback_returns_the_cold_answer(force, always, proposals, monkeypatch):
+    # Where the proposals accept no set (a repeated set, the cap, a singular
+    # S[W, W]) or their answer misses the certificate, the cold loop answers.
+    # Only the first three keep a one-step solve, accepted at the empty set.
+    fell = []
+    for seed in range(25):
+        problem, _, _ = strongly_convex_instance(seed)
+        proposals.clear()
+        base = cs.solve_centralized(problem)
+        with monkeypatch.context() as patch:
+            force(patch)
+            sol = cs.solve_centralized(problem)
+        [(steps, _), (_, fell_back)] = proposals
+        fell.append(fell_back)
+        assert fell_back == (always or steps > 1), seed
+        assert _identical(sol, base) and _identical(sol, _cold_answer(problem))
+    assert sum(fell) >= 14  # the seeds whose proposals take two steps, at least
+
+
+def test_a_fallback_without_a_cold_answer_takes_the_dense_path(proposals, oracle_paths,
+                                                               monkeypatch):
+    # The cold loop meets the singular set too: the dense path answers.
+    evaluate = oracle._ConstraintSpace.evaluate
+    monkeypatch.setattr(oracle._ConstraintSpace, "evaluate",
+                        lambda space, working: _singular(partial(evaluate, space))(working))
+    problem, _, _ = strongly_convex_instance(0)
+    _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == ["dense"] and proposals == [[2, True]]
 
 
 @pytest.mark.parametrize("shift", [-1e3, 1e3])

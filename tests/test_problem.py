@@ -72,6 +72,26 @@ def test_problem_owns_its_costs():
     assert before[-3] == 1.5625  # 2 * (1/2 (1 + 1/16) - 1/4 + 1/2), at x_i = (1, 1/4)
 
 
+def test_costs_are_read_only(toy):
+    # The problem's copies refuse an in-place write, so every reader keeps
+    # reading the costs the problem was built and checked with.
+    problem, _, _ = toy
+    obj = problem.objectives[0]
+    for array, index in ((obj.hessian, (0, 0)), (obj.linear, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[index] = -5.0
+    sol = cs.solve_centralized(problem)
+    assert [b.hessian.tolist() for b in problem.blocks] == [[[[1.0]], [[1.0]]]]
+    assert obj.hessian.tolist() == [[1.0]] and obj.linear.tolist() == [0.0]
+    assert cs.objective_value(problem, sol.x) == sol.value == 1.0
+    assert cs.duality_gap(problem, sol.x, sol.ineq_multipliers, sol.eq_multipliers) == 0.0
+
+
+def test_empty_hessian_rejected():
+    with pytest.raises(ValidationError, match=r"^hessian must not be empty, got shape \(0, 0\)$"):
+        cs.AgentObjective(np.zeros((0, 0)), np.zeros(0))
+
+
 def test_asymmetric_hessian_rejected():
     with pytest.raises(ValidationError):
         cs.AgentObjective(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
