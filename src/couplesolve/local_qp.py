@@ -19,9 +19,9 @@ most negative multiplier (lowest index on ties), repeat.  A visited-set guard
 and an iteration cap of 100 x (number of inequality rows) turn cycling into a
 degeneracy error instead of an infinite loop.  The rules have one home:
 ``_accepted`` (when to stop), ``_moves`` (which row to add or drop) and
-``_singular``/``_revisited``/``_capped`` (the diagnoses).  Two loops drive
-them: ``AgentBatch.solve_rows`` for the agents, and the centralized oracle
-(``oracle._active_set``) for the one stacked program.
+``_singular``/``_revisited``/``_capped`` (the diagnoses).  One loop drives
+them, ``AgentBatch.solve_rows``: for the agents, and for the centralized
+oracle's dense path, whose stacked program it solves as one agent's row.
 
 From one round to the next only the offsets change.  ``AgentBatch``
 compiles everything else once into stacked arrays: H, c, the rows and their
@@ -75,29 +75,6 @@ from .problem import LicqReport, licq_report, row_shares
 # multipliers below its negative are dropped.
 _ADD_TOL = 1e-10
 _DROP_TOL = 1e-11
-
-
-def _kkt_solve(h, c, rows, rhs):
-    """Solve [[H, G'], [G, 0]] (x, mult) = (-c, rhs); None when singular."""
-    d = h.shape[0]
-    k = rows.shape[0]
-    kkt = np.zeros((d + k, d + k))
-    kkt[:d, :d] = h
-    kkt[:d, d:] = rows.T
-    kkt[d:, :d] = rows
-    target = np.concatenate([-c, rhs])
-    try:
-        sol = np.linalg.solve(kkt, target)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    # Near-singular systems pass numpy's exact-singularity check but leave a
-    # large residual; reject those too.
-    scale = 1.0 + np.abs(target).max(initial=0.0) + np.abs(sol).max(initial=0.0)
-    if np.abs(kkt @ sol - target).max(initial=0.0) > 1e-8 * scale:
-        return None
-    return sol[:d], sol[d:]
 
 
 def _reduced_curvature_ok(h, rows, tol=1e-10) -> bool:
@@ -157,7 +134,8 @@ def _affine(m, s, offsets):
 
 
 def _residual_ok(h, c, rows, kkt, z, offsets):
-    """``_kkt_solve``'s residual bound on padded solutions z = (x, multipliers).
+    """The KKT residual bound, each residual within 1e-8 x (1 + the largest
+    |c|, working offset or |z| entry), on padded solutions z = (x, multipliers).
 
     ``kkt`` marks the rows in the KKT system.  Works on one agent or on a
     stack; returns (bound holds, every row's residual rows @ x + offsets).

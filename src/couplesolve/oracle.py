@@ -6,14 +6,10 @@ Stacks all agent blocks into one QP
 
 with H block-diagonal and one row per coupled constraint, then solves it
 exactly by active set from the empty working set.  ``local_qp._accepted``
-ends every search.  The cold loop, ``_active_set``, moves by
-``local_qp._moves`` and raises the lock-step loop's own diagnosis on a
-failure.  The primal-dual proposals, ``_primal_dual``, replace the whole
-working set each step and give up on a repeated set or at a cap.  Both run
-on either of two evaluations of a working set, both on
-``ProblemSpec.blocks``, and one blockwise check, ``_certificate``,
-certifies every answer: each KKT residual within 1e-8 (1e-12 for a
-negative multiplier) times max(1, the terms it compares).
+ends every search, and one blockwise check, ``_certificate``, certifies
+every answer and gives its value: each KKT residual within 1e-8 (1e-12 for
+a negative multiplier) times max(1, the terms it compares).  Both paths read
+``ProblemSpec.blocks``.
 
 Constraint space (``_ConstraintSpace``), when every agent block has a
 Cholesky factor and every agent's rows have full row rank (LICQ).  Then the
@@ -24,20 +20,23 @@ S = R H^-1 R' is positive definite and R x = -offsets is solvable for every
 offset: the program is feasible and its multipliers are unique.  Each
 working set is one solve with S (the range-space method, Nocedal & Wright,
 *Numerical Optimization*, 2nd ed., section 16.2, carried fully into the
-m + q multipliers); x is recovered once, blockwise.  The proposals search
-first and the cold loop where they accept no certified answer.  On the
-benchmark's ring at 400 / 1200 / 2400 agents they take 3 / 2 / 3 working
-sets where the cold loop takes 44 / 153 / 305, and ``solve_centralized``
-2.1 / 8.3 / 24 ms where the cold loop alone took 5.8 / 87 / 753 ms
-(in-process, one BLAS thread, a shared 2-core x86_64 host).
+m + q multipliers); x is recovered once, blockwise.  The primal-dual
+proposals, ``_primal_dual``, search: each step replaces the whole working
+set, and they give up on a repeated set or at a cap.  On the benchmark's
+ring at 400 / 1200 / 2400 agents they take 3 / 2 / 3 working sets where a
+cold primal active-set loop takes 44 / 153 / 305, and ``solve_centralized``
+2.1 / 8.3 / 24 ms where that loop alone took 5.8 / 87 / 753 ms (in-process,
+one BLAS thread, a shared 2-core x86_64 host).
 
 Dense (``_dense_solve``), for every other input and for any answer the
-constraint space cannot certify.  A Phase-1 linear program (minimize the sum
-of constraint violations) decides feasibility first.  Dependent but
+constraint space does not give: the proposals gave up, met a singular
+S[W, W] or missed the certificate.  A Phase-1 linear program (minimize the
+sum of constraint violations) decides feasibility first.  Dependent but
 consistent equality rows are reduced away; the multipliers are then the
-least-squares (minimum norm) ones, flagged as non-unique.  The cold loop
-alone solves each working set as one dense KKT system,
-``local_qp._kkt_solve``.
+least-squares (minimum norm) ones, flagged as non-unique.  The reduced
+program, held by one agent, is one row of ``local_qp.AgentBatch.solve_rows``
+from the empty working set: the package's one active-set loop, with its
+diagnoses of an unbounded or degenerate program.
 
 ``feasible_slack_from_primal`` turns a point the certificate accepts into
 the slack allocation whose per-agent rows reproduce it: the optimal
@@ -47,17 +46,16 @@ allocation, from the oracle's optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .exceptions import (DegenerateSubproblemError, DimensionMismatchError,
-                         DisconnectedSubgraphError, InfeasibleProblemError, SolverError,
-                         ValidationError)
-from .graph import SlackLayout, SlackState
-from .local_qp import _accepted, _capped, _kkt_solve, _moves, _revisited, _singular
-from .problem import ProblemSpec, agent_shares, aggregate_violation, row_shares, validate_licq
+from .exceptions import (DimensionMismatchError, DisconnectedSubgraphError,
+                         InfeasibleProblemError, SolverError, ValidationError)
+from .graph import Graph, SlackLayout, SlackState, build_weights, induce_topology
+from .local_qp import AgentBatch, _accepted
+from .problem import (AgentObjective, CouplingConstraints, ProblemSpec, agent_shares,
+                      aggregate_violation, row_shares, validate_licq)
 
 _FEAS_TOL = 1e-9
 
@@ -86,63 +84,6 @@ def stacked_arrays(problem: ProblemSpec):
             rows[:cons.m_ineq], ineq, rows[cons.m_ineq:], eq)
 
 
-def _dense_kkt(h, c, rows, offsets, n_ineq, working):
-    """``_kkt_solve`` of a working set of the stacked rows.
-
-    ``rows`` and ``offsets`` hold the inequalities, then the equalities;
-    ``working`` names inequality positions.  Returns (multipliers,
-    inequality residuals, x), the multipliers in the system's order:
-    equalities, then the working inequalities.  Raises ``_singular``'s
-    diagnosis when the system has no solution.
-    """
-    sel = [*range(n_ineq, len(offsets)), *working]
-    solved = _kkt_solve(h, c, rows[sel], -offsets[sel])
-    if solved is None:
-        raise _singular(h, rows[sel])
-    x, mults = solved
-    return mults, rows[:n_ineq] @ x + offsets[:n_ineq], x
-
-
-def _evaluated(evaluate, working, n_ineq):
-    """``evaluate(working)`` with the working rows marked and their
-    multipliers spread to their rows: (evaluation, work, residual, spread)."""
-    solved = evaluate(working)
-    mults, residual = solved[:2]
-    work = np.zeros(n_ineq, dtype=bool)
-    work[list(working)] = True
-    spread = np.zeros(n_ineq)
-    spread[list(working)] = mults[len(mults) - len(working):]
-    return solved, work, residual, spread
-
-
-def _active_set(evaluate, n_ineq):
-    """The lock-step loop's active-set search on one program, cold from the empty set.
-
-    ``evaluate(working)`` solves a working set's KKT system and returns
-    (multipliers, inequality residuals, ...): the multipliers of the
-    equalities, then of the working rows.  Each step is ``_moves``' (add the
-    most violated free row, else drop the most negative working multiplier,
-    lowest index on ties), a set ``_accepted`` ends the search, and the
-    visited-set guard and the cap of 100 x max(1, m) sets raise what
-    ``AgentBatch.solve_rows`` raises.  Returns (the accepted set's
-    evaluation, working).
-    """
-    working, visited, cap = (), {()}, 100 * max(1, n_ineq)
-    for _ in range(cap + 1):
-        solved, work, residual, spread = _evaluated(evaluate, working, n_ineq)
-        if _accepted(~work, work, residual, spread):
-            return solved, working
-        move = int(_moves(~work, work, residual, spread))
-        if move < n_ineq:
-            working = tuple(sorted((*working, move)))
-        else:
-            working = tuple(p for p in working if p != move - n_ineq)
-        if working in visited:
-            raise _revisited()
-        visited.add(working)
-    raise _capped(cap)
-
-
 _PDAS_STEPS = 20  # the working sets the primal-dual proposals may try
 
 
@@ -150,15 +91,22 @@ def _primal_dual(evaluate, n_ineq):
     """Primal-dual active-set proposals (Hintermueller, Ito & Kunisch, SIAM
     J. Optim. 13(3), 2002), from the empty set: each step proposes every
     inequality p with nu_p + residual_p > 0, a working row's residual counted
-    as 0 so that roundoff cannot toggle it.  ``_accepted`` decides as in
-    ``_active_set``, whose ``evaluate`` this takes.  Returns (the accepted
-    set's evaluation, working), or None when a proposal repeats a set or
-    ``_PDAS_STEPS`` sets pass without one accepted.
+    as 0 so that roundoff cannot toggle it.  ``evaluate(working)`` solves a
+    working set's KKT system and returns (multipliers, inequality
+    residuals): the multipliers of the equalities, then of the working rows.
+    ``_accepted`` decides each set.  Returns (the accepted set's evaluation,
+    working), or None when a proposal repeats a set or ``_PDAS_STEPS`` sets
+    pass without one accepted.
     """
     working, visited = (), set()
     for _ in range(_PDAS_STEPS):
         visited.add(working)
-        solved, work, residual, spread = _evaluated(evaluate, working, n_ineq)
+        solved = evaluate(working)
+        mults, residual = solved
+        work = np.zeros(n_ineq, dtype=bool)
+        work[list(working)] = True
+        spread = np.zeros(n_ineq)  # the working multipliers, at their rows
+        spread[list(working)] = mults[len(mults) - len(working):]
         if _accepted(~work, work, residual, spread):
             return solved, working
         working = tuple(np.flatnonzero(spread + np.where(work, 0.0, residual) > 0).tolist())
@@ -260,19 +208,14 @@ class _ConstraintSpace:
         return mults, self.r[:self.m] - self.s[:self.m, sel] @ mults
 
     def solve(self) -> OracleSolution | None:
-        """The certified solution: of the primal-dual proposals' accepted
-        set, else of the cold ``_active_set``'s.  None where the cold loop
-        too meets a singular S[W, W], cycles or runs out of iterations, or
-        where its recovered x misses the certificate."""
-        for search in (_primal_dual, _active_set):
-            try:
-                found = search(self.evaluate, self.m)
-            except (np.linalg.LinAlgError, DegenerateSubproblemError):
-                continue
-            solved = None if found is None else self.recover(*found)
-            if solved is not None:
-                return solved
-        return None
+        """The certified solution of the primal-dual proposals' accepted set.
+        None where they repeat a set, reach their cap or meet a singular
+        S[W, W], or where the recovered x misses the certificate."""
+        try:
+            found = _primal_dual(self.evaluate, self.m)
+        except np.linalg.LinAlgError:
+            return None
+        return None if found is None else self.recover(*found)
 
     def recover(self, evaluation, working) -> OracleSolution | None:
         """The solution at an accepted working set's multipliers, or None
@@ -317,8 +260,9 @@ def _phase1_violation(a, b, e, g, dim):
 
 def _dense_solve(problem: ProblemSpec) -> OracleSolution:
     """The oracle on the dense stacked program: Phase-1, the reduction of
-    dependent equality rows, one dense KKT system per working set."""
-    h, c, const, a, b, e, g = stacked_arrays(problem)
+    dependent equality rows, then the reduced program as one row of
+    ``AgentBatch.solve_rows``, from the empty working set."""
+    h, c, _, a, b, e, g = stacked_arrays(problem)
     worst = _phase1_violation(a, b, e, g, len(c))
     if worst > _FEAS_TOL:
         raise InfeasibleProblemError(
@@ -335,28 +279,37 @@ def _dense_solve(problem: ProblemSpec) -> OracleSolution:
             basis = u[:, :rank]
             e_red, g_red = basis.T @ e, basis.T @ g
 
-    # Every block passed validation when the problem was built, so the
-    # stacked Hessian is not checked again.
-    m = a.shape[0]
-    rows, offsets = np.vstack([a, e_red]), np.concatenate([b, g_red])
-    (mults, _, x), working = _active_set(partial(_dense_kkt, h, c, rows, offsets, m), m)
-
-    mu = np.zeros(m)
-    mu[list(working)] = mults[e_red.shape[0]:]
-    lam = mults[:e_red.shape[0]]
+    # The reduced program, held by one agent.  A row it does not store (all
+    # zero) is satisfied with a zero multiplier.
+    m, q = a.shape[0], e_red.shape[0]
+    cons = CouplingConstraints(1, m_ineq=m, q_eq=q)
+    for k in range(m):
+        cons.add_ineq_row(1, k + 1, a[k], b[k])
+    for k in range(q):
+        cons.add_eq_row(1, k + 1, e_red[k], g_red[k])
+    stacked = ProblemSpec((AgentObjective(h, c),), cons, Graph(1, frozenset()))
+    topology = induce_topology(stacked, stacked.graph)
+    batch = AgentBatch(stacked, topology, build_weights(topology))
+    z, ids = batch.solve_rows([0], batch.base, batch.sets.ids_of([(0, ())]))
+    ineq, eq = topology.agent_ineq_sets[0], topology.agent_eq_sets[0]  # the rows it stores
+    mults = z[0, batch.shape[0]:]
+    mu, lam = np.zeros(m), np.zeros(q)
+    mu[np.array(ineq, dtype=int) - 1] = mults[:len(ineq)]
+    lam[np.array(eq, dtype=int) - 1] = mults[len(ineq):len(ineq) + len(eq)]
     lam = lam if basis is None else basis @ lam  # unreduced
-    _, worst, size = _certificate(problem, x, np.concatenate([mu, lam]))
+    x = z[0, :len(c)]
+    value, worst, size = _certificate(problem, x, np.concatenate([mu, lam]))
     if not _certified(worst, size):
         raise SolverError("centralized KKT residuals too large: " + ", ".join(
-            f"{name} {value:.3e}" for name, value in zip(
+            f"{name} {residual:.3e}" for name, residual in zip(
                 ("stationarity", "primal_ineq", "primal_eq", "complementarity", "dual"),
                 worst)))
     return OracleSolution(
         x=x,
-        value=float(0.5 * x @ h @ x + c @ x + const),
+        value=value,
         ineq_multipliers=mu,
         eq_multipliers=lam,
-        active_set=tuple(p + 1 for p in working),
+        active_set=tuple(ineq[p] for p in batch.sets.keys[ids[0]][1]),
         unique_multipliers=basis is None,
     )
 

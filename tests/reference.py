@@ -4,10 +4,16 @@ The scalar active-set solver: ``solve_kkt`` on a ``LocalSubproblem``, with
 its dict-keyed record ``KktSolution``, and ``verify_kkt``'s ``KktReport`` of
 every KKT residual.  It applies the loop's rules one step at a time, written
 out (the library keeps them in ``local_qp._accepted`` and ``_moves``), and
-takes any compiled KKT solver through its ``qp`` protocol.  The library's two
-loops run on the same subproblem through ``solve_rows_cold`` (a one-agent
-``AgentBatch``, solved by ``solve_rows`` from the empty working set) and
-``centralized_kkt`` (``solve_centralized`` on the one-agent problem).
+solves each working set by ``lu_kkt_solve`` (one LU factorization) or through
+any compiled KKT solver's ``qp`` protocol.  The library runs the same
+subproblem through ``solve_rows_cold`` (a one-agent ``AgentBatch``, solved by
+``solve_rows`` from the empty working set) and ``centralized_kkt``
+(``solve_centralized`` on the one-agent problem).
+
+``cold_active_set``: the library's rules as a short array loop over any
+evaluation of a working set (``_moves`` per step, ``_accepted`` to stop, the
+lock-step loop's guard and cap), from the empty set: the search the oracle's
+primal-dual proposals must agree with in constraint space.
 
 ``AgentView``: one agent of a compiled ``AgentBatch`` as a scalar QP, with
 ``solve_kkt``'s ``qp`` protocol: the scalar reference of ``solve_rows``.
@@ -15,7 +21,9 @@ loops run on the same subproblem through ``solve_rows_cold`` (a one-agent
 ``dense_oracle``: cold ``solve_kkt`` on the stacked ``LocalSubproblem`` built
 from ``stacked_arrays``: one dense KKT factorization per working set, the
 stacked Hessian validated whole, dependent equality rows reduced to
-least-squares multipliers.  ``solve_centralized`` must agree with it.
+least-squares multipliers.  ``solve_centralized`` must agree with it; with
+``solve_rows_cold`` in place of ``solve_kkt`` it is the oracle's dense path
+written out.
 ``scalar_stacked_arrays`` builds the same stacked program agent by agent:
 ``block_diag`` over the objectives, each agent's stored rows scattered into
 its columns, and the offsets summed agent by agent; ``stacked_arrays``, which
@@ -58,14 +66,37 @@ from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
 from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.graph import ConstraintTopology
-from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _affine, _capped,
-                                  _factors, _gap, _kkt_solve, _residual_ok, _revisited,
+from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _accepted, _affine,
+                                  _capped, _factors, _gap, _moves, _residual_ok, _revisited,
                                   _singular)
 from couplesolve.oracle import stacked_arrays
 from couplesolve.problem import AgentRankInfo, LicqReport, full_row_rank
 from couplesolve.simnet import Exchange, Neighborhoods, SimnetTransport
 
 _DUAL_TOL = 1e-12  # KktReport.ok's bound on a negative inequality multiplier
+
+
+def lu_kkt_solve(h, c, rows, rhs):
+    """Solve [[H, G'], [G, 0]] (x, mult) = (-c, rhs) by LU; None when singular."""
+    d = h.shape[0]
+    k = rows.shape[0]
+    kkt = np.zeros((d + k, d + k))
+    kkt[:d, :d] = h
+    kkt[:d, d:] = rows.T
+    kkt[d:, :d] = rows
+    target = np.concatenate([-c, rhs])
+    try:
+        sol = np.linalg.solve(kkt, target)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    # Near-singular systems pass numpy's exact-singularity check but leave a
+    # large residual; reject those too.
+    scale = 1.0 + np.abs(target).max(initial=0.0) + np.abs(sol).max(initial=0.0)
+    if np.abs(kkt @ sol - target).max(initial=0.0) > 1e-8 * scale:
+        return None
+    return sol[:d], sol[d:]
 
 
 @dataclass(frozen=True)
@@ -123,7 +154,7 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp=None) -> KktSolution:
     ``start`` names the inequality rows (by index, like ``active_set``) of
     the first working set.  ``qp`` is any compiled KKT solver of ``sub``:
     ``qp.padded(beta, eta)`` lays out its offsets and ``qp.kkt_solve(working,
-    offsets)`` gives ``_kkt_solve``'s answer for a working set (positions),
+    offsets)`` gives ``lu_kkt_solve``'s answer for a working set (positions),
     or None; ``AgentView`` solves through the batch's per-set affine maps.
 
     Raises UnboundedSubproblemError when the Hessian is not positive definite
@@ -147,7 +178,7 @@ def solve_kkt(sub: LocalSubproblem, start=(), qp=None) -> KktSolution:
     for _ in range(cap + 1):
         if qp is None:
             rhs = np.concatenate([-eta, -beta[working]])
-            solved = _kkt_solve(h, c, np.vstack([e, a[working]]), rhs)
+            solved = lu_kkt_solve(h, c, np.vstack([e, a[working]]), rhs)
         else:
             solved = qp.kkt_solve(tuple(working), offsets)
         if solved is None:
@@ -312,7 +343,7 @@ class AgentView:
                                offsets[k_i:k])
 
     def kkt_solve(self, working: tuple, offsets):
-        """``_kkt_solve`` through the working set's affine map: (x, multipliers) or None.
+        """``lu_kkt_solve`` through the working set's affine map: (x, multipliers) or None.
 
         The multipliers come in ``solve_kkt``'s order: equalities, then the
         working inequalities.
@@ -328,8 +359,44 @@ class AgentView:
         return z[:self.objective.dim], z[kept]
 
 
-def dense_oracle(problem):
-    """(x, value, inequality multipliers, equality multipliers, active set)."""
+def cold_active_set(evaluate, n_ineq):
+    """The active-set loop on one program as an array loop, cold from the empty set.
+
+    ``evaluate(working)`` solves a working set's KKT system and returns
+    (multipliers, inequality residuals, ...): the multipliers of the
+    equalities, then of the working rows.  Each step is ``_moves``' (add the
+    most violated free row, else drop the most negative working multiplier,
+    lowest index on ties), a set ``_accepted`` ends the search, and the
+    visited-set guard and the cap of 100 x max(1, m) sets raise what
+    ``AgentBatch.solve_rows`` raises.  Returns (the accepted set's
+    evaluation, working).
+    """
+    working, visited, cap = (), {()}, 100 * max(1, n_ineq)
+    for _ in range(cap + 1):
+        solved = evaluate(working)
+        mults, residual = solved[:2]
+        work = np.zeros(n_ineq, dtype=bool)
+        work[list(working)] = True
+        spread = np.zeros(n_ineq)
+        spread[list(working)] = mults[len(mults) - len(working):]
+        if _accepted(~work, work, residual, spread):
+            return solved, working
+        move = int(_moves(~work, work, residual, spread))
+        if move < n_ineq:
+            working = tuple(sorted((*working, move)))
+        else:
+            working = tuple(p for p in working if p != move - n_ineq)
+        if working in visited:
+            raise _revisited()
+        visited.add(working)
+    raise _capped(cap)
+
+
+def dense_oracle(problem, solve=solve_kkt):
+    """(x, value, inequality multipliers, equality multipliers, active set,
+    whether the multipliers are unique) of ``solve`` on the stacked
+    ``LocalSubproblem``: ``solve_kkt``, one LU factorization per working
+    set, or ``solve_rows_cold``."""
     h, c, const, a, b, e, g = stacked_arrays(problem)
     basis = None
     if e.shape[0]:
@@ -342,12 +409,12 @@ def dense_oracle(problem):
     sub = LocalSubproblem.build(objective,
                                 [(m + 1, a[m], b[m]) for m in range(a.shape[0])],
                                 [(k + 1, e[k], g[k]) for k in range(e.shape[0])])
-    sol = solve_kkt(sub)
+    sol = solve(sub)
     mu = np.array([sol.ineq_multipliers[m + 1] for m in range(a.shape[0])])
     lam = np.array([sol.eq_multipliers[k + 1] for k in range(e.shape[0])])
     if basis is not None:
         lam = basis @ lam
-    return sol.x, objective.value(sol.x), mu, lam, sol.active_set
+    return sol.x, objective.value(sol.x), mu, lam, sol.active_set, basis is None
 
 
 def scalar_stacked_arrays(problem):

@@ -11,12 +11,12 @@ import pytest
 
 import couplesolve as cs
 from couplesolve import cbf
-from couplesolve.local_qp import AgentBatch, WarmStart, _kkt_solve, _residual_ok
+from couplesolve.local_qp import AgentBatch, WarmStart, _residual_ok
 from couplesolve.problem import aggregate_violation
 from couplesolve.simnet import Exchange, Neighborhoods
 from bruteforce import brute_force_solve
-from reference import (AgentView, consensus_gradient, fresh_solutions, solve_kkt,
-                       stacked_multipliers, stored_row, total_objective)
+from reference import (AgentView, consensus_gradient, fresh_solutions, lu_kkt_solve,
+                       solve_kkt, stacked_multipliers, stored_row, total_objective)
 from gen import (benchmark_ring, failing_instance, mixed_dims_instance, reduced_space_instance,
                  strongly_convex_instance)
 
@@ -168,7 +168,7 @@ def test_residual_check_is_padding_free():
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
         h = basis @ np.diag(rng.uniform(0.3, 3.0, size=d)) @ basis.T
         c, rows, offsets = rng.normal(size=d), rng.normal(size=(k, d)), rng.normal(size=k)
-        x, mults = _kkt_solve(h, c, rows, -offsets)
+        x, mults = lu_kkt_solve(h, c, rows, -offsets)
         ok, residual = _residual_ok(h, c, rows, np.ones(k, dtype=bool),
                                     np.concatenate([x, mults]), offsets)
         assert ok

@@ -410,7 +410,7 @@ def test_solve_central_multi_agent_is_deterministic_and_exact(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
-    x, value, mu, lam, active = dense_oracle(problem)
+    x, value, mu, lam, active, _ = dense_oracle(problem)
     assert payload["active_set"] == list(active) == [1, 2]
     assert payload["unique_multipliers"]
     for key, want in (("x", x), ("value", value), ("ineq_multipliers", mu),

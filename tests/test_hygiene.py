@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from functools import partial
 from pathlib import Path
 
 import couplesolve as cs
@@ -95,12 +96,13 @@ def test_layering_faults_see_nested_and_backward_imports(tmp_path):
 TOLERANCES = {"_ADD_TOL", "_DROP_TOL"}
 
 
-def reads_tolerance(node) -> bool:
-    """A read of ``_ADD_TOL`` or ``_DROP_TOL``: a load, an attribute or an import."""
-    return ((isinstance(node, ast.Name) and node.id in TOLERANCES
+def reads_name(node, names=TOLERANCES) -> bool:
+    """A read of one of ``names`` (by default ``_ADD_TOL`` or ``_DROP_TOL``):
+    a load, an attribute or an import."""
+    return ((isinstance(node, ast.Name) and node.id in names
              and isinstance(node.ctx, ast.Load))
-            or (isinstance(node, ast.Attribute) and node.attr in TOLERANCES)
-            or (isinstance(node, ast.alias) and node.name in TOLERANCES))
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name in names))
 
 
 def reads_stored_rows(node) -> bool:
@@ -110,7 +112,7 @@ def reads_stored_rows(node) -> bool:
         "agent_rows", "row", "ineq_row", "eq_row"}
 
 
-def readers(path: Path, reads=reads_tolerance) -> set[str]:
+def readers(path: Path, reads=reads_name) -> set[str]:
     """The functions of a module with a node that ``reads``.
 
     Qualified within the module (``Class.method``); a read outside any
@@ -137,13 +139,18 @@ def library_readers(reads) -> set[str]:
 
 
 def test_active_set_rules_have_one_home():
-    # The add and drop tolerances are read by the two rules every loop
-    # applies, and the package has no scalar copy of the loop.
-    assert library_readers(reads_tolerance) == {"local_qp._accepted", "local_qp._moves"}
+    # The add and drop tolerances are read by the two rules the loop
+    # applies, and the package has one active-set loop: the lock-step loop
+    # alone moves a working set and raises the cycling and cap diagnoses,
+    # and no other copy of the loop or of its LU solve is defined.
+    assert library_readers(reads_name) == {"local_qp._accepted", "local_qp._moves"}
+    for name in ("_moves", "_revisited", "_capped"):
+        assert library_readers(partial(reads_name, names={name})) == {
+            "local_qp.AgentBatch._lockstep"}, name
     defined = sorted(f"{p.stem}.{node.name}" for p in sorted(SOURCE.glob("*.py"))
                      for node in ast.walk(ast.parse(p.read_text()))
                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                     and node.name == "solve_kkt")
+                     and node.name in {"solve_kkt", "_kkt_solve", "_active_set"})
     assert defined == []
 
 

@@ -6,14 +6,13 @@ from scipy.optimize import minimize
 
 import couplesolve as cs
 from couplesolve import oracle
-from couplesolve.exceptions import (DegenerateSubproblemError, DimensionMismatchError,
-                                    InfeasibleProblemError)
+from couplesolve.exceptions import DimensionMismatchError, InfeasibleProblemError
 from couplesolve.oracle import stacked_arrays
 
 from gen import (benchmark_ring, doubled_equality_instance, mixed_dims_instance,
                  reduced_space_instance, scaled_problem, shifted_offsets,
                  strongly_convex_instance)
-from reference import dense_oracle, scalar_stacked_arrays
+from reference import cold_active_set, dense_oracle, scalar_stacked_arrays, solve_rows_cold
 
 
 def test_toy_solution_is_exact(toy):
@@ -211,41 +210,29 @@ def linprog_calls(monkeypatch):
 
 @pytest.fixture
 def proposals(monkeypatch):
-    """Per constraint-space solve from here on, [the working sets the
-    primal-dual proposals evaluated, whether the cold loop ran after them]."""
+    """Per constraint-space solve from here on, the working sets the
+    primal-dual proposals evaluated."""
     solves = []
-    primal_dual, cold = oracle._primal_dual, oracle._active_set
+    primal_dual = oracle._primal_dual
 
     def primal_dual_spy(evaluate, n_ineq):
-        record = [0, False]
-        solves.append(record)
+        solves.append(0)
 
         def counted(working):
-            record[0] += 1
+            solves[-1] += 1
             return evaluate(working)
 
         return primal_dual(counted, n_ineq)
 
-    def cold_spy(evaluate, n_ineq):
-        if isinstance(getattr(evaluate, "__self__", None), oracle._ConstraintSpace):
-            solves[-1][1] = True
-        return cold(evaluate, n_ineq)
-
     monkeypatch.setattr(oracle, "_primal_dual", primal_dual_spy)
-    monkeypatch.setattr(oracle, "_active_set", cold_spy)
     return solves
 
 
 def _cold_answer(problem):
-    """The cold loop's certified answer in constraint space, or the dense
-    answer where the cold loop has none."""
+    """The cold loop's answer in constraint space, recovered and certified
+    there (None on a certificate miss)."""
     space = oracle._ConstraintSpace.compile(problem)
-    try:
-        found = oracle._active_set(space.evaluate, space.m)
-    except (np.linalg.LinAlgError, DegenerateSubproblemError):
-        found = None
-    solved = None if found is None else space.recover(*found)
-    return oracle._dense_solve(problem) if solved is None else solved
+    return space.recover(*cold_active_set(space.evaluate, space.m))
 
 
 def _identical(sol, other):
@@ -256,15 +243,31 @@ def _identical(sol, other):
 
 
 def _agrees_with_dense(problem, exact=False):
+    """``solve_centralized`` against the LU reference ``dense_oracle``: the
+    same active set and multiplier flag, and each of x, the value and the
+    multipliers within 1e-12 absolute.  With ``exact`` (where the dense path
+    answers) x, the multipliers and the active set equal the lock-step loop's
+    on the stacked program bit for bit, and LU's within 1e-14 relative to
+    each vector's largest entry (the value: to its largest term).  Either
+    path reads its value off the certificate."""
     sol = cs.solve_centralized(problem)
-    x, value, mu, lam, active = dense_oracle(problem)
-    assert sol.active_set == active
+    nu = np.concatenate([sol.ineq_multipliers, sol.eq_multipliers])
+    assert sol.value == oracle._certificate(problem, sol.x, nu)[0]
+    x, value, mu, lam, active, unique = dense_oracle(problem)
+    assert (sol.active_set, sol.unique_multipliers) == (active, unique)
     got = (sol.x, sol.value, sol.ineq_multipliers, sol.eq_multipliers)
-    for new, old in zip(got, (x, value, mu, lam)):
-        if exact:
-            assert np.array_equal(new, old)
-        else:
+    if not exact:
+        for new, old in zip(got, (x, value, mu, lam)):
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+        return sol
+    x_, _, mu_, lam_, active_, _ = dense_oracle(problem, solve_rows_cold)
+    assert sol.active_set == active_
+    for new, old in zip((sol.x, sol.ineq_multipliers, sol.eq_multipliers), (x_, mu_, lam_)):
+        assert np.array_equal(new, old)
+    h, c, const, *_ = stacked_arrays(problem)
+    terms = np.abs([value, 0.5 * x @ h @ x, c @ x, const])
+    for new, old, size in zip(got, (x, value, mu, lam), (x, terms, mu, lam)):
+        assert np.abs(new - old).max(initial=0.0) <= 1e-14 * np.abs(size).max(initial=0.0)
     return sol
 
 
@@ -296,14 +299,15 @@ def _costs_scaled(seed):
     *PREMISE,
     *(pytest.param(partial(_offsets_moved, seed), id=f"sc{seed}+1e4") for seed in range(25)),
     *(pytest.param(partial(_costs_scaled, seed), id=f"sc{seed}x1e8") for seed in range(25))])
-def test_proposals_answer_as_the_cold_loop(instance, proposals):
+def test_proposals_answer_as_the_cold_loop(instance, proposals, oracle_paths):
     # The answer depends only on the accepted set: the proposals reach the
     # cold loop's in a handful of steps, with no fallback.
     problem = instance()[0]
     sol = cs.solve_centralized(problem)
-    [(steps, fell_back)] = proposals
-    assert steps <= 5 and not fell_back
-    assert _identical(sol, _cold_answer(problem))
+    [steps] = proposals
+    assert steps <= 5 and oracle_paths == ["constraint"]
+    cold = _cold_answer(problem)
+    assert cold is not None and _identical(sol, cold)
 
 
 def test_primal_dual_proposals_on_scripted_sets():
@@ -340,7 +344,7 @@ def test_primal_dual_proposals_on_scripted_sets():
 
 
 def _proposed_on(monkeypatch, tamper):
-    """The primal-dual proposals see ``tamper(evaluate)``; the cold loop the true one."""
+    """The primal-dual proposals see ``tamper(evaluate)``."""
     primal_dual = oracle._primal_dual
     monkeypatch.setattr(oracle, "_primal_dual",
                         lambda evaluate, n_ineq: primal_dual(tamper(evaluate), n_ineq))
@@ -382,34 +386,28 @@ def _missed_once(monkeypatch):
     pytest.param(_capped, False, id="capped"),
     pytest.param(partial(_proposed_on, tamper=_singular), False, id="singular-set"),
     pytest.param(_missed_once, True, id="certificate-miss")])
-def test_each_fallback_returns_the_cold_answer(force, always, proposals, monkeypatch):
+def test_each_fallback_returns_the_dense_answer(force, always, proposals, oracle_paths,
+                                                monkeypatch):
     # Where the proposals accept no set (a repeated set, the cap, a singular
-    # S[W, W]) or their answer misses the certificate, the cold loop answers.
-    # Only the first three keep a one-step solve, accepted at the empty set.
+    # S[W, W]) or their answer misses the certificate, the dense path answers,
+    # at the accepted set of the unforced solve.  Only the first three keep a
+    # one-step solve, accepted at the empty set.
     fell = []
     for seed in range(25):
         problem, _, _ = strongly_convex_instance(seed)
         proposals.clear()
         base = cs.solve_centralized(problem)
+        oracle_paths.clear()
         with monkeypatch.context() as patch:
             force(patch)
             sol = cs.solve_centralized(problem)
-        [(steps, _), (_, fell_back)] = proposals
+        [steps, _] = proposals
+        fell_back = oracle_paths == ["dense"]
         fell.append(fell_back)
         assert fell_back == (always or steps > 1), seed
-        assert _identical(sol, base) and _identical(sol, _cold_answer(problem))
+        assert sol.active_set == base.active_set
+        assert _identical(sol, oracle._dense_solve(problem) if fell_back else base)
     assert sum(fell) >= 14  # the seeds whose proposals take two steps, at least
-
-
-def test_a_fallback_without_a_cold_answer_takes_the_dense_path(proposals, oracle_paths,
-                                                               monkeypatch):
-    # The cold loop meets the singular set too: the dense path answers.
-    evaluate = oracle._ConstraintSpace.evaluate
-    monkeypatch.setattr(oracle._ConstraintSpace, "evaluate",
-                        lambda space, working: _singular(partial(evaluate, space))(working))
-    problem, _, _ = strongly_convex_instance(0)
-    _agrees_with_dense(problem, exact=True)
-    assert oracle_paths == ["dense"] and proposals == [[2, True]]
 
 
 @pytest.mark.parametrize("shift", [-1e3, 1e3])

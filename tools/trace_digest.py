@@ -36,6 +36,11 @@ Cases:
   ``pgd`` with the default box and the estimated gradient bound, 60 rounds,
   without and with a gradient-norm stop, each followed by the
   finite-difference gradient at the run's output allocation;
+* ``psd12-pgd``: the benchmark's ``pgd-psd12`` instance at seed 1
+  (``benchmarks/instances.py``'s ``psd_ring(Draws(7, 1, 0.005), 12, 3, 4)``:
+  positive semidefinite blocks, so the oracle takes its dense path), ``pgd``
+  with the default box and the estimated gradient bound (sample seed 0),
+  200 rounds, oracle;
 * ``sc0-doubled-eq``: ``tests/gen.py`` strongly convex seed 0 with its
   first equality row stored twice (``doubled_equality_instance``), the
   centralized oracle only: every agent block is positive definite, LICQ
@@ -195,6 +200,19 @@ def cases(cs, gen, instances):
                     "solutions": solution_cells(result.output_stacked, topology),
                     "fd": fd[0],
                     "oracle": oracle_cells(oracle)})
+
+    problem = instances.psd_ring(instances.Draws(7, 1, 0.005), 12, 3, 4).problem
+    topology = cs.induce_topology(problem, problem.graph)
+    weights = cs.build_weights(topology)
+    oracle = cs.solve_centralized(problem)
+    box = cs.default_box_bound(problem, topology, weights, oracle)
+    grad_bound = cs.estimate_gradient_bound(problem, topology, weights, box, seed=0)
+    result = cs.run(problem, topology, weights, cs.PgdConfig(box, grad_bound, 200),
+                    oracle=oracle)
+    yield ("psd12-pgd", (box, grad_bound, *run_parts(result, topology)),
+           {"trace": trace_cells(result.trace.records), "primal": result.output_primal,
+            "solutions": solution_cells(result.output_stacked, topology),
+            "oracle": oracle_cells(oracle)})
 
     oracle = cs.solve_centralized(gen.doubled_equality_instance(0)[0])
     yield "sc0-doubled-eq", (oracle,), {"oracle": oracle_cells(oracle)}
