@@ -410,6 +410,20 @@ def test_each_fallback_returns_the_dense_answer(force, always, proposals, oracle
     assert sum(fell) >= 14  # the seeds whose proposals take two steps, at least
 
 
+def test_a_fallback_without_a_cold_answer_takes_the_dense_path(proposals, oracle_paths,
+                                                               monkeypatch):
+    # Every nonempty working set is singular in constraint space, so neither
+    # the proposals nor the cold loop answers there: the dense path does.
+    evaluate = oracle._ConstraintSpace.evaluate
+    monkeypatch.setattr(oracle._ConstraintSpace, "evaluate",
+                        lambda space, working: _singular(partial(evaluate, space))(working))
+    problem, _, _ = strongly_convex_instance(0)
+    with pytest.raises(np.linalg.LinAlgError):
+        _cold_answer(problem)
+    _agrees_with_dense(problem, exact=True)
+    assert oracle_paths == ["dense"] and proposals == [2]
+
+
 @pytest.mark.parametrize("shift", [-1e3, 1e3])
 @pytest.mark.parametrize("instance", PREMISE)
 def test_every_offset_is_feasible_in_constraint_space(instance, shift, oracle_paths,
