@@ -46,7 +46,7 @@ from .exceptions import ValidationError
 from .graph import SlackLayout, SlackState
 from .local_qp import AgentBatch, StackedSolutions, WarmStart
 from .oracle import feasible_slack_from_primal
-from .problem import _integer, lipschitz_bound, offset_scale
+from .problem import _integer, lipschitz_bound, offset_scale, validate_licq
 from .simnet import Phase, SimnetTransport
 from .trace import RoundRecord, RunTrace
 
@@ -222,10 +222,10 @@ def iterate_rounds(warm, config, start, transport, hook=None):
         yield state, z, grad
 
 
-def _warn_on_gamma(problem, topology, weights, config, licq):
-    """Warn when gamma exceeds 1 / (2 L), L the bound on the full-rank ``licq`` report."""
+def _warn_on_gamma(problem, topology, weights, config):
+    """Warn when gamma exceeds 1 / (2 L), L the problem's ``lipschitz_bound``."""
     try:
-        bound = lipschitz_bound(problem, topology, weights, licq)
+        bound = lipschitz_bound(problem, topology, weights)
     except ValidationError:
         logger.info(
             "gradient Lipschitz bound unavailable (problem not strongly "
@@ -248,9 +248,10 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     solution) enables the objective-error trace column.  The trace carries
     one row per iterate, row 0 being the start.  Before any solve or
     exchange, raises ValidationError unless ``initial_slack`` is finite and
-    in the topology's slack layout, and RankDeficiencyError when an agent's
-    stacked constraint rows are linearly dependent.  ``ada`` always checks
-    gamma against 1 / (2 ``lipschitz_bound``) and warns above it.
+    in the topology's slack layout, and, before the batch is compiled,
+    RankDeficiencyError when the problem's rank report (``validate_licq``,
+    built at most once per problem) names linearly dependent rows.  ``ada``
+    always checks gamma against 1 / (2 ``lipschitz_bound``) and warns above it.
     """
     layout = SlackLayout.from_topology(topology)
     if isinstance(transport, str) and transport in ("simnet", "direct"):
@@ -271,13 +272,12 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
                 and start.shape == (layout.size,) and np.isfinite(start).all()):
             raise ValidationError("initial_slack must be finite, in the topology's slack layout")
 
-    # Rounds and monitoring keep separate warm starts over one compiled batch,
-    # whose stacked rows also give the rank report.
+    # Rounds and monitoring keep separate warm starts over one compiled batch.
+    validate_licq(problem).require_full_rank()
     batch = AgentBatch(problem, topology, weights)
-    licq = batch.licq().require_full_rank()
     is_ada = isinstance(config, AdaConfig)
     if is_ada:
-        _warn_on_gamma(problem, topology, weights, config, licq)
+        _warn_on_gamma(problem, topology, weights, config)
 
     if not is_ada:
         start = np.clip(start, -config.box_bound, config.box_bound)
@@ -409,8 +409,8 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
         points.extend(box_bound * signs.astype(float))
     points.extend(rng.uniform(-box_bound, box_bound, size=(_INTERIOR_SAMPLES, n)))
 
+    validate_licq(problem).require_full_rank()
     batch = AgentBatch(problem, topology, weights)
-    batch.licq().require_full_rank()
     n_agents, width = batch.n_agents, batch.shape[1]
     cold = batch.sets.ids_of([(a, ()) for a in range(n_agents)])
     chunk = max(1, _SAMPLE_ROWS // n_agents)
@@ -440,8 +440,8 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
     constraint rows are linearly dependent.
     """
     layout = slack.layout
+    validate_licq(problem).require_full_rank()
     batch = AgentBatch(problem, topology, weights)
-    batch.licq().require_full_rank()
     warm = WarmStart(batch)
     base = warm.solve_stacked(batch.offsets(slack.values))
     base_costs = np.array([obj.value(z[:obj.dim])

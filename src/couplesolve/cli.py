@@ -162,14 +162,14 @@ def _cmd_run(args) -> int:
     weights = build_weights(topology)
     weights.update(_custom_weights(custom, topology))
 
-    licq = validate_licq(problem).require_full_rank()
+    validate_licq(problem).require_full_rank()
 
     oracle = solve_centralized(problem) if cfg["oracle"] else None
 
     if cfg["algorithm"] == "ada":
         gamma = cfg["gamma"]
         if gamma in (None, "auto"):
-            bound = lipschitz_bound(problem, topology, weights, licq)
+            bound = lipschitz_bound(problem, topology, weights)
             if bound <= 0:
                 raise ConfigError("gamma 'auto' needs coupled constraints; pass a value")
             gamma = 1.0 / (2.0 * bound)

@@ -33,10 +33,10 @@ maps of newly met sets are built together, one stacked inverse per KKT size,
 from the batch's stacked arrays.  ``AgentBatch.refresh`` overwrites c, the
 constants, the rows and their base offsets in place for a problem of the
 same structure (the safety filter's next step) and empties the table.
-``AgentBatch.licq`` reads ``validate_licq``'s report off the stacked rows,
-so ``run``'s gamma check and the filter's per-step rank check need no
-per-agent SVD; every library entry point that solves on a batch checks its
-rank with ``LicqReport.require_full_rank`` before the first solve.
+``AgentBatch.licq`` applies ``validate_licq``'s rule to a refreshed batch,
+whose rows the problem's report no longer describes: the safety filter's
+per-step rank check.  Every other solve on a batch first passes the problem's
+report (``validate_licq``) through ``LicqReport.require_full_rank``.
 
 ``AgentBatch.solve_rows`` runs the active-set loop in lock step over many
 rows, a row being one agent's QP at one set of offsets from one starting
@@ -425,8 +425,8 @@ class AgentBatch:
         self.sets = _SetTable(self)
 
     def licq(self) -> LicqReport:
-        """``validate_licq``'s report from the stacked rows: one batched singular
-        value decomposition per (rows, block dimension) group of ``by_shape``."""
+        """``validate_licq``'s report from the stacked rows, refreshed or not: one
+        batched SVD per (rows, block dimension) group of ``by_shape``."""
         return licq_report(self.n_agents, ((agents, self.rows[agents, :k, :d])
                                            for k, d, agents in self.by_shape))
 

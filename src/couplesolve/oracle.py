@@ -12,26 +12,28 @@ a negative multiplier) times max(1, the terms it compares).  Both paths read
 ``ProblemSpec.blocks``.
 
 Constraint space (``_ConstraintSpace``), when every agent block has a
-Cholesky factor and every agent's rows have full row rank (LICQ).  Then the
-stacked rows R = [A; E] have full row rank: a combination of rows that
+Cholesky factor and the rank premise holds (``_independent_rows``): every
+agent's rows have full row rank (LICQ) and every row has an agent.  Then
+the stacked rows R = [A; E] have full row rank: a combination of rows that
 vanishes vanishes on each agent's block, where the agent's independent rows
-force zero weight on every row it stores, and every row has an agent.  So
-S = R H^-1 R' is positive definite and R x = -offsets is solvable for every
-offset: the program is feasible and its multipliers are unique.  Each
-working set is one solve with S (the range-space method, Nocedal & Wright,
-*Numerical Optimization*, 2nd ed., section 16.2, carried fully into the
-m + q multipliers); x is recovered once, blockwise.  The primal-dual
-proposals, ``_primal_dual``, search: each step replaces the whole working
-set, and they give up on a repeated set or at a cap.  On the benchmark's
-ring at 400 / 1200 / 2400 agents they take 3 / 2 / 3 working sets where a
-cold primal active-set loop takes 44 / 153 / 305, and ``solve_centralized``
-2.1 / 8.3 / 24 ms where that loop alone took 5.8 / 87 / 753 ms (in-process,
-one BLAS thread, a shared 2-core x86_64 host).
+force zero weight on every row it stores.  So R x = -offsets is solvable
+for every offset, whatever the blocks: the program is feasible.  With the
+factors, S = R H^-1 R' is positive definite and the multipliers are
+unique.  Each working set is one solve with S (the range-space method,
+Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 16.2, carried
+fully into the m + q multipliers); x is recovered once, blockwise.  The
+primal-dual proposals, ``_primal_dual``, search: each step replaces the
+whole working set, and they give up on a repeated set or at a cap.  On
+the benchmark's ring at 400 / 1200 / 2400 agents they take 3 / 2 / 3
+working sets where a cold primal active-set loop takes 44 / 153 / 305, and
+``solve_centralized`` 2.1 / 8.3 / 24 ms where that loop alone took 5.8 /
+87 / 753 ms (in-process, one BLAS thread, a shared 2-core x86_64 host).
 
 Dense (``_dense_solve``), for every other input and for any answer the
 constraint space does not give: the proposals gave up, met a singular
-S[W, W] or missed the certificate.  A Phase-1 linear program (minimize the
-sum of constraint violations) decides feasibility first.  Dependent but
+S[W, W] or missed the certificate.  Off the rank premise, a Phase-1 linear
+program (minimize the sum of constraint violations) decides feasibility
+first; under it, the premise has already decided it.  Dependent but
 consistent equality rows are reduced away; the multipliers are then the
 least-squares (minimum norm) ones, flagged as non-unique.  The reduced
 program, held by one agent, is one row of ``local_qp.AgentBatch.solve_rows``
@@ -155,6 +157,16 @@ def _certified(worst, size) -> bool:
     return bool((np.asarray(worst) <= bound).all())
 
 
+def _independent_rows(problem: ProblemSpec) -> bool:
+    """The rank premise: every agent's rows have full row rank (the problem's
+    ``validate_licq`` report) and every row has an agent.  Then the stacked
+    rows R have full row rank, and every offset is feasible."""
+    cons = problem.constraints
+    stored = np.concatenate([b.index.ravel() for b in problem.blocks])
+    return bool(validate_licq(problem).all_full_rank
+                and np.bincount(stored, minlength=cons.m_ineq + cons.q_eq).all())
+
+
 class _ConstraintSpace:
     """The stacked program in its m + q multipliers, on positive definite
     blocks under per-agent LICQ.
@@ -187,18 +199,13 @@ class _ConstraintSpace:
     @classmethod
     def compile(cls, problem: ProblemSpec) -> "_ConstraintSpace | None":
         """The compiled program from ``problem.blocks``, or None off its
-        premise: some block has no Cholesky factor, some agent's rows are
-        linearly dependent (``validate_licq``), or some row has no agent."""
-        cons = problem.constraints
+        premise: some block has no Cholesky factor, or the stacked rows are
+        not ``_independent_rows``."""
         try:
             factors = [np.linalg.cholesky(b.hessian) for b in problem.blocks]
         except np.linalg.LinAlgError:
             return None
-        covered = np.bincount(np.concatenate([b.index.ravel() for b in problem.blocks]),
-                              minlength=cons.m_ineq + cons.q_eq).all()
-        if not (validate_licq(problem).all_full_rank and covered):
-            return None
-        return cls(problem, factors)
+        return cls(problem, factors) if _independent_rows(problem) else None
 
     def evaluate(self, working):
         """(nu_W, inequality residuals) of a working set; raises LinAlgError
@@ -259,18 +266,19 @@ def _phase1_violation(a, b, e, g, dim):
 
 
 def _dense_solve(problem: ProblemSpec) -> OracleSolution:
-    """The oracle on the dense stacked program: Phase-1, the reduction of
-    dependent equality rows, then the reduced program as one row of
-    ``AgentBatch.solve_rows``, from the empty working set."""
+    """The oracle on the dense stacked program: Phase-1 off the rank premise
+    (``_independent_rows``), the reduction of dependent equality rows, then
+    the reduced program as one row of ``AgentBatch.solve_rows``, from the
+    empty working set."""
     h, c, _, a, b, e, g = stacked_arrays(problem)
-    worst = _phase1_violation(a, b, e, g, len(c))
+    worst = 0.0 if _independent_rows(problem) else _phase1_violation(a, b, e, g, len(c))
     if worst > _FEAS_TOL:
         raise InfeasibleProblemError(
             f"coupled constraints are infeasible (Phase-1 violation {worst:.3e})"
         )
 
-    # Reduce dependent equality rows; consistency is already settled by
-    # Phase-1, so dependent rows only make multipliers non-unique.
+    # Reduce dependent equality rows; consistency is already settled by the
+    # premise or Phase-1, so dependent rows only make multipliers non-unique.
     basis, e_red, g_red = None, e, g
     if e.shape[0]:
         u, sv, _ = np.linalg.svd(e @ e.T)

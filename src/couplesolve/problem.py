@@ -172,6 +172,10 @@ class AgentBlock:
     linear: np.ndarray    # (g, d)
     constant: np.ndarray  # (g,)
 
+    def __post_init__(self):
+        for array in vars(self).values():  # fixed, as is the report read off them
+            array.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -180,7 +184,7 @@ class ProblemSpec:
     The rows are read when the problem is built, by one walk that checks
     each row's shape and stacks each agent's rows and cost into ``blocks``:
     one ``AgentBlock`` per (block dimension, row count), in first-agent
-    order.  A row added later is not seen.
+    order, each array read-only.  A row added later is not seen.
     """
 
     objectives: tuple[AgentObjective, ...]
@@ -229,6 +233,13 @@ class ProblemSpec:
     def dims(self) -> tuple[int, ...]:
         """Block dimensions, built once: every batch and kept result shares the tuple."""
         return tuple(obj.dim for obj in self.objectives)
+
+    @cached_property
+    def _licq(self) -> "LicqReport":
+        """``validate_licq``'s report, built once from the read-only ``blocks``:
+        one batched SVD per block with rows (``licq_report``)."""
+        return licq_report(self.n_agents, ((b.agents, b.rows) for b in self.blocks
+                                           if b.rows.shape[1]))
 
     def block_slices(self) -> tuple[slice, ...]:
         """Slices of each agent's block inside the stacked primal vector."""
@@ -372,11 +383,11 @@ def validate_licq(problem: ProblemSpec) -> LicqReport:
 
     Full row rank of every agent's stack guarantees local subproblems are
     feasible for arbitrary offsets and that their multipliers are unique.
-    Each block of ``problem.blocks`` with rows goes through one batched
-    singular value decomposition (``licq_report``).
+    The problem's one report: built on the first call, one batched singular
+    value decomposition per block of ``problem.blocks`` with rows
+    (``licq_report``), and returned as it is by every later call.
     """
-    return licq_report(problem.n_agents, ((b.agents, b.rows) for b in problem.blocks
-                                          if b.rows.shape[1]))
+    return problem._licq
 
 
 def _groups(keys: np.ndarray):
@@ -431,9 +442,7 @@ def lipschitz_bound(problem: ProblemSpec, topology, weights,
     agent's reach; the first agent (in order) whose Hessian is not positive
     definite is the one named.
     """
-    if licq is None:
-        licq = validate_licq(problem)
-    licq.require_full_rank()
+    licq = (licq or validate_licq(problem)).require_full_rank()
     norms, sizes = _operator_norms(topology, weights)
 
     n = problem.n_agents

@@ -10,7 +10,6 @@ parse reproduces the in-memory trace exactly; undefined entries are NaN.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,28 +117,12 @@ def parse_trace(path) -> RunTrace:
     return RunTrace(n_cons, tuple(records))
 
 
-def records_equal(a: RoundRecord, b: RoundRecord) -> bool:
-    """Field-by-field equality treating NaN == NaN as true."""
-    def same(u, v):
-        return u == v or (isinstance(u, float) and math.isnan(u) and math.isnan(v))
-
-    return (
-        a.round == b.round and same(a.phi, b.phi) and same(a.phi_hat, b.phi_hat)
-        and same(a.obj_err, b.obj_err)
-        and same(a.max_ineq_viol, b.max_ineq_viol)
-        and same(a.max_eq_resid, b.max_eq_resid)
-        and len(a.dual_cons_err) == len(b.dual_cons_err)
-        and all(same(u, v) for u, v in zip(a.dual_cons_err, b.dual_cons_err))
-        and a.msgs == b.msgs
-    )
-
-
 def traces_equal(a: RunTrace, b: RunTrace) -> bool:
-    return (
-        a.n_constraints == b.n_constraints
-        and len(a.records) == len(b.records)
-        and all(records_equal(u, v) for u, v in zip(a.records, b.records))
-    )
+    """Equal on the arrays: width, rounds, message counts and cells, NaN
+    equal to NaN."""
+    return (a.n_constraints == b.n_constraints
+            and np.array_equal(a.rounds, b.rounds) and np.array_equal(a.msgs, b.msgs)
+            and np.array_equal(a.cells, b.cells, equal_nan=True))
 
 
 def gnuplot_script(csv_path: str, n_constraints: int) -> str:

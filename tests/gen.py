@@ -15,8 +15,9 @@ Two families:
 Both produce feasible problems by construction: offsets are balanced around
 a sampled anchor point (with a strict margin on inequality rows).
 
-Three fixed instances besides: ``failing_instance``, whose local QPs fail in
-chosen ways, ``benchmark_ring``, the benchmark's 400-agent ring, and
+Four fixed instances besides: ``failing_instance``, whose local QPs fail in
+chosen ways, ``benchmark_ring``, the benchmark's 400-agent ring,
+``psd_benchmark_ring``, its 12-agent ring of PSD Hessians, and
 ``large_cost_scale_data``, a two-agent problem file at large cost scale.
 ``mixed_dims_instance`` draws four agents of block dimensions 2, 7, 9 and 3.
 
@@ -266,18 +267,34 @@ def mixed_dims_instance(seed: int):
     return problem, topology, build_weights(topology)
 
 
-def benchmark_ring(seed: int = 1):
-    """The benchmark's 400-agent ring (``benchmarks/instances.py``); returns
-    (problem, topology, weights)."""
+def _benchmark_instances():
+    """``benchmarks/instances.py``, loaded as a module."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "instances.py"
     spec = importlib.util.spec_from_file_location("benchmark_instances", path)
     instances = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = instances  # its dataclasses look their module up
     spec.loader.exec_module(instances)
-    problem = instances.strongly_convex_ring(
-        instances.Draws(400, seed, 0.005), 400, 3, 120, 30, 5).problem
+    return instances
+
+
+def _with_weights(problem):
     topology = induce_topology(problem, problem.graph)
     return problem, topology, build_weights(topology)
+
+
+def benchmark_ring(seed: int = 1):
+    """The benchmark's 400-agent ring (``benchmarks/instances.py``); returns
+    (problem, topology, weights)."""
+    instances = _benchmark_instances()
+    return _with_weights(instances.strongly_convex_ring(
+        instances.Draws(400, seed, 0.005), 400, 3, 120, 30, 5).problem)
+
+
+def psd_benchmark_ring(seed: int = 1):
+    """The benchmark's 12-agent ring of PSD Hessians (``pgd-psd12``, from
+    ``benchmarks/instances.py``); returns (problem, topology, weights)."""
+    instances = _benchmark_instances()
+    return _with_weights(instances.psd_ring(instances.Draws(7, seed, 0.005), 12, 3, 4).problem)
 
 
 def large_cost_scale_data() -> dict:

@@ -10,6 +10,7 @@ import pytest
 
 import couplesolve
 from couplesolve import cli, formats
+from couplesolve.local_qp import AgentBatch
 
 from gen import large_cost_scale_data, reduced_space_instance, strongly_convex_instance
 from reference import dense_oracle
@@ -369,6 +370,21 @@ def test_run_exits_3_on_a_violated_iterate_and_still_writes_the_trace(tmp_path, 
     path.write_text(json.dumps(data))
     assert cli.main(["run", str(path), "--algo", "ada", "--gamma", "auto",
                      "--rounds", "200", "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("algo", [["ada", "--gamma", "auto"], ["pgd"]], ids=["ada", "pgd"])
+def test_run_computes_the_rank_report_once(algo, tmp_path, monkeypatch, capsys):
+    # The boundary check, the oracle, the bound (ada's Lipschitz bound, pgd's
+    # sampled gradient bound) and the run all read one report of the problem.
+    problem, topology, weights = strongly_convex_instance(4)
+    groups = len(AgentBatch(problem, topology, weights).by_shape)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(formats.problem_to_dict(problem)))
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert cli.main(["run", str(path), "--algo", *algo, "--rounds", "3", "--oracle",
+                     "--output", str(tmp_path / "trace.csv")]) == 0
+    assert len(calls) == groups
 
 
 def test_non_object_run_config_or_scenario_exits_2(toy_file, tmp_path, capsys):

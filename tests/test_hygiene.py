@@ -162,6 +162,22 @@ def test_stored_rows_are_stacked_in_one_place():
                                                    "formats.problem_to_dict"}
 
 
+def test_one_rank_report_per_problem():
+    # The problem builds its report once; AgentBatch.licq serves only the
+    # safety filter's refreshed batch, whose rows the problem's report does
+    # not describe.  Every other reader asks validate_licq.
+    def used(name, node):  # a load or an attribute; an import alone is no use
+        return not isinstance(node, ast.alias) and reads_name(node, names={name})
+
+    assert library_readers(partial(used, "licq_report")) == {
+        "problem.ProblemSpec._licq", "local_qp.AgentBatch.licq"}
+    def attribute(name, node):
+        return isinstance(node, ast.Attribute) and node.attr == name
+
+    assert library_readers(partial(attribute, "_licq")) == {"problem.validate_licq"}
+    assert library_readers(partial(attribute, "licq")) == {"cbf.run_closed_loop"}
+
+
 def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text("from .local_qp import _DROP_TOL\n_ADD_TOL = 1.0\n"

@@ -10,8 +10,8 @@ from couplesolve.exceptions import DimensionMismatchError, InfeasibleProblemErro
 from couplesolve.oracle import stacked_arrays
 
 from gen import (benchmark_ring, doubled_equality_instance, mixed_dims_instance,
-                 reduced_space_instance, scaled_problem, shifted_offsets,
-                 strongly_convex_instance)
+                 psd_benchmark_ring, reduced_space_instance, scaled_problem,
+                 shifted_offsets, strongly_convex_instance)
 from reference import cold_active_set, dense_oracle, scalar_stacked_arrays, solve_rows_cold
 
 
@@ -441,6 +441,22 @@ def test_semidefinite_blocks_take_the_dense_path(seed, oracle_paths):
     problem, _, _ = reduced_space_instance(seed)
     _agrees_with_dense(problem, exact=True)
     assert oracle_paths == ["dense"]
+
+
+@pytest.mark.parametrize("instance", [
+    *(pytest.param(partial(reduced_space_instance, seed), id=f"rs{seed}") for seed in range(12)),
+    *(pytest.param(partial(psd_benchmark_ring, seed), id=f"psd{seed}") for seed in range(1, 11))])
+def test_rank_premise_skips_phase1_and_moves_no_bit(instance, oracle_paths, linprog_calls,
+                                                    monkeypatch):
+    # Semidefinite blocks under the rank premise: the dense path, whose
+    # Phase-1 could only answer "feasible", so it is not run.
+    problem, _, _ = instance()
+    assert oracle._independent_rows(problem)
+    sol = cs.solve_centralized(problem)
+    assert oracle_paths == ["dense"] and linprog_calls == []
+    monkeypatch.setattr(oracle, "_independent_rows", lambda problem: False)
+    assert _identical(cs.solve_centralized(problem), sol)  # with Phase-1 run
+    assert len(linprog_calls) == 1
 
 
 def test_certificate_miss_returns_the_dense_answer(oracle_paths, monkeypatch):

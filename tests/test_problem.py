@@ -87,6 +87,19 @@ def test_costs_are_read_only(toy):
     assert cs.duality_gap(problem, sol.x, sol.ineq_multipliers, sol.eq_multipliers) == 0.0
 
 
+def test_blocks_are_read_only():
+    # Every stacked array refuses an in-place write, so the blocks and the
+    # rank report read off them stay as the problem was built.
+    problem, _, _ = failing_instance()
+    report = cs.validate_licq(problem)
+    for b in problem.blocks:
+        for array in vars(b).values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    assert cs.validate_licq(problem) is report
+    assert [len(vars(b)) for b in problem.blocks] == [8] * len(problem.blocks)
+
+
 def test_empty_hessian_rejected():
     with pytest.raises(ValidationError, match=r"^hessian must not be empty, got shape \(0, 0\)$"):
         cs.AgentObjective(np.zeros((0, 0)), np.zeros(0))

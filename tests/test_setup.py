@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import couplesolve as cs
-from couplesolve import problem as problem_module
 from couplesolve.local_qp import AgentBatch
 from gen import (benchmark_ring, failing_instance, reduced_space_instance,
                  strongly_convex_instance)
@@ -89,40 +88,57 @@ def test_failures_name_the_same_agents():
     assert outcome[2].startswith("agent 1: Hessian not positive definite")
 
 
-def _spied(monkeypatch):
-    """Count ``validate_licq`` calls and singular value decompositions."""
-    counts = {"licq": 0, "svd": 0}
+def _svd_calls(monkeypatch):
+    """Count singular value decompositions from here on."""
+    counts = {"svd": 0}
+    svd = np.linalg.svd
 
-    def counting(name, function):
-        def spy(*args, **kwargs):
-            counts[name] += 1
-            return function(*args, **kwargs)
-        return spy
+    def spy(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(problem_module, "validate_licq",
-                        counting("licq", problem_module.validate_licq))
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "svd", spy)
     return counts
 
 
-def test_run_checks_gamma_on_the_compiled_batch(monkeypatch, caplog):
+def test_run_checks_gamma_on_the_problems_report(monkeypatch, caplog):
     problem, topology, weights = strongly_convex_instance(4)
     groups = len(AgentBatch(problem, topology, weights).by_shape)
-    bound = cs.lipschitz_bound(problem, topology, weights)
-    counts = _spied(monkeypatch)
-    for gamma, warned in ((1.0 / (2.0 * bound), False), (1.01 / (2.0 * bound), True)):
+    bound = cs.lipschitz_bound(*strongly_convex_instance(4))  # an equal problem's report
+    counts = _svd_calls(monkeypatch)
+    # The fresh problem's report costs one SVD per (rows, dim) group; the
+    # second run reads it off the problem.
+    for gamma, warned, svds in ((1.0 / (2.0 * bound), False, groups),
+                                (1.01 / (2.0 * bound), True, 0)):
         caplog.clear()
-        counts.update(licq=0, svd=0)
+        counts.update(svd=0)
         with caplog.at_level(logging.WARNING, logger="couplesolve"):
             cs.run(problem, topology, weights, cs.AdaConfig(gamma, 2))
-        assert counts == {"licq": 0, "svd": groups}  # one SVD per (rows, dim) group
+        assert counts == {"svd": svds}
         assert ("convergence guarantee void" in caplog.text) is warned
 
 
-def test_run_reports_a_psd_problem_without_validate_licq(monkeypatch, caplog):
+def test_run_reports_a_psd_problem_on_one_report(monkeypatch, caplog):
     problem, topology, weights = reduced_space_instance(2)
-    counts = _spied(monkeypatch)
-    with caplog.at_level(logging.INFO, logger="couplesolve"):
-        cs.run(problem, topology, weights, cs.AdaConfig(0.01, 2))
-    assert counts["licq"] == 0
-    assert "gradient Lipschitz bound unavailable" in caplog.text
+    groups = len(AgentBatch(problem, topology, weights).by_shape)
+    counts = _svd_calls(monkeypatch)
+    for svds in (groups, 0):
+        caplog.clear()
+        counts.update(svd=0)
+        with caplog.at_level(logging.INFO, logger="couplesolve"):
+            cs.run(problem, topology, weights, cs.AdaConfig(0.01, 2))
+        assert counts == {"svd": svds}
+        assert "gradient Lipschitz bound unavailable" in caplog.text
+
+
+def test_the_report_is_built_once_per_problem(monkeypatch):
+    problem, topology, weights = strongly_convex_instance(4)
+    groups = len(AgentBatch(problem, topology, weights).by_shape)
+    counts = _svd_calls(monkeypatch)
+    report = cs.validate_licq(problem)
+    for check in (cs.validate_licq, lambda p: cs.lipschitz_bound(p, topology, weights),
+                  lambda p: cs.estimate_gradient_bound(p, topology, weights, 1.0),
+                  cs.solve_centralized):
+        check(problem)
+    assert counts == {"svd": groups}
+    assert cs.validate_licq(problem) is report

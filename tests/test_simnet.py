@@ -5,7 +5,7 @@ import couplesolve as cs
 from couplesolve import simnet
 from couplesolve.exceptions import LocalityViolationError
 from couplesolve.local_qp import AgentBatch
-from couplesolve.trace import records_equal, traces_equal
+from couplesolve.trace import RunTrace, traces_equal
 
 from gen import strongly_convex_instance
 
@@ -69,8 +69,9 @@ def test_algorithm_runs_bit_identical_across_transports(toy):
     res_simnet = cs.run(problem, topology, weights, config,
                         transport="simnet")
     assert len(res_direct.trace) == len(res_simnet.trace)
+    n = res_direct.trace.n_constraints
     for a, b in zip(res_direct.trace.records, res_simnet.trace.records):
-        assert records_equal(a, b)  # exact float equality, NaN-aware
+        assert traces_equal(RunTrace(n, (a,)), RunTrace(n, (b,)))  # exact, NaN-aware
     assert res_direct.messages == res_simnet.messages
 
 

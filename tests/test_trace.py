@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import couplesolve as cs
-from couplesolve.trace import (RoundRecord, RunTrace, gnuplot_script,
-                               records_equal, trace_lines, traces_equal)
+from couplesolve.trace import RoundRecord, RunTrace, gnuplot_script, trace_lines, traces_equal
 
 
 def _record(r, msgs=0, **overrides):
@@ -63,12 +62,14 @@ def test_float_cells_survive_text_round_trip(vals):
         assert got == orig or (math.isnan(orig) and math.isnan(got))
 
 
-def test_records_equal_treats_nan_as_equal():
-    a = _record(0, phi_hat=float("nan"))
-    b = _record(0, phi_hat=float("nan"))
-    assert records_equal(a, b)
-    assert not records_equal(a, _record(0, phi_hat=0.0))
-    assert not records_equal(a, _record(1, phi_hat=float("nan")))
+def test_traces_equal_treats_nan_as_equal():
+    def one(record):
+        return RunTrace(1, (record,))
+
+    a = one(_record(0, phi_hat=float("nan")))
+    assert traces_equal(a, one(_record(0, phi_hat=float("nan"))))
+    assert not traces_equal(a, one(_record(0, phi_hat=0.0)))  # a changed cell
+    assert not traces_equal(a, one(_record(1, phi_hat=float("nan"))))  # a changed round
 
 
 def test_traces_equal_checks_length_and_width():

@@ -149,12 +149,11 @@ def oracle_cells(oracle) -> np.ndarray:
 
 def setup_parts(cs, problem, topology, weights) -> tuple:
     """The set-up's topology, rank report, operator norms and Lipschitz bound."""
-    licq = cs.validate_licq(problem)
     hoods = [topology.neighborhood(l, i) for l in range(1, topology.n_constraints + 1)
              for i in topology.participants_of(l)]
     return (topology.participants, [sorted(edges) for edges in topology.induced_edges],
-            hoods, licq.agents, cs.operator_norms(topology, weights),
-            cs.lipschitz_bound(problem, topology, weights, licq))
+            hoods, cs.validate_licq(problem).agents, cs.operator_norms(topology, weights),
+            cs.lipschitz_bound(problem, topology, weights))
 
 
 def setup_cells(parts) -> np.ndarray:
