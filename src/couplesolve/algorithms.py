@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .graph import SlackLayout, SlackState
+from .graph import SlackState
 from .local_qp import AgentBatch, StackedSolutions, WarmStart
 from .oracle import feasible_slack_from_primal
 from .problem import _integer, lipschitz_bound, offset_scale, validate_licq
@@ -253,7 +253,7 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     built at most once per problem) names linearly dependent rows.  ``ada``
     always checks gamma against 1 / (2 ``lipschitz_bound``) and warns above it.
     """
-    layout = SlackLayout.from_topology(topology)
+    layout = topology.layout
     if isinstance(transport, str) and transport in ("simnet", "direct"):
         transport = SimnetTransport(topology)
     elif not isinstance(transport, SimnetTransport):
@@ -392,8 +392,7 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
         raise ValidationError(f"box_bound must be a finite number > 0, got {box_bound!r}")
     if not (_integer(seed) and seed >= 0):
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
-    layout = SlackLayout.from_topology(topology)
-    n = layout.size
+    n = topology.layout.size
     if n == 0:
         return 1.0
     rng = np.random.default_rng(seed)
@@ -439,7 +438,6 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
     Raises RankDeficiencyError, before any solve, when an agent's stacked
     constraint rows are linearly dependent.
     """
-    layout = slack.layout
     validate_licq(problem).require_full_rank()
     batch = AgentBatch(problem, topology, weights)
     warm = WarmStart(batch)
@@ -448,21 +446,21 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
                            for obj, z in zip(problem.objectives, base)])
     total = float(base_costs.sum())
 
-    # Per coordinate an up and a down probe; each re-solves only the agents
-    # whose offsets read the perturbed coordinate.
+    # Per coordinate an up and a down probe, each re-solving only the agents
+    # whose offsets read it: by symmetry, the agents its own hops read.
+    size, members = topology.layout.size, topology.layout.members
+    ends = np.searchsorted(topology.reader, np.arange(size + 1))
     steps, probes, agents, offsets = [], [], [], []
-    for l in layout.constraints:
-        for agent in topology.participants_of(l):
-            k = layout.index(l, agent)
-            h = _FD_STEP * (1.0 + abs(slack.values[k]))
-            steps.append((k, h))
-            affected = [i - 1 for i in topology.neighborhood(l, agent)]
-            for value in (slack.values[k] + h, slack.values[k] - h):
-                point = slack.values.copy()
-                point[k] = value
-                probes.append(affected)
-                agents += affected
-                offsets.extend(batch.offsets(point)[affected])
+    for k in range(size):
+        h = _FD_STEP * (1.0 + abs(slack.values[k]))
+        steps.append(h)
+        affected = (members[topology.read[ends[k]:ends[k + 1]]] - 1).tolist()
+        for value in (slack.values[k] + h, slack.values[k] - h):
+            point = slack.values.copy()
+            point[k] = value
+            probes.append(affected)
+            agents += affected
+            offsets.extend(batch.offsets(point)[affected])
     z, _ = batch.solve_rows(agents, np.reshape(offsets, (len(agents), batch.shape[1])),
                             warm.ids[agents])
 
@@ -475,9 +473,9 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
             row += 1
         costs.append(cost)
 
-    grad = np.zeros(layout.size)
-    flagged = np.zeros(layout.size, dtype=bool)
-    for (k, h), f_up, f_down in zip(steps, costs[::2], costs[1::2]):
+    grad = np.zeros(size)
+    flagged = np.zeros(size, dtype=bool)
+    for k, (h, f_up, f_down) in enumerate(zip(steps, costs[::2], costs[1::2])):
         grad[k] = (f_up - f_down) / (2.0 * h)
         forward = (f_up - total) / h
         backward = (total - f_down) / h

@@ -39,7 +39,7 @@ from .exceptions import RankDeficiencyError, ValidationError
 from .graph import Graph, build_weights, induce_topology
 from .local_qp import AgentBatch, WarmStart
 from .oracle import solve_centralized
-from .problem import AgentObjective, CouplingConstraints, ProblemSpec, _integer
+from .problem import AgentObjective, CouplingConstraints, ProblemSpec, _integer, validate_licq
 from .simnet import SimnetTransport
 
 
@@ -288,14 +288,14 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     parameters are computed in one pass (``_FilterRows.at``) and the batch
     is refreshed in place; the run aborts with a diagnostic when an agent's
     barrier rows become linearly dependent (LICQ failure, e.g. an agent
-    exactly at a barrier center or two barrier gradients aligned, by
-    ``AgentBatch.licq``).  The distributed solver's two streams, the inner
-    rounds' and the applied solve's, keep their working sets across steps;
-    the centralized solver solves the step's ``ProblemSpec``.  The batch
-    checks every input against the rows (``AgentBatch.violation``).  Raises
-    ValidationError when a parameter is not finite, when the graph and the
-    state disagree on the agent count or when a barrier names an agent
-    outside 1..n.
+    exactly at a barrier center or two barrier gradients aligned), by
+    ``AgentBatch.licq`` or, for the centralized solver, by the report of the
+    step's ``ProblemSpec`` that it solves.  The distributed solver's two
+    streams, the inner rounds' and the applied solve's, keep their working
+    sets across steps.  The batch checks every input against the rows
+    (``AgentBatch.violation``).  Raises ValidationError when a parameter is
+    not finite, when the graph and the state disagree on the agent count or
+    when a barrier names an agent outside 1..n.
     """
     rows = _FilterRows(scenario, graph, state.n_agents)
     steps = scenario.steps
@@ -331,7 +331,8 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
         seeds = (rounds.working, final.working) if rounds else (None, None)
         batch.refresh(step.linear, step.constant, step.coeffs[rows.order],
                       step.offsets[rows.order])
-        failures = batch.licq().failures()
+        step_problem = None if distributed else rows.problem(step)
+        failures = (batch.licq() if distributed else validate_licq(step_problem)).failures()
         if failures:
             raise RankDeficiencyError(
                 f"step {s} (t={state.time:.3f}): agents {failures} have "
@@ -340,7 +341,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             )
 
         if not distributed:
-            sol = solve_centralized(rows.problem(step))
+            sol = solve_centralized(step_problem)
             u = sol.x.reshape(n, 2)
             inner_worst[s] = 0.0
         else:

@@ -33,6 +33,9 @@ original coupled constraint — every slack allocation yields a conservative
 (violation-free) primal.  ``SlackLayout`` indexes the coordinates (l, i),
 ``SlackState`` holds one allocation, and ``consensus_gap`` is the one-hop
 row of I - P that both the offsets and the gradient read.
+``induce_topology`` finds every closed-neighbourhood read once, as the
+topology's hops ((l, i) reads (l, j)), which the weights, the transport,
+the batch's read pass and the finite-difference probes index.
 """
 
 from __future__ import annotations
@@ -101,33 +104,16 @@ class Graph:
         return tuple(sorted(out))
 
 
-def _connected(nodes: tuple[int, ...], edges) -> bool:
-    # BFS over the given edge set restricted to `nodes`.
-    if len(nodes) <= 1:
-        return True
-    adjacency = {v: set() for v in nodes}
-    for a, b in edges:
-        if a in adjacency and b in adjacency:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(nodes)
-
-
 @dataclass(frozen=True)
 class ConstraintTopology:
-    """Participant sets, induced edges and closed neighborhoods per constraint.
+    """Participant sets, induced edges, slack coordinates and one-hop reads.
 
     Constraints are indexed 1..n_constraints with inequalities first:
     constraint l <= m_ineq is inequality row l, constraint l > m_ineq is
-    equality row l - m_ineq.
+    equality row l - m_ineq.  ``layout`` indexes the slack coordinates (l, i).
+    Hop k, one per (l, i, j) with j in N_i^[l] (i included), is the agent of
+    coordinate ``reader[k]`` reading coordinate ``read[k]``; the hops ascend
+    by (reader, read), the order ``consensus_gap`` visits.
     """
 
     n_agents: int
@@ -137,7 +123,9 @@ class ConstraintTopology:
     induced_edges: tuple[frozenset[tuple[int, int]], ...]
     agent_ineq_sets: tuple[tuple[int, ...], ...]
     agent_eq_sets: tuple[tuple[int, ...], ...]
-    _neighborhoods: dict = field(repr=False)
+    layout: SlackLayout = field(compare=False, repr=False)
+    reader: np.ndarray = field(compare=False, repr=False)
+    read: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n_constraints(self) -> int:
@@ -150,8 +138,10 @@ class ConstraintTopology:
         return self.induced_edges[l - 1]
 
     def neighborhood(self, l: int, i: int) -> tuple[int, ...]:
-        """Closed neighborhood of agent i inside constraint l's subgraph."""
-        return self._neighborhoods[(l, i)]
+        """Closed neighborhood of agent i inside constraint l's subgraph, ascending."""
+        coord = self.layout.index(l, i)
+        first, last = self.reader.searchsorted((coord, coord + 1))
+        return tuple(self.layout.members[self.read[first:last]].tolist())
 
     def constraints_of(self, i: int) -> tuple[int, ...]:
         """All constraint indices (inequalities then shifted equalities) of agent i."""
@@ -161,16 +151,15 @@ class ConstraintTopology:
 
 
 def induce_topology(problem, graph: Graph) -> ConstraintTopology:
-    """Compute participant sets, induced subgraphs and neighborhoods.
+    """Compute participant sets, induced subgraphs and the one-hop reads.
 
     An agent participates in a constraint row iff its coefficient row is
     nonzero or its offset contribution is nonzero, which is exactly when
     ``CouplingConstraints`` stores the row.  So the participant sets and each
     agent's row sets come from one pass over the rows' positions in
-    ``problem.blocks``, agent by agent, and each constraint's induced edges
-    and closed neighborhoods from one adjacency map of ``graph``.
-    Deterministic: all sets are stored in ascending order, independent of
-    edge insertion order.
+    ``problem.blocks``, agent by agent, and the hops and induced edges from
+    one walk over each coordinate's closed graph neighbourhood.  All sets
+    are stored in ascending order, independent of edge insertion order.
     """
     m_ineq, q_eq = problem.constraints.m_ineq, problem.constraints.q_eq
     n = graph.n_agents
@@ -188,31 +177,28 @@ def induce_topology(problem, graph: Graph) -> ConstraintTopology:
         agent_eq.append(tuple(l + 1 - m_ineq for l in positions if l >= m_ineq))
     participants = tuple(map(tuple, members))  # ascending: agents come in order
 
-    adjacency = {i: set() for i in range(1, n + 1)}
+    closed = [[i] for i in range(n + 1)]  # each agent's closed graph neighbourhood
     for a, b in graph.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    induced = []
-    neighborhoods = {}
-    for l, agents in enumerate(participants, start=1):
-        inside = set(agents)
-        edges = []
-        for i in agents:
-            near = adjacency[i] & inside
-            edges += [(i, j) for j in near if i < j]
-            neighborhoods[(l, i)] = tuple(sorted((i, *near)))
+        closed[a].append(b)
+        closed[b].append(a)
+    for near in closed:
+        near.sort()
+    reader, read, induced, starts = [], [], [], list(accumulate(map(len, members), initial=0))
+    for agents, start in zip(participants, starts):
+        coord, edges = {i: start + a for a, i in enumerate(agents)}, []
+        for c, i in enumerate(agents, start):
+            for j in closed[i]:
+                d = coord.get(j)
+                if d is not None:  # a hop, and an induced edge once
+                    reader.append(c)
+                    read.append(d)
+                    if i < j:
+                        edges.append((i, j))
         induced.append(frozenset(edges))
-
-    return ConstraintTopology(
-        n_agents=n,
-        m_ineq=m_ineq,
-        q_eq=q_eq,
-        participants=participants,
-        induced_edges=tuple(induced),
-        agent_ineq_sets=tuple(agent_ineq),
-        agent_eq_sets=tuple(agent_eq),
-        _neighborhoods=neighborhoods,
-    )
+    layout = SlackLayout(np.fromiter(chain.from_iterable(members), dtype=int), np.array(starts))
+    return ConstraintTopology(n, m_ineq, q_eq, participants, tuple(induced), tuple(agent_ineq),
+                              tuple(agent_eq), layout, np.array(reader, dtype=int),
+                              np.array(read, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -230,15 +216,24 @@ class ConnectivityReport:
 
 
 def check_connectivity(topology: ConstraintTopology) -> ConnectivityReport:
-    """Check that every constraint's participants induce a connected subgraph.
+    """Check that every constraint's participants induce a connected subgraph:
+    a search along the hops from its first coordinate reaches all of them.
 
     Empty and singleton participant sets count as connected.
     """
-    flags = tuple(
-        _connected(topology.participants_of(l), topology.edges_of(l))
-        for l in range(1, topology.n_constraints + 1)
-    )
-    return ConnectivityReport(flags)
+    starts, read = topology.layout.starts.tolist(), topology.read.tolist()
+    ends = topology.reader.searchsorted(np.arange(starts[-1] + 1)).tolist()
+    flags = []
+    for first, last in zip(starts, starts[1:]):
+        seen = set(range(first, min(first + 1, last)))  # the first coordinate, if any
+        frontier = list(seen)
+        while frontier:
+            c = frontier.pop()
+            new = set(read[ends[c]:ends[c + 1]]) - seen
+            seen |= new
+            frontier += new
+        flags.append(len(seen) == last - first)
+    return ConnectivityReport(tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +259,9 @@ class WeightMatrix:
                 f"constraint {self.constraint_index}: weight matrix shape "
                 f"{self.entries.shape} does not match {k} participants"
             )
-        object.__setattr__(
-            self, "_pos", {i: a for a, i in enumerate(self.participants)}
-        )
 
     def position(self, i: int) -> int:
-        return self._pos[i]
+        return self.participants.index(i)
 
     def weight(self, i: int, j: int) -> float:
         return float(self.entries[self.position(i), self.position(j)])
@@ -312,22 +304,37 @@ class WeightMatrix:
             )
 
 
+def _metropolis(topology: ConstraintTopology) -> dict[int, WeightMatrix]:
+    """Metropolis-Hastings weights from the hops (a degree is a hop count less
+    one), filled by one scatter into (g, k, k) arrays, one per participant
+    count k, whose rows are each summed alone for their diagonal."""
+    starts, reader, read = topology.layout.starts, topology.reader, topology.read
+    count, groups = (starts[1:] - starts[:-1]).tolist(), {}
+    for l, k in enumerate(count):
+        groups.setdefault(k, []).append(l)
+    corner, end = [0] * len(count), 0  # hop (c, d) of constraint l at corner[l] + c k + d
+    for k, group in groups.items():
+        for l in group:
+            corner[l], end = end - int(starts[l]) * (k + 1), end + k * k
+    degree, off = np.bincount(reader, minlength=topology.layout.size) - 1, reader != read
+    reader, read = reader[off], read[off]
+    at = np.arange(len(count)).repeat(count)[reader]
+    buffer = np.zeros(end)
+    buffer[np.array(corner, dtype=int)[at] + reader * np.array(count, dtype=int)[at] + read] = (
+        1.0 / (1.0 + np.maximum(degree[reader], degree[read])))
+    out, end = {}, 0
+    for k, group in groups.items():
+        entries = buffer[end:end + len(group) * k * k].reshape(len(group), k, k)
+        entries.reshape(len(group), k * k)[:, ::k + 1] = 1.0 - entries.sum(axis=2)
+        out.update((l + 1, WeightMatrix(l + 1, topology.participants[l], p))
+                   for l, p in zip(group, entries))
+        end += len(group) * k * k
+    return dict(sorted(out.items()))
+
+
 def metropolis_weights(l: int, topology: ConstraintTopology) -> WeightMatrix:
     """Metropolis-Hastings weights on constraint l's induced subgraph."""
-    members = topology.participants_of(l)
-    k = len(members)
-    entries = np.zeros((k, k))
-    degree = {
-        i: len(topology.neighborhood(l, i)) - 1 for i in members
-    }
-    pos = {i: a for a, i in enumerate(members)}
-    for i, j in sorted(topology.edges_of(l)):
-        w = 1.0 / (1.0 + max(degree[i], degree[j]))
-        entries[pos[i], pos[j]] = w
-        entries[pos[j], pos[i]] = w
-    for a in range(k):
-        entries[a, a] = 1.0 - (entries[a].sum() - entries[a, a])
-    return WeightMatrix(l, members, entries)
+    return _metropolis(topology)[l]
 
 
 def build_weights(topology: ConstraintTopology) -> dict[int, WeightMatrix]:
@@ -337,10 +344,7 @@ def build_weights(topology: ConstraintTopology) -> dict[int, WeightMatrix]:
         raise DisconnectedSubgraphError(
             f"constraints {report.failures()} induce disconnected subgraphs"
         )
-    return {
-        l: metropolis_weights(l, topology)
-        for l in range(1, topology.n_constraints + 1)
-    }
+    return _metropolis(topology)
 
 
 def null_range_check(weights: WeightMatrix) -> bool:
@@ -374,9 +378,8 @@ class SlackLayout:
 
     @classmethod
     def from_topology(cls, topology) -> "SlackLayout":
-        participants = topology.participants
-        return cls(np.fromiter(chain.from_iterable(participants), dtype=int),
-                   np.fromiter(accumulate(map(len, participants), initial=0), dtype=int))
+        """The topology's layout, which ``induce_topology`` builds once."""
+        return topology.layout
 
     @property
     def constraints(self) -> tuple[int, ...]:
@@ -392,15 +395,12 @@ class SlackLayout:
         return int(self.starts[-1])
 
     def index(self, l: int, agent: int) -> int:
-        try:
-            index = self._index
-        except AttributeError:
-            # Built on first use: a layout kept with a result holds no dict.
-            # Coordinate k is the k-th (constraint, participant) pair.
-            constraint = np.repeat(np.arange(1, len(self.starts)), np.diff(self.starts))
-            index = dict(zip(zip(constraint.tolist(), self.members.tolist()), range(self.size)))
-            object.__setattr__(self, "_index", index)
-        return index[(l, agent)]
+        """Coordinate (l, agent); KeyError unless agent takes part in constraint l."""
+        first, last = int(self.starts[l - 1]), int(self.starts[l])
+        at = first + int(self.members[first:last].searchsorted(agent))
+        if at >= last or self.members[at] != agent:
+            raise KeyError((l, agent))
+        return at
 
     def block(self, l: int) -> slice:
         return slice(int(self.starts[l - 1]), int(self.starts[l]))

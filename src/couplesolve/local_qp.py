@@ -26,7 +26,8 @@ oracle's dense path, whose stacked program it solves as one agent's row.
 From one round to the next only the offsets change.  ``AgentBatch``
 compiles everything else once into stacked arrays: H, c, the rows and their
 base offsets from ``ProblemSpec.blocks``, and the consensus terms that
-turn neighbour slacks into offsets.  For a fixed working set W the KKT
+turn neighbour slacks into offsets, one read per hop of the topology with
+its weight from the given matrices.  For a fixed working set W the KKT
 solution is affine in the offsets, z = s_W + M_W off.  The batch keeps every
 working set its solves meet in one table, each map stacked under an id; the
 maps of newly met sets are built together, one stacked inverse per KKT size,
@@ -68,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSubproblemError, UnboundedSubproblemError
-from .graph import SlackLayout
 from .problem import LicqReport, licq_report, row_shares
 
 # Residuals above this are treated as violated when growing the working set;
@@ -347,13 +347,21 @@ class AgentBatch:
     """
 
     def __init__(self, problem, topology, weights):
-        layout = SlackLayout.from_topology(topology)
-        constraints = [topology.constraints_of(i) for i in range(1, problem.n_agents + 1)]
-        # Per agent row: N_i^[l] minus i, ascending, the order consensus_gap visits.
-        neighbours = [[[j for j in topology.neighborhood(l, i) if j != i] for l in ls]
-                      for i, ls in enumerate(constraints, start=1)]
-        n, dim, width = len(constraints), max(problem.dims), max(map(len, constraints))
-        reach = max((len(nbrs) for agent in neighbours for nbrs in agent), default=0)
+        layout, reader, read = topology.layout, topology.reader, topology.read
+        n, size, starts = problem.n_agents, layout.size, layout.starts
+        agent = layout.members - 1  # each slack coordinate's 0-based agent
+        sizes = starts[1:] - starts[:-1]
+        constraint = np.arange(len(sizes)).repeat(sizes)
+        # Agent rows are the coordinates agent by agent, each agent's in
+        # constraints_of order (ascending): coordinate c is row[c] of its agent.
+        coords = agent.argsort(kind="stable")
+        n_rows = np.bincount(agent, minlength=n)
+        row = np.empty(size, dtype=int)
+        row[coords] = np.arange(size) - (n_rows.cumsum() - n_rows)[agent[coords]]
+        n_ineq = np.bincount(agent[constraint < topology.m_ineq], minlength=n)
+        hops = np.bincount(reader, minlength=size)
+        dim, width = max(problem.dims), int(n_rows.max())
+        reach = int(hops.max(initial=1)) - 1
         self.shape = (dim, width, reach)
         self.n_agents = n
         self.hessian = np.zeros((n, dim, dim))
@@ -371,37 +379,39 @@ class AgentBatch:
             self.base[agents, :k] = b.offsets
             if k:
                 self.by_shape.append((k, d, agents))
+        # Each agent row, agent by agent: its cell in a (n, width) array, its
+        # slack coordinate (where its gap lands in a gradient) and its
+        # constraint.  Rows and slack coordinates match one to one.
+        cell = agent * width + row
+        self.cells, self.coords, self.constraint = cell[coords], coords, constraint[coords]
+        # The read pass, one read per hop: read k is agent readers[k]'s
+        # (0-based) read of slack coordinate flat[k], into its buffer slot
+        # slots[k]; a row reads its own value into slot 0, then its
+        # neighbours' in ascending order, with the weights p_ij beside them.
+        own = reader == read
+        rank = np.arange(len(reader)) - (hops.cumsum() - hops)[reader]  # among the row's hops
+        rank = np.where(own, 0, rank + (rank < rank[own][reader]))
+        slot = cell[reader] * (reach + 1) + rank
+        order = slot.argsort()
+        self.slots, self.flat, self.readers = slot[order], read[order], agent[reader][order]
+        # p_ij from the given weights' entries (Metropolis or not): constraint
+        # l's k x k entries, concatenated, from corner[l - 1] + S k for its
+        # first coordinate S, so hop (c, d) reads corner + c k + d.
+        entries = np.concatenate([np.zeros(0), *(weights[l].entries.ravel() for l, k in
+                                                 enumerate(sizes.tolist(), start=1) if k)])
+        corner = (sizes ** 2).cumsum() - sizes ** 2 - starts[:-1] * (sizes + 1)
+        c, d = reader[~own], read[~own]
+        l = constraint[c]
         self.p = np.zeros((n, width, reach))
-        # The read pass: read k is agent readers[k]'s (0-based) read of slack
-        # coordinate flat[k], into its buffer slot slots[k]; a row reads its
-        # own value, then its neighbours'.  Each agent row, agent by agent:
-        # its cell in a (n, width) array, its slack coordinate (where its gap
-        # lands in a gradient) and its constraint.  Rows and slack coordinates
-        # match one to one.
-        slots, flat, readers, cells, coords, constraint = [], [], [], [], [], []
+        self.p.reshape(-1)[cell[c] * reach + rank[~own] - 1] = entries[corner[l] + c * sizes[l] + d]
         # Per agent: (block dimension, inequality rows, rows).
-        self.counts = []
-        for a, (d, ls, agent_nbrs) in enumerate(zip(problem.dims, constraints, neighbours)):
-            i = a + 1
-            self.counts.append((d, len(topology.agent_ineq_sets[a]), len(ls)))
-            for r, (l, nbrs) in enumerate(zip(ls, agent_nbrs)):
-                self.p[a, r, :len(nbrs)] = [weights[l].weight(i, j) for j in nbrs]
-                first = (a * width + r) * (reach + 1)
-                slots += range(first, first + 1 + len(nbrs))
-                flat += [layout.index(l, j) for j in (i, *nbrs)]
-                readers += [a] * (1 + len(nbrs))
-                cells.append(a * width + r)
-                coords.append(layout.index(l, i))
-                constraint.append(l - 1)
-        (self.slots, self.flat, self.readers, self.cells, self.coords,
-         self.constraint) = (np.array(v, dtype=int)
-                             for v in (slots, flat, readers, cells, coords, constraint))
+        self.counts = list(zip(problem.dims, n_ineq.tolist(), n_rows.tolist()))
         self.dims = problem.dims
         self.m_ineq = topology.m_ineq
         self.n_constraints = topology.n_constraints
         self.x_mask = np.arange(dim) < np.array(self.dims)[:, None]
-        self.size = layout.size
-        self.cap = 100 * np.maximum(1, [k_i for _, k_i, _ in self.counts])
+        self.size = size
+        self.cap = 100 * np.maximum(1, n_ineq)
         self.sets = _SetTable(self)
 
     def refresh(self, linear, constant, coeffs, offsets) -> None:

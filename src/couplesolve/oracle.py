@@ -54,7 +54,7 @@ from scipy.optimize import linprog
 
 from .exceptions import (DimensionMismatchError, DisconnectedSubgraphError,
                          InfeasibleProblemError, SolverError, ValidationError)
-from .graph import Graph, SlackLayout, SlackState, build_weights, induce_topology
+from .graph import Graph, SlackState, build_weights, induce_topology
 from .local_qp import AgentBatch, _accepted
 from .problem import (AgentObjective, CouplingConstraints, ProblemSpec, agent_shares,
                       aggregate_violation, row_shares, validate_licq)
@@ -172,7 +172,8 @@ class _ConstraintSpace:
     blocks under per-agent LICQ.
 
     S = R H^-1 R' is a sum of per-agent k x k blocks R_i H_i^-1 R_i',
-    scattered by constraint position, and r = R x0 + b a sum of per-agent
+    each block's summed per distinct cell of S and then added in by
+    constraint position, and r = R x0 + b a sum of per-agent
     vectors.  A working set W (the equalities and the working inequalities)
     costs one solve S[W, W] nu_W = r[W]; the inequality residuals at its
     solution are r[ineq] - S[ineq, W] nu_W.  ``groups`` holds (block, y, x0)
@@ -189,9 +190,9 @@ class _ConstraintSpace:
             rhs = np.concatenate([b.rows.transpose(0, 2, 1), -b.linear[..., None]], axis=2)
             solved = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))
             y, x0 = solved[..., :k], solved[..., k]
-            cells = b.index[:, :, None] * size + b.index[:, None, :]
-            self.s += np.bincount(cells.ravel(), (b.rows @ y).ravel(),
-                                  minlength=size * size).reshape(size, size)
+            cells, at = np.unique(b.index[:, :, None] * size + b.index[:, None, :],
+                                  return_inverse=True)
+            self.s.reshape(-1)[cells] += np.bincount(at.ravel(), (b.rows @ y).ravel())
             r0 = (b.rows @ x0[..., None])[..., 0] + b.offsets  # R_i x0_i + b_i
             self.r += np.bincount(b.index.ravel(), r0.ravel(), minlength=size)
             self.groups.append((b, y, x0))
@@ -391,7 +392,7 @@ def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> Sla
             "primal point violates the coupled constraints; no slack "
             "allocation can certify it"
         )
-    layout = SlackLayout.from_topology(topology)
+    layout = topology.layout
     state = SlackState.zeros(layout)
     rows, shares = agent_shares(problem, x)
     shares = shares[np.argsort(rows, kind="stable")]  # slack layout: row by row, agents ascending

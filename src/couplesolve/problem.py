@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from functools import cached_property, partial
 
 import numpy as np
@@ -399,8 +399,7 @@ def _groups(keys: np.ndarray):
 def _operator_norms(topology, weights) -> tuple[np.ndarray, np.ndarray]:
     """(||I - P^[l]||_2, |V^[l]|) per constraint l, at l - 1: one batched
     ``eigvalsh`` per participant count over the stacked I - P."""
-    sizes = np.fromiter(map(len, topology.participants), dtype=int,
-                        count=topology.n_constraints)
+    sizes = np.diff(topology.layout.starts)
     norms = np.zeros(topology.n_constraints)
     for k, pos in _groups(sizes):
         if k:
@@ -459,8 +458,7 @@ def lipschitz_bound(problem: ProblemSpec, topology, weights,
         )
     # Reach: the largest norm over the constraints an agent takes part in.
     reach = np.zeros(n)
-    members = np.fromiter(chain.from_iterable(topology.participants), dtype=int)
-    np.maximum.at(reach, members - 1, np.repeat(norms, sizes))
+    np.maximum.at(reach, topology.layout.members - 1, np.repeat(norms, sizes))
     gram = np.array([info.gram_min for info in licq.agents])
     per_agent = float((reach[coupled] * np.sqrt(hi[coupled] / gram[coupled])).max(initial=0.0))
 

@@ -9,17 +9,19 @@ value is free).
 
 A phase delivers one vector in slack layout (``graph.SlackLayout``) as an
 ``Exchange``.  Agent i may read coordinate (l, j) only when j is in its
-closed neighborhood in constraint l; ``Neighborhoods`` compiles these
-permitted (agent, coordinate) pairs once per topology, as sorted codes.  The
-batched solver reads every agent at once through ``Exchange.checked``, which
-checks all its (reader, coordinate) pairs in one vectorized pass.  Hooks,
-probes and references index ``exchange[i - 1]`` for agent i's
-``NeighborView``, a read-only mapping built only when indexed.  Any read
-outside the neighborhoods raises by default, or is recorded as a violation in
-audit mode and served, so that injected faults can be detected rather than
-crash the replay (``algorithms.locality_audit``).  Audit mode never changes
-numerics: an audited and a strict run read identical floats, so their traces
-are bit-identical.
+closed neighborhood in constraint l, that is along one of the topology's
+hops (``graph.ConstraintTopology``): ``Neighborhoods`` turns them into
+sorted codes of the permitted (agent, coordinate) pairs, and each hop
+between two agents is one message.  The batched solver reads every agent
+at once through ``Exchange.checked``, which checks all its (reader,
+coordinate) pairs in one vectorized pass.  Hooks, probes and references
+index ``exchange[i - 1]`` for agent i's ``NeighborView``, a read-only
+mapping built only when indexed.  Any read outside the neighborhoods raises
+by default, or is recorded as a violation in audit mode and served, so that
+injected faults can be detected rather than crash the replay
+(``algorithms.locality_audit``).  Audit mode never changes numerics: an
+audited and a strict run read identical floats, so their traces are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import LocalityViolationError, ValidationError
-from .graph import SlackLayout
 
 
 class Phase(enum.Enum):
@@ -60,20 +61,13 @@ class Neighborhoods:
     """
 
     def __init__(self, topology):
-        layout = SlackLayout.from_topology(topology)
-        self.layout = layout
+        self.layout = layout = topology.layout
         self.size = layout.size
         self.n_agents = topology.n_agents
         self.key = [(l, j) for l, members in enumerate(topology.participants, start=1)
                     for j in members]
-        codes = []
-        for l, members, start in zip(layout.constraints, topology.participants,
-                                     layout.starts.tolist()):
-            coord = {j: start + a for a, j in enumerate(members)}
-            codes += [(i - 1) * self.size + coord[j]
-                      for i in members for j in topology.neighborhood(l, i)]
-        self.codes = np.append(np.unique(np.array(codes, dtype=np.int64)),
-                               np.iinfo(np.int64).max)
+        codes = (layout.members[topology.reader] - 1) * self.size + topology.read
+        self.codes = np.append(np.unique(codes), np.iinfo(np.int64).max)
 
     def coords_of(self, agent: int) -> np.ndarray:
         """Agent's permitted coordinates, ascending."""
@@ -192,10 +186,7 @@ class SimnetTransport:
         self.auditor = Auditor() if audit else None
         self.neighborhoods = Neighborhoods(topology)
         self.messages = 0
-        self.messages_per_phase = sum(
-            2 * len(topology.edges_of(l))
-            for l in range(1, topology.n_constraints + 1)
-        )
+        self.messages_per_phase = int(np.count_nonzero(topology.reader != topology.read))
 
     def gather(self, phase: Phase, values) -> Exchange:
         """Deliver ``values``, one per slack coordinate, to every agent's neighbors."""

@@ -23,7 +23,9 @@ chosen ways, ``benchmark_ring``, the benchmark's 400-agent ring,
 
 Two variants of a problem's rows: ``shifted_offsets`` moves every stored
 offset, and ``doubled_equality_instance`` stores a strongly convex
-instance's first equality row twice.
+instance's first equality row twice.  One variant of its weights:
+``lazy_weights_instance`` replaces every Metropolis matrix P by the lazy
+(I + P) / 2, validated, so the batch reads weights it did not build.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from couplesolve import (
     CouplingConstraints,
     Graph,
     ProblemSpec,
+    WeightMatrix,
     build_weights,
     induce_topology,
 )
@@ -373,3 +376,20 @@ def doubled_equality_instance(seed: int):
     problem = ProblemSpec(problem.objectives, cons, problem.graph)
     topology = induce_topology(problem, problem.graph)
     return problem, topology, build_weights(topology)
+
+
+def lazy_weights_instance(seed: int):
+    """``strongly_convex_instance(seed)`` with every weight matrix P replaced
+    by the lazy (I + P) / 2; returns (problem, topology, weights).
+
+    Each lazy matrix is symmetric, doubly stochastic and positive exactly on
+    the closed neighbourhoods, so ``WeightMatrix.validate`` accepts it, yet
+    no entry off the diagonal is a Metropolis weight.
+    """
+    problem, topology, weights = strongly_convex_instance(seed)
+    lazy = {}
+    for l, w in weights.items():
+        lazy[l] = WeightMatrix(l, w.participants,
+                               0.5 * (np.eye(len(w.participants)) + w.entries))
+        lazy[l].validate(topology)
+    return problem, topology, lazy

@@ -37,7 +37,10 @@ coordinate with ``consensus_gap``, as each agent forms its own.
 
 The set-up's scalar loops, which the batched set-up must reproduce bit for
 bit: ``scalar_induce_topology`` (``stored_row`` per (agent, constraint) pair, a
-scan of every graph edge per constraint), ``scalar_validate_licq`` (one
+scan of every graph edge per constraint, and the hops read off each
+participant's ``scalar_neighborhood``, a scan of every induced edge),
+``scalar_metropolis`` (the Metropolis weights constraint by constraint, each
+diagonal 1 minus its row's sum), ``scalar_validate_licq`` (one
 SVD per agent), ``scalar_operator_norms`` (one ``eigvalsh`` per constraint)
 and ``scalar_lipschitz_bound`` (one ``eigvalsh`` per agent with rows).
 
@@ -65,7 +68,7 @@ from couplesolve import (AgentObjective, CouplingConstraints, Graph, ProblemSpec
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
 from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
-from couplesolve.graph import ConstraintTopology
+from couplesolve.graph import ConstraintTopology, WeightMatrix
 from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _accepted, _affine,
                                   _capped, _factors, _gap, _moves, _residual_ok, _revisited,
                                   _singular)
@@ -550,8 +553,21 @@ def stored_row(cons, agent: int, l: int):
     return ineq.get(l) if l <= cons.m_ineq else eq.get(l - cons.m_ineq)
 
 
+def scalar_neighborhood(edges, i: int) -> tuple[int, ...]:
+    """Agent i's closed neighbourhood among ``edges``: a scan of every edge."""
+    close = {i}
+    for a, b in edges:
+        if a == i:
+            close.add(b)
+        elif b == i:
+            close.add(a)
+    return tuple(sorted(close))
+
+
 def scalar_induce_topology(problem, graph) -> ConstraintTopology:
-    """``induce_topology`` pair by pair: a row lookup per (agent, constraint)."""
+    """``induce_topology`` pair by pair: a row lookup per (agent, constraint),
+    a scan of every graph edge per constraint and of every induced edge per
+    participant, and the hops read off those neighbourhoods one by one."""
     cons = problem.constraints
     m_ineq, q_eq = cons.m_ineq, cons.q_eq
     n = graph.n_agents
@@ -568,21 +584,20 @@ def scalar_induce_topology(problem, graph) -> ConstraintTopology:
         participants.append(tuple(members))
 
     induced = []
-    neighborhoods = {}
+    coords, starts, reader, read = [], [0], [], []
     for l, members in enumerate(participants, start=1):
         member_set = set(members)
         edges = frozenset(
             (a, b) for a, b in graph.edges if a in member_set and b in member_set
         )
         induced.append(edges)
-        for i in members:
-            close = {i}
-            for a, b in edges:
-                if a == i:
-                    close.add(b)
-                elif b == i:
-                    close.add(a)
-            neighborhoods[(l, i)] = tuple(sorted(close))
+        start = len(coords)
+        coords += members
+        starts.append(len(coords))
+        for a, i in enumerate(members):
+            for j in scalar_neighborhood(edges, i):
+                reader.append(start + a)
+                read.append(start + members.index(j))
 
     agent_ineq = tuple(
         tuple(m for m in range(1, m_ineq + 1) if i in participants[m - 1])
@@ -592,8 +607,31 @@ def scalar_induce_topology(problem, graph) -> ConstraintTopology:
         tuple(q for q in range(1, q_eq + 1) if i in participants[m_ineq + q - 1])
         for i in range(1, n + 1)
     )
+    layout = SlackLayout(np.array(coords, dtype=int), np.array(starts, dtype=int))
     return ConstraintTopology(n, m_ineq, q_eq, tuple(participants), tuple(induced),
-                              agent_ineq, agent_eq, neighborhoods)
+                              agent_ineq, agent_eq, layout, np.array(reader, dtype=int),
+                              np.array(read, dtype=int))
+
+
+def scalar_metropolis(topology) -> dict:
+    """Metropolis weights constraint by constraint: degrees from each
+    neighbourhood, a Python loop over the sorted induced edges, and each
+    diagonal 1 minus its row's sum."""
+    out = {}
+    for l in range(1, topology.n_constraints + 1):
+        members = topology.participants_of(l)
+        k = len(members)
+        entries = np.zeros((k, k))
+        degree = {i: len(scalar_neighborhood(topology.edges_of(l), i)) - 1 for i in members}
+        pos = {i: a for a, i in enumerate(members)}
+        for i, j in sorted(topology.edges_of(l)):
+            w = 1.0 / (1.0 + max(degree[i], degree[j]))
+            entries[pos[i], pos[j]] = w
+            entries[pos[j], pos[i]] = w
+        for a in range(k):
+            entries[a, a] = 1.0 - (entries[a].sum() - entries[a, a])
+        out[l] = WeightMatrix(l, members, entries)
+    return out
 
 
 def stacked_rows(problem, agent: int) -> np.ndarray:

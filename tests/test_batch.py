@@ -1,7 +1,9 @@
 """The compiled, warm-started, batched local solver against its references.
 
 Every check runs over the ``tests/gen.py`` families: strongly convex seeds
-0-24 and reduced-space seeds 0-11, at random slack allocations.
+0-24 and reduced-space seeds 0-11, at random slack allocations.  The compile
+checks add strongly convex seed 3 on lazy (I + P) / 2 weights, which the
+batch must read from the given matrices.
 """
 
 from functools import partial
@@ -17,8 +19,8 @@ from couplesolve.simnet import Exchange, Neighborhoods
 from bruteforce import brute_force_solve
 from reference import (AgentView, consensus_gradient, fresh_solutions, lu_kkt_solve,
                        solve_kkt, stacked_multipliers, stored_row, total_objective)
-from gen import (benchmark_ring, failing_instance, mixed_dims_instance, reduced_space_instance,
-                 strongly_convex_instance)
+from gen import (benchmark_ring, failing_instance, lazy_weights_instance, mixed_dims_instance,
+                 reduced_space_instance, strongly_convex_instance)
 
 FAMILIES = ([(strongly_convex_instance, seed) for seed in range(25)]
             + [(reduced_space_instance, seed) for seed in range(12)])
@@ -259,7 +261,8 @@ def test_lockstep_breaks_ties_as_solve_kkt(start, offset):
     assert len(visited) == 3
 
 
-@pytest.mark.parametrize("make, seed", FAMILIES, ids=IDS)
+@pytest.mark.parametrize("make, seed", FAMILIES + [(lazy_weights_instance, 3)],
+                         ids=IDS + ["lazy3"])
 def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
     problem, topology, weights = make(seed)
     batch = AgentBatch(problem, topology, weights)
@@ -378,10 +381,21 @@ def _compiled(make, *args):
 
 COMPILED = ([partial(_compiled, make, seed) for make, seed in FAMILIES]
             + [partial(_compiled, failing_instance), partial(_compiled, benchmark_ring),
-               _refreshed_filter])
+               _refreshed_filter, partial(_compiled, lazy_weights_instance, 3)])
+COMPILED_IDS = IDS + ["failing", "ring400", "filter", "lazy3"]
 
 
-@pytest.mark.parametrize("build", COMPILED, ids=IDS + ["failing", "ring400", "filter"])
+@pytest.mark.parametrize("build", COMPILED, ids=COMPILED_IDS)
+def test_transport_permits_exactly_the_batch_reads(build):
+    # The transport's permitted pairs and the batch's read pass come from
+    # the same hops: a strict run can raise on no read the batch makes.
+    batch, (_, topology, _) = build()
+    size = topology.layout.size
+    assert np.array_equal(Neighborhoods(topology).codes[:-1],
+                          np.unique(batch.readers * size + batch.flat))
+
+
+@pytest.mark.parametrize("build", COMPILED, ids=COMPILED_IDS)
 def test_compiled_arrays_are_the_problem_and_the_weights(build):
     # Entry by entry from the ProblemSpec and the weights, each checked entry
     # then cleared: what is left is padding and must be zero.

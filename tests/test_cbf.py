@@ -386,6 +386,24 @@ def test_distributed_loop_compiles_once(monkeypatch, horizon):
     assert counts["licq"] <= 1
 
 
+def test_one_rank_pass_per_filter_step(monkeypatch):
+    # Each step checks the rows it solves once: the refreshed batch's, or
+    # the centralized step problem's report, which the oracle then reads.
+    # 50 steps of two (rows, block dimension) groups each.
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for solver in SOLVERS:
+        del calls[:]
+        run_closed_loop(*line_consensus_scenario(horizon=0.5, solver=solver))
+        assert len(calls) == 100, solver
+
+
 @pytest.mark.parametrize("field, value", [
     ("dt", math.nan), ("dt", math.inf), ("horizon", math.inf), ("horizon", 0.0),
     ("gamma", math.nan), ("gamma", -0.1), ("gamma", True), ("inner_iterations", 2.5),

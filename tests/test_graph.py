@@ -85,16 +85,16 @@ def test_connectivity_report(diamond):
 
 def test_disconnected_participants_raise():
     # agents 1 and 3 share a constraint but the only path runs through 2,
-    # which does not participate
+    # which does not participate; the last constraint has no participant
     obj = cs.AgentObjective(np.eye(1), np.zeros(1))
-    cons = cs.CouplingConstraints(3, m_ineq=1, q_eq=0)
+    cons = cs.CouplingConstraints(3, m_ineq=2, q_eq=0)
     cons.add_ineq_row(1, 1, [1.0], 0.0)
     cons.add_ineq_row(3, 1, [1.0], 0.0)
     graph = cs.Graph.from_edges(3, [(1, 2), (2, 3)])
     problem = cs.ProblemSpec((obj, obj, obj), cons, graph)
     topo = cs.induce_topology(problem, graph)
-    assert not cs.check_connectivity(topo).all_connected
-    with pytest.raises(DisconnectedSubgraphError):
+    assert cs.check_connectivity(topo).connected == (False, True)
+    with pytest.raises(DisconnectedSubgraphError, match=r"constraints \(1,\) induce"):
         cs.build_weights(topo)
 
 

@@ -178,6 +178,23 @@ def test_one_rank_report_per_problem():
     assert library_readers(partial(attribute, "licq")) == {"cbf.run_closed_loop"}
 
 
+def reads_attribute(name, node) -> bool:
+    """An attribute ``.name``, read or called."""
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
+def test_one_home_for_the_one_hop_structure():
+    # induce_topology finds every closed-neighbourhood read once, as the
+    # topology's hops, and the weights, the transport, the batch and the
+    # probes read them.  What still walks a neighbourhood is the scalar
+    # reference consensus_gap, the boundary check of given weights and the
+    # safety filter's nominal inputs (on the graph's own accessor); no
+    # module rebuilds a layout from a topology, which keeps its own.
+    assert library_readers(partial(reads_attribute, "neighborhood")) == {
+        "graph.consensus_gap", "graph.WeightMatrix.validate", "cbf.nominal_consensus"}
+    assert library_readers(partial(reads_attribute, "from_topology")) == set()
+
+
 def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text("from .local_qp import _DROP_TOL\n_ADD_TOL = 1.0\n"

@@ -1,12 +1,14 @@
 """The batched set-up against its scalar loops, bit for bit.
 
-``induce_topology``, ``validate_licq``, ``operator_norms`` and
-``lipschitz_bound`` group their work into stacked LAPACK calls; each must
-give what ``tests/reference.py``'s agent-by-agent and constraint-by-constraint
-loops give: equal bits for every float, or an exception of equal type and
-message.  Cases: the ``tests/gen.py`` families (strongly convex seeds 0-24,
-reduced-space seeds 0-11, whose PSD Hessians have no Lipschitz bound), the
-failing instance (rank-deficient rows) and the benchmark's 400-agent ring.
+``induce_topology`` keeps the one-hop reads as int arrays,
+``build_weights`` groups the Metropolis arithmetic by participant count, and
+``validate_licq``, ``operator_norms`` and ``lipschitz_bound`` group their
+work into stacked LAPACK calls; each must give what ``tests/reference.py``'s
+agent-by-agent and constraint-by-constraint loops give: equal bits for every
+float and array, or an exception of equal type and message.  Cases: the
+``tests/gen.py`` families (strongly convex seeds 0-24, reduced-space seeds
+0-11, whose PSD Hessians have no Lipschitz bound), the failing instance
+(rank-deficient rows) and the benchmark's 400-agent ring.
 """
 
 import dataclasses
@@ -19,8 +21,8 @@ import couplesolve as cs
 from couplesolve.local_qp import AgentBatch
 from gen import (benchmark_ring, failing_instance, reduced_space_instance,
                  strongly_convex_instance)
-from reference import (scalar_induce_topology, scalar_lipschitz_bound, scalar_operator_norms,
-                       scalar_validate_licq)
+from reference import (scalar_induce_topology, scalar_lipschitz_bound, scalar_metropolis,
+                       scalar_neighborhood, scalar_operator_norms, scalar_validate_licq)
 
 CASES = ([(strongly_convex_instance, seed) for seed in range(25)]
          + [(reduced_space_instance, seed) for seed in range(12)]
@@ -33,6 +35,8 @@ def _bits(value):
     """``value`` with every float replaced by its bits, types kept."""
     if isinstance(value, float):
         return type(value).__name__, value.hex()
+    if isinstance(value, np.ndarray):
+        return type(value).__name__, value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, dict):
         return {key: _bits(item) for key, item in value.items()}
     if isinstance(value, (tuple, list)):
@@ -58,11 +62,15 @@ def case(request):
 
 
 def test_topology_is_the_scalar_loops(case):
-    problem, topology, _ = case
+    # The layout and the hops too, which equality leaves out.
+    problem, topology, weights = case
     reference = scalar_induce_topology(problem, problem.graph)
     assert topology == reference
     assert _bits(topology) == _bits(reference)
-    assert topology._neighborhoods == reference._neighborhoods
+    for l, members in enumerate(reference.participants, start=1):
+        for i in members:
+            assert topology.neighborhood(l, i) == scalar_neighborhood(reference.edges_of(l), i)
+    assert _bits(weights) == _bits(scalar_metropolis(reference))
 
 
 def test_licq_and_bound_are_the_scalar_loops(case):

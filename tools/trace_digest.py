@@ -32,6 +32,9 @@ Cases:
   with the set-up: the topology's participants, induced edges and
   neighbourhoods, every ``AgentRankInfo`` of ``validate_licq``, the
   ``operator_norms`` and ``lipschitz_bound``;
+* ``sc3-lazy-ada``: strongly convex seed 3 on the lazy weights (I + P) / 2
+  of ``tests/gen.py``'s ``lazy_weights_instance``, the rest as above: the
+  batch on weights that are not Metropolis;
 * ``rs<seed>-pgd`` and ``rs<seed>-pgd-tol``: reduced-space seeds 0-11,
   ``pgd`` with the default box and the estimated gradient bound, 60 rounds,
   without and with a gradient-norm stop, each followed by the
@@ -180,6 +183,16 @@ def cases(cs, gen, instances):
                 "primal": result.output_primal,
                 "solutions": solution_cells(result.output_stacked, topology),
                 "oracle": oracle_cells(oracle), "setup": setup_cells(setup)})
+
+    problem, topology, weights = gen.lazy_weights_instance(3)
+    oracle = cs.solve_centralized(problem)
+    setup = setup_parts(cs, problem, topology, weights)
+    result = cs.run(problem, topology, weights, cs.AdaConfig(1.0 / (2.0 * setup[-1]), 30),
+                    oracle=oracle)
+    yield ("sc3-lazy-ada", (*run_parts(result, topology), setup),
+           {"trace": trace_cells(result.trace.records), "primal": result.output_primal,
+            "solutions": solution_cells(result.output_stacked, topology),
+            "oracle": oracle_cells(oracle), "setup": setup_cells(setup)})
 
     for seed in range(12):
         problem, topology, weights = gen.reduced_space_instance(seed)
