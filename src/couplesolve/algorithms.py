@@ -376,17 +376,42 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
     )
 
 
+def _distinct_rows(agents, offsets):
+    """Each distinct (agent, offsets) row's first occurrence, ascending, and
+    every row's position among them.
+
+    Rows match by their bits, so -0.0 and 0.0 stay apart.  Sorting the keys
+    stably puts equal rows side by side, each run led by its first occurrence.
+    """
+    keys = np.column_stack((agents, offsets.view(np.int64)))
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    leads = np.ones(len(keys), dtype=bool)
+    leads[1:] = (ranked[1:] != ranked[:-1]).any(1)
+    run = np.empty(len(keys), dtype=int)
+    run[order] = leads.cumsum() - 1
+    first = order[leads]
+    by_first = first.argsort()
+    position = np.empty_like(by_first)
+    position[by_first] = np.arange(len(first))
+    return first[by_first], position[run]
+
+
 def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: int = 0) -> float:
     """Sampled bound on the allocation-cost gradient norm over the box.
 
     Evaluates the gradient at all box corners (capped at 2^10 corners) plus
     ``_INTERIOR_SAMPLES`` uniform interior points drawn with ``seed``, and
-    doubles the largest norm seen.  Every agent at every point is one row of
-    ``AgentBatch.solve_rows``, solved cold; the points go through in chunks
-    of ``_SAMPLE_ROWS`` rows, which bounds the loop's temporaries.  Raises
-    ValidationError unless ``box_bound`` is a finite number > 0 and ``seed``
-    an integer >= 0, and RankDeficiencyError, before any solve, when an
-    agent's stacked constraint rows are linearly dependent.
+    doubles the largest norm seen.  An agent's offsets read only its own
+    hops, so across the points many (agent, offsets) rows repeat bit for
+    bit: each distinct row is solved once, cold, as one row of
+    ``AgentBatch.solve_rows``, in order of first occurrence and in chunks of
+    ``_SAMPLE_ROWS`` rows, which bounds the loop's temporaries.  The answers
+    go back to every point, and a failing sample raises the diagnosis of the
+    lowest failing (point, agent) row.  Raises ValidationError unless
+    ``box_bound`` is a finite number > 0 and ``seed`` an integer >= 0, and
+    RankDeficiencyError, before any solve, when an agent's stacked
+    constraint rows are linearly dependent.
     """
     if not _positive(box_bound):
         raise ValidationError(f"box_bound must be a finite number > 0, got {box_bound!r}")
@@ -396,32 +421,35 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
     if n == 0:
         return 1.0
     rng = np.random.default_rng(seed)
-    points = []
     if n <= 10:
-        for mask in range(2 ** n):
-            corner = np.array([
-                box_bound if mask >> k & 1 else -box_bound for k in range(n)
-            ])
-            points.append(corner)
+        signs = np.arange(2 ** n)[:, None] >> np.arange(n) & 1
     else:
-        signs = rng.integers(0, 2, size=(2 ** 10, n)) * 2 - 1
-        points.extend(box_bound * signs.astype(float))
-    points.extend(rng.uniform(-box_bound, box_bound, size=(_INTERIOR_SAMPLES, n)))
+        signs = rng.integers(0, 2, size=(2 ** 10, n))
+    points = np.concatenate([box_bound * (signs * 2 - 1).astype(float),
+                             rng.uniform(-box_bound, box_bound, size=(_INTERIOR_SAMPLES, n))])
 
     validate_licq(problem).require_full_rank()
     batch = AgentBatch(problem, topology, weights)
-    n_agents, width = batch.n_agents, batch.shape[1]
+    n_agents, (dim, width, _) = batch.n_agents, batch.shape
+    chunk = max(1, _SAMPLE_ROWS // n_agents)  # points per pass over all agents
+    agents = np.tile(np.arange(n_agents), len(points))
+    offsets = np.concatenate([batch.offsets(points[first:first + chunk]).reshape(-1, width)
+                              for first in range(0, len(points), chunk)])
+    distinct, inverse = _distinct_rows(agents, offsets)
     cold = batch.sets.ids_of([(a, ()) for a in range(n_agents)])
-    chunk = max(1, _SAMPLE_ROWS // n_agents)
-    points = np.array(points)
+    solved = np.empty((len(distinct), dim + width))
+    for first in range(0, len(distinct), _SAMPLE_ROWS):
+        rows = distinct[first:first + _SAMPLE_ROWS]
+        solved[first:first + len(rows)], _ = batch.solve_rows(agents[rows], offsets[rows],
+                                                              cold[agents[rows]])
     worst = 0.0
     for first in range(0, len(points), chunk):
-        flat = points[first:first + chunk]
-        z, _ = batch.solve_rows(np.tile(np.arange(n_agents), len(flat)),
-                                batch.offsets(flat).reshape(-1, width),
-                                np.tile(cold, len(flat)))
-        for grad in batch.gradient(batch.multipliers(z.reshape(len(flat), n_agents, -1))):
-            worst = max(worst, float(np.linalg.norm(grad)))
+        z = solved[inverse[first * n_agents:(first + chunk) * n_agents]]
+        grad = batch.gradient(batch.multipliers(z.reshape(-1, n_agents, dim + width)))
+        # Each point's np.linalg.norm, bit for bit: the same dot product per
+        # point.  fmax skips a NaN norm, as max(worst, norm) does.
+        norms = np.sqrt(grad[:, None, :] @ grad[:, :, None])
+        worst = float(np.fmax.reduce(norms.ravel(), initial=worst))
     return 2.0 * worst
 
 
@@ -450,18 +478,17 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
     # whose offsets read it: by symmetry, the agents its own hops read.
     size, members = topology.layout.size, topology.layout.members
     ends = np.searchsorted(topology.reader, np.arange(size + 1))
-    steps, probes, agents, offsets = [], [], [], []
+    steps, probes, agents, coords, values = [], [], [], [], []
     for k in range(size):
         h = _FD_STEP * (1.0 + abs(slack.values[k]))
         steps.append(h)
         affected = (members[topology.read[ends[k]:ends[k + 1]]] - 1).tolist()
         for value in (slack.values[k] + h, slack.values[k] - h):
-            point = slack.values.copy()
-            point[k] = value
             probes.append(affected)
             agents += affected
-            offsets.extend(batch.offsets(point)[affected])
-    z, _ = batch.solve_rows(agents, np.reshape(offsets, (len(agents), batch.shape[1])),
+            coords += [k] * len(affected)
+            values += [value] * len(affected)
+    z, _ = batch.solve_rows(agents, batch.probed_offsets(slack.values, agents, coords, values),
                             warm.ids[agents])
 
     costs, row = [], 0

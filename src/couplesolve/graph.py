@@ -286,18 +286,23 @@ class WeightMatrix:
             raise WeightMatrixError("weight matrix is not symmetric")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > _WEIGHT_TOL:
             raise WeightMatrixError("weight matrix rows do not sum to 1")
-        for a, i in enumerate(self.participants):
-            hood = topology.neighborhood(l, i)
-            for b, j in enumerate(self.participants):
-                inside = j in hood
-                if inside and p[a, b] <= 0:
-                    raise WeightMatrixError(
-                        f"constraint {l}: weight ({i},{j}) should be positive"
-                    )
-                if not inside and p[a, b] != 0:
-                    raise WeightMatrixError(
-                        f"constraint {l}: nonzero weight ({i},{j}) off the subgraph"
-                    )
+        if self.participants != topology.participants_of(l):
+            raise WeightMatrixError(
+                f"constraint {l}: participants {self.participants} are not the "
+                f"topology's {topology.participants_of(l)}"
+            )
+        # The support is the constraint's hops, (c, d) in its block of coordinates.
+        first = int(topology.layout.starts[l - 1])
+        hops = slice(*topology.reader.searchsorted((first, first + k)))
+        inside = np.zeros((k, k), dtype=bool)
+        inside[topology.reader[hops] - first, topology.read[hops] - first] = True
+        bad = np.argwhere(np.where(inside, p <= 0, p != 0))  # row-major
+        if len(bad):
+            a, b = bad[0].tolist()
+            i, j = self.participants[a], self.participants[b]
+            if inside[a, b]:
+                raise WeightMatrixError(f"constraint {l}: weight ({i},{j}) should be positive")
+            raise WeightMatrixError(f"constraint {l}: nonzero weight ({i},{j}) off the subgraph")
         if not null_range_check(self):
             raise WeightMatrixError(
                 f"constraint {l}: kernel of I - P is not spanned by the ones vector"

@@ -546,6 +546,30 @@ class AgentBatch:
         """Every agent's row offsets ``consensus_gap(l, i, ...) + b_i^[l]``, padded."""
         return self.gaps(values) + self.base
 
+    def probed_offsets(self, values, agents, coords, probes) -> np.ndarray:
+        """Row r: 0-based agent ``agents[r]``'s ``offsets`` at the flat vector
+        ``values`` with coordinate ``coords[r]`` set to ``probes[r]``.
+
+        Each row reads only its agent's hops (a run of the read pass, whose
+        readers ascend), into a buffer laid out like one agent's of ``gaps``,
+        so its bits are those of ``offsets`` at the probed vector.
+        """
+        agents, coords = np.asarray(agents, dtype=int), np.asarray(coords, dtype=int)
+        probes = np.asarray(probes, dtype=float)
+        _, width, reach = self.shape
+        span = width * (reach + 1)  # one agent's read buffer
+        ends = self.readers.searchsorted(np.arange(self.n_agents + 1))
+        counts = ends[agents + 1] - ends[agents]
+        row = np.repeat(np.arange(len(agents)), counts)
+        read = np.arange(counts.sum()) + np.repeat(ends[agents] - (counts.cumsum() - counts),
+                                                   counts)
+        coord = self.flat[read]
+        buf = np.zeros((len(agents), span))
+        buf.reshape(-1)[row * span + self.slots[read] - agents[row] * span] = np.where(
+            coord == coords[row], probes[row], values[coord])
+        buf = buf.reshape(len(agents), width, reach + 1)
+        return _gap(self.p[agents], buf[..., 0], buf[..., 1:]) + self.base[agents]
+
     def gradient(self, values) -> np.ndarray:
         """(I - P) v in slack layout, each entry bit-identical to ``consensus_gap``."""
         gaps = self.gaps(values)

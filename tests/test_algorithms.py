@@ -1,6 +1,7 @@
 import gc
 import logging
 import math
+import re
 import types
 import weakref
 
@@ -9,10 +10,11 @@ import pytest
 
 import couplesolve as cs
 from couplesolve import algorithms, local_qp
-from couplesolve.exceptions import RankDeficiencyError, ValidationError
+from couplesolve.exceptions import (DegenerateSubproblemError, RankDeficiencyError,
+                                    ValidationError)
 from couplesolve.trace import traces_equal
 
-from gen import reduced_space_instance, strongly_convex_instance
+from gen import psd_benchmark_ring, reduced_space_instance, strongly_convex_instance
 from reference import fresh_solutions
 
 
@@ -330,9 +332,8 @@ def test_estimate_gradient_bound_is_deterministic(toy):
     assert a >= 2 * math.sqrt(2) * 0.5
 
 
-def _sequential_gradient_bound(problem, topology, weights, box_bound, seed=0):
-    """estimate_gradient_bound's points, solved one at a time through one warm stream."""
-    n = cs.SlackLayout.from_topology(topology).size
+def _sample_points(n, box_bound, seed):
+    """estimate_gradient_bound's points, built corner by corner."""
     rng = np.random.default_rng(seed)
     if n <= 10:
         points = [np.array([box_bound if mask >> k & 1 else -box_bound for k in range(n)])
@@ -340,10 +341,16 @@ def _sequential_gradient_bound(problem, topology, weights, box_bound, seed=0):
     else:
         points = list(box_bound * (rng.integers(0, 2, size=(2 ** 10, n)) * 2 - 1).astype(float))
     points.extend(rng.uniform(-box_bound, box_bound, size=(50, n)))
+    return np.array(points)
+
+
+def _sequential_gradient_bound(problem, topology, weights, box_bound, seed=0):
+    """estimate_gradient_bound's points, solved one at a time through one warm stream."""
+    n = cs.SlackLayout.from_topology(topology).size
     batch = local_qp.AgentBatch(problem, topology, weights)
     warm = local_qp.WarmStart(batch)
     worst = 0.0
-    for flat in points:
+    for flat in _sample_points(n, box_bound, seed):
         grad = batch.gradient(batch.multipliers(warm.solve_stacked(batch.offsets(flat))))
         worst = max(worst, float(np.linalg.norm(grad)))
     return 2.0 * worst
@@ -358,6 +365,107 @@ def test_gradient_bound_matches_a_sequential_warm_reference(make, seed):
     for box in (0.5, 2.0, 10.0):
         got = cs.estimate_gradient_bound(problem, topology, weights, box, seed=seed)
         assert got == _sequential_gradient_bound(problem, topology, weights, box, seed)
+
+
+def _psd_ring(seed):
+    """The pgd-psd12 ring with the benchmark's box."""
+    problem, topology, weights = psd_benchmark_ring(seed)
+    box = cs.default_box_bound(problem, topology, weights, cs.solve_centralized(problem))
+    return problem, topology, weights, box
+
+
+def _sample_rows(batch, points):
+    """Every (point, agent) row of a sample, point by point: (agents, offsets)."""
+    agents = np.tile(np.arange(batch.n_agents), len(points))
+    return agents, batch.offsets(points).reshape(len(agents), -1)
+
+
+@pytest.mark.parametrize("make, seed", [(strongly_convex_instance, 7), (strongly_convex_instance, 21),
+                                        (reduced_space_instance, 0), (psd_benchmark_ring, 1)])
+def test_gradient_bound_samples_the_reference_points(monkeypatch, make, seed):
+    # The corners (n <= 10: 3 and 10 coordinates) or the random sign
+    # vectors, then the interior points, bit for bit.
+    problem, topology, weights = make(seed)
+    seen = []
+    offsets = local_qp.AgentBatch.offsets
+    monkeypatch.setattr(local_qp.AgentBatch, "offsets",
+                        lambda self, values: seen.append(values) or offsets(self, values))
+    cs.estimate_gradient_bound(problem, topology, weights, 2.0, seed=seed)
+    sampled = np.concatenate(seen)
+    expected = _sample_points(topology.layout.size, 2.0, seed)
+    assert sampled.dtype == expected.dtype and sampled.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gradient_bound_solves_each_distinct_row_once(monkeypatch, seed):
+    # An agent's offsets read only its own hops, so most rows repeat across
+    # the sample; each distinct (agent, offsets bits) row is solved once, in
+    # order of first occurrence, at most _SAMPLE_ROWS rows per call.
+    problem, topology, weights, box = _psd_ring(seed)
+    solved, calls = [], []
+    solve_rows = local_qp.AgentBatch.solve_rows
+
+    def recording(self, agents, offsets, start):
+        calls.append(len(agents))
+        solved.extend(zip(np.asarray(agents).tolist(), (row.tobytes() for row in offsets)))
+        return solve_rows(self, agents, offsets, start)
+
+    monkeypatch.setattr(local_qp.AgentBatch, "solve_rows", recording)
+    cs.estimate_gradient_bound(problem, topology, weights, box, seed=0)
+    batch = local_qp.AgentBatch(problem, topology, weights)
+    agents, offsets = _sample_rows(batch, _sample_points(topology.layout.size, box, 0))
+    rows = list(zip(agents.tolist(), (row.tobytes() for row in offsets)))
+    assert solved == list(dict.fromkeys(rows))
+    assert len(solved) < len(rows) / 10
+    assert max(calls) <= algorithms._SAMPLE_ROWS
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gradient_bound_matches_a_per_point_norm_reference(seed):
+    # Every row solved cold, one lock-step call per point, and one
+    # np.linalg.norm per point: the stacked norms keep its bits.
+    problem, topology, weights, box = _psd_ring(seed)
+    batch = local_qp.AgentBatch(problem, topology, weights)
+    cold = batch.sets.ids_of([(a, ()) for a in range(batch.n_agents)])
+    worst = 0.0
+    for point in _sample_points(topology.layout.size, box, 0):
+        agents, offsets = _sample_rows(batch, point[None])
+        z, _ = batch.solve_rows(agents, offsets, cold[agents])
+        worst = max(worst, float(np.linalg.norm(batch.gradient(batch.multipliers(z)))))
+    assert cs.estimate_gradient_bound(problem, topology, weights, box, seed=0) == 2.0 * worst
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gradient_bound_raises_the_first_failing_rows_diagnosis(monkeypatch, seed):
+    # Rows whose offsets sum to a value none of the first 300 rows has fail
+    # their residual check, and each agent's diagnosis names its Hessian.
+    # In chunks of 20 distinct rows the sample raises what solving the
+    # rows one by one, in order, meets first.
+    problem, topology, weights, box = _psd_ring(seed)
+    batch = local_qp.AgentBatch(problem, topology, weights)
+    agents, offsets = _sample_rows(batch, _sample_points(topology.layout.size, box, 0))
+    passing = offsets[:300].sum(-1)
+    residual_ok = local_qp._residual_ok
+
+    def failing(h, c, rows, kkt, z, row_offsets):
+        ok, row_residual = residual_ok(h, c, rows, kkt, z, row_offsets)
+        return ok & np.isin(row_offsets.sum(-1), passing), row_residual
+
+    monkeypatch.setattr(local_qp, "_residual_ok", failing)
+    monkeypatch.setattr(local_qp, "_singular",
+                        lambda h, rows: DegenerateSubproblemError(f"Hessian {h.tolist()}"))
+    monkeypatch.setattr(algorithms, "_SAMPLE_ROWS", 20)
+    cold = batch.sets.ids_of([(a, ()) for a in range(batch.n_agents)])
+    first = None
+    for r, a in enumerate(agents.tolist()):
+        try:
+            batch.solve_rows([a], offsets[r:r + 1], cold[[a]])
+        except DegenerateSubproblemError as error:
+            first = error
+            break
+    assert first is not None and r >= 300
+    with pytest.raises(DegenerateSubproblemError, match=f"^{re.escape(str(first))}$"):
+        cs.estimate_gradient_bound(problem, topology, weights, box, seed=0)
 
 
 def test_default_box_bound_scales_with_offsets(toy):

@@ -396,6 +396,28 @@ def test_transport_permits_exactly_the_batch_reads(build):
 
 
 @pytest.mark.parametrize("build", COMPILED, ids=COMPILED_IDS)
+def test_probed_offsets_are_the_offsets_at_the_probed_vector(build):
+    # Half the probes move a coordinate the agent reads, half any agent's
+    # and any coordinate; each row equals offsets at its probed vector.
+    batch, (_, topology, _) = build()
+    size = topology.layout.size
+    rng = np.random.default_rng(size)
+    values = rng.uniform(-2.0, 2.0, size)
+    reads = rng.integers(0, len(batch.flat), 30)
+    agents = np.concatenate([batch.readers[reads], rng.integers(0, batch.n_agents, 30)])
+    coords = np.concatenate([batch.flat[reads], rng.integers(0, size, 30)])
+    probes = rng.uniform(-2.0, 2.0, 60)
+    expected = []
+    for a, k, v in zip(agents, coords, probes):
+        point = values.copy()
+        point[k] = v
+        expected.append(batch.offsets(point)[a])
+    got = batch.probed_offsets(values, agents, coords, probes)
+    assert got.tobytes() == np.array(expected).tobytes()
+    assert batch.probed_offsets(values, [], [], []).shape == (0, batch.shape[1])
+
+
+@pytest.mark.parametrize("build", COMPILED, ids=COMPILED_IDS)
 def test_compiled_arrays_are_the_problem_and_the_weights(build):
     # Entry by entry from the ProblemSpec and the weights, each checked entry
     # then cleared: what is left is padding and must be zero.

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import couplesolve as cs
@@ -157,6 +157,13 @@ def test_validate_rejects_non_finite_weights(path4, bad):
         cs.WeightMatrix(1, (1, 2, 3, 4), entries).validate(topo)
 
 
+def test_validate_rejects_weights_on_other_participants(path4):
+    topo = _path_topology(path4)
+    with pytest.raises(WeightMatrixError, match=re.escape(
+            "constraint 1: participants (1, 2, 4) are not the topology's (1, 2, 3, 4)")):
+        cs.WeightMatrix(1, (1, 2, 4), np.full((3, 3), 1 / 3)).validate(topo)
+
+
 def test_null_range_fails_on_identity():
     # identity weights mean no mixing: the kernel of I - P is everything
     w = cs.WeightMatrix(1, (1, 2), np.eye(2))
@@ -190,3 +197,44 @@ def test_metropolis_invariants_hold_on_random_graphs(graph):
     w.validate(topo)  # symmetry, stochasticity, support, kernel rank
     assert np.all(w.entries >= 0)
     assert np.abs(w.entries.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+def _first_bad_support_pair(weights, topology):
+    """The pair-by-pair support check in row-major order: its message, or None."""
+    l, p = weights.constraint_index, weights.entries
+    for a, i in enumerate(weights.participants):
+        hood = topology.neighborhood(l, i)
+        for b, j in enumerate(weights.participants):
+            if j in hood and p[a, b] <= 0:
+                return f"constraint {l}: weight ({i},{j}) should be positive"
+            if j not in hood and p[a, b] != 0:
+                return f"constraint {l}: nonzero weight ({i},{j}) off the subgraph"
+    return None
+
+
+@given(connected_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_names_the_first_bad_support_pair(graph, data):
+    # Symmetric moves of weight between a pair and its diagonals keep the
+    # signs, the symmetry and the row sums: each one zeroes an edge's weight
+    # or weighs a pair off the subgraph, and the check names the first bad
+    # pair in row-major order, as a walk over the neighbourhoods does.
+    obj = cs.AgentObjective(np.eye(1), np.zeros(1))
+    cons = cs.CouplingConstraints(graph.n_agents, m_ineq=1, q_eq=0)
+    for i in range(1, graph.n_agents + 1):
+        cons.add_ineq_row(i, 1, [1.0], 0.0)
+    topo = cs.induce_topology(cs.ProblemSpec((obj,) * graph.n_agents, cons, graph), graph)
+    w = cs.build_weights(topo)[1]
+    entries, k = w.entries.copy(), graph.n_agents
+    pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda t: t[0] != t[1])
+    for a, b in data.draw(st.lists(pairs, min_size=1, max_size=3)):
+        shift = -entries[a, b] if entries[a, b] > 0 else 0.01
+        entries[a, b] += shift
+        entries[b, a] += shift
+        entries[a, a] -= shift
+        entries[b, b] -= shift
+    bad = cs.WeightMatrix(1, w.participants, entries)
+    expected = _first_bad_support_pair(bad, topo)
+    assume(expected is not None)
+    with pytest.raises(WeightMatrixError, match=f"^{re.escape(expected)}$"):
+        bad.validate(topo)

@@ -185,13 +185,13 @@ def reads_attribute(name, node) -> bool:
 
 def test_one_home_for_the_one_hop_structure():
     # induce_topology finds every closed-neighbourhood read once, as the
-    # topology's hops, and the weights, the transport, the batch and the
-    # probes read them.  What still walks a neighbourhood is the scalar
-    # reference consensus_gap, the boundary check of given weights and the
-    # safety filter's nominal inputs (on the graph's own accessor); no
-    # module rebuilds a layout from a topology, which keeps its own.
+    # topology's hops, and the weights, their boundary check, the transport,
+    # the batch and the probes read them.  What still walks a neighbourhood
+    # is the scalar reference consensus_gap and the safety filter's nominal
+    # inputs (on the graph's own accessor); no module rebuilds a layout from
+    # a topology, which keeps its own.
     assert library_readers(partial(reads_attribute, "neighborhood")) == {
-        "graph.consensus_gap", "graph.WeightMatrix.validate", "cbf.nominal_consensus"}
+        "graph.consensus_gap", "cbf.nominal_consensus"}
     assert library_readers(partial(reads_attribute, "from_topology")) == set()
 
 
