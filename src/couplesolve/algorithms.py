@@ -142,7 +142,6 @@ class PgdState:
 @dataclass
 class RunResult:
     trace: RunTrace
-    final_state: AdaState | PgdState
     output_slack: SlackState
     output_stacked: StackedSolutions
     converged: bool
@@ -312,7 +311,7 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
                                    dual_at(output), 0))
         # Round 1 evaluates the start again: seeded with the sets the monitor
         # ended on, every agent is accepted in the stacked pass.
-        for state, z, grad in iterate_rounds(WarmStart(batch, watch.working), config, state,
+        for state, z, grad in iterate_rounds(WarmStart(batch, watch.work), config, state,
                                              transport, slack_phase_hook):
             t = state.round
             phi, vi, ve = primal_metrics(z)
@@ -367,7 +366,6 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
 
     return RunResult(
         trace=RunTrace(n_cons, tuple(records)),
-        final_state=state,
         output_slack=SlackState(layout, output_flat),
         output_stacked=batch.solutions(output, output_work.copy()),
         converged=converged,
@@ -436,7 +434,7 @@ def estimate_gradient_bound(problem, topology, weights, box_bound: float, seed: 
     offsets = np.concatenate([batch.offsets(points[first:first + chunk]).reshape(-1, width)
                               for first in range(0, len(points), chunk)])
     distinct, inverse = _distinct_rows(agents, offsets)
-    cold = batch.sets.ids_of([(a, ()) for a in range(n_agents)])
+    cold = batch.sets.ids_of(np.arange(n_agents))
     solved = np.empty((len(distinct), dim + width))
     for first in range(0, len(distinct), _SAMPLE_ROWS):
         rows = distinct[first:first + _SAMPLE_ROWS]

@@ -327,8 +327,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
         barrier_values[s] = [b.value(state.positions) for b in scenario.barriers]
 
         step = rows.at(state)
-        # Read before the refresh empties the batch's set table.
-        seeds = (rounds.working, final.working) if rounds else (None, None)
+        seeds = (rounds.work, final.work) if rounds else (None, None)
         batch.refresh(step.linear, step.constant, step.coeffs[rows.order],
                       step.offsets[rows.order])
         step_problem = None if distributed else rows.problem(step)
@@ -346,7 +345,7 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             inner_worst[s] = 0.0
         else:
             # Truncated averaging rounds; the input is the primal at the average.
-            rounds, final = (WarmStart(batch, working) for working in seeds)
+            rounds, final = (WarmStart(batch, work) for work in seeds)
             start = slack if scenario.warm_start else np.zeros(batch.size)
             inner = AdaState(start, np.zeros(batch.size), np.zeros(batch.size), 0)
             worst = 0.0

@@ -29,11 +29,13 @@ base offsets from ``ProblemSpec.blocks``, and the consensus terms that
 turn neighbour slacks into offsets, one read per hop of the topology with
 its weight from the given matrices.  For a fixed working set W the KKT
 solution is affine in the offsets, z = s_W + M_W off.  The batch keeps every
-working set its solves meet in one table, each map stacked under an id; the
-maps of newly met sets are built together, one stacked inverse per KKT size,
-from the batch's stacked arrays.  ``AgentBatch.refresh`` overwrites c, the
-constants, the rows and their base offsets in place for a problem of the
-same structure (the safety filter's next step) and empties the table.
+working set its solves meet in one table, each (agent, working-row mask)
+pair's map stacked under an id; the maps of newly met sets are built
+together in array passes, one stacked inverse per (block dimension, KKT
+rows) group, each KKT system listing the equalities, then the working rows.
+``AgentBatch.refresh`` overwrites c, the constants, the rows and their base
+offsets in place for a problem of the same structure (the safety filter's
+next step) and empties the table.
 ``AgentBatch.licq`` applies ``validate_licq``'s rule to a refreshed batch,
 whose rows the problem's report no longer describes: the safety filter's
 per-step rank check.  Every other solve on a batch first passes the problem's
@@ -46,13 +48,16 @@ pending row's map by id, evaluates all of them in one elementwise pass, and
 makes each row's move at once: add the most violated free row, else drop
 the most negative working multiplier, else accept.  Each row keeps its own
 visited-set guard and iteration cap, and a failing row raises its
-diagnosis.  ``WarmStart.solve_stacked`` evaluates every
-agent's map for the working set it ended on last time in one stacked pass,
-accepts each solution that passes the loop's termination test and residual
-bound, and continues the rest in ``solve_rows``'s loop, the stacked pass
-standing as its first iteration.  An answer depends only on its final
-working set and the offsets, never on where the search started or on the
-rows beside it.
+diagnosis.  The verdicts reduce short rows (a handful of entries, or the
+oracle's m + q) across many agents, so every reduction reads its array
+agent-contiguous (``_by_agent``), and the largest |c| entry, which no round
+changes, is taken once per compile and refresh.  ``WarmStart.solve_stacked``
+evaluates every agent's map for the working set it ended on last time in
+one stacked pass, accepts each solution that passes the loop's termination
+test and residual bound, and continues the rest in ``solve_rows``'s loop,
+the stacked pass standing as its first iteration.  An answer depends only
+on its final working set and the offsets, never on where the search
+started or on the rows beside it.
 
 The answer is one stacked, padded array z, one row per agent, and
 ``AgentBatch`` computes from it what a round needs: the objective, the
@@ -122,51 +127,64 @@ def _gap(p, own, v):
     return gap
 
 
+def _by_agent(a, copy=False):
+    """``a`` with its leading (agent) axis contiguous: Fortran order; a new
+    array when ``copy``, else ``a`` itself where it is in that order already.
+
+    The one home of the verdicts' layout.  numpy reduces a short last axis
+    in a few passes along the agents only in this order; a max, min, all or
+    first-index argmax/argmin reads the same values whatever the layout, so
+    no answer or tie moves.
+    """
+    return np.array(a, order="F", copy=True if copy else None)
+
+
 def _affine(m, s, offsets):
-    """s + m @ offsets, added up in offset order, one agent or stacked.
+    """s + m @ offsets, added up in offset order, one agent or stacked, agent-contiguous.
 
     Elementwise, so an agent's entries do not depend on the batch around it.
     """
-    z = s.copy()
+    z = _by_agent(s, copy=True)
     for j in range(offsets.shape[-1]):
         z += m[..., j] * offsets[..., j, None]
     return z
 
 
-def _residual_ok(h, c, rows, kkt, z, offsets):
+def _residual_ok(h, c, c_max, rows, kkt, z, offsets):
     """The KKT residual bound, each residual within 1e-8 x (1 + the largest
     |c|, working offset or |z| entry), on padded solutions z = (x, multipliers).
 
-    ``kkt`` marks the rows in the KKT system.  Works on one agent or on a
-    stack; returns (bound holds, every row's residual rows @ x + offsets).
-    The row residuals are ``row_shares``; the stationarity H x + rows' mults
-    + c is added up in coordinate order, H's columns first, then the rows,
-    then c.  A zero-padded column or row adds an exact 0, so an agent's bits
-    do not depend on the padding its batch needs.
+    ``c_max`` is the largest |c| entry, which no round changes; ``kkt``
+    marks the rows in the KKT system.  Works on one agent or on a stack;
+    returns (bound holds, every row's residual rows @ x + offsets).  The row
+    residuals are ``row_shares``; the stationarity H x + rows' mults + c is
+    added up in coordinate order, H's columns first, then the rows, then c.
+    A zero-padded column or row adds an exact 0, so an agent's bits do not
+    depend on the padding its batch needs.
     """
     dim = h.shape[-1]
     x, mults = z[..., :dim], z[..., dim:]
-    row_residual = row_shares(rows, offsets, x)
+    row_residual = _by_agent(row_shares(rows, offsets, x))
     stationarity = np.zeros(c.shape)
     for j in range(dim):
         stationarity += h[..., :, j] * x[..., j, None]
     for r in range(rows.shape[-2]):
         stationarity += rows[..., r, :] * mults[..., r, None]
     stationarity += c
-    residual = np.maximum(np.abs(stationarity).max(-1, initial=0.0),
-                          np.abs(np.where(kkt, row_residual, 0.0)).max(-1, initial=0.0))
-    target = np.maximum(np.abs(c).max(-1, initial=0.0),
-                        np.abs(np.where(kkt, offsets, 0.0)).max(-1, initial=0.0))
-    scale = 1.0 + target + np.abs(z).max(-1, initial=0.0)
-    ok = (residual <= 1e-8 * scale) & np.isfinite(z).all(-1)
+    residual = _by_agent(np.abs(np.concatenate(
+        [stationarity, np.where(kkt, row_residual, 0.0)], axis=-1))).max(-1, initial=0.0)
+    target = np.maximum(c_max, _by_agent(np.abs(np.where(kkt, offsets, 0.0))).max(-1, initial=0.0))
+    size = _by_agent(np.abs(z)).max(-1, initial=0.0)  # not finite where some entry is not
+    ok = (residual <= 1e-8 * (1.0 + target + size)) & np.isfinite(size)
     return ok, row_residual
 
 
 def _accepted(free, work, row_residual, mults):
     """Where the active-set loop stops, on stacked solutions: no free row is
     violated and no working multiplier is negative."""
-    return ((np.where(free, row_residual, -np.inf).max(-1, initial=-np.inf) <= _ADD_TOL)
-            & (np.where(work, mults, np.inf).min(-1, initial=np.inf) >= -_DROP_TOL))
+    return ((_by_agent(np.where(free, row_residual, -np.inf)).max(-1, initial=-np.inf)
+             <= _ADD_TOL)
+            & (_by_agent(np.where(work, mults, np.inf)).min(-1, initial=np.inf) >= -_DROP_TOL))
 
 
 def _moves(free, work, row_residual, mults):
@@ -176,8 +194,8 @@ def _moves(free, work, row_residual, mults):
     drops working row r, the most negative multiplier (lowest index on
     ties).  Adding comes first, as in the loop.
     """
-    violation = np.where(free, row_residual, -np.inf)
-    drop = free.shape[-1] + np.where(work, mults, np.inf).argmin(-1)
+    violation = _by_agent(np.where(free, row_residual, -np.inf))
+    drop = free.shape[-1] + _by_agent(np.where(work, mults, np.inf)).argmin(-1)
     return np.where(violation.max(-1) > _ADD_TOL, violation.argmax(-1), drop)
 
 
@@ -195,53 +213,51 @@ def _inverses(kkt) -> np.ndarray:
         return out
 
 
-def _factors(hessian, linear, rows, counts, pairs):
-    """The affine maps of (agent, working positions) pairs, stacked.
+def _factors(hessian, linear, rows, counts, agents, work):
+    """The affine maps of (agent, working-row mask) pairs, stacked.
 
     ``hessian`` (n, dim, dim), ``linear`` (n, dim) and ``rows`` (n, width,
-    dim) stack the agents' padded parameters, and ``counts[agent]`` is its
-    (block dimension, inequality rows, rows).  Per pair: m (dim + width,
-    width) and s (dim + width,), the KKT solution z = s + m @ offsets; masks
-    of the rows in the KKT system (equalities and working inequalities), of
-    the working rows and of the free inequality rows; and ready, False where
-    the KKT system is singular (m and s then stay zero).  Pairs with the same
-    block dimension and KKT row count share one stacked inverse.
+    dim) stack the agents' padded parameters, and ``counts`` (n, 3) holds
+    each agent's (block dimension, inequality rows, rows); pair j is agent
+    ``agents[j]`` with the working inequality rows ``work[j]``.  Per pair: m
+    (dim + width, width) and s (dim + width,), the KKT solution z = s + m @
+    offsets; masks of the rows in the KKT system (equalities and working
+    inequalities), of the working rows and of the free inequality rows; and
+    ready, False where the KKT system is singular (m, s and the KKT mask then
+    stay zero).  A KKT system lists the equalities, then the working rows,
+    each ascending; pairs with the same block dimension and KKT row count
+    share one stacked inverse.
     """
-    n = len(pairs)
+    n = len(agents)
     width, dim = rows.shape[-2:]
+    d, k_i, k = counts[agents].T
+    pos = np.arange(width)
+    ineq = pos < k_i[:, None]
+    kkt = work | (~ineq & (pos < k[:, None]))
+    # Each pair's KKT rows first, equalities before working rows, each ascending.
+    order = np.where(kkt, np.where(ineq, pos + width, pos), 2 * width).argsort(-1, kind="stable")
+    groups = d * (width + 1) + kkt.sum(-1)
     m = np.zeros((n, dim + width, width))
     s = np.zeros((n, dim + width))
-    kkt = np.zeros((n, width), dtype=bool)
-    work = np.zeros((n, width), dtype=bool)
-    free = np.zeros((n, width), dtype=bool)
     ready = np.zeros(n, dtype=bool)
-    groups = {}
-    for j, (agent, working) in enumerate(pairs):
-        d, k_i, k = counts[agent]
-        kkt_rows = (*range(k_i, k), *working)  # equalities, then working rows
-        groups.setdefault((d, len(kkt_rows)), []).append((j, agent, kkt_rows))
-        free[j, :k_i] = True
-    for (d, r), members in groups.items():
-        at = np.array([j for j, _, _ in members], dtype=int)
-        agents = np.array([agent for _, agent, _ in members], dtype=int)
-        sel = np.array([kkt_rows for _, _, kkt_rows in members], dtype=int).reshape(len(at), r)
-        g = rows[agents[:, None], sel, :d]
-        system = np.zeros((len(at), d + r, d + r))
-        system[:, :d, :d] = hessian[agents, :d, :d]
-        system[:, :d, d:] = g.transpose(0, 2, 1)
-        system[:, d:, :d] = g
+    for group in dict.fromkeys(groups.tolist()):
+        dg, r = divmod(group, width + 1)
+        at = np.flatnonzero(groups == group)
+        sel = order[at, :r]
+        a = agents[at]
+        g = rows[a[:, None], sel, :dg]
+        system = np.zeros((len(at), dg + r, dg + r))
+        system[:, :dg, :dg] = hessian[a, :dg, :dg]
+        system[:, :dg, dg:] = g.transpose(0, 2, 1)
+        system[:, dg:, :dg] = g
         inverse = _inverses(system)
-        solved = np.isfinite(inverse).all((1, 2))
-        at, agents, sel, inverse = at[solved], agents[solved], sel[solved], inverse[solved]
-        out = np.concatenate([np.broadcast_to(np.arange(d), (len(at), d)), dim + sel], axis=1)
-        s[at[:, None], out] = (inverse[:, :, :d] @ -linear[agents, :d, None])[..., 0]
-        m[at[:, None, None], out[:, :, None], sel[:, None, :]] = -inverse[:, :, d:]
-        kkt[at[:, None], sel] = True
-        ready[at] = True
-    for j, (_, working) in enumerate(pairs):
-        work[j, list(working)] = True
-        free[j, list(working)] = False
-    return m, s, kkt, work, free, ready
+        out = np.concatenate([np.arange(dg)[None].repeat(len(at), 0), dim + sel], axis=1)
+        s[at[:, None], out] = (inverse[:, :, :dg] @ -linear[a, :dg, None])[..., 0]
+        m[at[:, None, None], out[:, :, None], sel[:, None, :]] = -inverse[:, :, dg:]
+        ready[at] = np.isfinite(inverse).all((1, 2))
+    m[~ready] = 0.0
+    s[~ready] = 0.0
+    return m, s, kkt & ready[:, None], work, ineq & ~work, ready
 
 
 @dataclass(frozen=True)
@@ -268,19 +284,19 @@ class StackedSolutions:
 class _SetTable:
     """Every working set a batch's solves have met, with its affine map, stacked.
 
-    A set is an (agent, working positions) pair and gets an id on first
-    use; ``m``, ``s``, ``kkt``, ``work``, ``free`` and ``ready`` hold each
-    id's map and masks (see ``_factors``), so a gather by id replaces a
-    Python lookup per agent.  Maps are built from the batch's own stacked
-    parameters, which ``AgentBatch.refresh`` overwrites in place.
+    A set is an (agent, working-row mask) pair and gets an id on first use;
+    ``agent``, ``m``, ``s``, ``kkt``, ``work``, ``free`` and ``ready`` hold
+    each id's agent, map and masks (see ``_factors``), so a gather by id
+    replaces a Python lookup per agent.  Maps are built from the batch's own
+    stacked parameters, which ``AgentBatch.refresh`` overwrites in place.
     """
 
     def __init__(self, batch):
         dim, width, _ = batch.shape
         self.params = (batch.hessian, batch.linear, batch.rows, batch.counts)
-        self.width = width
-        self.ids = {}   # (agent, working) -> id
-        self.keys = []  # id -> (agent, working)
+        self.ids = {}  # an agent's and its mask's bytes -> id
+        self.size = 0  # ids given so far
+        self.agent = np.zeros(0, dtype=int)
         self.m = np.zeros((0, dim + width, width))
         self.s = np.zeros((0, dim + width))
         self.kkt = np.zeros((0, width), dtype=bool)
@@ -288,43 +304,44 @@ class _SetTable:
         self.free = np.zeros((0, width), dtype=bool)
         self.ready = np.zeros(0, dtype=bool)
 
-    def ids_of(self, keys) -> np.ndarray:
-        """The ids of (agent, working) pairs; the new ones are factored together."""
+    def ids_of(self, agents, work=None) -> np.ndarray:
+        """The ids of (agent, working-row mask) pairs, empty sets where ``work``
+        is None; the new ones are factored together."""
+        pairs = np.zeros((len(agents), 1 + self.work.shape[1]), dtype=int)
+        pairs[:, 0] = agents
+        if work is not None:
+            pairs[:, 1:] = work
+        keys = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1]))).ravel().tolist()
         new = [key for key in dict.fromkeys(keys) if key not in self.ids]
         if new:
-            first, last = len(self.keys), len(self.keys) + len(new)
-            if last > len(self.ready):
-                for name in ("m", "s", "kkt", "work", "free", "ready"):
+            start, stop = self.size, self.size + len(new)
+            if stop > len(self.ready):
+                for name in ("agent", "m", "s", "kkt", "work", "free", "ready"):
                     old = getattr(self, name)
-                    grown = np.zeros((max(16, 2 * last),) + old.shape[1:], dtype=old.dtype)
-                    grown[:first] = old[:first]
+                    grown = np.zeros((max(16, 2 * stop),) + old.shape[1:], dtype=old.dtype)
+                    grown[:start] = old[:start]
                     setattr(self, name, grown)
-            (self.m[first:last], self.s[first:last], self.kkt[first:last],
-             self.work[first:last], self.free[first:last], self.ready[first:last]) = _factors(
-                *self.params, new)
-            self.ids.update((key, first + k) for k, key in enumerate(new))
-            self.keys += new
+            pairs = np.frombuffer(b"".join(new), dtype=int).reshape(len(new), -1)
+            self.agent[start:stop] = pairs[:, 0]
+            (self.m[start:stop], self.s[start:stop], self.kkt[start:stop],
+             self.work[start:stop], self.free[start:stop], self.ready[start:stop]) = _factors(
+                *self.params, pairs[:, 0], pairs[:, 1:].astype(bool))
+            self.ids.update(zip(new, range(start, stop)))
+            self.size = stop
         return np.array([self.ids[key] for key in keys], dtype=int)
 
     def gather(self, ids) -> tuple[np.ndarray, ...]:
-        """m, s, kkt, work, free and ready of each id, gathered."""
-        return (self.m[ids], self.s[ids], self.kkt[ids], self.work[ids], self.free[ids],
-                self.ready[ids])
+        """m, s, kkt, work, free and ready of each id, gathered agent-contiguous, as a
+        ``WarmStart`` keeps them."""
+        return tuple(_by_agent(a[ids]) for a in (self.m, self.s, self.kkt, self.work,
+                                                  self.free, self.ready))
 
     def moved(self, ids, moves) -> np.ndarray:
-        """The id each set reaches by its ``_moves`` move, one lookup per distinct pair."""
-        span = 2 * self.width
-        codes, inverse = np.unique(ids * span + moves, return_inverse=True)
-        out = []
-        for code in codes.tolist():
-            agent, working = self.keys[code // span]
-            r = code % span
-            if r < self.width:
-                working = tuple(sorted((*working, r)))
-            else:
-                working = tuple(p for p in working if p != r - self.width)
-            out.append((agent, working))
-        return self.ids_of(out)[inverse]
+        """The id each set reaches by its ``_moves`` move: r adds row r, width + r drops it."""
+        width = self.work.shape[1]
+        work = self.work[ids]
+        work[np.arange(len(ids)), moves % width] = moves < width
+        return self.ids_of(self.agent[ids], work)
 
 
 class AgentBatch:
@@ -337,7 +354,9 @@ class AgentBatch:
     Arrays are zero-padded to ``shape`` = (dim, width, reach): block
     dimension, rows and neighbours per row; so is a solution z: x in
     z[a, :dim], row r's multiplier in z[a, dim + r].  The stacked arrays are
-    the one copy of the parameters, which ``refresh`` overwrites.  ``sets``
+    the one copy of the parameters, which ``refresh`` overwrites; ``counts``
+    (n, 3) holds each agent's (block dimension, inequality rows, rows) and
+    ``c_max`` its largest |c| entry, which the residual bound reads.  ``sets``
     holds every working set its solves have met with its affine map, and
     ``solve_rows`` is the lock-step active-set loop, which ``WarmStart``
     streams over it share.  Besides the stacked QPs it reads a stacked
@@ -405,7 +424,8 @@ class AgentBatch:
         self.p = np.zeros((n, width, reach))
         self.p.reshape(-1)[cell[c] * reach + rank[~own] - 1] = entries[corner[l] + c * sizes[l] + d]
         # Per agent: (block dimension, inequality rows, rows).
-        self.counts = list(zip(problem.dims, n_ineq.tolist(), n_rows.tolist()))
+        self.counts = np.column_stack((problem.dims, n_ineq, n_rows))
+        self.c_max = np.abs(self.linear).max(-1, initial=0.0)
         self.dims = problem.dims
         self.m_ineq = topology.m_ineq
         self.n_constraints = topology.n_constraints
@@ -425,10 +445,10 @@ class AgentBatch:
         ``base``.  Every working set's map
         depends on the rows, so ``sets`` starts empty, and a stream over the
         batch goes on as a new one seeded with the sets it ended on:
-        ``WarmStart(batch, working)``, with ``working = stream.working`` read
-        before the refresh.
+        ``WarmStart(batch, stream.work)``.
         """
         self.linear[...] = linear
+        self.c_max = np.abs(self.linear).max(-1, initial=0.0)
         self.constant[...] = constant
         self.rows.reshape(-1, self.shape[0])[self.cells] = coeffs
         self.base.reshape(-1)[self.cells] = offsets
@@ -467,7 +487,8 @@ class AgentBatch:
         sets = self.sets
         z = _affine(sets.m[ids], sets.s[ids], offsets)
         ok, row_residual = _residual_ok(self.hessian[agents], self.linear[agents],
-                                        self.rows[agents], sets.kkt[ids], z, offsets)
+                                        self.c_max[agents], self.rows[agents], sets.kkt[ids], z,
+                                        offsets)
         return z, ok & sets.ready[ids], row_residual
 
     def _lockstep(self, agents, offsets, ids, zp, ok, row_residual):
@@ -504,11 +525,12 @@ class AgentBatch:
                 first = int(np.concatenate([unsolved, rows[stop]]).min())
                 if first < failed:
                     failed = first
-                    agent, working = sets.keys[ids[failed]]
+                    agent = agents[failed]
                     if failed in unsolved:
                         d, k_i, k = self.counts[agent]
+                        kkt_rows = np.r_[k_i:k, np.flatnonzero(sets.work[ids[failed]])]
                         error = _singular(self.hessian[agent, :d, :d],
-                                          self.rows[agent, [*range(k_i, k), *working], :d])
+                                          self.rows[agent, kkt_rows, :d])
                     elif failed in rows[seen]:
                         error = _revisited()
                     else:
@@ -628,22 +650,16 @@ class AgentBatch:
 class WarmStart:
     """One stream of batched solves and its warm-start memory.
 
-    Keeps each agent's last working set as an id in ``batch.sets`` (its
-    positions into the agent's inequality rows in ``working``), with that
-    set's map and masks stacked.  ``working`` seeds the sets, for example
-    from a stream over an earlier batch of the same topology.
+    Keeps each agent's last working set as an id in ``batch.sets``, with
+    that set's map and masks stacked agent-contiguous: ``work`` marks each
+    agent's working inequality rows.  ``work`` seeds the sets, for example
+    with the ``work`` of a stream over an earlier batch of the same topology.
     """
 
-    def __init__(self, batch: AgentBatch, working=None):
+    def __init__(self, batch: AgentBatch, work=None):
         self.batch = batch
-        self.ids = batch.sets.ids_of([(a, () if working is None else working[a])
-                                      for a in range(batch.n_agents)])
+        self.ids = batch.sets.ids_of(np.arange(batch.n_agents), work)
         self.m, self.s, self.kkt, self.work, self.free, self.ready = batch.sets.gather(self.ids)
-
-    @property
-    def working(self) -> list[tuple]:
-        keys = self.batch.sets.keys
-        return [keys[sid][1] for sid in self.ids.tolist()]
 
     def solve_stacked(self, offsets) -> np.ndarray:
         """Solve every agent's QP at ``offsets``.
@@ -657,7 +673,7 @@ class WarmStart:
         """
         batch = self.batch
         z = _affine(self.m, self.s, offsets)
-        solved, row_residual = _residual_ok(batch.hessian, batch.linear, batch.rows,
+        solved, row_residual = _residual_ok(batch.hessian, batch.linear, batch.c_max, batch.rows,
                                             self.kkt, z, offsets)
         solved &= self.ready
         redo = np.flatnonzero(~(solved & _accepted(self.free, self.work, row_residual,
@@ -669,5 +685,6 @@ class WarmStart:
             self.ids[redo] = ids
             (self.m[redo], self.s[redo], self.kkt[redo], self.work[redo], self.free[redo],
              self.ready[redo]) = batch.sets.gather(ids)
-        return z
-
+        # Row-major again: the batch's einsum reads of z (the objective) add
+        # up in an order that depends on the layout.
+        return np.ascontiguousarray(z)

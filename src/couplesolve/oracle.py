@@ -299,7 +299,7 @@ def _dense_solve(problem: ProblemSpec) -> OracleSolution:
     stacked = ProblemSpec((AgentObjective(h, c),), cons, Graph(1, frozenset()))
     topology = induce_topology(stacked, stacked.graph)
     batch = AgentBatch(stacked, topology, build_weights(topology))
-    z, ids = batch.solve_rows([0], batch.base, batch.sets.ids_of([(0, ())]))
+    z, ids = batch.solve_rows([0], batch.base, batch.sets.ids_of([0]))
     ineq, eq = topology.agent_ineq_sets[0], topology.agent_eq_sets[0]  # the rows it stores
     mults = z[0, batch.shape[0]:]
     mu, lam = np.zeros(m), np.zeros(q)
@@ -318,7 +318,7 @@ def _dense_solve(problem: ProblemSpec) -> OracleSolution:
         value=value,
         ineq_multipliers=mu,
         eq_multipliers=lam,
-        active_set=tuple(ineq[p] for p in batch.sets.keys[ids[0]][1]),
+        active_set=tuple(ineq[p] for p in np.flatnonzero(batch.sets.work[ids[0]]).tolist()),
         unique_multipliers=basis is None,
     )
 

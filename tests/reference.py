@@ -18,6 +18,15 @@ primal-dual proposals must agree with in constraint space.
 ``AgentView``: one agent of a compiled ``AgentBatch`` as a scalar QP, with
 ``solve_kkt``'s ``qp`` protocol: the scalar reference of ``solve_rows``.
 
+The set table written pair by pair: ``scalar_factors`` lists each (agent,
+working positions) pair's KKT rows in a loop, equalities then working rows,
+and ``scalar_moved`` applies a ``_moves`` move to a pair's positions;
+``local_qp._factors`` and ``_SetTable.moved`` must reproduce them bit for
+bit (``set_keys`` reads a table's sets back as such pairs).  The verdicts
+written row by row in Python floats: ``row_residual_ok``, ``row_accepted``
+and ``row_move``, numpy's NaN and lowest-index rules spelled out, which
+``_residual_ok``, ``_accepted`` and ``_moves`` must match in any layout.
+
 ``dense_oracle``: cold ``solve_kkt`` on the stacked ``LocalSubproblem`` built
 from ``stacked_arrays``: one dense KKT factorization per working set, the
 stacked Hessian validated whole, dependent equality rows reduced to
@@ -70,7 +79,7 @@ from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.graph import ConstraintTopology, WeightMatrix
 from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _accepted, _affine,
-                                  _capped, _factors, _gap, _moves, _residual_ok, _revisited,
+                                  _capped, _gap, _inverses, _moves, _residual_ok, _revisited,
                                   _singular)
 from couplesolve.oracle import stacked_arrays
 from couplesolve.problem import AgentRankInfo, LicqReport, full_row_rank
@@ -293,10 +302,10 @@ def solve_rows_cold(sub: LocalSubproblem) -> KktSolution:
     problem = one_agent_problem(sub)
     topology = induce_topology(problem, problem.graph)
     batch = AgentBatch(problem, topology, build_weights(topology))
-    z, ids = batch.solve_rows([0], batch.base, batch.sets.ids_of([(0, ())]))
-    d, k_i, k = batch.counts[0]
+    z, ids = batch.solve_rows([0], batch.base, batch.sets.ids_of([0]))
+    d, k_i, k = batch.counts[0].tolist()
     mults = z[0, batch.shape[0]:]
-    return _keyed(sub, z[0, :d], mults[:k_i], mults[k_i:k], batch.sets.keys[ids[0]][1])
+    return _keyed(sub, z[0, :d], mults[:k_i], mults[k_i:k], set_keys(batch.sets)[ids[0]][1])
 
 
 def centralized_kkt(sub: LocalSubproblem) -> KktSolution:
@@ -314,7 +323,7 @@ class AgentView:
     """
 
     def __init__(self, batch, topology, a):
-        d, self.n_ineq, self.n_rows = batch.counts[a]
+        d, self.n_ineq, self.n_rows = batch.counts[a].tolist()
         self.batch, self.a, self.shape = batch, a, batch.shape
         self.ineq_indices = topology.agent_ineq_sets[a]
         self.eq_indices = topology.agent_eq_sets[a]
@@ -353,13 +362,173 @@ class AgentView:
         """
         h, c, rows = (array[self.a] for array in (self.batch.hessian, self.batch.linear,
                                                   self.batch.rows))
-        m, s, kkt, _, _, ready = _factors(h[None], c[None], rows[None],
-                                          [self.batch.counts[self.a]], [(0, working)])
+        m, s, kkt, _, _, ready = scalar_factors(h[None], c[None], rows[None],
+                                                [self.batch.counts[self.a]], [(0, working)])
         z = _affine(m[0], s[0], offsets)
-        if not (ready[0] and _residual_ok(h, c, rows, kkt[0], z, offsets)[0]):
+        if not (ready[0] and _residual_ok(h, c, self.batch.c_max[self.a], rows, kkt[0], z,
+                                          offsets)[0]):
             return None
         kept = [self.shape[0] + r for r in (*range(self.n_ineq, self.n_rows), *working)]
         return z[:self.objective.dim], z[kept]
+
+
+def scalar_factors(hessian, linear, rows, counts, pairs):
+    """``local_qp._factors`` pair by pair: the affine maps of (agent, working
+    positions) pairs, with ``counts[agent]`` the agent's (block dimension,
+    inequality rows, rows).
+
+    Each pair's KKT rows are listed in a loop, equalities then working rows;
+    pairs with the same block dimension and KKT row count share one stacked
+    inverse.  Returns m, s, kkt, work, free and ready as ``_factors`` does.
+    """
+    n = len(pairs)
+    width, dim = rows.shape[-2:]
+    m = np.zeros((n, dim + width, width))
+    s = np.zeros((n, dim + width))
+    kkt = np.zeros((n, width), dtype=bool)
+    work = np.zeros((n, width), dtype=bool)
+    free = np.zeros((n, width), dtype=bool)
+    ready = np.zeros(n, dtype=bool)
+    groups = {}
+    for j, (agent, working) in enumerate(pairs):
+        d, k_i, k = (int(v) for v in counts[agent])
+        kkt_rows = (*range(k_i, k), *working)  # equalities, then working rows
+        groups.setdefault((d, len(kkt_rows)), []).append((j, agent, kkt_rows))
+        free[j, :k_i] = True
+    for (d, r), members in groups.items():
+        at = np.array([j for j, _, _ in members], dtype=int)
+        agents = np.array([agent for _, agent, _ in members], dtype=int)
+        sel = np.array([kkt_rows for _, _, kkt_rows in members], dtype=int).reshape(len(at), r)
+        g = rows[agents[:, None], sel, :d]
+        system = np.zeros((len(at), d + r, d + r))
+        system[:, :d, :d] = hessian[agents, :d, :d]
+        system[:, :d, d:] = g.transpose(0, 2, 1)
+        system[:, d:, :d] = g
+        inverse = _inverses(system)
+        solved = np.isfinite(inverse).all((1, 2))
+        at, agents, sel, inverse = at[solved], agents[solved], sel[solved], inverse[solved]
+        out = np.concatenate([np.broadcast_to(np.arange(d), (len(at), d)), dim + sel], axis=1)
+        s[at[:, None], out] = (inverse[:, :, :d] @ -linear[agents, :d, None])[..., 0]
+        m[at[:, None, None], out[:, :, None], sel[:, None, :]] = -inverse[:, :, d:]
+        kkt[at[:, None], sel] = True
+        ready[at] = True
+    for j, (_, working) in enumerate(pairs):
+        work[j, list(working)] = True
+        free[j, list(working)] = False
+    return m, s, kkt, work, free, ready
+
+
+def work_of(working, width) -> np.ndarray:
+    """Working sets as positions, one per row, as the rows of a (rows, width) mask."""
+    work = np.zeros((len(working), width), dtype=bool)
+    for row, positions in enumerate(working):
+        work[row, list(positions)] = True
+    return work
+
+
+def working_of(work) -> list[tuple]:
+    """Each row's working set as positions: the True entries of a mask row, ascending."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in np.asarray(work)]
+
+
+def set_keys(table) -> list[tuple]:
+    """Every set a ``_SetTable`` has given an id, in id order, as (agent, working positions)."""
+    return list(zip(table.agent[:table.size].tolist(), working_of(table.work[:table.size])))
+
+
+def scalar_moved(keys, width, ids, moves) -> list[tuple]:
+    """``_SetTable.moved`` on (agent, working positions) keys: the key each id's
+    set reaches by its ``_moves`` move, r adding row r and width + r dropping it."""
+    out = []
+    for sid, move in zip(np.asarray(ids).tolist(), np.asarray(moves).tolist()):
+        agent, working = keys[sid]
+        if move < width:
+            working = tuple(sorted((*working, move)))
+        else:
+            working = tuple(p for p in working if p != move - width)
+        out.append((agent, working))
+    return out
+
+
+
+def _max(values, initial):
+    """numpy's max of floats in Python: NaN if any is NaN, else the largest or ``initial``."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=initial)
+
+
+def _min(values, initial):
+    """numpy's min of floats in Python: NaN if any is NaN, else the smallest or ``initial``."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return min(values, default=initial)
+
+
+def _first(values, better) -> int:
+    """numpy's argmax/argmin in Python: the first NaN, else the first entry no
+    other entry is ``better`` than (the lowest index on ties, +0.0 tying -0.0)."""
+    for i, v in enumerate(values):
+        if math.isnan(v):
+            return i
+    best = 0
+    for i, v in enumerate(values):
+        if better(v, values[best]):
+            best = i
+    return best
+
+
+def row_residual_ok(h, c, rows, kkt, z, offsets):
+    """``local_qp._residual_ok`` on one row in Python floats: (bound holds, row residuals).
+
+    Each row residual and stationarity entry is added up term by term from
+    0.0 in the library's order; the bound compares the largest residual with
+    1e-8 x (1 + the largest |c| or working offset + the largest |z|), and
+    every z entry must be finite.
+    """
+    h, c, rows, z, offsets = (np.asarray(v, dtype=float).tolist()
+                              for v in (h, c, rows, z, offsets))
+    kkt = np.asarray(kkt, dtype=bool).tolist()
+    dim = len(c)
+    x, mults = z[:dim], z[dim:]
+    residual = []
+    for row, offset in zip(rows, offsets):
+        acc = 0.0
+        for j in range(dim):
+            acc += row[j] * x[j]
+        residual.append(acc + offset)
+    stationarity = []
+    for i in range(dim):
+        acc = 0.0
+        for j in range(dim):
+            acc += h[i][j] * x[j]
+        for r, row in enumerate(rows):
+            acc += row[i] * mults[r]
+        stationarity.append(acc + c[i])
+    worst = _max([abs(v) for v in stationarity]
+                 + [abs(v) if k else 0.0 for v, k in zip(residual, kkt)], 0.0)
+    target = _max([abs(v) for v in c] + [abs(v) if k else 0.0 for v, k in zip(offsets, kkt)],
+                  0.0)
+    scale = 1.0 + target + _max([abs(v) for v in z], 0.0)
+    ok = worst <= 1e-8 * scale and all(math.isfinite(v) for v in z)
+    return ok, residual
+
+
+def row_accepted(free, work, residual, mults) -> bool:
+    """``local_qp._accepted`` on one row in Python floats."""
+    violation = [float(v) if f else -math.inf for v, f in zip(residual, free)]
+    spread = [float(v) if w else math.inf for v, w in zip(mults, work)]
+    return _max(violation, -math.inf) <= _ADD_TOL and _min(spread, math.inf) >= -_DROP_TOL
+
+
+def row_move(free, work, residual, mults) -> int:
+    """``local_qp._moves`` on one row in Python floats: r adds free row r, the
+    most violated; width + r drops working row r, the most negative multiplier."""
+    violation = [float(v) if f else -math.inf for v, f in zip(residual, free)]
+    spread = [float(v) if w else math.inf for v, w in zip(mults, work)]
+    if _max(violation, -math.inf) > _ADD_TOL:
+        return _first(violation, lambda a, b: a > b)
+    return len(free) + _first(spread, lambda a, b: a < b)
 
 
 def cold_active_set(evaluate, n_ineq):
@@ -528,8 +697,8 @@ def rebuilt_closed_loop(scenario, graph, state):
             start = slack if scenario.warm_start else np.zeros(size)
             inner = AdaState(start, np.zeros(size), np.zeros(size), 0)
             batch = AgentBatch(problem, topology, weights)
-            rounds = WarmStart(batch, rounds.working if rounds else None)
-            final = WarmStart(batch, final.working if final else None)
+            rounds = WarmStart(batch, rounds.work if rounds else None)
+            final = WarmStart(batch, final.work if final else None)
             worst = 0.0
             for inner, z, _ in iterate_rounds(rounds, config, inner, transport):
                 worst = max(worst, batch.violation(z)[0])

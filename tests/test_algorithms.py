@@ -87,10 +87,13 @@ def test_ada_first_round_from_known_start(toy):
                     initial_slack=_slack(topology, [2.0, 0.0]),
                     oracle=oracle)
     # round 1 evaluates at the start; gradient there is (1, -1)
-    state = result.final_state
+    config = cs.AdaConfig(gamma=0.25, rounds=1)
+    start = cs.AdaState(np.array([2.0, 0.0]), np.zeros(2), np.zeros(2), 0)
+    state, _, _ = cs.ada_round(start, lambda point, t: (None, np.array([1.0, -1.0])), config)
     assert state.point.tolist() == [2.0, 0.0]
     assert state.accumulator.tolist() == [-0.5, 0.5]
     assert state.average.tolist() == [-0.5, 0.5]
+    assert result.output_slack.values.tolist() == [-0.5, 0.5]  # the run's average
 
     row = result.trace.records[1]
     assert row.phi == 2.0
@@ -166,7 +169,7 @@ def test_pgd_early_stop_keeps_preupdate_point(toy):
     result = cs.run(problem, topology, weights, config)  # start at zero
     assert result.converged
     assert len(result.trace) == 1  # no extra monitoring row after the stop
-    assert result.final_state.point.tolist() == [0.0, 0.0]
+    assert result.output_slack.values.tolist() == [0.0, 0.0]  # pgd's output is its point
     assert result.output_primal.tolist() == [1.0, 1.0]
 
 
@@ -176,7 +179,7 @@ def test_pgd_clips_start_into_box(toy, caplog):
     with caplog.at_level(logging.WARNING, logger="couplesolve"):
         result = cs.run(problem, topology, weights, config,
                         initial_slack=_slack(topology, [2.0, 0.0]))
-    assert result.final_state.point.tolist() == [0.5, 0.0]
+    assert result.output_slack.values.tolist() == [0.5, 0.0]
     assert result.box_active is True
     assert "box is active" in caplog.text
 
@@ -426,7 +429,7 @@ def test_gradient_bound_matches_a_per_point_norm_reference(seed):
     # np.linalg.norm per point: the stacked norms keep its bits.
     problem, topology, weights, box = _psd_ring(seed)
     batch = local_qp.AgentBatch(problem, topology, weights)
-    cold = batch.sets.ids_of([(a, ()) for a in range(batch.n_agents)])
+    cold = batch.sets.ids_of(np.arange(batch.n_agents))
     worst = 0.0
     for point in _sample_points(topology.layout.size, box, 0):
         agents, offsets = _sample_rows(batch, point[None])
@@ -447,15 +450,15 @@ def test_gradient_bound_raises_the_first_failing_rows_diagnosis(monkeypatch, see
     passing = offsets[:300].sum(-1)
     residual_ok = local_qp._residual_ok
 
-    def failing(h, c, rows, kkt, z, row_offsets):
-        ok, row_residual = residual_ok(h, c, rows, kkt, z, row_offsets)
+    def failing(h, c, c_max, rows, kkt, z, row_offsets):
+        ok, row_residual = residual_ok(h, c, c_max, rows, kkt, z, row_offsets)
         return ok & np.isin(row_offsets.sum(-1), passing), row_residual
 
     monkeypatch.setattr(local_qp, "_residual_ok", failing)
     monkeypatch.setattr(local_qp, "_singular",
                         lambda h, rows: DegenerateSubproblemError(f"Hessian {h.tolist()}"))
     monkeypatch.setattr(algorithms, "_SAMPLE_ROWS", 20)
-    cold = batch.sets.ids_of([(a, ()) for a in range(batch.n_agents)])
+    cold = batch.sets.ids_of(np.arange(batch.n_agents))
     first = None
     for r, a in enumerate(agents.tolist()):
         try:

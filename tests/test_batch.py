@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 import couplesolve as cs
-from couplesolve import cbf
-from couplesolve.local_qp import AgentBatch, WarmStart, _residual_ok
+from couplesolve import cbf, oracle
+from couplesolve.local_qp import AgentBatch, WarmStart, _residual_ok, _SetTable
 from couplesolve.problem import aggregate_violation
 from couplesolve.simnet import Exchange, Neighborhoods
 from bruteforce import brute_force_solve
 from reference import (AgentView, consensus_gradient, fresh_solutions, lu_kkt_solve,
-                       solve_kkt, stacked_multipliers, stored_row, total_objective)
+                       scalar_factors, scalar_moved, set_keys, solve_kkt, stacked_multipliers,
+                       stored_row, total_objective, work_of, working_of)
 from gen import (benchmark_ring, failing_instance, lazy_weights_instance, mixed_dims_instance,
-                 reduced_space_instance, strongly_convex_instance)
+                 psd_benchmark_ring, reduced_space_instance, strongly_convex_instance)
 
 FAMILIES = ([(strongly_convex_instance, seed) for seed in range(25)]
             + [(reduced_space_instance, seed) for seed in range(12)])
@@ -93,7 +94,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
         offsets = batch.offsets(views)
         for kind in ran:
             del fallbacks[:]
-            warm = WarmStart(batch, [s[kind] for s in starts])
+            warm = WarmStart(batch, work_of([s[kind] for s in starts], batch.shape[1]))
             batched = warm.solve_stacked(offsets)
             ran[kind] += len(fallbacks)
             if kind == "correct":
@@ -104,7 +105,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
                 expected = brute_force_solve(sub)
                 assert expected is not None
                 others = [loop(sub, first), loop(sub, first, qp)]
-                assert warm.working[a] == _working(qp, ref)
+                assert working_of(warm.work)[a] == _working(qp, ref)
                 assert all(sol.active_set == ref.active_set for sol in others)
                 for other in (z, *(_row(qp, sol) for sol in others)):
                     assert np.abs(other - _row(qp, ref)).max() <= TOL
@@ -125,11 +126,11 @@ def test_answer_depends_only_on_the_final_working_set(make, seed):
         cold = WarmStart(batch)
         z = cold.solve_stacked(offsets)
         starts = [_starts(qp, [qp.ineq_indices[p] for p in working])
-                  for qp, working in zip(qps, cold.working)]
+                  for qp, working in zip(qps, working_of(cold.work))]
         for kind in ("correct", "wrong"):
-            again = WarmStart(batch, [s[kind] for s in starts])
+            again = WarmStart(batch, work_of([s[kind] for s in starts], batch.shape[1]))
             assert np.array_equal(again.solve_stacked(offsets), z)
-            assert again.working == cold.working
+            assert np.array_equal(again.work, cold.work)
 
 
 @pytest.mark.parametrize("make, seed", FAMILIES, ids=IDS)
@@ -141,7 +142,7 @@ def test_lockstep_rows_match_cold_solves(make, seed):
     layout = cs.SlackLayout.from_topology(topology)
     rng = np.random.default_rng(2000 + seed)
     offsets = batch.offsets(rng.uniform(-3.0, 3.0, size=(12, layout.size)))
-    cold = batch.sets.ids_of([(a, ()) for a in range(batch.n_agents)])
+    cold = batch.sets.ids_of(np.arange(batch.n_agents))
     expected = {}
     for a, qp in enumerate(_qps(topology, batch)):
         z, ids = batch.solve_rows(np.full(len(offsets), a), offsets[:, a],
@@ -150,7 +151,7 @@ def test_lockstep_rows_match_cold_solves(make, seed):
             sol = solve_kkt(qp.subproblem(offsets[p, a]), (), qp)
             expected[p, a] = _row(qp, sol)
             assert np.array_equal(got, expected[p, a])
-            assert batch.sets.keys[sid] == (a, tuple(qp.position[i] for i in sol.active_set))
+            assert set_keys(batch.sets)[sid] == (a, tuple(qp.position[i] for i in sol.active_set))
     pairs = [(p, a) for p in range(len(offsets)) for a in range(batch.n_agents)]
     order = rng.permutation(len(pairs))
     agents = np.array([pairs[k][1] for k in order])
@@ -171,7 +172,7 @@ def test_residual_check_is_padding_free():
         h = basis @ np.diag(rng.uniform(0.3, 3.0, size=d)) @ basis.T
         c, rows, offsets = rng.normal(size=d), rng.normal(size=(k, d)), rng.normal(size=k)
         x, mults = lu_kkt_solve(h, c, rows, -offsets)
-        ok, residual = _residual_ok(h, c, rows, np.ones(k, dtype=bool),
+        ok, residual = _residual_ok(h, c, np.abs(c).max(), rows, np.ones(k, dtype=bool),
                                     np.concatenate([x, mults]), offsets)
         assert ok
 
@@ -183,7 +184,8 @@ def test_residual_check_is_padding_free():
                                            rng.normal(size=(width, dim)))
         z, off, kkt = np.zeros((2, dim + width)), np.zeros((2, width)), np.zeros((2, width), bool)
         z[0, :d], z[0, dim:dim + k], off[0, :k], kkt[0, :k] = x, mults, offsets, True
-        padded_ok, padded = _residual_ok(h_pad, c_pad, rows_pad, kkt, z, off)
+        padded_ok, padded = _residual_ok(h_pad, c_pad, np.abs(c_pad).max(-1), rows_pad, kkt, z,
+                                         off)
         assert padded_ok[0] == ok
         assert padded[0, :k].tobytes() == residual.tobytes()
 
@@ -214,7 +216,7 @@ def test_lockstep_failures_raise_what_solve_kkt_raises():
         qp = qps[bad[0]]
         with pytest.raises(cs.SolverError) as expected:
             solve_kkt(qp.subproblem(offsets[1]), (), qp)
-        cold = batch.sets.ids_of([(a, ()) for a in agents])
+        cold = batch.sets.ids_of(agents)
         with pytest.raises(cs.SolverError) as got:
             batch.solve_rows(agents, offsets, cold)
         assert type(got.value) is type(expected.value)
@@ -225,7 +227,7 @@ def test_lockstep_failures_raise_what_solve_kkt_raises():
     assert any("revisited" in message for _, message in raised)
     # The good rows alone solve.
     z, _ = batch.solve_rows([a for a, _ in good], np.array([off for _, off in good]),
-                            batch.sets.ids_of([(a, ()) for a, _ in good]))
+                            batch.sets.ids_of([a for a, _ in good]))
     assert np.isfinite(z).all()
 
 
@@ -256,8 +258,8 @@ def test_lockstep_breaks_ties_as_solve_kkt(start, offset):
 
     qp.kkt_solve = spy
     solve_kkt(qp.subproblem(offsets), tuple(qp.ineq_indices[p] for p in start), qp)
-    batch.solve_rows([0], offsets[None], batch.sets.ids_of([(0, start)]))
-    assert [working for _, working in batch.sets.keys] == visited
+    batch.solve_rows([0], offsets[None], batch.sets.ids_of([0], work_of([start], batch.shape[1])))
+    assert [working for _, working in set_keys(batch.sets)] == visited
     assert len(visited) == 3
 
 
@@ -385,6 +387,63 @@ COMPILED = ([partial(_compiled, make, seed) for make, seed in FAMILIES]
 COMPILED_IDS = IDS + ["failing", "ring400", "filter", "lazy3"]
 
 
+def _oracle_batch(make, seed):
+    """The one-row batch in which the oracle's dense path solves ``make(seed)``'s stacked program."""
+    built = []
+
+    def recording(*args):
+        built.append(AgentBatch(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "AgentBatch", recording)
+        oracle._dense_solve(make(seed)[0])
+    return built[0], None
+
+
+SET_TABLES = (COMPILED + [partial(_oracle_batch, reduced_space_instance, seed) for seed in range(12)]
+              + [partial(_oracle_batch, psd_benchmark_ring, seed) for seed in (1, 2, 3)])
+SET_TABLE_IDS = (COMPILED_IDS + [f"oracle-rs{seed}" for seed in range(12)]
+                 + [f"oracle-psd{seed}" for seed in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("build", SET_TABLES, ids=SET_TABLE_IDS)
+def test_set_table_matches_the_per_pair_reference(build):
+    # Cold sets, every single add from them, seeded random sets and every
+    # single add and drop from those: ids follow first use, as the reference
+    # numbers its (agent, working) keys, and every map and mask is the
+    # per-pair reference's bit for bit.
+    batch = build()[0]
+    width, n_ineq = batch.shape[1], batch.counts[:, 1]
+    table = _SetTable(batch)
+    known = {}  # (agent, working) -> id, in order of first use
+
+    def check(got, keys):
+        for key in keys:
+            known.setdefault(key, len(known))
+        assert got.tolist() == [known[key] for key in keys]
+        return got
+
+    def every_move(ids):
+        keys = set_keys(table)
+        pairs = [(sid, r + width * (r in keys[sid][1])) for sid in ids.tolist()
+                 for r in range(n_ineq[keys[sid][0]])]
+        sids, moves = np.array(pairs, dtype=int).reshape(-1, 2).T
+        check(table.moved(sids, moves), scalar_moved(keys, width, sids, moves))
+
+    agents = np.arange(batch.n_agents)
+    every_move(check(table.ids_of(agents), [(a, ()) for a in agents.tolist()]))
+    rng = np.random.default_rng(batch.n_agents * width)
+    working = [tuple(np.flatnonzero(rng.random(k) < 0.4).tolist()) for k in n_ineq]
+    every_move(check(table.ids_of(agents, work_of(working, width)),
+                     list(zip(agents.tolist(), working))))
+
+    assert set_keys(table) == list(known)
+    expected = scalar_factors(batch.hessian, batch.linear, batch.rows, batch.counts, list(known))
+    for name, want in zip(("m", "s", "kkt", "work", "free", "ready"), expected):
+        assert getattr(table, name)[:table.size].tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("build", COMPILED, ids=COMPILED_IDS)
 def test_transport_permits_exactly_the_batch_reads(build):
     # The transport's permitted pairs and the batch's read pass come from
@@ -440,7 +499,7 @@ def test_compiled_arrays_are_the_problem_and_the_weights(build):
                                 ("constant", left["constant"][a:a + 1], [obj.constant])):
             assert np.array_equal(got, want), (name, a)
             got[...] = 0.0
-        assert batch.counts[a] == (d, len(topology.agent_ineq_sets[a]), len(ls))
+        assert batch.counts[a].tolist() == [d, len(topology.agent_ineq_sets[a]), len(ls)]
         for r, l in enumerate(ls):
             coeffs, offset = stored_row(cons, i, l)
             assert np.array_equal(left["rows"][a, r, :d], coeffs), (a, r)

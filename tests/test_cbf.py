@@ -311,9 +311,9 @@ def test_refreshed_batch_equals_a_fresh_compile(name):
         for batch in (compiled, fresh):
             warm = WarmStart(batch)
             solved.append([warm.solve_stacked(point) for point in offsets])
-        assert compiled.sets.keys == fresh.sets.keys
-        met = len(fresh.sets.keys)
-        for key in ("m", "s", "kkt", "work", "free", "ready"):
+        assert compiled.sets.size == fresh.sets.size
+        met = fresh.sets.size
+        for key in ("agent", "m", "s", "kkt", "work", "free", "ready"):
             assert np.array_equal(getattr(compiled.sets, key)[:met],
                                   getattr(fresh.sets, key)[:met]), key
         assert all(np.array_equal(a, b) for a, b in zip(*solved))
@@ -326,12 +326,12 @@ def test_refresh_empties_the_set_table():
     batch = AgentBatch(problem, topology, cs.build_weights(topology))
     warm = WarmStart(batch)
     warm.solve_stacked(batch.offsets(np.zeros(batch.size)))
-    working = warm.working
-    assert batch.sets.keys
+    work = warm.work
+    assert batch.sets.size
     batch.refresh(batch.linear, batch.constant, batch.rows.reshape(-1, 2)[batch.cells],
                   batch.base.reshape(-1)[batch.cells])
-    assert batch.sets.keys == []
-    assert WarmStart(batch, working).working == working
+    assert batch.sets.size == 0 and batch.sets.ids == {}
+    assert np.array_equal(WarmStart(batch, work).work, work)
 
 
 def test_agent_at_a_barrier_center_names_the_step_and_time():

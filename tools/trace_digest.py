@@ -125,7 +125,14 @@ def keyed_solutions(stacked, topology) -> list[tuple]:
 
 
 def run_parts(result, topology) -> tuple:
-    return (result.trace.records, result.final_state, result.output_slack.values,
+    """What a plain line digests of a run: its trace records, output slack and
+    primal, keyed output solutions, and flags and message count.
+
+    A run's output is its stacked arrays; ``RunResult`` keeps no final
+    algorithm state, so none is digested (``ada``'s average is the output
+    slack, ``pgd``'s point likewise).
+    """
+    return (result.trace.records, result.output_slack.values,
             result.output_primal, keyed_solutions(result.output_stacked, topology),
             result.converged, result.box_active, result.messages)
 
