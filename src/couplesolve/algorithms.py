@@ -46,7 +46,7 @@ from .exceptions import ValidationError
 from .graph import SlackState
 from .local_qp import AgentBatch, StackedSolutions, WarmStart
 from .oracle import feasible_slack_from_primal
-from .problem import _integer, lipschitz_bound, offset_scale, validate_licq
+from .problem import _integer, cost_shares, lipschitz_bound, offset_scale, validate_licq
 from .simnet import Phase, SimnetTransport
 from .trace import RoundRecord, RunTrace
 
@@ -460,7 +460,8 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
     and should be excluded from comparisons against the analytic gradient.
     Only the agents in the perturbed coordinate's neighborhood are re-solved
     per probe, every probe's agents in one lock-step
-    ``AgentBatch.solve_rows`` call started from the base solution's sets.
+    ``AgentBatch.solve_rows`` call started from the base solution's sets,
+    and every cost is one stacked ``cost_shares`` call.
     Raises RankDeficiencyError, before any solve, when an agent's stacked
     constraint rows are linearly dependent.
     """
@@ -468,44 +469,37 @@ def finite_difference_gradient(slack: SlackState, problem, topology, weights):
     batch = AgentBatch(problem, topology, weights)
     warm = WarmStart(batch)
     base = warm.solve_stacked(batch.offsets(slack.values))
-    base_costs = np.array([obj.value(z[:obj.dim])
-                           for obj, z in zip(problem.objectives, base)])
-    total = float(base_costs.sum())
 
-    # Per coordinate an up and a down probe, each re-solving only the agents
-    # whose offsets read it: by symmetry, the agents its own hops read.
+    # Per coordinate k an up and a down probe (2k, 2k + 1), each re-solving only
+    # the agents whose offsets read it: by symmetry, the agents its own hops read.
     size, members = topology.layout.size, topology.layout.members
     ends = np.searchsorted(topology.reader, np.arange(size + 1))
-    steps, probes, agents, coords, values = [], [], [], [], []
+    steps = _FD_STEP * (1.0 + np.abs(slack.values))
+    probes, agents, coords, values = [], [], [], []
     for k in range(size):
-        h = _FD_STEP * (1.0 + abs(slack.values[k]))
-        steps.append(h)
         affected = (members[topology.read[ends[k]:ends[k + 1]]] - 1).tolist()
-        for value in (slack.values[k] + h, slack.values[k] - h):
-            probes.append(affected)
+        for side, value in enumerate((slack.values[k] + steps[k], slack.values[k] - steps[k])):
+            probes += [2 * k + side] * len(affected)
             agents += affected
             coords += [k] * len(affected)
             values += [value] * len(affected)
+    probes, agents = np.array(probes, dtype=int), np.array(agents, dtype=int)
     z, _ = batch.solve_rows(agents, batch.probed_offsets(slack.values, agents, coords, values),
                             warm.ids[agents])
 
-    costs, row = [], 0
-    for affected in probes:
-        cost = total - base_costs[affected].sum()
-        for a in affected:
-            obj = problem.objectives[a]
-            cost += obj.value(z[row, :obj.dim])
-            row += 1
-        costs.append(cost)
-
-    grad = np.zeros(size)
-    flagged = np.zeros(size, dtype=bool)
-    for k, (h, f_up, f_down) in enumerate(zip(steps, costs[::2], costs[1::2])):
-        grad[k] = (f_up - f_down) / (2.0 * h)
-        forward = (f_up - total) / h
-        backward = (total - f_down) / h
-        if abs(forward - backward) > 1e-3:
-            flagged[k] = True
+    # Every base and probe row's cost in one stacked call; a probe's cost is the
+    # base total less its agents' base costs plus their probed ones.
+    n, dim = batch.n_agents, batch.shape[0]
+    rows = np.concatenate([np.arange(n), agents])
+    costs = cost_shares(batch.hessian[rows], batch.linear[rows], batch.constant[rows],
+                        np.concatenate([base[:, :dim], z[:, :dim]]))
+    total = float(np.sum(costs[:n]))
+    probed = (total - np.bincount(probes, costs[:n][agents], minlength=2 * size)
+              + np.bincount(probes, costs[n:], minlength=2 * size))
+    f_up, f_down = probed[::2], probed[1::2]
+    grad = (f_up - f_down) / (2.0 * steps)
+    # Forward and backward one-sided differences that disagree mark a kink.
+    flagged = np.abs((f_up - total) / steps - (total - f_down) / steps) > 1e-3
     return grad, flagged
 
 

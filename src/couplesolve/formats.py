@@ -36,6 +36,7 @@ from .cbf import SOLVERS, CbfScenario, ClosedLoopResult, line_consensus_scenario
 from .exceptions import ConfigError, ValidationError
 from .graph import Graph, WeightMatrix
 from .problem import AgentObjective, CouplingConstraints, ProblemSpec
+from .trace import _fmt
 
 _PROBLEM_KEYS = {"agents", "ineq", "eq", "edges", "m_ineq", "q_eq", "weights"}
 _AGENT_KEYS = {"dim", "hessian", "linear", "constant"}
@@ -229,10 +230,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> CbfScenario:
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return scenario
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def emit_trajectory(result: ClosedLoopResult, path) -> None:

@@ -60,11 +60,11 @@ on its final working set and the offsets, never on where the search
 started or on the rows beside it.
 
 The answer is one stacked, padded array z, one row per agent, and
-``AgentBatch`` computes from it what a round needs: the objective, the
-coupled-row residuals, the multipliers each exchange sends and the
-consensus-gap gradient.  A run's output keeps z and the working-row masks
-as ``StackedSolutions``; agent i's multiplier columns follow
-``topology.constraints_of(i)``.
+``AgentBatch`` computes from it what a round needs, whatever its layout:
+the objective (``cost_shares``), the coupled-row residuals (``row_shares``),
+the multipliers each exchange sends and the consensus-gap gradient.  A
+run's output keeps z and the working-row masks as ``StackedSolutions``;
+agent i's multiplier columns follow ``topology.constraints_of(i)``.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSubproblemError, UnboundedSubproblemError
-from .problem import LicqReport, licq_report, row_shares
+from .problem import LicqReport, cost_shares, licq_report, row_shares, worst_residuals
 
 # Residuals above this are treated as violated when growing the working set;
 # multipliers below its negative are dropped.
@@ -613,11 +613,10 @@ class AgentBatch:
         return z[:, :self.shape[0]][self.x_mask]
 
     def objective(self, z) -> float:
-        """Sum over agents of 1/2 x'Hx + c'x + constant."""
-        x = z[:, :self.shape[0]]
-        hx = np.einsum("nij,nj->ni", self.hessian, x)
-        values = np.einsum("ni,ni->n", 0.5 * hx + self.linear, x) + self.constant
-        return float(values.sum())
+        """``objective_value`` of the stacked primal, bit for bit: every agent's
+        ``cost_shares`` on the padded arrays, added up in agent order."""
+        return float(np.sum(cost_shares(self.hessian, self.linear, self.constant,
+                                        z[:, :self.shape[0]])))
 
     def residuals(self, z) -> tuple[np.ndarray, np.ndarray]:
         """``aggregate_violation`` of the stacked primal: (inequality rows, equality rows).
@@ -633,8 +632,7 @@ class AgentBatch:
 
     def violation(self, z) -> tuple[float, float]:
         """``max_violation`` of the stacked primal: worst inequality and equality residual."""
-        ineq, eq = self.residuals(z)
-        return max(float(ineq.max(initial=0.0)), 0.0), float(np.abs(eq).max(initial=0.0))
+        return worst_residuals(*self.residuals(z))
 
     def dual_errors(self, grad) -> tuple[float, ...]:
         """Per constraint the 2-norm of a gradient's block, ||(I - P^[l]) mu^[l]||."""
@@ -685,6 +683,4 @@ class WarmStart:
             self.ids[redo] = ids
             (self.m[redo], self.s[redo], self.kkt[redo], self.work[redo], self.free[redo],
              self.ready[redo]) = batch.sets.gather(ids)
-        # Row-major again: the batch's einsum reads of z (the objective) add
-        # up in an order that depends on the layout.
-        return np.ascontiguousarray(z)
+        return z

@@ -7,9 +7,9 @@ Stacks all agent blocks into one QP
 with H block-diagonal and one row per coupled constraint, then solves it
 exactly by active set from the empty working set.  ``local_qp._accepted``
 ends every search, and one blockwise check, ``_certificate``, certifies
-every answer and gives its value: each KKT residual within 1e-8 (1e-12 for
-a negative multiplier) times max(1, the terms it compares).  Both paths read
-``ProblemSpec.blocks``.
+every answer and gives its value (``objective_value``): each KKT residual
+within 1e-8 (1e-12 for a negative multiplier) times max(1, the terms it
+compares).  Both paths read ``ProblemSpec.blocks``.
 
 Constraint space (``_ConstraintSpace``), when every agent block has a
 Cholesky factor and the rank premise holds (``_independent_rows``): every
@@ -57,7 +57,7 @@ from .exceptions import (DimensionMismatchError, DisconnectedSubgraphError,
 from .graph import Graph, SlackState, build_weights, induce_topology
 from .local_qp import AgentBatch, _accepted
 from .problem import (AgentObjective, CouplingConstraints, ProblemSpec, agent_shares,
-                      aggregate_violation, row_shares, validate_licq)
+                      aggregate_violation, objective_value, row_shares, validate_licq)
 
 _FEAS_TOL = 1e-9
 
@@ -132,12 +132,10 @@ def _certificate(problem: ProblemSpec, x, nu):
     give x and nu times s, and scale each residual with its size.
     """
     m = problem.constraints.m_ineq
-    value = sum(obj.constant for obj in problem.objectives)  # in agent order
     stationarity = gradient_size = row_size = 0.0
     for b in problem.blocks:
         xb = x[b.columns]
         hx = (b.hessian @ xb[..., None])[..., 0]
-        value += float(np.sum(0.5 * (xb * hx).sum(1) + (b.linear * xb).sum(1)))
         pull = (nu[b.index][:, None, :] @ b.rows)[:, 0]
         stationarity = max(stationarity, np.abs(hx + b.linear + pull).max(initial=0.0))
         gradient_size = max(gradient_size, *(np.abs(t).max(initial=0.0)
@@ -148,7 +146,8 @@ def _certificate(problem: ProblemSpec, x, nu):
     mu_size = np.abs(mu).max(initial=0.0)
     worst = [stationarity, residual.max(initial=0.0), np.abs(eq_residual).max(initial=0.0),
              np.abs(mu * residual).max(initial=0.0), max(0.0, -mu.min(initial=0.0))]
-    return value, worst, [gradient_size, row_size, row_size, mu_size * row_size, mu_size]
+    return objective_value(problem, x), worst, [gradient_size, row_size, row_size,
+                                                mu_size * row_size, mu_size]
 
 
 def _certified(worst, size) -> bool:
@@ -365,15 +364,14 @@ def duality_gap(problem: ProblemSpec, x: np.ndarray,
             constant = constant + weight * offsets
         for a, *terms in zip(b.agents.tolist(), linear, constant.tolist()):
             lagrangian[a] = terms
-    f_val = dual = 0.0
-    for obj, xi, (c_eff, const_eff) in zip(problem.objectives, problem.split(x), lagrangian):
-        f_val += obj.value(xi)
+    dual = 0.0
+    for obj, (c_eff, const_eff) in zip(problem.objectives, lagrangian):
         xh, *_ = np.linalg.lstsq(obj.hessian, -c_eff, rcond=None)
         if np.max(np.abs(obj.hessian @ xh + c_eff), initial=0.0) > 1e-9 * (
                 1.0 + np.abs(c_eff).max(initial=0.0)):
             return np.inf  # Lagrangian unbounded below in this block
         dual += 0.5 * xh @ obj.hessian @ xh + c_eff @ xh + const_eff
-    return float(f_val - dual)
+    return float(objective_value(problem, x) - dual)
 
 
 def feasible_slack_from_primal(x: np.ndarray, problem, topology, weights) -> SlackState:

@@ -13,8 +13,10 @@ share), as a copy the problem owns.  Inequality rows are indexed 1..m_ineq,
 equality rows 1..q_eq; a single "constraint index" l in 1..m_ineq+q_eq
 addresses inequalities first.  ``ProblemSpec.blocks`` stacks the costs and
 stored rows once, when the problem is built, per (block dimension, row
-count), and every other reader reads them; every residual is
-``row_shares`` summed in ascending agent order.
+count), and every other reader reads them.  Every residual is
+``row_shares`` summed in ascending agent order, and every objective value is
+``cost_shares``, each agent's cost in the same arithmetic, summed over the
+agents in ascending order by one ``np.sum``.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ class AgentObjective:
         return self.hessian.shape[0]
 
     def value(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.hessian @ x + self.linear @ x + self.constant)
+        """The cost at x: ``cost_shares`` for one agent."""
+        return float(cost_shares(self.hessian, self.linear, self.constant, x))
 
 
 class CouplingConstraints:
@@ -241,20 +244,14 @@ class ProblemSpec:
         return licq_report(self.n_agents, ((b.agents, b.rows) for b in self.blocks
                                            if b.rows.shape[1]))
 
-    def block_slices(self) -> tuple[slice, ...]:
-        """Slices of each agent's block inside the stacked primal vector."""
-        starts = list(accumulate(self.dims, initial=0))
-        return tuple(map(slice, starts, starts[1:]))
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        return [x[s] for s in self.block_slices()]
-
 
 def objective_value(problem: ProblemSpec, x: np.ndarray) -> float:
-    """Total separable objective at a stacked primal vector."""
-    return math.fsum(
-        obj.value(xi) for obj, xi in zip(problem.objectives, problem.split(x))
-    )
+    """Total separable objective at a stacked primal vector: every agent's
+    ``cost_shares`` from ``problem.blocks``, summed in agent order by one ``np.sum``."""
+    costs = np.zeros(problem.n_agents)
+    for b in problem.blocks:
+        costs[b.agents] = cost_shares(b.hessian, b.linear, b.constant, x[b.columns])
+    return float(np.sum(costs))
 
 
 def row_shares(rows: np.ndarray, offsets, x: np.ndarray) -> np.ndarray:
@@ -269,6 +266,18 @@ def row_shares(rows: np.ndarray, offsets, x: np.ndarray) -> np.ndarray:
     for j in range(rows.shape[-1]):
         products += rows[..., j] * x[..., None, j]
     return products + offsets
+
+
+def cost_shares(hessian, linear, constant, x) -> np.ndarray:
+    """Each agent's cost 1/2 x'Hx + c'x + constant: hessian (..., d, d), linear
+    (..., d) and constant (...) at x (..., d).
+
+    The one arithmetic of every objective value, ``row_shares``'s own (so
+    neither padding nor memory layout moves a bit): g = 1/2 H x + c, then
+    g . x + constant.
+    """
+    g = row_shares(0.5 * hessian, linear, x)
+    return row_shares(g[..., None, :], np.asarray(constant)[..., None], x)[..., 0]
 
 
 def agent_shares(problem: ProblemSpec, x: np.ndarray):
@@ -303,8 +312,12 @@ def aggregate_violation(problem: ProblemSpec, x: np.ndarray):
 
 def max_violation(problem: ProblemSpec, x: np.ndarray) -> tuple[float, float]:
     """(max positive inequality residual, max absolute equality residual)."""
-    ineq, eq = aggregate_violation(problem, x)
-    return max(float(ineq.max(initial=0.0)), 0.0), float(np.abs(eq).max(initial=0.0))
+    return worst_residuals(*aggregate_violation(problem, x))
+
+
+def worst_residuals(ineq, eq) -> tuple[float, float]:
+    """(largest inequality residual, largest |equality residual|), each at least 0."""
+    return float(ineq.max(initial=0.0)), float(np.abs(eq).max(initial=0.0))
 
 
 def offset_scale(problem: ProblemSpec) -> float:

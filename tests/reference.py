@@ -26,6 +26,8 @@ bit (``set_keys`` reads a table's sets back as such pairs).  The verdicts
 written row by row in Python floats: ``row_residual_ok``, ``row_accepted``
 and ``row_move``, numpy's NaN and lowest-index rules spelled out, which
 ``_residual_ok``, ``_accepted`` and ``_moves`` must match in any layout.
+One agent's cost written term by term: ``row_cost``, which
+``problem.cost_shares`` must match in any layout and padding.
 
 ``dense_oracle``: cold ``solve_kkt`` on the stacked ``LocalSubproblem`` built
 from ``stacked_arrays``: one dense KKT factorization per working set, the
@@ -531,6 +533,23 @@ def row_move(free, work, residual, mults) -> int:
     return len(free) + _first(spread, lambda a, b: a < b)
 
 
+def row_cost(h, c, constant, x) -> float:
+    """``problem.cost_shares`` on one agent in Python floats: g_i = sum_j
+    (h_ij / 2) x_j + c_i, then sum_i g_i x_i + constant, each sum added up
+    term by term from 0.0 in coordinate order."""
+    h, c, x = (np.asarray(v, dtype=float).tolist() for v in (h, c, x))
+    g = []
+    for row, ci in zip(h, c):
+        acc = 0.0
+        for hij, xj in zip(row, x):
+            acc += 0.5 * hij * xj
+        g.append(acc + ci)
+    acc = 0.0
+    for gi, xi in zip(g, x):
+        acc += gi * xi
+    return acc + float(constant)
+
+
 def cold_active_set(evaluate, n_ineq):
     """The active-set loop on one program as an array loop, cold from the empty set.
 
@@ -589,6 +608,12 @@ def dense_oracle(problem, solve=solve_kkt):
     return sol.x, objective.value(sol.x), mu, lam, sol.active_set, basis is None
 
 
+def block_slices(problem) -> list[slice]:
+    """Each agent's block in the stacked primal vector, agent by agent."""
+    starts = np.cumsum((0,) + problem.dims).tolist()
+    return list(map(slice, starts, starts[1:]))
+
+
 def scalar_stacked_arrays(problem):
     """``stacked_arrays`` agent by agent: (H, c, constant, A, B, E, G)."""
     objectives, cons = problem.objectives, problem.constraints
@@ -596,7 +621,7 @@ def scalar_stacked_arrays(problem):
     c = np.concatenate([obj.linear for obj in objectives])
     size = cons.m_ineq + cons.q_eq
     rows, offsets = np.zeros((size, len(c))), np.zeros(size)
-    for agent, columns in enumerate(problem.block_slices(), start=1):
+    for agent, columns in enumerate(block_slices(problem), start=1):
         ineq, eq = cons.agent_rows(agent)
         for first, stored in ((0, ineq), (cons.m_ineq, eq)):
             for index, (coeffs, offset) in stored.items():

@@ -311,7 +311,8 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
     # What rounds read from z against the per-agent functions the trace was
     # computed with before: the objective, the coupled rows, the dense
     # (I - P) mu and every agent's reference solve, row by row of z with its
-    # working set.  The coupled rows are bit for bit, blocks padded to 9 or not.
+    # working set.  The objective and the coupled rows are bit for bit, blocks
+    # padded to 9 or not.
     problem, topology, weights = make(seed)
     # Objective constants too, which the generators leave at 0.
     problem = cs.ProblemSpec(tuple(cs.AgentObjective(obj.hessian, obj.linear, 0.25 * i)
@@ -332,6 +333,9 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
             assert np.flatnonzero(warm.work[a]).tolist() == list(_working(qp, ref))
 
         assert _close(batch.objective(z), total_objective(problem, solutions))
+        # objective_value's bits, whether z is row-major or agent-contiguous.
+        assert (batch.objective(np.ascontiguousarray(z)) == batch.objective(np.asfortranarray(z))
+                == cs.objective_value(problem, primal))
         for got, ref in zip(batch.residuals(z), aggregate_violation(problem, primal)):
             assert got.shape == ref.shape and np.array_equal(got, ref)
         assert batch.violation(z) == cs.max_violation(problem, primal)

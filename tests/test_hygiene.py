@@ -162,13 +162,15 @@ def test_stored_rows_are_stacked_in_one_place():
                                                    "formats.problem_to_dict"}
 
 
+def used(name, node) -> bool:
+    """A load or an attribute of ``name``; an import alone is no use."""
+    return not isinstance(node, ast.alias) and reads_name(node, names={name})
+
+
 def test_one_rank_report_per_problem():
     # The problem builds its report once; AgentBatch.licq serves only the
     # safety filter's refreshed batch, whose rows the problem's report does
     # not describe.  Every other reader asks validate_licq.
-    def used(name, node):  # a load or an attribute; an import alone is no use
-        return not isinstance(node, ast.alias) and reads_name(node, names={name})
-
     assert library_readers(partial(used, "licq_report")) == {
         "problem.ProblemSpec._licq", "local_qp.AgentBatch.licq"}
     def attribute(name, node):
@@ -176,6 +178,23 @@ def test_one_rank_report_per_problem():
 
     assert library_readers(partial(attribute, "_licq")) == {"problem.validate_licq"}
     assert library_readers(partial(attribute, "licq")) == {"cbf.run_closed_loop"}
+
+
+def test_one_cost_arithmetic():
+    # Every objective value is cost_shares summed over the agents one way:
+    # objective_value (the oracle's certificate and duality gap read it),
+    # the batch's objective, one agent's value and the finite-difference
+    # probes.  No einsum is left, whose bits move with z's memory layout,
+    # nor the row-major copy of z that worked round it.
+    assert library_readers(partial(used, "cost_shares")) == {
+        "problem.AgentObjective.value", "problem.objective_value",
+        "local_qp.AgentBatch.objective", "algorithms.finite_difference_gradient"}
+    assert library_readers(partial(used, "objective_value")) == {
+        "oracle._certificate", "oracle.duality_gap"}
+    assert library_readers(partial(used, "worst_residuals")) == {
+        "problem.max_violation", "local_qp.AgentBatch.violation"}
+    assert [p.name for p in sorted(SOURCE.glob("*.py")) if "einsum" in p.read_text()] == []
+    assert "ascontiguousarray" not in (SOURCE / "local_qp.py").read_text()
 
 
 def reads_attribute(name, node) -> bool:

@@ -12,8 +12,9 @@ from couplesolve.exceptions import DimensionMismatchError, RankDeficiencyError, 
 from couplesolve import formats
 from couplesolve.local_qp import AgentBatch, WarmStart
 from gen import (benchmark_ring, doubled_equality_instance, failing_instance,
-                 large_cost_scale_data, mixed_dims_instance, reduced_space_instance,
-                 strongly_convex_instance)
+                 large_cost_scale_data, mixed_dims_instance, psd_benchmark_ring,
+                 reduced_space_instance, strongly_convex_instance)
+from reference import block_slices
 
 
 def test_objective_value_and_curvature():
@@ -290,7 +291,7 @@ def test_graph_size_must_match_agent_count():
         cs.ProblemSpec((obj, obj), cons, graph)
 
 
-def test_block_slices_and_split():
+def test_block_columns_split_the_stacked_primal():
     objs = (
         cs.AgentObjective(np.eye(2), np.zeros(2)),
         cs.AgentObjective(np.eye(3), np.zeros(3)),
@@ -299,7 +300,8 @@ def test_block_slices_and_split():
     graph = cs.Graph.from_edges(2, [(1, 2)])
     problem = cs.ProblemSpec(objs, cons, graph)
     x = np.arange(5.0)
-    blocks = problem.split(x)
+    blocks = {int(a): x[columns] for b in problem.blocks
+              for a, columns in zip(b.agents, b.columns)}
     assert blocks[0].tolist() == [0.0, 1.0]
     assert blocks[1].tolist() == [2.0, 3.0, 4.0]
 
@@ -404,7 +406,7 @@ def test_agent_blocks_stack_every_agents_rows_once(instance, seed):
     assert firsts == sorted(firsts)  # in first-agent order
     seen = np.concatenate([b.agents for b in blocks])
     assert sorted(seen.tolist()) == list(range(problem.n_agents))  # each agent once
-    slices = problem.block_slices()
+    starts = np.cumsum((0,) + problem.dims)
     for b in blocks:
         g, k, d = b.rows.shape
         assert b.agents.tolist() == sorted(b.agents.tolist())
@@ -413,7 +415,7 @@ def test_agent_blocks_stack_every_agents_rows_once(instance, seed):
                                                     b.rows, b.offsets):
             obj = problem.objectives[a]
             assert obj.dim == d
-            assert columns.tolist() == list(range(slices[a].start, slices[a].stop))
+            assert columns.tolist() == list(range(starts[a], starts[a + 1]))
             ineq, eq = cons.agent_rows(a + 1)
             stored = ([(m - 1, *ineq[m]) for m in sorted(ineq)]
                       + [(cons.m_ineq + q - 1, *eq[q]) for q in sorted(eq)])
@@ -430,6 +432,20 @@ def _padded(batch, x):
     z = np.zeros(batch.x_mask.shape)
     z[batch.x_mask] = x
     return z
+
+
+@pytest.mark.parametrize("instance, seed", GEN_INSTANCES + [
+    pytest.param(psd_benchmark_ring, seed, id=f"psd-ring{seed}") for seed in (1, 2, 3)])
+def test_every_objective_value_is_one_sum_of_cost_shares(instance, seed):
+    # The oracle's value, objective_value, the batch's objective at x* and
+    # the agents' own values, summed in agent order, are the same bits.
+    problem, topology, weights = instance(seed)
+    sol = cs.solve_centralized(problem)
+    batch = AgentBatch(problem, topology, weights)
+    own = [obj.value(sol.x[columns])
+           for obj, columns in zip(problem.objectives, block_slices(problem))]
+    assert cs.objective_value(problem, sol.x) == sol.value == batch.objective(
+        _padded(batch, sol.x)) == float(np.sum(own))
 
 
 def test_a_callers_later_edit_leaves_the_problem_as_built():

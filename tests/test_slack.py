@@ -5,7 +5,8 @@ import couplesolve as cs
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
 from couplesolve.local_qp import AgentBatch, WarmStart
 from gen import reduced_space_instance, scaled_problem, strongly_convex_instance
-from reference import AgentView, consensus_gradient, fresh_solutions, total_objective
+from reference import (AgentView, block_slices, consensus_gradient, fresh_solutions,
+                       total_objective)
 
 
 def _layout(toy):
@@ -150,7 +151,7 @@ def test_feasible_slack_rejects_a_point_off_a_row_at_unit_scale():
     x = cs.solve_centralized(problem).x
     agent = topology.participants_of(problem.constraints.m_ineq + 1)[0]
     coeffs, _ = problem.constraints.agent_rows(agent)[1][1]
-    x[problem.block_slices()[agent - 1]] += 1e-6 * coeffs / (coeffs @ coeffs)
+    x[block_slices(problem)[agent - 1]] += 1e-6 * coeffs / (coeffs @ coeffs)
     assert cs.max_violation(problem, x)[1] == pytest.approx(1e-6)
     with pytest.raises(ValidationError):
         cs.feasible_slack_from_primal(x, problem, topology, weights)
