@@ -47,7 +47,7 @@ from .graph import SlackState
 from .local_qp import AgentBatch, StackedSolutions, WarmStart
 from .oracle import feasible_slack_from_primal
 from .problem import _integer, cost_shares, lipschitz_bound, offset_scale, validate_licq
-from .simnet import Phase, SimnetTransport
+from .simnet import Phase, ReadPass, SimnetTransport
 from .trace import RoundRecord, RunTrace
 
 logger = logging.getLogger("couplesolve")
@@ -195,19 +195,21 @@ def iterate_rounds(warm, config, start, transport, hook=None):
     slack values over ``transport``, calls ``hook(views, t)`` if given
     (``views``: the slack ``simnet.Exchange``), solves every agent's
     subproblem, exchanges the multipliers and forms the consensus-gap
-    gradient, reading both through the exchanges.  z is the round's stacked
-    local solution, ``WarmStart.solve_stacked``'s array for ``warm.batch``.
-    Stop early by leaving the loop.
+    gradient, reading both exchanges through the batch's read pass, checked
+    once per call against the transport's neighborhoods (``simnet.ReadPass``).
+    z is the round's stacked local solution, ``WarmStart.solve_stacked``'s
+    array for ``warm.batch``.  Stop early by leaving the loop.
     """
     batch = warm.batch
+    reads = ReadPass(transport.neighborhoods, batch.readers, batch.flat)
 
     def evaluate(point, t):
         views = transport.gather(Phase.SLACK_EXCHANGE, point)
         if hook is not None:
             hook(views, t)
-        z = warm.solve_stacked(batch.offsets(views))
+        z = warm.solve_stacked(batch.offsets(views.serve(reads)))
         views = transport.gather(Phase.MULTIPLIER_EXCHANGE, batch.multipliers(z))
-        return z, batch.gradient(views)
+        return z, batch.gradient(views.serve(reads))
 
     is_ada = isinstance(config, AdaConfig)
     if not is_ada:
@@ -282,6 +284,7 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         start = np.clip(start, -config.box_bound, config.box_bound)
 
     f_star = oracle.value if oracle is not None else math.nan
+    sent_before = transport.messages  # a transport may serve many runs
     msgs_per_round = 2 * transport.messages_per_phase
     n_cons = topology.n_constraints
     records = []
@@ -370,7 +373,7 @@ def run(problem, topology, weights, config, *, initial_slack=None, oracle=None,
         output_stacked=batch.solutions(output, output_work.copy()),
         converged=converged,
         box_active=box_active,
-        messages=transport.messages,
+        messages=transport.messages - sent_before,
     )
 
 

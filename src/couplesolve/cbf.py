@@ -293,7 +293,8 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
     step's ``ProblemSpec`` that it solves.  The distributed solver's two
     streams, the inner rounds' and the applied solve's, keep their working
     sets across steps.  The batch checks every input against the rows
-    (``AgentBatch.violation``).  Raises ValidationError when a parameter is
+    (``AgentBatch.violation``): a step's inner iterates, stacked, in one
+    call, and the applied input.  Raises ValidationError when a parameter is
     not finite, when the graph and the state disagree on the agent count or
     when a barrier names an agent outside 1..n.
     """
@@ -348,12 +349,12 @@ def run_closed_loop(scenario: CbfScenario, graph: Graph,
             rounds, final = (WarmStart(batch, work) for work in seeds)
             start = slack if scenario.warm_start else np.zeros(batch.size)
             inner = AdaState(start, np.zeros(batch.size), np.zeros(batch.size), 0)
-            worst = 0.0
+            iterates = []
             for inner, z, _ in iterate_rounds(rounds, config, inner, transport):
-                worst = max(worst, batch.violation(z)[0])
+                iterates.append(z)
             slack = inner.average
             u = batch.primal(final.solve_stacked(batch.offsets(slack))).reshape(n, 2)
-            inner_worst[s] = worst
+            inner_worst[s] = max([0.0, *batch.violation(np.stack(iterates))[0].tolist()])
 
         applied_worst[s] = batch.violation(u)[0]
         inputs[s] = u

@@ -69,6 +69,7 @@ agent i's multiplier columns follow ``topology.constraints_of(i)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -550,13 +551,12 @@ class AgentBatch:
     def gaps(self, values) -> np.ndarray:
         """Every agent row's sum_j p_ij (v_i - v_j): (I - P^[l]) v, per row.
 
-        ``values`` is either a ``simnet.Exchange``, through which every agent
-        reads the terms ``consensus_gap`` reads (all reads checked in one
-        pass), or flat vectors in slack layout, one per leading index
-        (elementwise, so each is what it gives alone).
+        ``values`` holds flat vectors in slack layout, one per leading index
+        (elementwise, so each is what it gives alone).  Every agent reads the
+        terms ``consensus_gap`` reads: the read pass, 0-based agent
+        ``readers[k]``'s read of coordinate ``flat[k]``, which a run serves
+        through ``simnet.ReadPass``.
         """
-        if not isinstance(values, np.ndarray):
-            values = values.checked(self.readers, self.flat)
         _, width, reach = self.shape
         lead = values.shape[:-1]
         buf = np.zeros(lead + (self.n_agents * width * (reach + 1),))
@@ -623,15 +623,26 @@ class AgentBatch:
 
         Each coupled row is sum_i (A_i x_i + b_i): ``row_shares`` on the padded
         arrays, added up over its participants in ascending agent order.  z may
-        be the padded primal (n, dim) alone.
+        be the padded primal (n, dim) alone, and may stack solutions ahead of
+        the agent axis; so do the answers, each solution's rows summed in
+        bins of their own, so each is what it gives alone.
         """
-        shares = row_shares(self.rows, self.base, z[:, :self.shape[0]])
-        rows = np.bincount(self.constraint, weights=shares.reshape(-1)[self.cells],
-                           minlength=self.n_constraints)
-        return rows[:self.m_ineq], rows[self.m_ineq:]
+        shares = row_shares(self.rows, self.base, z[..., :self.shape[0]])
+        lead, n_cons = shares.shape[:-2], self.n_constraints
+        bins = self.constraint
+        if lead:
+            # Solution s's rows fall in bins of its own: s * n_cons + constraint.
+            bins = (np.arange(math.prod(lead))[:, None] * n_cons + bins).ravel()
+        rows = np.bincount(bins, weights=shares.reshape(lead + (-1,))[..., self.cells].ravel(),
+                           minlength=math.prod(lead) * n_cons).reshape(lead + (n_cons,))
+        return rows[..., :self.m_ineq], rows[..., self.m_ineq:]
 
     def violation(self, z) -> tuple[float, float]:
-        """``max_violation`` of the stacked primal: worst inequality and equality residual."""
+        """``max_violation`` of the stacked primal: worst inequality and equality residual.
+
+        z may stack solutions ahead of the agent axis; then each answer is an
+        array of the solutions' worst residuals.
+        """
         return worst_residuals(*self.residuals(z))
 
     def dual_errors(self, grad) -> tuple[float, ...]:

@@ -257,14 +257,15 @@ def objective_value(problem: ProblemSpec, x: np.ndarray) -> float:
 def row_shares(rows: np.ndarray, offsets, x: np.ndarray) -> np.ndarray:
     """Each row's share a . x + b: rows (..., k, d) and offsets (..., k) at x (..., d).
 
+    The leading axes broadcast, so one set of rows can read many stacked x.
     The one arithmetic of every coupled-row residual: the products are added
     up over the block dimension in coordinate order from 0.0, then the
     offset.  A zero-padded coordinate adds an exact 0, so neither padding
     nor the arrays' memory layout moves a bit.
     """
-    products = np.zeros(rows.shape[:-1])
+    products = 0.0
     for j in range(rows.shape[-1]):
-        products += rows[..., j] * x[..., None, j]
+        products = products + rows[..., j] * x[..., None, j]
     return products + offsets
 
 
@@ -316,8 +317,12 @@ def max_violation(problem: ProblemSpec, x: np.ndarray) -> tuple[float, float]:
 
 
 def worst_residuals(ineq, eq) -> tuple[float, float]:
-    """(largest inequality residual, largest |equality residual|), each at least 0."""
-    return float(ineq.max(initial=0.0)), float(np.abs(eq).max(initial=0.0))
+    """(largest inequality residual, largest |equality residual|), each at least 0.
+
+    Residuals stacked ahead of the row axis give arrays, one worst per stack.
+    """
+    worst = ineq.max(-1, initial=0.0), np.abs(eq).max(-1, initial=0.0)
+    return worst if ineq.ndim > 1 else (float(worst[0]), float(worst[1]))
 
 
 def offset_scale(problem: ProblemSpec) -> float:

@@ -13,9 +13,12 @@ closed neighborhood in constraint l, that is along one of the topology's
 hops (``graph.ConstraintTopology``): ``Neighborhoods`` turns them into
 sorted codes of the permitted (agent, coordinate) pairs, and each hop
 between two agents is one message.  The batched solver reads every agent
-at once through ``Exchange.checked``, which checks all its (reader,
-coordinate) pairs in one vectorized pass.  Hooks, probes and references
-index ``exchange[i - 1]`` for agent i's ``NeighborView``, a read-only
+at once through a ``ReadPass``: its (reader, coordinate) pairs, fixed for
+a run, are checked against the transport's neighborhoods once, when the
+pass is compiled, and each phase's ``Exchange.serve`` repeats only what
+can change from phase to phase: the deliveries withheld through a view,
+and the raise or record of every read outside the neighborhoods.  Hooks,
+probes and references index ``exchange[i - 1]`` for agent i's ``NeighborView``, a read-only
 mapping built only when indexed.  Any read outside the neighborhoods raises
 by default, or is recorded as a violation in audit mode and served, so that
 injected faults can be detected rather than crash the replay
@@ -76,11 +79,28 @@ class Neighborhoods:
         return self.codes[first:last] - (agent - 1) * self.size
 
 
+class ReadPass:
+    """Many agents' reads, checked once against one ``Neighborhoods``.
+
+    Read k is 0-based agent ``readers[k]``'s read of slack coordinate
+    ``coords[k]``.  The pass keeps each read's position among the codes and
+    whether it is permitted; ``Exchange.serve`` reads a phase through it.
+    """
+
+    def __init__(self, neighborhoods: Neighborhoods, readers, coords):
+        nb = self.neighborhoods = neighborhoods
+        self.readers, self.coords = readers, coords
+        codes = readers * nb.size + coords
+        self.at = np.searchsorted(nb.codes, codes)
+        self.permitted = nb.codes[self.at] == codes
+        self.outside = np.flatnonzero(~self.permitted).tolist()
+
+
 class Exchange(Sequence):
     """One phase's delivery: ``values`` in slack layout, read within each agent's neighborhoods.
 
     ``exchange[i - 1]`` is agent i's ``NeighborView``, built when first
-    indexed; ``checked`` serves many agents' reads at once.  A delivery
+    indexed; ``serve`` serves many agents' reads at once.  A delivery
     withheld from a view (``del view[key]``) is outside the neighborhood for
     both.
     """
@@ -106,23 +126,24 @@ class Exchange(Sequence):
             view = self._views[index] = NeighborView(self, index + 1)
         return view
 
-    def checked(self, readers, coords) -> np.ndarray:
-        """``values``, once every read of coordinate ``coords[k]`` by 0-based agent
-        ``readers[k]`` is checked, all in one vectorized pass.
+    def serve(self, reads: ReadPass) -> np.ndarray:
+        """``values``, read by every read of the pass ``reads``.
 
-        A read outside the reader's neighborhoods raises LocalityViolationError
-        naming the first such read, or with an auditor is recorded, in read
-        order, and served.
+        A read outside the reader's neighborhoods, or of a delivery withheld
+        from it, raises LocalityViolationError naming the first such read, or
+        with an auditor is recorded, in read order, and served.  Raises
+        ValidationError when the pass was checked against other
+        neighborhoods than this exchange's.
         """
         nb = self.neighborhoods
-        codes = readers * nb.size + coords
-        at = np.searchsorted(nb.codes, codes)
-        permitted = nb.codes[at] == codes
+        if reads.neighborhoods is not nb:
+            raise ValidationError("read pass was checked against other neighborhoods "
+                                  "than the exchange's")
+        outside = reads.outside
         if self._withheld is not None:
-            permitted &= ~self._withheld[at]
-        if not permitted.all():
-            for k in np.flatnonzero(~permitted).tolist():
-                self._outside(int(readers[k]) + 1, nb.key[coords[k]])
+            outside = np.flatnonzero(~reads.permitted | self._withheld[reads.at]).tolist()
+        for k in outside:
+            self._outside(int(reads.readers[k]) + 1, nb.key[reads.coords[k]])
         return self.values
 
     def _outside(self, agent: int, key) -> None:

@@ -15,7 +15,7 @@ import couplesolve as cs
 from couplesolve import cbf, oracle
 from couplesolve.local_qp import AgentBatch, WarmStart, _residual_ok, _SetTable
 from couplesolve.problem import aggregate_violation
-from couplesolve.simnet import Exchange, Neighborhoods
+from couplesolve.simnet import Exchange, Neighborhoods, ReadPass
 from bruteforce import brute_force_solve
 from reference import (AgentView, consensus_gradient, fresh_solutions, lu_kkt_solve,
                        scalar_factors, scalar_moved, set_keys, solve_kkt, stacked_multipliers,
@@ -27,6 +27,11 @@ FAMILIES = ([(strongly_convex_instance, seed) for seed in range(25)]
             + [(reduced_space_instance, seed) for seed in range(12)])
 IDS = [f"{make.__name__.split('_')[0]}{seed}" for make, seed in FAMILIES]
 TOL = 1e-12
+
+
+def served(batch, views) -> np.ndarray:
+    """The delivery of ``views`` as the batch reads it, through its checked read pass."""
+    return views.serve(ReadPass(views.neighborhoods, batch.readers, batch.flat))
 
 
 def _points(topology, seed, count=3):
@@ -91,7 +96,7 @@ def test_warm_and_batched_solves_match_cold_and_enumeration(make, seed, monkeypa
         cold = [loop(sub) for sub in subs]
         starts = [_starts(qp, sol.active_set) for qp, sol in zip(qps, cold)]
         misled += sum(s["wrong"] != s["correct"] for s in starts)
-        offsets = batch.offsets(views)
+        offsets = batch.offsets(served(batch, views))
         for kind in ran:
             del fallbacks[:]
             warm = WarmStart(batch, work_of([s[kind] for s in starts], batch.shape[1]))
@@ -279,7 +284,8 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
             for r, l in enumerate(topology.constraints_of(i)):
                 gap = cs.consensus_gap(l, i, topology, weights, views[i - 1])
                 expected[i - 1, r] = gap + stored_row(cons, i, l)[1]
-        for got in (batch.offsets(views), batch.offsets(mediated), batch.offsets(flat),
+        for got in (batch.offsets(served(batch, views)),
+                    batch.offsets(served(batch, mediated)), batch.offsets(flat),
                     np.array([qp.offsets(v) for qp, v in zip(_qps(topology, batch), views)])):
             assert np.array_equal(got, expected)
         for i in range(1, problem.n_agents + 1):
@@ -297,7 +303,7 @@ def test_batched_offsets_are_consensus_gap_plus_base(make, seed):
         mult_views = cs.SimnetTransport(topology).gather(cs.Phase.MULTIPLIER_EXCHANGE, mults)
         z = WarmStart(batch).solve_stacked(batch.offsets(flat))
         assert np.array_equal(batch.gradient(batch.multipliers(z)), reference)
-        assert np.array_equal(batch.gradient(mult_views), reference)
+        assert np.array_equal(batch.gradient(served(batch, mult_views)), reference)
 
 
 def _close(got, ref):
@@ -343,6 +349,43 @@ def test_stacked_metrics_match_the_reference_functions(make, seed):
                  if members else 0.0
                  for l, members in zip(layout.constraints, layout.participants)]
         assert _close(batch.dual_errors(batch.gradient(batch.multipliers(z))), dense)
+
+
+STACKED = ([(strongly_convex_instance, seed) for seed in (1, 3, 10, 22)]
+           + [(mixed_dims_instance, seed) for seed in (0, 3)] + [(reduced_space_instance, 0)])
+
+
+@pytest.mark.parametrize("make, seed", STACKED,
+                         ids=[f"{make.__name__.split('_')[0]}{seed}" for make, seed in STACKED])
+def test_stacked_residuals_and_violation_equal_per_solution_calls(make, seed):
+    # Solutions stacked ahead of the agent axis, as the safety filter checks a
+    # step's inner iterates: each solution's rows are summed in bins of their
+    # own, so every answer has the bits of that solution's own call.  The
+    # seeds have equality rows; sc10 and sc22 have agents without rows, the
+    # mixed-dims seeds blocks of 2 to 9 columns padded to 9.
+    problem, topology, weights = make(seed)
+    batch = AgentBatch(problem, topology, weights)
+    _, points = _points(topology, seed, count=4)
+    warm = WarmStart(batch)
+    solved = np.stack([warm.solve_stacked(batch.offsets(flat)) for flat in points])
+    # Off the solutions too, where rows are violated; zero beyond each block.
+    shape = (2,) + solved.shape
+    off = np.random.default_rng(seed).normal(size=shape)
+    off[..., :batch.shape[0]] *= batch.x_mask
+    for stacked in (solved, solved.reshape((2, 2) + solved.shape[1:]), off,
+                    off[..., :batch.shape[0]]):
+        ineq, eq = batch.residuals(stacked)
+        worst = batch.violation(stacked)
+        lead = stacked.shape[:-2]
+        assert ineq.shape == lead + (topology.m_ineq,)
+        assert eq.shape == lead + (topology.n_constraints - topology.m_ineq,)
+        assert worst[0].shape == worst[1].shape == lead
+        for index in np.ndindex(lead):
+            alone = batch.residuals(stacked[index])
+            assert ineq[index].tobytes() == alone[0].tobytes()
+            assert eq[index].tobytes() == alone[1].tobytes()
+            assert [float(w[index]).hex() for w in worst] == [
+                w.hex() for w in batch.violation(stacked[index])]
 
 
 def test_unbounded_agent_keeps_its_diagnosis():

@@ -4,7 +4,8 @@ import pytest
 import couplesolve as cs
 from couplesolve import simnet
 from couplesolve.exceptions import LocalityViolationError
-from couplesolve.local_qp import AgentBatch
+from couplesolve.algorithms import iterate_rounds
+from couplesolve.local_qp import AgentBatch, WarmStart
 from couplesolve.trace import RunTrace, traces_equal
 
 from gen import strongly_convex_instance
@@ -139,25 +140,100 @@ def test_audited_run_records_withheld_reads_and_serves_them(toy, dropped):
     assert np.array_equal(strict.output_primal, audited.output_primal)
 
 
-def test_batch_over_a_wider_topology_reads_outside_a_narrower_transport(path4):
+def _wide_batch_on_a_path(path4):
+    """A batch compiled over the complete graph's topology, that topology
+    and the path's, for one row shared by 4 agents."""
     obj = cs.AgentObjective(np.eye(1), np.zeros(1))
     cons = cs.CouplingConstraints(4, m_ineq=1, q_eq=0)
     for i in range(1, 5):
-        cons.add_ineq_row(i, 1, [1.0], 0.0)
+        cons.add_ineq_row(i, 1, [1.0], -0.25)
     complete = cs.Graph.from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
     problem = cs.ProblemSpec((obj,) * 4, cons, complete)
     wide = cs.induce_topology(problem, complete)
-    batch = AgentBatch(problem, wide, cs.build_weights(wide))
+    return AgentBatch(problem, wide, cs.build_weights(wide)), wide, cs.induce_topology(
+        problem, path4)
+
+
+def test_batch_over_a_wider_topology_reads_outside_a_narrower_transport(path4):
+    batch, wide, narrow = _wide_batch_on_a_path(path4)
     flat = [0.1, 0.2, 0.3, 0.4]
-    views = cs.SimnetTransport(cs.induce_topology(problem, path4)).gather(
-        cs.Phase.SLACK_EXCHANGE, flat)
+    transport = cs.SimnetTransport(narrow)
+    # Compiling the pass raises nothing; serving a phase through it raises.
+    reads = simnet.ReadPass(transport.neighborhoods, batch.readers, batch.flat)
+    views = transport.gather(cs.Phase.SLACK_EXCHANGE, flat)
     # Agent 1 reads agents 2, 3 and 4 on the complete graph; only 2 is its
     # neighbour on the path.
     with pytest.raises(LocalityViolationError,
                        match="agent 1 read constraint 1 value of agent 3 outside"):
-        batch.offsets(views)
-    assert np.array_equal(batch.offsets(cs.SimnetTransport(wide).gather(
-        cs.Phase.SLACK_EXCHANGE, flat)), batch.offsets(np.array(flat)))
+        views.serve(reads)
+    transport = cs.SimnetTransport(wide)
+    views = transport.gather(cs.Phase.SLACK_EXCHANGE, flat)
+    reads = simnet.ReadPass(transport.neighborhoods, batch.readers, batch.flat)
+    assert np.array_equal(batch.offsets(views.serve(reads)), batch.offsets(np.array(flat)))
+
+
+def test_rounds_of_a_wider_batch_raise_at_the_first_phase(path4):
+    batch, _, narrow = _wide_batch_on_a_path(path4)
+    phases = []
+
+    class Counting(cs.SimnetTransport):
+        def gather(self, phase, values):
+            phases.append(phase)
+            return super().gather(phase, values)
+
+    state = cs.AdaState(np.zeros(batch.size), np.zeros(batch.size), np.zeros(batch.size), 0)
+    with pytest.raises(LocalityViolationError,
+                       match="agent 1 read constraint 1 value of agent 3 outside"):
+        list(iterate_rounds(WarmStart(batch), cs.AdaConfig(0.1, 3), state, Counting(narrow)))
+    assert phases == [cs.Phase.SLACK_EXCHANGE]
+
+
+def test_audited_rounds_of_a_wider_batch_record_each_phase_in_read_order(path4):
+    batch, wide, narrow = _wide_batch_on_a_path(path4)
+    recorded = []  # the auditor's records at each gather, then at the end
+
+    class Snapshotting(cs.SimnetTransport):
+        def gather(self, phase, values):
+            recorded.append(len(self.auditor.violations))
+            return super().gather(phase, values)
+
+    transport = Snapshotting(narrow, audit=True)
+    state = cs.AdaState(np.zeros(batch.size), np.zeros(batch.size), np.zeros(batch.size), 0)
+    rounds = list(iterate_rounds(WarmStart(batch), cs.AdaConfig(0.1, 3), state, transport))
+    assert len(rounds) == 3
+    recorded.append(len(transport.auditor.violations))
+    # Per phase, every read outside the path in read order: agent by agent,
+    # each agent's own value first, then its neighbours' ascending.
+    per_phase = [(1, 1, 3), (1, 1, 4), (2, 1, 4), (3, 1, 1), (4, 1, 1), (4, 1, 2)]
+    assert recorded == [6 * k for k in range(7)]
+    assert transport.auditor.violations == per_phase * 6
+    # The audited reads are served: the rounds equal a strict run on the batch's own topology.
+    strict = list(iterate_rounds(WarmStart(batch), cs.AdaConfig(0.1, 3), state,
+                                 cs.SimnetTransport(wide)))
+    for (a, z_a, g_a), (b, z_b, g_b) in zip(rounds, strict):
+        assert np.array_equal(z_a, z_b) and np.array_equal(g_a, g_b)
+        assert np.array_equal(a.average, b.average)
+
+
+def test_a_read_pass_refuses_another_transports_exchange(toy):
+    _, topology, _ = toy
+    batch = AgentBatch(*toy)
+    reads = simnet.ReadPass(cs.SimnetTransport(topology).neighborhoods, batch.readers,
+                            batch.flat)
+    views = cs.SimnetTransport(topology).gather(cs.Phase.SLACK_EXCHANGE, [2.0, 0.0])
+    with pytest.raises(cs.ValidationError, match="other neighborhoods than the exchange's"):
+        views.serve(reads)
+
+
+def test_a_reused_transport_reports_each_runs_own_messages(toy):
+    problem, topology, weights = toy
+    config = cs.AdaConfig(0.25, 3)
+    transport = cs.SimnetTransport(topology)
+    first = cs.run(problem, topology, weights, config, transport=transport)
+    second = cs.run(problem, topology, weights, config, transport=transport)
+    assert first.messages == second.messages == 12
+    assert second.messages == second.trace.records[-1].msgs
+    assert transport.messages == 24
 
 
 @pytest.mark.parametrize("dropped", list(cs.Phase), ids=lambda p: p.value)
