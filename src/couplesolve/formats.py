@@ -188,8 +188,10 @@ def problem_from_dict(data: dict, where: str = "problem"):
             for key in ("constraint", "matrix"):
                 if key not in entry:
                     raise ConfigError(f"{field} missing '{key}'")
-            custom[integer(entry["constraint"], f"{field} constraint")] = _cast(
-                entry["matrix"], _floats, f"{field} matrix")
+            l = integer(entry["constraint"], f"{field} constraint")
+            if l in custom:
+                raise ConfigError(f"{field}: duplicate weights for constraint {l}")
+            custom[l] = _cast(entry["matrix"], _floats, f"{field} matrix")
     return problem, custom
 
 

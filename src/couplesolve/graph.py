@@ -401,6 +401,8 @@ class SlackLayout:
 
     def index(self, l: int, agent: int) -> int:
         """Coordinate (l, agent); KeyError unless agent takes part in constraint l."""
+        if not 1 <= l < len(self.starts):
+            raise KeyError((l, agent))
         first, last = int(self.starts[l - 1]), int(self.starts[l])
         at = first + int(self.members[first:last].searchsorted(agent))
         if at >= last or self.members[at] != agent:

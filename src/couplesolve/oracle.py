@@ -11,17 +11,18 @@ every answer and gives its value (``objective_value``): each KKT residual
 within 1e-8 (1e-12 for a negative multiplier) times max(1, the terms it
 compares).  Both paths read ``ProblemSpec.blocks``.
 
-Constraint space (``_ConstraintSpace``), when every agent block has a
-Cholesky factor and the rank premise holds (``_independent_rows``): every
-agent's rows have full row rank (LICQ) and every row has an agent.  Then
-the stacked rows R = [A; E] have full row rank: a combination of rows that
-vanishes vanishes on each agent's block, where the agent's independent rows
-force zero weight on every row it stores.  So R x = -offsets is solvable
-for every offset, whatever the blocks: the program is feasible.  With the
-factors, S = R H^-1 R' is positive definite and the multipliers are
-unique.  Each working set is one solve with S (the range-space method,
-Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 16.2, carried
-fully into the m + q multipliers); x is recovered once, blockwise.  The
+Constraint space (``_ConstraintSpace``), when every block has the problem's
+Cholesky solve (``ProblemSpec.block_solves``) and the rank premise holds
+(``_independent_rows``): every agent's rows have full row rank (LICQ) and
+every row has an agent.  Then the stacked rows R = [A; E] have full row
+rank: a combination of rows that vanishes vanishes on each agent's block,
+where the agent's independent rows force zero weight on every row it
+stores.  So R x = -offsets is solvable for every offset, whatever the
+blocks: the program is feasible.  With the factors, S = R H^-1 R' is
+positive definite and the multipliers are unique.  Each working set is one
+solve with S (the range-space method, Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., section 16.2, carried fully into the m + q
+multipliers); x is recovered once, by ``lagrangian_minimizer``.  The
 primal-dual proposals, ``_primal_dual``, search: each step replaces the
 whole working set, and they give up on a repeated set or at a cap.  On
 the benchmark's ring at 400 / 1200 / 2400 agents they take 3 / 2 / 3
@@ -40,6 +41,7 @@ program, held by one agent, is one row of ``local_qp.AgentBatch.solve_rows``
 from the empty working set: the package's one active-set loop, with its
 diagnoses of an unbounded or degenerate program.
 
+``duality_gap`` scores the same minimizer in the one cost arithmetic.
 ``feasible_slack_from_primal`` turns a point the certificate accepts into
 the slack allocation whose per-agent rows reproduce it: the optimal
 allocation, from the oracle's optimizer.
@@ -57,7 +59,8 @@ from .exceptions import (DimensionMismatchError, DisconnectedSubgraphError,
 from .graph import Graph, SlackState, build_weights, induce_topology
 from .local_qp import AgentBatch, _accepted
 from .problem import (AgentObjective, CouplingConstraints, ProblemSpec, agent_shares,
-                      aggregate_violation, objective_value, row_shares, validate_licq)
+                      aggregate_violation, lagrangian_minimizer, objective_value, row_shares,
+                      validate_licq)
 
 _FEAS_TOL = 1e-9
 
@@ -173,39 +176,30 @@ class _ConstraintSpace:
     S = R H^-1 R' is a sum of per-agent k x k blocks R_i H_i^-1 R_i',
     each block's summed per distinct cell of S and then added in by
     constraint position, and r = R x0 + b a sum of per-agent
-    vectors.  A working set W (the equalities and the working inequalities)
-    costs one solve S[W, W] nu_W = r[W]; the inequality residuals at its
-    solution are r[ineq] - S[ineq, W] nu_W.  ``groups`` holds (block, y, x0)
-    per block of ``problem.blocks``: y = H^-1 R_i' (g, d, k) and the
-    unconstrained minimizer x0 = -H^-1 c_i (g, d).
+    vectors, from the problem's ``block_solves`` y = H^-1 R_i' and
+    x0 = -H^-1 c_i.  A working set W (the equalities and the working
+    inequalities) costs one solve S[W, W] nu_W = r[W]; the inequality
+    residuals at its solution are r[ineq] - S[ineq, W] nu_W.
     """
 
-    def __init__(self, problem: ProblemSpec, factors):
+    def __init__(self, problem: ProblemSpec):
         cons = problem.constraints
         self.problem, self.m, size = problem, cons.m_ineq, cons.m_ineq + cons.q_eq
-        self.s, self.r, self.groups = np.zeros((size, size)), np.zeros(size), []
-        for b, chol in zip(problem.blocks, factors):
-            k = b.rows.shape[1]
-            rhs = np.concatenate([b.rows.transpose(0, 2, 1), -b.linear[..., None]], axis=2)
-            solved = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))
-            y, x0 = solved[..., :k], solved[..., k]
+        self.s, self.r = np.zeros((size, size)), np.zeros(size)
+        for b, (y, x0) in zip(problem.blocks, problem.block_solves):
             cells, at = np.unique(b.index[:, :, None] * size + b.index[:, None, :],
                                   return_inverse=True)
             self.s.reshape(-1)[cells] += np.bincount(at.ravel(), (b.rows @ y).ravel())
             r0 = (b.rows @ x0[..., None])[..., 0] + b.offsets  # R_i x0_i + b_i
             self.r += np.bincount(b.index.ravel(), r0.ravel(), minlength=size)
-            self.groups.append((b, y, x0))
 
     @classmethod
     def compile(cls, problem: ProblemSpec) -> "_ConstraintSpace | None":
         """The compiled program from ``problem.blocks``, or None off its
         premise: some block has no Cholesky factor, or the stacked rows are
         not ``_independent_rows``."""
-        try:
-            factors = [np.linalg.cholesky(b.hessian) for b in problem.blocks]
-        except np.linalg.LinAlgError:
-            return None
-        return cls(problem, factors) if _independent_rows(problem) else None
+        factored = all(solve is not None for solve in problem.block_solves)
+        return cls(problem) if factored and _independent_rows(problem) else None
 
     def evaluate(self, working):
         """(nu_W, inequality residuals) of a working set; raises LinAlgError
@@ -232,9 +226,7 @@ class _ConstraintSpace:
         nu = np.zeros(size)
         nu[m:] = mults[:size - m]
         nu[list(working)] = mults[size - m:]
-        x = np.zeros(sum(self.problem.dims))
-        for b, y, x0 in self.groups:  # x_i = x0_i - H_i^-1 R_i' nu_i
-            x[b.columns] = x0 - (y @ nu[b.index][..., None])[..., 0]
+        x = lagrangian_minimizer(self.problem, nu)
         value, worst, scale = _certificate(self.problem, x, nu)
         if not _certified(worst, scale):
             return None
@@ -338,11 +330,11 @@ def duality_gap(problem: ProblemSpec, x: np.ndarray,
                 ineq_multipliers, eq_multipliers) -> float:
     """f(x) minus the Lagrangian dual value at the given multipliers.
 
-    The dual value separates per agent: each term is the unconstrained
-    minimum of the agent's cost plus the multiplier-weighted shares of its
-    constraint rows.  Returns +inf when some agent's Lagrangian is unbounded
-    below (possible for semidefinite Hessians).  Raises
-    DimensionMismatchError when a vector's length is not the program's.
+    The dual value is the Lagrangian at its minimizer x^ (``lagrangian_minimizer``):
+    ``objective_value`` at x^ plus nu . ``aggregate_violation`` at x^, or
+    +inf where some agent's Lagrangian is unbounded below (possible for
+    semidefinite Hessians).  Raises DimensionMismatchError when a vector's
+    length is not the program's.
     """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(ineq_multipliers, dtype=float)
@@ -355,22 +347,10 @@ def duality_gap(problem: ProblemSpec, x: np.ndarray,
             raise DimensionMismatchError(
                 f"{name} has shape {value.shape}, expected ({expected},)")
     nu = np.concatenate([mu, lam])
-    lagrangian = [None] * problem.n_agents  # each agent's (linear, constant) terms
-    for b in problem.blocks:  # the multiplier terms added up over ascending rows
-        linear, constant = b.linear, b.constant
-        for weight, coeffs, offsets in zip(nu[b.index].T, b.rows.transpose(1, 0, 2),
-                                           b.offsets.T):
-            linear = linear + weight[:, None] * coeffs
-            constant = constant + weight * offsets
-        for a, *terms in zip(b.agents.tolist(), linear, constant.tolist()):
-            lagrangian[a] = terms
-    dual = 0.0
-    for obj, (c_eff, const_eff) in zip(problem.objectives, lagrangian):
-        xh, *_ = np.linalg.lstsq(obj.hessian, -c_eff, rcond=None)
-        if np.max(np.abs(obj.hessian @ xh + c_eff), initial=0.0) > 1e-9 * (
-                1.0 + np.abs(c_eff).max(initial=0.0)):
-            return np.inf  # Lagrangian unbounded below in this block
-        dual += 0.5 * xh @ obj.hessian @ xh + c_eff @ xh + const_eff
+    xh = lagrangian_minimizer(problem, nu)
+    if xh is None:
+        return np.inf
+    dual = objective_value(problem, xh) + nu @ np.concatenate(aggregate_violation(problem, xh))
     return float(objective_value(problem, x) - dual)
 
 

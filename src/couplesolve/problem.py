@@ -16,7 +16,10 @@ stored rows once, when the problem is built, per (block dimension, row
 count), and every other reader reads them.  Every residual is
 ``row_shares`` summed in ascending agent order, and every objective value is
 ``cost_shares``, each agent's cost in the same arithmetic, summed over the
-agents in ascending order by one ``np.sum``.
+agents in ascending order by one ``np.sum``.  The problem also carries each
+block's one Cholesky solve (``ProblemSpec.block_solves``), from which
+``lagrangian_minimizer`` forms every agent's Lagrangian minimizer: the
+oracle's recovered x and the duality gap's dual point.
 """
 
 from __future__ import annotations
@@ -238,6 +241,24 @@ class ProblemSpec:
         return tuple(obj.dim for obj in self.objectives)
 
     @cached_property
+    def block_solves(self) -> tuple:
+        """Per block of ``blocks``, its Cholesky solve (y, x0), or None where
+        some agent's Hessian has no factor: y = H^-1 R' (g, d, k) and the
+        unconstrained minimizer x0 = -H^-1 c (g, d), built once, read-only."""
+        solves = []
+        for b in self.blocks:
+            try:
+                chol = np.linalg.cholesky(b.hessian)
+            except np.linalg.LinAlgError:
+                solves.append(None)
+                continue
+            rhs = np.concatenate([b.rows.transpose(0, 2, 1), -b.linear[..., None]], axis=2)
+            solved = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))
+            solved.flags.writeable = False
+            solves.append((solved[..., :-1], solved[..., -1]))
+        return tuple(solves)
+
+    @cached_property
     def _licq(self) -> "LicqReport":
         """``validate_licq``'s report, built once from the read-only ``blocks``:
         one batched SVD per block with rows (``licq_report``)."""
@@ -252,6 +273,26 @@ def objective_value(problem: ProblemSpec, x: np.ndarray) -> float:
     for b in problem.blocks:
         costs[b.agents] = cost_shares(b.hessian, b.linear, b.constant, x[b.columns])
     return float(np.sum(costs))
+
+
+def lagrangian_minimizer(problem: ProblemSpec, nu: np.ndarray) -> np.ndarray | None:
+    """Every agent's Lagrangian minimizer at the m + q multipliers nu, stacked:
+    x0_i - y_i nu_i on a block with ``block_solves``, else -pinv(H_i) c_eff with
+    c_eff = c_i + R_i' nu_i, one batched ``pinv`` per block.  None where some agent's
+    Lagrangian is unbounded below: |H_i x_i + c_eff| > 1e-9 (1 + max |c_eff|)."""
+    x = np.zeros(sum(problem.dims))
+    for b, solve in zip(problem.blocks, problem.block_solves):
+        if solve is None:
+            c_eff = b.linear + (nu[b.index][:, None, :] @ b.rows)[:, 0]
+            xb = -(np.linalg.pinv(b.hessian, hermitian=True) @ c_eff[..., None])[..., 0]
+            residual = np.abs((b.hessian @ xb[..., None])[..., 0] + c_eff).max(axis=1)
+            if (residual > 1e-9 * (1.0 + np.abs(c_eff).max(axis=1))).any():
+                return None
+        else:
+            y, x0 = solve
+            xb = x0 - (y @ nu[b.index][..., None])[..., 0]
+        x[b.columns] = xb
+    return x
 
 
 def row_shares(rows: np.ndarray, offsets, x: np.ndarray) -> np.ndarray:

@@ -34,7 +34,9 @@ from ``stacked_arrays``: one dense KKT factorization per working set, the
 stacked Hessian validated whole, dependent equality rows reduced to
 least-squares multipliers.  ``solve_centralized`` must agree with it; with
 ``solve_rows_cold`` in place of ``solve_kkt`` it is the oracle's dense path
-written out.
+written out.  ``scalar_duality_gap``: the dual value agent by agent, one
+``lstsq`` and one written-out Lagrangian cost each, which ``duality_gap``
+must match to roundoff, with the same +inf verdicts.
 ``scalar_stacked_arrays`` builds the same stacked program agent by agent:
 ``block_diag`` over the objectives, each agent's stored rows scattered into
 its columns, and the offsets summed agent by agent; ``stacked_arrays``, which
@@ -75,7 +77,7 @@ from scipy.linalg import block_diag
 
 from couplesolve import (AgentObjective, CouplingConstraints, Graph, ProblemSpec, SlackLayout,
                          build_weights, consensus_gap, induce_topology, max_violation,
-                         solve_centralized, validate_licq)
+                         objective_value, solve_centralized, validate_licq)
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
 from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
@@ -606,6 +608,31 @@ def dense_oracle(problem, solve=solve_kkt):
     if basis is not None:
         lam = basis @ lam
     return sol.x, objective.value(sol.x), mu, lam, sol.active_set, basis is None
+
+
+def scalar_duality_gap(problem, x, ineq_multipliers, eq_multipliers) -> float:
+    """``duality_gap`` agent by agent: each agent's Lagrangian terms added up
+    over its rows in ascending order, one ``lstsq`` for its minimizer (+inf
+    where the residual rule finds it unbounded below) and its Lagrangian
+    cost written out."""
+    nu = np.concatenate([ineq_multipliers, eq_multipliers])
+    lagrangian = [None] * problem.n_agents  # each agent's (linear, constant) terms
+    for b in problem.blocks:
+        linear, constant = b.linear, b.constant
+        for weight, coeffs, offsets in zip(nu[b.index].T, b.rows.transpose(1, 0, 2),
+                                           b.offsets.T):
+            linear = linear + weight[:, None] * coeffs
+            constant = constant + weight * offsets
+        for a, *terms in zip(b.agents.tolist(), linear, constant.tolist()):
+            lagrangian[a] = terms
+    dual = 0.0
+    for obj, (c_eff, const_eff) in zip(problem.objectives, lagrangian):
+        xh, *_ = np.linalg.lstsq(obj.hessian, -c_eff, rcond=None)
+        if np.max(np.abs(obj.hessian @ xh + c_eff), initial=0.0) > 1e-9 * (
+                1.0 + np.abs(c_eff).max(initial=0.0)):
+            return np.inf
+        dual += 0.5 * xh @ obj.hessian @ xh + c_eff @ xh + const_eff
+    return float(objective_value(problem, x) - dual)
 
 
 def block_slices(problem) -> list[slice]:

@@ -405,6 +405,13 @@ def test_weights_entry_missing_key_exits_2(toy_file, tmp_path, capsys, missing):
     _exits_2_naming(data, tmp_path, capsys, f"weights[0] missing '{missing}'")
 
 
+def test_duplicate_custom_weights_exit_2_naming_the_entry(toy_file, tmp_path, capsys):
+    data = json.loads(Path(toy_file).read_text())
+    data["weights"] = [{"constraint": 1, "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+                       {"constraint": 1, "matrix": [[0.75, 0.25], [0.25, 0.75]]}]
+    _exits_2_naming(data, tmp_path, capsys, "weights[1]: duplicate weights for constraint 1")
+
+
 def test_solve_central_prints_and_writes(toy_file, tmp_path, capsys):
     out = tmp_path / "sol.json"
     code = cli.main(["solve-central", toy_file, "--output", str(out)])

@@ -61,6 +61,14 @@ def test_custom_weights_parsed_per_constraint():
     assert custom[1].tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
+def test_duplicate_custom_weights_rejected_by_entry():
+    data = _toy_dict()
+    data["weights"] = [{"constraint": 1, "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+                       {"constraint": 1, "matrix": [[0.75, 0.25], [0.25, 0.75]]}]
+    with pytest.raises(ConfigError, match=r"weights\[1\]: duplicate weights for constraint 1$"):
+        problem_from_dict(data)
+
+
 @pytest.mark.parametrize("mutate, where", [
     (lambda d: d.update(extra=1), "unknown keys ['extra']"),
     (lambda d: d["agents"][0].update(hess=[]), "agents[1]"),

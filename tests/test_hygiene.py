@@ -182,7 +182,8 @@ def test_one_rank_report_per_problem():
 
 def test_one_cost_arithmetic():
     # Every objective value is cost_shares summed over the agents one way:
-    # objective_value (the oracle's certificate and duality gap read it),
+    # objective_value (the oracle's certificate reads it, and the duality
+    # gap at x and at the dual point, whose row terms are the residuals'),
     # the batch's objective, one agent's value and the finite-difference
     # probes.  No einsum is left, whose bits move with z's memory layout,
     # nor the row-major copy of z that worked round it.
@@ -193,8 +194,26 @@ def test_one_cost_arithmetic():
         "oracle._certificate", "oracle.duality_gap"}
     assert library_readers(partial(used, "worst_residuals")) == {
         "problem.max_violation", "local_qp.AgentBatch.violation"}
+    assert library_readers(partial(used, "aggregate_violation")) == {
+        "problem.max_violation", "oracle.stacked_arrays", "oracle._certificate",
+        "oracle.duality_gap"}
     assert [p.name for p in sorted(SOURCE.glob("*.py")) if "einsum" in p.read_text()] == []
     assert "ascontiguousarray" not in (SOURCE / "local_qp.py").read_text()
+
+
+def test_one_lagrangian_solve_per_block():
+    # The problem factors each block once (ProblemSpec.block_solves), and
+    # one function forms every Lagrangian minimizer from it: the oracle's
+    # recovered x and the duality gap's dual point.  The gap runs no
+    # per-agent least-squares solve.
+    assert library_readers(partial(reads_attribute, "cholesky")) == {
+        "problem.ProblemSpec.block_solves"}
+    assert library_readers(partial(reads_attribute, "block_solves")) == {
+        "problem.lagrangian_minimizer", "oracle._ConstraintSpace.__init__",
+        "oracle._ConstraintSpace.compile"}
+    assert library_readers(partial(used, "lagrangian_minimizer")) == {
+        "oracle._ConstraintSpace.recover", "oracle.duality_gap"}
+    assert "oracle.duality_gap" not in library_readers(partial(reads_attribute, "lstsq"))
 
 
 def reads_attribute(name, node) -> bool:

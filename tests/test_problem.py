@@ -14,7 +14,7 @@ from couplesolve.local_qp import AgentBatch, WarmStart
 from gen import (benchmark_ring, doubled_equality_instance, failing_instance,
                  large_cost_scale_data, mixed_dims_instance, psd_benchmark_ring,
                  reduced_space_instance, strongly_convex_instance)
-from reference import block_slices
+from reference import block_slices, scalar_duality_gap
 
 
 def test_objective_value_and_curvature():
@@ -510,6 +510,28 @@ def test_rows_in_any_order_or_layout_give_the_same_bits(instance, seed):
     for order, view in ((-1, np.asarray), (1, _strided), (-1, _strided)):
         for got, want in zip(figures(_readded(problem, order, view)), forward):
             assert np.array_equal(got, want), (order, view.__name__)
+
+
+@pytest.mark.parametrize("instance, seed", GEN_INSTANCES + [
+    *(pytest.param(psd_benchmark_ring, seed, id=f"psd-ring{seed}") for seed in (1, 2, 3)),
+    pytest.param(mixed_dims_instance, 0, id="mixed-dims-2-7-9-3"),
+    pytest.param(benchmark_ring, 1, id="ring1")])
+def test_duality_gap_is_the_scalar_gap(instance, seed):
+    # The carried solve and the one cost arithmetic give the per-agent
+    # lstsq gap to roundoff, with the same +inf (unbounded) verdicts.
+    problem, _, _ = instance(seed)
+    sol = cs.solve_centralized(problem)
+    rng = np.random.default_rng(seed)
+    cons = problem.constraints
+    multipliers = [(sol.ineq_multipliers, sol.eq_multipliers),
+                   *((rng.uniform(0.0, 2.0, cons.m_ineq), rng.uniform(-2.0, 2.0, cons.q_eq))
+                     for _ in range(3))]
+    for x in (sol.x, rng.uniform(-2.0, 2.0, sol.x.size)):
+        size = 1.0 + abs(cs.objective_value(problem, x))
+        for mu, lam in multipliers:
+            got, want = cs.duality_gap(problem, x, mu, lam), scalar_duality_gap(problem, x, mu, lam)
+            assert np.isinf(got) == np.isinf(want)
+            assert got == want or abs(got - want) <= 1e-12 * size, (got, want)
 
 
 def test_operator_norms_toy(toy):

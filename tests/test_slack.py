@@ -22,6 +22,23 @@ def test_layout_indexing(toy):
     assert layout.block(1) == slice(0, 2)
 
 
+def test_constraints_outside_the_layout_raise_key_error():
+    # A negative or past-the-end constraint number reads no other
+    # constraint's coordinate, whatever reads it.
+    _, topology, _ = strongly_convex_instance(0)
+    layout, n = topology.layout, topology.n_constraints
+    state = cs.SlackState(layout, np.arange(layout.size, dtype=float))
+    views = cs.SimnetTransport(topology, audit=True).gather(cs.Phase.SLACK_EXCHANGE,
+                                                            state.values)
+    for l in (-1, 0, n + 1):
+        for j in (topology.participants[0][0], topology.participants[-1][-1]):
+            for read in (layout.index, state.value, topology.neighborhood,
+                         lambda l, j: views[j - 1][(l, j)]):
+                with pytest.raises(KeyError, match=rf"^\({l}, {j}\)$"):
+                    read(l, j)
+    assert len(views.auditor.violations) == 6  # each audited read recorded, then refused
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_layout_reads_back_the_topology_as_python_ints(seed):
     _, topology, _ = strongly_convex_instance(seed)
