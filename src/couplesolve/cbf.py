@@ -67,7 +67,7 @@ class Barrier:
 
     Raises ValidationError unless the center is two finite numbers,
     ``radius_sq`` a finite number > 0 and ``agents`` a non-empty tuple of
-    distinct agent numbers.
+    distinct agent numbers, each at least 1.
     """
 
     center: tuple[float, float]
@@ -85,7 +85,8 @@ class Barrier:
             raise ValidationError(
                 f"barrier radius_sq must be a finite number > 0, got {self.radius_sq!r}")
         agents = tuple(self.agents)
-        if not agents or len(set(agents)) != len(agents) or not all(map(_integer, agents)):
+        if (not agents or len(set(agents)) != len(agents) or not all(map(_integer, agents))
+                or min(agents) < 1):
             raise ValidationError(
                 f"barrier agents must be distinct agent numbers, at least one, got {self.agents!r}")
 
@@ -164,6 +165,9 @@ def initial_state(n: int = 7) -> MultiAgentState:
 
 def nominal_consensus(state: MultiAgentState, graph: Graph) -> np.ndarray:
     """Consensus inputs: each agent steers toward its neighbors' positions."""
+    if graph.n_agents != state.n_agents:
+        raise ValidationError(
+            f"graph has {graph.n_agents} agents but the state has {state.n_agents}")
     out = np.zeros_like(state.positions)
     for i in range(1, graph.n_agents + 1):
         for j in graph.neighborhood(i):

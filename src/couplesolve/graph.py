@@ -35,13 +35,14 @@ original coupled constraint — every slack allocation yields a conservative
 row of I - P that both the offsets and the gradient read.
 ``induce_topology`` finds every closed-neighbourhood read once, as the
 topology's hops ((l, i) reads (l, j)), which the weights, the transport,
-the batch's read pass and the finite-difference probes index.
+the batch's read pass and the finite-difference probes index, and off
+which, with the layout, the topology reads every set it hands out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from functools import cached_property
 
 import numpy as np
 
@@ -93,49 +94,65 @@ class Graph:
             canonical.add((min(i, j), max(i, j)))
         return cls(n_agents, frozenset(canonical))
 
-    def neighborhood(self, i: int) -> tuple[int, ...]:
-        """Closed neighborhood of agent i (includes i), ascending."""
-        out = {i}
+    @cached_property
+    def _closed(self) -> tuple[tuple[int, ...], ...]:  # agent i's neighborhood at i
+        near = [[i] for i in range(self.n_agents + 1)]
         for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return tuple(sorted(out))
+            near[a].append(b)
+            near[b].append(a)
+        return tuple(tuple(sorted(agents)) for agents in near)
+
+    def neighborhood(self, i: int) -> tuple[int, ...]:
+        """Closed neighborhood of agent i (includes i), ascending; KeyError off 1..n_agents."""
+        if not 1 <= i <= self.n_agents:
+            raise KeyError(i)
+        return self._closed[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintTopology:
-    """Participant sets, induced edges, slack coordinates and one-hop reads.
+    """The slack layout and the one-hop reads, off which every set is read.
 
     Constraints are indexed 1..n_constraints with inequalities first:
     constraint l <= m_ineq is inequality row l, constraint l > m_ineq is
     equality row l - m_ineq.  ``layout`` indexes the slack coordinates (l, i).
     Hop k, one per (l, i, j) with j in N_i^[l] (i included), is the agent of
     coordinate ``reader[k]`` reading coordinate ``read[k]``; the hops ascend
-    by (reader, read), the order ``consensus_gap`` visits.
+    by (reader, read), the order ``consensus_gap`` visits.  Equality compares
+    the counts and the four arrays; the accessors raise KeyError for a
+    constraint or an agent number out of range.
     """
 
     n_agents: int
     m_ineq: int
     q_eq: int
-    participants: tuple[tuple[int, ...], ...]
-    induced_edges: tuple[frozenset[tuple[int, int]], ...]
-    agent_ineq_sets: tuple[tuple[int, ...], ...]
-    agent_eq_sets: tuple[tuple[int, ...], ...]
-    layout: SlackLayout = field(compare=False, repr=False)
-    reader: np.ndarray = field(compare=False, repr=False)
-    read: np.ndarray = field(compare=False, repr=False)
+    layout: SlackLayout = field(repr=False)
+    reader: np.ndarray = field(repr=False)
+    read: np.ndarray = field(repr=False)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConstraintTopology) and all(map(np.array_equal, *(
+            (t.n_agents, t.m_ineq, t.q_eq, t.layout.members, t.layout.starts, t.reader, t.read)
+            for t in (self, other))))
 
     @property
     def n_constraints(self) -> int:
         return self.m_ineq + self.q_eq
 
+    @cached_property
+    def participants(self) -> tuple[tuple[int, ...], ...]:
+        """Each constraint's participants, ascending, read off the layout once."""
+        return self.layout.participants
+
     def participants_of(self, l: int) -> tuple[int, ...]:
-        return self.participants[l - 1]
+        return tuple(self.layout.members[self.layout.block(l)].tolist())
 
     def edges_of(self, l: int) -> frozenset[tuple[int, int]]:
-        return self.induced_edges[l - 1]
+        """Constraint l's induced edges (i, j), i < j: its hops between two participants."""
+        block = self.layout.block(l)
+        hops = slice(*self.reader.searchsorted((block.start, block.stop)))
+        i, j = self.layout.members[self.reader[hops]], self.layout.members[self.read[hops]]
+        return frozenset(zip(i[i < j].tolist(), j[i < j].tolist()))
 
     def neighborhood(self, l: int, i: int) -> tuple[int, ...]:
         """Closed neighborhood of agent i inside constraint l's subgraph, ascending."""
@@ -145,60 +162,35 @@ class ConstraintTopology:
 
     def constraints_of(self, i: int) -> tuple[int, ...]:
         """All constraint indices (inequalities then shifted equalities) of agent i."""
-        ineq = self.agent_ineq_sets[i - 1]
-        eq = tuple(self.m_ineq + q for q in self.agent_eq_sets[i - 1])
-        return ineq + eq
+        if not 1 <= i <= self.n_agents:
+            raise KeyError(i)
+        return tuple(l for l, _ in self.layout.keys(np.flatnonzero(self.layout.members == i)))
 
 
 def induce_topology(problem, graph: Graph) -> ConstraintTopology:
-    """Compute participant sets, induced subgraphs and the one-hop reads.
+    """Compute the slack layout and the one-hop reads.
 
     An agent participates in a constraint row iff its coefficient row is
     nonzero or its offset contribution is nonzero, which is exactly when
-    ``CouplingConstraints`` stores the row.  So the participant sets and each
-    agent's row sets come from one pass over the rows' positions in
-    ``problem.blocks``, agent by agent, and the hops and induced edges from
-    one walk over each coordinate's closed graph neighbourhood.  All sets
-    are stored in ascending order, independent of edge insertion order.
+    ``CouplingConstraints`` stores the row.  So the layout is one sort of
+    the rows' positions in ``problem.blocks``, and the hops come from one
+    walk over each coordinate's closed graph neighbourhood.  Participants and
+    hops ascend, independent of edge insertion order.
     """
     m_ineq, q_eq = problem.constraints.m_ineq, problem.constraints.q_eq
-    n = graph.n_agents
+    rows = np.concatenate([block.index.ravel() for block in problem.blocks])
+    agents = np.concatenate([block.agents.repeat(block.index.shape[1])
+                             for block in problem.blocks]) + 1
+    order = np.lexsort((agents, rows))  # by row, then agent
+    layout = SlackLayout(agents[order], rows[order].searchsorted(np.arange(m_ineq + q_eq + 1)))
 
-    members = [[] for _ in range(m_ineq + q_eq)]
-    agent_ineq, agent_eq = [], []
-    rows_of = [None] * n  # each agent's row positions, ascending
-    for block in problem.blocks:
-        for a, positions in zip(block.agents.tolist(), block.index.tolist()):
-            rows_of[a] = positions
-    for i, positions in enumerate(rows_of, start=1):
-        for l in positions:
-            members[l].append(i)
-        agent_ineq.append(tuple(l + 1 for l in positions if l < m_ineq))
-        agent_eq.append(tuple(l + 1 - m_ineq for l in positions if l >= m_ineq))
-    participants = tuple(map(tuple, members))  # ascending: agents come in order
-
-    closed = [[i] for i in range(n + 1)]  # each agent's closed graph neighbourhood
-    for a, b in graph.edges:
-        closed[a].append(b)
-        closed[b].append(a)
-    for near in closed:
-        near.sort()
-    reader, read, induced, starts = [], [], [], list(accumulate(map(len, members), initial=0))
-    for agents, start in zip(participants, starts):
-        coord, edges = {i: start + a for a, i in enumerate(agents)}, []
-        for c, i in enumerate(agents, start):
-            for j in closed[i]:
-                d = coord.get(j)
-                if d is not None:  # a hop, and an induced edge once
-                    reader.append(c)
-                    read.append(d)
-                    if i < j:
-                        edges.append((i, j))
-        induced.append(frozenset(edges))
-    layout = SlackLayout(np.fromiter(chain.from_iterable(members), dtype=int), np.array(starts))
-    return ConstraintTopology(n, m_ineq, q_eq, participants, tuple(induced), tuple(agent_ineq),
-                              tuple(agent_eq), layout, np.array(reader, dtype=int),
-                              np.array(read, dtype=int))
+    hops = []
+    for members, start in zip(layout.participants, layout.starts.tolist()):
+        coord = {i: c for c, i in enumerate(members, start)}
+        for i, c in coord.items():
+            hops += [(c, coord[j]) for j in graph._closed[i] if j in coord]
+    reader, read = np.array(hops, dtype=int).reshape(-1, 2).T.copy()
+    return ConstraintTopology(graph.n_agents, m_ineq, q_eq, layout, reader, read)
 
 
 @dataclass(frozen=True)
@@ -410,7 +402,15 @@ class SlackLayout:
         return at
 
     def block(self, l: int) -> slice:
+        """Constraint l's coordinates; KeyError unless l is in 1..n_constraints."""
+        if not 1 <= l < len(self.starts):
+            raise KeyError(l)
         return slice(int(self.starts[l - 1]), int(self.starts[l]))
+
+    def keys(self, coords) -> list[tuple[int, int]]:
+        """Each coordinate's (constraint, participant): the inverse of ``index``."""
+        return list(zip(self.starts.searchsorted(coords, side="right").tolist(),
+                        self.members[coords].tolist()))
 
 
 @dataclass

@@ -291,11 +291,11 @@ def _dense_solve(problem: ProblemSpec) -> OracleSolution:
     topology = induce_topology(stacked, stacked.graph)
     batch = AgentBatch(stacked, topology, build_weights(topology))
     z, ids = batch.solve_rows([0], batch.base, batch.sets.ids_of([0]))
-    ineq, eq = topology.agent_ineq_sets[0], topology.agent_eq_sets[0]  # the rows it stores
-    mults = z[0, batch.shape[0]:]
+    rows = np.array(topology.constraints_of(1), dtype=int) - 1  # the rows it stores
+    k, mults = int(np.count_nonzero(rows < m)), z[0, batch.shape[0]:]
     mu, lam = np.zeros(m), np.zeros(q)
-    mu[np.array(ineq, dtype=int) - 1] = mults[:len(ineq)]
-    lam[np.array(eq, dtype=int) - 1] = mults[len(ineq):len(ineq) + len(eq)]
+    mu[rows[:k]] = mults[:k]
+    lam[rows[k:] - m] = mults[k:len(rows)]
     lam = lam if basis is None else basis @ lam  # unreduced
     x = z[0, :len(c)]
     value, worst, size = _certificate(problem, x, np.concatenate([mu, lam]))
@@ -309,7 +309,7 @@ def _dense_solve(problem: ProblemSpec) -> OracleSolution:
         value=value,
         ineq_multipliers=mu,
         eq_multipliers=lam,
-        active_set=tuple(ineq[p] for p in np.flatnonzero(batch.sets.work[ids[0]]).tolist()),
+        active_set=tuple((rows[np.flatnonzero(batch.sets.work[ids[0]])] + 1).tolist()),
         unique_multipliers=basis is None,
     )
 

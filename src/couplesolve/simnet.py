@@ -59,16 +59,13 @@ class Neighborhoods:
 
     ``codes`` holds one code ``agent * size + coordinate`` per permitted
     (0-based agent, coordinate) pair, ascending, then a sentinel above every
-    code, so memory grows with the pairs.  ``key[k]`` is coordinate k's
-    (constraint, participant).
+    code, so memory grows with the pairs.
     """
 
     def __init__(self, topology):
         self.layout = layout = topology.layout
         self.size = layout.size
         self.n_agents = topology.n_agents
-        self.key = [(l, j) for l, members in enumerate(topology.participants, start=1)
-                    for j in members]
         codes = (layout.members[topology.reader] - 1) * self.size + topology.read
         self.codes = np.append(np.unique(codes), np.iinfo(np.int64).max)
 
@@ -143,7 +140,7 @@ class Exchange(Sequence):
         if self._withheld is not None:
             outside = np.flatnonzero(~reads.permitted | self._withheld[reads.at]).tolist()
         for k in outside:
-            self._outside(int(reads.readers[k]) + 1, nb.key[reads.coords[k]])
+            self._outside(int(reads.readers[k]) + 1, nb.layout.keys([reads.coords[k]])[0])
         return self.values
 
     def _outside(self, agent: int, key) -> None:
@@ -174,10 +171,9 @@ class NeighborView(Mapping):
     __slots__ = ("agent", "_exchange", "_coords")
 
     def __init__(self, exchange: Exchange, agent: int):
-        key = exchange.neighborhoods.key
-        self.agent = agent
-        self._exchange = exchange
-        self._coords = {key[c]: c for c in exchange.neighborhoods.coords_of(agent).tolist()}
+        coords = exchange.neighborhoods.coords_of(agent)
+        self.agent, self._exchange = agent, exchange
+        self._coords = dict(zip(exchange.neighborhoods.layout.keys(coords), coords.tolist()))
 
     def __getitem__(self, key) -> float:
         coord = self._coords.get(key)

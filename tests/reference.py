@@ -329,8 +329,9 @@ class AgentView:
     def __init__(self, batch, topology, a):
         d, self.n_ineq, self.n_rows = batch.counts[a].tolist()
         self.batch, self.a, self.shape = batch, a, batch.shape
-        self.ineq_indices = topology.agent_ineq_sets[a]
-        self.eq_indices = topology.agent_eq_sets[a]
+        rows, m = topology.constraints_of(a + 1), topology.m_ineq
+        self.ineq_indices = tuple(l for l in rows if l <= m)
+        self.eq_indices = tuple(l - m for l in rows if l > m)
         self.position = {idx: pos for pos, idx in enumerate(self.ineq_indices)}
         self.objective = AgentObjective(batch.hessian[a, :d, :d].copy(),
                                         batch.linear[a, :d].copy(), float(batch.constant[a]))
@@ -785,10 +786,38 @@ def scalar_neighborhood(edges, i: int) -> tuple[int, ...]:
     return tuple(sorted(close))
 
 
-def scalar_induce_topology(problem, graph) -> ConstraintTopology:
+@dataclass(frozen=True)
+class ScalarTopology:
+    """What ``scalar_induce_topology`` finds: each set as a stored tuple, and
+    the arrays, as the ``ConstraintTopology`` they make.  Its accessors read
+    the tuples, with the topology's names."""
+
+    participants: tuple[tuple[int, ...], ...]
+    induced_edges: tuple[frozenset[tuple[int, int]], ...]
+    agent_ineq_sets: tuple[tuple[int, ...], ...]
+    agent_eq_sets: tuple[tuple[int, ...], ...]
+    topology: ConstraintTopology
+
+    @property
+    def n_constraints(self) -> int:
+        return len(self.participants)
+
+    def participants_of(self, l: int) -> tuple[int, ...]:
+        return self.participants[l - 1]
+
+    def edges_of(self, l: int) -> frozenset[tuple[int, int]]:
+        return self.induced_edges[l - 1]
+
+    def constraints_of(self, i: int) -> tuple[int, ...]:
+        shift = self.topology.m_ineq
+        return self.agent_ineq_sets[i - 1] + tuple(shift + q for q in self.agent_eq_sets[i - 1])
+
+
+def scalar_induce_topology(problem, graph) -> ScalarTopology:
     """``induce_topology`` pair by pair: a row lookup per (agent, constraint),
     a scan of every graph edge per constraint and of every induced edge per
-    participant, and the hops read off those neighbourhoods one by one."""
+    participant, the hops read off those neighbourhoods one by one, and each
+    agent's constraints found by a membership test per constraint."""
     cons = problem.constraints
     m_ineq, q_eq = cons.m_ineq, cons.q_eq
     n = graph.n_agents
@@ -829,9 +858,9 @@ def scalar_induce_topology(problem, graph) -> ConstraintTopology:
         for i in range(1, n + 1)
     )
     layout = SlackLayout(np.array(coords, dtype=int), np.array(starts, dtype=int))
-    return ConstraintTopology(n, m_ineq, q_eq, tuple(participants), tuple(induced),
-                              agent_ineq, agent_eq, layout, np.array(reader, dtype=int),
-                              np.array(read, dtype=int))
+    return ScalarTopology(tuple(participants), tuple(induced), agent_ineq, agent_eq,
+                          ConstraintTopology(n, m_ineq, q_eq, layout, np.array(reader, dtype=int),
+                                             np.array(read, dtype=int)))
 
 
 def scalar_metropolis(topology) -> dict:

@@ -489,7 +489,7 @@ def test_output_stacked_is_the_fresh_reference_solve(toy):
             reference = fresh_solutions(problem, topology, weights,
                                         result.output_slack.values)
             for a, ref in enumerate(reference):
-                ineq = topology.agent_ineq_sets[a]
+                ineq = [l for l in topology.constraints_of(a + 1) if l <= topology.m_ineq]
                 mults = [*ref.ineq_multipliers.values(), *ref.eq_multipliers.values()]
                 assert np.array_equal(stacked.z[a, :stacked.dims[a]], ref.x)
                 assert stacked.z[a, stacked.dim:stacked.dim + len(mults)].tolist() == mults
@@ -528,10 +528,11 @@ def _reachable(root) -> set:
 
 
 def test_run_result_keeps_no_topology_index_tuple():
-    # A kept result stores its solutions and its slack layout as arrays.
+    # A kept result stores its solutions and its slack layout as arrays:
+    # neither the topology nor the participant tuples read off it.
     problem, topology, weights = strongly_convex_instance(3)
-    sets = (topology.agent_ineq_sets, topology.agent_eq_sets, topology.participants)
-    tuples = {id(t) for group in sets for t in (group, *group) if t}
+    group = topology.participants
+    tuples = {id(topology)} | {id(t) for t in (group, *group) if t}
     for config in (cs.AdaConfig(0.01, 5), cs.PgdConfig(10.0, 10.0, 5)):
         result = cs.run(problem, topology, weights, config)
         assert not _reachable(result) & tuples

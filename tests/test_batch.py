@@ -546,7 +546,7 @@ def test_compiled_arrays_are_the_problem_and_the_weights(build):
                                 ("constant", left["constant"][a:a + 1], [obj.constant])):
             assert np.array_equal(got, want), (name, a)
             got[...] = 0.0
-        assert batch.counts[a].tolist() == [d, len(topology.agent_ineq_sets[a]), len(ls)]
+        assert batch.counts[a].tolist() == [d, sum(l <= cons.m_ineq for l in ls), len(ls)]
         for r, l in enumerate(ls):
             coeffs, offset = stored_row(cons, i, l)
             assert np.array_equal(left["rows"][a, r, :d], coeffs), (a, r)

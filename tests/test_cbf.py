@@ -87,6 +87,16 @@ def test_nominal_consensus_line():
     assert nominal.tolist() == [[1.0, 0.0], [1.0, 0.0], [-2.0, 0.0]]
 
 
+def test_nominal_consensus_rejects_a_state_of_another_size():
+    # Refused by name: neither a zero input for an agent the graph lacks
+    # (8 agents) nor an IndexError (5 agents).
+    _, graph, _ = line_consensus_scenario()
+    for n in (8, 5):
+        with pytest.raises(ValidationError,
+                           match=rf"^graph has 7 agents but the state has {n}$"):
+            nominal_consensus(initial_state(n), graph)
+
+
 def test_step_problem_rows_and_objectives():
     graph = cs.Graph.from_edges(2, [(1, 2)])
     scenario = CbfScenario((Barrier((0.0, 0.0), 4.0, (1, 2)),))
@@ -439,6 +449,8 @@ def test_scenario_needs_a_finite_step_count():
     ((0.0, 0.0), 1.0, (), "agents"),
     ((0.0, 0.0), 1.0, (1, 1), "agents"),
     ((0.0, 0.0), 1.0, (1.5,), "agents"),
+    ((0.0, 0.0), 1.0, (0,), "agents"),
+    ((0.0, 0.0), 1.0, (-1,), "agents"),
 ])
 def test_barrier_rejects_bad_fields(center, radius_sq, agents, field):
     with pytest.raises(ValidationError, match=f"^barrier {field} must be"):

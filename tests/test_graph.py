@@ -14,6 +14,25 @@ from couplesolve.exceptions import (
 )
 
 
+def test_numbers_outside_the_topology_raise_key_error():
+    # On the line filter (7 agents, 2 constraints) a constraint number
+    # outside 1..2 or an agent number outside 1..7 raises KeyError naming
+    # it: it neither wraps round to the last constraint or agent (as a
+    # negative or zero index would) nor answers for an agent the graph lacks.
+    scenario, graph, state = cs.line_consensus_scenario()
+    topology = cs.induce_topology(cs.assemble_step_problem(state, scenario, graph), graph)
+    slack = cs.SlackState.zeros(topology.layout)
+    for l in (-1, 0, topology.n_constraints + 1):
+        for read in (topology.layout.block, slack.block, topology.participants_of,
+                     topology.edges_of):
+            with pytest.raises(KeyError, match=rf"^{l}$"):
+                read(l)
+    for i in (-1, 0, graph.n_agents + 1):
+        for read in (graph.neighborhood, topology.constraints_of):
+            with pytest.raises(KeyError, match=rf"^{i}$"):
+                read(i)
+
+
 def test_edges_canonicalized():
     g = cs.Graph.from_edges(3, [(2, 1), (1, 2), (3, 2)])
     assert g.edges == frozenset({(1, 2), (2, 3)})

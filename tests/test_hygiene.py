@@ -1,11 +1,14 @@
 """Static checks over the package source and the scripts that call it."""
 
 import ast
+import dataclasses
 import importlib
 from functools import partial
 from pathlib import Path
 
 import couplesolve as cs
+from couplesolve.simnet import Neighborhoods
+from gen import strongly_convex_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "couplesolve"
@@ -231,6 +234,18 @@ def test_one_home_for_the_one_hop_structure():
     assert library_readers(partial(reads_attribute, "neighborhood")) == {
         "graph.consensus_gap", "cbf.nominal_consensus"}
     assert library_readers(partial(reads_attribute, "from_topology")) == set()
+
+
+def test_topology_stores_the_layout_and_the_hops_once():
+    # A topology is its counts, its slack layout and its hops; every set is
+    # read off them, so no field, transport key list or library read keeps a
+    # second copy.
+    assert [f.name for f in dataclasses.fields(cs.ConstraintTopology)] == [
+        "n_agents", "m_ineq", "q_eq", "layout", "reader", "read"]
+    _, topology, _ = strongly_convex_instance(0)
+    assert not hasattr(Neighborhoods(topology), "key")
+    for name in ("induced_edges", "agent_ineq_sets", "agent_eq_sets"):
+        assert library_readers(partial(reads_attribute, name)) == set(), name
 
 
 def test_tolerance_readers_see_functions_methods_and_imports(tmp_path):

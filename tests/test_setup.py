@@ -1,6 +1,7 @@
 """The batched set-up against its scalar loops, bit for bit.
 
-``induce_topology`` keeps the one-hop reads as int arrays,
+``induce_topology`` keeps the slack layout and the one-hop reads as int
+arrays, from which the topology's accessors read every set,
 ``build_weights`` groups the Metropolis arithmetic by participant count, and
 ``validate_licq``, ``operator_norms`` and ``lipschitz_bound`` group their
 work into stacked LAPACK calls; each must give what ``tests/reference.py``'s
@@ -8,7 +9,9 @@ agent-by-agent and constraint-by-constraint loops give: equal bits for every
 float and array, or an exception of equal type and message.  Cases: the
 ``tests/gen.py`` families (strongly convex seeds 0-24, reduced-space seeds
 0-11, whose PSD Hessians have no Lipschitz bound), the failing instance
-(rank-deficient rows) and the benchmark's 400-agent ring.
+(rank-deficient rows) and the benchmark's 400-agent ring; the topology
+also on ``tests/gen.py``'s mixed block dimensions (seeds 0-3) and the line
+safety filter's QP.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ import pytest
 
 import couplesolve as cs
 from couplesolve.local_qp import AgentBatch
-from gen import (benchmark_ring, failing_instance, reduced_space_instance,
+from gen import (benchmark_ring, failing_instance, mixed_dims_instance, reduced_space_instance,
                  strongly_convex_instance)
 from reference import (scalar_induce_topology, scalar_lipschitz_bound, scalar_metropolis,
                        scalar_neighborhood, scalar_operator_norms, scalar_validate_licq)
@@ -61,16 +64,42 @@ def case(request):
     return make(*args)
 
 
-def test_topology_is_the_scalar_loops(case):
-    # The layout and the hops too, which equality leaves out.
-    problem, topology, weights = case
+def _assert_topology_is_the_scalar_loops(problem, topology, weights):
+    """The counts and arrays bit for bit, and every set the accessors read
+    off them equal to the scalar loops' stored tuple, with Python ints."""
     reference = scalar_induce_topology(problem, problem.graph)
-    assert topology == reference
-    assert _bits(topology) == _bits(reference)
+    assert topology == reference.topology
+    assert _bits(topology) == _bits(reference.topology)
+    assert _bits(topology.participants) == _bits(reference.participants)
     for l, members in enumerate(reference.participants, start=1):
+        assert _bits(topology.participants_of(l)) == _bits(members)
+        assert topology.edges_of(l) == reference.edges_of(l)
+        assert all(type(i) is int for edge in topology.edges_of(l) for i in edge)
         for i in members:
             assert topology.neighborhood(l, i) == scalar_neighborhood(reference.edges_of(l), i)
+    for i in range(1, problem.n_agents + 1):
+        assert _bits(topology.constraints_of(i)) == _bits(reference.constraints_of(i))
     assert _bits(weights) == _bits(scalar_metropolis(reference))
+
+
+def _line_filter():
+    scenario, graph, state = cs.line_consensus_scenario()
+    problem = cs.assemble_step_problem(state, scenario, graph)
+    topology = cs.induce_topology(problem, graph)
+    return problem, topology, cs.build_weights(topology)
+
+
+def test_topology_is_the_scalar_loops(case):
+    _assert_topology_is_the_scalar_loops(*case)
+
+
+@pytest.mark.parametrize("make, args", [(mixed_dims_instance, (seed,)) for seed in range(4)]
+                         + [(_line_filter, ())],
+                         ids=[f"mixed{seed}" for seed in range(4)] + ["line-filter"])
+def test_topology_of_mixed_blocks_and_the_filter_is_the_scalar_loops(make, args):
+    # Agents of several (dimension, row count) blocks, whose rows the
+    # layout sorts together, and the safety filter's QP.
+    _assert_topology_is_the_scalar_loops(*make(*args))
 
 
 def test_licq_and_bound_are_the_scalar_loops(case):

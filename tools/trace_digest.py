@@ -114,10 +114,11 @@ def keyed_solutions(stacked, topology) -> list[tuple]:
 
     Agent i's multiplier columns follow ``topology.constraints_of(i)``.
     """
-    out = []
-    for z, mults, work, d, ineq, eq in zip(stacked.z, stacked.z[:, stacked.dim:].tolist(),
-                                           stacked.work, stacked.dims,
-                                           topology.agent_ineq_sets, topology.agent_eq_sets):
+    out, m = [], topology.m_ineq
+    for i, (z, mults, work, d) in enumerate(zip(stacked.z, stacked.z[:, stacked.dim:].tolist(),
+                                                stacked.work, stacked.dims), start=1):
+        rows = topology.constraints_of(i)
+        ineq, eq = tuple(l for l in rows if l <= m), tuple(l - m for l in rows if l > m)
         k_i = len(ineq)
         out.append((z[:d], dict(zip(ineq, mults[:k_i])), dict(zip(eq, mults[k_i:])),
                     tuple(ineq[pos] for pos in np.flatnonzero(work))))
@@ -159,9 +160,9 @@ def oracle_cells(oracle) -> np.ndarray:
 
 def setup_parts(cs, problem, topology, weights) -> tuple:
     """The set-up's topology, rank report, operator norms and Lipschitz bound."""
-    hoods = [topology.neighborhood(l, i) for l in range(1, topology.n_constraints + 1)
-             for i in topology.participants_of(l)]
-    return (topology.participants, [sorted(edges) for edges in topology.induced_edges],
+    constraints = range(1, topology.n_constraints + 1)
+    hoods = [topology.neighborhood(l, i) for l in constraints for i in topology.participants_of(l)]
+    return (topology.participants, [sorted(topology.edges_of(l)) for l in constraints],
             hoods, cs.validate_licq(problem).agents, cs.operator_norms(topology, weights),
             cs.lipschitz_bound(problem, topology, weights))
 
