@@ -16,9 +16,10 @@ problem shape this package solves.  The filter QP is re-solved each step,
 either centrally or by a fixed number of distributed rounds with the slack
 allocation reset to zero; every inner iterate already satisfies the coupled
 rows, so even a truncated inner loop never applies an unsafe input.  The
-filter QP has one builder, ``_FilterRows``.  From step to step only the
-nominal inputs and the rows move, so the filter compiles its ``AgentBatch``
-once and refreshes it in place.
+filter QP has one builder, ``_FilterRows``, which computes each state's
+parameters in one array pass.  From step to step only the nominal inputs
+and the rows move, so the filter compiles its ``AgentBatch`` once and
+refreshes it in place.
 
 The rows are the continuous-time decrease condition, so under the sampled
 Euler step the barrier obeys only  g[k+1] >= (1 - dt) g[k] - dt^2 sum_i ||u_i||^2
@@ -168,11 +169,29 @@ def nominal_consensus(state: MultiAgentState, graph: Graph) -> np.ndarray:
     if graph.n_agents != state.n_agents:
         raise ValidationError(
             f"graph has {graph.n_agents} agents but the state has {state.n_agents}")
-    out = np.zeros_like(state.positions)
-    for i in range(1, graph.n_agents + 1):
-        for j in graph.neighborhood(i):
-            if j != i:
-                out[i - 1] += state.positions[j - 1] - state.positions[i - 1]
+    return _consensus(state.positions, *_neighbour_table(graph))
+
+
+def _neighbour_table(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(table, real): row a of ``table`` lists 0-based agent a's closed
+    neighbourhood, ascending, padded to the widest (``Graph.closed``), and
+    ``real`` marks the entries that are a neighbour other than a itself."""
+    indptr, indices = graph.closed
+    first, last = indptr[:-1, None], indptr[1:, None]
+    at = first + np.arange((last - first).max())
+    table = indices.take(at, mode="clip") - 1  # the padding reads later rows, or the last entry
+    return table, (at < last) & (table != np.arange(graph.n_agents)[:, None])
+
+
+def _consensus(positions: np.ndarray, table: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Each agent's sum of z_j - z_i over its neighbours j, added up in
+    neighbourhood order from 0.0; the entries ``real`` leaves out add an
+    exact +0.0 and are not computed."""
+    deltas = np.subtract(positions[table], positions[:, None], where=real[..., None],
+                         out=np.zeros(table.shape + (2,)))
+    out = 0.0
+    for column in deltas.transpose(1, 0, 2):
+        out = out + column
     return out
 
 
@@ -192,8 +211,10 @@ class _FilterRows:
     in the order ``problem`` adds the rows: barrier by barrier, each
     barrier's agents in its order.  ``order`` lists their pair numbers agent
     by agent, each agent's barriers ascending: the order of ``AgentBatch``'s
-    rows.  Raises ValidationError when the graph and the state disagree on
-    the agent count or a barrier names an agent outside 1..n.
+    rows.  ``neighbours`` is the graph's padded neighbour table
+    (``_neighbour_table``), off which ``at`` sums the consensus inputs.
+    Raises ValidationError when the graph and the state disagree on the
+    agent count or a barrier names an agent outside 1..n.
     """
 
     def __init__(self, scenario: CbfScenario, graph: Graph, n_agents: int):
@@ -212,25 +233,30 @@ class _FilterRows:
         self.share = np.array([barriers[m].radius_sq / len(barriers[m].agents)
                                for _, m in pairs], dtype=float)
         self.order = np.argsort(self.agent, kind="stable")
+        self.neighbours = _neighbour_table(graph)
 
     def at(self, state: MultiAgentState) -> _Step:
-        """The parameters at ``state``, in one pass.
+        """The parameters at ``state``, in one array pass.
 
         A pair's offset is ||z_i - center||^2 - radius_sq / n_g under the identity
         alpha, and the even split -alpha(g) / n_g of a custom alpha's decrease.
-        Raises the ValidationError the problem's constructors raise for the
-        first value that is not finite.
+        Each squared norm is a stacked (1, 2) @ (2, 1) product, whose bits are
+        a 2-vector dot's.  Raises the ValidationError the problem's
+        constructors raise for the first value that is not finite, or the
+        ``nominal_consensus`` one for a state of another agent count.
         """
         scenario = self.scenario
-        nominal = nominal_consensus(state, self.graph)
+        if state.n_agents != self.n:
+            raise ValidationError(f"graph has {self.n} agents but the state has {state.n_agents}")
+        nominal = _consensus(state.positions, *self.neighbours)
         deltas = state.positions[self.agent] - self.center
         if scenario.alpha is None:
-            offsets = np.array([float(delta @ delta) for delta in deltas]) - self.share
+            offsets = (deltas[:, None, :] @ deltas[:, :, None])[:, 0, 0] - self.share
         else:
             decrease = np.array([float(scenario.alpha(barrier.value(state.positions)))
                                  for barrier in scenario.barriers])
             offsets = -decrease[self.barrier] / self.n_g
-        step = _Step(-nominal, np.array([0.5 * float(v @ v) for v in nominal]),
+        step = _Step(-nominal, 0.5 * (nominal[:, None, :] @ nominal[:, :, None])[:, 0, 0],
                      2.0 * deltas, offsets)
         if not all(np.isfinite(values).all() for values in step):
             self.problem(step)  # raises the constructors' ValidationError

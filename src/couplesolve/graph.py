@@ -34,9 +34,11 @@ original coupled constraint — every slack allocation yields a conservative
 ``SlackState`` holds one allocation, and ``consensus_gap`` is the one-hop
 row of I - P that both the offsets and the gradient read.
 ``induce_topology`` finds every closed-neighbourhood read once, as the
-topology's hops ((l, i) reads (l, j)), which the weights, the transport,
-the batch's read pass and the finite-difference probes index, and off
-which, with the layout, the topology reads every set it hands out.
+topology's hops ((l, i) reads (l, j)), by one join of the slack coordinates
+with the graph's closed neighbourhoods (CSR arrays, ``Graph.closed``).  The
+weights, the transport, the batch's read pass, the finite-difference probes
+and the connectivity check (label propagation) index the hops, and off
+them, with the layout, the topology reads every set it hands out.
 """
 
 from __future__ import annotations
@@ -95,18 +97,27 @@ class Graph:
         return cls(n_agents, frozenset(canonical))
 
     @cached_property
-    def _closed(self) -> tuple[tuple[int, ...], ...]:  # agent i's neighborhood at i
-        near = [[i] for i in range(self.n_agents + 1)]
-        for a, b in self.edges:
-            near[a].append(b)
-            near[b].append(a)
-        return tuple(tuple(sorted(agents)) for agents in near)
+    def closed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closed neighbourhoods as read-only CSR arrays (indptr, indices),
+        built once: agent i's, ascending and i included, is
+        ``indices[indptr[i - 1]:indptr[i]]``."""
+        n = self.n_agents
+        edges = np.array(list(self.edges), dtype=int).reshape(-1, 2)
+        agents = np.arange(1, n + 1)
+        row = np.concatenate([edges[:, 0], edges[:, 1], agents])
+        col = np.concatenate([edges[:, 1], edges[:, 0], agents])
+        indices = col[np.argsort(row * (n + 1) + col)]
+        indptr = np.concatenate([[0], np.bincount(row, minlength=n + 1)[1:].cumsum()])
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
 
     def neighborhood(self, i: int) -> tuple[int, ...]:
-        """Closed neighborhood of agent i (includes i), ascending; KeyError off 1..n_agents."""
-        if not 1 <= i <= self.n_agents:
+        """Closed neighborhood of agent i (includes i), ascending; KeyError
+        unless i is an integer in 1..n_agents."""
+        if not (_integer(i) and 1 <= i <= self.n_agents):
             raise KeyError(i)
-        return self._closed[i]
+        indptr, indices = self.closed
+        return tuple(indices[indptr[i - 1]:indptr[i]].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +131,7 @@ class ConstraintTopology:
     coordinate ``reader[k]`` reading coordinate ``read[k]``; the hops ascend
     by (reader, read), the order ``consensus_gap`` visits.  Equality compares
     the counts and the four arrays; the accessors raise KeyError for a
-    constraint or an agent number out of range.
+    constraint or an agent number that is not an integer in range.
     """
 
     n_agents: int
@@ -162,7 +173,7 @@ class ConstraintTopology:
 
     def constraints_of(self, i: int) -> tuple[int, ...]:
         """All constraint indices (inequalities then shifted equalities) of agent i."""
-        if not 1 <= i <= self.n_agents:
+        if not (_integer(i) and 1 <= i <= self.n_agents):
             raise KeyError(i)
         return tuple(l for l, _ in self.layout.keys(np.flatnonzero(self.layout.members == i)))
 
@@ -173,24 +184,32 @@ def induce_topology(problem, graph: Graph) -> ConstraintTopology:
     An agent participates in a constraint row iff its coefficient row is
     nonzero or its offset contribution is nonzero, which is exactly when
     ``CouplingConstraints`` stores the row.  So the layout is one sort of
-    the rows' positions in ``problem.blocks``, and the hops come from one
-    walk over each coordinate's closed graph neighbourhood.  Participants and
-    hops ascend, independent of edge insertion order.
+    the rows' positions in ``problem.blocks``, and the hops are one join:
+    each slack coordinate (l, i) is repeated once per agent j of i's closed
+    graph neighbourhood (``Graph.closed``), and the pair is kept where the
+    code of (l, j) is found, by ``searchsorted``, among the layout's
+    ascending codes.  Participants and hops ascend, independent of edge
+    insertion order.
     """
     m_ineq, q_eq = problem.constraints.m_ineq, problem.constraints.q_eq
     rows = np.concatenate([block.index.ravel() for block in problem.blocks])
     agents = np.concatenate([block.agents.repeat(block.index.shape[1])
                              for block in problem.blocks]) + 1
     order = np.lexsort((agents, rows))  # by row, then agent
-    layout = SlackLayout(agents[order], rows[order].searchsorted(np.arange(m_ineq + q_eq + 1)))
+    rows, members = rows[order], agents[order]
+    layout = SlackLayout(members, rows.searchsorted(np.arange(m_ineq + q_eq + 1)))
 
-    hops = []
-    for members, start in zip(layout.participants, layout.starts.tolist()):
-        coord = {i: c for c, i in enumerate(members, start)}
-        for i, c in coord.items():
-            hops += [(c, coord[j]) for j in graph._closed[i] if j in coord]
-    reader, read = np.array(hops, dtype=int).reshape(-1, 2).T.copy()
-    return ConstraintTopology(graph.n_agents, m_ineq, q_eq, layout, reader, read)
+    # Coordinate (l, i) has the code (l - 1) (n + 1) + i: the codes ascend.
+    base = rows * (graph.n_agents + 1)
+    codes = base + members
+    indptr, indices = graph.closed
+    ends = indptr[members]
+    count = ends - indptr[members - 1]
+    reader = np.arange(layout.size).repeat(count)
+    wanted = base[reader] + indices[np.arange(len(reader)) + (ends - count.cumsum())[reader]]
+    read = codes.searchsorted(wanted)
+    found = codes.take(read, mode="clip") == wanted  # a code past the last is not found
+    return ConstraintTopology(graph.n_agents, m_ineq, q_eq, layout, reader[found], read[found])
 
 
 @dataclass(frozen=True)
@@ -208,24 +227,27 @@ class ConnectivityReport:
 
 
 def check_connectivity(topology: ConstraintTopology) -> ConnectivityReport:
-    """Check that every constraint's participants induce a connected subgraph:
-    a search along the hops from its first coordinate reaches all of them.
+    """Check that every constraint's participants induce a connected subgraph.
 
+    Minimum labels propagate along the hops, each pass followed by one
+    pointer jump (Shiloach and Vishkin, J. Algorithms 3(1), 1982), until no
+    label moves: each coordinate then holds the lowest coordinate it
+    reaches, its component's root, and a block is connected when it holds
+    at most one root.  Every coordinate reads itself, so each has a hop.
     Empty and singleton participant sets count as connected.
     """
-    starts, read = topology.layout.starts.tolist(), topology.read.tolist()
-    ends = topology.reader.searchsorted(np.arange(starts[-1] + 1)).tolist()
-    flags = []
-    for first, last in zip(starts, starts[1:]):
-        seen = set(range(first, min(first + 1, last)))  # the first coordinate, if any
-        frontier = list(seen)
-        while frontier:
-            c = frontier.pop()
-            new = set(read[ends[c]:ends[c + 1]]) - seen
-            seen |= new
-            frontier += new
-        flags.append(len(seen) == last - first)
-    return ConnectivityReport(tuple(flags))
+    read = topology.read
+    coords = label = np.arange(topology.layout.size)
+    if len(label):
+        first = topology.reader.searchsorted(coords)
+        while True:
+            lower = np.minimum.reduceat(label[read], first)
+            lower = lower[lower]
+            if (lower == label).all():
+                break
+            label = lower
+    roots = np.flatnonzero(label == coords).searchsorted(topology.layout.starts)
+    return ConnectivityReport(tuple((roots[1:] - roots[:-1] <= 1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +415,7 @@ class SlackLayout:
 
     def index(self, l: int, agent: int) -> int:
         """Coordinate (l, agent); KeyError unless agent takes part in constraint l."""
-        if not 1 <= l < len(self.starts):
+        if not (_integer(l) and _integer(agent) and 1 <= l < len(self.starts)):
             raise KeyError((l, agent))
         first, last = int(self.starts[l - 1]), int(self.starts[l])
         at = first + int(self.members[first:last].searchsorted(agent))
@@ -402,8 +424,8 @@ class SlackLayout:
         return at
 
     def block(self, l: int) -> slice:
-        """Constraint l's coordinates; KeyError unless l is in 1..n_constraints."""
-        if not 1 <= l < len(self.starts):
+        """Constraint l's coordinates; KeyError unless l is an integer in 1..n_constraints."""
+        if not (_integer(l) and 1 <= l < len(self.starts)):
             raise KeyError(l)
         return slice(int(self.starts[l - 1]), int(self.starts[l]))
 

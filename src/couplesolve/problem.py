@@ -456,13 +456,14 @@ def _groups(keys: np.ndarray):
 
 
 def _operator_norms(topology, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(||I - P^[l]||_2, |V^[l]|) per constraint l, at l - 1: one batched
-    ``eigvalsh`` per participant count over the stacked I - P."""
+    """(||I - P^[l]||_2, |V^[l]|) per constraint l, at l - 1: per participant
+    count k, I - P as ``np.eye(k)`` less the stacked entries, and one batched
+    ``eigvalsh``."""
     sizes = np.diff(topology.layout.starts)
     norms = np.zeros(topology.n_constraints)
     for k, pos in _groups(sizes):
         if k:
-            gaps = np.array([weights[l].gap for l in (pos + 1).tolist()])
+            gaps = np.eye(k) - np.array([weights[l].entries for l in (pos + 1).tolist()])
             norms[pos] = np.abs(np.linalg.eigvalsh(gaps)).max(axis=1)
     return norms, sizes
 
@@ -471,7 +472,8 @@ def operator_norms(topology, weights) -> dict[int, float]:
     """Spectral norm of I - P per constraint (0 for empty participant sets).
 
     The constraints are grouped by participant count: one batched
-    ``eigvalsh`` per count over the stacked I - P (``WeightMatrix.gap``).
+    ``eigvalsh`` per count over the stacked I - P, each ``WeightMatrix.gap``'s
+    bits.
     """
     norms, _ = _operator_norms(topology, weights)
     return dict(zip(range(1, topology.n_constraints + 1), norms.tolist()))

@@ -52,6 +52,8 @@ The set-up's scalar loops, which the batched set-up must reproduce bit for
 bit: ``scalar_induce_topology`` (``stored_row`` per (agent, constraint) pair, a
 scan of every graph edge per constraint, and the hops read off each
 participant's ``scalar_neighborhood``, a scan of every induced edge),
+``scalar_check_connectivity`` (a search along the hops from each
+constraint's first coordinate, set by set),
 ``scalar_metropolis`` (the Metropolis weights constraint by constraint, each
 diagonal 1 minus its row's sum), ``scalar_validate_licq`` (one
 SVD per agent), ``scalar_operator_norms`` (one ``eigvalsh`` per constraint)
@@ -60,6 +62,9 @@ and ``scalar_lipschitz_bound`` (one ``eigvalsh`` per agent with rows).
 The filter QP built row by row: ``rowwise_step_problem`` adds each
 barrier's rows one agent at a time, with the offset arithmetic of both alpha
 branches written out; ``cbf._FilterRows`` must build the same problem.
+``pairwise_step`` is ``_FilterRows.at`` pair by pair (the consensus inputs
+from ``scalar_nominal_consensus``, agent by agent, and one 2-vector dot
+per squared norm), whose arrays ``at`` must give bit for bit.
 
 The closed loop rebuilt at every step: ``rebuilt_closed_loop`` assembles
 each step's filter QP with ``rowwise_step_problem``, checks it with
@@ -79,9 +84,9 @@ from couplesolve import (AgentObjective, CouplingConstraints, Graph, ProblemSpec
                          build_weights, consensus_gap, induce_topology, max_violation,
                          objective_value, solve_centralized, validate_licq)
 from couplesolve.algorithms import AdaConfig, AdaState, iterate_rounds
-from couplesolve.cbf import ClosedLoopResult, euler_step, nominal_consensus
+from couplesolve.cbf import ClosedLoopResult, _Step, euler_step
 from couplesolve.exceptions import RankDeficiencyError, ValidationError
-from couplesolve.graph import ConstraintTopology, WeightMatrix
+from couplesolve.graph import ConnectivityReport, ConstraintTopology, WeightMatrix
 from couplesolve.local_qp import (_ADD_TOL, _DROP_TOL, AgentBatch, WarmStart, _accepted, _affine,
                                   _capped, _gap, _inverses, _moves, _residual_ok, _revisited,
                                   _singular)
@@ -691,9 +696,40 @@ def consensus_gradient(solutions, topology, weights, layout) -> np.ndarray:
     return grad
 
 
+def scalar_nominal_consensus(state, graph) -> np.ndarray:
+    """``cbf.nominal_consensus`` agent by agent: each neighbour's z_j - z_i
+    added in turn, neighbours ascending, from 0.0."""
+    out = np.zeros_like(state.positions)
+    for i in range(1, graph.n_agents + 1):
+        for j in graph.neighborhood(i):
+            if j != i:
+                out[i - 1] += state.positions[j - 1] - state.positions[i - 1]
+    return out
+
+
+def pairwise_step(rows, state):
+    """``cbf._FilterRows.at`` pair by pair: the consensus inputs agent by
+    agent, one 2-vector dot per squared norm and one ``alpha`` call per
+    barrier, the problem's ValidationError for a value that is not finite."""
+    scenario = rows.scenario
+    nominal = scalar_nominal_consensus(state, rows.graph)
+    deltas = state.positions[rows.agent] - rows.center
+    if scenario.alpha is None:
+        offsets = np.array([float(delta @ delta) for delta in deltas]) - rows.share
+    else:
+        decrease = np.array([float(scenario.alpha(barrier.value(state.positions)))
+                             for barrier in scenario.barriers])
+        offsets = -decrease[rows.barrier] / rows.n_g
+    step = _Step(-nominal, np.array([0.5 * float(v @ v) for v in nominal]),
+                 2.0 * deltas, offsets)
+    if not all(np.isfinite(values).all() for values in step):
+        rows.problem(step)
+    return step
+
+
 def rowwise_step_problem(state, scenario, graph) -> ProblemSpec:
     """The safety-filter QP at ``state``, one row at a time."""
-    nominal = nominal_consensus(state, graph)
+    nominal = scalar_nominal_consensus(state, graph)
     objectives = tuple(
         AgentObjective(np.eye(2), -nominal[i], 0.5 * float(nominal[i] @ nominal[i]))
         for i in range(graph.n_agents)
@@ -861,6 +897,24 @@ def scalar_induce_topology(problem, graph) -> ScalarTopology:
     return ScalarTopology(tuple(participants), tuple(induced), agent_ineq, agent_eq,
                           ConstraintTopology(n, m_ineq, q_eq, layout, np.array(reader, dtype=int),
                                              np.array(read, dtype=int)))
+
+
+def scalar_check_connectivity(topology) -> ConnectivityReport:
+    """``check_connectivity`` as a search: from each constraint's first
+    coordinate along the hops, set by set, connected when it reaches them all."""
+    starts, read = topology.layout.starts.tolist(), topology.read.tolist()
+    ends = topology.reader.searchsorted(np.arange(starts[-1] + 1)).tolist()
+    flags = []
+    for first, last in zip(starts, starts[1:]):
+        seen = set(range(first, min(first + 1, last)))  # the first coordinate, if any
+        frontier = list(seen)
+        while frontier:
+            c = frontier.pop()
+            new = set(read[ends[c]:ends[c + 1]]) - seen
+            seen |= new
+            frontier += new
+        flags.append(len(seen) == last - first)
+    return ConnectivityReport(tuple(flags))
 
 
 def scalar_metropolis(topology) -> dict:

@@ -280,6 +280,44 @@ def test_filter_rows_build_the_assembled_problem(name):
                     assert np.array_equal(rows[m][0], coeffs) and rows[m][1] == offset
 
 
+def _bits(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("name", ["cold", "alpha", "reversed"])
+def test_filter_step_is_the_pairwise_loop(name):
+    # Every parameter array and the consensus inputs bit for bit, signed
+    # zeros included: on each state of the closed loop, and on 1000 random
+    # states, half of them on a grid of small numbers and signed zeros
+    # (ties, zero differences, deltas of -0.0), half spread over 16 decades.
+    scenario, graph, state = _case(name)
+    filter_rows = cbf._FilterRows(scenario, graph, state.n_agents)
+    rng = np.random.default_rng(11)
+    shape = (500, graph.n_agents, 2)
+    grid = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=shape)
+    spread = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=(500, 1, 1))
+    for positions in (*run_closed_loop(scenario, graph, state).positions, *grid, *spread):
+        at = MultiAgentState(0.0, positions)
+        assert _bits(filter_rows.at(at)) == _bits(reference.pairwise_step(filter_rows, at))
+        assert _bits([nominal_consensus(at, graph)]) == _bits(
+            [reference.scalar_nominal_consensus(at, graph)])
+
+
+@pytest.mark.parametrize("n, edges", [
+    (1, []), (5, []), (6, [(2, 5)]), (9, [(1, j) for j in range(2, 10)]),
+    (12, [(i, j) for i in range(1, 13) for j in range(i + 1, 13)]),
+], ids=["one", "isolated", "one-edge", "star", "complete12"])
+def test_nominal_consensus_is_the_per_agent_loop(n, edges):
+    # Isolated agents get +0.0 inputs; a neighbourhood wider than 8 is still
+    # added up in order.
+    graph = cs.Graph.from_edges(n, edges)
+    rng = np.random.default_rng(n)
+    for positions in rng.standard_normal((50, n, 2)) * 10.0 ** rng.integers(-8, 9, (50, 1, 1)):
+        at = MultiAgentState(0.0, positions)
+        assert _bits([nominal_consensus(at, graph)]) == _bits(
+            [reference.scalar_nominal_consensus(at, graph)])
+
+
 @pytest.mark.parametrize("name", ["cold", "alpha", "reversed"])
 def test_applied_row_check_is_max_violation(name):
     # run_closed_loop checks the applied input on its refreshed batch.

@@ -19,18 +19,29 @@ def test_numbers_outside_the_topology_raise_key_error():
     # outside 1..2 or an agent number outside 1..7 raises KeyError naming
     # it: it neither wraps round to the last constraint or agent (as a
     # negative or zero index would) nor answers for an agent the graph lacks.
+    # So does a number that is not an integer (a boolean included), in range
+    # or not, rather than reading as some constraint or agent, or raising
+    # numpy's IndexError or a TypeError.
     scenario, graph, state = cs.line_consensus_scenario()
     topology = cs.induce_topology(cs.assemble_step_problem(state, scenario, graph), graph)
     slack = cs.SlackState.zeros(topology.layout)
-    for l in (-1, 0, topology.n_constraints + 1):
+    not_integers = (1.5, 2.0, np.float64(1.0), True)
+    coordinate = (topology.layout.index, slack.value, topology.neighborhood)
+    for l in (-1, 0, topology.n_constraints + 1, *not_integers):
         for read in (topology.layout.block, slack.block, topology.participants_of,
                      topology.edges_of):
-            with pytest.raises(KeyError, match=rf"^{l}$"):
+            with pytest.raises(KeyError, match=rf"^{re.escape(repr(l))}$"):
                 read(l)
-    for i in (-1, 0, graph.n_agents + 1):
+        for read in coordinate:
+            with pytest.raises(KeyError, match=rf"^{re.escape(repr((l, 1)))}$"):
+                read(l, 1)
+    for i in (-1, 0, graph.n_agents + 1, *not_integers):
         for read in (graph.neighborhood, topology.constraints_of):
-            with pytest.raises(KeyError, match=rf"^{i}$"):
+            with pytest.raises(KeyError, match=rf"^{re.escape(repr(i))}$"):
                 read(i)
+        for read in coordinate:
+            with pytest.raises(KeyError, match=rf"^{re.escape(repr((1, i)))}$"):
+                read(1, i)
 
 
 def test_edges_canonicalized():

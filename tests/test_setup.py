@@ -2,6 +2,7 @@
 
 ``induce_topology`` keeps the slack layout and the one-hop reads as int
 arrays, from which the topology's accessors read every set,
+``check_connectivity`` propagates labels along the hops,
 ``build_weights`` groups the Metropolis arithmetic by participant count, and
 ``validate_licq``, ``operator_norms`` and ``lipschitz_bound`` group their
 work into stacked LAPACK calls; each must give what ``tests/reference.py``'s
@@ -10,22 +11,27 @@ float and array, or an exception of equal type and message.  Cases: the
 ``tests/gen.py`` families (strongly convex seeds 0-24, reduced-space seeds
 0-11, whose PSD Hessians have no Lipschitz bound), the failing instance
 (rank-deficient rows) and the benchmark's 400-agent ring; the topology
-also on ``tests/gen.py``'s mixed block dimensions (seeds 0-3) and the line
-safety filter's QP.
+also on ``tests/gen.py``'s mixed block dimensions (seeds 0-3), the line
+safety filter's QP, random graphs and participant sets (disconnected,
+empty and singleton sets, isolated agents) and a 300-participant path.
 """
 
 import dataclasses
 import logging
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import couplesolve as cs
 from couplesolve.local_qp import AgentBatch
 from gen import (benchmark_ring, failing_instance, mixed_dims_instance, reduced_space_instance,
                  strongly_convex_instance)
-from reference import (scalar_induce_topology, scalar_lipschitz_bound, scalar_metropolis,
-                       scalar_neighborhood, scalar_operator_norms, scalar_validate_licq)
+from reference import (scalar_check_connectivity, scalar_induce_topology, scalar_lipschitz_bound,
+                       scalar_metropolis, scalar_neighborhood, scalar_operator_norms,
+                       scalar_validate_licq)
 
 CASES = ([(strongly_convex_instance, seed) for seed in range(25)]
          + [(reduced_space_instance, seed) for seed in range(12)]
@@ -64,12 +70,21 @@ def case(request):
     return make(*args)
 
 
-def _assert_topology_is_the_scalar_loops(problem, topology, weights):
-    """The counts and arrays bit for bit, and every set the accessors read
-    off them equal to the scalar loops' stored tuple, with Python ints."""
+def _assert_hops_and_flags_are_the_scalar_loops(problem, topology):
+    """The counts and arrays bit for bit, and the connectivity flags (Python
+    bools) the search's; returns the scalar loops' topology."""
     reference = scalar_induce_topology(problem, problem.graph)
     assert topology == reference.topology
     assert _bits(topology) == _bits(reference.topology)
+    assert _bits(cs.check_connectivity(topology)) == _bits(
+        scalar_check_connectivity(reference.topology))
+    return reference
+
+
+def _assert_topology_is_the_scalar_loops(problem, topology, weights):
+    """The hops and flags bit for bit, and every set the accessors read
+    off them equal to the scalar loops' stored tuple, with Python ints."""
+    reference = _assert_hops_and_flags_are_the_scalar_loops(problem, topology)
     assert _bits(topology.participants) == _bits(reference.participants)
     for l, members in enumerate(reference.participants, start=1):
         assert _bits(topology.participants_of(l)) == _bits(members)
@@ -100,6 +115,53 @@ def test_topology_of_mixed_blocks_and_the_filter_is_the_scalar_loops(make, args)
     # Agents of several (dimension, row count) blocks, whose rows the
     # layout sorts together, and the safety filter's QP.
     _assert_topology_is_the_scalar_loops(*make(*args))
+
+
+def _problem(graph, dims, participants):
+    """A problem on ``graph`` whose constraint l (inequalities only) is
+    stored by the agents ``participants[l - 1]``, each with a row of ones."""
+    cons = cs.CouplingConstraints(graph.n_agents, len(participants), 0)
+    for l, members in enumerate(participants, start=1):
+        for i in members:
+            cons.add_ineq_row(i, l, np.ones(dims[i - 1]), 0.0)
+    objectives = tuple(cs.AgentObjective(np.eye(d), np.zeros(d)) for d in dims)
+    return cs.ProblemSpec(objectives, cons, graph)
+
+
+@st.composite
+def topologies(draw):
+    """A random graph, isolated agents included, and random participant
+    sets: disconnected, empty and singleton ones among them."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    graph = cs.Graph.from_edges(n, draw(st.lists(pairs, max_size=2 * n)) if n > 1 else ())
+    dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    agents = st.lists(st.integers(1, n), unique=True).map(sorted)
+    return _problem(graph, dims, draw(st.lists(agents, max_size=6)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=10))
+@given(topologies())
+def test_random_topologies_are_the_scalar_loops(problem):
+    topology = cs.induce_topology(problem, problem.graph)
+    _assert_hops_and_flags_are_the_scalar_loops(problem, topology)
+
+
+@pytest.mark.parametrize("cut", [None, 1, 150, 299])
+def test_a_300_participant_path_is_the_scalar_loops(cut):
+    # A path whose hops need 299 steps to cross, whole or cut at one edge,
+    # with a constraint on its two halves and one on every third agent.
+    n = 300
+    graph = cs.Graph.from_edges(n, [(i, i + 1) for i in range(1, n) if i != cut])
+    problem = _problem(graph, [1] * n, [range(1, n + 1), range(1, 151), range(151, n + 1),
+                                        range(1, n + 1, 3)])
+    topology = cs.induce_topology(problem, graph)
+    _assert_hops_and_flags_are_the_scalar_loops(problem, topology)
+    def whole(first, last):  # the edges (i, i + 1), first <= i < last, all kept
+        return cut is None or not first <= cut < last
+
+    assert cs.check_connectivity(topology).connected == (
+        whole(1, n), whole(1, 150), whole(151, n), False)
 
 
 def test_licq_and_bound_are_the_scalar_loops(case):
